@@ -112,15 +112,15 @@ def _load_subgroup(p: PcPresentation, spec: str) -> Subgroup:
     path = Path(spec)
     if not path.exists():
         raise InputError(f"subgroup file not found: {spec}")
-    rows = []
-    for ln in path.read_text().splitlines():
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            rows.append([int(t) for t in ln.split()])
-    if not rows:
-        raise InputError(f"empty subgroup file: {spec}")
     try:
-        return subgroup_closure(p, [tuple(r) for r in rows])
+        rows = [
+            tuple(int(t) for t in ln.split())
+            for ln in map(str.strip, path.read_text().splitlines())
+            if ln and not ln.startswith("#")
+        ]
+        if not rows:
+            raise ValueError("empty subgroup file")
+        return subgroup_closure(p, rows)
     except ValueError as exc:
         raise InputError(f"bad subgroup file {spec}: {exc}") from exc
 

@@ -9,14 +9,16 @@ vertex yields the lexicographically least reduced representative.
 Generators also embed into the free partially-commutative power-series
 algebra by v -> 1 + X_v.  Truncating at a degree bound gives nilpotent
 quotients whose elements separate short nontrivial words, which is what
-`rtfn_witness` certifies exhaustively up to a length bound.
+`rtfn_witness` certifies exhaustively up to a length bound.  Series
+coefficients are exact integers, and each monomial is keyed by its
+lexicographic trace normal form, built one letter at a time (Diekert &
+Rozenberg, eds., The Book of Traces, 1995).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .errors import ResourceLimitExceeded
@@ -164,43 +166,54 @@ def words_equal(g: Graph, w1: RaagWord, w2: RaagWord) -> bool:
 
 # ---------------------------------------------------------- truncated series
 
+# Cap on the term pairs one series product in `magnus_image` may form, which
+# also caps the terms of the product: far above the 1365 x 6 pairs of a
+# 4-vertex, degree-5 image.
+MAX_TERM_PAIRS = 200_000
 
-def _canonical_monomial(g: Graph, mono: tuple[int, ...]) -> tuple[int, ...]:
-    # lex-least representative by greedy extraction: repeatedly pull out the
-    # least symbol whose earlier neighbors all commute with it.  (A bubble
-    # pass of improving adjacent swaps can stall in a local minimum, e.g.
-    # x2 x0 x1 on the path graph 0-1-2, so greedy it is.)
-    letters = list(mono)
-    out = []
-    while letters:
-        best = None
-        for p, s in enumerate(letters):
-            if all(g.commutes(s, letters[q]) for q in range(p)):
-                if best is None or s < letters[best]:
-                    best = p
-        out.append(letters.pop(best))
+
+def _blocking_table(g: Graph) -> list[list[bool]]:
+    """blocks[v][u]: u does not commute with v."""
+    n = g.vertex_count
+    return [[not g.commutes(u, v) for u in range(n)] for v in range(n)]
+
+
+def _append_normal(blocks: list[list[bool]], word: tuple[int, ...], letters) -> tuple[int, ...]:
+    """Lexicographic trace normal form of word + letters, `word` already
+    normal.  Each letter settles just after the last letter that blocks it,
+    then steps right past smaller letters."""
+    out = list(word)
+    for a in letters:
+        row = blocks[a]
+        p = n = len(out)
+        while p and not row[out[p - 1]]:
+            p -= 1
+        while p < n and out[p] < a:
+            p += 1
+        out.insert(p, a)
     return tuple(out)
 
 
 @dataclass
 class TruncatedSeries:
     """Element of the partially-commutative power-series algebra modulo
-    terms of degree above `degree_bound`; keys are canonical monomials."""
+    terms of degree above `degree_bound`.  Coefficients are exact integers;
+    keys are lexicographic trace normal forms of monomials."""
 
     degree_bound: int
-    coefficients: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    coefficients: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     @staticmethod
     def one(d: int) -> "TruncatedSeries":
-        return TruncatedSeries(d, {(): Fraction(1)})
+        return TruncatedSeries(d, {(): 1})
 
     def is_one(self) -> bool:
-        return self.coefficients == {(): Fraction(1)}
+        return self.coefficients == {(): 1}
 
-    def coefficient(self, mono: tuple[int, ...]) -> Fraction:
-        return self.coefficients.get(mono, Fraction(0))
+    def coefficient(self, mono: tuple[int, ...]) -> int:
+        return self.coefficients.get(mono, 0)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.coefficients.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
@@ -208,13 +221,16 @@ def series_multiply(g: Graph, s1: TruncatedSeries, s2: TruncatedSeries) -> Trunc
     if s1.degree_bound != s2.degree_bound:
         raise ValueError("degree bounds differ")
     d = s1.degree_bound
-    out: dict[tuple[int, ...], Fraction] = {}
+    blocks = _blocking_table(g)
+    terms2 = sorted(((len(m2), m2, c2) for m2, c2 in s2.coefficients.items()), key=lambda t: t[0])
+    out: dict[tuple[int, ...], int] = {}
     for m1, c1 in s1.coefficients.items():
-        for m2, c2 in s2.coefficients.items():
-            if len(m1) + len(m2) > d:
-                continue
-            key = _canonical_monomial(g, m1 + m2)
-            val = out.get(key, Fraction(0)) + c1 * c2
+        room = d - len(m1)
+        for n2, m2, c2 in terms2:
+            if n2 > room:
+                break
+            key = _append_normal(blocks, m1, m2) if m2 else m1
+            val = out.get(key, 0) + c1 * c2
             if val:
                 out[key] = val
             elif key in out:
@@ -222,27 +238,34 @@ def series_multiply(g: Graph, s1: TruncatedSeries, s2: TruncatedSeries) -> Trunc
     return TruncatedSeries(d, out)
 
 
-def _letter_series(g: Graph, v: int, e: int, d: int) -> TruncatedSeries:
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    if e >= 0:
-        top = min(e, d)
-        for k in range(top + 1):
-            coeffs[(v,) * k] = Fraction(comb(e, k))
-    else:
-        a = -e
-        for k in range(d + 1):
-            c = comb(a + k - 1, k) * (-1) ** k
-            coeffs[(v,) * k] = Fraction(c)
-    return TruncatedSeries(d, coeffs)
+def _letter_terms(e: int, d: int) -> int:
+    return (min(e, d) if e >= 0 else d) + 1
+
+
+def _letter_series(v: int, e: int, d: int) -> TruncatedSeries:
+    """Image of v^e: the binomial series of (1 + X_v)^e."""
+    return TruncatedSeries(d, {
+        (v,) * k: comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+        for k in range(_letter_terms(e, d))
+    })
 
 
 def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
-    """Image of w under v -> 1 + X_v, truncated beyond degree d."""
+    """Image of w under v -> 1 + X_v, truncated beyond degree d.
+
+    Raises ResourceLimitExceeded before a product that would form more
+    than MAX_TERM_PAIRS term pairs."""
     if d < 1:
         raise ValueError("degree bound must be at least 1")
     out = TruncatedSeries.one(d)
-    for v, e in w.letters:
-        out = series_multiply(g, out, _letter_series(g, v, e, d))
+    for done, (v, e) in enumerate(w.letters):
+        pairs = len(out.coefficients) * _letter_terms(e, d)
+        if pairs > MAX_TERM_PAIRS:
+            raise ResourceLimitExceeded(
+                f"series product of {pairs} term pairs exceeds the cap of {MAX_TERM_PAIRS} "
+                f"after {done} of {len(w.letters)} syllables at degree {d}"
+            )
+        out = series_multiply(g, out, _letter_series(v, e, d))
     return out
 
 
@@ -262,6 +285,23 @@ class RtfnWitnessReport:
     failures: tuple[tuple[tuple[int, int], ...], ...]
 
 
+def _extends_normally(blocks: list[list[bool]], units: list[tuple[int, int]],
+                      letter: tuple[int, int]) -> bool:
+    """Whether units + [letter] is a normal form, given that units is one:
+    scanning back through the letters that commute with the new letter, it
+    must meet neither a larger vertex (it belongs earlier) nor its inverse
+    (the two cancel)."""
+    v, eps = letter
+    for u, f in reversed(units):
+        if u == v:
+            return f == eps
+        if blocks[v][u]:
+            return True
+        if u > v:
+            return False
+    return True
+
+
 def rtfn_witness(g: Graph, max_len: int) -> RtfnWitnessReport:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -270,19 +310,17 @@ def rtfn_witness(g: Graph, max_len: int) -> RtfnWitnessReport:
             "separation witness is bounded to at most 4 vertices and length 6"
         )
     alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
+    blocks = _blocking_table(g)
     failures: list[tuple[tuple[int, int], ...]] = []
     checked = 0
-
-    def is_normal_units(units: list[tuple[int, int]]) -> bool:
-        return _pile_units(g, units) == units
 
     def extend(units: list[tuple[int, int]], series: TruncatedSeries) -> None:
         nonlocal checked
         for letter in alphabet:
-            cand = units + [letter]
-            if not is_normal_units(cand):
+            if not _extends_normally(blocks, units, letter):
                 continue
-            s2 = series_multiply(g, series, _letter_series(g, letter[0], letter[1], max_len))
+            cand = units + [letter]
+            s2 = series_multiply(g, series, _letter_series(letter[0], letter[1], max_len))
             checked += 1
             if s2.is_one():
                 failures.append(tuple(cand))

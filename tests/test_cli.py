@@ -171,3 +171,73 @@ def test_analyze_ut4():
     assert code == 0
     assert "Hirsch rank: 6" in out
     assert "center rank: 1" in out
+
+
+MALFORMED = {
+    "subgroup": [
+        ("token", "2 0 x\n", "invalid literal"),
+        ("row-length", "2 0\n", "exponent vector length"),
+        ("empty", "# no rows\n", "empty subgroup file"),
+    ],
+    "chain": [
+        ("token", "1 0 0\n0 1 0\n0 0 q\n", "invalid literal"),
+        ("row-length", "1 0\n", "exponent vector length"),
+        ("empty", "\n", "empty chain file"),
+        ("first-block", "2 0 0\n0 1 0\n0 0 1\n", "must generate the whole group"),
+    ],
+    "presentation": [
+        ("empty", "# nothing\n", "empty presentation file"),
+        ("header", "3\n", "first line must be 'n class'"),
+        ("header-token", "3 z\n", "invalid literal"),
+        ("negative-count", "-1 2\n", "generator count must be nonnegative"),
+        ("no-colon", "3 2\n1 2 -1\n", "bad rule line"),
+        ("pair", "3 2\n1 : -1\n", "bad rule line"),
+        ("exponent-token", "3 2\n1 2 : y\n", "invalid literal"),
+        ("exponent-count", "3 2\n1 2 : -1 4\n", "needs 1 exponents, got 2"),
+    ],
+    "graph": [
+        ("empty", "\n", "empty graph file"),
+        ("count-token", "x\n", "invalid literal"),
+        ("negative-count", "-2\n", "vertex count must be nonnegative"),
+        ("edge-line", "3\n0 1 2\n", "bad edge line"),
+        ("edge-token", "3\n0 b\n", "invalid literal"),
+        ("loop", "3\n1 1\n", "loops are not allowed"),
+        ("edge-range", "3\n0 5\n", "out of range"),
+    ],
+}
+
+
+def _config_for(kind, path, good_chain):
+    if kind == "subgroup":
+        return RunConfig(command="rfrs-restrict", group="heisenberg", chain=good_chain, restrict_to=path)
+    if kind == "chain":
+        return RunConfig(command="rfrs-verify", group="heisenberg", chain=path)
+    if kind == "presentation":
+        return RunConfig(command="analyze", group=path)
+    return RunConfig(command="raag-nf", graph=path, word="a")
+
+
+@pytest.mark.parametrize(
+    "kind,text,message",
+    [(kind, text, msg) for kind, cases in MALFORMED.items() for _, text, msg in cases],
+    ids=[f"{kind}-{name}" for kind, cases in MALFORMED.items() for name, _, _ in cases],
+)
+def test_exit2_on_malformed_file(kind, text, message, good_chain, tmp_path, capsys):
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(text)
+    assert run(_config_for(kind, str(path), good_chain)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: bad {kind} file")
+    assert message in err
+
+
+@pytest.mark.parametrize("kind", ["subgroup", "chain", "graph"])
+def test_exit2_on_missing_input_file(kind, good_chain, capsys):
+    assert run(_config_for(kind, "/nonexistent", good_chain)) == 2
+    assert f"{kind} file not found" in capsys.readouterr().err
+
+
+def test_exit2_on_magnus_cap(path3_graph):
+    code, _, err = invoke(["raag-magnus", "--graph", path3_graph, "--word", "a^-1", "--degree", "1000000"])
+    assert code == 2
+    assert "resource cap exceeded" in err

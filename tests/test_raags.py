@@ -1,13 +1,19 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfrskit import raags
 from rfrskit.errors import ResourceLimitExceeded
 from rfrskit.raags import (
     Graph,
     RaagWord,
+    TruncatedSeries,
     graph_from_text,
     graph_to_text,
     magnus_image,
@@ -17,11 +23,21 @@ from rfrskit.raags import (
     series_multiply,
     word_from_tokens,
     words_equal,
+    _append_normal,
+    _blocking_table,
+    _extends_normally,
+    _pile_units,
 )
 
 PATH3 = Graph.path(3)
 FREE2 = Graph.edgeless(2)
 K2 = Graph.complete(2)
+FOUR_VERTEX = {
+    "path": Graph.path(4),
+    "cycle": Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "star": Graph.build(4, [(0, 1), (0, 2), (0, 3)]),
+    "edgeless": Graph.edgeless(4),
+}
 
 
 def W(*letters):
@@ -204,6 +220,81 @@ def test_powers_expand_binomially():
     assert s.coefficient((0, 0)) == 3
 
 
+def test_magnus_coefficients_are_ints():
+    w = W((0, 2), (1, -3), (2, 1), (0, -1))
+    s = magnus_image(PATH3, w, 4)
+    assert all(type(c) is int for c in s.coefficients.values())
+    assert all(type(c) is int for c in TruncatedSeries.one(2).coefficients.values())
+
+
+def test_magnus_cap_trips_and_reports_progress(monkeypatch):
+    with pytest.raises(ResourceLimitExceeded, match="after 0 of 1 syllables"):
+        magnus_image(FREE2, W((0, -1)), 10**9)
+    # a,b,a,b forms 1 x 2, 2 x 2, 4 x 2 and then 7 x 2 term pairs
+    monkeypatch.setattr(raags, "MAX_TERM_PAIRS", 13)
+    assert len(magnus_image(FREE2, W((0, 1), (1, 1), (0, 1)), 4).coefficients) == 7
+    with pytest.raises(ResourceLimitExceeded, match="after 3 of 4 syllables"):
+        magnus_image(FREE2, W((0, 1), (1, 1), (0, 1), (1, 1)), 4)
+
+
+def _greedy_canonical(g, mono):
+    """Reference: lex-least rearrangement by greedy extraction, repeatedly
+    pulling out the least letter whose earlier letters all commute with it."""
+    letters = list(mono)
+    out = []
+    while letters:
+        best = None
+        for p, s in enumerate(letters):
+            if all(g.commutes(s, letters[q]) for q in range(p)):
+                if best is None or s < letters[best]:
+                    best = p
+        out.append(letters.pop(best))
+    return tuple(out)
+
+
+def _reference_multiply(g, s1, s2):
+    d = s1.degree_bound
+    out = {}
+    for m1, c1 in s1.coefficients.items():
+        for m2, c2 in s2.coefficients.items():
+            if len(m1) + len(m2) <= d:
+                key = _greedy_canonical(g, m1 + m2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+@st.composite
+def graphs(draw, max_vertices=6):
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.build(n, [e for e, keep in zip(pairs, mask) if keep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_incremental_normal_form_matches_greedy(data):
+    g = data.draw(graphs())
+    letters = st.integers(0, g.vertex_count - 1)
+    mono = tuple(data.draw(st.lists(letters, max_size=8)))
+    blocks = _blocking_table(g)
+    assert _append_normal(blocks, (), mono) == _greedy_canonical(g, mono)
+    cut = data.draw(st.integers(0, len(mono)))
+    prefix = _greedy_canonical(g, mono[:cut])
+    assert _append_normal(blocks, prefix, mono[cut:]) == _greedy_canonical(g, mono)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_series_multiply_matches_greedy_reference(data):
+    g = data.draw(graphs(max_vertices=4))
+    syllables = st.tuples(st.integers(0, g.vertex_count - 1), st.integers(-2, 2))
+    w1, w2 = (RaagWord.build(data.draw(st.lists(syllables, max_size=4))) for _ in range(2))
+    d = data.draw(st.integers(1, 4))
+    s1, s2 = magnus_image(g, w1, d), magnus_image(g, w2, d)
+    assert series_multiply(g, s1, s2).coefficients == _reference_multiply(g, s1, s2)
+
+
 # ------------------------------------------------------------------ witness
 
 
@@ -222,6 +313,63 @@ def test_rtfn_witness_free2():
 def test_rtfn_witness_path3():
     rep = rtfn_witness(PATH3, 3)
     assert rep.separated
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_VERTEX))
+def test_rtfn_extension_test_matches_piling(name):
+    # every one-letter extension of every normal word of length <= 5
+    g = FOUR_VERTEX[name]
+    blocks = _blocking_table(g)
+    alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
+    level = [[]]
+    for length in range(6):
+        longer = []
+        for units in level:
+            for letter in alphabet:
+                cand = units + [letter]
+                normal = _pile_units(g, cand) == cand
+                assert _extends_normally(blocks, units, letter) == normal, (units, letter)
+                if normal and length < 5:
+                    longer.append(cand)
+        level = longer
+
+
+def _growth_count(g, max_len):
+    """Nontrivial elements of length <= max_len: the partial sum of the
+    growth series 1/C(-2t/(1+t)), C the clique polynomial of the graph."""
+    cliques = Counter(
+        k
+        for k in range(g.vertex_count + 1)
+        for c in itertools.combinations(range(g.vertex_count), k)
+        if all(g.commutes(u, v) for u, v in itertools.combinations(c, 2))
+    )
+    top = max(cliques)
+    # clear denominators: (1+t)^top / sum_k c_k (-2t)^k (1+t)^(top-k)
+    num = [comb(top, i) for i in range(top + 1)]
+    den = [0] * (top + 1)
+    for k, c in cliques.items():
+        for i in range(top - k + 1):
+            den[k + i] += c * (-2) ** k * comb(top - k, i)
+    assert den[0] == 1
+    growth = []
+    for j in range(max_len + 1):
+        lead = num[j] if j <= top else 0
+        growth.append(lead - sum(den[i] * growth[j - i] for i in range(1, min(j, top) + 1)))
+    return sum(growth[1:])
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_VERTEX))
+def test_rtfn_counts_match_growth_series(name):
+    g = FOUR_VERTEX[name]
+    rep = rtfn_witness(g, 4)
+    assert rep.separated
+    assert rep.elements_checked == _growth_count(g, 4)
+
+
+def test_rtfn_path4_length5_count():
+    rep = rtfn_witness(FOUR_VERTEX["path"], 5)
+    assert rep.separated
+    assert rep.elements_checked == _growth_count(FOUR_VERTEX["path"], 5) == 7024
 
 
 def test_rtfn_witness_resource_bounds():
