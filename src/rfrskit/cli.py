@@ -42,6 +42,7 @@ from .subgroups import (
     center_ab_report,
     chain_from_text,
     hirsch_rank,
+    lower_central_series,
     subgroup_closure,
 )
 
@@ -78,9 +79,21 @@ def _load_group(spec: str) -> PcPresentation:
     path = Path(spec)
     if path.exists():
         try:
-            return presentation_from_text(path.read_text())
+            p = presentation_from_text(path.read_text())
         except ValueError as exc:
             raise InputError(f"bad presentation file {spec}: {exc}") from exc
+        # the constructor already requires central commutator values up to
+        # class 2, where the class is then 1 or 2 by whether the table is empty
+        if p.nilpotency_class <= 2:
+            actual = 2 if p.rules else 1
+        else:
+            actual = len(lower_central_series(p)) - 1
+        if actual != p.nilpotency_class:
+            raise InputError(
+                f"bad presentation file {spec}: declares nilpotency class "
+                f"{p.nilpotency_class}, but its lower central series has class {actual}"
+            )
+        return p
     try:
         return build_standard(spec)
     except ValueError as exc:

@@ -16,6 +16,18 @@ presentations get a closed-form fast path: products are
     u * v = u + v + B(u, v),   B(u, v) = sum_{i<k} u_k v_i [g_k, g_i]
 
 with all correction terms central.
+
+Higher class collects through conjugation polynomials (P. Hall 1957):
+the coordinates of g_k^-e g_m^s g_k^e are integer-valued polynomials in
+(s, e), stored as integer coefficients of C(s, i) C(e, j).  The table is
+built once per presentation, on its first generic product, from the top
+generator down: each pair's values on the grid 0..D x 0..D come from
+repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D Newton
+forward differences turn them into coefficients.  D is the largest
+generator weight of the table (see `_degree_bound`), not the declared
+class, and each polynomial is checked at one point off the grid, so an
+inconsistent table raises ValueError.  Appending g_k^e is then one
+ordered product of the conjugated tail factors, whatever the size of e.
 """
 
 from __future__ import annotations
@@ -63,6 +75,8 @@ class PcPresentation:
             nilpotency_class = 2 if clean else 1
         if nilpotency_class < 1 and n > 0:
             raise ValueError("nilpotency class must be at least 1")
+        if nilpotency_class == 1 and clean:
+            raise ValueError("nilpotency class 1 declared, but the commutator table is not empty")
         self.nilpotency_class = nilpotency_class
         if nilpotency_class <= 2:
             for (i, j), vec in clean.items():
@@ -74,7 +88,8 @@ class PcPresentation:
                     )
         # nonzero bilinear correction data for the fast path
         self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
-        self._conj_cache: dict[tuple[int, int, int], Element] = {}
+        # conjugation polynomials for class >= 3, built on the first generic product
+        self._collector: _Collector | None = None
         if check and n <= 8:
             self.check_consistency()
 
@@ -138,77 +153,16 @@ class PcPresentation:
 
     # ------------------------------------------------------ generic path
 
-    def _conj_gen(self, m: int, k: int, sign: int) -> Element:
-        """Conjugate g_m by g_k^sign, for k < m and sign = +-1."""
-        key = (m, k, sign)
-        cached = self._conj_cache.get(key)
-        if cached is not None:
-            return cached
-        gm = self.generator(m)
-        if sign == 1:
-            rule = self.commutator_rule(k, m)
-            result = self._mul_generic(gm, rule) if any(rule) else gm
-        else:
-            # solve conj(x, k, +1) == g_m by unipotent fixed-point iteration
-            x = gm
-            for _ in range(self.n + 2):
-                defect = self._mul_generic(self._inv_generic(self._conj_tail(x, k, 1)), gm)
-                if not any(defect):
-                    break
-                x = self._mul_generic(x, defect)
-            else:  # pragma: no cover - inconsistent table
-                raise RuntimeError("conjugation inversion failed to converge")
-            result = x
-        self._conj_cache[key] = result
-        return result
-
-    def _conj_tail(self, t: Element, k: int, e: int) -> Element:
-        """Conjugate an element supported above k by g_k^e."""
-        if e == 0 or not any(t):
-            return t
-        sign = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            acc = self.identity()
-            for m in range(k + 1, self.n):
-                if t[m]:
-                    acc = self._mul_generic(acc, self._pow_generic(self._conj_gen(m, k, sign), t[m]))
-            t = acc
-        return t
-
-    def _mul_gen_power(self, u: Element, k: int, e: int) -> Element:
-        if e == 0:
-            return u
-        tail = tuple(0 if t <= k else u[t] for t in range(self.n))
-        new_tail = self._conj_tail(tail, k, e)
-        return tuple(
-            u[t] if t < k else (u[t] + e if t == k else new_tail[t]) for t in range(self.n)
-        )
+    def _generic(self) -> _Collector:
+        if self._collector is None:
+            self._collector = _Collector(self)
+        return self._collector
 
     def _mul_generic(self, u: Element, v: Element) -> Element:
-        res = u
-        for k in range(self.n):
-            if v[k]:
-                res = self._mul_gen_power(res, k, v[k])
-        return res
+        return self._generic().mul(u, v)
 
     def _inv_generic(self, u: Element) -> Element:
-        lead = next((k for k in range(self.n) if u[k]), None)
-        if lead is None:
-            return u
-        tail = tuple(0 if t <= lead else u[t] for t in range(self.n))
-        return self._mul_gen_power(self._inv_generic(tail), lead, -u[lead])
-
-    def _pow_generic(self, u: Element, e: int) -> Element:
-        if e < 0:
-            return self._pow_generic(self._inv_generic(u), -e)
-        result = self.identity()
-        base = u
-        while e:
-            if e & 1:
-                result = self._mul_generic(result, base)
-            base = self._mul_generic(base, base)
-            e >>= 1
-        return result
+        return self._generic().inv(u)
 
     # ------------------------------------------------------------ public
 
@@ -228,7 +182,7 @@ class PcPresentation:
             b = self._beta(u, u)
             c = e * (e - 1) // 2
             return tuple(e * x + c * z for x, z in zip(u, b))
-        return self._pow_generic(u, e)
+        return self._generic().pow(u, e)
 
     def conjugate(self, u: Element, g: Element) -> Element:
         """g^-1 u g."""
@@ -276,6 +230,172 @@ class PcPresentation:
                 raise ValueError(f"inverse of generator {k} is broken")
 
 
+# ------------------------------------------------------- generic collection
+
+
+def _unit(n: int, m: int, s: int) -> Element:
+    return tuple(s if t == m else 0 for t in range(n))
+
+
+def _binomials(x: int, d: int) -> list[int]:
+    """C(x, 0), ..., C(x, d), exact for negative x too."""
+    out = [1]
+    for i in range(1, d + 1):
+        out.append(out[-1] * (x - i + 1) // i)
+    return out
+
+
+def _forward_differences(vals: list) -> None:
+    """In place, coordinatewise: vals[i] becomes the i-th forward difference at 0."""
+    for i in range(1, len(vals)):
+        for a in range(len(vals) - 1, i - 1, -1):
+            vals[a] = [x - y for x, y in zip(vals[a], vals[a - 1])]
+
+
+def _degree_bound(p: PcPresentation) -> int:
+    """Largest generator weight, w(l) = max(1, w(i) + w(j) over the rules
+    (i, j) whose value involves g_l).
+
+    Generators of weight >= w span a normal subgroup G_w with
+    [G_a, G_b] <= G_(a+b), so the largest weight bounds the real class and
+    the degree of every conjugation polynomial, whatever class is declared.
+    """
+    w = [1] * p.n
+    for l in range(p.n):
+        for (i, j), vec in p.rules.items():
+            if vec[l]:  # then i < j < l, so w[i] and w[j] are final
+                w[l] = max(w[l], w[i] + w[j])
+    return max(w, default=1)
+
+
+class _Collector:
+    """Collection in any class through conjugation polynomials.
+
+    For k < m with a nonzero rule, `levels[k][m]` holds pairs (l, terms),
+    one per nonzero coordinate l > m of g_k^-e g_m^s g_k^e, whose value is
+    sum(a * C(s, i) * C(e, j) for i, j, a in terms).  Coordinate m is s
+    and the ones below m are 0; commuting pairs have no entry.  Appending
+    g_k^e to a normal form then costs one ordered product of conjugated
+    tail factors, whatever the size of e.
+    """
+
+    __slots__ = ("n", "d", "levels")
+
+    def __init__(self, p: PcPresentation):
+        self.n = p.n
+        self.d = _degree_bound(p)
+        self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
+        # level k multiplies only inside <g_(k+1), ...>, which uses the levels above it
+        for k in reversed(range(p.n)):
+            self.levels[k] = self._level(p, k)
+
+    def _level(self, p: PcPresentation, k: int) -> dict[int, tuple]:
+        n, d = self.n, self.d
+        # g_l^(g_k) = g_l [g_l, g_k]
+        images = {l: rule[:l] + (1,) + rule[l + 1 :] for (i, l), rule in p.rules.items() if i == k}
+        level = {}
+        for m in sorted(images):
+            # grid[a][b] = g_k^-b g_m^a g_k^b on 0..d x 0..d
+            col = [_unit(n, m, 1)]
+            for _ in range(d):
+                col.append(self._conj_once(images, k, col[-1]))
+            grid = [[(0,) * n] * (d + 1)]
+            for _ in range(d):
+                grid.append([self.mul(x, y) for x, y in zip(grid[-1], col)])
+            # 2-D Newton forward differences give the binomial coefficients
+            for row in grid:
+                _forward_differences(row)
+            for b in range(d + 1):
+                column = [row[b] for row in grid]
+                _forward_differences(column)
+                for row, val in zip(grid, column):
+                    row[b] = val
+            poly = []
+            for l in range(m + 1, n):
+                terms = tuple(
+                    (i, j, grid[i][j][l]) for i in range(d + 1) for j in range(d + 1) if grid[i][j][l]
+                )
+                if terms:
+                    poly.append((l, terms))
+            poly = tuple(poly)
+            # one point off the grid, against a direct conjugation
+            x = self._conjugated(poly, m, d + 1, _binomials(-1, d))
+            if self._conj_once(images, k, x) != _unit(n, m, d + 1):
+                raise ValueError(
+                    f"inconsistent presentation: conjugating g{m} by g{k} is not "
+                    f"polynomial of degree {d}"
+                )
+            level[m] = poly
+        return level
+
+    def _conj_once(self, images: dict[int, Element], k: int, x: Element) -> Element:
+        """g_k^-1 x g_k for x supported above k."""
+        acc = (0,) * self.n
+        for l in range(k + 1, self.n):
+            if x[l]:
+                img = images.get(l)
+                if img is None:
+                    acc = self.mul_gen_power(acc, l, x[l])
+                else:
+                    acc = self.mul(acc, self.pow(img, x[l]))
+        return acc
+
+    def _conjugated(self, poly: tuple, m: int, s: int, be: list[int]) -> Element:
+        """g_k^-e g_m^s g_k^e from the polynomials of (k, m), with be = C(e, 0..d)."""
+        bs = _binomials(s, self.d)
+        out = [0] * self.n
+        out[m] = s
+        for l, terms in poly:
+            out[l] = sum(a * bs[i] * be[j] for i, j, a in terms)
+        return tuple(out)
+
+    def mul_gen_power(self, u: Element, k: int, e: int) -> Element:
+        """u * g_k^e: the tail of u above k becomes the ordered product of
+        g_k^-e g_m^(u_m) g_k^e."""
+        if not e:
+            return u
+        level = self.levels[k]
+        tail = (0,) * self.n
+        be = None
+        for m in range(k + 1, self.n):
+            s = u[m]
+            if s:
+                poly = level.get(m)
+                if poly is None:
+                    tail = self.mul_gen_power(tail, m, s)
+                else:
+                    if be is None:
+                        be = _binomials(e, self.d)
+                    tail = self.mul(tail, self._conjugated(poly, m, s, be))
+        return u[:k] + (u[k] + e,) + tail[k + 1 :]
+
+    def mul(self, u: Element, v: Element) -> Element:
+        for k, e in enumerate(v):
+            if e:
+                u = self.mul_gen_power(u, k, e)
+        return u
+
+    def inv(self, u: Element) -> Element:
+        # u^-1 = g_(n-1)^-u_(n-1) ... g_0^-u_0, collected from the top down
+        res = (0,) * self.n
+        for k in reversed(range(self.n)):
+            if u[k]:
+                res = self.mul_gen_power(res, k, -u[k])
+        return res
+
+    def pow(self, u: Element, e: int) -> Element:
+        if e < 0:
+            u, e = self.inv(u), -e
+        result = (0,) * self.n
+        while e:
+            if e & 1:
+                result = self.mul(result, u)
+            e >>= 1
+            if e:
+                u = self.mul(u, u)
+        return result
+
+
 # ------------------------------------------------------------------ builders
 
 
@@ -295,72 +415,28 @@ def _ut_positions(n: int) -> list[tuple[int, int]]:
     return [(i, i + d) for d in range(1, n) for i in range(n - d)]
 
 
-def _mat_mul(a, b, n):
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _mat_eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _ut_inverse(a, n):
-    # inverse of a unitriangular matrix: I - N + N^2 - ... with N = a - I
-    nil = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    out = _mat_eye(n)
-    term = _mat_eye(n)
-    sign = 1
-    for _ in range(1, n):
-        term = _mat_mul(term, nil, n)
-        sign = -sign
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += sign * term[i][j]
-    return out
-
-
-def _ut_peel(mat, positions, n) -> tuple[int, ...]:
-    # express a unitriangular matrix as an ordered product of transvections
-    exps = []
-    cur = [row[:] for row in mat]
-    for (r, c) in positions:
-        e = cur[r][c]
-        exps.append(e)
-        if e:
-            inv_t = _mat_eye(n)
-            inv_t[r][c] = -e
-            cur = _mat_mul(inv_t, cur, n)
-    assert cur == _mat_eye(n), "peeling did not reach the identity"
-    return tuple(exps)
-
-
 def unitriangular(n: int) -> PcPresentation:
     """Upper unitriangular n x n integer matrices on the transvection basis.
 
-    Generators are I + E_(i,j) ordered along successive superdiagonals;
-    the commutator table is extracted from actual matrix arithmetic, which
-    keeps the presentation honest for every n.
+    Generators are I + E_(i,j) ordered along successive superdiagonals.
+    The commutator table comes from the Steinberg relations: with the
+    commutator [x, y] = x^-1 y^-1 x y, [I + E_ij, I + E_jl] = I + E_il,
+    and transvections sharing no inner index commute.
     """
     if n < 2:
         raise ValueError("unitriangular groups need size at least 2")
     positions = _ut_positions(n)
+    index = {pos: t for t, pos in enumerate(positions)}
     m = len(positions)
     rules: dict[tuple[int, int], tuple[int, ...]] = {}
-    mats = []
-    for (r, c) in positions:
-        t = _mat_eye(n)
-        t[r][c] = 1
-        mats.append(t)
-    for a in range(m):
+    for a, (i, j) in enumerate(positions):
         for b in range(a + 1, m):
-            # [g_b, g_a] = g_b^-1 g_a^-1 g_b g_a
-            prod = _mat_mul(
-                _mat_mul(_ut_inverse(mats[b], n), _ut_inverse(mats[a], n), n),
-                _mat_mul(mats[b], mats[a], n),
-                n,
-            )
-            vec = _ut_peel(prod, positions, n)
-            if any(vec):
-                rules[(a, b)] = vec
+            k, l = positions[b]
+            # [g_b, g_a] with g_a = I + E_ij and g_b = I + E_kl
+            if l == i:
+                rules[(a, b)] = _unit(m, index[(k, j)], 1)
+            elif j == k:
+                rules[(a, b)] = _unit(m, index[(i, l)], -1)
     return PcPresentation(m, rules, nilpotency_class=n - 1)
 
 

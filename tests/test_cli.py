@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from rfrskit.cli import RunConfig, run
+from rfrskit.pcgroups import presentation_from_text, unitriangular
 
 PY = [sys.executable, "-m", "rfrskit"]
 
@@ -164,6 +165,35 @@ def test_group_from_presentation_file(tmp_path):
     code, out, _ = invoke(["analyze", "--group", str(path)])
     assert code == 0
     assert "Hirsch rank: 3" in out
+
+
+# ut(4) rule lines, without the 'n class' header
+UT4_RULES = "1 2 : 0 -1 0 0\n1 5 : -1\n2 3 : 0 -1 0\n3 4 : 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,declared,actual",
+    [("3 1\n1 2 : -1\n", 1, None), ("6 5\n" + UT4_RULES, 5, 3), ("3 2\n", 2, 1)],
+    ids=["heisenberg-class1", "ut4-class5", "abelian-class2"],
+)
+def test_exit2_on_wrong_declared_class(text, declared, actual, tmp_path, capsys):
+    path = tmp_path / "group.txt"
+    path.write_text(text)
+    assert run(RunConfig(command="analyze", group=str(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: bad presentation file")
+    assert f"class {declared}" in err
+    if actual is not None:
+        assert f"class {actual}" in err
+
+
+def test_presentation_file_with_correct_class(tmp_path, capsys):
+    path = tmp_path / "ut4.txt"
+    path.write_text("6 3\n" + UT4_RULES)
+    assert run(RunConfig(command="analyze", group=str(path))) == 0
+    out = capsys.readouterr().out
+    assert "nilpotency class: 3" in out and "Hirsch rank: 6" in out
+    assert presentation_from_text(path.read_text()) == unitriangular(4)
 
 
 def test_analyze_ut4():

@@ -57,6 +57,150 @@ def word_to_matrix(n, word):
     return m
 
 
+def ut_inverse(a):
+    """Inverse of a unitriangular matrix: I - N + N^2 - ... with N = a - I."""
+    n = len(a)
+    nil = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    out = mat_eye(n)
+    term = mat_eye(n)
+    sign = 1
+    for _ in range(1, n):
+        term = mat_mul(term, nil)
+        sign = -sign
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += sign * term[i][j]
+    return out
+
+
+def ut_peel(mat):
+    """Coordinates of a unitriangular matrix as an ordered product of transvections."""
+    n = len(mat)
+    exps = []
+    cur = [row[:] for row in mat]
+    for (r, c) in ut_positions(n):
+        e = cur[r][c]
+        exps.append(e)
+        if e:
+            cur = mat_mul(transvection_power(n, (r, c), -e), cur)
+    assert cur == mat_eye(n), "peeling did not reach the identity"
+    return tuple(exps)
+
+
+def matrix_ut_rules(n):
+    """Commutator table of ut(n) extracted from matrix arithmetic."""
+    mats = [transvection_power(n, pos, 1) for pos in ut_positions(n)]
+    rules = {}
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            # [g_b, g_a] = g_b^-1 g_a^-1 g_b g_a
+            prod = mat_mul(
+                mat_mul(ut_inverse(mats[b]), ut_inverse(mats[a])), mat_mul(mats[b], mats[a])
+            )
+            vec = ut_peel(prod)
+            if any(vec):
+                rules[(a, b)] = vec
+    return rules
+
+
+def mat_pow(a, e):
+    if e < 0:
+        a, e = ut_inverse(a), -e
+    out = mat_eye(len(a))
+    for _ in range(e):
+        out = mat_mul(out, a)
+    return out
+
+
+# ------------------------------------------------------- reference collector
+# Step-by-step collection: the tail is conjugated through g_k one step at a
+# time, abs(e) times, each generator's conjugate solved for separately.
+
+
+class StepCollector:
+    def __init__(self, p):
+        self.p = p
+        self.n = p.n
+        self.cache = {}
+
+    def identity(self):
+        return (0,) * self.n
+
+    def conj_gen(self, m, k, sign):
+        """Conjugate g_m by g_k^sign, for k < m and sign = +-1."""
+        key = (m, k, sign)
+        if key in self.cache:
+            return self.cache[key]
+        gm = self.p.generator(m)
+        if sign == 1:
+            rule = self.p.commutator_rule(k, m)
+            result = self.mul(gm, rule) if any(rule) else gm
+        else:
+            # solve conj(x, k, +1) == g_m by unipotent fixed-point iteration
+            x = gm
+            for _ in range(self.n + 2):
+                defect = self.mul(self.inv(self.conj_tail(x, k, 1)), gm)
+                if not any(defect):
+                    break
+                x = self.mul(x, defect)
+            else:
+                raise RuntimeError("conjugation inversion failed to converge")
+            result = x
+        self.cache[key] = result
+        return result
+
+    def conj_tail(self, t, k, e):
+        """Conjugate an element supported above k by g_k^e."""
+        if e == 0 or not any(t):
+            return t
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            acc = self.identity()
+            for m in range(k + 1, self.n):
+                if t[m]:
+                    acc = self.mul(acc, self.pow(self.conj_gen(m, k, sign), t[m]))
+            t = acc
+        return t
+
+    def mul_gen_power(self, u, k, e):
+        if e == 0:
+            return u
+        tail = tuple(0 if t <= k else u[t] for t in range(self.n))
+        new_tail = self.conj_tail(tail, k, e)
+        return tuple(
+            u[t] if t < k else (u[t] + e if t == k else new_tail[t]) for t in range(self.n)
+        )
+
+    def mul(self, u, v):
+        res = u
+        for k in range(self.n):
+            if v[k]:
+                res = self.mul_gen_power(res, k, v[k])
+        return res
+
+    def inv(self, u):
+        lead = next((k for k in range(self.n) if u[k]), None)
+        if lead is None:
+            return u
+        tail = tuple(0 if t <= lead else u[t] for t in range(self.n))
+        return self.mul_gen_power(self.inv(tail), lead, -u[lead])
+
+    def pow(self, u, e):
+        if e < 0:
+            return self.pow(self.inv(u), -e)
+        result = self.identity()
+        base = u
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def commutator(self, u, v):
+        return self.mul(self.mul(self.inv(u), self.inv(v)), self.mul(u, v))
+
+
 # ---------------------------------------------------------------- builders
 
 
@@ -81,6 +225,11 @@ def test_ut3_matches_heisenberg():
     assert unitriangular(3).rules == heisenberg().rules
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ut_steinberg_table_matches_matrix_model(n):
+    assert unitriangular(n).rules == matrix_ut_rules(n)
+
+
 def test_build_standard_names():
     assert build_standard("heisenberg") == heisenberg()
     assert build_standard("free_abelian(2)") == free_abelian(2)
@@ -94,6 +243,11 @@ def test_build_standard_names():
 def test_validation_rejects_nontriangular():
     with pytest.raises(ValueError):
         PcPresentation(3, {(0, 1): (0, 1, 0)})
+
+
+def test_validation_rejects_class1_with_commutators():
+    with pytest.raises(ValueError, match="class 1 declared"):
+        PcPresentation(3, {(0, 1): (0, 0, -1)}, nilpotency_class=1)
 
 
 def test_validation_rejects_noncentral_class2_values():
@@ -227,6 +381,68 @@ def test_ut4_associativity_random_words():
         w = tuple(rng.randint(-2, 2) for _ in range(6))
         assert p.multiply(p.multiply(u, v), w) == p.multiply(u, p.multiply(v, w))
         assert p.multiply(u, p.inverse(u)) == p.identity()
+
+
+GENERIC_CASES = [
+    ("ut(4)", 3),
+    ("ut(5)", 3),
+    ("direct_product(ut(4),heisenberg)", 3),
+    ("ut(6)", 1),
+]
+
+
+@pytest.mark.parametrize("name,bound", GENERIC_CASES, ids=[f"{n}-e{b}" for n, b in GENERIC_CASES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_polynomial_collection_matches_step_reference(name, bound, data):
+    p = build_standard(name)
+    ref = StepCollector(p)
+    elt = st.tuples(*[st.integers(-bound, bound)] * p.n)
+    u, v = data.draw(elt), data.draw(elt)
+    e = data.draw(st.integers(-3, 3))
+    assert p.multiply(u, v) == ref.mul(u, v)
+    assert p.inverse(u) == ref.inv(u)
+    assert p.power(u, e) == ref.pow(u, e)
+    assert p.commutator(u, v) == ref.commutator(u, v)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_large_exponents_match_matrix_model(n):
+    p = unitriangular(n)
+    rng = random.Random(n)
+    for _ in range(8):
+        u = tuple(rng.randint(-1000, 1000) for _ in range(p.n))
+        v = tuple(rng.randint(-1000, 1000) for _ in range(p.n))
+        mu, mv = coords_to_matrix(n, u), coords_to_matrix(n, v)
+        assert coords_to_matrix(n, p.multiply(u, v)) == mat_mul(mu, mv)
+        assert coords_to_matrix(n, p.inverse(u)) == ut_inverse(mu)
+        e = rng.choice([-7, -2, 2, 5])
+        assert coords_to_matrix(n, p.power(u, e)) == mat_pow(mu, e)
+        assert coords_to_matrix(n, p.commutator(u, v)) == mat_mul(
+            mat_mul(ut_inverse(mu), ut_inverse(mv)), mat_mul(mu, mv)
+        )
+
+
+def test_off_grid_check_rejects_corrupted_table():
+    # ut(4) with [g1, g0] = g3 g2: g2 is not central, so the table is
+    # inconsistent, and conjugating g1 by powers of g0 stops being polynomial
+    rules = dict(unitriangular(4).rules)
+    rules[(0, 1)] = (0, 0, 1, 1, 0, 0)
+    p = PcPresentation(6, rules, nilpotency_class=3, check=False)
+    with pytest.raises(ValueError, match="inconsistent presentation: conjugating g1 by g0"):
+        p.multiply(p.generator(1), p.generator(0))
+    with pytest.raises(ValueError, match="inconsistent presentation"):
+        PcPresentation(6, rules, nilpotency_class=3)
+
+
+def test_conjugation_table_is_built_lazily():
+    p = unitriangular(6)
+    assert p._collector is None
+    p.multiply(p.generator(1), p.generator(0))
+    assert p._collector is not None
+    h = heisenberg()
+    h.multiply(h.generator(1), h.generator(0))
+    assert h._collector is None
 
 
 # ------------------------------------------------------------ abelianization
