@@ -426,15 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "rfrs-restrict":
             s.add_argument("--restrict-to", dest="restrict_to", required=True, help="subgroup file: generator rows")
         if name == "rfrs-obstruct":
-            s.add_argument("--max-index", dest="max_index", type=int, default=8)
+            s.add_argument("--max-index", dest="max_index", type=int)
         if name.startswith("raag"):
             s.add_argument("--graph", required=True, help="graph file: vertex count, then 'u v' edges")
         if name in ("raag-nf", "raag-magnus"):
             s.add_argument("--word", required=True, help="comma-separated tokens: a, a^-1, b^2")
         if name == "raag-magnus":
-            s.add_argument("--degree", type=int, default=3)
+            s.add_argument("--degree", type=int)
         if name == "raag-rtfn":
-            s.add_argument("--max-len", dest="max_len", type=int, default=3)
+            s.add_argument("--max-len", dest="max_len", type=int)
         s.add_argument("--json", dest="json_output", action="store_true", help="emit a JSON report")
     return parser
 
@@ -446,19 +446,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
-    cfg = RunConfig(
-        command=ns.command,
-        group=getattr(ns, "group", None),
-        chain=getattr(ns, "chain", None),
-        graph=getattr(ns, "graph", None),
-        restrict_to=getattr(ns, "restrict_to", None),
-        word=getattr(ns, "word", None),
-        max_index=getattr(ns, "max_index", 8),
-        degree=getattr(ns, "degree", 3),
-        max_len=getattr(ns, "max_len", 3),
-        json_output=getattr(ns, "json_output", False),
-    )
-    return run(cfg)
+    # options left out keep their RunConfig defaults
+    return run(RunConfig(**{k: v for k, v in vars(ns).items() if v is not None}))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -339,30 +339,40 @@ def is_unimodular(a: IntMatrix) -> bool:
     return a.is_square() and abs(det(a)) == 1
 
 
+def _echelon_pivots(a: IntMatrix) -> list[int] | None:
+    """Pivot columns of a row echelon matrix (no zero rows, pivot columns
+    strictly increasing), or None when a is not in that form."""
+    pivots = []
+    for i in range(a.rows):
+        j = next((k for k, x in enumerate(a.row(i)) if x), None)
+        if j is None or (pivots and j <= pivots[-1]):
+            return None
+        pivots.append(j)
+    return pivots
+
+
 def lattice_member(basis: IntMatrix, vec) -> bool:
-    """True iff vec lies in the integer row span of basis."""
-    vec = [int(x) for x in vec]
-    if len(vec) != basis.cols:
+    """True iff vec lies in the integer row span of basis.
+
+    A basis already in row echelon form (every Hermite basis is) is used
+    as given; any other is brought to Hermite form first.
+    """
+    w = [int(x) for x in vec]
+    if len(w) != basis.cols:
         raise ValueError("vector length does not match lattice dimension")
-    h = hnf_basis(basis)
-    pivot_of_col = {}
-    for i in range(h.rows):
-        j = next(k for k in range(h.cols) if h.entry(i, k) != 0)
-        pivot_of_col[j] = i
-    w = vec[:]
-    for j in range(len(w)):
-        if w[j] == 0:
-            continue
-        i = pivot_of_col.get(j)
-        if i is None:
+    pivots = _echelon_pivots(basis)
+    if pivots is None:
+        basis = hnf_basis(basis)
+        pivots = _echelon_pivots(basis)
+    for i, j in enumerate(pivots):
+        if any(w[:j]):
             return False
-        p = h.entry(i, j)
-        if w[j] % p:
+        q, rem = divmod(w[j], basis.entry(i, j))
+        if rem:
             return False
-        q = w[j] // p
-        row = h.row(i)
-        w = [x - q * y for x, y in zip(w, row)]
-    return True
+        if q:
+            w = [x - q * y for x, y in zip(w, basis.row(i))]
+    return not any(w)
 
 
 def lattice_index(basis: IntMatrix):
@@ -463,10 +473,6 @@ class AbelianQuotient:
             if r:
                 result = lcm(result, d // gcd(d, r))
         return result
-
-
-def abelian_quotient(relations: IntMatrix) -> AbelianQuotient:
-    return AbelianQuotient(relations)
 
 
 def abelian_group_from_relations(relations: IntMatrix) -> AbelianGroupStructure:

@@ -21,7 +21,7 @@ Higher class collects through conjugation polynomials (P. Hall 1957):
 the coordinates of g_k^-e g_m^s g_k^e are integer-valued polynomials in
 (s, e), stored as integer coefficients of C(s, i) C(e, j).  The table is
 built once per presentation, on its first generic product, from the top
-generator down: each pair's values on the grid 0..D x 0..D come from
+generator down: each pair's values on the grid 0..D-1 x 0..D-1 come from
 repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D Newton
 forward differences turn them into coefficients.  D is the largest
 generator weight of the table (see `_degree_bound`), not the declared
@@ -32,7 +32,7 @@ ordered product of the conjugated tail factors, whatever the size of e.
 
 from __future__ import annotations
 
-from .intlinalg import AbelianQuotient, IntMatrix, abelian_quotient
+from .intlinalg import AbelianQuotient, IntMatrix
 
 Element = tuple[int, ...]
 
@@ -257,8 +257,10 @@ def _degree_bound(p: PcPresentation) -> int:
     (i, j) whose value involves g_l).
 
     Generators of weight >= w span a normal subgroup G_w with
-    [G_a, G_b] <= G_(a+b), so the largest weight bounds the real class and
-    the degree of every conjugation polynomial, whatever class is declared.
+    [G_a, G_b] <= G_(a+b), so the largest weight D bounds the real class,
+    whatever class is declared.  A term C(s, i) C(e, j) of coordinate l of
+    g_k^-e g_m^s g_k^e has i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, so
+    each variable's degree is at most D - 1.
     """
     w = [1] * p.n
     for l in range(p.n):
@@ -273,17 +275,17 @@ class _Collector:
 
     For k < m with a nonzero rule, `levels[k][m]` holds pairs (l, terms),
     one per nonzero coordinate l > m of g_k^-e g_m^s g_k^e, whose value is
-    sum(a * C(s, i) * C(e, j) for i, j, a in terms).  Coordinate m is s
-    and the ones below m are 0; commuting pairs have no entry.  Appending
-    g_k^e to a normal form then costs one ordered product of conjugated
-    tail factors, whatever the size of e.
+    sum(a * C(s, i) * C(e, j) for i, j, a in terms), with i, j <= d.
+    Coordinate m is s and the ones below m are 0; commuting pairs have no
+    entry.  Appending g_k^e to a normal form then costs one ordered
+    product of conjugated tail factors, whatever the size of e.
     """
 
     __slots__ = ("n", "d", "levels")
 
     def __init__(self, p: PcPresentation):
         self.n = p.n
-        self.d = _degree_bound(p)
+        self.d = _degree_bound(p) - 1
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
         # level k multiplies only inside <g_(k+1), ...>, which uses the levels above it
         for k in reversed(range(p.n)):
@@ -491,7 +493,7 @@ def abelianization(p: PcPresentation) -> AbelianQuotient:
     """
     rows = [vec for _, vec in sorted(p.rules.items())]
     rel = IntMatrix.from_rows(rows) if rows else IntMatrix(0, p.n, ())
-    return abelian_quotient(rel)
+    return AbelianQuotient(rel)
 
 
 def rational_ab_kernel_member(p: PcPresentation, u: Element) -> bool:

@@ -160,10 +160,6 @@ def normal_form(g: Graph, w: RaagWord) -> RaagWord:
     return RaagWord.build(_pile_units(g, w.units()))
 
 
-def words_equal(g: Graph, w1: RaagWord, w2: RaagWord) -> bool:
-    return normal_form(g, w1) == normal_form(g, w2)
-
-
 # ---------------------------------------------------------- truncated series
 
 # Cap on the term pairs one series product in `magnus_image` may form, which

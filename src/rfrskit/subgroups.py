@@ -8,6 +8,16 @@ Hermite bases and all subgroup algebra reduces to exact lattice algebra.
 Class >= 3 groups (the unitriangular families) keep element arithmetic,
 lower central series, center, rank, and whole-group abelianization; the
 general subgroup operations refuse them.
+
+Two routines carry the group side of this.  `_sift` divides an element
+by powers of a triangular basis in pivot order (a noncommutative Hermite
+sift, Sims ch. 9): `express_in_basis`, the induced bases of the lower
+central series and the center all go through it.  `_closure_candidates`
+yields the inverses, products and commutators that a closed subgroup
+must contain: `Subgroup._is_closed` checks them, `subgroup_closure` adds
+them to the lattice and `_InducedBasis.close` sifts them in.  Lattice
+membership is `intlinalg.lattice_member`, which takes a Hermite basis as
+it is.
 """
 
 from __future__ import annotations
@@ -16,8 +26,8 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitExceeded
 from .intlinalg import (
+    AbelianQuotient,
     IntMatrix,
-    abelian_quotient,
     hnf_basis,
     lattice_index,
     lattice_member,
@@ -33,6 +43,43 @@ _CLOSURE_ROUNDS_CAP = 64
 def _require_class2(p: PcPresentation, what: str) -> None:
     if p.nilpotency_class > 2:
         raise ValueError(f"{what} supports nilpotency class <= 2 only")
+
+
+def _lead(v: Element) -> int | None:
+    return next((k for k, x in enumerate(v) if x), None)
+
+
+def _sift(p: PcPresentation, rows, w: Element) -> tuple[list[int], Element]:
+    """Divide w from the left by powers of triangular rows b_0, b_1, ...,
+    given as (pivot column, row) pairs in increasing pivot order, so that
+    w = b_0^e_0 * b_1^e_1 * ... * residue.
+
+    Stops at the first coordinate that no row clears, so the residue is
+    the identity exactly when w is an ordered product of the rows, and
+    otherwise leads with a coordinate that is no row's pivot or is not a
+    multiple of that row's pivot entry.  Returns (exponents, residue).
+    """
+    exps = []
+    for j, b in rows:
+        q = 0
+        if w[j]:
+            if any(w[:j]):
+                break
+            q, rem = divmod(w[j], b[j])
+            if rem:
+                break
+            w = p.multiply(p.inverse(p.power(b, q)), w)
+        exps.append(q)
+    return exps, w
+
+
+def _closure_candidates(p: PcPresentation, vecs: list[Element]):
+    """For each u in vecs, its inverse, then u v and [u, v] for each v."""
+    for u in vecs:
+        yield p.inverse(u)
+        for v in vecs:
+            yield p.multiply(u, v)
+            yield p.commutator(u, v)
 
 
 @dataclass(frozen=True)
@@ -89,23 +136,14 @@ class Subgroup:
         return lattice_index(IntMatrix(self.basis.rows, self.ambient.n, self.basis.entries))
 
     def _is_closed(self) -> bool:
-        p = self.ambient
         vecs = self.basis_elements()
-        for u in vecs:
-            if not self.contains(p.inverse(u)):
-                return False
-            for v in vecs:
-                if not self.contains(p.multiply(u, v)):
-                    return False
-                if not self.contains(p.commutator(u, v)):
-                    return False
-        if p.nilpotency_class > 2:
-            # basis-pair closure is only conclusive together with exact
-            # expressibility of every basis row as an ordered product
-            for u in vecs:
-                if express_in_basis(self, u) is None:
-                    return False
-        return True
+        if not all(self.contains(w) for w in _closure_candidates(self.ambient, vecs)):
+            return False
+        # basis-pair closure is only conclusive together with exact
+        # expressibility of every basis row as an ordered product
+        return self.ambient.nilpotency_class <= 2 or all(
+            express_in_basis(self, u) is not None for u in vecs
+        )
 
     def is_normal(self) -> bool:
         p = self.ambient
@@ -148,16 +186,8 @@ def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
     rows = [list(p.element(g)) for g in gens if any(g)]
     lattice = hnf_basis(IntMatrix.from_rows(rows)) if rows else IntMatrix(0, p.n, ())
     for _ in range(_CLOSURE_ROUNDS_CAP):
-        vecs = [tuple(lattice.row(i)) for i in range(lattice.rows)]
-        fresh = []
-        for u in vecs:
-            w = p.inverse(u)
-            if not lattice_member(lattice, w):
-                fresh.append(list(w))
-            for v in vecs:
-                for w in (p.multiply(u, v), p.commutator(u, v)):
-                    if not lattice_member(lattice, w):
-                        fresh.append(list(w))
+        vecs = [lattice.row(i) for i in range(lattice.rows)]
+        fresh = [w for w in _closure_candidates(p, vecs) if not lattice_member(lattice, w)]
         if not fresh:
             return Subgroup(p, lattice)
         lattice = hnf_basis(IntMatrix.from_rows(lattice.to_rows() + fresh))
@@ -167,24 +197,8 @@ def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
 def express_in_basis(s: Subgroup, u: Element) -> tuple[int, ...] | None:
     """Exponents a with u = b_1^a1 * ... * b_r^ar over the Hermite basis,
     or None when u is not an ordered product of the basis elements."""
-    p = s.ambient
-    h = s.basis
-    w = u
-    exps = []
-    for i in range(h.rows):
-        row = h.row(i)
-        j = next(k for k in range(h.cols) if row[k] != 0)
-        q, rem = divmod(w[j], row[j])
-        if rem:
-            return None
-        exps.append(q)
-        if q:
-            w = p.multiply(p.inverse(p.power(tuple(row), q)), w)
-        if any(w[t] for t in range(j + 1)):
-            return None
-    if any(w):
-        return None
-    return tuple(exps)
+    exps, rest = _sift(s.ambient, [(_lead(b), b) for b in s.basis_elements()], u)
+    return None if any(rest) else tuple(exps)
 
 
 def map_into_ambient(s: Subgroup, exps) -> Element:
@@ -322,16 +336,11 @@ def enumerate_normal_subgroups(
 
             yield from rec(0)
 
+        # each filled template is already a Hermite basis
         for rows in fill(0, rows_template):
-            mat = IntMatrix.from_rows(rows)
-            cand = Subgroup(p, hnf_basis(mat))
-            if cand.basis.to_rows() != rows:
-                continue  # not canonical; the canonical twin is generated too
-            if not cand._is_closed():
-                continue
-            if not cand.is_normal():
-                continue
-            found.append(cand)
+            cand = Subgroup(p, IntMatrix.from_rows(rows))
+            if cand._is_closed() and cand.is_normal():
+                found.append(cand)
     found.sort(key=lambda s: (s.index(), s.basis.entries))
     return found
 
@@ -353,23 +362,12 @@ class _InducedBasis:
         self.slots: dict[int, Element] = {}
 
     def vectors(self) -> list[Element]:
-        return [self.slots[k] for k in sorted(self.slots)]
+        return [v for _, v in sorted(self.slots.items())]
 
     def reduce(self, w: Element) -> Element:
-        """Divide w by the slot vectors from the top; the residue is the
-        identity exactly when w is an ordered product of the slots."""
-        p = self.p
-        while True:
-            lead = next((k for k in range(p.n) if w[k]), None)
-            if lead is None or lead not in self.slots:
-                return w
-            b = self.slots[lead]
-            q, rem = divmod(w[lead], b[lead])
-            if rem:
-                return w
-            if q == 0:
-                return w
-            w = p.multiply(p.inverse(p.power(b, q)), w)
+        """Residue of w after sifting by the slot vectors; the identity
+        exactly when w is an ordered product of the slots."""
+        return _sift(self.p, sorted(self.slots.items()), w)[1]
 
     def contains(self, w: Element) -> bool:
         return not any(self.reduce(w))
@@ -381,7 +379,7 @@ class _InducedBasis:
         queue = [w]
         while queue:
             v = self.reduce(queue.pop())
-            lead = next((k for k in range(p.n) if v[k]), None)
+            lead = _lead(v)
             if lead is None:
                 continue
             cur = self.slots.get(lead)
@@ -389,13 +387,8 @@ class _InducedBasis:
                 self.slots[lead] = v
                 changed = True
                 continue
-            a, b = cur[lead], v[lead]
-            if b % a == 0:  # reduce() already handled this unless signs differ
-                q = b // a
-                rest = p.multiply(p.inverse(p.power(cur, q)), v)
-                queue.append(rest)
-                continue
-            g, x, y = xgcd(a, b)
+            # the residue's leading entry is not a multiple of cur's
+            _, x, y = xgcd(cur[lead], v[lead])
             comb = p.multiply(p.power(cur, x), p.power(v, y))
             self.slots[lead] = comb
             changed = True
@@ -405,17 +398,10 @@ class _InducedBasis:
 
     def close(self) -> None:
         """Stabilize under products, inverses, and pairwise commutators."""
-        p = self.p
         for _ in range(_CLOSURE_ROUNDS_CAP):
             changed = False
-            vecs = self.vectors()
-            for u in vecs:
-                if not self.contains(p.inverse(u)):
-                    changed |= self.sift(p.inverse(u))
-                for v in vecs:
-                    for w in (p.multiply(u, v), p.commutator(u, v)):
-                        if not self.contains(w):
-                            changed |= self.sift(w)
+            for w in _closure_candidates(self.p, self.vectors()):
+                changed |= self.sift(w)
             if not changed:
                 return
         raise RuntimeError("induced basis failed to stabilize")  # pragma: no cover
@@ -426,9 +412,7 @@ class _InducedBasis:
             changed = False
             for u in self.vectors():
                 for g in gens:
-                    c = p.commutator(u, g)
-                    if not self.contains(c):
-                        changed |= self.sift(c)
+                    changed |= self.sift(p.commutator(u, g))
             if changed:
                 self.close()
             else:
@@ -468,9 +452,7 @@ def lower_central_series(p: PcPresentation) -> list[Subgroup]:
         nxt = _InducedBasis(p)
         for u in cur_vectors:
             for g in gens:
-                c = p.commutator(u, g)
-                if any(c):
-                    nxt.sift(c)
+                nxt.sift(p.commutator(u, g))
         nxt.close()
         nxt.close_under_commutators_with(gens)
         terms.append(_subgroup_from_induced(p, nxt))
@@ -526,8 +508,7 @@ def _solve_with_torsion(values, free_len, torsion_moduli):
         rows.append([0] * free_len + [d if jj == j else 0 for jj in range(t)])
     if not rows:
         return [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
-    mat = IntMatrix.from_rows(rows) if rows else IntMatrix(0, free_len + t, ())
-    ker = left_kernel(mat)
+    ker = left_kernel(IntMatrix.from_rows(rows))
     return [tuple(ker.row(i)[:r]) for i in range(ker.rows)]
 
 
@@ -551,26 +532,28 @@ def center(p: PcPresentation) -> Subgroup:
         for v in gamma_k.basis_elements():
             base.sift(v)
         base.close()
-        slot_vecs = base.vectors()
+        slots = sorted(base.slots.items())
+
+        def slot_exponents(w: Element) -> list[int]:
+            exps, rest = _sift(p, slots, w)
+            if any(rest):
+                raise ValueError("element is not in the subgroup spanned by the slots")
+            return exps
+
         # structure of gamma_k / gamma_{k+1} on the slot coordinates
-        rel_rows = []
-        for v in gamma_next.basis_elements():
-            exps = _express_in_slots(p, base, v)
-            rel_rows.append(list(exps))
+        rel_rows = [slot_exponents(v) for v in gamma_next.basis_elements()]
         rel = (
             IntMatrix.from_rows(rel_rows)
             if rel_rows
-            else IntMatrix(0, len(slot_vecs), ())
+            else IntMatrix(0, len(slots), ())
         )
-        quot = abelian_quotient(rel)
+        quot = AbelianQuotient(rel)
         values = []
         for b in candidates:
             free_all: list[int] = []
             tors_all: list[int] = []
             for g in gens:
-                w = p.commutator(b, g)
-                exps = _express_in_slots(p, base, w)
-                free, tors = quot.project(exps)
+                free, tors = quot.project(slot_exponents(p.commutator(b, g)))
                 free_all.extend(free)
                 tors_all.extend(tors)
             values.append((tuple(free_all), tuple(tors_all)))
@@ -601,22 +584,6 @@ def center(p: PcPresentation) -> Subgroup:
         if not all(p.commutator(v, g) == p.identity() for g in gens):  # pragma: no cover
             raise NotImplementedError("center is not a coordinate lattice here")
     return sub
-
-
-def _express_in_slots(p: PcPresentation, base: _InducedBasis, w: Element) -> tuple[int, ...]:
-    slots = base.vectors()
-    exps = []
-    for b in slots:
-        lead = next(k for k in range(p.n) if b[k])
-        q, rem = divmod(w[lead], b[lead])
-        if rem:
-            raise ValueError("element is not in the subgroup spanned by the slots")
-        exps.append(q)
-        if q:
-            w = p.multiply(p.inverse(p.power(b, q)), w)
-    if any(w):
-        raise ValueError("element is not in the subgroup spanned by the slots")
-    return tuple(exps)
 
 
 # ----------------------------------------------------------------- isolator

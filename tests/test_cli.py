@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rfrskit.cli import RunConfig, run
+from rfrskit.cli import RunConfig, main, run
 from rfrskit.pcgroups import presentation_from_text, unitriangular
 
 PY = [sys.executable, "-m", "rfrskit"]
@@ -271,3 +271,21 @@ def test_exit2_on_magnus_cap(path3_graph):
     code, _, err = invoke(["raag-magnus", "--graph", path3_graph, "--word", "a^-1", "--degree", "1000000"])
     assert code == 2
     assert "resource cap exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "args, flag, value",
+    [
+        (["rfrs-obstruct", "--group", "heisenberg"], "--max-index", "8"),
+        (["raag-magnus", "--graph", "GRAPH", "--word", "a,b,a^-1,b^-1"], "--degree", "3"),
+        (["raag-rtfn", "--graph", "GRAPH"], "--max-len", "3"),
+    ],
+)
+def test_left_out_bounds_take_runconfig_defaults(args, flag, value, path3_graph, capsys):
+    args = [path3_graph if a == "GRAPH" else a for a in args] + ["--json"]
+    outputs = []
+    for argv in (args, args + [flag, value]):
+        code = main(argv)
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].out

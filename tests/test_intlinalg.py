@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from rfrskit.intlinalg import (
     INFINITE,
     AbelianGroupStructure,
+    AbelianQuotient,
     IntMatrix,
     abelian_group_from_relations,
-    abelian_quotient,
     det,
     finite_order_semisimple_check,
     hnf,
@@ -255,7 +255,7 @@ def test_abelian_structure_matches_enumeration(seed):
 
 
 def test_quotient_projection():
-    q = abelian_quotient(M([[0, 0, 2]]))
+    q = AbelianQuotient(M([[0, 0, 2]]))
     free, tors = q.project((0, 0, 1))
     assert all(x == 0 for x in free)
     assert tors and q.image_order((0, 0, 1)) == 2
@@ -277,6 +277,67 @@ def test_lattice_member_examples():
         (x * 2 + y * 6, x * 4 + y * 8) == (4, 8) for x in range(-9, 10) for y in range(-9, 10)
     )
     assert found
+
+
+def hnf_then_sift(basis, vec):
+    """Reference membership: Hermite form first, then clear the columns
+    of vec from left to right."""
+    h = hnf_basis(basis)
+    pivot_row = {next(j for j, x in enumerate(h.row(i)) if x): h.row(i) for i in range(h.rows)}
+    w = list(vec)
+    for j in range(len(w)):
+        if w[j]:
+            row = pivot_row.get(j)
+            if row is None or w[j] % row[j]:
+                return False
+            q = w[j] // row[j]
+            w = [x - q * y for x, y in zip(w, row)]
+    return True
+
+
+@st.composite
+def messy_lattices(draw):
+    """(rows, basis, vec, combined): basis spans the lattice of rows but is
+    shuffled, has negated (often pivot) rows, zero, duplicate and dependent
+    rows; vec is a combination of rows (combined) or one nudged from it."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=4))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    combined = draw(st.booleans())
+    if not combined:
+        vec[draw(st.integers(0, n - 1))] += draw(st.integers(-2, 2))
+    start = rows
+    if rows and draw(st.booleans()):
+        start = hnf_basis(M(rows)).to_rows()
+    messy = [[-x for x in r] if draw(st.booleans()) else r for r in start]
+    messy += [[0] * n] * draw(st.integers(0, 2))
+    if rows:
+        picks = st.sampled_from(rows)
+        messy += draw(st.lists(picks, max_size=2))
+        messy += [[x + y for x, y in zip(draw(picks), draw(picks))] for _ in range(draw(st.integers(0, 2)))]
+    messy = draw(st.permutations(messy))
+    return rows, IntMatrix(len(messy), n, tuple(x for r in messy for x in r)), tuple(vec), combined
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_lattices())
+def test_lattice_member_matches_hnf_then_sift(case):
+    rows, basis, vec, combined = case
+    member = lattice_member(basis, vec)
+    assert member == hnf_then_sift(basis, vec)
+    if rows:
+        assert member == hnf_then_sift(M(rows), vec)
+    if combined:
+        assert member
+
+
+def test_lattice_member_on_echelon_bases_with_negative_pivots():
+    b = M([[-2, 1, 0], [0, 0, -3]])
+    assert lattice_member(b, (4, -2, 3))
+    assert not lattice_member(b, (2, 0, 0))
+    assert not lattice_member(b, (0, 0, 2))
+    assert not lattice_member(M([[0, 2], [1, 0]]), (0, 1))
 
 
 def test_lattice_member_dimension_mismatch():

@@ -16,6 +16,7 @@ from rfrskit.pcgroups import (
     presentation_to_text,
     rational_ab_kernel_member,
     unitriangular,
+    _degree_bound,
 )
 
 
@@ -433,6 +434,21 @@ def test_off_grid_check_rejects_corrupted_table():
         p.multiply(p.generator(1), p.generator(0))
     with pytest.raises(ValueError, match="inconsistent presentation"):
         PcPresentation(6, rules, nilpotency_class=3)
+
+
+def test_conjugation_polynomials_stay_below_the_weight_bound():
+    # a term C(s, i) C(e, j) has i, j >= 1 and i w(m) + j w(k) <= D, so
+    # each variable's degree is at most D - 1
+    for n in range(4, 8):
+        p = unitriangular(n)
+        p.multiply(p.generator(1), p.generator(0))
+        top = _degree_bound(p) - 1
+        assert top == n - 2
+        terms = [
+            t for level in p._collector.levels for poly in level.values() for _, ts in poly for t in ts
+        ]
+        assert terms
+        assert all(1 <= i <= top and 1 <= j <= top for i, j, _ in terms)
 
 
 def test_conjugation_table_is_built_lazily():

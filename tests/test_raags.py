@@ -22,7 +22,6 @@ from rfrskit.raags import (
     rtfn_witness,
     series_multiply,
     word_from_tokens,
-    words_equal,
     _append_normal,
     _blocking_table,
     _extends_normally,
@@ -399,8 +398,3 @@ def test_word_parsing():
 def test_word_str():
     assert str(W((0, 1), (1, -2))) == "a,b^-2"
     assert str(W()) == "1"
-
-
-def test_words_equal():
-    assert words_equal(K2, W((0, 1), (1, 1)), W((1, 1), (0, 1)))
-    assert not words_equal(FREE2, W((0, 1), (1, 1)), W((1, 1), (0, 1)))

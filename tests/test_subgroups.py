@@ -7,6 +7,7 @@ from rfrskit.errors import ResourceLimitExceeded
 from rfrskit.intlinalg import INFINITE, IntMatrix, hnf_basis, lattice_member
 from rfrskit.pcgroups import (
     abelianization,
+    build_standard,
     direct_product,
     free_abelian,
     heisenberg,
@@ -27,6 +28,8 @@ from rfrskit.subgroups import (
     map_into_ambient,
     subgroup_closure,
     verify_inclusion_homomorphism,
+    _InducedBasis,
+    _subgroup_from_induced,
 )
 
 H = heisenberg()
@@ -306,6 +309,39 @@ def test_express_and_map_roundtrip():
         assert s.contains(u)
         assert express_in_basis(s, u) == exps
     assert express_in_basis(s, (1, 0, 0)) is None
+
+
+@pytest.mark.parametrize("name", ["ut(4)", "direct_product(ut(4),heisenberg)"])
+def test_induced_basis_and_express_agree_with_ordered_products(name):
+    p = build_standard(name)
+    g = [p.generator(k) for k in range(p.n)]
+    gen_sets = [
+        g,
+        [p.multiply(g[0], g[1]), p.power(g[2], 2)],
+        [p.multiply(p.power(g[0], 2), g[2]), p.multiply(g[1], p.power(g[4], 3))],
+        [p.multiply(g[0], g[-1]), p.power(g[1], 2), p.power(g[2], 2)],
+    ]
+    rng = random.Random(4)
+    for gens in gen_sets:
+        base = _InducedBasis(p)
+        for x in gens:
+            base.sift(x)
+        base.close()
+        s = _subgroup_from_induced(p, base)
+        for _ in range(15):
+            exps = tuple(rng.randint(-3, 3) for _ in range(s.rank()))
+            u = map_into_ambient(s, exps)
+            assert express_in_basis(s, u) == exps
+            assert base.contains(u)
+            # u is in s, so u g_k is in s exactly when g_k is
+            k = rng.randrange(p.n)
+            w = p.multiply(u, g[k])
+            assert base.contains(w) == base.contains(g[k]) == (express_in_basis(s, g[k]) is not None)
+            for v in (w, tuple(rng.randint(-2, 2) for _ in range(p.n))):
+                found = express_in_basis(s, v)
+                assert base.contains(v) == (found is not None)
+                if found is not None:
+                    assert map_into_ambient(s, found) == v
 
 
 # ------------------------------------------------------------ central series
