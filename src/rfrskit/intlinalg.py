@@ -6,6 +6,13 @@ index, structure of finitely generated abelian groups presented by
 relation matrices, and unipotence / finite-order tests for integer
 matrices.  All functions are pure; `IntMatrix` values are immutable, so
 concurrent use needs no locking.
+
+`hnf` inserts rows one at a time into a Hermite basis that it keeps fully
+reduced, so intermediate entries stay near the size of the answer, which
+the determinant bounds.  `left_kernel` and `saturate` build on it, and
+`AbelianQuotient` takes the Smith form of the Hermite basis of its
+relations rather than of the relations themselves.  `lattice_member` and
+`lattice_index` use a basis already in row echelon form as given.
 """
 
 from __future__ import annotations
@@ -149,41 +156,74 @@ def _gcd_row_op(work: list[list[int]], aux: list[list[int]], r: int, i: int, j: 
     aux[r], aux[i] = new_r, new_i
 
 
+def _reduce_at(basis: dict[int, list[int]], row: list[int], cols) -> list[int]:
+    # Reduce row's entries at the pivot columns cols (increasing) into
+    # [0, pivot); each step leaves the columns before it unchanged.
+    for k in cols:
+        piv = basis[k]
+        q = row[k] // piv[k]
+        if q:
+            row = [x - q * y for x, y in zip(row, piv)]
+    return row
+
+
+def _install(basis: dict[int, list[int]], j: int, row: list[int]) -> None:
+    # Put row in as the pivot row of column j and restore full reduction:
+    # row at the later pivots, then every earlier pivot row from column j
+    # on (a changed row j also changes what it leaves in later columns).
+    later = sorted(k for k in basis if k > j)
+    basis[j] = _reduce_at(basis, row, later)
+    later.insert(0, j)
+    for i in [k for k in basis if k < j]:
+        basis[i] = _reduce_at(basis, basis[i], later)
+
+
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with H = U @ a, U unimodular, H in row echelon form
     with positive pivots and entries above each pivot reduced into
-    [0, pivot).  Rows of zeros sink to the bottom.
+    [0, pivot).  Rows of zeros sink to the bottom, and the rows of U
+    beside them are a basis of the left kernel of a.  H is unique; so is
+    U when a has full row rank.
+
+    The rows of a go one at a time into a Hermite basis kept fully
+    reduced (Kannan–Bachem), so intermediate entries stay near the size
+    of the answer.  Each basis row carries its U row in the same list.
     """
     m, n = a.rows, a.cols
-    work = a.to_rows()
-    trans = IntMatrix.identity(m).to_rows()
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-            trans[r], trans[piv] = trans[piv], trans[r]
-        for i in range(r + 1, m):
-            _gcd_row_op(work, trans, r, i, j)
-        if work[r][j] < 0:
-            _negate_row(work, r)
-            _negate_row(trans, r)
-        p = work[r][j]
-        for i in range(r):
-            q = work[i][j] // p
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                trans[i] = [x - q * y for x, y in zip(trans[i], trans[r])]
-        r += 1
     if m == 0:
         return a, IntMatrix.identity(0)
-    return IntMatrix.from_rows(work), IntMatrix.from_rows(trans)
+    basis: dict[int, list[int]] = {}
+    kernel = []
+    for i in range(m):
+        row = list(a.row(i)) + [0] * m
+        row[n + i] = 1
+        j = 0
+        while True:
+            j = next((k for k in range(j, n) if row[k]), None)
+            if j is None:
+                kernel.append(row)
+                break
+            piv = basis.get(j)
+            if piv is None:
+                _install(basis, j, row if row[j] > 0 else [-x for x in row])
+                break
+            p, x = piv[j], row[j]
+            q, rem = divmod(x, p)
+            if rem:
+                g, s, t = xgcd(p, x)
+                pg, xg = p // g, x // g
+                _install(basis, j, [s * y + t * z for y, z in zip(piv, row)])
+                row = [pg * z - xg * y for y, z in zip(piv, row)]
+            else:
+                row = [z - q * y for y, z in zip(piv, row)]
+            j += 1
+    rows = [basis[j] for j in sorted(basis)] + kernel
+    return (
+        IntMatrix(m, n, tuple(x for r in rows for x in r[:n])),
+        IntMatrix(m, m, tuple(x for r in rows for x in r[n:])),
+    )
 
 
 def hnf_basis(a: IntMatrix) -> IntMatrix:
@@ -351,6 +391,16 @@ def _echelon_pivots(a: IntMatrix) -> list[int] | None:
     return pivots
 
 
+def _echelon_basis(basis: IntMatrix) -> tuple[IntMatrix, list[int]]:
+    """Return basis as given when it is in row echelon form, else its
+    Hermite basis, together with the pivot columns."""
+    pivots = _echelon_pivots(basis)
+    if pivots is None:
+        basis = hnf_basis(basis)
+        pivots = _echelon_pivots(basis)
+    return basis, pivots
+
+
 def lattice_member(basis: IntMatrix, vec) -> bool:
     """True iff vec lies in the integer row span of basis.
 
@@ -360,10 +410,7 @@ def lattice_member(basis: IntMatrix, vec) -> bool:
     w = [int(x) for x in vec]
     if len(w) != basis.cols:
         raise ValueError("vector length does not match lattice dimension")
-    pivots = _echelon_pivots(basis)
-    if pivots is None:
-        basis = hnf_basis(basis)
-        pivots = _echelon_pivots(basis)
+    basis, pivots = _echelon_basis(basis)
     for i, j in enumerate(pivots):
         if any(w[:j]):
             return False
@@ -376,15 +423,14 @@ def lattice_member(basis: IntMatrix, vec) -> bool:
 
 
 def lattice_index(basis: IntMatrix):
-    """Index of the row lattice in Z^n: |det| if full rank, else INFINITE."""
-    h = hnf_basis(basis)
-    if h.rows < basis.cols:
+    """Index of the row lattice in Z^n: |det| if full rank, else INFINITE.
+
+    Like `lattice_member`, takes a row echelon basis as given.
+    """
+    basis, pivots = _echelon_basis(basis)
+    if basis.rows < basis.cols:
         return INFINITE
-    idx = 1
-    for i in range(h.rows):
-        j = next(k for k in range(h.cols) if h.entry(i, k) != 0)
-        idx *= h.entry(i, j)
-    return idx
+    return abs(math.prod(basis.entry(i, j) for i, j in enumerate(pivots)))
 
 
 @dataclass(frozen=True)
@@ -429,7 +475,7 @@ class AbelianQuotient:
 
     def __init__(self, relations: IntMatrix):
         n = relations.cols
-        dec = snf(relations)
+        dec = snf(hnf_basis(relations))
         diag = dec.diagonal()
         rank = sum(1 for x in diag if x)
         self.n = n

@@ -105,25 +105,6 @@ class RaagWord:
         return ",".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class RaagPresentation:
-    """Graph plus generator naming; the graph carries all the structure."""
-
-    graph: Graph
-
-    def generator_names(self) -> list[str]:
-        if self.graph.vertex_count > len(_LETTER_NAMES):
-            raise ValueError("letter names support at most 26 vertices")
-        return list(_LETTER_NAMES[: self.graph.vertex_count])
-
-    def commuting_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.graph.edges)
-
-
-def raag_from_graph(g: Graph) -> RaagPresentation:
-    return RaagPresentation(graph=g)
-
-
 # -------------------------------------------------------------- normal form
 
 

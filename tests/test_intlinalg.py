@@ -26,6 +26,7 @@ from rfrskit.intlinalg import (
     saturate,
     snf,
     xgcd,
+    _gcd_row_op,
 )
 
 M = IntMatrix.from_rows
@@ -96,6 +97,113 @@ def test_hnf_random(seed):
     assert u @ a == h
     assert abs(det(u)) == 1
     _check_hnf_shape(h)
+
+
+def reference_hnf(a):
+    """Column-by-column elimination: the Hermite form of the earlier
+    implementation, kept as the reference for the row-insertion `hnf`."""
+    m, n = a.rows, a.cols
+    work = a.to_rows()
+    trans = IntMatrix.identity(m).to_rows()
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if work[i][j] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            trans[r], trans[piv] = trans[piv], trans[r]
+        for i in range(r + 1, m):
+            _gcd_row_op(work, trans, r, i, j)
+        if work[r][j] < 0:
+            work[r] = [-x for x in work[r]]
+            trans[r] = [-x for x in trans[r]]
+        p = work[r][j]
+        for i in range(r):
+            q = work[i][j] // p
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                trans[i] = [x - q * y for x, y in zip(trans[i], trans[r])]
+        r += 1
+    if m == 0:
+        return a, IntMatrix.identity(0)
+    return M(work), M(trans)
+
+
+def reference_hnf_basis(a):
+    rows = [r for r in reference_hnf(a)[0].to_rows() if any(r)]
+    return M(rows) if rows else IntMatrix(0, a.cols, ())
+
+
+def reference_left_kernel(a):
+    h, u = reference_hnf(a)
+    rows = [list(u.row(i)) for i in range(a.rows) if not any(h.row(i))]
+    return reference_hnf_basis(M(rows)) if rows else IntMatrix(0, a.rows, ())
+
+
+def reference_saturate(a):
+    return reference_left_kernel(reference_left_kernel(a.transpose()).transpose())
+
+
+@st.composite
+def hnf_inputs(draw):
+    """Matrices up to 8 x 8 with entries in [-20, 20]: wide, tall and
+    square, with zero rows, zero columns, duplicate rows and rows that are
+    combinations of others (rank-deficient)."""
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 8))
+    entries = st.integers(-20, 20)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(st.integers(-3, 3))
+        rows[i] = draw(st.sampled_from([
+            [0] * n,
+            list(rows[k]),
+            [x + c * y for x, y in zip(rows[i], rows[k])],
+        ]))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        j = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = 0
+    return IntMatrix(m, n, tuple(x for r in rows for x in r))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnf_inputs())
+def test_hnf_matches_column_elimination_reference(a):
+    h, u = hnf(a)
+    ref_h, ref_u = reference_hnf(a)
+    assert h == ref_h
+    rank = sum(1 for i in range(h.rows) if any(h.row(i)))
+    if rank == a.rows:
+        assert u == ref_u
+    else:
+        assert u @ a == h
+        assert abs(det(u)) == 1
+    assert hnf_basis(a) == reference_hnf_basis(a)
+    assert left_kernel(a) == reference_left_kernel(a)
+    assert saturate(a) == reference_saturate(a)
+
+
+def test_hnf_matches_sympy_on_nonsingular_matrices():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(20)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        if det(M(rows)) == 0:
+            continue
+        # sympy's form is column-style with pivots ending the columns:
+        # transposed, it is the row Hermite form of a with the order of
+        # rows and of columns reversed.
+        w = hermite_normal_form(sympy.Matrix(rows).T).T.tolist()
+        h, _ = hnf(M([r[::-1] for r in rows]))
+        assert h.to_rows() == [[int(x) for x in r[::-1]] for r in w[::-1]]
 
 
 # ---------------------------------------------------------------- snf
@@ -343,6 +451,28 @@ def test_lattice_member_on_echelon_bases_with_negative_pivots():
 def test_lattice_member_dimension_mismatch():
     with pytest.raises(ValueError):
         lattice_member(M([[1, 0]]), (1, 2, 3))
+
+
+@st.composite
+def echelon_bases(draw):
+    """Row echelon bases (strictly increasing pivot columns, no zero rows)
+    with pivots of either sign and unreduced entries above them."""
+    n = draw(st.integers(1, 5))
+    cols = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    rows = []
+    for j in cols:
+        pivot = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+        tail = draw(st.lists(st.integers(-9, 9), min_size=n - j - 1, max_size=n - j - 1))
+        rows.append([0] * j + [pivot] + tail)
+    return IntMatrix(len(rows), n, tuple(x for r in rows for x in r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_bases())
+def test_lattice_index_on_echelon_bases_matches_hermite_basis(b):
+    h = hnf_basis(b)
+    expected = INFINITE if h.rows < b.cols else math.prod(h.entry(i, i) for i in range(h.rows))
+    assert lattice_index(b) == expected
 
 
 def test_lattice_index_examples():
