@@ -45,7 +45,7 @@ report = verify_rfrs_chain(chain)
 for k, step in enumerate(report.steps):
     print(f"  step {k}: index {step.index}, normal {step.normal_in_g}, "
           f"kernel contained {step.kernel_contained}")
-print("  trapped witness:", trapped_central_witness(chain))
+print("  trapped witness:", trapped_central_witness(report))
 print("  intersection still contains z:", report.intersection.contains((0, 0, 1)))
 
 print()

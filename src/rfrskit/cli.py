@@ -1,5 +1,10 @@
 """Command-line front end.
 
+One table, `_COMMANDS`, declares each command once: its handler, help
+text, required inputs and optional integer bound.  The argparse parser
+(built once per process) and `run`'s check for required inputs both come
+from that table, and every input file goes through one reader.
+
 Exit codes: 0 when the computation completed with an overall pass/true
 result, 1 when it completed with a fail/false result, 2 on input errors
 or exceeded resource caps.  Reports print human-readable by default and
@@ -10,8 +15,10 @@ so scripts can parse them uniformly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +30,6 @@ from .pcgroups import (
     presentation_from_text,
 )
 from .raags import (
-    Graph,
     graph_from_text,
     magnus_image,
     normal_form,
@@ -46,16 +52,6 @@ from .subgroups import (
     subgroup_closure,
 )
 
-COMMANDS = (
-    "analyze",
-    "rfrs-verify",
-    "rfrs-obstruct",
-    "rfrs-restrict",
-    "raag-nf",
-    "raag-magnus",
-    "raag-rtfn",
-)
-
 
 @dataclass
 class RunConfig:
@@ -75,67 +71,60 @@ class InputError(Exception):
     pass
 
 
-def _load_group(spec: str) -> PcPresentation:
+def _read_input(spec: str, kind: str, parse):
+    """parse applied to the text of file spec.  A missing file, or a
+    ValueError from parse, becomes an InputError naming the kind of file."""
     path = Path(spec)
-    if path.exists():
-        try:
-            p = presentation_from_text(path.read_text())
-        except ValueError as exc:
-            raise InputError(f"bad presentation file {spec}: {exc}") from exc
-        # the constructor already requires central commutator values up to
-        # class 2, where the class is then 1 or 2 by whether the table is empty
-        if p.nilpotency_class <= 2:
-            actual = 2 if p.rules else 1
-        else:
-            actual = len(lower_central_series(p)) - 1
-        if actual != p.nilpotency_class:
-            raise InputError(
-                f"bad presentation file {spec}: declares nilpotency class "
-                f"{p.nilpotency_class}, but its lower central series has class {actual}"
-            )
-        return p
+    if not path.exists():
+        raise InputError(f"{kind} file not found: {spec}")
+    try:
+        return parse(path.read_text())
+    except ValueError as exc:
+        raise InputError(f"bad {kind} file {spec}: {exc}") from exc
+
+
+def _presentation_with_checked_class(text: str) -> PcPresentation:
+    p = presentation_from_text(text)
+    # the constructor already requires central commutator values up to
+    # class 2, where the class is then 1 or 2 by whether the table is empty
+    if p.nilpotency_class <= 2:
+        actual = 2 if p.rules else 1
+    else:
+        actual = len(lower_central_series(p)) - 1
+    if actual != p.nilpotency_class:
+        raise ValueError(
+            f"declares nilpotency class {p.nilpotency_class}, "
+            f"but its lower central series has class {actual}"
+        )
+    return p
+
+
+def _load_group(spec: str) -> PcPresentation:
+    """A presentation file if spec names one, else a builder name."""
+    if Path(spec).exists():
+        return _read_input(spec, "presentation", _presentation_with_checked_class)
     try:
         return build_standard(spec)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _load_graph(spec: str) -> Graph:
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"graph file not found: {spec}")
-    try:
-        return graph_from_text(path.read_text())
-    except ValueError as exc:
-        raise InputError(f"bad graph file {spec}: {exc}") from exc
-
-
 def _load_chain(p: PcPresentation, spec: str) -> Filtration:
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"chain file not found: {spec}")
-    try:
-        subs = chain_from_text(p, path.read_text())
-        return Filtration.from_subgroups(p, subs)
-    except ValueError as exc:
-        raise InputError(f"bad chain file {spec}: {exc}") from exc
+    return _read_input(spec, "chain", lambda text: Filtration.from_subgroups(p, chain_from_text(p, text)))
 
 
 def _load_subgroup(p: PcPresentation, spec: str) -> Subgroup:
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"subgroup file not found: {spec}")
-    try:
+    def parse(text: str) -> Subgroup:
         rows = [
             tuple(int(t) for t in ln.split())
-            for ln in map(str.strip, path.read_text().splitlines())
+            for ln in map(str.strip, text.splitlines())
             if ln and not ln.startswith("#")
         ]
         if not rows:
             raise ValueError("empty subgroup file")
         return subgroup_closure(p, rows)
-    except ValueError as exc:
-        raise InputError(f"bad subgroup file {spec}: {exc}") from exc
+
+    return _read_input(spec, "subgroup", parse)
 
 
 def _emit(report: dict, human_lines: list[str], cfg: RunConfig) -> None:
@@ -197,7 +186,7 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
     p = _load_group(cfg.group)
     f = _load_chain(p, cfg.chain)
     rep = verify_rfrs_chain(f)
-    witness = trapped_central_witness(f) if rep.overall and not p.is_abelian() else None
+    witness = trapped_central_witness(rep) if rep.overall and not p.is_abelian() else None
     steps = [
         {"index": s.index, "normal": s.normal_in_g, "kernel_contained": s.kernel_contained}
         for s in rep.steps
@@ -291,7 +280,7 @@ def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
 
 
 def _cmd_raag_nf(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.graph)
+    g = _read_input(cfg.graph, "graph", graph_from_text)
     try:
         w = word_from_tokens(g, cfg.word or "")
     except ValueError as exc:
@@ -309,7 +298,7 @@ def _cmd_raag_nf(cfg: RunConfig) -> int:
 
 
 def _cmd_raag_magnus(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.graph)
+    g = _read_input(cfg.graph, "graph", graph_from_text)
     try:
         w = word_from_tokens(g, cfg.word or "")
         series = magnus_image(g, w, cfg.degree)
@@ -336,7 +325,7 @@ def _cmd_raag_magnus(cfg: RunConfig) -> int:
 
 
 def _cmd_raag_rtfn(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.graph)
+    g = _read_input(cfg.graph, "graph", graph_from_text)
     rep = rtfn_witness(g, cfg.max_len)
     report = {
         "command": "raag-rtfn",
@@ -355,41 +344,57 @@ def _cmd_raag_rtfn(cfg: RunConfig) -> int:
     return 0 if rep.separated else 1
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "rfrs-verify": _cmd_rfrs_verify,
-    "rfrs-obstruct": _cmd_rfrs_obstruct,
-    "rfrs-restrict": _cmd_rfrs_restrict,
-    "raag-nf": _cmd_raag_nf,
-    "raag-magnus": _cmd_raag_magnus,
-    "raag-rtfn": _cmd_raag_rtfn,
+@dataclass(frozen=True)
+class _Command:
+    handler: Callable[[RunConfig], int]
+    help: str
+    inputs: tuple[str, ...]  # RunConfig fields, each a required --flag
+    bound: str | None = None  # optional integer RunConfig field
+
+
+_COMMANDS = {
+    "analyze": _Command(_cmd_analyze, "structural invariants of a nilpotent presentation", ("group",)),
+    "rfrs-verify": _Command(_cmd_rfrs_verify, "check the chain step conditions on a filtration file",
+                            ("group", "chain")),
+    "rfrs-obstruct": _Command(_cmd_rfrs_obstruct, "bounded-index trapped-witness certificate",
+                              ("group",), "max_index"),
+    "rfrs-restrict": _Command(_cmd_rfrs_restrict, "restrict a chain to a subgroup and re-verify",
+                              ("group", "chain", "restrict_to")),
+    "raag-nf": _Command(_cmd_raag_nf, "normal form of a graph-group word", ("graph", "word")),
+    "raag-magnus": _Command(_cmd_raag_magnus, "truncated series image of a graph-group word",
+                            ("graph", "word"), "degree"),
+    "raag-rtfn": _Command(_cmd_raag_rtfn, "exhaustive separation check up to a length bound",
+                          ("graph",), "max_len"),
 }
 
-_NEEDS = {
-    "analyze": ("group",),
-    "rfrs-verify": ("group", "chain"),
-    "rfrs-obstruct": ("group",),
-    "rfrs-restrict": ("group", "chain", "restrict_to"),
-    "raag-nf": ("graph", "word"),
-    "raag-magnus": ("graph", "word"),
-    "raag-rtfn": ("graph",),
+_INPUT_HELP = {
+    "group": "builder name (heisenberg, ut(4), free_abelian(3), direct_product(a,b)) or presentation file",
+    "chain": "chain file: blocks of generator rows, blank-line separated",
+    "restrict_to": "subgroup file: generator rows",
+    "graph": "graph file: vertex count, then 'u v' edges",
+    "word": "comma-separated tokens: a, a^-1, b^2",
 }
+
+
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
-    if cfg.command not in _HANDLERS:
+    command = _COMMANDS.get(cfg.command)
+    if command is None:
         print(f"unknown command: {cfg.command}", file=sys.stderr)
         return 2
-    for field in _NEEDS[cfg.command]:
+    for field in command.inputs:
         if getattr(cfg, field) is None:
-            print(f"{cfg.command} requires --{field.replace('_', '-')}", file=sys.stderr)
+            print(f"{cfg.command} requires {_flag(field)}", file=sys.stderr)
             return 2
     if cfg.max_index < 1 or cfg.degree < 1 or cfg.max_len < 1:
         print("numeric bounds must be positive", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return command.handler(cfg)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -398,7 +403,9 @@ def run(cfg: RunConfig) -> int:
         return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for `_COMMANDS`, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="rfrskit",
         description=(
@@ -408,41 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "structural invariants of a nilpotent presentation",
-        "rfrs-verify": "check the chain step conditions on a filtration file",
-        "rfrs-obstruct": "bounded-index trapped-witness certificate",
-        "rfrs-restrict": "restrict a chain to a subgroup and re-verify",
-        "raag-nf": "normal form of a graph-group word",
-        "raag-magnus": "truncated series image of a graph-group word",
-        "raag-rtfn": "exhaustive separation check up to a length bound",
-    }
-    for name, help_text in specs.items():
-        s = sub.add_parser(name, help=help_text)
-        if name.startswith("rfrs") or name == "analyze":
-            s.add_argument("--group", required=True, help="builder name (heisenberg, ut(4), free_abelian(3), direct_product(a,b)) or presentation file")
-        if name in ("rfrs-verify", "rfrs-restrict"):
-            s.add_argument("--chain", required=True, help="chain file: blocks of generator rows, blank-line separated")
-        if name == "rfrs-restrict":
-            s.add_argument("--restrict-to", dest="restrict_to", required=True, help="subgroup file: generator rows")
-        if name == "rfrs-obstruct":
-            s.add_argument("--max-index", dest="max_index", type=int)
-        if name.startswith("raag"):
-            s.add_argument("--graph", required=True, help="graph file: vertex count, then 'u v' edges")
-        if name in ("raag-nf", "raag-magnus"):
-            s.add_argument("--word", required=True, help="comma-separated tokens: a, a^-1, b^2")
-        if name == "raag-magnus":
-            s.add_argument("--degree", type=int)
-        if name == "raag-rtfn":
-            s.add_argument("--max-len", dest="max_len", type=int)
+    for name, command in _COMMANDS.items():
+        s = sub.add_parser(name, help=command.help)
+        for field in command.inputs:
+            s.add_argument(_flag(field), dest=field, required=True, help=_INPUT_HELP[field])
+        if command.bound:
+            s.add_argument(_flag(command.bound), dest=command.bound, type=int)
         s.add_argument("--json", dest="json_output", action="store_true", help="emit a JSON report")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)

@@ -9,7 +9,8 @@ concurrent use needs no locking.
 
 `hnf` inserts rows one at a time into a Hermite basis that it keeps fully
 reduced, so intermediate entries stay near the size of the answer, which
-the determinant bounds.  `left_kernel` and `saturate` build on it, and
+the determinant bounds; `hnf_basis` runs the same insertion without
+carrying the transform.  `left_kernel` and `saturate` build on it, and
 `AbelianQuotient` takes the Smith form of the Hermite basis of its
 relations rather than of the relations themselves.  `lattice_member` and
 `lattice_index` use a basis already in row echelon form as given.
@@ -178,27 +179,15 @@ def _install(basis: dict[int, list[int]], j: int, row: list[int]) -> None:
         basis[i] = _reduce_at(basis, basis[i], later)
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with H = U @ a, U unimodular, H in row echelon form
-    with positive pivots and entries above each pivot reduced into
-    [0, pivot).  Rows of zeros sink to the bottom, and the rows of U
-    beside them are a basis of the left kernel of a.  H is unique; so is
-    U when a has full row rank.
-
-    The rows of a go one at a time into a Hermite basis kept fully
-    reduced (Kannan–Bachem), so intermediate entries stay near the size
-    of the answer.  Each basis row carries its U row in the same list.
-    """
-    m, n = a.rows, a.cols
-    if m == 0:
-        return a, IntMatrix.identity(0)
+def _hermite_rows(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    # Insert the rows one at a time into a Hermite basis kept fully
+    # reduced (Kannan–Bachem), so intermediate entries stay near the size
+    # of the answer.  Pivots are sought in the first n columns; any later
+    # columns ride along.  Returns the pivot rows in column order and the
+    # rows that sifted to zero there.
     basis: dict[int, list[int]] = {}
     kernel = []
-    for i in range(m):
-        row = list(a.row(i)) + [0] * m
-        row[n + i] = 1
+    for row in rows:
         j = 0
         while True:
             j = next((k for k in range(j, n) if row[k]), None)
@@ -219,7 +208,28 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             else:
                 row = [z - q * y for y, z in zip(piv, row)]
             j += 1
-    rows = [basis[j] for j in sorted(basis)] + kernel
+    return [basis[j] for j in sorted(basis)], kernel
+
+
+def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U @ a, U unimodular, H in row echelon form
+    with positive pivots and entries above each pivot reduced into
+    [0, pivot).  Rows of zeros sink to the bottom, and the rows of U
+    beside them are a basis of the left kernel of a.  H is unique; so is
+    U when a has full row rank.
+
+    Each row of a goes through `_hermite_rows` with its U row (a row of
+    the identity) appended.
+    """
+    m, n = a.rows, a.cols
+    if m == 0:
+        return a, IntMatrix.identity(0)
+    pivots, kernel = _hermite_rows(
+        (list(a.row(i)) + [int(k == i) for k in range(m)] for i in range(m)), n
+    )
+    rows = pivots + kernel
     return (
         IntMatrix(m, n, tuple(x for r in rows for x in r[:n])),
         IntMatrix(m, m, tuple(x for r in rows for x in r[n:])),
@@ -227,12 +237,13 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def hnf_basis(a: IntMatrix) -> IntMatrix:
-    """Nonzero rows of the Hermite form: a canonical lattice basis."""
-    h, _ = hnf(a)
-    rows = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-    if not rows:
+    """Nonzero rows of the Hermite form: a canonical lattice basis.
+
+    Built without the transform U."""
+    pivots, _ = _hermite_rows((list(a.row(i)) for i in range(a.rows)), a.cols)
+    if not pivots:
         return IntMatrix(0, a.cols, ())
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.from_rows(pivots)
 
 
 def left_kernel(a: IntMatrix) -> IntMatrix:

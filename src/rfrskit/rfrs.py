@@ -80,6 +80,7 @@ class RfrsStep:
 
 @dataclass(frozen=True)
 class RfrsReport:
+    filtration: Filtration  # the chain these steps were checked on
     steps: tuple[RfrsStep, ...]
     overall: bool
     intersection: Subgroup
@@ -91,7 +92,7 @@ def rational_kernel_subgroup(term: Subgroup) -> list[Element]:
     ip = induced_presentation(term)
     sub = ip.presentation
     derived_rows = [vec for _, vec in sorted(sub.rules.items())]
-    derived = Subgroup.from_lattice(sub, derived_rows, check=True)
+    derived = Subgroup.from_lattice(sub, derived_rows)
     isolated = isolator(sub, derived)
     return [ip.to_ambient(v) for v in isolated.basis_elements()]
 
@@ -111,28 +112,29 @@ def verify_rfrs_chain(f: Filtration) -> RfrsReport:
     meet = f.chain[0]
     for term in f.chain[1:]:
         meet = meet.intersect(term)
-    return RfrsReport(steps=tuple(steps), overall=overall, intersection=meet)
+    return RfrsReport(filtration=f, steps=tuple(steps), overall=overall, intersection=meet)
 
 
-def trapped_central_witness(f: Filtration) -> Element | None:
-    """The central witness, verified to stay in every chain term with
-    torsion abelianization image there.
+def trapped_central_witness(report: RfrsReport) -> Element | None:
+    """The central witness, verified to stay in every term of the chain
+    that `report` (from `verify_rfrs_chain`) checked, with torsion
+    abelianization image there.
 
     Returns None when the ambient group is abelian (no witness exists) or
     when some step fails the trap, which a conditioned chain on a
-    nonabelian class-2 group can never do.  Raises when the chain itself
-    violates the step conditions.
+    nonabelian class-2 group can never do.  Raises when the report shows
+    the chain violating the step conditions.
     """
+    f = report.filtration
     p = f.ambient
-    report = center_ab_report(p)
-    if report.kernel_witness is None:
+    center = center_ab_report(p)
+    if center.kernel_witness is None:
         return None
     if p.nilpotency_class > 2:
         raise ValueError("trapped witnesses are certified for class <= 2 only")
-    chain_report = verify_rfrs_chain(f)
-    if not chain_report.overall:
+    if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
-    z = report.kernel_witness
+    z = center.kernel_witness
     for term in f.chain:
         if not term.contains(z):
             return None

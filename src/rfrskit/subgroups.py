@@ -94,13 +94,12 @@ class Subgroup:
     basis: IntMatrix
 
     @staticmethod
-    def from_lattice(p: PcPresentation, rows, check: bool = True) -> "Subgroup":
+    def from_lattice(p: PcPresentation, rows) -> "Subgroup":
         mat = IntMatrix.from_rows([list(r) for r in rows]) if rows else IntMatrix(0, p.n, ())
         if mat.cols != p.n:
             raise ValueError("row length must equal the generator count")
-        basis = hnf_basis(mat)
-        s = Subgroup(p, basis)
-        if check and not s._is_closed():
+        s = Subgroup(p, hnf_basis(mat))
+        if not s._is_closed():
             raise ValueError("lattice is not closed under the group operations")
         return s
 
@@ -133,7 +132,7 @@ class Subgroup:
         """Index in the ambient group: coordinates biject the group with
         Z^n, so this is the lattice index ([Z^n : L]); INFINITE when the
         basis is rank deficient."""
-        return lattice_index(IntMatrix(self.basis.rows, self.ambient.n, self.basis.entries))
+        return lattice_index(self.basis)
 
     def _is_closed(self) -> bool:
         vecs = self.basis_elements()
@@ -170,8 +169,8 @@ class Subgroup:
             rows.append(
                 [sum(coeff[t] * b1.entry(t, j) for t in range(b1.rows)) for j in range(b1.cols)]
             )
-        # intersection of closed lattices is closed; re-check guards it
-        return Subgroup.from_lattice(self.ambient, rows, check=True)
+        # intersection of closed lattices is closed; from_lattice re-checks it
+        return Subgroup.from_lattice(self.ambient, rows)
 
 
 def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
@@ -463,13 +462,12 @@ def lower_central_series(p: PcPresentation) -> list[Subgroup]:
 
 
 def hirsch_rank(p: PcPresentation) -> int:
-    """Sum of free ranks of the lower-central-series quotients."""
-    series = lower_central_series(p)
-    total = 0
-    for k in range(len(series) - 1):
-        total += series[k].rank() - series[k + 1].rank()
-    total += series[-1].rank()
-    return total
+    """Sum of free ranks of the lower-central-series quotients.
+
+    That is p.n: every generator has infinite order modulo the later ones,
+    so the ranks along the series telescope to the rank of the whole group.
+    """
+    return p.n
 
 
 # ------------------------------------------------------------------ center

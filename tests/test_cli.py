@@ -1,11 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from rfrskit.cli import RunConfig, main, run
-from rfrskit.pcgroups import presentation_from_text, unitriangular
+from rfrskit.cli import RunConfig, build_parser, main, run
+from rfrskit.pcgroups import presentation_from_text, presentation_to_text, unitriangular
 
 PY = [sys.executable, "-m", "rfrskit"]
 
@@ -224,6 +225,15 @@ MALFORMED = {
         ("pair", "3 2\n1 : -1\n", "bad rule line"),
         ("exponent-token", "3 2\n1 2 : y\n", "invalid literal"),
         ("exponent-count", "3 2\n1 2 : -1 4\n", "needs 1 exponents, got 2"),
+        # 10 generators: past the constructor's consistency check, so the
+        # declared-class check is the first to meet the bad rule
+        (
+            "inconsistent-class4",
+            presentation_to_text(unitriangular(5)).replace(
+                "2 3 : 0 0 -1 0 0 0 0", "2 3 : -1 0 -1 0 0 0 0"
+            ),
+            "inconsistent presentation",
+        ),
     ],
     "graph": [
         ("empty", "\n", "empty graph file"),
@@ -289,3 +299,108 @@ def test_left_out_bounds_take_runconfig_defaults(args, flag, value, path3_graph,
         outputs.append((code, capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and outputs[0][1].out
+
+
+GROUP_HELP = "builder name (heisenberg, ut(4), free_abelian(3), direct_product(a,b)) or presentation file"
+CHAIN_HELP = "chain file: blocks of generator rows, blank-line separated"
+GRAPH_HELP = "graph file: vertex count, then 'u v' edges"
+WORD_HELP = "comma-separated tokens: a, a^-1, b^2"
+JSON_FLAG = (["--json"], "json_output", False, None, False, "emit a JSON report")
+
+# (help text, [(option_strings, dest, required, type, default, help), ...])
+CLI_SHAPE = {
+    "analyze": (
+        "structural invariants of a nilpotent presentation",
+        [(["--group"], "group", True, None, None, GROUP_HELP), JSON_FLAG],
+    ),
+    "rfrs-verify": (
+        "check the chain step conditions on a filtration file",
+        [
+            (["--group"], "group", True, None, None, GROUP_HELP),
+            (["--chain"], "chain", True, None, None, CHAIN_HELP),
+            JSON_FLAG,
+        ],
+    ),
+    "rfrs-obstruct": (
+        "bounded-index trapped-witness certificate",
+        [
+            (["--group"], "group", True, None, None, GROUP_HELP),
+            (["--max-index"], "max_index", False, int, None, None),
+            JSON_FLAG,
+        ],
+    ),
+    "rfrs-restrict": (
+        "restrict a chain to a subgroup and re-verify",
+        [
+            (["--group"], "group", True, None, None, GROUP_HELP),
+            (["--chain"], "chain", True, None, None, CHAIN_HELP),
+            (["--restrict-to"], "restrict_to", True, None, None, "subgroup file: generator rows"),
+            JSON_FLAG,
+        ],
+    ),
+    "raag-nf": (
+        "normal form of a graph-group word",
+        [
+            (["--graph"], "graph", True, None, None, GRAPH_HELP),
+            (["--word"], "word", True, None, None, WORD_HELP),
+            JSON_FLAG,
+        ],
+    ),
+    "raag-magnus": (
+        "truncated series image of a graph-group word",
+        [
+            (["--graph"], "graph", True, None, None, GRAPH_HELP),
+            (["--word"], "word", True, None, None, WORD_HELP),
+            (["--degree"], "degree", False, int, None, None),
+            JSON_FLAG,
+        ],
+    ),
+    "raag-rtfn": (
+        "exhaustive separation check up to a length bound",
+        [
+            (["--graph"], "graph", True, None, None, GRAPH_HELP),
+            (["--max-len"], "max_len", False, int, None, None),
+            JSON_FLAG,
+        ],
+    ),
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_cli_shape_is_pinned():
+    sub = _subcommands()
+    assert list(sub.choices) == list(CLI_SHAPE)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help_text) for name, (help_text, _) in CLI_SHAPE.items()
+    ]
+    for name, (_, flags) in CLI_SHAPE.items():
+        shape = [
+            (a.option_strings, a.dest, a.required, a.type, a.default, a.help)
+            for a in sub.choices[name]._actions
+            if a.dest != "help"
+        ]
+        assert shape == flags, name
+
+
+@pytest.mark.parametrize("command", list(CLI_SHAPE))
+def test_help_exits_0(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: rfrskit {command}")
+
+
+def test_main_repeats_after_usage_error(bad_chain, capsys):
+    """In one process, a usage error between two calls changes nothing."""
+    invocations = [
+        ["analyze", "--group", "heisenberg", "--json"],
+        ["rfrs-obstruct", "--group", "heisenberg", "--max-index", "8", "--json"],
+        ["rfrs-verify", "--group", "heisenberg", "--chain", bad_chain, "--json"],
+    ]
+    for args in invocations:
+        first = main(args), capsys.readouterr().out
+        assert main(args + ["--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert (main(args), capsys.readouterr().out) == first

@@ -138,7 +138,7 @@ def test_verify_soundness_against_coset_bruteforce():
 
 
 def test_trapped_witness_heisenberg_chain():
-    z = trapped_central_witness(heisenberg_chain())
+    z = trapped_central_witness(verify_rfrs_chain(heisenberg_chain()))
     assert z == (0, 0, 1)
 
 
@@ -156,20 +156,20 @@ def test_trapped_witness_orders_along_chain():
 
 def test_trapped_witness_trivial_chain():
     f = Filtration.from_subgroups(H, [Subgroup.whole_group(H)])
-    assert trapped_central_witness(f) == (0, 0, 1)
+    assert trapped_central_witness(verify_rfrs_chain(f)) == (0, 0, 1)
 
 
 def test_trapped_witness_abelian_none():
     p = free_abelian(2)
     f = Filtration.from_subgroups(p, [Subgroup.whole_group(p), scaled_lattice(p, 2)])
-    assert trapped_central_witness(f) is None
+    assert trapped_central_witness(verify_rfrs_chain(f)) is None
 
 
 def test_trapped_witness_requires_valid_chain():
     bad = subgroup_closure(H, [H.power(X, 2), H.power(Y, 2), H.power(Z, 2)])
     f = Filtration.from_subgroups(H, [Subgroup.whole_group(H), bad])
     with pytest.raises(ValueError):
-        trapped_central_witness(f)
+        trapped_central_witness(verify_rfrs_chain(f))
 
 
 # ------------------------------------------------------------- certificate

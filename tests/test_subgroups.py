@@ -398,6 +398,18 @@ def test_hirsch_rank_examples():
     assert hirsch_rank(unitriangular(4)) == 6
 
 
+@pytest.mark.parametrize(
+    "spec", ["heisenberg", "ut(4)", "ut(5)", "ut(6)", "direct_product(ut(4),heisenberg)", "free_abelian(3)"]
+)
+def test_hirsch_rank_is_sum_of_series_quotient_ranks(spec):
+    p = build_standard(spec)
+    series = lower_central_series(p)
+    assert series[-1].rank() == 0
+    quotient_ranks = [a.rank() - b.rank() for a, b in zip(series, series[1:])]
+    assert all(r > 0 for r in quotient_ranks)
+    assert hirsch_rank(p) == sum(quotient_ranks)
+
+
 def test_hirsch_rank_additive_on_products():
     p = direct_product(H, free_abelian(2))
     assert hirsch_rank(p) == hirsch_rank(H) + 2
