@@ -496,11 +496,6 @@ def abelianization(p: PcPresentation) -> AbelianQuotient:
     return AbelianQuotient(rel)
 
 
-def rational_ab_kernel_member(p: PcPresentation, u: Element) -> bool:
-    """True iff u dies in the rational abelianization (torsion image)."""
-    return abelianization(p).is_torsion(u)
-
-
 # ------------------------------------------------------------ file format
 
 

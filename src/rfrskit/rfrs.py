@@ -3,10 +3,12 @@ certificates for nonabelian class-2 groups.
 
 A chain G = G_0 > G_1 > ... of finite-index subgroups satisfies the step
 conditions when each term is normal in G and contains the kernel of the
-previous term's rational abelianization map.  The kernel is computed
-exactly as the isolator of the derived subgroup of the induced
-presentation: an element has torsion abelianization image precisely when
-some power of it is a product of commutators.
+previous term's rational abelianization map.  An element has torsion
+abelianization image precisely when some power of it is a product of
+commutators, so that kernel is `subgroups.rational_kernel(T)`, the meet
+of T with the isolator of [T, T], computed in the ambient coordinates.
+Every check here goes through it; only `restrict_chain` builds an induced
+presentation, because it returns a filtration of H on H's own basis.
 
 The obstruction certificate bounds the index and checks, for every
 normal subgroup H up to the bound, the implication
@@ -25,15 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pcgroups import PcPresentation, Element, rational_ab_kernel_member
+from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
-    _induced_any_rank,
     center_ab_report,
     enumerate_normal_subgroups,
     express_in_basis,
     induced_presentation,
-    isolator,
+    rational_kernel,
     subgroup_closure,
 )
 
@@ -86,17 +87,6 @@ class RfrsReport:
     intersection: Subgroup
 
 
-def rational_kernel_subgroup(term: Subgroup) -> list[Element]:
-    """Generators (ambient coordinates) of ker(T -> T^ab tensor Q): the
-    isolator of the derived subgroup of the induced presentation."""
-    ip = induced_presentation(term)
-    sub = ip.presentation
-    derived_rows = [vec for _, vec in sorted(sub.rules.items())]
-    derived = Subgroup.from_lattice(sub, derived_rows)
-    isolated = isolator(sub, derived)
-    return [ip.to_ambient(v) for v in isolated.basis_elements()]
-
-
 def verify_rfrs_chain(f: Filtration) -> RfrsReport:
     """Check normality, finite index, and kernel containment per step."""
     steps = []
@@ -105,14 +95,11 @@ def verify_rfrs_chain(f: Filtration) -> RfrsReport:
         term, nxt = f.chain[k], f.chain[k + 1]
         normal = nxt.is_normal()
         idx = nxt.index()
-        kernel_gens = rational_kernel_subgroup(term)
-        contained = all(nxt.contains(v) for v in kernel_gens)
+        contained = nxt.contains_subgroup(rational_kernel(term))
         steps.append(RfrsStep(index=idx, normal_in_g=normal, kernel_contained=contained))
         overall = overall and normal and contained
-    meet = f.chain[0]
-    for term in f.chain[1:]:
-        meet = meet.intersect(term)
-    return RfrsReport(filtration=f, steps=tuple(steps), overall=overall, intersection=meet)
+    # a Filtration descends, so its last term is the meet of all of them
+    return RfrsReport(filtration=f, steps=tuple(steps), overall=overall, intersection=f.chain[-1])
 
 
 def trapped_central_witness(report: RfrsReport) -> Element | None:
@@ -135,16 +122,7 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
     z = center.kernel_witness
-    for term in f.chain:
-        if not term.contains(z):
-            return None
-        ip = induced_presentation(term)
-        local = ip.from_ambient(z)
-        if local is None:
-            return None
-        if not rational_ab_kernel_member(ip.presentation, local):
-            return None
-    return z
+    return z if all(rational_kernel(term).contains(z) for term in f.chain) else None
 
 
 @dataclass(frozen=True)
@@ -182,7 +160,7 @@ def obstruction_certificate(
     report = center_ab_report(p)
     z = report.kernel_witness
     assert z is not None
-    base_ok = rational_ab_kernel_member(p, z)
+    base_ok = rational_kernel(Subgroup.whole_group(p)).contains(z)
     subs = enumerate_normal_subgroups(p, max_index, candidate_cap=candidate_cap)
     records = []
     all_pass = base_ok
@@ -190,9 +168,7 @@ def obstruction_certificate(
         contains = s.contains(z)
         torsion: bool | None = None
         if contains:
-            ip = induced_presentation(s)
-            local = ip.from_ambient(z)
-            torsion = local is not None and rational_ab_kernel_member(ip.presentation, local)
+            torsion = rational_kernel(s).contains(z)
             if not torsion:
                 all_pass = False
         records.append(
@@ -228,7 +204,7 @@ def restrict_chain(f: Filtration, h: Subgroup) -> Filtration:
         raise ValueError("subgroup belongs to a different ambient group")
     if h.basis.rows == 0:
         raise ValueError("cannot restrict to the trivial subgroup")
-    ip = _induced_any_rank(h)
+    ip = induced_presentation(h)
     local_terms: list[Subgroup] = []
     for term in f.chain:
         inter = term.intersect(h)

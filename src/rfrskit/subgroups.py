@@ -1,6 +1,11 @@
 """Subgroups of power-commutator groups as integer lattices, and the
 structural invariants built on them: lower central series, center, Hirsch
-rank, isolators, induced presentations, and normal-subgroup enumeration.
+rank, isolators, rational kernels, induced presentations, and
+normal-subgroup enumeration.
+
+`rational_kernel(s)` is the kernel of s -> s^ab tensor Q, computed in
+ambient coordinates as s meet isolator([s, s]); the RFRS checks of
+`rfrs` all go through it.
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -145,15 +150,15 @@ class Subgroup:
         )
 
     def is_normal(self) -> bool:
+        # one side suffices: subgroups of a polycyclic group satisfy the max
+        # condition, so g^-1 H g <= H for every generator g gives equality
+        # (H <= g H g^-1 <= g^2 H g^-2 <= ... must stop growing)
         p = self.ambient
-        for u in self.basis_elements():
-            for k in range(p.n):
-                g = p.generator(k)
-                if not self.contains(p.conjugate(u, g)):
-                    return False
-                if not self.contains(p.conjugate(u, p.inverse(g))):
-                    return False
-        return True
+        return all(
+            self.contains(p.conjugate(u, p.generator(k)))
+            for u in self.basis_elements()
+            for k in range(p.n)
+        )
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
@@ -212,18 +217,13 @@ def map_into_ambient(s: Subgroup, exps) -> Element:
 
 @dataclass(frozen=True)
 class InducedPresentation:
-    """A subgroup presented on its own Hermite basis.
-
-    `inclusion` rows are the ambient coordinates of the new generators;
-    `to_ambient` / `from_ambient` move elements across the inclusion.
+    """A subgroup presented on its own Hermite basis: generator i of
+    `presentation` is basis row i of `subgroup`, and `to_ambient` /
+    `from_ambient` move elements across the inclusion.
     """
 
     presentation: PcPresentation
     subgroup: Subgroup
-
-    @property
-    def inclusion(self) -> IntMatrix:
-        return self.subgroup.basis
 
     def to_ambient(self, exps) -> Element:
         return map_into_ambient(self.subgroup, exps)
@@ -232,7 +232,8 @@ class InducedPresentation:
         return express_in_basis(self.subgroup, u)
 
 
-def _induced_any_rank(s: Subgroup) -> InducedPresentation:
+def induced_presentation(s: Subgroup) -> InducedPresentation:
+    """Presentation of a subgroup of any rank on its Hermite basis."""
     p = s.ambient
     _require_class2(p, "induced presentations")
     vecs = s.basis_elements()
@@ -251,13 +252,6 @@ def _induced_any_rank(s: Subgroup) -> InducedPresentation:
     cls = 2 if rules else 1
     induced = PcPresentation(r, rules, nilpotency_class=cls)
     return InducedPresentation(presentation=induced, subgroup=s)
-
-
-def induced_presentation(s: Subgroup) -> InducedPresentation:
-    """Presentation of a full-rank subgroup on its Hermite basis."""
-    if not s.is_full_rank():
-        raise ValueError("induced presentations require a full-rank subgroup")
-    return _induced_any_rank(s)
 
 
 def verify_inclusion_homomorphism(ip: InducedPresentation) -> bool:
@@ -599,6 +593,21 @@ def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
     if s.basis.rows == 0:
         return s
     return Subgroup(p, saturate(s.basis))
+
+
+def rational_kernel(s: Subgroup) -> Subgroup:
+    """ker(s -> s^ab tensor Q) in ambient coordinates: the elements of s
+    with a power in [s, s], that is s meet isolator([s, s]) (class <= 2).
+
+    In class <= 2 commutators are central and bilinear, so [s, s] is the
+    lattice spanned by the commutators of basis pairs.
+    """
+    p = s.ambient
+    vecs = s.basis_elements()
+    derived = subgroup_closure(
+        p, [p.commutator(u, v) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
+    )
+    return s.intersect(isolator(p, derived))
 
 
 # --------------------------------------------------------- center/ab report

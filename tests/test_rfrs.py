@@ -3,25 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from rfrskit.intlinalg import IntMatrix, hnf_basis
+from rfrskit.intlinalg import IntMatrix
 from rfrskit.pcgroups import (
+    abelianization,
     direct_product,
     free_abelian,
     heisenberg,
-    rational_ab_kernel_member,
 )
 from rfrskit.rfrs import (
     Filtration,
     obstruction_certificate,
-    rational_kernel_subgroup,
     restrict_chain,
     trapped_central_witness,
     verify_rfrs_chain,
 )
 from rfrskit.subgroups import (
     Subgroup,
+    center_ab_report,
     enumerate_normal_subgroups,
     induced_presentation,
+    isolator,
+    rational_kernel,
     subgroup_closure,
 )
 
@@ -97,8 +99,7 @@ def test_verify_heisenberg_bad_step():
 
 
 def test_kernel_subgroup_is_z_line():
-    gens = rational_kernel_subgroup(Subgroup.whole_group(H))
-    assert hnf_basis(IntMatrix.from_rows([list(g) for g in gens])).to_rows() == [[0, 0, 1]]
+    assert rational_kernel(Subgroup.whole_group(H)).basis.to_rows() == [[0, 0, 1]]
 
 
 def test_verify_soundness_against_coset_bruteforce():
@@ -129,7 +130,7 @@ def test_verify_soundness_against_coset_bruteforce():
             brute = all(
                 nxt.contains(w)
                 for w in reps
-                if rational_ab_kernel_member(ip.presentation, ip.from_ambient(w))
+                if abelianization(ip.presentation).is_torsion(ip.from_ambient(w))
             )
             assert brute == report.steps[k].kernel_contained
 
@@ -148,8 +149,6 @@ def test_trapped_witness_orders_along_chain():
     for term in f.chain:
         ip = induced_presentation(term)
         local = ip.from_ambient((0, 0, 1))
-        from rfrskit.pcgroups import abelianization
-
         orders.append(abelianization(ip.presentation).image_order(local))
     assert orders == [1, 2, 4]
 
@@ -197,6 +196,37 @@ def _torsion_image_oracle(sub_pres, local):
         return r
 
     return rank(rows + [list(local)]) == rank(rows) if rows else not any(local)
+
+
+def _rational_kernel_by_induced_presentation(s):
+    """Reference kernel of s -> s^ab tensor Q: the isolator of the derived
+    subgroup of the induced presentation, mapped back to the ambient group."""
+    ip = induced_presentation(s)
+    sub = ip.presentation
+    derived = Subgroup.from_lattice(sub, [vec for _, vec in sorted(sub.rules.items())])
+    isolated = isolator(sub, derived)
+    return subgroup_closure(s.ambient, [ip.to_ambient(v) for v in isolated.basis_elements()])
+
+
+def test_rational_kernel_matches_induced_route():
+    hz = direct_product(H, free_abelian(1))
+    rng = random.Random(11)
+    subs = enumerate_normal_subgroups(H, 16) + enumerate_normal_subgroups(hz, 6)
+    subs += [subgroup_closure(H, gens) for gens in ([X, Z], [X], [X, H.power(Z, 2)])]
+    for p in (H, hz):
+        for _ in range(15):
+            gens = [tuple(rng.randint(-2, 2) for _ in range(p.n)) for _ in range(2)]
+            subs.append(subgroup_closure(p, gens))
+    witness = {p: center_ab_report(p).kernel_witness for p in (H, hz)}
+    for s in subs:
+        kernel = rational_kernel(s)
+        assert kernel == _rational_kernel_by_induced_presentation(s)
+        z = witness[s.ambient]
+        if s.contains(z):
+            ip = induced_presentation(s)
+            assert kernel.contains(z) == _torsion_image_oracle(ip.presentation, ip.from_ambient(z))
+        else:
+            assert not kernel.contains(z)
 
 
 def test_certificate_heisenberg_max8():
