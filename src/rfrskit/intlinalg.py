@@ -13,13 +13,17 @@ the determinant bounds; `hnf_basis` runs the same insertion without
 carrying the transform.  `left_kernel` and `saturate` build on it, and
 `AbelianQuotient` takes the Smith form of the Hermite basis of its
 relations rather than of the relations themselves.  `lattice_member` and
-`lattice_index` use a basis already in row echelon form as given.
+`lattice_index` use a basis already in row echelon form as given; each
+`IntMatrix` finds its echelon rows once, on first use, and keeps them (a
+pure function of the entries, so two threads racing to fill the cache
+store equal values).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 INFINITE = math.inf
@@ -104,6 +108,20 @@ class IntMatrix:
                     for j in range(m):
                         out[orow + j] += ait * b[brow + j]
         return IntMatrix(n, m, tuple(out))
+
+    @cached_property
+    def _echelon(self) -> tuple[tuple[int, int, tuple[int, ...]], ...] | None:
+        """(pivot column, pivot entry, row) per row when the matrix is in
+        row echelon form (no zero rows, pivot columns strictly increasing),
+        else None.  Computed once: the matrix never changes."""
+        out = []
+        for i in range(self.rows):
+            row = self.row(i)
+            j = next((k for k, x in enumerate(row) if x), None)
+            if j is None or (out and j <= out[-1][0]):
+                return None
+            out.append((j, row[j], row))
+        return tuple(out)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -260,8 +278,15 @@ def saturate(a: IntMatrix) -> IntMatrix:
 
     Computed as the left kernel of the transpose of the right kernel, so
     no matrix inversion is needed; the result is a saturated lattice
-    containing the row space with finite index.
+    containing the row space with finite index.  A nonzero single row
+    saturates to itself divided by the gcd of its entries, sign set so
+    that its leading entry is positive.
     """
+    if a.rows == 1 and any(a.entries):
+        g = gcd(*a.entries)
+        if next(x for x in a.entries if x) < 0:
+            g = -g
+        return IntMatrix(1, a.cols, tuple(x // g for x in a.entries))
     right_null = left_kernel(a.transpose())
     return left_kernel(right_null.transpose())
 
@@ -390,47 +415,31 @@ def is_unimodular(a: IntMatrix) -> bool:
     return a.is_square() and abs(det(a)) == 1
 
 
-def _echelon_pivots(a: IntMatrix) -> list[int] | None:
-    """Pivot columns of a row echelon matrix (no zero rows, pivot columns
-    strictly increasing), or None when a is not in that form."""
-    pivots = []
-    for i in range(a.rows):
-        j = next((k for k, x in enumerate(a.row(i)) if x), None)
-        if j is None or (pivots and j <= pivots[-1]):
-            return None
-        pivots.append(j)
-    return pivots
-
-
-def _echelon_basis(basis: IntMatrix) -> tuple[IntMatrix, list[int]]:
-    """Return basis as given when it is in row echelon form, else its
-    Hermite basis, together with the pivot columns."""
-    pivots = _echelon_pivots(basis)
-    if pivots is None:
-        basis = hnf_basis(basis)
-        pivots = _echelon_pivots(basis)
-    return basis, pivots
-
-
 def lattice_member(basis: IntMatrix, vec) -> bool:
     """True iff vec lies in the integer row span of basis.
 
     A basis already in row echelon form (every Hermite basis is) is used
-    as given; any other is brought to Hermite form first.
+    as given; any other is brought to Hermite form first.  One pass over
+    the pivot rows tests each coordinate once: the gap before a pivot
+    must already be zero, since later rows vanish there.
     """
     w = [int(x) for x in vec]
     if len(w) != basis.cols:
         raise ValueError("vector length does not match lattice dimension")
-    basis, pivots = _echelon_basis(basis)
-    for i, j in enumerate(pivots):
-        if any(w[:j]):
+    rows = basis._echelon
+    if rows is None:
+        rows = hnf_basis(basis)._echelon
+    start = 0
+    for j, piv, row in rows:
+        if any(w[start:j]):
             return False
-        q, rem = divmod(w[j], basis.entry(i, j))
+        q, rem = divmod(w[j], piv)
         if rem:
             return False
         if q:
-            w = [x - q * y for x, y in zip(w, basis.row(i))]
-    return not any(w)
+            w = [x - q * y for x, y in zip(w, row)]
+        start = j + 1
+    return not any(w[start:])
 
 
 def lattice_index(basis: IntMatrix):
@@ -438,10 +447,12 @@ def lattice_index(basis: IntMatrix):
 
     Like `lattice_member`, takes a row echelon basis as given.
     """
-    basis, pivots = _echelon_basis(basis)
-    if basis.rows < basis.cols:
+    rows = basis._echelon
+    if rows is None:
+        rows = hnf_basis(basis)._echelon
+    if len(rows) < basis.cols:
         return INFINITE
-    return abs(math.prod(basis.entry(i, j) for i, j in enumerate(pivots)))
+    return abs(math.prod(piv for _, piv, _ in rows))
 
 
 @dataclass(frozen=True)

@@ -85,21 +85,24 @@ class RfrsReport:
     steps: tuple[RfrsStep, ...]
     overall: bool
     intersection: Subgroup
+    kernels: tuple[Subgroup, ...] = ()  # rational_kernel of every term but the last
 
 
 def verify_rfrs_chain(f: Filtration) -> RfrsReport:
     """Check normality, finite index, and kernel containment per step."""
     steps = []
     overall = True
-    for k in range(len(f.chain) - 1):
-        term, nxt = f.chain[k], f.chain[k + 1]
+    kernels = tuple(rational_kernel(term) for term in f.chain[:-1])
+    for nxt, kernel in zip(f.chain[1:], kernels):
         normal = nxt.is_normal()
         idx = nxt.index()
-        contained = nxt.contains_subgroup(rational_kernel(term))
+        contained = nxt.contains_subgroup(kernel)
         steps.append(RfrsStep(index=idx, normal_in_g=normal, kernel_contained=contained))
         overall = overall and normal and contained
     # a Filtration descends, so its last term is the meet of all of them
-    return RfrsReport(filtration=f, steps=tuple(steps), overall=overall, intersection=f.chain[-1])
+    return RfrsReport(
+        filtration=f, steps=tuple(steps), overall=overall, intersection=f.chain[-1], kernels=kernels
+    )
 
 
 def trapped_central_witness(report: RfrsReport) -> Element | None:
@@ -122,7 +125,10 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
     z = center.kernel_witness
-    return z if all(rational_kernel(term).contains(z) for term in f.chain) else None
+    # a report built by hand may lack the kernels verify_rfrs_chain fills in
+    kernels = report.kernels or tuple(rational_kernel(term) for term in f.chain[:-1])
+    trapped = all(k.contains(z) for k in kernels) and rational_kernel(f.chain[-1]).contains(z)
+    return z if trapped else None
 
 
 @dataclass(frozen=True)

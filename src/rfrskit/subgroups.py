@@ -22,7 +22,9 @@ yields the inverses, products and commutators that a closed subgroup
 must contain: `Subgroup._is_closed` checks them, `subgroup_closure` adds
 them to the lattice and `_InducedBasis.close` sifts them in.  Lattice
 membership is `intlinalg.lattice_member`, which takes a Hermite basis as
-it is.
+it is; the basis matrix finds its pivot rows once and keeps them, so a
+subgroup, census candidate or closure lattice pays for them once however
+often it is asked.
 """
 
 from __future__ import annotations
@@ -168,14 +170,12 @@ class Subgroup:
             return Subgroup.trivial(self.ambient)
         stacked = IntMatrix.from_rows(b1.to_rows() + [[-x for x in row] for row in b2.to_rows()])
         ker = left_kernel(stacked)
-        rows = []
-        for i in range(ker.rows):
-            coeff = ker.row(i)[: b1.rows]
-            rows.append(
-                [sum(coeff[t] * b1.entry(t, j) for t in range(b1.rows)) for j in range(b1.cols)]
-            )
-        # intersection of closed lattices is closed; from_lattice re-checks it
-        return Subgroup.from_lattice(self.ambient, rows)
+        if ker.rows == 0:
+            return Subgroup.trivial(self.ambient)
+        coeffs = IntMatrix.from_rows(ker.row(i)[: b1.rows] for i in range(ker.rows))
+        # two subgroups meet in a subgroup whose coordinates are the meet of
+        # their lattices, so this lattice is closed by construction
+        return Subgroup(self.ambient, hnf_basis(coeffs @ b1))
 
 
 def subgroup_closure(p: PcPresentation, gens) -> Subgroup:

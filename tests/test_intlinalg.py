@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -503,6 +506,63 @@ def test_saturate():
     assert saturate(M([[2, 4]])) == M([[1, 2]])
     s = saturate(M([[0, 0, 2]]))
     assert s == M([[0, 0, 1]])
+
+
+def test_saturate_single_row_matches_reference():
+    """One-row inputs take the gcd shortcut; the two-kernel reference is
+    the oracle, including negative leading entries, a single nonzero
+    entry, a common factor and the zero row."""
+    rng = random.Random(11)
+    cases = [[-4, 6, 0], [0, 0, -7], [0, 12, -18, 30], [0, 0, 0], [5], [-1, 0]]
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        g = rng.choice([1, 2, 3, 6])
+        cases.append([g * rng.randint(-5, 5) * rng.choice([0, 1, 1]) for _ in range(n)])
+    for row in cases:
+        a = M([row])
+        assert saturate(a) == reference_saturate(a), row
+    assert saturate(M([[0, -6, 4]])) == M([[0, 3, -2]])
+    assert saturate(M([[0, 0]])) == IntMatrix(0, 2, ())
+
+
+LATTICE_CASES = [
+    M([[2, 1, 0], [0, 3, 1], [0, 0, 4]]),  # Hermite
+    M([[-2, 1, 0], [0, 0, -3]]),  # echelon, negative pivots, rank deficient
+    M([[1, 0, 0], [0, 2, 0]]),  # rank deficient: the last column is never a pivot
+    M([[0, 2, 1], [1, 0, 0], [1, 2, 3]]),  # not echelon: goes through hnf_basis
+    M([[0, 0, 5], [2, 0, 1]]),  # not echelon, pivot columns out of order
+    IntMatrix(0, 3, ()),
+]
+
+
+def test_echelon_cache_leaves_value_semantics_alone():
+    for a in LATTICE_CASES:
+        for v in itertools.product(range(-2, 3), repeat=3):
+            lattice_member(a, v)
+        lattice_index(a)
+        fresh = IntMatrix(a.rows, a.cols, tuple(a.entries))
+        assert a == fresh and fresh == a
+        assert hash(a) == hash(fresh)
+        assert repr(a) == repr(fresh)
+        assert dataclasses.replace(a) == fresh
+        assert dataclasses.replace(a, entries=(0,) * len(a.entries)) == IntMatrix.zeros(a.rows, a.cols)
+        back = pickle.loads(pickle.dumps(a))
+        assert back == fresh and hash(back) == hash(fresh)
+        assert dataclasses.astuple(a) == dataclasses.astuple(fresh)
+
+
+def test_repeated_membership_agrees_with_a_fresh_copy():
+    for a in LATTICE_CASES:
+        for _ in range(2):
+            for v in itertools.product(range(-3, 4), repeat=3):
+                fresh = IntMatrix(a.rows, a.cols, tuple(a.entries))
+                assert lattice_member(a, v) == lattice_member(fresh, v) == hnf_then_sift(a, v)
+            assert lattice_index(a) == lattice_index(IntMatrix(a.rows, a.cols, tuple(a.entries)))
+    b = LATTICE_CASES[2]
+    assert lattice_member(b, (3, 4, 0)) and not lattice_member(b, (3, 4, 1))
+    c = LATTICE_CASES[4]
+    assert lattice_member(c, (2, 0, 6)) and not lattice_member(c, (0, 0, 1))
+    assert lattice_index(c) is INFINITE and lattice_index(LATTICE_CASES[3]) == 4
 
 
 def test_left_kernel():

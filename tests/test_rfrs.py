@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from rfrskit import rfrs
+from rfrskit.cli import main
 from rfrskit.intlinalg import IntMatrix
 from rfrskit.pcgroups import (
     abelianization,
@@ -169,6 +172,41 @@ def test_trapped_witness_requires_valid_chain():
     f = Filtration.from_subgroups(H, [Subgroup.whole_group(H), bad])
     with pytest.raises(ValueError):
         trapped_central_witness(verify_rfrs_chain(f))
+
+
+def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsys):
+    """`rfrs-verify` on a passing 4-term chain needs the rational kernel of
+    each term once: the report carries the first three to the witness
+    check, which adds only the last.  The report bytes do not change."""
+    path = tmp_path / "chain4.txt"
+    path.write_text(
+        "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n"
+        "2 0 0\n0 2 0\n0 0 1\n\n4 0 0\n0 2 0\n0 0 1\n"
+    )
+    args = ["rfrs-verify", "--group", "heisenberg", "--chain", str(path), "--json"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return rational_kernel(s)
+
+    monkeypatch.setattr(rfrs, "rational_kernel", counted)
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
+    assert [s.index() for s in calls] == [1, 2, 4, 8]
+    report = json.loads(plain)
+    assert report["overall"] and report["witness"] == [0, 0, 1]
+    assert [s["index"] for s in report["steps"]] == [2, 4, 8]
+
+
+def test_report_carries_kernels_of_all_terms_but_the_last():
+    f = heisenberg_chain()
+    report = verify_rfrs_chain(f)
+    assert report.kernels == tuple(rational_kernel(t) for t in f.chain[:-1])
+    bare = rfrs.RfrsReport(f, report.steps, report.overall, report.intersection)
+    assert trapped_central_witness(bare) == trapped_central_witness(report) == (0, 0, 1)
 
 
 # ------------------------------------------------------------- certificate

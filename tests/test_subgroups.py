@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rfrskit.errors import ResourceLimitExceeded
-from rfrskit.intlinalg import INFINITE, IntMatrix, hnf_basis, lattice_member
+from rfrskit.intlinalg import INFINITE, IntMatrix, hnf_basis, lattice_member, left_kernel
 from rfrskit.pcgroups import (
     PcPresentation,
     abelianization,
@@ -214,6 +214,20 @@ def test_intersect_oracle():
         assert meet.contains(v) == expected
 
 
+def test_intersect_matches_closure_checked_meet():
+    """The meet is built without a closure re-check; `from_lattice` on the
+    same meet rows runs that check and must give the same subgroup."""
+    subs = enumerate_normal_subgroups(H, 8)
+    for s, t in itertools.combinations_with_replacement(subs, 2):
+        b1, b2 = s.basis.to_rows(), t.basis.to_rows()
+        ker = left_kernel(IntMatrix.from_rows(b1 + [[-x for x in r] for r in b2]))
+        rows = [
+            [sum(c * r[j] for c, r in zip(ker.row(i), b1)) for j in range(H.n)]
+            for i in range(ker.rows)
+        ]
+        assert s.intersect(t) == Subgroup.from_lattice(H, rows)
+
+
 def test_intersect_ambient_mismatch():
     with pytest.raises(ValueError):
         Subgroup.whole_group(H).intersect(Subgroup.whole_group(free_abelian(3)))
@@ -275,6 +289,47 @@ def test_enumeration_matches_bruteforce():
                             if normal:
                                 oracle.append(rows)
     assert sorted(s.basis.to_rows() for s in found) == sorted(oracle)
+
+
+def _zeta_product_counts(factors, bound):
+    """Coefficients a_1 .. a_bound of the Dirichlet series prod zeta(c s - d)
+    over (c, d) in factors; zeta(c s - d) puts m^d at k = m^c."""
+    coeffs = [0, 1] + [0] * (bound - 1)
+    for c, d in factors:
+        factor = [0] * (bound + 1)
+        for m in range(1, bound + 1):
+            if m**c <= bound:
+                factor[m**c] = m**d
+        coeffs = [0] + [
+            sum(coeffs[a] * factor[k // a] for a in range(1, k + 1) if k % a == 0)
+            for k in range(1, bound + 1)
+        ]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "p, factors, bound",
+    [
+        (H, [(1, 0), (1, 1), (3, 2)], 16),
+        (free_abelian(2), [(1, 0), (1, 1)], 16),
+        (free_abelian(3), [(1, 0), (1, 1), (1, 2)], 8),
+    ],
+    ids=["heisenberg", "free_abelian(2)", "free_abelian(3)"],
+)
+def test_census_counts_match_zeta_functions(p, factors, bound):
+    """Grunewald-Segal-Smith: the normal zeta function of the Heisenberg
+    group is zeta(s) zeta(s-1) zeta(3s-2), that of Z^n is
+    zeta(s) zeta(s-1) ... zeta(s-n+1); the census at bound k must count
+    their partial sums up to k."""
+    coeffs = _zeta_product_counts(factors, bound)
+    found = enumerate_normal_subgroups(p, bound)
+    for k in range(1, bound + 1):
+        expected = sum(coeffs[: k + 1])
+        assert sum(1 for s in found if s.index() <= k) == expected
+        if k <= bound // 2:
+            assert len(enumerate_normal_subgroups(p, k)) == expected
+    if p is H:
+        assert sum(coeffs[:9]) == 60 and sum(coeffs) == 236
 
 
 def test_enumerated_heisenberg_subgroups_are_nonabelian():
