@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 from .errors import ResourceLimitExceeded
@@ -61,8 +62,11 @@ class Graph:
     def commutes(self, u: int, v: int) -> bool:
         return u == v or (min(u, v), max(u, v)) in self.edges
 
-    def noncommuters(self, v: int) -> list[int]:
-        return [u for u in range(self.vertex_count) if u != v and not self.commutes(u, v)]
+    @cached_property
+    def noncommuters(self) -> tuple[tuple[int, ...], ...]:
+        """noncommuters[v]: the other vertices v does not commute with."""
+        n = self.vertex_count
+        return tuple(tuple(u for u in range(n) if not self.commutes(u, v)) for v in range(n))
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class RaagWord:
 
 def _pile_units(g: Graph, units) -> list[tuple[int, int]]:
     piles: list[deque] = [deque() for _ in range(g.vertex_count)]
-    noncomm = [g.noncommuters(v) for v in range(g.vertex_count)]
+    noncomm = g.noncommuters
     for v, eps in units:
         pile = piles[v]
         if pile and pile[-1] == -eps:

@@ -23,12 +23,18 @@ must contain: `Subgroup._is_closed` checks them, `subgroup_closure` adds
 them to the lattice and `_InducedBasis.close` sifts them in.  Lattice
 membership is `intlinalg.lattice_member`, which takes a Hermite basis as
 it is; the basis matrix finds its pivot rows once and keeps them, so a
-subgroup, census candidate or closure lattice pays for them once however
+subgroup, census centre or closure lattice pays for them once however
 often it is asked.
+
+The normal-subgroup census tests each (projection, centre) pair of a
+class-2 lattice once, emits every gluing of a passing pair untested, and
+caps the pair tests plus subgroups emitted.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceLimitExceeded
@@ -272,68 +278,85 @@ def verify_inclusion_homomorphism(ip: InducedPresentation) -> bool:
 # ----------------------------------------------------- normal subgroup census
 
 
-def _diagonals(n: int, bound: int):
-    """All positive diagonal tuples with product <= bound."""
-    if n == 0:
-        yield ()
+def _hermite_bases(n: int, coords: list[int], index: int):
+    """Rows of each Hermite basis of a full-rank lattice of the given index
+    in the coordinates `coords`, embedded in Z^n: the last coordinate's
+    pivot d has entries in [0, d) above it."""
+    if not coords:
+        yield from [[]] if index == 1 else []
         return
-    for d in range(1, bound + 1):
-        for rest in _diagonals(n - 1, bound // d):
-            yield (d,) + rest
+    j = coords[-1]
+    for d in (d for d in range(1, index + 1) if index % d == 0):
+        pivot = tuple(d if t == j else 0 for t in range(n))
+        for rows in _hermite_bases(n, coords[:-1], index // d):
+            for col in itertools.product(range(d), repeat=len(rows)):
+                yield [r[:j] + (x,) + r[j + 1 :] for r, x in zip(rows, col)] + [pivot]
 
 
 def enumerate_normal_subgroups(
     p: PcPresentation, max_index: int, candidate_cap: int = 1_000_000
 ) -> list[Subgroup]:
-    """All normal full-rank subgroups of index <= max_index.
+    """All normal full-rank subgroups of index <= max_index, sorted by
+    (index, basis entries).
 
-    Candidates are the Hermite forms with bounded diagonal product, kept
-    when the lattice is closed under the group operations and normal.
-    The bound is a parameter of the census, not a completeness claim
-    about larger indices.
+    In class <= 2, u v - u - v and [u, g] depend only on the noncentral
+    coordinates and land in the central ones, C.  A full-rank lattice is
+    its projection M off C, its centre N in Z^C and a gluing M -> Z^C / N;
+    it is a normal subgroup exactly when N holds m_i m_j - m_i - m_j and
+    [m_i, g_k] for the Hermite rows m_i of M, whatever the gluing.  So the
+    census tests each Hermite pair (M, N) once, going up the index
+    [M] [N], and emits all [Z^C : N]^rank(M) gluings of a passing pair.
+
+    `candidate_cap` bounds the work: pair tests plus subgroups emitted.
     """
     _require_class2(p, "normal subgroup enumeration")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    n = p.n
-    total = 0
-    diags = list(_diagonals(n, max_index))
-    for diag in diags:
-        count = 1
-        for j in range(n):
-            count *= diag[j] ** j
-        total += count
-    if total > candidate_cap:
-        raise ResourceLimitExceeded(
-            f"{total} Hermite candidates exceed the cap of {candidate_cap}"
-        )
+    top = [k for k in range(p.n) if not p.central[k]]
+    cen = [k for k in range(p.n) if p.central[k]]
 
-    found = []
-    for diag in diags:
-        rows_template = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    @functools.cache
+    def projections(d: int) -> list:
+        # each M with the distinct nonzero values its centre must hold
+        out = []
+        for m in _hermite_bases(p.n, top, d):
+            vals = [tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v)) for u in m for v in m]
+            vals += [p.commutator(u, p.generator(k)) for u in m for k in top]
+            out.append((m, list(dict.fromkeys(w for w in vals if any(w)))))
+        return out
 
-        def fill(col: int, rows):
-            if col == n:
-                yield [row[:] for row in rows]
-                return
-            choices = [range(diag[col]) for _ in range(col)]
+    @functools.cache
+    def centres(d: int) -> list:
+        # each N with its rows and the reduced representatives of Z^C / N
+        out = []
+        for rows in _hermite_bases(p.n, cen, d):
+            box = itertools.product(*(range(r[j]) for r, j in zip(rows, cen)))
+            reps = [tuple(dict(zip(cen, c)).get(k, 0) for k in range(p.n)) for c in box]
+            out.append((IntMatrix.from_rows(rows), rows, reps))
+        return out
 
-            def rec(i: int):
-                if i == col:
-                    yield from fill(col + 1, rows)
-                    return
-                for v in choices[i]:
-                    rows[i][col] = v
-                    yield from rec(i + 1)
-                rows[i][col] = 0
+    found: list[Subgroup] = []
+    tests = 0
 
-            yield from rec(0)
+    def spend(k: int) -> None:
+        if tests + len(found) >= candidate_cap:
+            raise ResourceLimitExceeded(
+                f"census work cap of {candidate_cap} reached at index {k} of {max_index}: "
+                f"{tests} (projection, centre) pairs tested, {len(found)} subgroups found"
+            )
 
-        # each filled template is already a Hermite basis
-        for rows in fill(0, rows_template):
-            cand = Subgroup(p, IntMatrix.from_rows(rows))
-            if cand._is_closed() and cand.is_normal():
-                found.append(cand)
+    for k in range(1, max_index + 1):
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            for (m, needs), (centre, c_rows, reps) in itertools.product(
+                projections(d), centres(k // d)
+            ):
+                spend(k)
+                tests += 1
+                if all(lattice_member(centre, w) for w in needs):
+                    for glue in itertools.product(reps, repeat=len(m)):
+                        spend(k)
+                        rows = [[a + b for a, b in zip(u, c)] for u, c in zip(m, glue)] + c_rows
+                        found.append(Subgroup(p, hnf_basis(IntMatrix.from_rows(rows))))
     found.sort(key=lambda s: (s.index(), s.basis.entries))
     return found
 

@@ -286,6 +286,14 @@ def test_criterion_6_main_theorem_certificate():
     _report(6, "bounded obstruction certificate with witness (0,0,1)")
 
 
+def test_criterion_6_certificate_at_index_64():
+    # every normal subgroup of index <= 64: the Grunewald-Segal-Smith count
+    cert = obstruction_certificate(H, 64)
+    assert cert.all_pass
+    assert cert.checked_subgroups == 3679
+    _report(6, "certificate over all 3679 normal subgroups of index <= 64")
+
+
 # ------------------------------------------------------------ criterion 7
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -52,6 +54,27 @@ def test_graph_validation():
         Graph.build(2, [(0, 5)])
     g = Graph.build(3, [(1, 0), (0, 1)])
     assert len(g.edges) == 1
+
+
+def test_noncommuter_cache_leaves_graph_values_alone():
+    """A normal form computes and keeps the non-commuter lists; equality,
+    hashing, repr and pickling still see only the vertex count and edges."""
+    for g in list(FOUR_VERTEX.values()) + [PATH3, FREE2, K2]:
+        fresh = Graph(g.vertex_count, frozenset(g.edges))
+        word = W((g.vertex_count - 1, 2), (0, -1), (g.vertex_count - 1, -1))
+        nf = normal_form(g, word)
+        assert "noncommuters" in vars(g) and "noncommuters" not in vars(fresh)
+        assert g.noncommuters == tuple(
+            tuple(u for u in range(g.vertex_count) if u != v and not g.commutes(u, v))
+            for v in range(g.vertex_count)
+        )
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh)
+        assert dataclasses.replace(g) == fresh
+        back = pickle.loads(pickle.dumps(g))
+        assert back == fresh and hash(back) == hash(fresh)
+        assert normal_form(back, word) == normal_form(fresh, word) == nf
 
 
 def test_presentation_shapes():

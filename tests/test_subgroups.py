@@ -12,6 +12,7 @@ from rfrskit.pcgroups import (
     direct_product,
     free_abelian,
     heisenberg,
+    presentation_from_text,
     unitriangular,
 )
 from rfrskit.subgroups import (
@@ -291,6 +292,77 @@ def test_enumeration_matches_bruteforce():
     assert sorted(s.basis.to_rows() for s in found) == sorted(oracle)
 
 
+def _diagonals(n, bound):
+    """All positive diagonal tuples with product <= bound."""
+    if n == 0:
+        yield ()
+        return
+    for d in range(1, bound + 1):
+        for rest in _diagonals(n - 1, bound // d):
+            yield (d,) + rest
+
+
+def _reference_census(p, max_index):
+    """Every Hermite basis with diagonal product <= max_index, kept when
+    the lattice is closed under the group operations and normal."""
+    n = p.n
+    found = []
+    for diag in _diagonals(n, max_index):
+        rows_template = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+        def fill(col, rows):
+            if col == n:
+                yield [row[:] for row in rows]
+                return
+
+            def rec(i):
+                if i == col:
+                    yield from fill(col + 1, rows)
+                    return
+                for v in range(diag[col]):
+                    rows[i][col] = v
+                    yield from rec(i + 1)
+                rows[i][col] = 0
+
+            yield from rec(0)
+
+        for rows in fill(0, rows_template):
+            cand = Subgroup(p, IntMatrix.from_rows(rows))
+            if cand._is_closed() and cand.is_normal():
+                found.append(cand)
+    found.sort(key=lambda s: (s.index(), s.basis.entries))
+    return found
+
+
+CENSUS_CASES = {
+    "heisenberg": (H, 8),
+    "HxZ": (direct_product(H, free_abelian(1)), 5),
+    "free_abelian(3)": (free_abelian(3), 6),
+    # central generators g2, g4 and g1, g4: not a suffix of the coordinates
+    "4 2 / 1 3 : 2": (presentation_from_text("4 2\n1 3 : 2\n"), 4),
+    "4 2 / 2 3 : 3": (presentation_from_text("4 2\n2 3 : 3\n"), 4),
+    "4 2 / 1 2 : 1 -2": (presentation_from_text("4 2\n1 2 : 1 -2\n"), 4),
+    "4 2 / three rules": (
+        presentation_from_text("4 2\n1 2 : 0 1\n1 3 : -2\n2 3 : 1\n"), 4
+    ),
+    # the first census here that needs the products m_i m_j of distinct
+    # basis rows, not only squares and commutators: at index 8
+    "5 2 / four rules": (
+        presentation_from_text("5 2\n1 2 : 0 0 1\n1 4 : 1\n2 3 : 0 1\n3 4 : 1\n"), 8
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CENSUS_CASES))
+def test_census_matches_hermite_candidate_filter(name):
+    """The census by central gluing lists exactly the Hermite candidates
+    that pass the closure and normality tests, in the same order."""
+    p, bound = CENSUS_CASES[name]
+    reference = _reference_census(p, bound)
+    for k in range(1, bound + 1):
+        assert enumerate_normal_subgroups(p, k) == [s for s in reference if s.index() <= k]
+
+
 def _zeta_product_counts(factors, bound):
     """Coefficients a_1 .. a_bound of the Dirichlet series prod zeta(c s - d)
     over (c, d) in factors; zeta(c s - d) puts m^d at k = m^c."""
@@ -310,7 +382,7 @@ def _zeta_product_counts(factors, bound):
 @pytest.mark.parametrize(
     "p, factors, bound",
     [
-        (H, [(1, 0), (1, 1), (3, 2)], 16),
+        (H, [(1, 0), (1, 1), (3, 2)], 64),
         (free_abelian(2), [(1, 0), (1, 1)], 16),
         (free_abelian(3), [(1, 0), (1, 1), (1, 2)], 8),
     ],
@@ -329,7 +401,7 @@ def test_census_counts_match_zeta_functions(p, factors, bound):
         if k <= bound // 2:
             assert len(enumerate_normal_subgroups(p, k)) == expected
     if p is H:
-        assert sum(coeffs[:9]) == 60 and sum(coeffs) == 236
+        assert sum(coeffs[:9]) == 60 and sum(coeffs[:17]) == 236 and sum(coeffs) == 3679
 
 
 def test_enumerated_heisenberg_subgroups_are_nonabelian():
@@ -341,6 +413,24 @@ def test_enumerated_heisenberg_subgroups_are_nonabelian():
 def test_enumeration_resource_cap():
     with pytest.raises(ResourceLimitExceeded):
         enumerate_normal_subgroups(H, 64, candidate_cap=10)
+
+
+def test_enumeration_cap_counts_work_and_reports_progress():
+    # index 1: one pair test, one subgroup; index 2: four pair tests (one
+    # centre of index 2, three projections of index 2), three subgroups
+    assert len(enumerate_normal_subgroups(H, 2, candidate_cap=9)) == 4
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        enumerate_normal_subgroups(H, 2, candidate_cap=8)
+    assert str(exc.value) == (
+        "census work cap of 8 reached at index 2 of 2: "
+        "5 (projection, centre) pairs tested, 3 subgroups found"
+    )
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        enumerate_normal_subgroups(H, 64, candidate_cap=10)
+    assert str(exc.value) == (
+        "census work cap of 10 reached at index 3 of 64: "
+        "6 (projection, centre) pairs tested, 4 subgroups found"
+    )
 
 
 # ------------------------------------------------------ induced presentations
