@@ -68,6 +68,12 @@ class Graph:
         n = self.vertex_count
         return tuple(tuple(u for u in range(n) if not self.commutes(u, v)) for v in range(n))
 
+    @cached_property
+    def blocking(self) -> tuple[tuple[bool, ...], ...]:
+        """blocking[v][u]: u does not commute with v."""
+        n = self.vertex_count
+        return tuple(tuple(not self.commutes(u, v) for u in range(n)) for v in range(n))
+
 
 @dataclass(frozen=True)
 class RaagWord:
@@ -153,13 +159,9 @@ def normal_form(g: Graph, w: RaagWord) -> RaagWord:
 MAX_TERM_PAIRS = 200_000
 
 
-def _blocking_table(g: Graph) -> list[list[bool]]:
-    """blocks[v][u]: u does not commute with v."""
-    n = g.vertex_count
-    return [[not g.commutes(u, v) for u in range(n)] for v in range(n)]
-
-
-def _append_normal(blocks: list[list[bool]], word: tuple[int, ...], letters) -> tuple[int, ...]:
+def _append_normal(
+    blocks: tuple[tuple[bool, ...], ...], word: tuple[int, ...], letters
+) -> tuple[int, ...]:
     """Lexicographic trace normal form of word + letters, `word` already
     normal.  Each letter settles just after the last letter that blocks it,
     then steps right past smaller letters."""
@@ -202,7 +204,7 @@ def series_multiply(g: Graph, s1: TruncatedSeries, s2: TruncatedSeries) -> Trunc
     if s1.degree_bound != s2.degree_bound:
         raise ValueError("degree bounds differ")
     d = s1.degree_bound
-    blocks = _blocking_table(g)
+    blocks = g.blocking
     terms2 = sorted(((len(m2), m2, c2) for m2, c2 in s2.coefficients.items()), key=lambda t: t[0])
     out: dict[tuple[int, ...], int] = {}
     for m1, c1 in s1.coefficients.items():
@@ -266,7 +268,7 @@ class RtfnWitnessReport:
     failures: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _extends_normally(blocks: list[list[bool]], units: list[tuple[int, int]],
+def _extends_normally(blocks: tuple[tuple[bool, ...], ...], units: list[tuple[int, int]],
                       letter: tuple[int, int]) -> bool:
     """Whether units + [letter] is a normal form, given that units is one:
     scanning back through the letters that commute with the new letter, it
@@ -291,7 +293,7 @@ def rtfn_witness(g: Graph, max_len: int) -> RtfnWitnessReport:
             "separation witness is bounded to at most 4 vertices and length 6"
         )
     alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
-    blocks = _blocking_table(g)
+    blocks = g.blocking
     failures: list[tuple[tuple[int, int], ...]] = []
     checked = 0
 

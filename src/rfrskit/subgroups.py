@@ -14,17 +14,22 @@ Class >= 3 groups (the unitriangular families) keep element arithmetic,
 lower central series, center, rank, and whole-group abelianization; the
 general subgroup operations refuse them.
 
-Two routines carry the group side of this.  `_sift` divides an element
-by powers of a triangular basis in pivot order (a noncommutative Hermite
-sift, Sims ch. 9): `express_in_basis`, the induced bases of the lower
-central series and the center all go through it.  `_closure_candidates`
-yields the inverses, products and commutators that a closed subgroup
-must contain: `Subgroup._is_closed` checks them, `subgroup_closure` adds
-them to the lattice and `_InducedBasis.close` sifts them in.  Lattice
+In class <= 2, u v = u + v + B(u, v) with B bilinear and central valued,
+and `_product_corrections` is the one function that computes B:
+`subgroup_closure` adds its values on the generators to their span in one
+step, `Subgroup.from_lattice` accepts a lattice that closure leaves as it
+is, and the census takes from it the values a projection's centre must
+hold.
+
+Two routines carry the group side in any class.  `_sift` divides an
+element by powers of a triangular basis in pivot order (a noncommutative
+Hermite sift, Sims ch. 9): `express_in_basis`, the induced bases of the
+lower central series and the center all go through it.
+`_closure_candidates` yields the inverses, products and commutators that
+`_InducedBasis.close` sifts in until the basis is stable.  Lattice
 membership is `intlinalg.lattice_member`, which takes a Hermite basis as
 it is; the basis matrix finds its pivot rows once and keeps them, so a
-subgroup, census centre or closure lattice pays for them once however
-often it is asked.
+subgroup or census centre pays for them once however often it is asked.
 
 The normal-subgroup census tests each (projection, centre) pair of a
 class-2 lattice once, emits every gluing of a passing pair untested, and
@@ -86,6 +91,12 @@ def _sift(p: PcPresentation, rows, w: Element) -> tuple[list[int], Element]:
     return exps, w
 
 
+def _product_corrections(p: PcPresentation, vecs) -> list[Element]:
+    """The distinct nonzero u v - u - v over ordered pairs (u, v) of vecs."""
+    vals = (tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v)) for u in vecs for v in vecs)
+    return list(dict.fromkeys(w for w in vals if any(w)))
+
+
 def _closure_candidates(p: PcPresentation, vecs: list[Element]):
     """For each u in vecs, its inverse, then u v and [u, v] for each v."""
     for u in vecs:
@@ -112,7 +123,7 @@ class Subgroup:
         if mat.cols != p.n:
             raise ValueError("row length must equal the generator count")
         s = Subgroup(p, hnf_basis(mat))
-        if not s._is_closed():
+        if subgroup_closure(p, s.basis_elements()) != s:
             raise ValueError("lattice is not closed under the group operations")
         return s
 
@@ -147,16 +158,6 @@ class Subgroup:
         basis is rank deficient."""
         return lattice_index(self.basis)
 
-    def _is_closed(self) -> bool:
-        vecs = self.basis_elements()
-        if not all(self.contains(w) for w in _closure_candidates(self.ambient, vecs)):
-            return False
-        # basis-pair closure is only conclusive together with exact
-        # expressibility of every basis row as an ordered product
-        return self.ambient.nilpotency_class <= 2 or all(
-            express_in_basis(self, u) is not None for u in vecs
-        )
-
     def is_normal(self) -> bool:
         # one side suffices: subgroups of a polycyclic group satisfy the max
         # condition, so g^-1 H g <= H for every generator g gives equality
@@ -187,21 +188,16 @@ class Subgroup:
 def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
     """Smallest lattice-closed subgroup containing the given elements.
 
-    Saturates the coordinate lattice under products, inverses, and
-    pairwise commutators of basis vectors until the Hermite basis is
-    stable.  Class <= 2 only: there the stabilized lattice is exactly a
-    subgroup (the correction form is bilinear).
+    Class <= 2 only.  There u v = u + v + B(u, v) with B bilinear, central
+    valued and zero on central vectors, so on the span L of the generators
+    s_i and the values B(s_i, s_j), B takes values in span{B(s_i, s_j)}.
+    Hence L holds u v and u^-1 = -u + B(u, u) for all u, v in L, and any
+    closed lattice holding the s_i holds L: the closure is L, in one step.
     """
     _require_class2(p, "subgroup closure")
-    rows = [list(p.element(g)) for g in gens if any(g)]
-    lattice = hnf_basis(IntMatrix.from_rows(rows)) if rows else IntMatrix(0, p.n, ())
-    for _ in range(_CLOSURE_ROUNDS_CAP):
-        vecs = [lattice.row(i) for i in range(lattice.rows)]
-        fresh = [w for w in _closure_candidates(p, vecs) if not lattice_member(lattice, w)]
-        if not fresh:
-            return Subgroup(p, lattice)
-        lattice = hnf_basis(IntMatrix.from_rows(lattice.to_rows() + fresh))
-    raise RuntimeError("subgroup closure failed to stabilize")  # pragma: no cover
+    rows = [r for r in map(p.element, gens) if any(r)]
+    rows += _product_corrections(p, rows)
+    return Subgroup(p, hnf_basis(IntMatrix(len(rows), p.n, tuple(x for r in rows for x in r))))
 
 
 def express_in_basis(s: Subgroup, u: Element) -> tuple[int, ...] | None:
@@ -320,9 +316,9 @@ def enumerate_normal_subgroups(
         # each M with the distinct nonzero values its centre must hold
         out = []
         for m in _hermite_bases(p.n, top, d):
-            vals = [tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v)) for u in m for v in m]
-            vals += [p.commutator(u, p.generator(k)) for u in m for k in top]
-            out.append((m, list(dict.fromkeys(w for w in vals if any(w)))))
+            comms = [p.commutator(u, p.generator(k)) for u in m for k in top]
+            vals = _product_corrections(p, m) + [w for w in comms if any(w)]
+            out.append((m, list(dict.fromkeys(vals))))
         return out
 
     @functools.cache
@@ -493,20 +489,9 @@ def hirsch_rank(p: PcPresentation) -> int:
 def _center_class2(p: PcPresentation) -> Subgroup:
     # u is central iff the commutator map c(u, g_k) vanishes for all k;
     # in class <= 2 that map is linear in u
-    n = p.n
-    columns = []
-    for k in range(n):
-        g = p.generator(k)
-        for t in range(n):
-            e_t = p.generator(t)
-            columns.append(p.commutator(e_t, g))
-    # build n x (n*n) matrix: row t lists c(e_t, g_k) stacked over k
-    rows = []
-    for t in range(n):
-        row = []
-        for k in range(n):
-            row.extend(columns[k * n + t])
-        rows.append(row)
+    gens = [p.generator(k) for k in range(p.n)]
+    # row t is [g_t, g_0] ... [g_t, g_(n-1)] laid end to end
+    rows = [[x for g in gens for x in p.commutator(e, g)] for e in gens]
     ker = left_kernel(IntMatrix.from_rows(rows))
     return Subgroup(p, hnf_basis(ker)) if ker.rows else Subgroup.trivial(p)
 

@@ -208,11 +208,17 @@ MALFORMED = {
     "subgroup": [
         ("token", "2 0 x\n", "invalid literal"),
         ("row-length", "2 0\n", "exponent vector length"),
+        ("zero-row-length", "0 1 0\n0 0\n", "exponent vector length must equal generator count"),
         ("empty", "# no rows\n", "empty subgroup file"),
     ],
     "chain": [
         ("token", "1 0 0\n0 1 0\n0 0 q\n", "invalid literal"),
         ("row-length", "1 0\n", "exponent vector length"),
+        (
+            "zero-row-length",
+            "1 0 0\n0 1 0\n0 0 1\n0 0 0 0\n",
+            "exponent vector length must equal generator count",
+        ),
         ("empty", "\n", "empty chain file"),
         ("first-block", "2 0 0\n0 1 0\n0 0 1\n", "must generate the whole group"),
     ],

@@ -24,7 +24,6 @@ from rfrskit.raags import (
     series_multiply,
     word_from_tokens,
     _append_normal,
-    _blocking_table,
     _extends_normally,
     _pile_units,
 )
@@ -298,7 +297,7 @@ def test_incremental_normal_form_matches_greedy(data):
     g = data.draw(graphs())
     letters = st.integers(0, g.vertex_count - 1)
     mono = tuple(data.draw(st.lists(letters, max_size=8)))
-    blocks = _blocking_table(g)
+    blocks = g.blocking
     assert _append_normal(blocks, (), mono) == _greedy_canonical(g, mono)
     cut = data.draw(st.integers(0, len(mono)))
     prefix = _greedy_canonical(g, mono[:cut])
@@ -340,7 +339,7 @@ def test_rtfn_witness_path3():
 def test_rtfn_extension_test_matches_piling(name):
     # every one-letter extension of every normal word of length <= 5
     g = FOUR_VERTEX[name]
-    blocks = _blocking_table(g)
+    blocks = g.blocking
     alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
     level = [[]]
     for length in range(6):

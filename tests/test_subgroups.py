@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfrskit.errors import ResourceLimitExceeded
 from rfrskit.intlinalg import INFINITE, IntMatrix, hnf_basis, lattice_member, left_kernel
@@ -40,6 +42,35 @@ X, Y, Z = H.generator(0), H.generator(1), H.generator(2)
 
 def lat(p, rows):
     return Subgroup.from_lattice(p, rows)
+
+
+def sweep(p, lattice):
+    """Yield the inverses, products and commutators of the Hermite basis
+    rows that the lattice lacks: none exactly when it is closed."""
+    vecs = [tuple(lattice.row(i)) for i in range(lattice.rows)]
+
+    def candidates():
+        for u in vecs:
+            yield p.inverse(u)
+            for v in vecs:
+                yield p.multiply(u, v)
+                yield p.commutator(u, v)
+
+    return (list(w) for w in candidates() if not lattice_member(lattice, w))
+
+
+def is_closed(p, lattice):
+    return next(sweep(p, lattice), None) is None
+
+
+def reference_closure(p, gens):
+    """The fixpoint sweep: add what `sweep` finds until the basis is stable
+    (an ascending chain of lattices in Z^n stops)."""
+    rows = [list(g) for g in gens if any(g)]
+    lattice = hnf_basis(IntMatrix.from_rows(rows)) if rows else IntMatrix(0, p.n, ())
+    while fresh := list(sweep(p, lattice)):
+        lattice = hnf_basis(IntMatrix.from_rows(lattice.to_rows() + fresh))
+    return Subgroup(p, lattice)
 
 
 # ----------------------------------------------------------------- closure
@@ -96,6 +127,11 @@ def test_closure_rejects_class3():
 def test_from_lattice_rejects_unclosed():
     with pytest.raises(ValueError):
         lat(H, [[1, 0, 0], [0, 1, 0]])  # missing z, products escape
+
+
+def test_from_lattice_rejects_class3():
+    with pytest.raises(ValueError, match="class <= 2"):
+        lat(unitriangular(4), [[1 if i == j else 0 for j in range(6)] for i in range(6)])
 
 
 # ----------------------------------------------------------------- index
@@ -328,7 +364,7 @@ def _reference_census(p, max_index):
 
         for rows in fill(0, rows_template):
             cand = Subgroup(p, IntMatrix.from_rows(rows))
-            if cand._is_closed() and cand.is_normal():
+            if is_closed(p, cand.basis) and cand.is_normal():
                 found.append(cand)
     found.sort(key=lambda s: (s.index(), s.basis.entries))
     return found
@@ -351,6 +387,34 @@ CENSUS_CASES = {
         presentation_from_text("5 2\n1 2 : 0 0 1\n1 4 : 1\n2 3 : 0 1\n3 4 : 1\n"), 8
     ),
 }
+
+
+CLOSURE_GROUPS = [p for p, _ in CENSUS_CASES.values()] + [direct_product(H, H)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_closure_matches_fixpoint_sweep(data):
+    """One-step closure against the sweep, on generator sets with zero,
+    duplicate and dependent rows; `from_lattice` accepts a lattice exactly
+    when the sweep leaves it as it is."""
+    p = data.draw(st.sampled_from(CLOSURE_GROUPS))
+    entries = st.integers(-3, 3)
+    base = data.draw(st.lists(st.lists(entries, min_size=p.n, max_size=p.n), max_size=3))
+    combos = data.draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)), max_size=3)
+    )
+    rows = base + base[:1] + [[sum(c * r[j] for c, r in zip(cs, base)) for j in range(p.n)] for cs in combos]
+    rows = data.draw(st.permutations(rows))
+    closure = subgroup_closure(p, rows)
+    assert closure == reference_closure(p, rows)
+    assert lat(p, closure.basis.to_rows()) == closure
+    span = hnf_basis(IntMatrix(len(rows), p.n, tuple(x for r in rows for x in r)))
+    if is_closed(p, span):
+        assert lat(p, rows).basis == span
+    else:
+        with pytest.raises(ValueError, match="not closed"):
+            lat(p, rows)
 
 
 @pytest.mark.parametrize("name", list(CENSUS_CASES))
