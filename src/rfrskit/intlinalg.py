@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 INFINITE = math.inf
@@ -67,6 +68,13 @@ class IntMatrix:
             raise ValueError("ragged rows")
         flat = tuple(int(x) for r in rows_data for x in r)
         return IntMatrix(m, n, flat)
+
+    @staticmethod
+    def _from_int_rows(rows, cols: int) -> "IntMatrix":
+        """Matrix of a list of rows the library built itself: each a
+        sequence of `cols` ints, taken as it is.  Outside input goes through
+        `from_rows`, which converts and checks it."""
+        return IntMatrix(len(rows), cols, tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -259,18 +267,14 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
 
     Built without the transform U."""
     pivots, _ = _hermite_rows((list(a.row(i)) for i in range(a.rows)), a.cols)
-    if not pivots:
-        return IntMatrix(0, a.cols, ())
-    return IntMatrix.from_rows(pivots)
+    return IntMatrix._from_int_rows(pivots, a.cols)
 
 
 def left_kernel(a: IntMatrix) -> IntMatrix:
     """Canonical basis of {x : x @ a == 0}."""
     h, u = hnf(a)
-    rows = [list(u.row(i)) for i in range(a.rows) if not any(h.row(i))]
-    if not rows:
-        return IntMatrix(0, a.rows, ())
-    return hnf_basis(IntMatrix.from_rows(rows))
+    rows = [u.row(i) for i in range(a.rows) if not any(h.row(i))]
+    return hnf_basis(IntMatrix._from_int_rows(rows, a.rows))
 
 
 def saturate(a: IntMatrix) -> IntMatrix:
@@ -380,9 +384,9 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             _negate_row(u, t)
         t += 1
     return SmithDecomposition(
-        IntMatrix.from_rows(u) if m else IntMatrix.identity(0),
-        IntMatrix(m, n, tuple(x for row in d for x in row)),
-        IntMatrix.from_rows(v) if n else IntMatrix.identity(0),
+        IntMatrix._from_int_rows(u, m),
+        IntMatrix._from_int_rows(d, n),
+        IntMatrix._from_int_rows(v, n),
     )
 
 

@@ -24,7 +24,7 @@ built once per presentation, on its first generic product, from the top
 generator down: each pair's values on the grid 0..D-1 x 0..D-1 come from
 repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D Newton
 forward differences turn them into coefficients.  D is the largest
-generator weight of the table (see `_degree_bound`), not the declared
+generator weight of the table (see `_weights`), not the declared
 class, and each polynomial is checked at one point off the grid, so an
 inconsistent table raises ValueError.  Appending g_k^e is then one
 ordered product of the conjugated tail factors, whatever the size of e.
@@ -158,23 +158,17 @@ class PcPresentation:
             self._collector = _Collector(self)
         return self._collector
 
-    def _mul_generic(self, u: Element, v: Element) -> Element:
-        return self._generic().mul(u, v)
-
-    def _inv_generic(self, u: Element) -> Element:
-        return self._generic().inv(u)
-
     # ------------------------------------------------------------ public
 
     def multiply(self, u: Element, v: Element) -> Element:
         if self.nilpotency_class <= 2:
             return self._mul2(u, v)
-        return self._mul_generic(u, v)
+        return self._generic().mul(u, v)
 
     def inverse(self, u: Element) -> Element:
         if self.nilpotency_class <= 2:
             return self._inv2(u)
-        return self._inv_generic(u)
+        return self._generic().inv(u)
 
     def power(self, u: Element, e: int) -> Element:
         if self.nilpotency_class <= 2:
@@ -194,9 +188,8 @@ class PcPresentation:
             b1 = self._beta(u, v)
             b2 = self._beta(v, u)
             return tuple(x - y for x, y in zip(b1, b2))
-        return self.multiply(
-            self.multiply(self._inv_generic(u), self._inv_generic(v)), self.multiply(u, v)
-        )
+        inv = self._generic().inv
+        return self.multiply(self.multiply(inv(u), inv(v)), self.multiply(u, v))
 
     def collect(self, word) -> Element:
         """Normal form of a word given as (generator index, exponent) pairs."""
@@ -252,22 +245,20 @@ def _forward_differences(vals: list) -> None:
             vals[a] = [x - y for x, y in zip(vals[a], vals[a - 1])]
 
 
-def _degree_bound(p: PcPresentation) -> int:
-    """Largest generator weight, w(l) = max(1, w(i) + w(j) over the rules
-    (i, j) whose value involves g_l).
+def _weights(p: PcPresentation) -> list[int]:
+    """Generator weights, w(l) = max(1, w(i) + w(j) over the rules (i, j)
+    whose value involves g_l).
 
     Generators of weight >= w span a normal subgroup G_w with
-    [G_a, G_b] <= G_(a+b), so the largest weight D bounds the real class,
-    whatever class is declared.  A term C(s, i) C(e, j) of coordinate l of
-    g_k^-e g_m^s g_k^e has i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, so
-    each variable's degree is at most D - 1.
+    [G_a, G_b] <= G_(a+b), so the largest weight bounds the real class,
+    whatever class is declared.
     """
     w = [1] * p.n
     for l in range(p.n):
         for (i, j), vec in p.rules.items():
             if vec[l]:  # then i < j < l, so w[i] and w[j] are final
                 w[l] = max(w[l], w[i] + w[j])
-    return max(w, default=1)
+    return w
 
 
 class _Collector:
@@ -285,7 +276,10 @@ class _Collector:
 
     def __init__(self, p: PcPresentation):
         self.n = p.n
-        self.d = _degree_bound(p) - 1
+        # a term C(s, i) C(e, j) of coordinate l of g_k^-e g_m^s g_k^e has
+        # i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, the largest weight, so
+        # each variable's degree is at most D - 1
+        self.d = max(_weights(p), default=1) - 1
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
         # level k multiplies only inside <g_(k+1), ...>, which uses the levels above it
         for k in reversed(range(p.n)):
@@ -492,8 +486,7 @@ def abelianization(p: PcPresentation) -> AbelianQuotient:
     splitting images into free and torsion coordinates.
     """
     rows = [vec for _, vec in sorted(p.rules.items())]
-    rel = IntMatrix.from_rows(rows) if rows else IntMatrix(0, p.n, ())
-    return AbelianQuotient(rel)
+    return AbelianQuotient(IntMatrix._from_int_rows(rows, p.n))
 
 
 # ------------------------------------------------------------ file format

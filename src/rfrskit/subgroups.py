@@ -12,7 +12,10 @@ subgroup form a sublattice of Z^n, so subgroups are stored as canonical
 Hermite bases and all subgroup algebra reduces to exact lattice algebra.
 Class >= 3 groups (the unitriangular families) keep element arithmetic,
 lower central series, center, rank, and whole-group abelianization; the
-general subgroup operations refuse them.
+general subgroup operations refuse them.  `center` is one walk in every
+class, down the generator weights of `pcgroups._weights`: each step is
+an integer kernel of the weight-d coordinates of commutators with the
+generators, over the exponents of the previous step's triangular basis.
 
 In class <= 2, u v = u + v + B(u, v) with B bilinear and central valued,
 and `_product_corrections` is the one function that computes B:
@@ -21,10 +24,13 @@ step, `Subgroup.from_lattice` accepts a lattice that closure leaves as it
 is, and the census takes from it the values a projection's centre must
 hold.
 
-Two routines carry the group side in any class.  `_sift` divides an
+Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
-Hermite sift, Sims ch. 9): `express_in_basis`, the induced bases of the
-lower central series and the center all go through it.
+Hermite sift, Sims ch. 9): `express_in_basis` and the induced bases of
+the lower central series go through it, and `center` checks with it that
+its Hermite rows are ordered products of the walk's basis.
+`_ordered_product` multiplies such powers back together, for
+`map_into_ambient` and for each step of the center walk.
 `_closure_candidates` yields the inverses, products and commutators that
 `_InducedBasis.close` sifts in until the basis is stable.  Lattice
 membership is `intlinalg.lattice_member`, which takes a Hermite basis as
@@ -44,7 +50,6 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitExceeded
 from .intlinalg import (
-    AbelianQuotient,
     IntMatrix,
     hnf_basis,
     lattice_index,
@@ -53,7 +58,7 @@ from .intlinalg import (
     saturate,
     xgcd,
 )
-from .pcgroups import Element, PcPresentation, abelianization
+from .pcgroups import Element, PcPresentation, _weights, abelianization
 
 _CLOSURE_ROUNDS_CAP = 64
 
@@ -119,10 +124,7 @@ class Subgroup:
 
     @staticmethod
     def from_lattice(p: PcPresentation, rows) -> "Subgroup":
-        mat = IntMatrix.from_rows([list(r) for r in rows]) if rows else IntMatrix(0, p.n, ())
-        if mat.cols != p.n:
-            raise ValueError("row length must equal the generator count")
-        s = Subgroup(p, hnf_basis(mat))
+        s = Subgroup(p, hnf_basis(IntMatrix._from_int_rows([p.element(r) for r in rows], p.n)))
         if subgroup_closure(p, s.basis_elements()) != s:
             raise ValueError("lattice is not closed under the group operations")
         return s
@@ -175,11 +177,11 @@ class Subgroup:
         b1, b2 = self.basis, other.basis
         if b1.rows == 0 or b2.rows == 0:
             return Subgroup.trivial(self.ambient)
-        stacked = IntMatrix.from_rows(b1.to_rows() + [[-x for x in row] for row in b2.to_rows()])
-        ker = left_kernel(stacked)
+        rows = b1.to_rows() + [[-x for x in row] for row in b2.to_rows()]
+        ker = left_kernel(IntMatrix._from_int_rows(rows, b1.cols))
         if ker.rows == 0:
             return Subgroup.trivial(self.ambient)
-        coeffs = IntMatrix.from_rows(ker.row(i)[: b1.rows] for i in range(ker.rows))
+        coeffs = IntMatrix._from_int_rows([ker.row(i)[: b1.rows] for i in range(ker.rows)], b1.rows)
         # two subgroups meet in a subgroup whose coordinates are the meet of
         # their lattices, so this lattice is closed by construction
         return Subgroup(self.ambient, hnf_basis(coeffs @ b1))
@@ -197,7 +199,7 @@ def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
     _require_class2(p, "subgroup closure")
     rows = [r for r in map(p.element, gens) if any(r)]
     rows += _product_corrections(p, rows)
-    return Subgroup(p, hnf_basis(IntMatrix(len(rows), p.n, tuple(x for r in rows for x in r))))
+    return Subgroup(p, hnf_basis(IntMatrix._from_int_rows(rows, p.n)))
 
 
 def express_in_basis(s: Subgroup, u: Element) -> tuple[int, ...] | None:
@@ -207,14 +209,18 @@ def express_in_basis(s: Subgroup, u: Element) -> tuple[int, ...] | None:
     return None if any(rest) else tuple(exps)
 
 
-def map_into_ambient(s: Subgroup, exps) -> Element:
-    """Ordered product of basis elements with the given exponents."""
-    p = s.ambient
+def _ordered_product(p: PcPresentation, rows, exps) -> Element:
+    """b_0^e_0 * b_1^e_1 * ... over the rows b and exponents e."""
     out = p.identity()
-    for row, e in zip(s.basis_elements(), exps):
+    for row, e in zip(rows, exps):
         if e:
             out = p.multiply(out, p.power(row, e))
     return out
+
+
+def map_into_ambient(s: Subgroup, exps) -> Element:
+    """Ordered product of basis elements with the given exponents."""
+    return _ordered_product(s.ambient, s.basis_elements(), exps)
 
 
 @dataclass(frozen=True)
@@ -328,7 +334,7 @@ def enumerate_normal_subgroups(
         for rows in _hermite_bases(p.n, cen, d):
             box = itertools.product(*(range(r[j]) for r, j in zip(rows, cen)))
             reps = [tuple(dict(zip(cen, c)).get(k, 0) for k in range(p.n)) for c in box]
-            out.append((IntMatrix.from_rows(rows), rows, reps))
+            out.append((IntMatrix._from_int_rows(rows, p.n), rows, reps))
         return out
 
     found: list[Subgroup] = []
@@ -352,7 +358,7 @@ def enumerate_normal_subgroups(
                     for glue in itertools.product(reps, repeat=len(m)):
                         spend(k)
                         rows = [[a + b for a, b in zip(u, c)] for u, c in zip(m, glue)] + c_rows
-                        found.append(Subgroup(p, hnf_basis(IntMatrix.from_rows(rows))))
+                        found.append(Subgroup(p, hnf_basis(IntMatrix._from_int_rows(rows, p.n))))
     found.sort(key=lambda s: (s.index(), s.basis.entries))
     return found
 
@@ -433,10 +439,7 @@ class _InducedBasis:
 
 
 def _subgroup_from_induced(p: PcPresentation, basis: _InducedBasis) -> Subgroup:
-    vecs = basis.vectors()
-    if not vecs:
-        return Subgroup.trivial(p)
-    lattice = hnf_basis(IntMatrix.from_rows([list(v) for v in vecs]))
+    lattice = hnf_basis(IntMatrix._from_int_rows(basis.vectors(), p.n))
     sub = Subgroup(p, lattice)
     if p.nilpotency_class > 2:
         # the lattice span is faithful only when every canonical basis row
@@ -486,102 +489,33 @@ def hirsch_rank(p: PcPresentation) -> int:
 # ------------------------------------------------------------------ center
 
 
-def _center_class2(p: PcPresentation) -> Subgroup:
-    # u is central iff the commutator map c(u, g_k) vanishes for all k;
-    # in class <= 2 that map is linear in u
-    gens = [p.generator(k) for k in range(p.n)]
-    # row t is [g_t, g_0] ... [g_t, g_(n-1)] laid end to end
-    rows = [[x for g in gens for x in p.commutator(e, g)] for e in gens]
-    ker = left_kernel(IntMatrix.from_rows(rows))
-    return Subgroup(p, hnf_basis(ker)) if ker.rows else Subgroup.trivial(p)
-
-
-def _solve_with_torsion(values, free_len, torsion_moduli):
-    """Integer solutions c of sum_s c_s * values[s] = 0 where each value is
-    (free coords, torsion residues); returns rows of a kernel basis."""
-    r = len(values)
-    t = len(torsion_moduli)
-    rows = []
-    for free, tors in values:
-        rows.append(list(free) + list(tors))
-    for j, d in enumerate(torsion_moduli):
-        rows.append([0] * free_len + [d if jj == j else 0 for jj in range(t)])
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
-    ker = left_kernel(IntMatrix.from_rows(rows))
-    return [tuple(ker.row(i)[:r]) for i in range(ker.rows)]
-
-
 def center(p: PcPresentation) -> Subgroup:
-    """Center as a lattice subgroup.
+    """Center as a lattice subgroup, in any class.
 
-    Class <= 2 solves the linear commutation system exactly.  Higher
-    class walks down the lower central series: at stage k the map
-    h -> [h, g] into gamma_k / gamma_{k+1} is a homomorphism, linear in
-    the ordered-product coordinates of the current candidate subgroup, so
-    each refinement is an integer kernel with torsion congruences.
+    With W_d the elements whose coordinates vanish at every generator of
+    weight below d (`pcgroups._weights`), [W_d, G] <= W_(d+1), so
+    C_d = {u : [u, g] in W_d for all g} runs from C_2 = G down to
+    C_(D+1) = Z(G), D the largest weight.  On C_d, u -> (weight-d
+    coordinates of [u, g_k])_k is a homomorphism with kernel C_(d+1): each
+    step is one integer kernel in the exponents over C_d's triangular
+    basis, and the ordered products of that basis by the kernel's Hermite
+    rows are again triangular, a basis of C_(d+1).  In class <= 2 the walk
+    is one step, the linear commutation system over the generators.
     """
-    if p.nilpotency_class <= 2:
-        return _center_class2(p)
-    series = lower_central_series(p)
     gens = [p.generator(k) for k in range(p.n)]
-    candidates: list[Element] = list(gens)
-    for k in range(1, len(series) - 1):
-        gamma_k, gamma_next = series[k], series[k + 1]
-        base = _InducedBasis(p)
-        for v in gamma_k.basis_elements():
-            base.sift(v)
-        base.close()
-        slots = sorted(base.slots.items())
-
-        def slot_exponents(w: Element) -> list[int]:
-            exps, rest = _sift(p, slots, w)
-            if any(rest):
-                raise ValueError("element is not in the subgroup spanned by the slots")
-            return exps
-
-        # structure of gamma_k / gamma_{k+1} on the slot coordinates
-        rel_rows = [slot_exponents(v) for v in gamma_next.basis_elements()]
-        rel = (
-            IntMatrix.from_rows(rel_rows)
-            if rel_rows
-            else IntMatrix(0, len(slots), ())
-        )
-        quot = AbelianQuotient(rel)
-        values = []
-        for b in candidates:
-            free_all: list[int] = []
-            tors_all: list[int] = []
-            for g in gens:
-                free, tors = quot.project(slot_exponents(p.commutator(b, g)))
-                free_all.extend(free)
-                tors_all.extend(tors)
-            values.append((tuple(free_all), tuple(tors_all)))
-        free_len = len(gens) * quot.structure.free_rank
-        moduli = list(quot.structure.invariant_factors) * len(gens)
-        # reshape torsion residues: project() returned per-generator pieces
-        sols = _solve_with_torsion(values, free_len, moduli)
-        new_basis = _InducedBasis(p)
-        for c in sols:
-            elt = p.identity()
-            for coeff, b in zip(c, candidates):
-                if coeff:
-                    elt = p.multiply(elt, p.power(b, coeff))
-            if any(elt):
-                new_basis.sift(elt)
-        new_basis.close()
-        candidates = new_basis.vectors()
-        if not candidates:
-            return Subgroup.trivial(p)
-    final = _InducedBasis(p)
-    for v in candidates:
-        if not all(p.commutator(v, g) == p.identity() for g in gens):  # pragma: no cover
-            raise NotImplementedError("central candidate failed verification")
-        final.sift(v)
-    final.close()
-    sub = _subgroup_from_induced(p, final)
+    weights = _weights(p)
+    basis = gens
+    for d in range(2, max(weights, default=1) + 1):
+        cols = [l for l, w in enumerate(weights) if w == d]
+        values = [[c[l] for c in (p.commutator(b, g) for g in gens) for l in cols] for b in basis]
+        ker = left_kernel(IntMatrix._from_int_rows(values, len(gens) * len(cols)))
+        basis = [_ordered_product(p, basis, ker.row(i)) for i in range(ker.rows)]
+    sub = Subgroup(p, hnf_basis(IntMatrix._from_int_rows(basis, p.n)))
+    slots = [(_lead(b), b) for b in basis]
     for v in sub.basis_elements():
-        if not all(p.commutator(v, g) == p.identity() for g in gens):  # pragma: no cover
+        # the lattice span is the center only when each Hermite row is an
+        # ordered product of the walk's basis and commutes with G
+        if any(_sift(p, slots, v)[1]) or any(any(p.commutator(v, g)) for g in gens):  # pragma: no cover
             raise NotImplementedError("center is not a coordinate lattice here")
     return sub
 
@@ -648,8 +582,8 @@ def center_ab_report(p: PcPresentation) -> CenterAbReport:
         return CenterAbReport(center_basis=(), injective=True, kernel_witness=None)
     # the projection is linear in Mal'cev coordinates, so restrict its free
     # part to the center lattice and take the integer kernel
-    free_images = [list(quot.project(v)[0]) for v in basis]
-    ker = left_kernel(IntMatrix.from_rows(free_images))
+    free_images = [quot.project(v)[0] for v in basis]
+    ker = left_kernel(IntMatrix._from_int_rows(free_images, quot.structure.free_rank))
     if ker.rows == 0:
         return CenterAbReport(center_basis=tuple(basis), injective=True, kernel_witness=None)
     coeff = ker.row(0)

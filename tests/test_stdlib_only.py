@@ -21,3 +21,19 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "rfrskit" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_library_modules_use_every_name_they_import():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # it imports names to re-export them
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in imports
+            if getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports {sorted(imported - used)} without using them"

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfrskit.errors import ResourceLimitExceeded
-from rfrskit.intlinalg import INFINITE, IntMatrix, hnf_basis, lattice_member, left_kernel
+from rfrskit.intlinalg import (
+    INFINITE,
+    AbelianQuotient,
+    IntMatrix,
+    hnf_basis,
+    lattice_member,
+    left_kernel,
+)
 from rfrskit.pcgroups import (
     PcPresentation,
     abelianization,
@@ -16,6 +23,7 @@ from rfrskit.pcgroups import (
     heisenberg,
     presentation_from_text,
     unitriangular,
+    _weights,
 )
 from rfrskit.subgroups import (
     Subgroup,
@@ -33,6 +41,7 @@ from rfrskit.subgroups import (
     subgroup_closure,
     verify_inclusion_homomorphism,
     _InducedBasis,
+    _sift,
     _subgroup_from_induced,
 )
 
@@ -696,6 +705,120 @@ def test_center_with_offdiagonal_central_element():
     z = center(p)
     assert z.contains((0, 1, -1, 0))
     assert z.rank() == 2
+
+
+def reference_center(p):
+    """The center by the lower central series: at stage k, h -> [h, g]
+    into gamma_k / gamma_(k+1) is a homomorphism, linear in the
+    ordered-product exponents of the current candidates, so each
+    refinement is an integer kernel with torsion congruences."""
+    series = lower_central_series(p)
+    gens = [p.generator(k) for k in range(p.n)]
+    candidates = list(gens)
+    for gamma_k, gamma_next in zip(series[1:], series[2:]):
+        base = _InducedBasis(p)
+        for v in gamma_k.basis_elements():
+            base.sift(v)
+        base.close()
+        slots = sorted(base.slots.items())
+
+        def slot_exponents(w):
+            exps, rest = _sift(p, slots, w)
+            assert not any(rest)
+            return exps
+
+        rel = [slot_exponents(v) for v in gamma_next.basis_elements()]
+        quot = AbelianQuotient(IntMatrix.from_rows(rel) if rel else IntMatrix(0, len(slots), ()))
+        # row per candidate: free images of [b, g] for each g, then torsion
+        # residues, and one row per torsion modulus
+        rows = []
+        for b in candidates:
+            images = [quot.project(slot_exponents(p.commutator(b, g))) for g in gens]
+            rows.append([x for free, _ in images for x in free] + [x for _, tors in images for x in tors])
+        free_len = len(gens) * quot.structure.free_rank
+        moduli = list(quot.structure.invariant_factors) * len(gens)
+        for j, d in enumerate(moduli):
+            rows.append([0] * free_len + [d if t == j else 0 for t in range(len(moduli))])
+        ker = left_kernel(IntMatrix.from_rows(rows))
+        new_basis = _InducedBasis(p)
+        for i in range(ker.rows):
+            elt = p.identity()
+            for c, b in zip(ker.row(i), candidates):
+                if c:
+                    elt = p.multiply(elt, p.power(b, c))
+            new_basis.sift(elt)
+        new_basis.close()
+        candidates = new_basis.vectors()
+    final = _InducedBasis(p)
+    for v in candidates:
+        final.sift(v)
+    final.close()
+    return _subgroup_from_induced(p, final)
+
+
+def random_consistent_tables(seed, attempts):
+    """Sparse random triangular tables on 3..7 generators, declared class
+    3, kept when the presentation's consistency checks pass."""
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.choice([-2, -1, 1, 1, 2]) if rng.random() < 0.4 else 0
+
+    tables = []
+    for _ in range(attempts):
+        n = rng.randint(3, 7)
+        rules = {}
+        for i in range(n):
+            for j in range(i + 1, n - 1):
+                if rng.random() < 0.5:
+                    rules[(i, j)] = (0,) * (j + 1) + tuple(entry() for _ in range(j + 1, n))
+        try:
+            tables.append(PcPresentation(n, rules, nilpotency_class=3))
+        except ValueError:
+            continue
+    return tables
+
+
+RANDOM_TABLES = random_consistent_tables(0, 400)
+CENTER_CASES = [
+    build_standard(name)
+    for name in [
+        "heisenberg",
+        "ut(3)",
+        "ut(4)",
+        "ut(5)",
+        "ut(6)",
+        "ut(7)",
+        "direct_product(heisenberg,free_abelian(1))",
+        "direct_product(free_abelian(1),heisenberg)",
+        "direct_product(heisenberg,heisenberg)",
+        "direct_product(ut(4),heisenberg)",
+        "direct_product(free_abelian(2),ut(5))",
+    ]
+] + [
+    PcPresentation(3, {(0, 1): (0, 0, 2)}, nilpotency_class=2),
+    PcPresentation(4, {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)}, nilpotency_class=2),
+] + RANDOM_TABLES
+
+
+def test_random_tables_reach_class_3_and_oblique_centres():
+    deep = [p for p in RANDOM_TABLES if max(_weights(p)) >= 3]
+    assert len(deep) >= 40
+    units = {p.generator(k) for p in deep for k in range(p.n)}
+    assert any(set(reference_center(p).basis_elements()) - units for p in deep)
+
+
+def test_center_matches_lower_central_series_reference():
+    """The weight-filtration walk against the lower-central-series walk;
+    the result commutes with G and holds the ordered products of its rows."""
+    rng = random.Random(7)
+    for p in CENTER_CASES:
+        z = center(p)
+        assert z == reference_center(p)
+        rows = z.basis_elements()
+        assert all(not any(p.commutator(v, p.generator(k))) for v in rows for k in range(p.n))
+        for _ in range(5):
+            assert z.contains(map_into_ambient(z, [rng.randint(-2, 2) for _ in rows]))
 
 
 def test_center_elements_commute():
