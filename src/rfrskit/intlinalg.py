@@ -282,15 +282,8 @@ def saturate(a: IntMatrix) -> IntMatrix:
 
     Computed as the left kernel of the transpose of the right kernel, so
     no matrix inversion is needed; the result is a saturated lattice
-    containing the row space with finite index.  A nonzero single row
-    saturates to itself divided by the gcd of its entries, sign set so
-    that its leading entry is positive.
+    containing the row space with finite index.
     """
-    if a.rows == 1 and any(a.entries):
-        g = gcd(*a.entries)
-        if next(x for x in a.entries if x) < 0:
-            g = -g
-        return IntMatrix(1, a.cols, tuple(x // g for x in a.entries))
     right_null = left_kernel(a.transpose())
     return left_kernel(right_null.transpose())
 

@@ -2,9 +2,10 @@
 
 A finite simple graph presents a group with one generator per vertex and
 commutation relations exactly on edges.  Words are put in normal form by
-the piling construction: letters fall through per-vertex stacks, inverse
-pairs cancel when nothing blocks them, and unpiling greedily by least
-vertex yields the lexicographically least reduced representative.
+the piling construction: syllables fall onto per-vertex piles, add to
+the syllable on top of their pile when nothing blocks them and leave it
+when the sum is 0, and unpiling greedily by least vertex yields the
+lexicographically least reduced representative, syllables merged.
 
 Generators also embed into the free partially-commutative power-series
 algebra by v -> 1 + X_v.  Truncating at a degree bound gives nilpotent
@@ -118,37 +119,34 @@ class RaagWord:
 # -------------------------------------------------------------- normal form
 
 
-def _pile_units(g: Graph, units) -> list[tuple[int, int]]:
+def normal_form(g: Graph, w: RaagWord) -> RaagWord:
+    """Lexicographically least reduced representative; empty iff trivial.
+
+    Each vertex's pile holds syllable exponents and 0 markers, one marker
+    per syllable of a vertex that does not commute with it.  A syllable
+    adds to the top of its pile when that top is a syllable (nothing
+    blocking came since), and a sum of 0 leaves with its markers."""
     piles: list[deque] = [deque() for _ in range(g.vertex_count)]
     noncomm = g.noncommuters
-    for v, eps in units:
+    for v, e in w.letters:
         pile = piles[v]
-        if pile and pile[-1] == -eps:
+        if pile and pile[-1]:
+            pile[-1] += e
+            if pile[-1]:
+                continue
             pile.pop()
             for u in noncomm[v]:
                 piles[u].pop()
-        else:
-            pile.append(eps)
+        elif e:
+            pile.append(e)
             for u in noncomm[v]:
                 piles[u].append(0)
     out = []
-    while True:
-        ready = [v for v in range(g.vertex_count) if piles[v] and piles[v][0] != 0]
-        if not ready:
-            break
-        v = min(ready)
-        eps = piles[v].popleft()
-        out.append((v, eps))
+    while (v := next((u for u, pile in enumerate(piles) if pile and pile[0]), None)) is not None:
+        out.append((v, piles[v].popleft()))
         for u in noncomm[v]:
-            marker = piles[u].popleft()
-            assert marker == 0
-    assert all(not p for p in piles)
-    return out
-
-
-def normal_form(g: Graph, w: RaagWord) -> RaagWord:
-    """Lexicographically least reduced representative; empty iff trivial."""
-    return RaagWord.build(_pile_units(g, w.units()))
+            piles[u].popleft()
+    return RaagWord(tuple(out))
 
 
 # ---------------------------------------------------------- truncated series

@@ -4,8 +4,8 @@ rank, isolators, rational kernels, induced presentations, and
 normal-subgroup enumeration.
 
 `rational_kernel(s)` is the kernel of s -> s^ab tensor Q, computed in
-ambient coordinates as s meet isolator([s, s]); the RFRS checks of
-`rfrs` all go through it.
+ambient coordinates by one integer kernel over the Hermite basis of s; the
+RFRS checks of `rfrs` all go through it.
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -31,8 +31,9 @@ the lower central series go through it, and `center` checks with it that
 its Hermite rows are ordered products of the walk's basis.
 `_ordered_product` multiplies such powers back together, for
 `map_into_ambient` and for each step of the center walk.
-`_closure_candidates` yields the inverses, products and commutators that
-`_InducedBasis.close` sifts in until the basis is stable.  Lattice
+`_InducedBasis.close` sifts in commutators until a pass changes nothing:
+once the commutators of the slots sift to the identity, their ordered
+products form a subgroup, so inverses and products add nothing.  Lattice
 membership is `intlinalg.lattice_member`, which takes a Hermite basis as
 it is; the basis matrix finds its pivot rows once and keeps them, so a
 subgroup or census centre pays for them once however often it is asked.
@@ -59,8 +60,6 @@ from .intlinalg import (
     xgcd,
 )
 from .pcgroups import Element, PcPresentation, _weights, abelianization
-
-_CLOSURE_ROUNDS_CAP = 64
 
 
 def _require_class2(p: PcPresentation, what: str) -> None:
@@ -100,15 +99,6 @@ def _product_corrections(p: PcPresentation, vecs) -> list[Element]:
     """The distinct nonzero u v - u - v over ordered pairs (u, v) of vecs."""
     vals = (tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v)) for u in vecs for v in vecs)
     return list(dict.fromkeys(w for w in vals if any(w)))
-
-
-def _closure_candidates(p: PcPresentation, vecs: list[Element]):
-    """For each u in vecs, its inverse, then u v and [u, v] for each v."""
-    for u in vecs:
-        yield p.inverse(u)
-        for v in vecs:
-            yield p.multiply(u, v)
-            yield p.commutator(u, v)
 
 
 @dataclass(frozen=True)
@@ -163,10 +153,11 @@ class Subgroup:
     def is_normal(self) -> bool:
         # one side suffices: subgroups of a polycyclic group satisfy the max
         # condition, so g^-1 H g <= H for every generator g gives equality
-        # (H <= g H g^-1 <= g^2 H g^-2 <= ... must stop growing)
+        # (H <= g H g^-1 <= g^2 H g^-2 <= ... must stop growing); and for
+        # u in H, u^g is in H exactly when u^-1 u^g = [u, g] is
         p = self.ambient
         return all(
-            self.contains(p.conjugate(u, p.generator(k)))
+            self.contains(p.commutator(u, p.generator(k)))
             for u in self.basis_elements()
             for k in range(p.n)
         )
@@ -175,12 +166,8 @@ class Subgroup:
         if self.ambient != other.ambient:
             raise ValueError("subgroups live in different ambient groups")
         b1, b2 = self.basis, other.basis
-        if b1.rows == 0 or b2.rows == 0:
-            return Subgroup.trivial(self.ambient)
         rows = b1.to_rows() + [[-x for x in row] for row in b2.to_rows()]
         ker = left_kernel(IntMatrix._from_int_rows(rows, b1.cols))
-        if ker.rows == 0:
-            return Subgroup.trivial(self.ambient)
         coeffs = IntMatrix._from_int_rows([ker.row(i)[: b1.rows] for i in range(ker.rows)], b1.rows)
         # two subgroups meet in a subgroup whose coordinates are the meet of
         # their lattices, so this lattice is closed by construction
@@ -371,8 +358,8 @@ class _InducedBasis:
 
     Keeps at most one basis vector per leading coordinate and reduces new
     vectors against it with group operations (a noncommutative Hermite
-    sift).  Elements of the subgroup are exactly the ordered products of
-    the slot vectors.
+    sift).  After `close`, the elements of the generated subgroup are
+    exactly the ordered products of the slot vectors.
     """
 
     def __init__(self, p: PcPresentation):
@@ -414,28 +401,24 @@ class _InducedBasis:
             queue.append(v)
         return changed
 
-    def close(self) -> None:
-        """Stabilize under products, inverses, and pairwise commutators."""
-        for _ in range(_CLOSURE_ROUNDS_CAP):
-            changed = False
-            for w in _closure_candidates(self.p, self.vectors()):
-                changed |= self.sift(w)
-            if not changed:
-                return
-        raise RuntimeError("induced basis failed to stabilize")  # pragma: no cover
+    def close(self, gens=()) -> None:
+        """Sift in [u, g] for every slot u and every g in gens or the slots
+        until a pass changes nothing.
 
-    def close_under_commutators_with(self, gens: list[Element]) -> None:
+        Once every [b_j, b_i] sifts to the identity, each slot b_i
+        normalizes the ordered products of the later slots (one side
+        suffices, as in `Subgroup.is_normal`), so those products form a
+        subgroup and inverses and products add nothing.  Each change fills
+        an empty leading coordinate or shrinks a slot's leading entry, so
+        the passes stop.
+        """
         p = self.p
-        for _ in range(_CLOSURE_ROUNDS_CAP):
+        changed = True
+        while changed:
             changed = False
             for u in self.vectors():
-                for g in gens:
+                for g in [*gens, *self.vectors()]:
                     changed |= self.sift(p.commutator(u, g))
-            if changed:
-                self.close()
-            else:
-                return
-        raise RuntimeError("commutator closure failed to stabilize")  # pragma: no cover
 
 
 def _subgroup_from_induced(p: PcPresentation, basis: _InducedBasis) -> Subgroup:
@@ -468,8 +451,7 @@ def lower_central_series(p: PcPresentation) -> list[Subgroup]:
         for u in cur_vectors:
             for g in gens:
                 nxt.sift(p.commutator(u, g))
-        nxt.close()
-        nxt.close_under_commutators_with(gens)
+        nxt.close(gens)
         terms.append(_subgroup_from_induced(p, nxt))
         cur_vectors = nxt.vectors()
         if len(terms) > p.n + 2:  # pragma: no cover - inconsistent data
@@ -532,24 +514,27 @@ def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
     _require_class2(p, "isolators")
     if s.ambient != p:
         raise ValueError("subgroup belongs to a different presentation")
-    if s.basis.rows == 0:
-        return s
     return Subgroup(p, saturate(s.basis))
 
 
 def rational_kernel(s: Subgroup) -> Subgroup:
     """ker(s -> s^ab tensor Q) in ambient coordinates: the elements of s
-    with a power in [s, s], that is s meet isolator([s, s]) (class <= 2).
+    with a power in [s, s] (class <= 2).
 
     In class <= 2 commutators are central and bilinear, so [s, s] is the
-    lattice spanned by the commutators of basis pairs.
+    span of the rows D of basis-pair commutators, and an element of s has
+    a power in it exactly when it is orthogonal to perp, the integer
+    kernel of D^T (perp holds the noncentral unit vectors, and a u with
+    zero noncentral coordinates has u^m = m u).  Over the Hermite basis b
+    that is one integer kernel, of b perp^T.
     """
     p = s.ambient
+    _require_class2(p, "rational kernels")
+    b = s.basis
     vecs = s.basis_elements()
-    derived = subgroup_closure(
-        p, [p.commutator(u, v) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
-    )
-    return s.intersect(isolator(p, derived))
+    comms = [p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
+    perp = left_kernel(IntMatrix._from_int_rows(comms, p.n).transpose())
+    return Subgroup(p, hnf_basis(left_kernel(b @ perp.transpose()) @ b))
 
 
 # --------------------------------------------------------- center/ab report
@@ -586,15 +571,8 @@ def center_ab_report(p: PcPresentation) -> CenterAbReport:
     ker = left_kernel(IntMatrix._from_int_rows(free_images, quot.structure.free_rank))
     if ker.rows == 0:
         return CenterAbReport(center_basis=tuple(basis), injective=True, kernel_witness=None)
-    coeff = ker.row(0)
-    witness = [0] * p.n
-    for c, v in zip(coeff, basis):
-        for t in range(p.n):
-            witness[t] += c * v[t]
-    w = tuple(witness)
-    lead = next(k for k in range(p.n) if w[k])
-    if w[lead] < 0:
-        w = tuple(-x for x in w)
+    # kernel row 0 and the centre's Hermite rows lead positive, so does w
+    w = (IntMatrix._from_int_rows([ker.row(0)], ker.cols) @ z.basis).row(0)
     return CenterAbReport(center_basis=tuple(basis), injective=False, kernel_witness=w)
 
 

@@ -110,6 +110,18 @@ def test_raag_nf_command(path3_graph):
     assert "normal form: c,a" in out
 
 
+@pytest.mark.parametrize("edges,expected", [("", "a^{n},b,a^-{n}"), ("0 1\n", "b")])
+def test_raag_nf_command_huge_exponents(tmp_path, edges, expected):
+    """Syllables are piled whole, so an exponent of 10^18 costs no more
+    than an exponent of 1."""
+    n = 10**18
+    path = tmp_path / "two.txt"
+    path.write_text("2\n" + edges)
+    code, out, _ = invoke(["raag-nf", "--graph", str(path), "--word", f"a^{n},b,a^-{n}", "--json"])
+    assert code == 0
+    assert json.loads(out)["normal_form"] == expected.format(n=n)
+
+
 def test_raag_magnus_command(path3_graph):
     code, out, _ = invoke(
         ["raag-magnus", "--graph", path3_graph, "--word", "a,c,a^-1,c^-1", "--degree", "2", "--json"]

@@ -509,9 +509,9 @@ def test_saturate():
 
 
 def test_saturate_single_row_matches_reference():
-    """One-row inputs take the gcd shortcut; the two-kernel reference is
-    the oracle, including negative leading entries, a single nonzero
-    entry, a common factor and the zero row."""
+    """One-row inputs against the two-kernel reference, including negative
+    leading entries, a single nonzero entry, a common factor and the zero
+    row."""
     rng = random.Random(11)
     cases = [[-4, 6, 0], [0, 0, -7], [0, 12, -18, 30], [0, 0, 0], [5], [-1, 0]]
     for _ in range(200):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from rfrskit import rfrs
 from rfrskit.cli import main
 from rfrskit.intlinalg import IntMatrix
 from rfrskit.pcgroups import (
+    PcPresentation,
     abelianization,
     direct_product,
     free_abelian,
@@ -246,19 +248,53 @@ def _rational_kernel_by_induced_presentation(s):
     return subgroup_closure(s.ambient, [ip.to_ambient(v) for v in isolated.basis_elements()])
 
 
+def _rational_kernel_by_meet(s):
+    """Reference kernel as s meet isolator([s, s]), with [s, s] the closure
+    of the basis-pair commutators."""
+    p = s.ambient
+    vecs = s.basis_elements()
+    comms = [p.commutator(u, v) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
+    return s.intersect(isolator(p, subgroup_closure(p, comms)))
+
+
+def _random_class2_tables(seed, count):
+    """Four generators: the first two or three noncentral, with random
+    commutator values in the rest."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        k = rng.choice([2, 3])
+        rules = {}
+        for i, j in itertools.combinations(range(k), 2):
+            val = tuple(rng.randint(-2, 2) for _ in range(k, 4))
+            if any(val):
+                rules[(i, j)] = (0,) * k + val
+        if rules:
+            tables.append(PcPresentation(4, rules, nilpotency_class=2))
+    return tables
+
+
 def test_rational_kernel_matches_induced_route():
     hz = direct_product(H, free_abelian(1))
+    zh = direct_product(free_abelian(1), H)  # its central coordinate comes first
+    hh = direct_product(H, H)
+    tables = _random_class2_tables(13, 6)
+    groups = [H, hz, zh, hh] + tables
     rng = random.Random(11)
     subs = enumerate_normal_subgroups(H, 16) + enumerate_normal_subgroups(hz, 6)
+    subs += enumerate_normal_subgroups(zh, 6) + enumerate_normal_subgroups(hh, 3)
+    subs += [s for p in tables for s in enumerate_normal_subgroups(p, 4)]
     subs += [subgroup_closure(H, gens) for gens in ([X, Z], [X], [X, H.power(Z, 2)])]
-    for p in (H, hz):
+    for p in groups:
+        subs += [Subgroup.trivial(p), Subgroup.whole_group(p)]
         for _ in range(15):
             gens = [tuple(rng.randint(-2, 2) for _ in range(p.n)) for _ in range(2)]
             subs.append(subgroup_closure(p, gens))
-    witness = {p: center_ab_report(p).kernel_witness for p in (H, hz)}
+    witness = {p: center_ab_report(p).kernel_witness for p in groups}
     for s in subs:
         kernel = rational_kernel(s)
         assert kernel == _rational_kernel_by_induced_presentation(s)
+        assert kernel == _rational_kernel_by_meet(s)
         z = witness[s.ambient]
         if s.contains(z):
             ip = induced_presentation(s)

@@ -72,6 +72,37 @@ def is_closed(p, lattice):
     return next(sweep(p, lattice), None) is None
 
 
+def _closure_candidates(p, vecs):
+    """For each u in vecs, its inverse, then u v and [u, v] for each v."""
+    for u in vecs:
+        yield p.inverse(u)
+        for v in vecs:
+            yield p.multiply(u, v)
+            yield p.commutator(u, v)
+
+
+def reference_induced_close(base, gens=()):
+    """Close an induced basis by the full sweep: sift in the inverses,
+    products and commutators of the slots in rounds until one changes
+    nothing, then commutators of the slots with gens, sweeping again after
+    every round of those that changed something; each loop capped at 64
+    rounds."""
+    p = base.p
+
+    def sweep_closed():
+        for _ in range(64):
+            if not any([base.sift(w) for w in _closure_candidates(p, base.vectors())]):
+                return
+        raise AssertionError("induced basis failed to stabilize")
+
+    sweep_closed()
+    for _ in range(64):
+        if not any([base.sift(p.commutator(u, g)) for u in base.vectors() for g in gens]):
+            return
+        sweep_closed()
+    raise AssertionError("commutator closure failed to stabilize")
+
+
 def reference_closure(p, gens):
     """The fixpoint sweep: add what `sweep` finds until the basis is stable
     (an ascending chain of lattices in Z^n stops)."""
@@ -246,6 +277,8 @@ def test_intersect_examples():
     s = subgroup_closure(H, [H.power(X, 2), Y, Z])
     assert s.intersect(Subgroup.whole_group(H)) == s
     assert s.intersect(s) == s
+    trivial = Subgroup.trivial(H)
+    assert s.intersect(trivial) == trivial.intersect(s) == trivial
     t = subgroup_closure(H, [X, H.power(Y, 2), Z])
     meet = s.intersect(t)
     assert meet.basis.to_rows() == [[2, 0, 0], [0, 2, 0], [0, 0, 1]]
@@ -563,18 +596,22 @@ def test_express_and_map_roundtrip():
     assert express_in_basis(s, (1, 0, 0)) is None
 
 
-@pytest.mark.parametrize("name", ["ut(4)", "direct_product(ut(4),heisenberg)"])
-def test_induced_basis_and_express_agree_with_ordered_products(name):
-    p = build_standard(name)
+def _ordered_product_gen_sets(p):
     g = [p.generator(k) for k in range(p.n)]
-    gen_sets = [
+    return [
         g,
         [p.multiply(g[0], g[1]), p.power(g[2], 2)],
         [p.multiply(p.power(g[0], 2), g[2]), p.multiply(g[1], p.power(g[4], 3))],
         [p.multiply(g[0], g[-1]), p.power(g[1], 2), p.power(g[2], 2)],
     ]
+
+
+@pytest.mark.parametrize("name", ["ut(4)", "direct_product(ut(4),heisenberg)"])
+def test_induced_basis_and_express_agree_with_ordered_products(name):
+    p = build_standard(name)
+    g = [p.generator(k) for k in range(p.n)]
     rng = random.Random(4)
-    for gens in gen_sets:
+    for gens in _ordered_product_gen_sets(p):
         base = _InducedBasis(p)
         for x in gens:
             base.sift(x)
@@ -719,7 +756,7 @@ def reference_center(p):
         base = _InducedBasis(p)
         for v in gamma_k.basis_elements():
             base.sift(v)
-        base.close()
+        reference_induced_close(base)
         slots = sorted(base.slots.items())
 
         def slot_exponents(w):
@@ -747,12 +784,12 @@ def reference_center(p):
                 if c:
                     elt = p.multiply(elt, p.power(b, c))
             new_basis.sift(elt)
-        new_basis.close()
+        reference_induced_close(new_basis)
         candidates = new_basis.vectors()
     final = _InducedBasis(p)
     for v in candidates:
         final.sift(v)
-    final.close()
+    reference_induced_close(final)
     return _subgroup_from_induced(p, final)
 
 
@@ -829,6 +866,51 @@ def test_center_elements_commute():
                 assert p.commutator(v, p.generator(k)) == p.identity()
 
 
+# ---------------------------------------------------- induced-basis closure
+
+INDUCED_CLOSE_CASES = [build_standard(f"ut({n})") for n in range(3, 8)] + [
+    build_standard("direct_product(ut(4),heisenberg)")
+] + RANDOM_TABLES
+
+
+def _close_both_ways(p, elements, gens=()):
+    """`_InducedBasis.close` and the sweep reference, each on a basis
+    holding the given elements."""
+    bases = _InducedBasis(p), _InducedBasis(p)
+    for base in bases:
+        for x in elements:
+            base.sift(x)
+    bases[0].close(gens)
+    reference_induced_close(bases[1], gens)
+    return bases
+
+
+def test_induced_close_matches_sweep_reference():
+    """Closing under commutators alone gives what the sweep of inverses,
+    products and commutators gives: every lower-central-series term, and
+    the subgroups of the ordered-product test's generator sets and of
+    random elements."""
+    rng = random.Random(12)
+    for p in INDUCED_CLOSE_CASES:
+        gens = [p.generator(k) for k in range(p.n)]
+        terms, cur = [Subgroup.whole_group(p)], gens
+        while cur:
+            new, ref = _close_both_ways(p, [p.commutator(u, g) for u in cur for g in gens], gens)
+            terms.append(_subgroup_from_induced(p, ref))
+            assert _subgroup_from_induced(p, new) == terms[-1]
+            cur = ref.vectors()
+        assert lower_central_series(p) == terms
+        elements = [tuple(rng.randint(-2, 2) for _ in range(p.n)) for _ in range(2)]
+        new, ref = _close_both_ways(p, elements)
+        assert all(ref.contains(v) for v in new.vectors())
+        assert all(new.contains(v) for v in ref.vectors())
+    for name in ["ut(4)", "direct_product(ut(4),heisenberg)"]:
+        p = build_standard(name)
+        for elements in _ordered_product_gen_sets(p):
+            new, ref = _close_both_ways(p, elements)
+            assert _subgroup_from_induced(p, new) == _subgroup_from_induced(p, ref)
+
+
 # ----------------------------------------------------------------- isolator
 
 
@@ -840,6 +922,7 @@ def test_isolator_examples():
     assert isolator(p, s2).basis.to_rows() == [[1, 0]]
     derived = lat(H, [[0, 0, 1]])
     assert isolator(H, derived) == derived
+    assert isolator(H, Subgroup.trivial(H)) == Subgroup.trivial(H)
 
 
 def test_isolator_root_closed_oracle():
