@@ -7,9 +7,10 @@ from that table, and every input file goes through one reader.
 
 Exit codes: 0 when the computation completed with an overall pass/true
 result, 1 when it completed with a fail/false result, 2 on input errors
-or exceeded resource caps.  Reports print human-readable by default and
-as JSON with --json; the RFRS-family commands share one JSON field set
-so scripts can parse them uniformly.
+(any ValueError, which `run` alone reports) or exceeded resource caps.
+Reports print human-readable by default and as JSON with --json; the
+RFRS-family commands share one JSON field set so scripts can parse them
+uniformly.
 """
 
 from __future__ import annotations
@@ -67,20 +68,16 @@ class RunConfig:
     json_output: bool = False
 
 
-class InputError(Exception):
-    pass
-
-
 def _read_input(spec: str, kind: str, parse):
     """parse applied to the text of file spec.  A missing file, or a
-    ValueError from parse, becomes an InputError naming the kind of file."""
+    ValueError from parse, becomes a ValueError naming the kind of file."""
     path = Path(spec)
     if not path.exists():
-        raise InputError(f"{kind} file not found: {spec}")
+        raise ValueError(f"{kind} file not found: {spec}")
     try:
         return parse(path.read_text())
     except ValueError as exc:
-        raise InputError(f"bad {kind} file {spec}: {exc}") from exc
+        raise ValueError(f"bad {kind} file {spec}: {exc}") from exc
 
 
 def _presentation_with_checked_class(text: str) -> PcPresentation:
@@ -103,10 +100,16 @@ def _load_group(spec: str) -> PcPresentation:
     """A presentation file if spec names one, else a builder name."""
     if Path(spec).exists():
         return _read_input(spec, "presentation", _presentation_with_checked_class)
-    try:
-        return build_standard(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return build_standard(spec)
+
+
+def _load_class2_group(cfg: RunConfig) -> PcPresentation:
+    """An RFRS command's group, refused above class 2 before other input is read."""
+    p = _load_group(cfg.group)
+    if p.nilpotency_class > 2:
+        raise ValueError(f"{cfg.command} supports nilpotency class <= 2 only; "
+                         f"group {cfg.group} has class {p.nilpotency_class}")
+    return p
 
 
 def _load_chain(p: PcPresentation, spec: str) -> Filtration:
@@ -183,7 +186,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _cmd_rfrs_verify(cfg: RunConfig) -> int:
-    p = _load_group(cfg.group)
+    p = _load_class2_group(cfg)
     f = _load_chain(p, cfg.chain)
     rep = verify_rfrs_chain(f)
     witness = trapped_central_witness(rep) if rep.overall and not p.is_abelian() else None
@@ -213,11 +216,7 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
-    p = _load_group(cfg.group)
-    try:
-        cert = obstruction_certificate(p, cfg.max_index)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cert = obstruction_certificate(_load_class2_group(cfg), cfg.max_index)
     steps = [
         {
             "index": r.index,
@@ -249,13 +248,9 @@ def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
 
 
 def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
-    p = _load_group(cfg.group)
+    p = _load_class2_group(cfg)
     f = _load_chain(p, cfg.chain)
-    h = _load_subgroup(p, cfg.restrict_to)
-    try:
-        g = restrict_chain(f, h)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    g = restrict_chain(f, _load_subgroup(p, cfg.restrict_to))
     rep = verify_rfrs_chain(g)
     steps = [
         {"index": s.index, "normal": s.normal_in_g, "kernel_contained": s.kernel_contained}
@@ -281,11 +276,7 @@ def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
 
 def _cmd_raag_nf(cfg: RunConfig) -> int:
     g = _read_input(cfg.graph, "graph", graph_from_text)
-    try:
-        w = word_from_tokens(g, cfg.word or "")
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    nf = normal_form(g, w)
+    nf = normal_form(g, word_from_tokens(g, cfg.word or ""))
     report = {
         "command": "raag-nf",
         "graph": cfg.graph,
@@ -299,11 +290,7 @@ def _cmd_raag_nf(cfg: RunConfig) -> int:
 
 def _cmd_raag_magnus(cfg: RunConfig) -> int:
     g = _read_input(cfg.graph, "graph", graph_from_text)
-    try:
-        w = word_from_tokens(g, cfg.word or "")
-        series = magnus_image(g, w, cfg.degree)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    series = magnus_image(g, word_from_tokens(g, cfg.word or ""), cfg.degree)
     terms = [
         {"monomial": list(mono), "coefficient": str(coeff)}
         for mono, coeff in series.sorted_terms()
@@ -395,7 +382,8 @@ def run(cfg: RunConfig) -> int:
         return 2
     try:
         return command.handler(cfg)
-    except InputError as exc:
+    except ValueError as exc:
+        # the library's internal-invariant failures are other exceptions
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitExceeded as exc:

@@ -47,11 +47,13 @@ class PcPresentation:
     """Power-commutator presentation with triangular integer data.
 
     `rules` maps 0-based pairs (i, j) with i < j to the exponent vector of
-    [g_j, g_i]; absent pairs commute.  Instances are immutable.
+    [g_j, g_i]; absent pairs commute.  Instances are immutable.  Class <= 2
+    tables are consistent by construction (see `check_consistency`), which
+    runs when a class >= 3 table on at most 8 generators is built.
     """
 
     def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None,
-                 nilpotency_class: int | None = None, check: bool = True):
+                 nilpotency_class: int | None = None):
         if n < 0:
             raise ValueError("generator count must be nonnegative")
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -90,7 +92,7 @@ class PcPresentation:
         self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
         # conjugation polynomials for class >= 3, built on the first generic product
         self._collector: _Collector | None = None
-        if check and n <= 8:
+        if nilpotency_class > 2 and n <= 8:
             self.check_consistency()
 
     # -------------------------------------------------------------- basics
@@ -207,6 +209,9 @@ class PcPresentation:
         A triangular table can still present an inconsistent group; this
         catches it by checking the collected products (g_c g_b) g_a and
         g_c (g_b g_a) for all c > b > a, which are the critical overlaps.
+        It cannot fail in class <= 2, where B is bilinear, central valued and
+        zero on central arguments: (u v) w = u (v w) = u + v + w + B(u, v) +
+        B(u, w) + B(v, w), and u^-1 u = B(u, u) - B(u, u) = 0.
         """
         gens = [self.generator(k) for k in range(self.n)]
         for c in range(self.n):

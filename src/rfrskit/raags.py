@@ -78,10 +78,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class RaagWord:
-    """Word in the graph group: (vertex, exponent) syllables, adjacent
-    same-vertex syllables merged, no zero exponents."""
+    """Word in the graph group: (vertex, exponent) syllables, adjacent same-vertex
+    syllables merged, no zero exponents; the constructor checks, `build` merges."""
 
     letters: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if not all(e for _, e in self.letters):
+            raise ValueError("a word syllable has exponent 0")
+        if any(a[0] == b[0] for a, b in zip(self.letters, self.letters[1:])):
+            raise ValueError("adjacent word syllables share a vertex")
 
     @staticmethod
     def build(letters) -> "RaagWord":

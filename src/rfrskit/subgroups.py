@@ -5,7 +5,8 @@ normal-subgroup enumeration.
 
 `rational_kernel(s)` is the kernel of s -> s^ab tensor Q, computed in
 ambient coordinates by one integer kernel over the Hermite basis of s; the
-RFRS checks of `rfrs` all go through it.
+RFRS checks of `rfrs` all go through it, and `center_ab_report` takes the
+central witness from the same step, so no Smith form is built here.
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -59,7 +60,7 @@ from .intlinalg import (
     saturate,
     xgcd,
 )
-from .pcgroups import Element, PcPresentation, _weights, abelianization
+from .pcgroups import Element, PcPresentation, _weights
 
 
 def _require_class2(p: PcPresentation, what: str) -> None:
@@ -517,24 +518,26 @@ def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
     return Subgroup(p, saturate(s.basis))
 
 
+def _torsion_image_kernel(b: IntMatrix, comms) -> IntMatrix:
+    """Canonical basis of the k with k b in the rational span of comms:
+    the left kernel of b perp^T, perp the integer kernel of comms^T."""
+    perp = left_kernel(IntMatrix._from_int_rows(comms, b.cols).transpose())
+    return left_kernel(b @ perp.transpose())
+
+
 def rational_kernel(s: Subgroup) -> Subgroup:
     """ker(s -> s^ab tensor Q) in ambient coordinates: the elements of s
     with a power in [s, s] (class <= 2).
 
-    In class <= 2 commutators are central and bilinear, so [s, s] is the
-    span of the rows D of basis-pair commutators, and an element of s has
-    a power in it exactly when it is orthogonal to perp, the integer
-    kernel of D^T (perp holds the noncentral unit vectors, and a u with
-    zero noncentral coordinates has u^m = m u).  Over the Hermite basis b
-    that is one integer kernel, of b perp^T.
+    In class <= 2 [s, s] is the span of the central, bilinear basis-pair
+    commutators, and u in s has a power in it exactly when u is in their
+    rational span (u^m = m u when u has zero noncentral coordinates).
     """
     p = s.ambient
     _require_class2(p, "rational kernels")
-    b = s.basis
     vecs = s.basis_elements()
     comms = [p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
-    perp = left_kernel(IntMatrix._from_int_rows(comms, p.n).transpose())
-    return Subgroup(p, hnf_basis(left_kernel(b @ perp.transpose()) @ b))
+    return Subgroup(p, hnf_basis(_torsion_image_kernel(s.basis, comms) @ s.basis))
 
 
 # --------------------------------------------------------- center/ab report
@@ -561,19 +564,15 @@ class CenterAbReport:
 
 def center_ab_report(p: PcPresentation) -> CenterAbReport:
     z = center(p)
-    quot = abelianization(p)
-    basis = z.basis_elements()
-    if not basis:
-        return CenterAbReport(center_basis=(), injective=True, kernel_witness=None)
-    # the projection is linear in Mal'cev coordinates, so restrict its free
-    # part to the center lattice and take the integer kernel
-    free_images = [quot.project(v)[0] for v in basis]
-    ker = left_kernel(IntMatrix._from_int_rows(free_images, quot.structure.free_rank))
+    basis = tuple(z.basis_elements())
+    # in any class G^ab is Z^n modulo the commutator-table values, so a
+    # central element has torsion image exactly in their rational span
+    ker = _torsion_image_kernel(z.basis, list(p.rules.values()))
     if ker.rows == 0:
-        return CenterAbReport(center_basis=tuple(basis), injective=True, kernel_witness=None)
+        return CenterAbReport(center_basis=basis, injective=True, kernel_witness=None)
     # kernel row 0 and the centre's Hermite rows lead positive, so does w
     w = (IntMatrix._from_int_rows([ker.row(0)], ker.cols) @ z.basis).row(0)
-    return CenterAbReport(center_basis=tuple(basis), injective=False, kernel_witness=w)
+    return CenterAbReport(center_basis=basis, injective=False, kernel_witness=w)
 
 
 # ------------------------------------------------------------- file format

@@ -163,6 +163,24 @@ def test_exit2_on_abelian_obstruct():
     assert "nonabelian" in err
 
 
+@pytest.mark.parametrize("command", ["rfrs-verify", "rfrs-obstruct", "rfrs-restrict"])
+def test_exit2_on_class3_rfrs_commands(command, tmp_path):
+    """A class-3 group is refused before its chain or subgroup file is
+    read, with a message naming the group and its class, not the file."""
+    whole = "\n".join(" ".join("1" if t == k else "0" for t in range(6)) for k in range(6)) + "\n"
+    (tmp_path / "chain.txt").write_text(whole)
+    (tmp_path / "sub.txt").write_text(whole)
+    args = [command, "--group", "ut(4)"]
+    if command != "rfrs-obstruct":
+        args += ["--chain", str(tmp_path / "chain.txt")]
+    if command == "rfrs-restrict":
+        args += ["--restrict-to", str(tmp_path / "sub.txt")]
+    code, out, err = invoke(args)
+    assert code == 2 and not out
+    assert "group ut(4) has class 3" in err
+    assert "bad chain file" not in err
+
+
 def test_run_config_api(bad_chain):
     cfg = RunConfig(command="rfrs-verify", group="heisenberg", chain=bad_chain)
     assert run(cfg) == 1

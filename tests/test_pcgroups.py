@@ -115,6 +115,8 @@ def mat_pow(a, e):
 # ------------------------------------------------------- reference collector
 # Step-by-step collection: the tail is conjugated through g_k one step at a
 # time, abs(e) times, each generator's conjugate solved for separately.
+# Products u g_k^e are memoized on (u, k, e), which leaves the algorithm as
+# it is and only spares repeating it.
 
 
 class StepCollector:
@@ -122,6 +124,7 @@ class StepCollector:
         self.p = p
         self.n = p.n
         self.cache = {}
+        self.products = {}
 
     def identity(self):
         return (0,) * self.n
@@ -165,11 +168,14 @@ class StepCollector:
     def mul_gen_power(self, u, k, e):
         if e == 0:
             return u
-        tail = tuple(0 if t <= k else u[t] for t in range(self.n))
-        new_tail = self.conj_tail(tail, k, e)
-        return tuple(
-            u[t] if t < k else (u[t] + e if t == k else new_tail[t]) for t in range(self.n)
-        )
+        key = (u, k, e)
+        if key not in self.products:
+            tail = tuple(0 if t <= k else u[t] for t in range(self.n))
+            new_tail = self.conj_tail(tail, k, e)
+            self.products[key] = tuple(
+                u[t] if t < k else (u[t] + e if t == k else new_tail[t]) for t in range(self.n)
+            )
+        return self.products[key]
 
     def mul(self, u, v):
         res = u
@@ -425,14 +431,54 @@ def test_large_exponents_match_matrix_model(n):
 
 def test_off_grid_check_rejects_corrupted_table():
     # ut(4) with [g1, g0] = g3 g2: g2 is not central, so the table is
-    # inconsistent, and conjugating g1 by powers of g0 stops being polynomial
+    # inconsistent, and conjugating g1 by powers of g0 stops being polynomial;
+    # the constructor's consistency check meets it through its first product
     rules = dict(unitriangular(4).rules)
     rules[(0, 1)] = (0, 0, 1, 1, 0, 0)
-    p = PcPresentation(6, rules, nilpotency_class=3, check=False)
+    with pytest.raises(ValueError, match="inconsistent presentation: conjugating g1 by g0"):
+        PcPresentation(6, rules, nilpotency_class=3)
+    # ut(5) with [g1, g0] = g4 g2 has 10 generators, past the constructor's
+    # check, so it builds and the off-grid check refuses its first product
+    rules = dict(unitriangular(5).rules)
+    rules[(0, 1)] = (0, 0, 1, 0, 1, 0, 0, 0, 0, 0)
+    p = PcPresentation(10, rules, nilpotency_class=4)
     with pytest.raises(ValueError, match="inconsistent presentation: conjugating g1 by g0"):
         p.multiply(p.generator(1), p.generator(0))
-    with pytest.raises(ValueError, match="inconsistent presentation"):
-        PcPresentation(6, rules, nilpotency_class=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_accepted_class2_tables_are_consistent(data):
+    """A class-2 table gets no consistency pass when built, so every table
+    the constructor accepts must pass that check and give associative
+    products and inverses on random elements.
+
+    The tables put commutator values on generators drawn as central, and
+    sometimes leak one onto a generator that is not, which the constructor
+    must then refuse or find central after all."""
+    n = data.draw(st.integers(4, 7))
+    flagged = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    leak = data.draw(st.booleans())
+    entry = st.integers(-3, 3)
+    rules = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if flagged[i] or flagged[j] or not data.draw(st.booleans()):
+                continue
+            rules[(i, j)] = (0,) * (j + 1) + tuple(
+                data.draw(entry) if flagged[k] or leak else 0 for k in range(j + 1, n)
+            )
+    try:
+        p = PcPresentation(n, rules, nilpotency_class=2)
+    except ValueError as exc:
+        assert leak and "central commutator values" in str(exc)
+        return
+    p.check_consistency()
+    elt = st.tuples(*[st.integers(-4, 4)] * n)
+    u, v, w = data.draw(elt), data.draw(elt), data.draw(elt)
+    assert p.multiply(p.multiply(u, v), w) == p.multiply(u, p.multiply(v, w))
+    assert p.multiply(p.inverse(u), u) == p.identity()
+    assert p.multiply(u, p.inverse(u)) == p.identity()
 
 
 def test_conjugation_polynomials_stay_below_the_weight_bound():

@@ -469,3 +469,20 @@ def test_word_parsing():
 def test_word_str():
     assert str(W((0, 1), (1, -2))) == "a,b^-2"
     assert str(W()) == "1"
+
+
+@pytest.mark.parametrize(
+    "letters,message,built",
+    [
+        (((0, 0), (1, 2)), "a word syllable has exponent 0", ((1, 2),)),
+        (((0, 0),), "a word syllable has exponent 0", ()),
+        (((1, 2), (0, 1), (0, -3)), "adjacent word syllables share a vertex", ((1, 2), (0, -2))),
+    ],
+)
+def test_word_constructor_refuses_unreduced_letters(letters, message, built):
+    """The constructor holds the rules that `build` establishes, so no word
+    prints a zero exponent or passes for a non-identity word unmerged."""
+    with pytest.raises(ValueError, match=message):
+        RaagWord(letters)
+    assert RaagWord.build(letters) == RaagWord(built)
+    assert RaagWord(built).is_identity_word() == (not built)
