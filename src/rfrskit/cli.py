@@ -46,6 +46,7 @@ from .rfrs import (
 )
 from .subgroups import (
     Subgroup,
+    _row_blocks,
     center_ab_report,
     chain_from_text,
     hirsch_rank,
@@ -69,13 +70,17 @@ class RunConfig:
 
 
 def _read_input(spec: str, kind: str, parse):
-    """parse applied to the text of file spec.  A missing file, or a
-    ValueError from parse, becomes a ValueError naming the kind of file."""
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(f"{kind} file not found: {spec}")
+    """parse applied to the text of file spec.  A missing or unreadable
+    file, or a ValueError from parse, becomes a ValueError naming the kind
+    of file."""
     try:
-        return parse(path.read_text())
+        text = Path(spec).read_text()
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValueError(f"{kind} file not found: {spec}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} file {spec}: {exc.strerror}") from exc
+    try:
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"bad {kind} file {spec}: {exc}") from exc
 
@@ -118,11 +123,7 @@ def _load_chain(p: PcPresentation, spec: str) -> Filtration:
 
 def _load_subgroup(p: PcPresentation, spec: str) -> Subgroup:
     def parse(text: str) -> Subgroup:
-        rows = [
-            tuple(int(t) for t in ln.split())
-            for ln in map(str.strip, text.splitlines())
-            if ln and not ln.startswith("#")
-        ]
+        rows = [row for block in _row_blocks(text) for row in block]
         if not rows:
             raise ValueError("empty subgroup file")
         return subgroup_closure(p, rows)
@@ -277,14 +278,15 @@ def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
 def _cmd_raag_nf(cfg: RunConfig) -> int:
     g = _read_input(cfg.graph, "graph", graph_from_text)
     nf = normal_form(g, word_from_tokens(g, cfg.word or ""))
+    text = str(nf)
     report = {
         "command": "raag-nf",
         "graph": cfg.graph,
         "word": cfg.word,
-        "normal_form": str(nf),
+        "normal_form": text,
         "is_identity": nf.is_identity_word(),
     }
-    _emit(report, [f"normal form: {nf}"], cfg)
+    _emit(report, [f"normal form: {text}"], cfg)
     return 0
 
 

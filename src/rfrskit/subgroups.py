@@ -28,8 +28,10 @@ hold.
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
 Hermite sift, Sims ch. 9): `express_in_basis` and the induced bases of
-the lower central series go through it, and `center` checks with it that
-its Hermite rows are ordered products of the walk's basis.
+the lower central series go through it, and `_subgroup_from_induced`, the
+one lattice check for triangular bases, uses it to confirm that each
+Hermite row is an ordered product of the basis, for the lower central
+series and the center alike.
 `_ordered_product` multiplies such powers back together, for
 `map_into_ambient` and for each step of the center walk.
 `_InducedBasis.close` sifts in commutators until a pass changes nothing:
@@ -42,6 +44,9 @@ subgroup or census centre pays for them once however often it is asked.
 The normal-subgroup census tests each (projection, centre) pair of a
 class-2 lattice once, emits every gluing of a passing pair untested, and
 caps the pair tests plus subgroups emitted.
+
+Subgroup and chain files share one reader, `_row_blocks`: integer rows,
+'#' comments and blank-line blocks.
 """
 
 from __future__ import annotations
@@ -422,18 +427,16 @@ class _InducedBasis:
                     changed |= self.sift(p.commutator(u, g))
 
 
-def _subgroup_from_induced(p: PcPresentation, basis: _InducedBasis) -> Subgroup:
-    lattice = hnf_basis(IntMatrix._from_int_rows(basis.vectors(), p.n))
-    sub = Subgroup(p, lattice)
-    if p.nilpotency_class > 2:
-        # the lattice span is faithful only when every canonical basis row
-        # is itself an ordered product of the sifted generators
-        for i in range(lattice.rows):
-            if not basis.contains(tuple(lattice.row(i))):  # pragma: no cover
-                raise NotImplementedError(
-                    "subgroup coordinates do not form a lattice; "
-                    "only coordinate-graded class >= 3 groups are supported"
-                )
+def _subgroup_from_induced(p: PcPresentation, vectors) -> Subgroup:
+    """The subgroup whose elements are the ordered products of the
+    triangular `vectors` (in increasing pivot order), as the lattice they
+    span: faithful only when every Hermite row of that lattice is itself
+    such an ordered product, which is checked here."""
+    sub = Subgroup(p, hnf_basis(IntMatrix._from_int_rows(vectors, p.n)))
+    slots = [(_lead(v), v) for v in vectors]
+    for v in sub.basis_elements():
+        if any(_sift(p, slots, v)[1]):  # pragma: no cover
+            raise NotImplementedError("subgroup coordinates do not form a lattice here")
     return sub
 
 
@@ -453,8 +456,8 @@ def lower_central_series(p: PcPresentation) -> list[Subgroup]:
             for g in gens:
                 nxt.sift(p.commutator(u, g))
         nxt.close(gens)
-        terms.append(_subgroup_from_induced(p, nxt))
         cur_vectors = nxt.vectors()
+        terms.append(_subgroup_from_induced(p, cur_vectors))
         if len(terms) > p.n + 2:  # pragma: no cover - inconsistent data
             raise RuntimeError("lower central series failed to terminate")
     return terms
@@ -493,12 +496,9 @@ def center(p: PcPresentation) -> Subgroup:
         values = [[c[l] for c in (p.commutator(b, g) for g in gens) for l in cols] for b in basis]
         ker = left_kernel(IntMatrix._from_int_rows(values, len(gens) * len(cols)))
         basis = [_ordered_product(p, basis, ker.row(i)) for i in range(ker.rows)]
-    sub = Subgroup(p, hnf_basis(IntMatrix._from_int_rows(basis, p.n)))
-    slots = [(_lead(b), b) for b in basis]
+    sub = _subgroup_from_induced(p, basis)
     for v in sub.basis_elements():
-        # the lattice span is the center only when each Hermite row is an
-        # ordered product of the walk's basis and commutes with G
-        if any(_sift(p, slots, v)[1]) or any(any(p.commutator(v, g)) for g in gens):  # pragma: no cover
+        if any(any(p.commutator(v, g)) for g in gens):  # pragma: no cover
             raise NotImplementedError("center is not a coordinate lattice here")
     return sub
 
@@ -588,24 +588,25 @@ def chain_to_text(subgroups: list[Subgroup]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def chain_from_text(p: PcPresentation, text: str) -> list[Subgroup]:
-    blocks: list[list[list[int]]] = []
-    cur: list[list[int]] = []
-    for ln in text.splitlines():
-        ln = ln.strip()
+def _row_blocks(text: str) -> list[list[tuple[int, ...]]]:
+    """Integer rows of a subgroup or chain file, one per line, grouped into
+    blocks by blank lines; lines starting with '#' are skipped."""
+    blocks: list[list[tuple[int, ...]]] = [[]]
+    for ln in map(str.strip, text.splitlines()):
         if ln.startswith("#"):
             continue
-        if not ln:
-            if cur:
-                blocks.append(cur)
-                cur = []
-            continue
-        cur.append([int(t) for t in ln.split()])
-    if cur:
-        blocks.append(cur)
+        if ln:
+            blocks[-1].append(tuple(int(t) for t in ln.split()))
+        elif blocks[-1]:
+            blocks.append([])
+    return [b for b in blocks if b]
+
+
+def chain_from_text(p: PcPresentation, text: str) -> list[Subgroup]:
+    blocks = _row_blocks(text)
     if not blocks:
         raise ValueError("empty chain file")
-    subs = [subgroup_closure(p, [tuple(r) for r in rows]) for rows in blocks]
+    subs = [subgroup_closure(p, rows) for rows in blocks]
     if subs[0] != Subgroup.whole_group(p):
         raise ValueError("first block of a chain file must generate the whole group")
     return subs

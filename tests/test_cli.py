@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from rfrskit.cli import RunConfig, build_parser, main, run
-from rfrskit.pcgroups import presentation_from_text, presentation_to_text, unitriangular
+from rfrskit.cli import RunConfig, _load_subgroup, build_parser, main, run
+from rfrskit.pcgroups import heisenberg, presentation_from_text, presentation_to_text, unitriangular
+from rfrskit.subgroups import subgroup_closure
 
 PY = [sys.executable, "-m", "rfrskit"]
 
@@ -99,6 +100,13 @@ def test_restrict_command(good_chain, tmp_path):
     )
     assert code == 0
     assert "overall: True" in out
+
+
+def test_subgroup_file_rows_span_blank_lines(tmp_path):
+    p = heisenberg()
+    path = tmp_path / "sub.txt"
+    path.write_text("# index 4\n2 0 0\n\n0 2 0\n  \n# centre\n0 0 1\n")
+    assert _load_subgroup(p, str(path)) == subgroup_closure(p, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
 
 
 def test_raag_nf_command(path3_graph):
@@ -311,6 +319,22 @@ def test_exit2_on_malformed_file(kind, text, message, good_chain, tmp_path, caps
 def test_exit2_on_missing_input_file(kind, good_chain, capsys):
     assert run(_config_for(kind, "/nonexistent", good_chain)) == 2
     assert f"{kind} file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["analyze", "--group", "DIR"], "presentation"),
+        (["raag-nf", "--graph", "DIR", "--word", "a"], "graph"),
+        (["rfrs-verify", "--group", "heisenberg", "--chain", "DIR"], "chain"),
+    ],
+)
+def test_exit2_on_directory_input(args, kind, tmp_path):
+    code, out, err = invoke([str(tmp_path) if a == "DIR" else a for a in args])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot read {kind} file {tmp_path}: ")
+    assert "Traceback" not in err
 
 
 def test_exit2_on_magnus_cap(path3_graph):

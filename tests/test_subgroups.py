@@ -41,6 +41,7 @@ from rfrskit.subgroups import (
     subgroup_closure,
     verify_inclusion_homomorphism,
     _InducedBasis,
+    _row_blocks,
     _sift,
     _subgroup_from_induced,
 )
@@ -616,7 +617,7 @@ def test_induced_basis_and_express_agree_with_ordered_products(name):
         for x in gens:
             base.sift(x)
         base.close()
-        s = _subgroup_from_induced(p, base)
+        s = _subgroup_from_induced(p, base.vectors())
         for _ in range(15):
             exps = tuple(rng.randint(-3, 3) for _ in range(s.rank()))
             u = map_into_ambient(s, exps)
@@ -790,7 +791,7 @@ def reference_center(p):
     for v in candidates:
         final.sift(v)
     reference_induced_close(final)
-    return _subgroup_from_induced(p, final)
+    return _subgroup_from_induced(p, final.vectors())
 
 
 def random_consistent_tables(seed, attempts):
@@ -896,8 +897,8 @@ def test_induced_close_matches_sweep_reference():
         terms, cur = [Subgroup.whole_group(p)], gens
         while cur:
             new, ref = _close_both_ways(p, [p.commutator(u, g) for u in cur for g in gens], gens)
-            terms.append(_subgroup_from_induced(p, ref))
-            assert _subgroup_from_induced(p, new) == terms[-1]
+            terms.append(_subgroup_from_induced(p, ref.vectors()))
+            assert _subgroup_from_induced(p, new.vectors()) == terms[-1]
             cur = ref.vectors()
         assert lower_central_series(p) == terms
         elements = [tuple(rng.randint(-2, 2) for _ in range(p.n)) for _ in range(2)]
@@ -908,7 +909,7 @@ def test_induced_close_matches_sweep_reference():
         p = build_standard(name)
         for elements in _ordered_product_gen_sets(p):
             new, ref = _close_both_ways(p, elements)
-            assert _subgroup_from_induced(p, new) == _subgroup_from_induced(p, ref)
+            assert _subgroup_from_induced(p, new.vectors()) == _subgroup_from_induced(p, ref.vectors())
 
 
 # ----------------------------------------------------------------- isolator
@@ -1005,6 +1006,19 @@ def test_chain_roundtrip():
     text = chain_to_text(chain)
     parsed = chain_from_text(H, text)
     assert parsed == chain
+
+
+def test_row_blocks_skip_comments_and_split_on_blank_runs():
+    text = "# chain\n1 0 0\n 0 1 0 \n0 0 1\n\n  \n# next\n\n2 0 0\n# mid\n0 1 0\n0 0 1\n\n"
+    assert _row_blocks(text) == [
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(2, 0, 0), (0, 1, 0), (0, 0, 1)],
+    ]
+    assert _row_blocks("# only a comment\n\n") == []
+    assert chain_from_text(H, text) == [
+        Subgroup.whole_group(H),
+        subgroup_closure(H, [H.power(X, 2), Y, Z]),
+    ]
 
 
 def test_chain_requires_full_first_block():
