@@ -5,7 +5,9 @@ commutation relations exactly on edges.  Words are put in normal form by
 the piling construction: syllables fall onto per-vertex piles, add to
 the syllable on top of their pile when nothing blocks them and leave it
 when the sum is 0, and unpiling greedily by least vertex yields the
-lexicographically least reduced representative, syllables merged.
+lexicographically least reduced representative, syllables merged.  The
+piles are plain lists; unpiling reads each from the bottom through a
+head index, so nothing is removed from the front of a pile.
 
 Generators also embed into the free partially-commutative power-series
 algebra by v -> 1 + X_v.  Truncating at a degree bound gives nilpotent
@@ -14,11 +16,17 @@ quotients whose elements separate short nontrivial words, which is what
 coefficients are exact integers, and each monomial is keyed by its
 lexicographic trace normal form, built one letter at a time (Diekert &
 Rozenberg, eds., The Book of Traces, 1995).
+
+`magnus_image` and `rtfn_witness` multiply by one syllable v^e at a
+time through the letter kernel `_times_letter`: every power v^k settles
+in a normal monomial m at the same place p, so p is found once per
+monomial and the product's new keys are m[:p] + (v,)*k + m[p:].
+`series_multiply` stays the general product of two series, and the
+tests hold the kernel to it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -91,18 +99,17 @@ class RaagWord:
 
     @staticmethod
     def build(letters) -> "RaagWord":
-        merged: list[list[int]] = []
+        merged: list[tuple[int, int]] = []
         for v, e in letters:
             v, e = int(v), int(e)
             if not e:
                 continue
             if merged and merged[-1][0] == v:
-                merged[-1][1] += e
-                if not merged[-1][1]:
-                    merged.pop()
-            else:
-                merged.append([v, e])
-        return RaagWord(tuple((v, e) for v, e in merged))
+                e += merged.pop()[1]
+                if not e:
+                    continue
+            merged.append((v, e))
+        return RaagWord(tuple(merged))
 
     def units(self) -> list[tuple[int, int]]:
         out = []
@@ -131,8 +138,12 @@ def normal_form(g: Graph, w: RaagWord) -> RaagWord:
     Each vertex's pile holds syllable exponents and 0 markers, one marker
     per syllable of a vertex that does not commute with it.  A syllable
     adds to the top of its pile when that top is a syllable (nothing
-    blocking came since), and a sum of 0 leaves with its markers."""
-    piles: list[deque] = [deque() for _ in range(g.vertex_count)]
+    blocking came since), and a sum of 0 leaves with its markers.  The
+    piles are then read from the bottom: each has a head index, and the
+    least vertex whose head is a syllable goes out next, stepping its
+    own head and the heads of its noncommuters past their markers."""
+    n = g.vertex_count
+    piles: list[list[int]] = [[] for _ in range(n)]
     noncomm = g.noncommuters
     for v, e in w.letters:
         pile = piles[v]
@@ -143,15 +154,23 @@ def normal_form(g: Graph, w: RaagWord) -> RaagWord:
             pile.pop()
             for u in noncomm[v]:
                 piles[u].pop()
-        elif e:
+        else:
             pile.append(e)
             for u in noncomm[v]:
                 piles[u].append(0)
+    heads = [0] * n
     out = []
-    while (v := next((u for u, pile in enumerate(piles) if pile and pile[0]), None)) is not None:
-        out.append((v, piles[v].popleft()))
-        for u in noncomm[v]:
-            piles[u].popleft()
+    v = 0
+    while v < n:
+        pile, h = piles[v], heads[v]
+        if h < len(pile) and pile[h]:
+            out.append((v, pile[h]))
+            heads[v] = h + 1
+            for u in noncomm[v]:
+                heads[u] += 1
+            v = 0
+        else:
+            v += 1
     return RaagWord(tuple(out))
 
 
@@ -229,12 +248,39 @@ def _letter_terms(e: int, d: int) -> int:
     return (min(e, d) if e >= 0 else d) + 1
 
 
-def _letter_series(v: int, e: int, d: int) -> TruncatedSeries:
-    """Image of v^e: the binomial series of (1 + X_v)^e."""
-    return TruncatedSeries(d, {
-        (v,) * k: comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
-        for k in range(_letter_terms(e, d))
-    })
+def _times_letter(
+    blocks: tuple[tuple[bool, ...], ...], s: TruncatedSeries, v: int, e: int
+) -> TruncatedSeries:
+    """s times the image of v^e, the binomial series of (1 + X_v)^e.
+    Every power v^k settles in a normal monomial m at one place p, found
+    as `_append_normal` finds it for the first letter, so the product's
+    keys are m[:p] + (v,)*k + m[p:]; the k = 0 term is s itself."""
+    d = s.degree_bound
+    powers = [
+        comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+        for k in range(1, _letter_terms(e, d))
+    ]
+    row = blocks[v]
+    out = dict(s.coefficients)
+    for m, c in s.coefficients.items():
+        n = len(m)
+        if n >= d:
+            continue
+        p = n
+        while p and not row[m[p - 1]]:
+            p -= 1
+        while p < n and m[p] < v:
+            p += 1
+        head, tail = m[:p], m[p:]
+        for b in powers[:d - n]:
+            head += (v,)
+            key = head + tail
+            val = out.get(key, 0) + c * b
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    return TruncatedSeries(d, out)
 
 
 def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
@@ -244,6 +290,7 @@ def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
     than MAX_TERM_PAIRS term pairs."""
     if d < 1:
         raise ValueError("degree bound must be at least 1")
+    blocks = g.blocking
     out = TruncatedSeries.one(d)
     for done, (v, e) in enumerate(w.letters):
         pairs = len(out.coefficients) * _letter_terms(e, d)
@@ -252,7 +299,7 @@ def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
                 f"series product of {pairs} term pairs exceeds the cap of {MAX_TERM_PAIRS} "
                 f"after {done} of {len(w.letters)} syllables at degree {d}"
             )
-        out = series_multiply(g, out, _letter_series(v, e, d))
+        out = _times_letter(blocks, out, v, e)
     return out
 
 
@@ -307,7 +354,7 @@ def rtfn_witness(g: Graph, max_len: int) -> RtfnWitnessReport:
             if not _extends_normally(blocks, units, letter):
                 continue
             cand = units + [letter]
-            s2 = series_multiply(g, series, _letter_series(letter[0], letter[1], max_len))
+            s2 = _times_letter(blocks, series, *letter)
             checked += 1
             if s2.is_one():
                 failures.append(tuple(cand))
@@ -347,26 +394,32 @@ def graph_from_text(text: str) -> Graph:
     return Graph.build(n, edges)
 
 
+def _word_letter(g: Graph, token: str) -> tuple[int, int] | None:
+    """The (vertex, exponent) of one token like 'a', 'a^-1', 'v12^2'; None
+    for a blank token."""
+    token = token.strip()
+    if not token:
+        return None
+    name, caret, exp = token.partition("^")
+    try:
+        e = int(exp) if caret else 1
+    except ValueError:
+        raise ValueError(f"bad word token {token!r}") from None
+    name = name.strip()
+    if len(name) == 1 and name in _LETTER_NAMES:
+        v = _LETTER_NAMES.index(name)
+    elif name.startswith("v") and name[1:].isdigit():
+        v = int(name[1:])
+    else:
+        raise ValueError(f"bad word token {token!r}")
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex {name!r} out of range for this graph")
+    return v, e
+
+
 def word_from_tokens(g: Graph, text: str) -> RaagWord:
-    """Parse comma-separated tokens like 'a', 'a^-1', 'b^2'."""
-    letters = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "^" in token:
-            name, exp = token.split("^", 1)
-            e = int(exp)
-        else:
-            name, e = token, 1
-        name = name.strip()
-        if len(name) == 1 and name in _LETTER_NAMES:
-            v = _LETTER_NAMES.index(name)
-        elif name.startswith("v") and name[1:].isdigit():
-            v = int(name[1:])
-        else:
-            raise ValueError(f"bad word token {token!r}")
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {name!r} out of range for this graph")
-        letters.append((v, e))
-    return RaagWord.build(letters)
+    """Parse comma-separated tokens like 'a', 'a^-1', 'b^2'.  Each distinct
+    token is parsed once, in order of first appearance."""
+    tokens = text.split(",")
+    letters = {token: _word_letter(g, token) for token in dict.fromkeys(tokens)}
+    return RaagWord.build(letters[t] for t in tokens if letters[t])

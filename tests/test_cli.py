@@ -1,11 +1,15 @@
 import argparse
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rfrskit.cli import RunConfig, _load_subgroup, build_parser, main, run
+from rfrskit.cli import RunConfig, _dumps, _load_subgroup, build_parser, main, run
 from rfrskit.pcgroups import heisenberg, presentation_from_text, presentation_to_text, unitriangular
 from rfrskit.subgroups import subgroup_closure
 
@@ -321,20 +325,40 @@ def test_exit2_on_missing_input_file(kind, good_chain, capsys):
     assert f"{kind} file not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "args, kind",
-    [
-        (["analyze", "--group", "DIR"], "presentation"),
-        (["raag-nf", "--graph", "DIR", "--word", "a"], "graph"),
-        (["rfrs-verify", "--group", "heisenberg", "--chain", "DIR"], "chain"),
-    ],
-)
+# one command per reader path, with PATH where the input file goes
+INPUT_FILE_ARGS = [
+    (["analyze", "--group", "PATH"], "presentation"),
+    (["raag-nf", "--graph", "PATH", "--word", "a"], "graph"),
+    (["rfrs-verify", "--group", "heisenberg", "--chain", "PATH"], "chain"),
+]
+
+
+@pytest.mark.parametrize("args, kind", INPUT_FILE_ARGS)
 def test_exit2_on_directory_input(args, kind, tmp_path):
-    code, out, err = invoke([str(tmp_path) if a == "DIR" else a for a in args])
+    code, out, err = invoke([str(tmp_path) if a == "PATH" else a for a in args])
     assert code == 2
     assert out == ""
     assert err.startswith(f"input error: cannot read {kind} file {tmp_path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, kind", INPUT_FILE_ARGS)
+def test_exit2_on_non_utf8_input(args, kind, tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff3\n0 1\n")
+    code, out, err = invoke([str(path) if a == "PATH" else a for a in args])
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: cannot read {kind} file {path}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command", ["raag-nf", "raag-magnus"])
+@pytest.mark.parametrize("token", ["a^", "a^x", "a^1.5", "a^^2"])
+def test_exit2_on_bad_exponent_token(command, token, path3_graph, capsys):
+    assert main([command, "--graph", path3_graph, "--word", f"b,{token}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: bad word token '{token}'\n"
 
 
 def test_exit2_on_magnus_cap(path3_graph):
@@ -464,3 +488,89 @@ def test_main_repeats_after_usage_error(bad_chain, capsys):
         assert main(args + ["--bogus"]) == 2
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
         assert (main(args), capsys.readouterr().out) == first
+
+
+# ------------------------------------------------------------- JSON output
+
+# strings json escapes: control characters, quotes, non-ASCII, astral and lone surrogates
+JSON_STRINGS = st.text() | st.sampled_from(["", "\x00\x1f\x7f\"\\/", "é \U0001f600", "\ud800"])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e300])
+    | JSON_STRINGS
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example([[], {}, (), [[]], {"": {}}, [(), [{}]]])
+@example({"é\x01": ["\n", True, False, None, -(2**100), -0.0, math.inf, -math.inf, math.nan]})
+@example(((1, "a"), {"k": (None,)}))
+def test_dumps_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.fixture
+def json_inputs(tmp_path, monkeypatch):
+    """The input files of JSON_INVOCATIONS, named relative to the working
+    directory, since reports echo the graph file's name."""
+    (tmp_path / "path3.graph").write_text("3\n0 1\n1 2\n")
+    (tmp_path / "good_chain.txt").write_text(
+        "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 1\n"
+    )
+    (tmp_path / "sub.txt").write_text("2 0 0\n0 1 0\n0 0 1\n")
+    monkeypatch.chdir(tmp_path)
+
+
+# One fixed --json invocation of each command, with the sha256 of its
+# standard output as the json module's indent=2 encoder wrote it.
+JSON_INVOCATIONS = {
+    "analyze": (
+        ["--group", "ut(4)"],
+        "05d72a19508dfc70f1cf8574439aca2825c6347d7e2457b5f2d89277de74ee33",
+    ),
+    "rfrs-verify": (
+        ["--group", "heisenberg", "--chain", "good_chain.txt"],
+        "6d6bcc67d11d8768110f841e91ce10bee5e44a07e34c0823530a44f64c997c6e",
+    ),
+    "rfrs-obstruct": (
+        ["--group", "heisenberg", "--max-index", "8"],
+        "431ab9f1e1ed108675c555f0f291ad8fe885c56bd9c2008a5d7cd3a9bfa9ad7d",
+    ),
+    "rfrs-restrict": (
+        ["--group", "heisenberg", "--chain", "good_chain.txt", "--restrict-to", "sub.txt"],
+        "9ed3a5dfc89f93d1edbeef70bbf2458f297bb826d1b50b2afbcb1ea0c5acb559",
+    ),
+    "raag-nf": (
+        ["--graph", "path3.graph", "--word", "b,a,c^-2,a^3,b^-1,a^-3"],
+        "0f354464579e9ec7c6e2e674dae17fa91373d98f3c55b408e91e2004030667a9",
+    ),
+    "raag-magnus": (
+        ["--graph", "path3.graph", "--word", "a,c,a^-1,c^-1,b^-2", "--degree", "4"],
+        "69ace7f3caf012cd66dfb49848214e483bcb84d24753715362675eb7b55ae7c4",
+    ),
+    "raag-rtfn": (
+        ["--graph", "path3.graph", "--max-len", "3"],
+        "1c5824f93e7d523a97de5e792635ad661c8590d347bfac5a6e2fdfbd9b248a22",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_INVOCATIONS))
+def test_json_stdout_is_pinned(command, json_inputs, capsys):
+    args, digest = JSON_INVOCATIONS[command]
+    assert main([command, *args, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import re
 from collections import Counter, deque
 from fractions import Fraction
 from math import comb
@@ -25,6 +26,7 @@ from rfrskit.raags import (
     word_from_tokens,
     _append_normal,
     _extends_normally,
+    _times_letter,
 )
 
 PATH3 = Graph.path(3)
@@ -199,6 +201,44 @@ def test_normal_form_matches_unit_piling_on_seeded_words():
         assert normal_form(g, w) == RaagWord.build(_pile_units(g, w.units())), (g, w)
 
 
+def _deque_normal_form(g, w):
+    """The piling normal form as it was first written: deques, unpiled by
+    popleft from the least vertex whose pile starts with a syllable."""
+    piles = [deque() for _ in range(g.vertex_count)]
+    noncomm = g.noncommuters
+    for v, e in w.letters:
+        pile = piles[v]
+        if pile and pile[-1]:
+            pile[-1] += e
+            if pile[-1]:
+                continue
+            pile.pop()
+            for u in noncomm[v]:
+                piles[u].pop()
+        elif e:
+            pile.append(e)
+            for u in noncomm[v]:
+                piles[u].append(0)
+    out = []
+    while (v := next((u for u, pile in enumerate(piles) if pile and pile[0]), None)) is not None:
+        out.append((v, piles[v].popleft()))
+        for u in noncomm[v]:
+            piles[u].popleft()
+    return RaagWord(tuple(out))
+
+
+def test_normal_form_matches_deque_piling_on_long_words():
+    """Seeded 2000-letter words over random graphs on up to 6 vertices, in
+    unit letters and in syllables of exponent up to 3 that merge and cancel."""
+    rng = random.Random(15)
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        g = Graph.build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        exponents = (1, -1) if trial % 2 else (-3, -2, -1, 1, 2, 3)
+        w = RaagWord.build((rng.randrange(n), rng.choice(exponents)) for _ in range(2000))
+        assert normal_form(g, w) == _deque_normal_form(g, w), (g, trial)
+
+
 # ------------------------------------------------------------------ series
 
 
@@ -365,6 +405,35 @@ def test_series_multiply_matches_greedy_reference(data):
     assert series_multiply(g, s1, s2).coefficients == _reference_multiply(g, s1, s2)
 
 
+def _letter_series(v, e, d):
+    """Image of v^e: the binomial series of (1 + X_v)^e, as a series."""
+    return TruncatedSeries(d, {
+        (v,) * k: comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+        for k in range((min(e, d) if e >= 0 else d) + 1)
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_times_letter_matches_series_products(data):
+    """The letter kernel against the general product by the letter's
+    binomial series and against the greedy reference, with |e| above the
+    degree bound and negative e both drawn."""
+    g = data.draw(graphs())
+    syllables = st.tuples(st.integers(0, g.vertex_count - 1), st.integers(-2, 2))
+    d = data.draw(st.integers(1, 6))
+    s = magnus_image(g, RaagWord.build(data.draw(st.lists(syllables, max_size=3))), d)
+    v = data.draw(st.integers(0, g.vertex_count - 1))
+    e = data.draw(st.integers(-7, 7).filter(bool))
+    before = dict(s.coefficients)
+    product = _times_letter(g.blocking, s, v, e)
+    assert s.coefficients == before
+    letter = _letter_series(v, e, d)
+    assert product.degree_bound == d
+    assert product.coefficients == series_multiply(g, s, letter).coefficients
+    assert product.coefficients == _reference_multiply(g, s, letter)
+
+
 # ------------------------------------------------------------------ witness
 
 
@@ -466,6 +535,77 @@ def test_word_parsing():
         word_from_tokens(FREE2, "c")
 
 
+def _reference_word_from_tokens(g, text):
+    """The token parser as it was first written, one token at a time."""
+    letters = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if "^" in token:
+            name, exp = token.split("^", 1)
+            e = int(exp)
+        else:
+            name, e = token, 1
+        name = name.strip()
+        if len(name) == 1 and name in raags._LETTER_NAMES:
+            v = raags._LETTER_NAMES.index(name)
+        elif name.startswith("v") and name[1:].isdigit():
+            v = int(name[1:])
+        else:
+            raise ValueError(f"bad word token {token!r}")
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"vertex {name!r} out of range for this graph")
+        letters.append((v, e))
+    return RaagWord.build(letters)
+
+
+WORD_TOKENS = [
+    "a", " b ", "c", "a^-1", "b^2", " c ^ -3", "a^0", "a^+2", "v0", "v2^-2", "v01", "", "  ",
+    "d", "v3", "v12^2", "q", "A", "ab", "v", "^2", "a^", "a^x", "a^1.5", "a^^2", " a^ x ", "q^x",
+]
+
+
+def _expected_word_error(g, tokens):
+    """The message expected for the first token, in order, that the
+    reference refuses: the reference's own, except that an exponent int()
+    refuses is reported as a bad token.  None if it refuses none."""
+    for token in tokens:
+        try:
+            _reference_word_from_tokens(g, token)
+        except ValueError as exc:
+            message = str(exc)
+            if not message.startswith(("bad word token", "vertex")):
+                message = f"bad word token {token.strip()!r}"
+            return message
+    return None
+
+
+def test_word_from_tokens_matches_reference_parser():
+    """Seeded token lists, with repeats, blanks and every kind of bad token:
+    the same word as the reference, or the error for the first bad token."""
+    rng = random.Random(15)
+    for trial in range(3000):
+        g = PATH3 if trial % 2 else FREE2
+        k = rng.randint(0, 8)
+        pool = WORD_TOKENS[:13] if trial % 3 else WORD_TOKENS
+        tokens = [rng.choice(pool) for _ in range(k)]
+        text = ",".join(tokens)
+        expected = _expected_word_error(g, tokens)
+        if expected is None:
+            assert word_from_tokens(g, text) == _reference_word_from_tokens(g, text), text
+        else:
+            with pytest.raises(ValueError) as info:
+                word_from_tokens(g, text)
+            assert str(info.value) == expected, text
+
+
+@pytest.mark.parametrize("token", ["a^", "a^x", "a^1.5", "a^^2"])
+def test_bad_exponent_names_the_token(token):
+    with pytest.raises(ValueError, match=rf"^bad word token '{re.escape(token)}'$"):
+        word_from_tokens(PATH3, f"b, {token} ,c")
+
+
 def test_word_str():
     assert str(W((0, 1), (1, -2))) == "a,b^-2"
     assert str(W()) == "1"
@@ -486,3 +626,21 @@ def test_word_constructor_refuses_unreduced_letters(letters, message, built):
         RaagWord(letters)
     assert RaagWord.build(letters) == RaagWord(built)
     assert RaagWord(built).is_identity_word() == (not built)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=40))
+def test_build_matches_pairwise_merge(letters):
+    """`build` against a merge of mutable [vertex, exponent] pairs, over
+    three vertices so that syllables often merge and cancel."""
+    merged = []
+    for v, e in letters:
+        if not e:
+            continue
+        if merged and merged[-1][0] == v:
+            merged[-1][1] += e
+            if not merged[-1][1]:
+                merged.pop()
+        else:
+            merged.append([v, e])
+    assert RaagWord.build(letters).letters == tuple(map(tuple, merged))
