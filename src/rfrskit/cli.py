@@ -10,10 +10,12 @@ result, 1 when it completed with a fail/false result, 2 on input errors
 (any ValueError, which `run` alone reports) or exceeded resource caps.
 Reports print human-readable by default and as JSON with --json; the
 RFRS-family commands share one JSON field set so scripts can parse them
-uniformly.  JSON reports are written by `_dumps`, a direct recursive
-emitter whose output equals json.dumps(report, indent=2) byte for byte
-(the json module's indented encoder runs in pure Python, and took about
-a third of the time of a graph-group series report).
+uniformly.  Each command hands `_emit` a function that builds its
+human-readable lines, so a --json run never builds them.  JSON reports
+are written by `_dumps`, a direct recursive emitter whose output equals
+json.dumps(report, indent=2) byte for byte (the json module's indented
+encoder runs in pure Python, and took about a third of the time of a
+graph-group series report).
 """
 
 from __future__ import annotations
@@ -160,11 +162,13 @@ def _dumps(x, indent: str = "\n") -> str:
     return json.dumps(x)
 
 
-def _emit(report: dict, human_lines: list[str], cfg: RunConfig) -> None:
+def _emit(report: dict, human_lines: Callable[[], list[str]], cfg: RunConfig) -> None:
+    """Print the report as JSON under --json, else the lines that
+    `human_lines` builds; a JSON run never builds them."""
     if cfg.json_output:
         print(_dumps(report))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -201,7 +205,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         "center_to_abelianization_injective": rep.injective,
         "witness": list(rep.kernel_witness) if rep.kernel_witness else None,
     }
-    lines = [
+    _emit(report, lambda: [
         f"group: {cfg.group}",
         f"generators: {p.n}",
         f"nilpotency class: {p.nilpotency_class}",
@@ -210,8 +214,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         f"abelianization: {quot.structure.describe()}",
         f"center-to-abelianization injective: {rep.injective}",
         f"witness: {report['witness']}",
-    ]
-    _emit(report, lines, cfg)
+    ], cfg)
     return 0
 
 
@@ -233,14 +236,17 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
         witness,
         0,
     )
-    lines = [f"chain of length {len(f.chain)} on {cfg.group}"]
-    for k, s in enumerate(rep.steps):
-        lines.append(
-            f"step {k}: index {s.index}, normal {s.normal_in_g}, kernel contained {s.kernel_contained}"
-        )
-    lines.append(f"overall: {rep.overall}")
-    if witness is not None:
-        lines.append(f"trapped central witness: {list(witness)}")
+    def lines() -> list[str]:
+        out = [f"chain of length {len(f.chain)} on {cfg.group}"]
+        for k, s in enumerate(rep.steps):
+            out.append(
+                f"step {k}: index {s.index}, normal {s.normal_in_g}, kernel contained {s.kernel_contained}"
+            )
+        out.append(f"overall: {rep.overall}")
+        if witness is not None:
+            out.append(f"trapped central witness: {list(witness)}")
+        return out
+
     _emit(report, lines, cfg)
     return 0 if rep.overall else 1
 
@@ -266,14 +272,13 @@ def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
         index_bound=cert.index_bound,
         note=cert.depth_note,
     )
-    lines = [
+    _emit(report, lambda: [
         f"obstruction certificate for {cfg.group} at index bound {cert.index_bound}",
         f"witness: {list(cert.witness)}",
         f"normal subgroups checked: {cert.checked_subgroups}",
         f"all_pass: {cert.all_pass}",
         cert.depth_note,
-    ]
-    _emit(report, lines, cfg)
+    ], cfg)
     return 0 if cert.all_pass else 1
 
 
@@ -296,11 +301,10 @@ def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
         0,
         restricted_length=len(g.chain),
     )
-    lines = [
+    _emit(report, lambda: [
         f"restricted chain has {len(g.chain)} terms in a rank-{g.ambient.n} subgroup",
         f"overall: {rep.overall}",
-    ]
-    _emit(report, lines, cfg)
+    ], cfg)
     return 0 if rep.overall else 1
 
 
@@ -315,7 +319,7 @@ def _cmd_raag_nf(cfg: RunConfig) -> int:
         "normal_form": text,
         "is_identity": nf.is_identity_word(),
     }
-    _emit(report, [f"normal form: {text}"], cfg)
+    _emit(report, lambda: [f"normal form: {text}"], cfg)
     return 0
 
 
@@ -334,10 +338,13 @@ def _cmd_raag_magnus(cfg: RunConfig) -> int:
         "terms": terms,
         "is_one": series.is_one(),
     }
-    lines = [f"series at degree {cfg.degree}:"]
-    for t in terms:
-        mono = "".join(chr(ord("a") + v) for v in t["monomial"]) or "1"
-        lines.append(f"  {t['coefficient']} * {mono}")
+    def lines() -> list[str]:
+        out = [f"series at degree {cfg.degree}:"]
+        for t in terms:
+            mono = "".join(chr(ord("a") + v) for v in t["monomial"]) or "1"
+            out.append(f"  {t['coefficient']} * {mono}")
+        return out
+
     _emit(report, lines, cfg)
     return 0
 
@@ -354,11 +361,10 @@ def _cmd_raag_rtfn(cfg: RunConfig) -> int:
         "separated": rep.separated,
         "failures": [[list(u) for u in f] for f in rep.failures],
     }
-    lines = [
+    _emit(report, lambda: [
         f"checked {rep.elements_checked} nontrivial elements of length <= {rep.max_len}",
         f"all separated by degree-{rep.degree} truncation: {rep.separated}",
-    ]
-    _emit(report, lines, cfg)
+    ], cfg)
     return 0 if rep.separated else 1
 
 

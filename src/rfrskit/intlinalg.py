@@ -407,9 +407,11 @@ def lattice_member(basis: IntMatrix, vec) -> bool:
     A basis already in row echelon form (every Hermite basis is) is used
     as given; any other is brought to Hermite form first.  One pass over
     the pivot rows tests each coordinate once: the gap before a pivot
-    must already be zero, since later rows vanish there.
+    must already be zero, since later rows vanish there.  The entries of
+    vec are taken as they are, so a non-integral one leaves a nonzero
+    remainder or residue and the answer is False.
     """
-    w = [int(x) for x in vec]
+    w = vec
     if len(w) != basis.cols:
         raise ValueError("vector length does not match lattice dimension")
     rows = basis._echelon

@@ -7,8 +7,13 @@ previous term's rational abelianization map.  An element has torsion
 abelianization image precisely when some power of it is a product of
 commutators, so that kernel is `subgroups.rational_kernel(T)`, the meet
 of T with the isolator of [T, T], computed in the ambient coordinates.
-Every check here goes through it; only `restrict_chain` builds an induced
-presentation, because it returns a filtration of H on H's own basis.
+The step checks go through it.  The witness checks ask only whether the
+central witness z, already in T, lies in that kernel, which in class 2
+is one rank comparison in the central coordinates
+(`subgroups._in_commutator_span`): the certificate's base check and each
+census subgroup, and the last term of a verified chain.  Only
+`restrict_chain` builds an induced presentation, because it returns a
+filtration of H on H's own basis.
 
 The obstruction certificate bounds the index and checks, for every
 normal subgroup H up to the bound, the implication
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
+    _in_commutator_span,
     center_ab_report,
     enumerate_normal_subgroups,
     express_in_basis,
@@ -127,7 +133,8 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     z = center.kernel_witness
     # a report built by hand may lack the kernels verify_rfrs_chain fills in
     kernels = report.kernels or tuple(rational_kernel(term) for term in f.chain[:-1])
-    trapped = all(k.contains(z) for k in kernels) and rational_kernel(f.chain[-1]).contains(z)
+    last = f.chain[-1]
+    trapped = all(k.contains(z) for k in kernels) and last.contains(z) and _in_commutator_span(last, z)
     return z if trapped else None
 
 
@@ -166,7 +173,7 @@ def obstruction_certificate(
     report = center_ab_report(p)
     z = report.kernel_witness
     assert z is not None
-    base_ok = rational_kernel(Subgroup.whole_group(p)).contains(z)
+    base_ok = _in_commutator_span(Subgroup.whole_group(p), z)
     subs = enumerate_normal_subgroups(p, max_index, candidate_cap=candidate_cap)
     records = []
     all_pass = base_ok
@@ -174,7 +181,7 @@ def obstruction_certificate(
         contains = s.contains(z)
         torsion: bool | None = None
         if contains:
-            torsion = rational_kernel(s).contains(z)
+            torsion = _in_commutator_span(s, z)
             if not torsion:
                 all_pass = False
         records.append(

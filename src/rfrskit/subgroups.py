@@ -3,10 +3,16 @@ structural invariants built on them: lower central series, center, Hirsch
 rank, isolators, rational kernels, induced presentations, and
 normal-subgroup enumeration.
 
-`rational_kernel(s)` is the kernel of s -> s^ab tensor Q, computed in
-ambient coordinates by one integer kernel over the Hermite basis of s; the
-RFRS checks of `rfrs` all go through it, and `center_ab_report` takes the
-central witness from the same step, so no Smith form is built here.
+`rational_kernel(s)` is the kernel of s -> s^ab tensor Q in ambient
+coordinates, computed in the central coordinates C: in class <= 2 every
+commutator is central, so the kernel is s meet Z^C meet the rational span
+of the basis-pair commutators, one integer kernel at most |C| wide, and
+none when the commutators have rank |C|.  The witness tests of `rfrs`
+need less: for z in s, `_in_commutator_span` decides z in
+`rational_kernel(s)` by one rank comparison in the central columns.
+`center_ab_report` takes the central witness from the same kernel step,
+so no Smith form is built here.  `Subgroup.intersect` is one Hermite form
+of [[B1, B1], [B2, 0]] (Zassenhaus).
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -23,7 +29,10 @@ and `_product_corrections` is the one function that computes B:
 `subgroup_closure` adds its values on the generators to their span in one
 step, `Subgroup.from_lattice` accepts a lattice that closure leaves as it
 is, and the census takes from it the values a projection's centre must
-hold.
+hold.  B(u, v) and [u, g] vanish when u or g is a product of central
+generators, so `_product_corrections`, `Subgroup.is_normal` and the
+commutator lists of the rational kernel skip such basis rows, and
+`is_normal` skips the central generators.
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -101,8 +110,22 @@ def _sift(p: PcPresentation, rows, w: Element) -> tuple[list[int], Element]:
     return exps, w
 
 
+def _central_split(p: PcPresentation) -> tuple[list[int], list[int]]:
+    """(noncentral, central) generator indices, each in increasing order."""
+    return [k for k, c in enumerate(p.central) if not c], [k for k, c in enumerate(p.central) if c]
+
+
+def _noncentral_rows(p: PcPresentation, vecs) -> list[Element]:
+    """The vecs with a nonzero noncentral coordinate.  The others are
+    products of central generators, so [u, g] vanishes on them in any
+    class, and B(u, v) in class 2."""
+    top = _central_split(p)[0]
+    return [v for v in vecs if any(v[k] for k in top)]
+
+
 def _product_corrections(p: PcPresentation, vecs) -> list[Element]:
     """The distinct nonzero u v - u - v over ordered pairs (u, v) of vecs."""
+    vecs = _noncentral_rows(p, vecs)
     vals = (tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v)) for u in vecs for v in vecs)
     return list(dict.fromkeys(w for w in vals if any(w)))
 
@@ -160,24 +183,30 @@ class Subgroup:
         # one side suffices: subgroups of a polycyclic group satisfy the max
         # condition, so g^-1 H g <= H for every generator g gives equality
         # (H <= g H g^-1 <= g^2 H g^-2 <= ... must stop growing); and for
-        # u in H, u^g is in H exactly when u^-1 u^g = [u, g] is
+        # u in H, u^g is in H exactly when u^-1 u^g = [u, g] is (central
+        # rows and central generators give [u, g] = 1)
         p = self.ambient
+        gens = [p.generator(k) for k in _central_split(p)[0]]
         return all(
-            self.contains(p.commutator(u, p.generator(k)))
-            for u in self.basis_elements()
-            for k in range(p.n)
+            self.contains(p.commutator(u, g))
+            for u in _noncentral_rows(p, self.basis_elements())
+            for g in gens
         )
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
+        """The meet, by Zassenhaus: in the Hermite form of [[B1, B1], [B2, 0]]
+        the rows that vanish on the first block are (0, v) with v in both
+        lattices, and their second blocks are already the meet's Hermite
+        basis.  Two subgroups meet in a subgroup whose coordinates are the
+        meet of their lattices, so it is closed by construction."""
         if self.ambient != other.ambient:
             raise ValueError("subgroups live in different ambient groups")
-        b1, b2 = self.basis, other.basis
-        rows = b1.to_rows() + [[-x for x in row] for row in b2.to_rows()]
-        ker = left_kernel(IntMatrix._from_int_rows(rows, b1.cols))
-        coeffs = IntMatrix._from_int_rows([ker.row(i)[: b1.rows] for i in range(ker.rows)], b1.rows)
-        # two subgroups meet in a subgroup whose coordinates are the meet of
-        # their lattices, so this lattice is closed by construction
-        return Subgroup(self.ambient, hnf_basis(coeffs @ b1))
+        n = self.ambient.n
+        rows = [r + r for r in self.basis_elements()]
+        rows += [r + (0,) * n for r in other.basis_elements()]
+        h = hnf_basis(IntMatrix._from_int_rows(rows, 2 * n))
+        meet = [r[n:] for r in map(h.row, range(h.rows)) if not any(r[:n])]
+        return Subgroup(self.ambient, IntMatrix._from_int_rows(meet, n))
 
 
 def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
@@ -520,9 +549,21 @@ def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
 
 def _torsion_image_kernel(b: IntMatrix, comms) -> IntMatrix:
     """Canonical basis of the k with k b in the rational span of comms:
-    the left kernel of b perp^T, perp the integer kernel of comms^T."""
+    the left kernel of b perp^T, perp the integer kernel of comms^T.  When
+    comms span all of Q^m, every k qualifies and the second kernel is
+    skipped."""
     perp = left_kernel(IntMatrix._from_int_rows(comms, b.cols).transpose())
+    if not perp.rows:
+        return IntMatrix.identity(b.rows)
     return left_kernel(b @ perp.transpose())
+
+
+def _central_commutators(p: PcPresentation, s: Subgroup, cen: list[int]) -> list[list[int]]:
+    """The central coordinates of the nonzero commutators of s's basis
+    pairs; central basis rows contribute none."""
+    vecs = _noncentral_rows(p, s.basis_elements())
+    comms = (p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :])
+    return [[w[k] for k in cen] for w in comms if any(w)]
 
 
 def rational_kernel(s: Subgroup) -> Subgroup:
@@ -531,13 +572,40 @@ def rational_kernel(s: Subgroup) -> Subgroup:
 
     In class <= 2 [s, s] is the span of the central, bilinear basis-pair
     commutators, and u in s has a power in it exactly when u is in their
-    rational span (u^m = m u when u has zero noncentral coordinates).
+    rational span (u^m = m u when u has zero noncentral coordinates).  That
+    span lies in Z^C, C the central coordinates, so the kernel is s meet
+    Z^C meet the span, and the linear algebra needs only the |C| central
+    columns.  With the central columns put last, s meet Z^C is spanned by
+    the Hermite rows whose pivot is central.
     """
     p = s.ambient
     _require_class2(p, "rational kernels")
-    vecs = s.basis_elements()
-    comms = [p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
-    return Subgroup(p, hnf_basis(_torsion_image_kernel(s.basis, comms) @ s.basis))
+    top, cen = _central_split(p)
+    t = len(top)
+    basis = s.basis
+    if cen != list(range(t, p.n)):
+        order = top + cen
+        basis = hnf_basis(IntMatrix._from_int_rows([[v[k] for k in order] for v in s.basis_elements()], p.n))
+    low = IntMatrix._from_int_rows([row[t:] for j, _, row in basis._echelon if j >= t], len(cen))
+    ker = _torsion_image_kernel(low, _central_commutators(p, s, cen))
+    embed = IntMatrix._from_int_rows([p.generator(k) for k in cen], p.n)
+    return Subgroup(p, hnf_basis(ker @ low @ embed))
+
+
+def _in_commutator_span(s: Subgroup, z: Element) -> bool:
+    """For z in s (class <= 2): whether z lies in `rational_kernel(s)`,
+    that is, in the rational span of the basis-pair commutators.  That
+    span lies in Z^C, so this is one rank comparison in the central
+    coordinates, with no kernel."""
+    p = s.ambient
+    top, cen = _central_split(p)
+    if any(z[k] for k in top):
+        return False
+    comms = hnf_basis(IntMatrix._from_int_rows(_central_commutators(p, s, cen), len(cen)))
+    if comms.rows == len(cen):
+        return True
+    both = IntMatrix._from_int_rows(comms.to_rows() + [[z[k] for k in cen]], len(cen))
+    return hnf_basis(both).rows == comms.rows
 
 
 # --------------------------------------------------------- center/ab report

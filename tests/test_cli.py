@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfrskit import cli
 from rfrskit.cli import RunConfig, _dumps, _load_subgroup, build_parser, main, run
 from rfrskit.pcgroups import heisenberg, presentation_from_text, presentation_to_text, unitriangular
 from rfrskit.subgroups import subgroup_closure
@@ -574,3 +575,35 @@ def test_json_stdout_is_pinned(command, json_inputs, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# The sha256 of the human-readable standard output of each invocation in
+# JSON_INVOCATIONS (without --json), recorded while every command still
+# built its lines before choosing the output mode.
+HUMAN_DIGESTS = {
+    "analyze": "0242ec6cf6336b033dfab0828d1a489e73b27cf3b1bb9fe6783848c829b1e8fc",
+    "rfrs-verify": "2063eba74de5648de35245e45e8b6e56a339783858334b4215b22d9d8d718be1",
+    "rfrs-obstruct": "af0fd8a52711a7655c8392938b6e577166b0bb89430afcd3c0e33b522046b1be",
+    "rfrs-restrict": "e57863317ab39049f4bda908cc7909eade69dc94b575f279f6a32ca5c4789097",
+    "raag-nf": "0417095cdda698320a6594951a31b739704419b08035509aefc54b8819d3d63f",
+    "raag-magnus": "1934da0cde6b06151165c75a17491017ad3ccc987a341d459e0c7ce4544bb74c",
+    "raag-rtfn": "a5f9729e97c82b597fd06ff02ede4e27124e29ca6827946e9a394280c53051c2",
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_INVOCATIONS))
+def test_human_lines_are_pinned_and_built_only_when_printed(command, json_inputs, capsys, monkeypatch):
+    args, _ = JSON_INVOCATIONS[command]
+    built = []
+    emit = cli._emit
+
+    def spy(report, human_lines, cfg):
+        emit(report, lambda: built.append(cfg.json_output) or human_lines(), cfg)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert main([command, *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUMAN_DIGESTS[command]
+    assert main([command, *args, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == command
+    assert built == [False]

@@ -513,6 +513,17 @@ def test_lattice_member_on_echelon_bases_with_negative_pivots():
     assert not lattice_member(M([[0, 2], [1, 0]]), (0, 1))
 
 
+def test_lattice_member_refuses_non_integral_entries():
+    b = M([[1, 0], [0, 2]])
+    assert not lattice_member(b, [2.5, 0])
+    assert not lattice_member(b, [Fraction(1, 2), 0])
+    assert not lattice_member(b, [0, Fraction(5, 2)])
+    assert not lattice_member(b, [0, 0.5])
+    # integral values of other types answer as their ints do
+    assert lattice_member(b, [Fraction(3), 4])
+    assert lattice_member(b, [3, 4]) and not lattice_member(b, [3, 3])
+
+
 def test_lattice_member_dimension_mismatch():
     with pytest.raises(ValueError):
         lattice_member(M([[1, 0]]), (1, 2, 3))

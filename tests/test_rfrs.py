@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfrskit import rfrs
 from rfrskit.cli import main
-from rfrskit.intlinalg import IntMatrix
+from rfrskit.intlinalg import IntMatrix, hnf_basis, left_kernel
 from rfrskit.pcgroups import (
     PcPresentation,
     abelianization,
@@ -24,6 +26,7 @@ from rfrskit.rfrs import (
 )
 from rfrskit.subgroups import (
     Subgroup,
+    _in_commutator_span,
     center_ab_report,
     enumerate_normal_subgroups,
     induced_presentation,
@@ -178,8 +181,9 @@ def test_trapped_witness_requires_valid_chain():
 
 def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsys):
     """`rfrs-verify` on a passing 4-term chain needs the rational kernel of
-    each term once: the report carries the first three to the witness
-    check, which adds only the last.  The report bytes do not change."""
+    each term but the last once: the report carries them to the witness
+    check, which tests the last term by rank alone, once.  The report bytes
+    do not change."""
     path = tmp_path / "chain4.txt"
     path.write_text(
         "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n"
@@ -189,15 +193,22 @@ def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsy
     assert main(args) == 0
     plain = capsys.readouterr().out
     calls = []
+    witness_tests = []
 
     def counted(s):
         calls.append(s)
         return rational_kernel(s)
 
+    def counted_witness(s, z):
+        witness_tests.append(s)
+        return _in_commutator_span(s, z)
+
     monkeypatch.setattr(rfrs, "rational_kernel", counted)
+    monkeypatch.setattr(rfrs, "_in_commutator_span", counted_witness)
     assert main(args) == 0
     assert capsys.readouterr().out == plain
-    assert [s.index() for s in calls] == [1, 2, 4, 8]
+    assert [s.index() for s in calls] == [1, 2, 4]
+    assert [s.index() for s in witness_tests] == [8]
     report = json.loads(plain)
     assert report["overall"] and report["witness"] == [0, 0, 1]
     assert [s["index"] for s in report["steps"]] == [2, 4, 8]
@@ -301,6 +312,79 @@ def test_rational_kernel_matches_induced_route():
             assert kernel.contains(z) == _torsion_image_oracle(ip.presentation, ip.from_ambient(z))
         else:
             assert not kernel.contains(z)
+
+
+def _rational_kernel_full_width(s):
+    """Reference kernel over all n columns: s meet the rational span of the
+    basis-pair commutators, by an integer kernel of the commutators and one
+    of the basis against it, each with its transform."""
+    p = s.ambient
+    vecs = s.basis_elements()
+    comms = [p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
+    perp = left_kernel(IntMatrix(len(comms), p.n, tuple(x for w in comms for x in w)).transpose())
+    ker = left_kernel(s.basis @ perp.transpose())
+    return Subgroup(p, hnf_basis(ker @ s.basis))
+
+
+def _intersect_by_kernel(s, t):
+    """Reference meet: the left kernel of [B1; -B2], its first block of
+    coefficients times B1, brought to Hermite form."""
+    b1, b2 = s.basis, t.basis
+    rows = b1.to_rows() + [[-x for x in row] for row in b2.to_rows()]
+    ker = left_kernel(IntMatrix(len(rows), b1.cols, tuple(x for r in rows for x in r)))
+    coeffs = IntMatrix(ker.rows, b1.rows, tuple(x for i in range(ker.rows) for x in ker.row(i)[: b1.rows]))
+    return Subgroup(s.ambient, hnf_basis(coeffs @ b1))
+
+
+def _census_cases():
+    """(group, census) pairs: heisenberg to 32, H x Z and Z x H to 8 (the
+    central coordinate of Z x H comes first), H x H to 4 and six random
+    class-2 tables to 4."""
+    cases = [(H, 32), (direct_product(H, free_abelian(1)), 8), (direct_product(free_abelian(1), H), 8)]
+    cases += [(direct_product(H, H), 4)] + [(p, 4) for p in _random_class2_tables(13, 6)]
+    return [(p, enumerate_normal_subgroups(p, bound)) for p, bound in cases]
+
+
+def test_central_coordinates_match_full_width_references():
+    """`rational_kernel`, the rank test for the witness and `intersect`
+    against their full-width references, on every census subgroup and on
+    random closures holding the witness, which need not be normal or of
+    finite index; the kernels and meets must be equal as bases."""
+    rng = random.Random(5)
+    verdicts = set()
+    for p, census in _census_cases():
+        z = center_ab_report(p).kernel_witness
+        subs = list(census)
+        for _ in range(20):
+            gens = [tuple(rng.randint(-2, 2) for _ in range(p.n)) for _ in range(rng.randint(1, 3))]
+            subs.append(subgroup_closure(p, gens + [z]))
+        for s in subs:
+            kernel = rational_kernel(s)
+            assert kernel == _rational_kernel_full_width(s)
+            if s.contains(z):
+                inside = _in_commutator_span(s, z)
+                verdicts.add(inside)
+                assert inside == kernel.contains(z)
+        for s, t in zip(census, census[1:] + census[:1]):
+            assert s.intersect(t) == _intersect_by_kernel(s, t)
+            u = rng.choice(subs)
+            assert s.intersect(u) == _intersect_by_kernel(s, u)
+    assert verdicts == {True, False}
+
+
+_MEET_GROUPS = [H, direct_product(free_abelian(1), H), direct_product(H, H)] + _random_class2_tables(3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_intersect_matches_kernel_reference(data):
+    p = data.draw(st.sampled_from(_MEET_GROUPS))
+    vec = st.tuples(*[st.integers(-3, 3)] * p.n)
+    s = subgroup_closure(p, data.draw(st.lists(vec, max_size=3)))
+    t = subgroup_closure(p, data.draw(st.lists(vec, max_size=3)))
+    meet = s.intersect(t)
+    assert meet == _intersect_by_kernel(s, t) == t.intersect(s)
+    assert s.contains_subgroup(meet) and t.contains_subgroup(meet)
 
 
 def test_certificate_heisenberg_max8():

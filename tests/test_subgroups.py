@@ -264,6 +264,41 @@ def test_is_normal_matches_two_sided_reference():
     assert True in verdicts and False in verdicts
 
 
+def _normal_all_pairs(s):
+    """Reference normality test: [u, g] in s for every basis row u and
+    every generator g, central ones included."""
+    p = s.ambient
+    gens = [p.generator(k) for k in range(p.n)]
+    return all(s.contains(p.commutator(u, g)) for u in s.basis_elements() for g in gens)
+
+
+def _closure_all_pairs(p, gens):
+    """Reference class-2 closure: the generators and u v - u - v over all
+    ordered pairs of them, central ones included, in one Hermite basis."""
+    rows = [p.element(g) for g in gens]
+    rows += [tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v)) for u in rows for v in rows]
+    return Subgroup(p, hnf_basis(IntMatrix(len(rows), p.n, tuple(x for r in rows for x in r))))
+
+
+def test_normality_and_closure_match_all_pairs_references_central_first():
+    """Z x H: its central coordinate comes first, so skipping central rows
+    and generators is not skipping a suffix."""
+    zh = direct_product(free_abelian(1), H)
+    rng = random.Random(17)
+    subs = enumerate_normal_subgroups(zh, 6)
+    verdicts = set()
+    for _ in range(150):
+        gens = [tuple(rng.randint(-3, 3) for _ in range(zh.n)) for _ in range(rng.randint(0, 3))]
+        s = subgroup_closure(zh, gens)
+        assert s == _closure_all_pairs(zh, gens) == reference_closure(zh, gens)
+        subs.append(s)
+    for s in subs:
+        normal = s.is_normal()
+        verdicts.add(normal)
+        assert normal == _normal_all_pairs(s) == _normal_two_sided(s)
+    assert verdicts == {True, False}
+
+
 def test_full_rank_subgroups_containing_derived_sub_are_normal():
     for rows in ([[1, 0, 0], [0, 2, 0], [0, 0, 1]], [[2, 1, 0], [0, 2, 0], [0, 0, 1]]):
         s = lat(H, rows)
