@@ -21,16 +21,23 @@ Higher class collects through conjugation polynomials (P. Hall 1957):
 the coordinates of g_k^-e g_m^s g_k^e are integer-valued polynomials in
 (s, e), stored as integer coefficients of C(s, i) C(e, j).  The table is
 built once per presentation, on its first generic product, from the top
-generator down: each pair's values on the grid 0..D-1 x 0..D-1 come from
-repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D Newton
-forward differences turn them into coefficients.  D is the largest
-generator weight of the table (see `_weights`), not the declared
-class, and each polynomial is checked at one point off the grid, so an
-inconsistent table raises ValueError.  Appending g_k^e is then one
-ordered product of the conjugated tail factors, whatever the size of e.
+generator down.  A term has i, j >= 1 and i w(m) + j w(k) <= D, with w
+the generator weights (see `_weights`) and D the largest of them, not
+the declared class.  So pair (k, m) takes its values on the grid
+0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k),
+from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
+Newton forward differences turn them into coefficients.  Each polynomial
+is checked at the point (d_s + 1, -1) off the grid, so an inconsistent
+table raises ValueError.  Appending g_k^e is then one ordered product of
+the conjugated tail factors, whatever the size of e.  Tail generators
+that commute with g_k, up to the first one that does not, are copied
+as they are, and past the last generator that has a rule with a higher
+one, a product only adds coordinates.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .intlinalg import AbelianQuotient, IntMatrix
 
@@ -190,8 +197,9 @@ class PcPresentation:
             b1 = self._beta(u, v)
             b2 = self._beta(v, u)
             return tuple(x - y for x, y in zip(b1, b2))
+        # u^-1 v^-1 u v = (v u)^-1 (u v): one inverse instead of two
         inv = self._generic().inv
-        return self.multiply(self.multiply(inv(u), inv(v)), self.multiply(u, v))
+        return self.multiply(inv(self.multiply(v, u)), self.multiply(u, v))
 
     def collect(self, word) -> Element:
         """Normal form of a word given as (generator index, exponent) pairs."""
@@ -271,42 +279,56 @@ class _Collector:
 
     For k < m with a nonzero rule, `levels[k][m]` holds pairs (l, terms),
     one per nonzero coordinate l > m of g_k^-e g_m^s g_k^e, whose value is
-    sum(a * C(s, i) * C(e, j) for i, j, a in terms), with i, j <= d.
-    Coordinate m is s and the ones below m are 0; commuting pairs have no
-    entry.  Appending g_k^e to a normal form then costs one ordered
-    product of conjugated tail factors, whatever the size of e.
+    sum(a * C(s, i) * C(e, j) for i, j, a in terms).  Coordinate m is s and
+    the ones below m are 0; commuting pairs have no entry, and the keys of
+    `levels[k]` run in increasing order.  A term has
+    i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, the largest weight, so the
+    pair's grid is 0..d_s x 0..d_e with d_s = (D - w(k)) // w(m) and
+    d_e = (D - w(m)) // w(k), and its check point is (d_s + 1, -1).
+    `degrees[k]` holds the largest i and j in the terms of level k.
+
+    Appending g_k^e to a normal form costs one ordered product of the
+    conjugated tail factors, whatever the size of e.  The run of tail
+    generators that commute with g_k, up to the first one that does not,
+    is copied as it is; when g_k commutes with the whole tail, only
+    coordinate k changes.  From `top` on the generators commute pairwise,
+    so there a product only adds coordinates.
     """
 
-    __slots__ = ("n", "d", "levels")
+    __slots__ = ("n", "top", "levels", "degrees")
 
     def __init__(self, p: PcPresentation):
         self.n = p.n
-        # a term C(s, i) C(e, j) of coordinate l of g_k^-e g_m^s g_k^e has
-        # i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, the largest weight, so
-        # each variable's degree is at most D - 1
-        self.d = max(_weights(p), default=1) - 1
+        # from `top` on, no generator has a rule with a higher one
+        self.top = max((i + 1 for i, _ in p.rules), default=0)
+        w = _weights(p)
+        bound = max(w, default=1)
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
+        self.degrees: list[tuple[int, int]] = [(0, 0)] * p.n
         # level k multiplies only inside <g_(k+1), ...>, which uses the levels above it
         for k in reversed(range(p.n)):
-            self.levels[k] = self._level(p, k)
+            self.levels[k], self.degrees[k] = self._level(p, k, w, bound)
 
-    def _level(self, p: PcPresentation, k: int) -> dict[int, tuple]:
-        n, d = self.n, self.d
+    def _level(self, p: PcPresentation, k: int, w: list[int], bound: int) -> tuple:
+        n = self.n
         # g_l^(g_k) = g_l [g_l, g_k]
         images = {l: rule[:l] + (1,) + rule[l + 1 :] for (i, l), rule in p.rules.items() if i == k}
         level = {}
+        max_s = max_e = 0
         for m in sorted(images):
-            # grid[a][b] = g_k^-b g_m^a g_k^b on 0..d x 0..d
+            d_s = (bound - w[k]) // w[m]
+            d_e = (bound - w[m]) // w[k]
+            # grid[a][b] = g_k^-b g_m^a g_k^b on 0..d_s x 0..d_e
             col = [_unit(n, m, 1)]
-            for _ in range(d):
+            for _ in range(d_e):
                 col.append(self._conj_once(images, k, col[-1]))
-            grid = [[(0,) * n] * (d + 1)]
-            for _ in range(d):
+            grid = [[(0,) * n] * (d_e + 1)]
+            for _ in range(d_s):
                 grid.append([self.mul(x, y) for x, y in zip(grid[-1], col)])
             # 2-D Newton forward differences give the binomial coefficients
             for row in grid:
                 _forward_differences(row)
-            for b in range(d + 1):
+            for b in range(d_e + 1):
                 column = [row[b] for row in grid]
                 _forward_differences(column)
                 for row, val in zip(grid, column):
@@ -314,20 +336,27 @@ class _Collector:
             poly = []
             for l in range(m + 1, n):
                 terms = tuple(
-                    (i, j, grid[i][j][l]) for i in range(d + 1) for j in range(d + 1) if grid[i][j][l]
+                    (i, j, grid[i][j][l])
+                    for i in range(d_s + 1)
+                    for j in range(d_e + 1)
+                    if grid[i][j][l]
                 )
                 if terms:
                     poly.append((l, terms))
             poly = tuple(poly)
             # one point off the grid, against a direct conjugation
-            x = self._conjugated(poly, m, d + 1, _binomials(-1, d))
-            if self._conj_once(images, k, x) != _unit(n, m, d + 1):
+            x = self._conjugated(poly, m, d_s + 1, _binomials(d_s + 1, d_s), _binomials(-1, d_e))
+            if self._conj_once(images, k, x) != _unit(n, m, d_s + 1):
                 raise ValueError(
                     f"inconsistent presentation: conjugating g{m} by g{k} is not "
-                    f"polynomial of degree {d}"
+                    f"polynomial of degree {d_s} in the exponent of g{m} and "
+                    f"{d_e} in the exponent of g{k}"
                 )
             level[m] = poly
-        return level
+            for _, terms in poly:
+                for i, j, _ in terms:
+                    max_s, max_e = max(max_s, i), max(max_e, j)
+        return level, (max_s, max_e)
 
     def _conj_once(self, images: dict[int, Element], k: int, x: Element) -> Element:
         """g_k^-1 x g_k for x supported above k."""
@@ -341,9 +370,9 @@ class _Collector:
                     acc = self.mul(acc, self.pow(img, x[l]))
         return acc
 
-    def _conjugated(self, poly: tuple, m: int, s: int, be: list[int]) -> Element:
-        """g_k^-e g_m^s g_k^e from the polynomials of (k, m), with be = C(e, 0..d)."""
-        bs = _binomials(s, self.d)
+    def _conjugated(self, poly: tuple, m: int, s: int, bs: list[int], be: list[int]) -> Element:
+        """g_k^-e g_m^s g_k^e from the polynomials of (k, m), with bs = C(s, 0..)
+        and be = C(e, 0..)."""
         out = [0] * self.n
         out[m] = s
         for l, terms in poly:
@@ -355,31 +384,43 @@ class _Collector:
         g_k^-e g_m^(u_m) g_k^e."""
         if not e:
             return u
+        n = self.n
         level = self.levels[k]
-        tail = (0,) * self.n
-        be = None
-        for m in range(k + 1, self.n):
+        for first in level:  # the generators that do not commute with g_k, in order
+            if u[first]:
+                break
+        else:
+            # g_k commutes with the whole tail
+            return u[:k] + (u[k] + e,) + u[k + 1 :]
+        # the commuting run below `first` passes through unchanged
+        tail = (0,) * (k + 1) + u[k + 1 : first] + (0,) * (n - first)
+        d_s, d_e = self.degrees[k]
+        be = _binomials(e, d_e)
+        for m in range(first, n):
             s = u[m]
             if s:
                 poly = level.get(m)
                 if poly is None:
                     tail = self.mul_gen_power(tail, m, s)
                 else:
-                    if be is None:
-                        be = _binomials(e, self.d)
-                    tail = self.mul(tail, self._conjugated(poly, m, s, be))
+                    tail = self.mul(tail, self._conjugated(poly, m, s, _binomials(s, d_s), be))
         return u[:k] + (u[k] + e,) + tail[k + 1 :]
 
     def mul(self, u: Element, v: Element) -> Element:
-        for k, e in enumerate(v):
+        top = self.top
+        for k in range(top):
+            e = v[k]
             if e:
                 u = self.mul_gen_power(u, k, e)
+        if any(v[top:]):
+            u = u[:top] + tuple(map(add, u[top:], v[top:]))
         return u
 
     def inv(self, u: Element) -> Element:
         # u^-1 = g_(n-1)^-u_(n-1) ... g_0^-u_0, collected from the top down
-        res = (0,) * self.n
-        for k in reversed(range(self.n)):
+        top = self.top
+        res = (0,) * top + tuple(-x for x in u[top:])
+        for k in reversed(range(top)):
             if u[k]:
                 res = self.mul_gen_power(res, k, -u[k])
         return res

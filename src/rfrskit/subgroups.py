@@ -370,6 +370,7 @@ def enumerate_normal_subgroups(
             )
 
     for k in range(1, max_index + 1):
+        start = len(found)
         for d in (d for d in range(1, k + 1) if k % d == 0):
             for (m, needs), (centre, c_rows, reps) in itertools.product(
                 projections(d), centres(k // d)
@@ -381,7 +382,8 @@ def enumerate_normal_subgroups(
                         spend(k)
                         rows = [[a + b for a, b in zip(u, c)] for u, c in zip(m, glue)] + c_rows
                         found.append(Subgroup(p, hnf_basis(IntMatrix._from_int_rows(rows, p.n))))
-    found.sort(key=lambda s: (s.index(), s.basis.entries))
+        # every subgroup found in this pass has index k
+        found[start:] = sorted(found[start:], key=lambda s: s.basis.entries)
     return found
 
 

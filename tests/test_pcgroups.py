@@ -15,6 +15,7 @@ from rfrskit.pcgroups import (
     presentation_from_text,
     presentation_to_text,
     unitriangular,
+    _Collector,
     _weights,
 )
 
@@ -162,6 +163,8 @@ class StepCollector:
             for m in range(k + 1, self.n):
                 if t[m]:
                     acc = self.mul(acc, self.pow(self.conj_gen(m, k, sign), t[m]))
+            if acc == t:
+                break  # a fixed point of one step is one of every later step
             t = acc
         return t
 
@@ -504,6 +507,137 @@ def test_conjugation_table_is_built_lazily():
     h = heisenberg()
     h.multiply(h.generator(1), h.generator(0))
     assert h._collector is None
+
+
+def filiform(n):
+    """Maximal class on n generators: [g_j, g_0] = g_(j+1) for 1 <= j <= n - 2."""
+    rules = {(0, j): tuple(1 if t == j + 1 else 0 for t in range(n)) for j in range(1, n - 1)}
+    return PcPresentation(n, rules, nilpotency_class=n - 1)
+
+
+def free_class3():
+    """Free nilpotent of class 3 on x = g0, y = g1: g2 = [y, x], g3 = [g2, x], g4 = [g2, y]."""
+    rules = {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0), (1, 2): (0, 0, 0, 0, 1)}
+    return PcPresentation(5, rules, nilpotency_class=3)
+
+
+TIGHT_CASES = [(f"filiform{n}", lambda n=n: filiform(n)) for n in range(4, 10)] + [
+    ("free_class3", free_class3)
+]
+
+
+def _pair_degrees(p):
+    """{(k, m): ((bound_s, bound_e), (top i, top j))} over the pairs with a rule."""
+    p.multiply(p.generator(1), p.generator(0))
+    w = _weights(p)
+    top = max(w)
+    out = {}
+    for k, level in enumerate(p._collector.levels):
+        for m, poly in level.items():
+            terms = [t for _, ts in poly for t in ts]
+            bounds = ((top - w[k]) // w[m], (top - w[m]) // w[k])
+            out[(k, m)] = (bounds, (max(i for i, _, _ in terms), max(j for _, j, _ in terms)))
+    assert set(out) == set(p.rules)
+    return top, out
+
+
+@pytest.mark.parametrize("name,build", TIGHT_CASES, ids=[c[0] for c in TIGHT_CASES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_tight_grid_tables_match_step_reference(name, build, data):
+    p = build()
+    ref = StepCollector(p)
+    elt = st.tuples(*[st.integers(-3, 3)] * p.n)
+    u, v = data.draw(elt), data.draw(elt)
+    e = data.draw(st.integers(-3, 3))
+    assert p.multiply(u, v) == ref.mul(u, v)
+    assert p.inverse(u) == ref.inv(u)
+    assert p.power(u, e) == ref.pow(u, e)
+    assert p.commutator(u, v) == ref.commutator(u, v)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_filiform_grids_reach_the_e_bound(n):
+    # g_0^-e g_j^s g_0^e has coordinate j + i equal to s C(e, i), so every
+    # pair's e-degree is its bound D - w(j), which is D - 1 at j = 1
+    top, pairs = _pair_degrees(filiform(n))
+    assert top == n - 1
+    for (k, m), (bounds, degrees) in pairs.items():
+        assert degrees == (1, bounds[1])
+    assert pairs[(0, 1)][1] == (1, top - 1)
+
+
+def test_free_class3_grids_reach_both_bounds():
+    # x^-e y^s x^e = y^s [y, x]^(s e) [y, x, x]^(s C(e, 2)) [y, x, y]^(C(s, 2) e)
+    top, pairs = _pair_degrees(free_class3())
+    assert top == 3
+    assert all(degrees == bounds for bounds, degrees in pairs.values())
+    assert pairs[(0, 1)][1] == (top - 1, top - 1)
+    assert pairs[(0, 2)][1] == pairs[(1, 2)][1] == (1, 1)
+
+
+def test_commuting_prefix_of_the_tail_is_copied(monkeypatch):
+    # in ut(4), g0 = E01 commutes with g2 = E23, g3 = E02 and g5 = E03, not with g4 = E13
+    p = unitriangular(4)
+    p.multiply(p.generator(1), p.generator(0))  # builds the table before the spy
+    calls = []
+    real = _Collector.mul_gen_power
+
+    def spy(self, u, k, e):
+        calls.append(k)
+        return real(self, u, k, e)
+
+    monkeypatch.setattr(_Collector, "mul_gen_power", spy)
+    for u in [(0, 0, 3, -2, 5, 1), (4, 0, -1, 2, -3, 0), (0, 0, 0, 7, 2, -4)]:
+        for e in (-3, 1, 4):
+            del calls[:]
+            got = p.multiply(u, (e, 0, 0, 0, 0, 0))
+            assert coords_to_matrix(4, got) == mat_mul(
+                coords_to_matrix(4, u), transvection_power(4, (0, 1), e)
+            )
+            # g2 and g3 sit in the copied run, so nothing collects them again
+            assert calls[0] == 0 and 2 not in calls and 3 not in calls
+    # g0 commutes with the whole tail: only its own coordinate moves
+    del calls[:]
+    assert p.multiply((1, 0, 3, -2, 0, 6), (5, 0, 0, 0, 0, 0)) == (6, 0, 3, -2, 0, 6)
+    assert calls == [0]
+
+
+def test_commuting_block_above_a_noncommuting_one():
+    # direct_product(ut(4), heisenberg): the heisenberg block commutes with
+    # every ut(4) generator, but not with itself
+    p = build_standard("direct_product(ut(4),heisenberg)")
+    a, b = unitriangular(4), heisenberg()
+    rng = random.Random(17)
+    for _ in range(60):
+        u = tuple(rng.randint(-9, 9) for _ in range(9))
+        v = tuple(rng.randint(-9, 9) for _ in range(9))
+        e = rng.choice([-4, -1, 2, 3])
+        assert p.multiply(u, v) == a.multiply(u[:6], v[:6]) + b.multiply(u[6:], v[6:])
+        assert p.inverse(u) == a.inverse(u[:6]) + b.inverse(u[6:])
+        assert p.power(u, e) == a.power(u[:6], e) + b.power(u[6:], e)
+        assert p.commutator(u, v) == a.commutator(u[:6], v[:6]) + b.commutator(u[6:], v[6:])
+
+
+def test_commutator_makes_three_public_products(monkeypatch):
+    p = unitriangular(5)
+    rng = random.Random(4)
+    u = tuple(rng.randint(-3, 3) for _ in range(p.n))
+    v = tuple(rng.randint(-3, 3) for _ in range(p.n))
+    calls = []
+    real = PcPresentation.multiply
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(PcPresentation, "multiply", counted)
+    got = p.commutator(u, v)
+    assert len(calls) == 3
+    mu, mv = coords_to_matrix(5, u), coords_to_matrix(5, v)
+    assert coords_to_matrix(5, got) == mat_mul(
+        mat_mul(ut_inverse(mu), ut_inverse(mv)), mat_mul(mu, mv)
+    )
 
 
 # ------------------------------------------------------------ abelianization
