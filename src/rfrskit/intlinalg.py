@@ -542,10 +542,17 @@ def is_unipotent(a: IntMatrix) -> bool:
         raise ValueError("unipotence requires a square matrix")
     n = a.rows
     nil = IntMatrix(n, n, tuple(a.entry(i, j) - (1 if i == j else 0) for i in range(n) for j in range(n)))
-    power = IntMatrix.identity(n)
-    for _ in range(n):
-        power = power @ nil
-    return power.is_zero()
+    return _matrix_power(nil, n).is_zero()
+
+
+def _matrix_power(a: IntMatrix, e: int) -> IntMatrix:
+    """a^e for e >= 0, by repeated squaring."""
+    result = IntMatrix.identity(a.rows)
+    for bit in bin(e)[2:]:
+        result = result @ result
+        if bit == "1":
+            result = result @ a
+    return result
 
 
 def _totient(m: int) -> int:
@@ -564,9 +571,7 @@ def _totient(m: int) -> int:
 
 def _order_bound(n: int) -> int:
     # Orders of finite-order elements of GL_n(Z) divide the lcm of all m
-    # with totient(m) <= n; for n <= 4 the sharp bound is 12.
-    if n <= 4:
-        return 12
+    # with totient(m) <= n.
     candidates = [m for m in range(1, 3 * n * n + 2) if _totient(m) <= n]
     return lcm(*candidates)
 
@@ -580,11 +585,12 @@ class MatrixOrderReport:
 def finite_order_semisimple_check(a: IntMatrix) -> MatrixOrderReport:
     """Detect finite multiplicative order of an integer matrix.
 
-    Requires a to be invertible over the integers.  Iterates powers up to
-    the order bound for the ambient dimension; `order` is None when no
-    power up to the bound is the identity.  A finite-order matrix other
-    than the identity is semisimple, never unipotent, which the paired
-    `unipotent` flag lets callers confirm.
+    Requires a to be invertible over the integers.  Every finite order in
+    GL_n(Z) divides the order bound L for the dimension, so `order` is None
+    when a^L is not the identity; otherwise powers of a are stepped through
+    up to the first identity.  A finite-order matrix other than the
+    identity is semisimple, never unipotent, which the paired `unipotent`
+    flag lets callers confirm.
     """
     if not a.is_square():
         raise ValueError("order check requires a square matrix")
@@ -592,12 +598,9 @@ def finite_order_semisimple_check(a: IntMatrix) -> MatrixOrderReport:
         raise ValueError("matrix is not invertible over the integers")
     n = a.rows
     ident = IntMatrix.identity(n)
-    bound = _order_bound(n)
-    power = a
     order = None
-    for k in range(1, bound + 1):
-        if power == ident:
-            order = k
-            break
-        power = power @ a
+    if _matrix_power(a, _order_bound(n)) == ident:
+        order, power = 1, a
+        while power != ident:
+            order, power = order + 1, power @ a
     return MatrixOrderReport(order=order, unipotent=is_unipotent(a))

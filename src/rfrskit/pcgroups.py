@@ -26,9 +26,10 @@ the generator weights (see `_weights`) and D the largest of them, not
 the declared class.  So pair (k, m) takes its values on the grid
 0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k),
 from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
-Newton forward differences turn them into coefficients.  Each polynomial
-is checked at the point (d_s + 1, -1) off the grid, so an inconsistent
-table raises ValueError.  Appending g_k^e is then one ordered product of
+Newton forward differences turn them into coefficients.  Before level k
+is built, conjugation by g_k is checked against every relation of
+<g_(k+1), ...> that it moves, so an inconsistent table raises ValueError
+at every generator count.  Appending g_k^e is then one ordered product of
 the conjugated tail factors, whatever the size of e.  Tail generators
 that commute with g_k, up to the first one that does not, are copied
 as they are, and past the last generator that has a rule with a higher
@@ -55,8 +56,9 @@ class PcPresentation:
 
     `rules` maps 0-based pairs (i, j) with i < j to the exponent vector of
     [g_j, g_i]; absent pairs commute.  Instances are immutable.  Class <= 2
-    tables are consistent by construction (see `check_consistency`), which
-    runs when a class >= 3 table on at most 8 generators is built.
+    tables are consistent by construction.  A class >= 3 table is checked
+    when its conjugation table is built, on its first product or by
+    `check_consistency`.
     """
 
     def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None,
@@ -99,8 +101,6 @@ class PcPresentation:
         self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
         # conjugation polynomials for class >= 3, built on the first generic product
         self._collector: _Collector | None = None
-        if nilpotency_class > 2 and n <= 8:
-            self.check_consistency()
 
     # -------------------------------------------------------------- basics
 
@@ -212,28 +212,17 @@ class PcPresentation:
         return res
 
     def check_consistency(self) -> None:
-        """Associativity on descending generator triples, plus inverses.
+        """Build the conjugation table now; it refuses an inconsistent table.
 
-        A triangular table can still present an inconsistent group; this
-        catches it by checking the collected products (g_c g_b) g_a and
-        g_c (g_b g_a) for all c > b > a, which are the critical overlaps.
-        It cannot fail in class <= 2, where B is bilinear, central valued and
-        zero on central arguments: (u v) w = u (v w) = u + v + w + B(u, v) +
-        B(u, w) + B(v, w), and u^-1 u = B(u, u) - B(u, u) = 0.
+        A class >= 3 table is checked level by level as it is built (see
+        `_Collector`), at every generator count, so it is refused here or on
+        its first product.  A class <= 2 table is consistent by construction,
+        since B is bilinear, central valued and zero on central arguments:
+        (u v) w = u (v w) = u + v + w + B(u, v) + B(u, w) + B(v, w), and
+        u^-1 u = B(u, u) - B(u, u) = 0.
         """
-        gens = [self.generator(k) for k in range(self.n)]
-        for c in range(self.n):
-            for b in range(c):
-                for a in range(b):
-                    left = self.multiply(self.multiply(gens[c], gens[b]), gens[a])
-                    right = self.multiply(gens[c], self.multiply(gens[b], gens[a]))
-                    if left != right:
-                        raise ValueError(
-                            f"inconsistent presentation: associativity fails on ({c}, {b}, {a})"
-                        )
-        for k in range(self.n):
-            if self.multiply(self.inverse(gens[k]), gens[k]) != self.identity():
-                raise ValueError(f"inverse of generator {k} is broken")
+        if self.nilpotency_class > 2:
+            self._generic()
 
 
 # ------------------------------------------------------- generic collection
@@ -284,8 +273,10 @@ class _Collector:
     `levels[k]` run in increasing order.  A term has
     i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, the largest weight, so the
     pair's grid is 0..d_s x 0..d_e with d_s = (D - w(k)) // w(m) and
-    d_e = (D - w(m)) // w(k), and its check point is (d_s + 1, -1).
-    `degrees[k]` holds the largest i and j in the terms of level k.
+    d_e = (D - w(m)) // w(k).  `degrees[k]` holds the largest i and j in
+    the terms of level k.  Each level first checks that conjugation by g_k
+    is an automorphism of the group above it (`_check_conjugation`), so the
+    table is consistent once it is built.
 
     Appending g_k^e to a normal form costs one ordered product of the
     conjugated tail factors, whatever the size of e.  The run of tail
@@ -313,6 +304,7 @@ class _Collector:
         n = self.n
         # g_l^(g_k) = g_l [g_l, g_k]
         images = {l: rule[:l] + (1,) + rule[l + 1 :] for (i, l), rule in p.rules.items() if i == k}
+        self._check_conjugation(p, k, images)
         level = {}
         max_s = max_e = 0
         for m in sorted(images):
@@ -344,19 +336,38 @@ class _Collector:
                 if terms:
                     poly.append((l, terms))
             poly = tuple(poly)
-            # one point off the grid, against a direct conjugation
-            x = self._conjugated(poly, m, d_s + 1, _binomials(d_s + 1, d_s), _binomials(-1, d_e))
-            if self._conj_once(images, k, x) != _unit(n, m, d_s + 1):
-                raise ValueError(
-                    f"inconsistent presentation: conjugating g{m} by g{k} is not "
-                    f"polynomial of degree {d_s} in the exponent of g{m} and "
-                    f"{d_e} in the exponent of g{k}"
-                )
             level[m] = poly
             for _, terms in poly:
                 for i, j, _ in terms:
                     max_s, max_e = max(max_s, i), max(max_e, j)
         return level, (max_s, max_e)
+
+    def _check_conjugation(self, p: PcPresentation, k: int, images: dict[int, Element]) -> None:
+        """Refuse the table unless g_l -> images[l] respects every relation
+        g_j g_i = g_i g_j r_ij (k < i < j) of G_(k+1) = <g_(k+1), ...>.
+
+        Then conjugation by g_k is an endomorphism of G_(k+1), onto because
+        images[l] is g_l times generators above l, and so an automorphism, as
+        finitely generated nilpotent groups are Hopfian.  So G_k is the
+        semidirect product <g_k> x G_(k+1) and the table is consistent from k
+        on (Sims, Computation with Finitely Presented Groups, ch. 9).  A
+        relation whose generators, g_i, g_j and those of r_ij, are all fixed
+        maps to itself, and it holds in G_(k+1) already.
+        """
+        n, rules = self.n, p.rules
+        for j in range(k + 2, n):
+            for i in range(k + 1, j):
+                rule = rules.get((i, j))
+                if i not in images and j not in images:
+                    if rule is None or not any(rule[l] for l in images):
+                        continue
+                x, y = images.get(i) or _unit(n, i, 1), images.get(j) or _unit(n, j, 1)
+                right = self.mul(x, y)
+                if rule is not None:
+                    right = self.mul(right, self._conj_once(images, k, rule))
+                if self.mul(y, x) != right:
+                    raise ValueError(f"inconsistent presentation: conjugation by g{k} breaks "
+                                     f"the relation g{j} g{i} = g{i} g{j} [g{j}, g{i}]")
 
     def _conj_once(self, images: dict[int, Element], k: int, x: Element) -> Element:
         """g_k^-1 x g_k for x supported above k."""
@@ -563,11 +574,13 @@ def presentation_from_text(text: str) -> PcPresentation:
         parts = left.split()
         if len(parts) != 2:
             raise ValueError(f"bad rule line {ln!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        i, j = int(parts[0]), int(parts[1])
+        if not 1 <= i < j <= n:
+            raise ValueError(f"bad generator pair ({i}, {j})")
+        if (i - 1, j - 1) in rules:
+            raise ValueError(f"repeated generator pair ({i}, {j})")
         tail = [int(t) for t in right.split()]
-        if len(tail) != n - j - 1:
-            raise ValueError(
-                f"rule for pair ({i + 1}, {j + 1}) needs {n - j - 1} exponents, got {len(tail)}"
-            )
-        rules[(i, j)] = (0,) * (j + 1) + tuple(tail)
+        if len(tail) != n - j:
+            raise ValueError(f"rule for pair ({i}, {j}) needs {n - j} exponents, got {len(tail)}")
+        rules[(i - 1, j - 1)] = (0,) * j + tuple(tail)
     return PcPresentation(n, rules, nilpotency_class=cls)

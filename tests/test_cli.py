@@ -274,13 +274,23 @@ MALFORMED = {
         ("pair", "3 2\n1 : -1\n", "bad rule line"),
         ("exponent-token", "3 2\n1 2 : y\n", "invalid literal"),
         ("exponent-count", "3 2\n1 2 : -1 4\n", "needs 1 exponents, got 2"),
-        # 10 generators: past the constructor's consistency check, so the
-        # declared-class check is the first to meet the bad rule
+        ("pair-below-range", "3 2\n0 1 : 1 0\n", "bad generator pair (0, 1)"),
+        ("pair-above-range", "3 2\n1 4 :\n", "bad generator pair (1, 4)"),
+        ("pair-order", "3 2\n2 1 : 1\n", "bad generator pair (2, 1)"),
+        ("repeated-pair", "3 2\n1 2 : 1\n1 2 : 5\n", "repeated generator pair (1, 2)"),
+        # the class >= 3 table is built lazily, so the declared-class check
+        # is the first to meet the bad rule
         (
             "inconsistent-class4",
             presentation_to_text(unitriangular(5)).replace(
                 "2 3 : 0 0 -1 0 0 0 0", "2 3 : -1 0 -1 0 0 0 0"
             ),
+            "inconsistent presentation",
+        ),
+        # an inconsistent 5-generator table with four free generators added
+        (
+            "inconsistent-9-generators",
+            "9 3\n1 2 : 0 1 0 0 0 0 0\n3 4 : 1 0 0 0 0\n",
             "inconsistent presentation",
         ),
     ],

@@ -686,6 +686,56 @@ def test_infinite_order_reports_none():
     assert r.order is None and r.unipotent
 
 
+def reference_order(a):
+    """Order of a by stepping through a, a^2, ... up to the largest order
+    the dimension allows (12 for n <= 4), None when no power is I."""
+    n = a.rows
+
+    def totient(m):
+        return sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+
+    bound = 12 if n <= 4 else math.lcm(*(m for m in range(1, 3 * n * n + 2) if totient(m) <= n))
+    ident = IntMatrix.identity(n)
+    power = a
+    for k in range(1, bound + 1):
+        if power == ident:
+            return k
+        power = power @ a
+    return None
+
+
+def upper_unitriangular_inverse(rows):
+    n = len(rows)
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            inv[i] = [x - rows[i][j] * y for x, y in zip(inv[i], inv[j])]
+    return inv
+
+
+def test_finite_order_matches_power_stepping():
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        # a signed permutation matrix conjugated by c = U^T U, U unitriangular
+        n = rng.randint(1, 6)
+        perm = rng.sample(range(n), n)
+        p = M([[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)])
+        upper = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(n)] for i in range(n)]
+        u, u_inv = M(upper), M(upper_unitriangular_inverse(upper))
+        c, c_inv = u.transpose() @ u, u_inv @ u_inv.transpose()
+        assert c @ c_inv == IntMatrix.identity(n)
+        cases.append(c @ p @ c_inv)
+    for n in range(2, 7):
+        # U^T U with 3 on U's superdiagonal: symmetric positive definite, not I
+        u = M([[int(i == j) + 3 * (j == i + 1) for j in range(n)] for i in range(n)])
+        cases.append(u.transpose() @ u)
+    cases += [M([[1, 1], [0, 1]]), M([[2, 1], [1, 1]]), M([[0, 1, 0], [0, 0, 1], [1, 1, 0]])]
+    orders = [finite_order_semisimple_check(a).order for a in cases]
+    assert orders == [reference_order(a) for a in cases]
+    assert None in orders and max(o for o in orders if o) >= 6
+
+
 # ------------------------------------------------------------- plumbing
 
 

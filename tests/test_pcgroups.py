@@ -1,8 +1,9 @@
 import itertools
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfrskit.pcgroups import (
@@ -280,7 +281,7 @@ def test_inconsistent_table_detected():
                 (2, 3): (0, 0, 0, 0, 1),
             },
             nilpotency_class=3,
-        )
+        ).check_consistency()
 
 
 # ---------------------------------------------------------------- collection
@@ -434,19 +435,101 @@ def test_large_exponents_match_matrix_model(n):
 
 def test_off_grid_check_rejects_corrupted_table():
     # ut(4) with [g1, g0] = g3 g2: g2 is not central, so the table is
-    # inconsistent, and conjugating g1 by powers of g0 stops being polynomial;
-    # the constructor's consistency check meets it through its first product
+    # inconsistent; conjugation by g0 sends g1 to g1 g2 g3, which does not
+    # commute with g2 as g1 does
+    message = re.escape(
+        "inconsistent presentation: conjugation by g0 breaks the relation g2 g1 = g1 g2 [g2, g1]"
+    )
     rules = dict(unitriangular(4).rules)
     rules[(0, 1)] = (0, 0, 1, 1, 0, 0)
-    with pytest.raises(ValueError, match="inconsistent presentation: conjugating g1 by g0"):
-        PcPresentation(6, rules, nilpotency_class=3)
-    # ut(5) with [g1, g0] = g4 g2 has 10 generators, past the constructor's
-    # check, so it builds and the off-grid check refuses its first product
+    with pytest.raises(ValueError, match=message):
+        PcPresentation(6, rules, nilpotency_class=3).check_consistency()
+    # ut(5) with [g1, g0] = g4 g2 has 10 generators; it builds, and its
+    # first product refuses it
     rules = dict(unitriangular(5).rules)
     rules[(0, 1)] = (0, 0, 1, 0, 1, 0, 0, 0, 0, 0)
     p = PcPresentation(10, rules, nilpotency_class=4)
-    with pytest.raises(ValueError, match="inconsistent presentation: conjugating g1 by g0"):
+    with pytest.raises(ValueError, match=message):
         p.multiply(p.generator(1), p.generator(0))
+
+
+# The 5-generator table 5 3 / 1 2 : 0 1 0 / 3 4 : 1 with four free
+# generators added: (g2 g1) g0 = (1, 1, 1, 1, 1, 0, 0, 0, 0), but
+# g2 (g1 g0) = (1, 1, 1, 1, 0, 0, 0, 0, 0).
+NINE_GENERATOR_INCONSISTENT = "9 3\n1 2 : 0 1 0 0 0 0 0\n3 4 : 1 0 0 0 0\n"
+
+
+def sweep_consistent(p):
+    """Reference: the collected products (g_c g_b) g_a and g_c (g_b g_a)
+    agree for every c > b > a.  Products come from the step reference,
+    which builds no conjugation table."""
+    ref = StepCollector(p)
+    gens = [p.generator(k) for k in range(p.n)]
+    return all(
+        ref.mul(ref.mul(gens[c], gens[b]), gens[a]) == ref.mul(gens[c], ref.mul(gens[b], gens[a]))
+        for c, b, a in itertools.combinations(reversed(range(p.n)), 3)
+    )
+
+
+def test_nine_generator_inconsistent_table_is_refused():
+    p = presentation_from_text(NINE_GENERATOR_INCONSISTENT)
+    assert not sweep_consistent(p)
+    with pytest.raises(ValueError, match="inconsistent presentation"):
+        p.multiply(p.generator(1), p.generator(0))
+
+
+def test_relation_moved_only_through_its_commutator_is_refused():
+    # conjugation by g0 fixes g1 and g2 but sends g3 = [g2, g1] to g3 g4,
+    # so it breaks g2 g1 = g1 g2 g3
+    p = PcPresentation(5, {(1, 2): (0, 0, 0, 1, 0), (0, 3): (0, 0, 0, 0, 1)}, nilpotency_class=3)
+    assert not sweep_consistent(p)
+    message = "conjugation by g0 breaks the relation g2 g1 = g1 g2 [g2, g1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        p.check_consistency()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_collector_accepts_exactly_the_sweep_consistent_tables(data):
+    """Tables on 4..9 generators, declared class 3: a consistent one (free
+    abelian, so possibly empty) with a few entries redrawn.  The collector's
+    per-level check accepts a table exactly when the triple sweep does, and
+    on accepted tables it agrees with the step reference."""
+    bases = [free_abelian(n) for n in range(4, 10)] + [
+        unitriangular(4),
+        free_class3(),
+        filiform(7),
+        filiform(9),
+        direct_product(unitriangular(4), heisenberg()),
+        direct_product(free_class3(), free_abelian(4)),
+    ]
+    base = data.draw(st.sampled_from(bases))
+    n = base.n
+    entry = st.sampled_from([1, 0, -1, 2, -2])
+    rules = dict(base.rules)
+    triples = list(itertools.combinations(range(n), 3))
+    for i, j, l in data.draw(st.lists(st.sampled_from(triples), max_size=n)):
+        vec = list(rules.get((i, j), (0,) * n))
+        vec[l] = data.draw(entry)
+        rules[(i, j)] = tuple(vec)
+    p = PcPresentation(n, rules, nilpotency_class=3)
+    assume(max(_weights(p)) >= 3)
+    try:
+        p.check_consistency()
+        accepted = True
+    except ValueError as exc:
+        assert str(exc).startswith("inconsistent presentation: conjugation by g")
+        accepted = False
+    assert accepted == sweep_consistent(p)
+    if not accepted:
+        return
+    ref = StepCollector(p)
+    elt = st.tuples(*[st.integers(-3, 3)] * n)
+    u, v = data.draw(elt), data.draw(elt)
+    e = data.draw(st.integers(-3, 3))
+    assert p.multiply(u, v) == ref.mul(u, v)
+    assert p.inverse(u) == ref.inv(u)
+    assert p.power(u, e) == ref.pow(u, e)
 
 
 @settings(max_examples=300, deadline=None)

@@ -846,7 +846,9 @@ def random_consistent_tables(seed, attempts):
                 if rng.random() < 0.5:
                     rules[(i, j)] = (0,) * (j + 1) + tuple(entry() for _ in range(j + 1, n))
         try:
-            tables.append(PcPresentation(n, rules, nilpotency_class=3))
+            p = PcPresentation(n, rules, nilpotency_class=3)
+            p.check_consistency()
+            tables.append(p)
         except ValueError:
             continue
     return tables
