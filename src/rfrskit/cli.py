@@ -45,6 +45,7 @@ from .raags import (
 )
 from .rfrs import (
     Filtration,
+    RfrsReport,
     obstruction_certificate,
     restrict_chain,
     trapped_central_witness,
@@ -187,6 +188,15 @@ def _rfrs_schema(command: str, group: str, overall: bool, steps, intersection_ra
     return report
 
 
+def _chain_schema(command: str, group: str, rep: RfrsReport, witness, **extra) -> dict:
+    """`_rfrs_schema` of a chain that `verify_rfrs_chain` checked."""
+    steps = [
+        {"index": s.index, "normal": s.normal_in_g, "kernel_contained": s.kernel_contained}
+        for s in rep.steps
+    ]
+    return _rfrs_schema(command, group, rep.overall, steps, rep.intersection.rank(), witness, 0, **extra)
+
+
 def _cmd_analyze(cfg: RunConfig) -> int:
     p = _load_group(cfg.group)
     quot = abelianization(p)
@@ -223,19 +233,7 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
     f = _load_chain(p, cfg.chain)
     rep = verify_rfrs_chain(f)
     witness = trapped_central_witness(rep) if rep.overall and not p.is_abelian() else None
-    steps = [
-        {"index": s.index, "normal": s.normal_in_g, "kernel_contained": s.kernel_contained}
-        for s in rep.steps
-    ]
-    report = _rfrs_schema(
-        "rfrs-verify",
-        cfg.group,
-        rep.overall,
-        steps,
-        rep.intersection.rank(),
-        witness,
-        0,
-    )
+    report = _chain_schema("rfrs-verify", cfg.group, rep, witness)
     def lines() -> list[str]:
         out = [f"chain of length {len(f.chain)} on {cfg.group}"]
         for k, s in enumerate(rep.steps):
@@ -287,20 +285,7 @@ def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
     f = _load_chain(p, cfg.chain)
     g = restrict_chain(f, _load_subgroup(p, cfg.restrict_to))
     rep = verify_rfrs_chain(g)
-    steps = [
-        {"index": s.index, "normal": s.normal_in_g, "kernel_contained": s.kernel_contained}
-        for s in rep.steps
-    ]
-    report = _rfrs_schema(
-        "rfrs-restrict",
-        cfg.group,
-        rep.overall,
-        steps,
-        rep.intersection.rank(),
-        None,
-        0,
-        restricted_length=len(g.chain),
-    )
+    report = _chain_schema("rfrs-restrict", cfg.group, rep, None, restricted_length=len(g.chain))
     _emit(report, lambda: [
         f"restricted chain has {len(g.chain)} terms in a rank-{g.ambient.n} subgroup",
         f"overall: {rep.overall}",

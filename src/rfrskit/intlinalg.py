@@ -10,21 +10,22 @@ concurrent use needs no locking.
 `hnf` inserts rows one at a time into a Hermite basis that it keeps fully
 reduced, so intermediate entries stay near the size of the answer, which
 the determinant bounds; `hnf_basis` runs the same insertion without
-carrying the transform.  `left_kernel` and `saturate` build on it, and
-`AbelianQuotient` takes the Smith form of the Hermite basis of its
-relations rather than of the relations themselves.  `lattice_member` and
-`lattice_index` use a basis already in row echelon form as given; each
-`IntMatrix` finds its echelon rows once, on first use, and keeps them (a
-pure function of the entries, so two threads racing to fill the cache
-store equal values).
+carrying the transform, and `left_kernel` reads the transform parts of
+the rows it sifts to zero.  `AbelianQuotient` takes the Smith form of the
+Hermite basis of its relations rather than of the relations themselves.
+`lattice_member` and `lattice_index` read the pivot rows of a lattice
+from `IntMatrix._echelon`: a basis in row echelon form as given, any
+other through its Hermite basis, found once and kept (a pure function of
+the entries, so two threads racing to fill the cache store equal values).
 
-One unimodular two-row step, `_gcd_step`, clears an entry below a pivot
-for both normal forms.  `snf`, like `hnf`, keeps each row of U after its
-row of the matrix, so a row step carries U along.  Its column pass stays
-written out in place: routing it through the same step, as a row pass
-over the transposed block with V kept transposed, gave the same bytes but
-read 5-13 % slower on the benchmark's `matrices_graphs` wall time
-(Python 3.11, 2-core Xeon).
+`hnf`, `left_kernel` and `snf` carry the transform in the rows of
+[a | I], and one unimodular two-row step, `_gcd_step`, clears an entry
+below a pivot for both normal forms.  `snf` keeps the rows of V below
+those rows, so a column swap or step is one loop over one list.  The
+column step stays written out: routing it through `_gcd_step`, as a row
+pass over the transposed block with V kept transposed, gave the same
+bytes but read 5-13 % slower on the benchmark's `matrices_graphs` wall
+time (Python 3.11, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -126,16 +127,17 @@ class IntMatrix:
         return IntMatrix(n, m, tuple(out))
 
     @cached_property
-    def _echelon(self) -> tuple[tuple[int, int, tuple[int, ...]], ...] | None:
-        """(pivot column, pivot entry, row) per row when the matrix is in
-        row echelon form (no zero rows, pivot columns strictly increasing),
-        else None.  Computed once: the matrix never changes."""
+    def _echelon(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(pivot column, pivot entry, row) per pivot row of the row
+        lattice: the rows as given when they are in row echelon form (no
+        zero rows, pivot columns strictly increasing), else those of
+        `hnf_basis`.  Computed once: the matrix never changes."""
         out = []
         for i in range(self.rows):
             row = self.row(i)
             j = next((k for k, x in enumerate(row) if x), None)
             if j is None or (out and j <= out[-1][0]):
-                return None
+                return hnf_basis(self)._echelon
             out.append((j, row[j], row))
         return tuple(out)
 
@@ -229,6 +231,11 @@ def _hermite_rows(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
     return [basis[j] for j in sorted(basis)], kernel
 
 
+def _with_identity(a: IntMatrix) -> list[list[int]]:
+    # The rows of [a | I]: a row step carries each row's transform along.
+    return [list(a.row(i)) + [int(k == i) for k in range(a.rows)] for i in range(a.rows)]
+
+
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
@@ -238,15 +245,10 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     beside them are a basis of the left kernel of a.  H is unique; so is
     U when a has full row rank.
 
-    Each row of a goes through `_hermite_rows` with its U row (a row of
-    the identity) appended.
+    The rows of [a | I] go through `_hermite_rows`.
     """
     m, n = a.rows, a.cols
-    if m == 0:
-        return a, IntMatrix.identity(0)
-    pivots, kernel = _hermite_rows(
-        (list(a.row(i)) + [int(k == i) for k in range(m)] for i in range(m)), n
-    )
+    pivots, kernel = _hermite_rows(_with_identity(a), n)
     rows = pivots + kernel
     return (
         IntMatrix(m, n, tuple(x for r in rows for x in r[:n])),
@@ -263,10 +265,12 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
 
 
 def left_kernel(a: IntMatrix) -> IntMatrix:
-    """Canonical basis of {x : x @ a == 0}."""
-    h, u = hnf(a)
-    rows = [u.row(i) for i in range(a.rows) if not any(h.row(i))]
-    return hnf_basis(IntMatrix._from_int_rows(rows, a.rows))
+    """Canonical basis of {x : x @ a == 0}: the Hermite basis of the
+    transform parts of the rows of [a | I] that `_hermite_rows` sifts to
+    zero."""
+    n = a.cols
+    _, kernel = _hermite_rows(_with_identity(a), n)
+    return hnf_basis(IntMatrix._from_int_rows([r[n:] for r in kernel], a.rows))
 
 
 def saturate(a: IntMatrix) -> IntMatrix:
@@ -296,45 +300,13 @@ class SmithDecomposition:
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by elementary row/column operations; each row of
-    D carries its row of U after it, as in `hnf`."""
+    """Smith normal form by elementary row/column operations on one row
+    list: the rows of [a | I] (D|U), then the rows of V.  Row steps touch
+    the D|U rows; a column swap or step runs over the whole list."""
     m, n = a.rows, a.cols
-    d = [list(a.row(i)) + [int(k == i) for k in range(m)] for i in range(m)]
-    v = IntMatrix.identity(n).to_rows()
-
-    def swap_cols(j1: int, j2: int) -> None:
-        for row in d:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def gcd_col_op(t: int, j: int) -> None:
-        a0, b0 = d[t][t], d[t][j]
-        if b0 == 0:
-            return
-        if a0 != 0 and b0 % a0 == 0:
-            q = b0 // a0
-            for row in d:
-                row[j] -= q * row[t]
-            for row in v:
-                row[j] -= q * row[t]
-            return
-        g, x, y = xgcd(a0, b0)
-        ag, bg = a0 // g, b0 // g
-        for row in d:
-            ct, cj = row[t], row[j]
-            row[t] = x * ct + y * cj
-            row[j] = -bg * ct + ag * cj
-        for row in v:
-            ct, cj = row[t], row[j]
-            row[t] = x * ct + y * cj
-            row[j] = -bg * ct + ag * cj
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = None
-        best = None
+    d = _with_identity(a) + IntMatrix.identity(n).to_rows()
+    for t in range(min(m, n)):
+        piv = best = None
         for i in range(t, m):
             for j in range(t, n):
                 x = abs(d[i][j])
@@ -346,13 +318,26 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
         if pj != t:
-            swap_cols(t, pj)
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
                     d[t], d[i] = _gcd_step(d[t], d[i], t)
             for j in range(t + 1, n):
-                gcd_col_op(t, j)
+                a0, b0 = d[t][t], d[t][j]
+                q, rem = divmod(b0, a0)
+                if not rem:
+                    if q:
+                        for row in d:
+                            row[j] -= q * row[t]
+                    continue
+                g, x, y = xgcd(a0, b0)
+                ag, bg = a0 // g, b0 // g
+                for row in d:
+                    ct, cj = row[t], row[j]
+                    row[t] = x * ct + y * cj
+                    row[j] = -bg * ct + ag * cj
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
                 continue
             p = d[t][t]
@@ -364,11 +349,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             d[t] = [x + y for x, y in zip(d[t], d[bad[0]])]
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-        t += 1
     return SmithDecomposition(
-        IntMatrix(m, m, tuple(x for r in d for x in r[n:])),
-        IntMatrix(m, n, tuple(x for r in d for x in r[:n])),
-        IntMatrix._from_int_rows(v, n),
+        IntMatrix(m, m, tuple(x for r in d[:m] for x in r[n:])),
+        IntMatrix(m, n, tuple(x for r in d[:m] for x in r[:n])),
+        IntMatrix._from_int_rows(d[m:], n),
     )
 
 
@@ -415,8 +399,6 @@ def lattice_member(basis: IntMatrix, vec) -> bool:
     if len(w) != basis.cols:
         raise ValueError("vector length does not match lattice dimension")
     rows = basis._echelon
-    if rows is None:
-        rows = hnf_basis(basis)._echelon
     start = 0
     for j, piv, row in rows:
         if any(w[start:j]):
@@ -436,8 +418,6 @@ def lattice_index(basis: IntMatrix):
     Like `lattice_member`, takes a row echelon basis as given.
     """
     rows = basis._echelon
-    if rows is None:
-        rows = hnf_basis(basis)._echelon
     if len(rows) < basis.cols:
         return INFINITE
     return abs(math.prod(piv for _, piv, _ in rows))

@@ -22,7 +22,8 @@ lower central series, center, rank, and whole-group abelianization; the
 general subgroup operations refuse them.  `center` is one walk in every
 class, down the generator weights of `pcgroups._weights`: each step is
 an integer kernel of the weight-d coordinates of commutators with the
-generators, over the exponents of the previous step's triangular basis.
+generators of weight below d, over the exponents of the previous step's
+triangular basis.
 
 In class <= 2, u v = u + v + B(u, v) with B bilinear and central valued,
 and `_product_corrections` is the one function that computes B:
@@ -514,16 +515,19 @@ def center(p: PcPresentation) -> Subgroup:
     coordinates of [u, g_k])_k is a homomorphism with kernel C_(d+1): each
     step is one integer kernel in the exponents over C_d's triangular
     basis, and the ordered products of that basis by the kernel's Hermite
-    rows are again triangular, a basis of C_(d+1).  In class <= 2 the walk
-    is one step, the linear commutation system over the generators.
+    rows are again triangular, a basis of C_(d+1).  Only generators of
+    weight below d enter step d: [u, g] lies in W_(w(g)+1), so its
+    weight-d coordinates vanish when w(g) >= d.  In class <= 2 the walk is
+    one step, the linear commutation system over the weight-1 generators.
     """
     gens = [p.generator(k) for k in range(p.n)]
     weights = _weights(p)
     basis = gens
     for d in range(2, max(weights, default=1) + 1):
         cols = [l for l, w in enumerate(weights) if w == d]
-        values = [[c[l] for c in (p.commutator(b, g) for g in gens) for l in cols] for b in basis]
-        ker = left_kernel(IntMatrix._from_int_rows(values, len(gens) * len(cols)))
+        low = [g for g, w in zip(gens, weights) if w < d]
+        values = [[c[l] for c in (p.commutator(b, g) for g in low) for l in cols] for b in basis]
+        ker = left_kernel(IntMatrix._from_int_rows(values, len(low) * len(cols)))
         basis = [_ordered_product(p, basis, ker.row(i)) for i in range(ker.rows)]
     sub = _subgroup_from_induced(p, basis)
     for v in sub.basis_elements():

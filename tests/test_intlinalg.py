@@ -272,6 +272,91 @@ def test_snf_diagonal_matches_sympy():
         assert snf(M(rows)).diagonal() == [abs(int(d[i, i])) for i in range(min(m, n))]
 
 
+def reference_snf(a):
+    """The Smith form with its D|U and V loops written out twice, as the
+    earlier implementation had them (`swap_cols`, `gcd_col_op`), kept as
+    the reference for `snf`'s one column loop over the D|U and V rows."""
+    m, n = a.rows, a.cols
+    d = [list(a.row(i)) + [int(k == i) for k in range(m)] for i in range(m)]
+    v = IntMatrix.identity(n).to_rows()
+
+    def swap_cols(j1, j2):
+        for row in d:
+            row[j1], row[j2] = row[j2], row[j1]
+        for row in v:
+            row[j1], row[j2] = row[j2], row[j1]
+
+    def gcd_col_op(t, j):
+        a0, b0 = d[t][t], d[t][j]
+        if b0 == 0:
+            return
+        if a0 != 0 and b0 % a0 == 0:
+            q = b0 // a0
+            for row in d:
+                row[j] -= q * row[t]
+            for row in v:
+                row[j] -= q * row[t]
+            return
+        g, x, y = xgcd(a0, b0)
+        ag, bg = a0 // g, b0 // g
+        for row in d:
+            ct, cj = row[t], row[j]
+            row[t] = x * ct + y * cj
+            row[j] = -bg * ct + ag * cj
+        for row in v:
+            ct, cj = row[t], row[j]
+            row[t] = x * ct + y * cj
+            row[j] = -bg * ct + ag * cj
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = abs(d[i][j])
+                if x and (best is None or x < best):
+                    best, piv = x, (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    d[t], d[i] = _gcd_step(d[t], d[i], t)
+            for j in range(t + 1, n):
+                gcd_col_op(t, j)
+            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
+                continue
+            p = d[t][t]
+            bad = next(
+                ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % p), None
+            )
+            if bad is None:
+                break
+            d[t] = [x + y for x, y in zip(d[t], d[bad[0]])]
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+        t += 1
+    return (
+        IntMatrix(m, m, tuple(x for r in d for x in r[n:])),
+        IntMatrix(m, n, tuple(x for r in d for x in r[:n])),
+        IntMatrix(n, n, tuple(x for r in v for x in r)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_inputs())
+def test_snf_matches_written_out_reference(a):
+    dec = snf(a)
+    assert (dec.u, dec.d, dec.v) == reference_snf(a)
+
+
 def _transform_case(seed):
     """A fixed matrix up to 10 x 10 with entries in [-50, 50]; every third
     one has a last row that is a combination of its first two."""

@@ -41,6 +41,7 @@ from rfrskit.subgroups import (
     subgroup_closure,
     verify_inclusion_homomorphism,
     _InducedBasis,
+    _ordered_product,
     _row_blocks,
     _sift,
     _subgroup_from_induced,
@@ -894,6 +895,33 @@ def test_center_matches_lower_central_series_reference():
         assert all(not any(p.commutator(v, p.generator(k))) for v in rows for k in range(p.n))
         for _ in range(5):
             assert z.contains(map_into_ambient(z, [rng.randint(-2, 2) for _ in rows]))
+
+
+def unpruned_center(p):
+    """The weight walk of `center` with commutators taken against every
+    generator at every step, also those of weight >= d, whose weight-d
+    coordinates vanish."""
+    gens = [p.generator(k) for k in range(p.n)]
+    weights = _weights(p)
+    basis = gens
+    for d in range(2, max(weights, default=1) + 1):
+        cols = [l for l, w in enumerate(weights) if w == d]
+        values = [[c[l] for c in (p.commutator(b, g) for g in gens) for l in cols] for b in basis]
+        ker = left_kernel(IntMatrix._from_int_rows(values, len(gens) * len(cols)))
+        basis = [_ordered_product(p, basis, ker.row(i)) for i in range(ker.rows)]
+    return _subgroup_from_induced(p, basis)
+
+
+def test_center_matches_unpruned_walk():
+    cases = [build_standard(f"ut({n})") for n in range(4, 8)] + [
+        build_standard("direct_product(ut(5),ut(4))"),
+        build_standard("direct_product(heisenberg,ut(4))"),
+    ]
+    deep = [p for p in RANDOM_TABLES if max(_weights(p)) >= 3]
+    for p in cases + deep:
+        z, ref = center(p), unpruned_center(p)
+        assert z.basis == ref.basis
+        assert z.basis_elements() == ref.basis_elements()
 
 
 def test_center_elements_commute():
