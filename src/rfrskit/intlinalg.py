@@ -522,17 +522,19 @@ def is_unipotent(a: IntMatrix) -> bool:
         raise ValueError("unipotence requires a square matrix")
     n = a.rows
     nil = IntMatrix(n, n, tuple(a.entry(i, j) - (1 if i == j else 0) for i in range(n) for j in range(n)))
-    return _matrix_power(nil, n).is_zero()
+    *_, top = _squarings(nil, n)
+    return top.is_zero()
 
 
-def _matrix_power(a: IntMatrix, e: int) -> IntMatrix:
-    """a^e for e >= 0, by repeated squaring."""
+def _squarings(a: IntMatrix, e: int):
+    """The powers of a that repeated squaring computes on the way to a^e
+    (e >= 0), ending with a^e."""
     result = IntMatrix.identity(a.rows)
     for bit in bin(e)[2:]:
         result = result @ result
         if bit == "1":
             result = result @ a
-    return result
+        yield result
 
 
 def _totient(m: int) -> int:
@@ -568,9 +570,10 @@ def finite_order_semisimple_check(a: IntMatrix) -> MatrixOrderReport:
     Requires a to be invertible over the integers.  Every finite order in
     GL_n(Z) divides the order bound L for the dimension, so `order` is None
     when a^L is not the identity; otherwise powers of a are stepped through
-    up to the first identity.  A finite-order matrix other than the
-    identity is semisimple, never unipotent, which the paired `unipotent`
-    flag lets callers confirm.
+    up to the first identity.  A finite-order matrix has roots of unity as
+    eigenvalues, so the walk to a^L stops at a power with |trace| > n.  A
+    finite-order matrix other than the identity is semisimple, never
+    unipotent, which the paired `unipotent` flag lets callers confirm.
     """
     if not a.is_square():
         raise ValueError("order check requires a square matrix")
@@ -579,7 +582,10 @@ def finite_order_semisimple_check(a: IntMatrix) -> MatrixOrderReport:
     n = a.rows
     ident = IntMatrix.identity(n)
     order = None
-    if _matrix_power(a, _order_bound(n)) == ident:
+    for power in _squarings(a, _order_bound(n)):
+        if abs(sum(power.entry(i, i) for i in range(n))) > n:
+            break  # then power != I, and order stays None
+    if power == ident:
         order, power = 1, a
         while power != ident:
             order, power = order + 1, power @ a

@@ -7,11 +7,11 @@ previous term's rational abelianization map.  An element has torsion
 abelianization image precisely when some power of it is a product of
 commutators, so that kernel is `subgroups.rational_kernel(T)`, the meet
 of T with the isolator of [T, T], computed in the ambient coordinates.
-The step checks go through it.  The witness checks ask only whether the
-central witness z, already in T, lies in that kernel, which in class 2
-is one rank comparison in the central coordinates
-(`subgroups._in_commutator_span`): the certificate's base check and each
-census subgroup, and the last term of a verified chain.  Only
+Each step check takes the kernel of the previous term.  The witness
+checks ask only whether the central witness z, already in T, lies in
+that kernel, which in class 2 is one test in the central coordinates
+(`subgroups._in_commutator_span`): for the certificate's base check and
+each census subgroup, and for every term of a verified chain.  Only
 `restrict_chain` builds an induced presentation, because it returns a
 filtration of H on H's own basis.
 
@@ -91,24 +91,16 @@ class RfrsReport:
     steps: tuple[RfrsStep, ...]
     overall: bool
     intersection: Subgroup
-    kernels: tuple[Subgroup, ...] = ()  # rational_kernel of every term but the last
 
 
 def verify_rfrs_chain(f: Filtration) -> RfrsReport:
     """Check normality, finite index, and kernel containment per step."""
-    steps = []
-    overall = True
-    kernels = tuple(rational_kernel(term) for term in f.chain[:-1])
-    for nxt, kernel in zip(f.chain[1:], kernels):
-        normal = nxt.is_normal()
-        idx = nxt.index()
-        contained = nxt.contains_subgroup(kernel)
-        steps.append(RfrsStep(index=idx, normal_in_g=normal, kernel_contained=contained))
-        overall = overall and normal and contained
-    # a Filtration descends, so its last term is the meet of all of them
-    return RfrsReport(
-        filtration=f, steps=tuple(steps), overall=overall, intersection=f.chain[-1], kernels=kernels
+    steps = tuple(
+        RfrsStep(nxt.index(), nxt.is_normal(), nxt.contains_subgroup(rational_kernel(prev)))
+        for prev, nxt in zip(f.chain, f.chain[1:])
     )
+    # a Filtration descends, so its last term is the meet of all of them
+    return RfrsReport(f, steps, all(s.passed for s in steps), f.chain[-1])
 
 
 def trapped_central_witness(report: RfrsReport) -> Element | None:
@@ -117,9 +109,10 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     abelianization image there.
 
     Returns None when the ambient group is abelian (no witness exists) or
-    when some step fails the trap, which a conditioned chain on a
+    when some term fails the trap, which a conditioned chain on a
     nonabelian class-2 group can never do.  Raises when the report shows
-    the chain violating the step conditions.
+    the chain violating the step conditions.  For z in a term t,
+    `_in_commutator_span(t, z)` decides z in `rational_kernel(t)`.
     """
     f = report.filtration
     p = f.ambient
@@ -131,10 +124,7 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
     z = center.kernel_witness
-    # a report built by hand may lack the kernels verify_rfrs_chain fills in
-    kernels = report.kernels or tuple(rational_kernel(term) for term in f.chain[:-1])
-    last = f.chain[-1]
-    trapped = all(k.contains(z) for k in kernels) and last.contains(z) and _in_commutator_span(last, z)
+    trapped = all(t.contains(z) and _in_commutator_span(t, z) for t in f.chain)
     return z if trapped else None
 
 
@@ -217,7 +207,7 @@ def restrict_chain(f: Filtration, h: Subgroup) -> Filtration:
         raise ValueError("subgroup belongs to a different ambient group")
     if h.basis.rows == 0:
         raise ValueError("cannot restrict to the trivial subgroup")
-    ip = induced_presentation(h)
+    sub = induced_presentation(h)
     local_terms: list[Subgroup] = []
     for term in f.chain:
         inter = term.intersect(h)
@@ -227,7 +217,7 @@ def restrict_chain(f: Filtration, h: Subgroup) -> Filtration:
             if exps is None:  # pragma: no cover - intersections stay inside h
                 raise RuntimeError("intersection element escaped the subgroup basis")
             local_rows.append(exps)
-        local = subgroup_closure(ip.presentation, local_rows)
+        local = subgroup_closure(sub, local_rows)
         if not local_terms or local_terms[-1] != local:
             local_terms.append(local)
-    return Filtration(ip.presentation, tuple(local_terms))
+    return Filtration(sub, tuple(local_terms))

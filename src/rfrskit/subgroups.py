@@ -6,13 +6,13 @@ normal-subgroup enumeration.
 `rational_kernel(s)` is the kernel of s -> s^ab tensor Q in ambient
 coordinates, computed in the central coordinates C: in class <= 2 every
 commutator is central, so the kernel is s meet Z^C meet the rational span
-of the basis-pair commutators, one integer kernel at most |C| wide, and
-none when the commutators have rank |C|.  The witness tests of `rfrs`
-need less: for z in s, `_in_commutator_span` decides z in
-`rational_kernel(s)` by one rank comparison in the central columns.
-`center_ab_report` takes the central witness from the same kernel step,
-so no Smith form is built here.  `Subgroup.intersect` is one Hermite form
-of [[B1, B1], [B2, 0]] (Zassenhaus).
+of the basis-pair commutators.  Every such span question takes one step,
+`_annihilator`, the integer vectors orthogonal to the span: the kernel
+keeps the rows of s meet Z^C orthogonal to it, `_in_commutator_span`
+decides z in `rational_kernel(s)` for z in s by z's dot products with it,
+and `center_ab_report` takes the central witness the same way, with no
+Smith form.  `Subgroup.intersect` is one Hermite form of
+[[B1, B1], [B2, 0]] (Zassenhaus).
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -246,25 +246,10 @@ def map_into_ambient(s: Subgroup, exps) -> Element:
     return _ordered_product(s.ambient, s.basis_elements(), exps)
 
 
-@dataclass(frozen=True)
-class InducedPresentation:
-    """A subgroup presented on its own Hermite basis: generator i of
-    `presentation` is basis row i of `subgroup`, and `to_ambient` /
-    `from_ambient` move elements across the inclusion.
-    """
-
-    presentation: PcPresentation
-    subgroup: Subgroup
-
-    def to_ambient(self, exps) -> Element:
-        return map_into_ambient(self.subgroup, exps)
-
-    def from_ambient(self, u: Element) -> tuple[int, ...] | None:
-        return express_in_basis(self.subgroup, u)
-
-
-def induced_presentation(s: Subgroup) -> InducedPresentation:
-    """Presentation of a subgroup of any rank on its Hermite basis."""
+def induced_presentation(s: Subgroup) -> PcPresentation:
+    """Presentation of a subgroup of any rank on its Hermite basis:
+    generator i is basis row i of s, so `map_into_ambient(s, .)` and
+    `express_in_basis(s, .)` move elements across the inclusion."""
     p = s.ambient
     _require_class2(p, "induced presentations")
     vecs = s.basis_elements()
@@ -280,24 +265,16 @@ def induced_presentation(s: Subgroup) -> InducedPresentation:
                 raise ValueError("induced commutator table is not triangular")
             if any(exps):
                 rules[(a, b)] = exps
-    cls = 2 if rules else 1
-    induced = PcPresentation(r, rules, nilpotency_class=cls)
-    return InducedPresentation(presentation=induced, subgroup=s)
+    return PcPresentation(r, rules, nilpotency_class=2 if rules else 1)
 
 
-def verify_inclusion_homomorphism(ip: InducedPresentation) -> bool:
+def verify_inclusion_homomorphism(s: Subgroup) -> bool:
     """Check the inclusion on all generator pairs: products computed in
-    the induced presentation match ambient products of the images."""
-    sub = ip.presentation
-    for a in range(sub.n):
-        for b in range(sub.n):
-            prod = sub.multiply(sub.generator(a), sub.generator(b))
-            ambient_prod = ip.subgroup.ambient.multiply(
-                ip.to_ambient(sub.generator(a)), ip.to_ambient(sub.generator(b))
-            )
-            if ip.to_ambient(prod) != ambient_prod:
-                return False
-    return True
+    the induced presentation of s match ambient products of the images."""
+    sub = induced_presentation(s)
+    gens = [sub.generator(a) for a in range(sub.n)]
+    into = functools.partial(map_into_ambient, s)
+    return all(into(sub.multiply(u, v)) == s.ambient.multiply(into(u), into(v)) for u in gens for v in gens)
 
 
 # ----------------------------------------------------- normal subgroup census
@@ -337,8 +314,7 @@ def enumerate_normal_subgroups(
     _require_class2(p, "normal subgroup enumeration")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    top = [k for k in range(p.n) if not p.central[k]]
-    cen = [k for k in range(p.n) if p.central[k]]
+    top, cen = _central_split(p)
 
     @functools.cache
     def projections(d: int) -> list:
@@ -551,12 +527,19 @@ def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
     return Subgroup(p, saturate(s.basis))
 
 
+def _annihilator(comms, m: int) -> IntMatrix:
+    """Integer basis of the vectors of Z^m orthogonal to the rational span
+    of the rows comms: the left kernel of comms^T.  A vector lies in that
+    span exactly when it is orthogonal to every row."""
+    return left_kernel(IntMatrix._from_int_rows(comms, m).transpose())
+
+
 def _torsion_image_kernel(b: IntMatrix, comms) -> IntMatrix:
     """Canonical basis of the k with k b in the rational span of comms:
-    the left kernel of b perp^T, perp the integer kernel of comms^T.  When
+    the left kernel of b perp^T, perp the annihilator of comms.  When
     comms span all of Q^m, every k qualifies and the second kernel is
     skipped."""
-    perp = left_kernel(IntMatrix._from_int_rows(comms, b.cols).transpose())
+    perp = _annihilator(comms, b.cols)
     if not perp.rows:
         return IntMatrix.identity(b.rows)
     return left_kernel(b @ perp.transpose())
@@ -599,17 +582,14 @@ def rational_kernel(s: Subgroup) -> Subgroup:
 def _in_commutator_span(s: Subgroup, z: Element) -> bool:
     """For z in s (class <= 2): whether z lies in `rational_kernel(s)`,
     that is, in the rational span of the basis-pair commutators.  That
-    span lies in Z^C, so this is one rank comparison in the central
-    coordinates, with no kernel."""
+    span lies in Z^C, so z must vanish off C and, on C, be orthogonal to
+    every row of the span's annihilator."""
     p = s.ambient
     top, cen = _central_split(p)
     if any(z[k] for k in top):
         return False
-    comms = hnf_basis(IntMatrix._from_int_rows(_central_commutators(p, s, cen), len(cen)))
-    if comms.rows == len(cen):
-        return True
-    both = IntMatrix._from_int_rows(comms.to_rows() + [[z[k] for k in cen]], len(cen))
-    return hnf_basis(both).rows == comms.rows
+    perp = _annihilator(_central_commutators(p, s, cen), len(cen))
+    return not any(sum(a * z[k] for a, k in zip(perp.row(i), cen)) for i in range(perp.rows))
 
 
 # --------------------------------------------------------- center/ab report

@@ -821,6 +821,21 @@ def test_finite_order_matches_power_stepping():
     assert None in orders and max(o for o in orders if o) >= 6
 
 
+def test_infinite_order_stops_at_a_large_trace():
+    """Every power of a finite-order n x n matrix has |trace| <= n, so these
+    infinite-order matrices are refused long before a^L (L = 55,440 at
+    n = 10 and 720,720 at n = 12)."""
+    cases = []
+    for n in (10, 12):
+        u = M([[int(i == j) + 3 * (j == i + 1) for j in range(n)] for i in range(n)])
+        cases.append(u.transpose() @ u)
+    # the golden-ratio block [[1, 1], [1, 0]] padded with the identity
+    cases.append(M([[int(i == j) if max(i, j) > 1 else int(i + j < 2) for j in range(10)] for i in range(10)]))
+    for a in cases:
+        r = finite_order_semisimple_check(a)
+        assert r.order is None and not r.unipotent
+
+
 # ------------------------------------------------------------- plumbing
 
 

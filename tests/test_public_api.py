@@ -11,7 +11,6 @@ PUBLIC_API = [
     "Filtration",
     "Graph",
     "INFINITE",
-    "InducedPresentation",
     "IntMatrix",
     "MatrixOrderReport",
     "ObstructionCertificate",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -29,8 +30,10 @@ from rfrskit.subgroups import (
     _in_commutator_span,
     center_ab_report,
     enumerate_normal_subgroups,
+    express_in_basis,
     induced_presentation,
     isolator,
+    map_into_ambient,
     rational_kernel,
     subgroup_closure,
 )
@@ -120,7 +123,7 @@ def test_verify_soundness_against_coset_bruteforce():
         report = verify_rfrs_chain(f)
         for k in range(len(f.chain) - 1):
             term, nxt = f.chain[k], f.chain[k + 1]
-            ip = induced_presentation(term)
+            sub = induced_presentation(term)
             # enumerate coset representatives of nxt inside term by BFS
             reps = [H.identity()]
             frontier = [H.identity()]
@@ -138,7 +141,7 @@ def test_verify_soundness_against_coset_bruteforce():
             brute = all(
                 nxt.contains(w)
                 for w in reps
-                if abelianization(ip.presentation).is_torsion(ip.from_ambient(w))
+                if abelianization(sub).is_torsion(express_in_basis(term, w))
             )
             assert brute == report.steps[k].kernel_contained
 
@@ -155,9 +158,8 @@ def test_trapped_witness_orders_along_chain():
     f = heisenberg_chain()
     orders = []
     for term in f.chain:
-        ip = induced_presentation(term)
-        local = ip.from_ambient((0, 0, 1))
-        orders.append(abelianization(ip.presentation).image_order(local))
+        local = express_in_basis(term, (0, 0, 1))
+        orders.append(abelianization(induced_presentation(term)).image_order(local))
     assert orders == [1, 2, 4]
 
 
@@ -180,10 +182,9 @@ def test_trapped_witness_requires_valid_chain():
 
 
 def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsys):
-    """`rfrs-verify` on a passing 4-term chain needs the rational kernel of
-    each term but the last once: the report carries them to the witness
-    check, which tests the last term by rank alone, once.  The report bytes
-    do not change."""
+    """`rfrs-verify` on a passing 4-term chain takes the rational kernel of
+    each term but the last once, in the step checks, and the witness check
+    makes one span test on every term.  The report bytes do not change."""
     path = tmp_path / "chain4.txt"
     path.write_text(
         "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n"
@@ -208,18 +209,81 @@ def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsy
     assert main(args) == 0
     assert capsys.readouterr().out == plain
     assert [s.index() for s in calls] == [1, 2, 4]
-    assert [s.index() for s in witness_tests] == [8]
+    assert [s.index() for s in witness_tests] == [1, 2, 4, 8]
     report = json.loads(plain)
     assert report["overall"] and report["witness"] == [0, 0, 1]
     assert [s["index"] for s in report["steps"]] == [2, 4, 8]
 
 
-def test_report_carries_kernels_of_all_terms_but_the_last():
-    f = heisenberg_chain()
-    report = verify_rfrs_chain(f)
-    assert report.kernels == tuple(rational_kernel(t) for t in f.chain[:-1])
-    bare = rfrs.RfrsReport(f, report.steps, report.overall, report.intersection)
-    assert trapped_central_witness(bare) == trapped_central_witness(report) == (0, 0, 1)
+def _in_span_by_rank(s, z):
+    """Reference span test: z is in the rational span of the basis-pair
+    commutators of s exactly when adding it leaves their Hermite rank as
+    it is."""
+    p = s.ambient
+    vecs = s.basis_elements()
+    comms = [p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
+    rank = hnf_basis(IntMatrix.from_rows(comms) if comms else IntMatrix(0, p.n, ())).rows
+    return hnf_basis(IntMatrix.from_rows(comms + [z])).rows == rank
+
+
+def _trapped_by_kernels(report):
+    """Reference trap: the witness lies in the rational kernel of every
+    term but the last, and in the last term with a rank comparison."""
+    z = center_ab_report(report.filtration.ambient).kernel_witness
+    if z is None:
+        return None
+    if not report.overall:
+        raise ValueError("chain fails the step conditions")
+    *init, last = report.filtration.chain
+    trapped = all(rational_kernel(t).contains(z) for t in init)
+    return z if trapped and last.contains(z) and _in_span_by_rank(last, z) else None
+
+
+def _census_meet_chains(p, bound, count, rng):
+    """Chains whose terms are running meets of random census subgroups."""
+    census = enumerate_normal_subgroups(p, bound)
+    chains = []
+    for _ in range(count):
+        terms = [Subgroup.whole_group(p)]
+        for s in rng.sample(census, rng.randint(1, 3)):
+            meet = terms[-1].intersect(s)
+            if meet != terms[-1]:
+                terms.append(meet)
+        chains.append(Filtration.from_subgroups(p, terms))
+    return chains
+
+
+def _trap_or_raise(trap, report):
+    try:
+        return trap(report)
+    except ValueError:
+        return "raises"
+
+
+def test_trapped_witness_matches_kernel_route():
+    """The one span test per term against the kernel route, on chains of
+    meets of census subgroups: as verified, and with the report forced to
+    pass, so that terms without the witness reach the trap."""
+    rng = random.Random(7)
+    chains = _census_meet_chains(H, 16, 60, rng)
+    for p in (direct_product(H, free_abelian(1)), direct_product(free_abelian(1), H)):
+        chains += _census_meet_chains(p, 8, 30, rng)
+    seen = set()
+    for f in chains:
+        report = verify_rfrs_chain(f)
+        forced = dataclasses.replace(report, overall=True)
+        for r in (report, forced):
+            got = _trap_or_raise(trapped_central_witness, r)
+            assert got == _trap_or_raise(_trapped_by_kernels, r)
+            seen.add((r.overall, got is None, got == "raises"))
+    assert {(True, False, False), (True, True, False), (False, False, True)} <= seen
+    p = free_abelian(2)
+    abelian = verify_rfrs_chain(Filtration.from_subgroups(p, [Subgroup.whole_group(p), scaled_lattice(p, 2)]))
+    assert trapped_central_witness(abelian) is None and _trapped_by_kernels(abelian) is None
+    bad = subgroup_closure(H, [H.power(X, 2), H.power(Y, 2), H.power(Z, 2)])
+    failing = verify_rfrs_chain(Filtration.from_subgroups(H, [Subgroup.whole_group(H), bad]))
+    assert _trap_or_raise(trapped_central_witness, failing) == "raises"
+    assert _trap_or_raise(_trapped_by_kernels, failing) == "raises"
 
 
 # ------------------------------------------------------------- certificate
@@ -252,11 +316,10 @@ def _torsion_image_oracle(sub_pres, local):
 def _rational_kernel_by_induced_presentation(s):
     """Reference kernel of s -> s^ab tensor Q: the isolator of the derived
     subgroup of the induced presentation, mapped back to the ambient group."""
-    ip = induced_presentation(s)
-    sub = ip.presentation
+    sub = induced_presentation(s)
     derived = Subgroup.from_lattice(sub, [vec for _, vec in sorted(sub.rules.items())])
     isolated = isolator(sub, derived)
-    return subgroup_closure(s.ambient, [ip.to_ambient(v) for v in isolated.basis_elements()])
+    return subgroup_closure(s.ambient, [map_into_ambient(s, v) for v in isolated.basis_elements()])
 
 
 def _rational_kernel_by_meet(s):
@@ -308,8 +371,8 @@ def test_rational_kernel_matches_induced_route():
         assert kernel == _rational_kernel_by_meet(s)
         z = witness[s.ambient]
         if s.contains(z):
-            ip = induced_presentation(s)
-            assert kernel.contains(z) == _torsion_image_oracle(ip.presentation, ip.from_ambient(z))
+            local = express_in_basis(s, z)
+            assert kernel.contains(z) == _torsion_image_oracle(induced_presentation(s), local)
         else:
             assert not kernel.contains(z)
 
@@ -396,10 +459,9 @@ def test_certificate_heisenberg_max8():
         sub = Subgroup.from_lattice(H, [list(r) for r in rec.basis_rows])
         assert rec.contains_witness == sub.contains((0, 0, 1))
         if rec.contains_witness:
-            ip = induced_presentation(sub)
-            local = ip.from_ambient((0, 0, 1))
+            local = express_in_basis(sub, (0, 0, 1))
             assert rec.witness_torsion_in_ab
-            assert _torsion_image_oracle(ip.presentation, local)
+            assert _torsion_image_oracle(induced_presentation(sub), local)
 
 
 def test_certificate_exists_subgroup_without_witness_at_8():
