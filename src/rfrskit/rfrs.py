@@ -7,13 +7,13 @@ previous term's rational abelianization map.  An element has torsion
 abelianization image precisely when some power of it is a product of
 commutators, so that kernel is `subgroups.rational_kernel(T)`, the meet
 of T with the isolator of [T, T], computed in the ambient coordinates.
-Each step check takes the kernel of the previous term.  The witness
-checks ask only whether the central witness z, already in T, lies in
-that kernel, which in class 2 is one test in the central coordinates
-(`subgroups._in_commutator_span`): for the certificate's base check and
-each census subgroup, and for every term of a verified chain.  Only
-`restrict_chain` builds an induced presentation, because it returns a
-filtration of H on H's own basis.
+Each step check takes the kernel of the previous term.  For T of finite
+index that kernel is T meet V, V the kernel of G -> G^ab tensor Q, one
+lattice for the whole group.  The central witness z lies in V, so for
+every finite-index T that holds z, z lies in `rational_kernel(T)`: the
+witness checks are membership tests, in every term of a verified chain
+and in every census subgroup.  Only `restrict_chain` builds an induced
+presentation, because it returns a filtration of H on H's own basis.
 
 The obstruction certificate bounds the index and checks, for every
 normal subgroup H up to the bound, the implication
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
-    _in_commutator_span,
     center_ab_report,
     enumerate_normal_subgroups,
     express_in_basis,
@@ -111,8 +110,10 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     Returns None when the ambient group is abelian (no witness exists) or
     when some term fails the trap, which a conditioned chain on a
     nonabelian class-2 group can never do.  Raises when the report shows
-    the chain violating the step conditions.  For z in a term t,
-    `_in_commutator_span(t, z)` decides z in `rational_kernel(t)`.
+    the chain violating the step conditions.  Every term t has finite
+    index, so `rational_kernel(t)` is t meet V, V the kernel of
+    G -> G^ab tensor Q; z lies in V, so z lies in `rational_kernel(t)`
+    exactly when t holds it.
     """
     f = report.filtration
     p = f.ambient
@@ -124,8 +125,7 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
     z = center.kernel_witness
-    trapped = all(t.contains(z) and _in_commutator_span(t, z) for t in f.chain)
-    return z if trapped else None
+    return z if all(t.contains(z) for t in f.chain) else None
 
 
 @dataclass(frozen=True)
@@ -158,28 +158,30 @@ class ObstructionCertificate:
 def obstruction_certificate(
     p: PcPresentation, max_index: int, candidate_cap: int = 1_000_000
 ) -> ObstructionCertificate:
+    """Certificate over the normal subgroups of index <= max_index.
+
+    The implication needs one group-level fact.  Every census subgroup H
+    has finite index, so `rational_kernel(H)` is H meet V, V the kernel of
+    G -> G^ab tensor Q, which is `rational_kernel` of the whole group.  So
+    `base_ok`, z in V, is the base fact and makes every implication hold:
+    z has torsion image in H^ab exactly when H holds z, and each record's
+    `witness_torsion_in_ab` is True exactly when `contains_witness` is.
+    """
     if p.nilpotency_class != 2 or p.is_abelian():
         raise ValueError("obstruction certificates apply to nonabelian class-2 groups")
-    report = center_ab_report(p)
-    z = report.kernel_witness
+    z = center_ab_report(p).kernel_witness
     assert z is not None
-    base_ok = _in_commutator_span(Subgroup.whole_group(p), z)
+    base_ok = rational_kernel(Subgroup.whole_group(p)).contains(z)
     subs = enumerate_normal_subgroups(p, max_index, candidate_cap=candidate_cap)
     records = []
-    all_pass = base_ok
     for s in subs:
         contains = s.contains(z)
-        torsion: bool | None = None
-        if contains:
-            torsion = _in_commutator_span(s, z)
-            if not torsion:
-                all_pass = False
         records.append(
             SubgroupRecord(
                 basis_rows=tuple(tuple(r) for r in s.basis.to_rows()),
                 index=int(s.index()),
                 contains_witness=contains,
-                witness_torsion_in_ab=torsion,
+                witness_torsion_in_ab=base_ok if contains else None,
             )
         )
     note = (
@@ -191,7 +193,7 @@ def obstruction_certificate(
         index_bound=max_index,
         depth_note=note,
         checked_subgroups=len(subs),
-        all_pass=all_pass,
+        all_pass=base_ok,
         records=tuple(records),
     )
 

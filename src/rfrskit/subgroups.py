@@ -4,14 +4,14 @@ rank, isolators, rational kernels, induced presentations, and
 normal-subgroup enumeration.
 
 `rational_kernel(s)` is the kernel of s -> s^ab tensor Q in ambient
-coordinates, computed in the central coordinates C: in class <= 2 every
-commutator is central, so the kernel is s meet Z^C meet the rational span
-of the basis-pair commutators.  Every such span question takes one step,
-`_annihilator`, the integer vectors orthogonal to the span: the kernel
-keeps the rows of s meet Z^C orthogonal to it, `_in_commutator_span`
-decides z in `rational_kernel(s)` for z in s by z's dot products with it,
-and `center_ab_report` takes the central witness the same way, with no
-Smith form.  `Subgroup.intersect` is one Hermite form of
+coordinates, for s of finite index: then [s, s] has finite index in
+[G, G], so the kernel is s meet V, V the kernel of G -> G^ab tensor Q,
+the integer vectors in the rational span of the rule values.  In class
+<= 2 V lies in Z^C, C the central coordinates, so the kernel keeps the
+rows of s meet Z^C in that span, in the |C| central columns.  The one
+span step, `_torsion_image_kernel`, also gives `center_ab_report` its
+central witness, with no Smith form.  Subgroups of infinite index are
+refused.  `Subgroup.intersect` is one Hermite form of
 [[B1, B1], [B2, 0]] (Zassenhaus).
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
@@ -31,9 +31,8 @@ and `_product_corrections` is the one function that computes B:
 step, `Subgroup.from_lattice` accepts a lattice that closure leaves as it
 is, and the census takes from it the values a projection's centre must
 hold.  B(u, v) and [u, g] vanish when u or g is a product of central
-generators, so `_product_corrections`, `Subgroup.is_normal` and the
-commutator lists of the rational kernel skip such basis rows, and
-`is_normal` skips the central generators.
+generators, so `_product_corrections` and `Subgroup.is_normal` skip such
+basis rows, and `is_normal` skips the central generators.
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -527,46 +526,39 @@ def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
     return Subgroup(p, saturate(s.basis))
 
 
-def _annihilator(comms, m: int) -> IntMatrix:
-    """Integer basis of the vectors of Z^m orthogonal to the rational span
-    of the rows comms: the left kernel of comms^T.  A vector lies in that
-    span exactly when it is orthogonal to every row."""
-    return left_kernel(IntMatrix._from_int_rows(comms, m).transpose())
-
-
-def _torsion_image_kernel(b: IntMatrix, comms) -> IntMatrix:
-    """Canonical basis of the k with k b in the rational span of comms:
-    the left kernel of b perp^T, perp the annihilator of comms.  When
-    comms span all of Q^m, every k qualifies and the second kernel is
-    skipped."""
-    perp = _annihilator(comms, b.cols)
+def _torsion_image_kernel(b: IntMatrix, rules) -> IntMatrix:
+    """Canonical basis of the k with k b in the rational span of the rows
+    `rules`: the left kernel of b perp^T, perp the integer vectors
+    orthogonal to that span (the left kernel of rules^T).  When the rules
+    span all of Q^m, every k qualifies and the second kernel is skipped."""
+    perp = left_kernel(IntMatrix._from_int_rows(rules, b.cols).transpose())
     if not perp.rows:
         return IntMatrix.identity(b.rows)
     return left_kernel(b @ perp.transpose())
 
 
-def _central_commutators(p: PcPresentation, s: Subgroup, cen: list[int]) -> list[list[int]]:
-    """The central coordinates of the nonzero commutators of s's basis
-    pairs; central basis rows contribute none."""
-    vecs = _noncentral_rows(p, s.basis_elements())
-    comms = (p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :])
-    return [[w[k] for k in cen] for w in comms if any(w)]
-
-
 def rational_kernel(s: Subgroup) -> Subgroup:
     """ker(s -> s^ab tensor Q) in ambient coordinates: the elements of s
-    with a power in [s, s] (class <= 2).
+    with a power in [s, s], for s of finite index (class <= 2).
 
-    In class <= 2 [s, s] is the span of the central, bilinear basis-pair
-    commutators, and u in s has a power in it exactly when u is in their
-    rational span (u^m = m u when u has zero noncentral coordinates).  That
-    span lies in Z^C, C the central coordinates, so the kernel is s meet
-    Z^C meet the span, and the linear algebra needs only the |C| central
-    columns.  With the central columns put last, s meet Z^C is spanned by
-    the Hermite rows whose pivot is central.
+    Let V be the kernel of G -> G^ab tensor Q.  G^ab is Z^n modulo the
+    rule values, so V is Z^n meet their rational span; in class 2 they
+    lie in Z^C, C the central coordinates, and so does V.  For s of
+    finite index m, [s, s] has finite index in [G, G]: every u in G has a
+    power u^e in s with 1 <= e <= m (two of the cosets s u^i, i = 0..m,
+    agree), and commutators are bilinear in class 2, so
+    [u, v]^(e f) = [u^e, v^f] lies in [s, s].  So u in s has a power in
+    [s, s] exactly when it has one in [G, G], and the kernel is s meet V.
+    With the central columns put last, s meet Z^C is spanned by the
+    Hermite rows whose pivot is central, and the linear algebra needs
+    only the |C| central columns.  For s of infinite index the kernel
+    can be smaller (<z> has a trivial kernel, though z lies in V), so
+    such s are refused.
     """
     p = s.ambient
     _require_class2(p, "rational kernels")
+    if not s.is_full_rank():
+        raise ValueError("rational kernels need a finite-index subgroup")
     top, cen = _central_split(p)
     t = len(top)
     basis = s.basis
@@ -574,22 +566,9 @@ def rational_kernel(s: Subgroup) -> Subgroup:
         order = top + cen
         basis = hnf_basis(IntMatrix._from_int_rows([[v[k] for k in order] for v in s.basis_elements()], p.n))
     low = IntMatrix._from_int_rows([row[t:] for j, _, row in basis._echelon if j >= t], len(cen))
-    ker = _torsion_image_kernel(low, _central_commutators(p, s, cen))
+    ker = _torsion_image_kernel(low, [[w[k] for k in cen] for w in p.rules.values()])
     embed = IntMatrix._from_int_rows([p.generator(k) for k in cen], p.n)
     return Subgroup(p, hnf_basis(ker @ low @ embed))
-
-
-def _in_commutator_span(s: Subgroup, z: Element) -> bool:
-    """For z in s (class <= 2): whether z lies in `rational_kernel(s)`,
-    that is, in the rational span of the basis-pair commutators.  That
-    span lies in Z^C, so z must vanish off C and, on C, be orthogonal to
-    every row of the span's annihilator."""
-    p = s.ambient
-    top, cen = _central_split(p)
-    if any(z[k] for k in top):
-        return False
-    perp = _annihilator(_central_commutators(p, s, cen), len(cen))
-    return not any(sum(a * z[k] for a, k in zip(perp.row(i), cen)) for i in range(perp.rows))
 
 
 # --------------------------------------------------------- center/ab report

@@ -27,7 +27,6 @@ from rfrskit.rfrs import (
 )
 from rfrskit.subgroups import (
     Subgroup,
-    _in_commutator_span,
     center_ab_report,
     enumerate_normal_subgroups,
     express_in_basis,
@@ -183,8 +182,8 @@ def test_trapped_witness_requires_valid_chain():
 
 def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsys):
     """`rfrs-verify` on a passing 4-term chain takes the rational kernel of
-    each term but the last once, in the step checks, and the witness check
-    makes one span test on every term.  The report bytes do not change."""
+    each term but the last once, in the step checks; the witness check
+    takes none.  The report bytes do not change."""
     path = tmp_path / "chain4.txt"
     path.write_text(
         "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n"
@@ -194,22 +193,15 @@ def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsy
     assert main(args) == 0
     plain = capsys.readouterr().out
     calls = []
-    witness_tests = []
 
     def counted(s):
         calls.append(s)
         return rational_kernel(s)
 
-    def counted_witness(s, z):
-        witness_tests.append(s)
-        return _in_commutator_span(s, z)
-
     monkeypatch.setattr(rfrs, "rational_kernel", counted)
-    monkeypatch.setattr(rfrs, "_in_commutator_span", counted_witness)
     assert main(args) == 0
     assert capsys.readouterr().out == plain
     assert [s.index() for s in calls] == [1, 2, 4]
-    assert [s.index() for s in witness_tests] == [1, 2, 4, 8]
     report = json.loads(plain)
     assert report["overall"] and report["witness"] == [0, 0, 1]
     assert [s["index"] for s in report["steps"]] == [2, 4, 8]
@@ -261,9 +253,12 @@ def _trap_or_raise(trap, report):
 
 
 def test_trapped_witness_matches_kernel_route():
-    """The one span test per term against the kernel route, on chains of
+    """The membership test per term against the kernel route, on chains of
     meets of census subgroups: as verified, and with the report forced to
-    pass, so that terms without the witness reach the trap."""
+    pass, so that terms without the witness reach the trap.  A verified
+    passing chain always traps the central witness: each step keeps the
+    previous term's rational kernel, which holds z whenever the term does
+    (the paper's induction)."""
     rng = random.Random(7)
     chains = _census_meet_chains(H, 16, 60, rng)
     for p in (direct_product(H, free_abelian(1)), direct_product(free_abelian(1), H)):
@@ -276,6 +271,9 @@ def test_trapped_witness_matches_kernel_route():
             got = _trap_or_raise(trapped_central_witness, r)
             assert got == _trap_or_raise(_trapped_by_kernels, r)
             seen.add((r.overall, got is None, got == "raises"))
+        if report.overall:
+            z = center_ab_report(f.ambient).kernel_witness
+            assert z is not None and trapped_central_witness(report) == z
     assert {(True, False, False), (True, True, False), (False, False, True)} <= seen
     p = free_abelian(2)
     abelian = verify_rfrs_chain(Filtration.from_subgroups(p, [Subgroup.whole_group(p), scaled_lattice(p, 2)]))
@@ -349,6 +347,10 @@ def _random_class2_tables(seed, count):
 
 
 def test_rational_kernel_matches_induced_route():
+    """Full-rank subgroups against the three references and the torsion
+    oracle, among them closures of random elements and the rows k e_i,
+    which have finite index but need not be normal; subgroups of infinite
+    index are refused."""
     hz = direct_product(H, free_abelian(1))
     zh = direct_product(free_abelian(1), H)  # its central coordinate comes first
     hh = direct_product(H, H)
@@ -358,17 +360,30 @@ def test_rational_kernel_matches_induced_route():
     subs = enumerate_normal_subgroups(H, 16) + enumerate_normal_subgroups(hz, 6)
     subs += enumerate_normal_subgroups(zh, 6) + enumerate_normal_subgroups(hh, 3)
     subs += [s for p in tables for s in enumerate_normal_subgroups(p, 4)]
-    subs += [subgroup_closure(H, gens) for gens in ([X, Z], [X], [X, H.power(Z, 2)])]
+    infinite = [subgroup_closure(H, gens) for gens in ([X, Z], [X], [X, H.power(Z, 2)])]
     for p in groups:
-        subs += [Subgroup.trivial(p), Subgroup.whole_group(p)]
+        subs.append(Subgroup.whole_group(p))
+        infinite.append(Subgroup.trivial(p))
         for _ in range(15):
             gens = [tuple(rng.randint(-2, 2) for _ in range(p.n)) for _ in range(2)]
+            s = subgroup_closure(p, gens)
+            (subs if s.is_full_rank() else infinite).append(s)
+    full_rng = random.Random(17)
+    for p in groups:
+        for _ in range(12):
+            gens = [tuple(full_rng.randint(-3, 3) for _ in range(p.n)) for _ in range(full_rng.randint(1, 3))]
+            gens += [tuple(full_rng.randint(1, 4) if j == i else 0 for j in range(p.n)) for i in range(p.n)]
             subs.append(subgroup_closure(p, gens))
+    for s in infinite:
+        assert not s.is_full_rank()
+        with pytest.raises(ValueError, match="finite-index"):
+            rational_kernel(s)
     witness = {p: center_ab_report(p).kernel_witness for p in groups}
     for s in subs:
         kernel = rational_kernel(s)
         assert kernel == _rational_kernel_by_induced_presentation(s)
         assert kernel == _rational_kernel_by_meet(s)
+        assert kernel == _rational_kernel_full_width(s)
         z = witness[s.ambient]
         if s.contains(z):
             local = express_in_basis(s, z)
@@ -409,10 +424,12 @@ def _census_cases():
 
 
 def test_central_coordinates_match_full_width_references():
-    """`rational_kernel`, the rank test for the witness and `intersect`
-    against their full-width references, on every census subgroup and on
-    random closures holding the witness, which need not be normal or of
-    finite index; the kernels and meets must be equal as bases."""
+    """`rational_kernel` and `intersect` against their full-width
+    references, on every census subgroup and on random closures holding
+    the witness, which need not be normal or of finite index; the kernels
+    and meets must be equal as bases.  The full-width kernel holds the
+    witness in every finite-index subgroup that does, and only infinite
+    index can drop it, which is why `rational_kernel` refuses there."""
     rng = random.Random(5)
     verdicts = set()
     for p, census in _census_cases():
@@ -422,12 +439,16 @@ def test_central_coordinates_match_full_width_references():
             gens = [tuple(rng.randint(-2, 2) for _ in range(p.n)) for _ in range(rng.randint(1, 3))]
             subs.append(subgroup_closure(p, gens + [z]))
         for s in subs:
-            kernel = rational_kernel(s)
-            assert kernel == _rational_kernel_full_width(s)
+            reference = _rational_kernel_full_width(s)
+            if s.is_full_rank():
+                assert rational_kernel(s) == reference
+            else:
+                with pytest.raises(ValueError, match="finite-index"):
+                    rational_kernel(s)
             if s.contains(z):
-                inside = _in_commutator_span(s, z)
+                inside = reference.contains(z)
                 verdicts.add(inside)
-                assert inside == kernel.contains(z)
+                assert inside or not s.is_full_rank()
         for s, t in zip(census, census[1:] + census[:1]):
             assert s.intersect(t) == _intersect_by_kernel(s, t)
             u = rng.choice(subs)
@@ -462,6 +483,27 @@ def test_certificate_heisenberg_max8():
             local = express_in_basis(sub, (0, 0, 1))
             assert rec.witness_torsion_in_ab
             assert _torsion_image_oracle(induced_presentation(sub), local)
+
+
+@pytest.mark.parametrize(
+    "p, bound", [(direct_product(H, free_abelian(1)), 8), (direct_product(free_abelian(1), H), 6)], ids=["HxZ", "ZxH"]
+)
+def test_certificate_records_match_torsion_oracle(p, bound):
+    """The certificate reads torsion off membership; the Fraction-rank
+    oracle on each record's induced presentation must agree.  The central
+    coordinate of Z x H comes first."""
+    cert = obstruction_certificate(p, bound)
+    assert cert.all_pass
+    z = cert.witness
+    assert any(r.contains_witness for r in cert.records)
+    for rec in cert.records:
+        if not rec.contains_witness:
+            assert rec.witness_torsion_in_ab is None
+            continue
+        sub = Subgroup.from_lattice(p, [list(r) for r in rec.basis_rows])
+        local = express_in_basis(sub, z)
+        assert rec.witness_torsion_in_ab is True
+        assert _torsion_image_oracle(induced_presentation(sub), local)
 
 
 def test_certificate_exists_subgroup_without_witness_at_8():
