@@ -9,7 +9,7 @@ plain exponent tuples here.
 
 Multiplication is collection: to append g_k^e to a normal form, the tail
 of higher generators is conjugated through g_k^e, which stays inside the
-subgroup they generate.  That recursion is structurally terminating, so
+subgroup they generate.  That descent to higher generators terminates, so
 no rewriting strategy or termination heuristics are needed.  Class <= 2
 presentations get a closed-form fast path: products are
 
@@ -29,16 +29,15 @@ from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
 Newton forward differences turn them into coefficients.  Before level k
 is built, conjugation by g_k is checked against every relation of
 <g_(k+1), ...> that it moves, so an inconsistent table raises ValueError
-at every generator count.  Appending g_k^e is then one ordered product of
-the conjugated tail factors, whatever the size of e.  Tail generators
-that commute with g_k, up to the first one that does not, are copied
-as they are, and past the last generator that has a rule with a higher
-one, a product only adds coordinates.
+at every generator count.  Products are then collected from the left on
+one exponent list and a stack of syllables g_k^e (Leedham-Green and
+Soicher 1990): appending g_k^e pushes back the tail from the first
+generator that does not commute with g_k as the syllables of its
+conjugated factors, whatever the size of e, and past the last generator
+that has a rule with a higher one, a syllable only adds to its coordinate.
 """
 
 from __future__ import annotations
-
-from operator import add
 
 from .intlinalg import AbelianQuotient, IntMatrix
 
@@ -203,12 +202,17 @@ class PcPresentation:
 
     def collect(self, word) -> Element:
         """Normal form of a word given as (generator index, exponent) pairs."""
-        res = self.identity()
+        syllables = []
         for idx, e in word:
             if not 0 <= idx < self.n:
                 raise ValueError(f"generator index {idx} out of range")
             if e:
-                res = self.multiply(res, self.power(self.generator(idx), e))
+                syllables.append((idx, e))
+        if self.nilpotency_class > 2:
+            return self._generic()._collect([0] * self.n, syllables)
+        res = self.identity()
+        for idx, e in syllables:
+            res = self.multiply(res, self.power(self.generator(idx), e))
         return res
 
     def check_consistency(self) -> None:
@@ -278,12 +282,12 @@ class _Collector:
     is an automorphism of the group above it (`_check_conjugation`), so the
     table is consistent once it is built.
 
-    Appending g_k^e to a normal form costs one ordered product of the
-    conjugated tail factors, whatever the size of e.  The run of tail
-    generators that commute with g_k, up to the first one that does not,
-    is copied as it is; when g_k commutes with the whole tail, only
-    coordinate k changes.  From `top` on the generators commute pairwise,
-    so there a product only adds coordinates.
+    `_collect` appends syllables g_k^e from a stack to an exponent list.  If
+    g_k commutes with the list's tail, or k >= `top` (from there on the
+    generators commute pairwise), only coordinate k changes.  Otherwise the
+    tail from the first generator that does not commute with g_k is zeroed
+    and pushed back as g_m^s and then the nonzero coordinates l > m of
+    g_k^-e g_m^s g_k^e, for each nonzero m, whatever the size of e.
     """
 
     __slots__ = ("n", "top", "levels", "degrees")
@@ -371,70 +375,56 @@ class _Collector:
 
     def _conj_once(self, images: dict[int, Element], k: int, x: Element) -> Element:
         """g_k^-1 x g_k for x supported above k."""
-        acc = (0,) * self.n
+        word = []
         for l in range(k + 1, self.n):
             if x[l]:
                 img = images.get(l)
                 if img is None:
-                    acc = self.mul_gen_power(acc, l, x[l])
+                    word.append((l, x[l]))
                 else:
-                    acc = self.mul(acc, self.pow(img, x[l]))
-        return acc
+                    word += [(t, c) for t, c in enumerate(self.pow(img, x[l])) if c]
+        return self._collect([0] * self.n, word)
 
-    def _conjugated(self, poly: tuple, m: int, s: int, bs: list[int], be: list[int]) -> Element:
-        """g_k^-e g_m^s g_k^e from the polynomials of (k, m), with bs = C(s, 0..)
-        and be = C(e, 0..)."""
-        out = [0] * self.n
-        out[m] = s
-        for l, terms in poly:
-            out[l] = sum(a * bs[i] * be[j] for i, j, a in terms)
-        return tuple(out)
-
-    def mul_gen_power(self, u: Element, k: int, e: int) -> Element:
-        """u * g_k^e: the tail of u above k becomes the ordered product of
-        g_k^-e g_m^(u_m) g_k^e."""
-        if not e:
-            return u
-        n = self.n
-        level = self.levels[k]
-        for first in level:  # the generators that do not commute with g_k, in order
-            if u[first]:
-                break
-        else:
-            # g_k commutes with the whole tail
-            return u[:k] + (u[k] + e,) + u[k + 1 :]
-        # the commuting run below `first` passes through unchanged
-        tail = (0,) * (k + 1) + u[k + 1 : first] + (0,) * (n - first)
-        d_s, d_e = self.degrees[k]
-        be = _binomials(e, d_e)
-        for m in range(first, n):
-            s = u[m]
-            if s:
-                poly = level.get(m)
-                if poly is None:
-                    tail = self.mul_gen_power(tail, m, s)
+    def _collect(self, r: list[int], word) -> Element:
+        """r times a word of (generator, nonzero exponent) syllables, collected from the left."""
+        n, top, levels, degrees = self.n, self.top, self.levels, self.degrees
+        stack = word[::-1]
+        while stack:
+            k, e = stack.pop()
+            if k < top:
+                level = levels[k]
+                for first in level:  # the generators that do not commute with g_k, in order
+                    if r[first]:
+                        break
                 else:
-                    tail = self.mul(tail, self._conjugated(poly, m, s, _binomials(s, d_s), be))
-        return u[:k] + (u[k] + e,) + tail[k + 1 :]
+                    r[k] += e
+                    continue
+                # the commuting run below `first` stays; the rest is conjugated
+                d_s, d_e = degrees[k]
+                be = _binomials(e, d_e)
+                pushed = []
+                for m in range(first, n):
+                    s = r[m]
+                    if s:
+                        r[m] = 0
+                        pushed.append((m, s))
+                        poly = level.get(m)
+                        if poly is not None:
+                            bs = _binomials(s, d_s)
+                            for l, terms in poly:
+                                c = sum(a * bs[i] * be[j] for i, j, a in terms)
+                                if c:
+                                    pushed.append((l, c))
+                stack += pushed[::-1]
+            r[k] += e
+        return tuple(r)
 
     def mul(self, u: Element, v: Element) -> Element:
-        top = self.top
-        for k in range(top):
-            e = v[k]
-            if e:
-                u = self.mul_gen_power(u, k, e)
-        if any(v[top:]):
-            u = u[:top] + tuple(map(add, u[top:], v[top:]))
-        return u
+        return self._collect(list(u), [(k, e) for k, e in enumerate(v) if e])
 
     def inv(self, u: Element) -> Element:
-        # u^-1 = g_(n-1)^-u_(n-1) ... g_0^-u_0, collected from the top down
-        top = self.top
-        res = (0,) * top + tuple(-x for x in u[top:])
-        for k in reversed(range(top)):
-            if u[k]:
-                res = self.mul_gen_power(res, k, -u[k])
-        return res
+        # u^-1 = g_(n-1)^-u_(n-1) ... g_0^-u_0
+        return self._collect([0] * self.n, [(k, -u[k]) for k in reversed(range(self.n)) if u[k]])
 
     def pow(self, u: Element, e: int) -> Element:
         if e < 0:

@@ -48,6 +48,7 @@ from rfrskit.subgroups import (
     lower_central_series,
     subgroup_closure,
 )
+from ut_matrices import coords_to_matrix, word_to_matrix
 
 M = IntMatrix.from_rows
 H = heisenberg()
@@ -119,45 +120,14 @@ def test_criterion_2_finite_order_classes():
 # ------------------------------------------------------------ criterion 3
 
 
-def _ut_oracle(n):
-    def mat_mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-    def eye():
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    positions = [(i, i + d) for d in range(1, n) for i in range(n - d)]
-
-    def transvection(idx, e):
-        t = eye()
-        r, c = positions[idx]
-        t[r][c] = e
-        return t
-
-    def coords_to_matrix(coords):
-        m = eye()
-        for idx, e in enumerate(coords):
-            m = mat_mul(m, transvection(idx, e))
-        return m
-
-    def word_to_matrix(word):
-        m = eye()
-        for idx, e in word:
-            m = mat_mul(m, transvection(idx, e))
-        return m
-
-    return coords_to_matrix, word_to_matrix
-
-
 def test_criterion_3_matrix_model_equivalence():
     start = time.monotonic()
     for n in (3, 4):
         p = unitriangular(n)
-        coords_to_matrix, word_to_matrix = _ut_oracle(n)
         letters = [(i, e) for i in range(p.n) for e in (-1, 1)]
         for length in (1, 2, 3):
             for word in itertools.product(letters, repeat=length):
-                assert coords_to_matrix(p.collect(word)) == word_to_matrix(word)
+                assert coords_to_matrix(n, p.collect(word)) == word_to_matrix(n, word)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"matrix-model check took {elapsed:.1f}s"
     _report(3, "collection matches unitriangular matrices")

@@ -16,102 +16,17 @@ from rfrskit.pcgroups import (
     presentation_from_text,
     presentation_to_text,
     unitriangular,
-    _Collector,
     _weights,
 )
-
-
-# ----------------------------------------------------------- matrix oracle
-# Independent model: unitriangular integer matrices multiplied directly.
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def mat_eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def ut_positions(n):
-    return [(i, i + d) for d in range(1, n) for i in range(n - d)]
-
-
-def transvection_power(n, pos, e):
-    t = mat_eye(n)
-    t[pos[0]][pos[1]] = e
-    return t
-
-
-def coords_to_matrix(n, coords):
-    """Ordered product of transvection powers along the standard basis."""
-    m = mat_eye(n)
-    for pos, e in zip(ut_positions(n), coords):
-        m = mat_mul(m, transvection_power(n, pos, e))
-    return m
-
-
-def word_to_matrix(n, word):
-    m = mat_eye(n)
-    for idx, e in word:
-        m = mat_mul(m, transvection_power(n, ut_positions(n)[idx], e))
-    return m
-
-
-def ut_inverse(a):
-    """Inverse of a unitriangular matrix: I - N + N^2 - ... with N = a - I."""
-    n = len(a)
-    nil = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    out = mat_eye(n)
-    term = mat_eye(n)
-    sign = 1
-    for _ in range(1, n):
-        term = mat_mul(term, nil)
-        sign = -sign
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += sign * term[i][j]
-    return out
-
-
-def ut_peel(mat):
-    """Coordinates of a unitriangular matrix as an ordered product of transvections."""
-    n = len(mat)
-    exps = []
-    cur = [row[:] for row in mat]
-    for (r, c) in ut_positions(n):
-        e = cur[r][c]
-        exps.append(e)
-        if e:
-            cur = mat_mul(transvection_power(n, (r, c), -e), cur)
-    assert cur == mat_eye(n), "peeling did not reach the identity"
-    return tuple(exps)
-
-
-def matrix_ut_rules(n):
-    """Commutator table of ut(n) extracted from matrix arithmetic."""
-    mats = [transvection_power(n, pos, 1) for pos in ut_positions(n)]
-    rules = {}
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            # [g_b, g_a] = g_b^-1 g_a^-1 g_b g_a
-            prod = mat_mul(
-                mat_mul(ut_inverse(mats[b]), ut_inverse(mats[a])), mat_mul(mats[b], mats[a])
-            )
-            vec = ut_peel(prod)
-            if any(vec):
-                rules[(a, b)] = vec
-    return rules
-
-
-def mat_pow(a, e):
-    if e < 0:
-        a, e = ut_inverse(a), -e
-    out = mat_eye(len(a))
-    for _ in range(e):
-        out = mat_mul(out, a)
-    return out
+from ut_matrices import (
+    coords_to_matrix,
+    mat_mul,
+    mat_pow,
+    matrix_ut_rules,
+    transvection_power,
+    ut_inverse,
+    word_to_matrix,
+)
 
 
 # ------------------------------------------------------- reference collector
@@ -659,31 +574,75 @@ def test_free_class3_grids_reach_both_bounds():
     assert pairs[(0, 2)][1] == pairs[(1, 2)][1] == (1, 1)
 
 
-def test_commuting_prefix_of_the_tail_is_copied(monkeypatch):
+WORD_CASES = [
+    ("ut(5)", lambda: unitriangular(5)),
+    ("filiform7", lambda: filiform(7)),
+    ("free_class3", free_class3),
+    # a class-2 block below a class-4 block
+    ("direct_product(heisenberg,ut(5))", lambda: build_standard("direct_product(heisenberg,ut(5))")),
+]
+
+
+@pytest.fixture(scope="module")
+def step_references():
+    """One StepCollector per group name, so its memo outlives an example."""
+    return {}
+
+
+@pytest.mark.parametrize("name,build", WORD_CASES, ids=[c[0] for c in WORD_CASES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_collect_matches_step_reference_on_words(name, build, step_references, data):
+    if name not in step_references:
+        step_references[name] = StepCollector(build())
+    ref = step_references[name]
+    p = ref.p
+    # repeated generators, any order, zero exponents
+    word = data.draw(st.lists(st.tuples(st.integers(0, p.n - 1), st.integers(-25, 25)), max_size=12))
+    expected = ref.identity()
+    for idx, e in word:
+        expected = ref.mul(expected, tuple(e if t == idx else 0 for t in range(p.n)))
+    assert p.collect(word) == expected
+    elt = st.tuples(*[st.integers(-8, 8)] * p.n)
+    u, v = data.draw(elt), data.draw(elt)
+    e = data.draw(st.integers(-8, 8))
+    assert p.multiply(u, v) == ref.mul(u, v)
+    assert p.inverse(u) == ref.inv(u)
+    assert p.power(u, e) == ref.pow(u, e)
+    assert p.commutator(u, v) == ref.commutator(u, v)
+
+
+class WriteLog(list):
+    """An exponent list that records the coordinates written into it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.written = []
+
+    def __setitem__(self, k, value):
+        self.written.append(k)
+        super().__setitem__(k, value)
+
+
+def test_commuting_prefix_of_the_tail_is_copied():
     # in ut(4), g0 = E01 commutes with g2 = E23, g3 = E02 and g5 = E03, not with g4 = E13
     p = unitriangular(4)
-    p.multiply(p.generator(1), p.generator(0))  # builds the table before the spy
-    calls = []
-    real = _Collector.mul_gen_power
-
-    def spy(self, u, k, e):
-        calls.append(k)
-        return real(self, u, k, e)
-
-    monkeypatch.setattr(_Collector, "mul_gen_power", spy)
+    collector = p._generic()
     for u in [(0, 0, 3, -2, 5, 1), (4, 0, -1, 2, -3, 0), (0, 0, 0, 7, 2, -4)]:
         for e in (-3, 1, 4):
-            del calls[:]
-            got = p.multiply(u, (e, 0, 0, 0, 0, 0))
+            r = WriteLog(u)
+            got = collector._collect(r, [(0, e)])
+            assert got == p.multiply(u, (e, 0, 0, 0, 0, 0))
             assert coords_to_matrix(4, got) == mat_mul(
                 coords_to_matrix(4, u), transvection_power(4, (0, 1), e)
             )
-            # g2 and g3 sit in the copied run, so nothing collects them again
-            assert calls[0] == 0 and 2 not in calls and 3 not in calls
+            # g2 and g3 sit in the run below g4 that stays on the list, so
+            # no syllable of theirs is pushed back and collected again
+            assert 0 in r.written and 2 not in r.written and 3 not in r.written
     # g0 commutes with the whole tail: only its own coordinate moves
-    del calls[:]
-    assert p.multiply((1, 0, 3, -2, 0, 6), (5, 0, 0, 0, 0, 0)) == (6, 0, 3, -2, 0, 6)
-    assert calls == [0]
+    r = WriteLog((1, 0, 3, -2, 0, 6))
+    assert collector._collect(r, [(0, 5)]) == (6, 0, 3, -2, 0, 6)
+    assert r.written == [0]
 
 
 def test_commuting_block_above_a_noncommuting_one():
