@@ -39,7 +39,9 @@ that has a rule with a higher one, a syllable only adds to its coordinate.
 
 from __future__ import annotations
 
-from .intlinalg import AbelianQuotient, IntMatrix
+from functools import cached_property
+
+from .intlinalg import AbelianQuotient, IntMatrix, saturate
 
 Element = tuple[int, ...]
 
@@ -138,6 +140,13 @@ class PcPresentation:
 
     def is_abelian(self) -> bool:
         return not self.rules
+
+    @cached_property
+    def _torsion_lattice(self) -> IntMatrix:
+        """Hermite basis of V, the kernel of G -> G^ab tensor Q, built on
+        first use.  G^ab is Z^n modulo the rule values, so V is Z^n meet
+        their rational span, in every class."""
+        return saturate(IntMatrix._from_int_rows(list(self.rules.values()), self.n))
 
     # -------------------------------------------------------- class-2 path
 

@@ -9,11 +9,12 @@ commutators, so that kernel is `subgroups.rational_kernel(T)`, the meet
 of T with the isolator of [T, T], computed in the ambient coordinates.
 Each step check takes the kernel of the previous term.  For T of finite
 index that kernel is T meet V, V the kernel of G -> G^ab tensor Q, one
-lattice for the whole group.  The central witness z lies in V, so for
-every finite-index T that holds z, z lies in `rational_kernel(T)`: the
-witness checks are membership tests, in every term of a verified chain
-and in every census subgroup.  Only `restrict_chain` builds an induced
-presentation, because it returns a filtration of H on H's own basis.
+lattice per presentation, built once.  The central witness z is the
+first Hermite row of Z(G) meet V, so for every finite-index T that holds
+z, z lies in `rational_kernel(T)`: the witness checks are membership
+tests, in every term of a verified chain and in every census subgroup.
+Only `restrict_chain` builds an induced presentation, because it returns
+a filtration of H on H's own basis.
 
 The obstruction certificate bounds the index and checks, for every
 normal subgroup H up to the bound, the implication

@@ -6,13 +6,11 @@ normal-subgroup enumeration.
 `rational_kernel(s)` is the kernel of s -> s^ab tensor Q in ambient
 coordinates, for s of finite index: then [s, s] has finite index in
 [G, G], so the kernel is s meet V, V the kernel of G -> G^ab tensor Q,
-the integer vectors in the rational span of the rule values.  In class
-<= 2 V lies in Z^C, C the central coordinates, so the kernel keeps the
-rows of s meet Z^C in that span, in the |C| central columns.  The one
-span step, `_torsion_image_kernel`, also gives `center_ab_report` its
-central witness, with no Smith form.  Subgroups of infinite index are
-refused.  `Subgroup.intersect` is one Hermite form of
-[[B1, B1], [B2, 0]] (Zassenhaus).
+the integer vectors in the rational span of the rule values.  V is one
+lattice per presentation, built on first use, and `center_ab_report`
+reads its central witness off the centre's meet with V, with no Smith
+form.  Subgroups of infinite index are refused.  `Subgroup.intersect` is
+one Hermite form of [[B1, B1], [B2, 0]] (Zassenhaus).
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -526,49 +524,25 @@ def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
     return Subgroup(p, saturate(s.basis))
 
 
-def _torsion_image_kernel(b: IntMatrix, rules) -> IntMatrix:
-    """Canonical basis of the k with k b in the rational span of the rows
-    `rules`: the left kernel of b perp^T, perp the integer vectors
-    orthogonal to that span (the left kernel of rules^T).  When the rules
-    span all of Q^m, every k qualifies and the second kernel is skipped."""
-    perp = left_kernel(IntMatrix._from_int_rows(rules, b.cols).transpose())
-    if not perp.rows:
-        return IntMatrix.identity(b.rows)
-    return left_kernel(b @ perp.transpose())
-
-
 def rational_kernel(s: Subgroup) -> Subgroup:
     """ker(s -> s^ab tensor Q) in ambient coordinates: the elements of s
     with a power in [s, s], for s of finite index (class <= 2).
 
-    Let V be the kernel of G -> G^ab tensor Q.  G^ab is Z^n modulo the
-    rule values, so V is Z^n meet their rational span; in class 2 they
-    lie in Z^C, C the central coordinates, and so does V.  For s of
-    finite index m, [s, s] has finite index in [G, G]: every u in G has a
-    power u^e in s with 1 <= e <= m (two of the cosets s u^i, i = 0..m,
-    agree), and commutators are bilinear in class 2, so
+    Let V be the kernel of G -> G^ab tensor Q, the integer vectors in the
+    rational span of the rule values, built once per presentation.  For s
+    of finite index m, [s, s] has finite index in [G, G]: every u in G
+    has a power u^e in s with 1 <= e <= m (two of the cosets s u^i,
+    i = 0..m, agree), and commutators are bilinear in class 2, so
     [u, v]^(e f) = [u^e, v^f] lies in [s, s].  So u in s has a power in
     [s, s] exactly when it has one in [G, G], and the kernel is s meet V.
-    With the central columns put last, s meet Z^C is spanned by the
-    Hermite rows whose pivot is central, and the linear algebra needs
-    only the |C| central columns.  For s of infinite index the kernel
-    can be smaller (<z> has a trivial kernel, though z lies in V), so
-    such s are refused.
+    For s of infinite index the kernel can be smaller (<z> has a trivial
+    kernel, though z lies in V), so such s are refused.
     """
     p = s.ambient
     _require_class2(p, "rational kernels")
     if not s.is_full_rank():
         raise ValueError("rational kernels need a finite-index subgroup")
-    top, cen = _central_split(p)
-    t = len(top)
-    basis = s.basis
-    if cen != list(range(t, p.n)):
-        order = top + cen
-        basis = hnf_basis(IntMatrix._from_int_rows([[v[k] for k in order] for v in s.basis_elements()], p.n))
-    low = IntMatrix._from_int_rows([row[t:] for j, _, row in basis._echelon if j >= t], len(cen))
-    ker = _torsion_image_kernel(low, [[w[k] for k in cen] for w in p.rules.values()])
-    embed = IntMatrix._from_int_rows([p.generator(k) for k in cen], p.n)
-    return Subgroup(p, hnf_basis(ker @ low @ embed))
+    return s.intersect(Subgroup(p, p._torsion_lattice))
 
 
 # --------------------------------------------------------- center/ab report
@@ -594,16 +568,18 @@ class CenterAbReport:
 
 
 def center_ab_report(p: PcPresentation) -> CenterAbReport:
+    """The centre's Hermite basis and its meet with V, the kernel of
+    G -> G^ab tensor Q: a central element has torsion image in G^ab
+    exactly when it lies in V, in any class.  The map injects when the
+    meet is trivial; otherwise the witness is the meet's first Hermite
+    row, which leads positive."""
     z = center(p)
-    basis = tuple(z.basis_elements())
-    # in any class G^ab is Z^n modulo the commutator-table values, so a
-    # central element has torsion image exactly in their rational span
-    ker = _torsion_image_kernel(z.basis, list(p.rules.values()))
-    if ker.rows == 0:
-        return CenterAbReport(center_basis=basis, injective=True, kernel_witness=None)
-    # kernel row 0 and the centre's Hermite rows lead positive, so does w
-    w = (IntMatrix._from_int_rows([ker.row(0)], ker.cols) @ z.basis).row(0)
-    return CenterAbReport(center_basis=basis, injective=False, kernel_witness=w)
+    meet = z.intersect(Subgroup(p, p._torsion_lattice)).basis_elements()
+    return CenterAbReport(
+        center_basis=tuple(z.basis_elements()),
+        injective=not meet,
+        kernel_witness=meet[0] if meet else None,
+    )
 
 
 # ------------------------------------------------------------- file format

@@ -36,6 +36,7 @@ from rfrskit.subgroups import (
     rational_kernel,
     subgroup_closure,
 )
+from test_subgroups import CENSUS_CASES
 
 H = heisenberg()
 X, Y, Z = H.generator(0), H.generator(1), H.generator(2)
@@ -393,9 +394,10 @@ def test_rational_kernel_matches_induced_route():
 
 
 def _rational_kernel_full_width(s):
-    """Reference kernel over all n columns: s meet the rational span of the
-    basis-pair commutators, by an integer kernel of the commutators and one
-    of the basis against it, each with its transform."""
+    """Reference kernel from s's own commutators rather than the group's
+    lattice V: s meet the rational span of the basis-pair commutators, by
+    an integer kernel of the commutators and one of the basis against it,
+    each with its transform."""
     p = s.ambient
     vecs = s.basis_elements()
     comms = [p.commutator(v, u) for i, u in enumerate(vecs) for v in vecs[i + 1 :]]
@@ -416,20 +418,24 @@ def _intersect_by_kernel(s, t):
 
 def _census_cases():
     """(group, census) pairs: heisenberg to 32, H x Z and Z x H to 8 (the
-    central coordinate of Z x H comes first), H x H to 4 and six random
-    class-2 tables to 4."""
+    central coordinate of Z x H comes first), the two tables of
+    `CENSUS_CASES` whose central generators sit between the others to 8,
+    H x H to 4 and six random class-2 tables to 4."""
     cases = [(H, 32), (direct_product(H, free_abelian(1)), 8), (direct_product(free_abelian(1), H), 8)]
+    cases += [(CENSUS_CASES[name][0], 8) for name in ("4 2 / 1 3 : 2", "4 2 / 2 3 : 3")]
     cases += [(direct_product(H, H), 4)] + [(p, 4) for p in _random_class2_tables(13, 6)]
     return [(p, enumerate_normal_subgroups(p, bound)) for p, bound in cases]
 
 
 def test_central_coordinates_match_full_width_references():
-    """`rational_kernel` and `intersect` against their full-width
-    references, on every census subgroup and on random closures holding
+    """`rational_kernel`, the meet with V, against the kernel built from
+    each subgroup's own commutators, and `intersect` against a kernel
+    reference, on every census subgroup and on random closures holding
     the witness, which need not be normal or of finite index; the kernels
-    and meets must be equal as bases.  The full-width kernel holds the
-    witness in every finite-index subgroup that does, and only infinite
-    index can drop it, which is why `rational_kernel` refuses there."""
+    and meets must be equal as bases.  The commutator-built kernel holds
+    the witness in every finite-index subgroup that does, and only
+    infinite index can drop it, which is why `rational_kernel` refuses
+    there."""
     rng = random.Random(5)
     verdicts = set()
     for p, census in _census_cases():

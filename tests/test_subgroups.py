@@ -848,7 +848,32 @@ def random_consistent_tables(seed, attempts):
     return tables
 
 
+def interleaved_class2_tables(seed, count):
+    """Class-2 tables on 5..7 generators with a central generator just
+    before a noncentral one, and rule values spanning rank 2 or 3, so
+    that the centre meets V, the integer points of that span, in rank 2
+    or 3.  Returns (table, rank) pairs."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        n = rng.randint(5, 7)
+        top = sorted(rng.sample(range(n - 2), 3))
+        rules = {}
+        for i, j in itertools.combinations(top, 2):
+            vec = tuple(rng.randint(-2, 2) if k > j and k not in top else 0 for k in range(n))
+            if any(vec):
+                rules[(i, j)] = vec
+        if not rules:
+            continue
+        p = PcPresentation(n, rules, nilpotency_class=2)
+        rank = hnf_basis(IntMatrix.from_rows(list(rules.values()))).rows
+        if rank >= 2 and any(c and not d for c, d in zip(p.central, p.central[1:])):
+            tables.append((p, rank))
+    return tables
+
+
 RANDOM_TABLES = random_consistent_tables(0, 400)
+INTERLEAVED_TABLES = interleaved_class2_tables(1, 60)
 CENTER_CASES = [
     build_standard(name)
     for name in [
@@ -1029,9 +1054,12 @@ def reference_center_ab_report(p):
 
 
 def test_center_ab_report_matches_smith_route():
-    """The kernel step gives the witness that projecting through the
-    abelianization's Smith form gives, in every class."""
-    for p in CENTER_CASES:
+    """The first Hermite row of the centre's meet with V is the witness
+    that projecting through the abelianization's Smith form gives, in
+    every class, and on class-2 tables whose central generators sit
+    between the others and whose meet has rank 2 or 3."""
+    assert {rank for _, rank in INTERLEAVED_TABLES} == {2, 3}
+    for p in CENTER_CASES + [p for p, _ in INTERLEAVED_TABLES]:
         r = center_ab_report(p)
         assert (r.center_basis, r.injective, r.kernel_witness) == reference_center_ab_report(p)
 
