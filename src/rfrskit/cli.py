@@ -96,12 +96,7 @@ def _read_input(spec: str, kind: str, parse):
 
 def _presentation_with_checked_class(text: str) -> PcPresentation:
     p = presentation_from_text(text)
-    # the constructor already requires central commutator values up to
-    # class 2, where the class is then 1 or 2 by whether the table is empty
-    if p.nilpotency_class <= 2:
-        actual = 2 if p.rules else 1
-    else:
-        actual = len(lower_central_series(p)) - 1
+    actual = len(lower_central_series(p)) - 1
     if actual != p.nilpotency_class:
         raise ValueError(
             f"declares nilpotency class {p.nilpotency_class}, "
@@ -253,11 +248,11 @@ def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
     cert = obstruction_certificate(_load_class2_group(cfg), cfg.max_index)
     steps = [
         {
-            "index": r.index,
+            "index": int(s.index()),
             "normal": True,
-            "kernel_contained": (not r.contains_witness) or bool(r.witness_torsion_in_ab),
+            "kernel_contained": cert.all_pass or not s.contains(cert.witness),
         }
-        for r in cert.records
+        for s in cert.subgroups
     ]
     report = _rfrs_schema(
         "rfrs-obstruct",

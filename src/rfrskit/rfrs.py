@@ -11,22 +11,14 @@ Each step check takes the kernel of the previous term.  For T of finite
 index that kernel is T meet V, V the kernel of G -> G^ab tensor Q, one
 lattice per presentation, built once.  The central witness z is the
 first Hermite row of Z(G) meet V, so for every finite-index T that holds
-z, z lies in `rational_kernel(T)`: the witness checks are membership
-tests, in every term of a verified chain and in every census subgroup.
-Only `restrict_chain` builds an induced presentation, because it returns
-a filtration of H on H's own basis.
+z, z lies in `rational_kernel(T)`: the witness check in every term of a
+verified chain is a membership test.  Only `restrict_chain` builds an
+induced presentation, because it returns a filtration of H on H's own
+basis.
 
-The obstruction certificate bounds the index and checks, for every
-normal subgroup H up to the bound, the implication
-
-    witness in H  =>  witness has torsion image in H^ab.
-
-Together with the base fact that the witness has torsion image in G^ab,
-this shows by induction that no chain whose terms have index within the
-bound can ever exclude the witness, so the intersection of such a chain
-is never trivial.  Subgroups that do not contain the witness cannot
-occur in a conditioned chain at all, which is why the implication form
-is the mathematically meaningful one.
+The obstruction certificate is the census of normal subgroups up to an
+index bound plus one fact, z in V; `ObstructionCertificate` states why
+that traps the witness in every conditioned chain within the bound.
 """
 
 from __future__ import annotations
@@ -130,61 +122,37 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
 
 
 @dataclass(frozen=True)
-class SubgroupRecord:
-    basis_rows: tuple[tuple[int, ...], ...]
-    index: int
-    contains_witness: bool
-    witness_torsion_in_ab: bool | None
-
-
-@dataclass(frozen=True)
 class ObstructionCertificate:
     """Bounded-index certificate that the witness is trapped.
 
-    `all_pass` means: the witness has torsion image in the whole group's
-    abelianization, and every enumerated normal subgroup containing it
-    gives it torsion image again.  Any chain of normal subgroups with
-    indices within the bound that satisfies the step conditions then
-    keeps the witness in every term, so its intersection is nontrivial.
+    `subgroups` is the census of normal subgroups of index within the
+    bound, and `all_pass` the one fact proved: the witness z lies in V,
+    the kernel of G -> G^ab tensor Q.  Every census subgroup H has finite
+    index, so `rational_kernel(H)` is H meet V, and z has torsion image in
+    H^ab whenever H holds z.  By induction, a chain of normal subgroups
+    with indices within the bound that satisfies the step conditions
+    keeps z in every term, so its intersection is nontrivial.  A subgroup
+    without z cannot occur in such a chain at all, which is why the
+    certificate is an implication.
     """
 
     witness: Element
     index_bound: int
     depth_note: str
-    checked_subgroups: int
     all_pass: bool
-    records: tuple[SubgroupRecord, ...]
+    subgroups: tuple[Subgroup, ...]
+
+    @property
+    def checked_subgroups(self) -> int:
+        return len(self.subgroups)
 
 
-def obstruction_certificate(
-    p: PcPresentation, max_index: int, candidate_cap: int = 1_000_000
-) -> ObstructionCertificate:
-    """Certificate over the normal subgroups of index <= max_index.
-
-    The implication needs one group-level fact.  Every census subgroup H
-    has finite index, so `rational_kernel(H)` is H meet V, V the kernel of
-    G -> G^ab tensor Q, which is `rational_kernel` of the whole group.  So
-    `base_ok`, z in V, is the base fact and makes every implication hold:
-    z has torsion image in H^ab exactly when H holds z, and each record's
-    `witness_torsion_in_ab` is True exactly when `contains_witness` is.
-    """
+def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
+    """Certificate over the normal subgroups of index <= max_index."""
     if p.nilpotency_class != 2 or p.is_abelian():
         raise ValueError("obstruction certificates apply to nonabelian class-2 groups")
     z = center_ab_report(p).kernel_witness
     assert z is not None
-    base_ok = rational_kernel(Subgroup.whole_group(p)).contains(z)
-    subs = enumerate_normal_subgroups(p, max_index, candidate_cap=candidate_cap)
-    records = []
-    for s in subs:
-        contains = s.contains(z)
-        records.append(
-            SubgroupRecord(
-                basis_rows=tuple(tuple(r) for r in s.basis.to_rows()),
-                index=int(s.index()),
-                contains_witness=contains,
-                witness_torsion_in_ab=base_ok if contains else None,
-            )
-        )
     note = (
         f"any chain of normal subgroups with indices <= {max_index} satisfying the "
         "step conditions keeps the witness in every term; its intersection is nontrivial"
@@ -193,9 +161,8 @@ def obstruction_certificate(
         witness=z,
         index_bound=max_index,
         depth_note=note,
-        checked_subgroups=len(subs),
-        all_pass=base_ok,
-        records=tuple(records),
+        all_pass=rational_kernel(Subgroup.whole_group(p)).contains(z),
+        subgroups=tuple(enumerate_normal_subgroups(p, max_index)),
     )
 
 

@@ -24,13 +24,14 @@ generators of weight below d, over the exponents of the previous step's
 triangular basis.
 
 In class <= 2, u v = u + v + B(u, v) with B bilinear and central valued,
-and `_product_corrections` is the one function that computes B:
-`subgroup_closure` adds its values on the generators to their span in one
-step, `Subgroup.from_lattice` accepts a lattice that closure leaves as it
-is, and the census takes from it the values a projection's centre must
-hold.  B(u, v) and [u, g] vanish when u or g is a product of central
-generators, so `_product_corrections` and `Subgroup.is_normal` skip such
-basis rows, and `is_normal` skips the central generators.
+read off the commutator table (`PcPresentation._beta`), and
+`_product_corrections` is the one function that lists its values on a set
+of rows: `subgroup_closure` adds its values on the generators to their
+span in one step, `Subgroup.from_lattice` accepts a lattice that closure
+leaves as it is, and the census takes from it the values a projection's
+centre must hold.  B(u, v) and [u, g] vanish when u or g is a product
+of central generators, so `_product_corrections` and `Subgroup.is_normal`
+skip such basis rows, and `is_normal` skips the central generators.
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -50,7 +51,7 @@ subgroup or census centre pays for them once however often it is asked.
 
 The normal-subgroup census tests each (projection, centre) pair of a
 class-2 lattice once, emits every gluing of a passing pair untested, and
-caps the pair tests plus subgroups emitted.
+caps the pair tests plus subgroups emitted at `CENSUS_WORK_CAP`.
 
 Subgroup and chain files share one reader, `_row_blocks`: integer rows,
 '#' comments and blank-line blocks.
@@ -122,9 +123,10 @@ def _noncentral_rows(p: PcPresentation, vecs) -> list[Element]:
 
 
 def _product_corrections(p: PcPresentation, vecs) -> list[Element]:
-    """The distinct nonzero u v - u - v over ordered pairs (u, v) of vecs."""
+    """The distinct nonzero B(u, v) = u v - u - v over ordered pairs (u, v)
+    of vecs, read off the class-2 table."""
     vecs = _noncentral_rows(p, vecs)
-    vals = (tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v)) for u in vecs for v in vecs)
+    vals = (tuple(p._beta(u, v)) for u in vecs for v in vecs)
     return list(dict.fromkeys(w for w in vals if any(w)))
 
 
@@ -292,9 +294,12 @@ def _hermite_bases(n: int, coords: list[int], index: int):
                 yield [r[:j] + (x,) + r[j + 1 :] for r, x in zip(rows, col)] + [pivot]
 
 
-def enumerate_normal_subgroups(
-    p: PcPresentation, max_index: int, candidate_cap: int = 1_000_000
-) -> list[Subgroup]:
+# Cap on the pair tests plus subgroups emitted by one census: far above the
+# 23,003 subgroups of H x Z at index 32.
+CENSUS_WORK_CAP = 1_000_000
+
+
+def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgroup]:
     """All normal full-rank subgroups of index <= max_index, sorted by
     (index, basis entries).
 
@@ -306,7 +311,8 @@ def enumerate_normal_subgroups(
     census tests each Hermite pair (M, N) once, going up the index
     [M] [N], and emits all [Z^C : N]^rank(M) gluings of a passing pair.
 
-    `candidate_cap` bounds the work: pair tests plus subgroups emitted.
+    The work, pair tests plus subgroups emitted, may not pass
+    CENSUS_WORK_CAP.
     """
     _require_class2(p, "normal subgroup enumeration")
     if max_index < 1:
@@ -337,9 +343,9 @@ def enumerate_normal_subgroups(
     tests = 0
 
     def spend(k: int) -> None:
-        if tests + len(found) >= candidate_cap:
+        if tests + len(found) >= CENSUS_WORK_CAP:
             raise ResourceLimitExceeded(
-                f"census work cap of {candidate_cap} reached at index {k} of {max_index}: "
+                f"census work cap of {CENSUS_WORK_CAP} reached at index {k} of {max_index}: "
                 f"{tests} (projection, centre) pairs tested, {len(found)} subgroups found"
             )
 

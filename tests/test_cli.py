@@ -217,8 +217,8 @@ UT4_RULES = "1 2 : 0 -1 0 0\n1 5 : -1\n2 3 : 0 -1 0\n3 4 : 0 1\n"
 
 @pytest.mark.parametrize(
     "text,declared,actual",
-    [("3 1\n1 2 : -1\n", 1, None), ("6 5\n" + UT4_RULES, 5, 3), ("3 2\n", 2, 1)],
-    ids=["heisenberg-class1", "ut4-class5", "abelian-class2"],
+    [("3 1\n1 2 : -1\n", 1, None), ("6 5\n" + UT4_RULES, 5, 3), ("3 2\n", 2, 1), ("0 1\n", 1, 0)],
+    ids=["heisenberg-class1", "ut4-class5", "abelian-class2", "trivial-class1"],
 )
 def test_exit2_on_wrong_declared_class(text, declared, actual, tmp_path, capsys):
     path = tmp_path / "group.txt"
@@ -229,6 +229,14 @@ def test_exit2_on_wrong_declared_class(text, declared, actual, tmp_path, capsys)
     assert f"class {declared}" in err
     if actual is not None:
         assert f"class {actual}" in err
+
+
+def test_trivial_group_file_has_class_0(tmp_path, capsys):
+    path = tmp_path / "trivial.txt"
+    path.write_text("0 0\n")
+    assert run(RunConfig(command="analyze", group=str(path), json_output=True)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["generators"], report["nilpotency_class"]) == (0, 0)
 
 
 def test_presentation_file_with_correct_class(tmp_path, capsys):
@@ -534,13 +542,15 @@ def test_dumps_matches_json_dumps(value):
 
 @pytest.fixture
 def json_inputs(tmp_path, monkeypatch):
-    """The input files of JSON_INVOCATIONS, named relative to the working
-    directory, since reports echo the graph file's name."""
+    """The input files of JSON_INVOCATIONS and OBSTRUCT_DIGESTS, named
+    relative to the working directory, since reports echo the names of
+    graph and presentation files."""
     (tmp_path / "path3.graph").write_text("3\n0 1\n1 2\n")
     (tmp_path / "good_chain.txt").write_text(
         "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 1\n"
     )
     (tmp_path / "sub.txt").write_text("2 0 0\n0 1 0\n0 0 1\n")
+    (tmp_path / "comm_square.txt").write_text("4 2\n1 3 : 2\n")
     monkeypatch.chdir(tmp_path)
 
 
@@ -585,6 +595,29 @@ def test_json_stdout_is_pinned(command, json_inputs, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# rfrs-obstruct --json on a group whose central witness comes first and on
+# one whose commutator is a square, with the sha256 of the standard output
+# recorded while the certificate kept a per-subgroup record of each step.
+OBSTRUCT_DIGESTS = {
+    "ZxH": (
+        ["--group", "direct_product(free_abelian(1),heisenberg)", "--max-index", "6"],
+        "1fe12cd8cbd20f5ecd0ebc2164236a254c4ba07b41ca90cf0afe634c92b1a588",
+    ),
+    "comm-square": (
+        ["--group", "comm_square.txt", "--max-index", "8"],
+        "17ca6622d4fb0a58434a5909ab261cfa00ef02e80d2e0d27347e32709266c799",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OBSTRUCT_DIGESTS))
+def test_obstruct_json_stdout_is_pinned(case, json_inputs, capsys):
+    args, digest = OBSTRUCT_DIGESTS[case]
+    assert main(["rfrs-obstruct", *args, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # The sha256 of the human-readable standard output of each invocation in

@@ -22,7 +22,6 @@ PUBLIC_API = [
     "RtfnWitnessReport",
     "SmithDecomposition",
     "Subgroup",
-    "SubgroupRecord",
     "TruncatedSeries",
     "abelian_group_from_relations",
     "abelianization",

@@ -481,13 +481,12 @@ def test_certificate_heisenberg_max8():
     cert = obstruction_certificate(H, 8)
     assert cert.all_pass
     assert cert.witness == (0, 0, 1)
-    assert cert.checked_subgroups == len(enumerate_normal_subgroups(H, 8))
-    for rec in cert.records:
-        sub = Subgroup.from_lattice(H, [list(r) for r in rec.basis_rows])
-        assert rec.contains_witness == sub.contains((0, 0, 1))
-        if rec.contains_witness:
+    assert list(cert.subgroups) == enumerate_normal_subgroups(H, 8)
+    assert cert.checked_subgroups == len(cert.subgroups)
+    for sub in cert.subgroups:
+        assert sub == Subgroup.from_lattice(H, sub.basis.to_rows())
+        if sub.contains((0, 0, 1)):
             local = express_in_basis(sub, (0, 0, 1))
-            assert rec.witness_torsion_in_ab
             assert _torsion_image_oracle(induced_presentation(sub), local)
 
 
@@ -496,36 +495,32 @@ def test_certificate_heisenberg_max8():
 )
 def test_certificate_records_match_torsion_oracle(p, bound):
     """The certificate reads torsion off membership; the Fraction-rank
-    oracle on each record's induced presentation must agree.  The central
-    coordinate of Z x H comes first."""
+    oracle on the induced presentation of each census subgroup holding the
+    witness must agree.  The central coordinate of Z x H comes first."""
     cert = obstruction_certificate(p, bound)
     assert cert.all_pass
     z = cert.witness
-    assert any(r.contains_witness for r in cert.records)
-    for rec in cert.records:
-        if not rec.contains_witness:
-            assert rec.witness_torsion_in_ab is None
-            continue
-        sub = Subgroup.from_lattice(p, [list(r) for r in rec.basis_rows])
-        local = express_in_basis(sub, z)
-        assert rec.witness_torsion_in_ab is True
-        assert _torsion_image_oracle(induced_presentation(sub), local)
+    assert any(s.contains(z) for s in cert.subgroups)
+    for sub in cert.subgroups:
+        if sub.contains(z):
+            local = express_in_basis(sub, z)
+            assert _torsion_image_oracle(induced_presentation(sub), local)
 
 
 def test_certificate_exists_subgroup_without_witness_at_8():
     # the all-even lattice is normal of index 8 and omits z: the reason the
     # certificate is stated as an implication
     cert = obstruction_certificate(H, 8)
-    missing = [r for r in cert.records if not r.contains_witness]
+    missing = [s for s in cert.subgroups if not s.contains(cert.witness)]
     assert missing
-    assert all(r.index == 8 for r in missing)
+    assert all(s.index() == 8 for s in missing)
     assert cert.all_pass
 
 
 def test_certificate_small_indices_contain_witness():
     cert = obstruction_certificate(H, 4)
     assert cert.all_pass
-    assert all(r.contains_witness for r in cert.records)
+    assert all(s.contains(cert.witness) for s in cert.subgroups)
 
 
 def test_certificate_trivial_bound():

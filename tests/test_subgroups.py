@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfrskit import subgroups
 from rfrskit.errors import ResourceLimitExceeded
 from rfrskit.intlinalg import (
     INFINITE,
@@ -552,23 +553,27 @@ def test_enumerated_heisenberg_subgroups_are_nonabelian():
         assert induced_presentation(s).rules  # nonempty commutator table
 
 
-def test_enumeration_resource_cap():
+def test_enumeration_resource_cap(monkeypatch):
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 10)
     with pytest.raises(ResourceLimitExceeded):
-        enumerate_normal_subgroups(H, 64, candidate_cap=10)
+        enumerate_normal_subgroups(H, 64)
 
 
-def test_enumeration_cap_counts_work_and_reports_progress():
+def test_enumeration_cap_counts_work_and_reports_progress(monkeypatch):
     # index 1: one pair test, one subgroup; index 2: four pair tests (one
     # centre of index 2, three projections of index 2), three subgroups
-    assert len(enumerate_normal_subgroups(H, 2, candidate_cap=9)) == 4
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 9)
+    assert len(enumerate_normal_subgroups(H, 2)) == 4
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 8)
     with pytest.raises(ResourceLimitExceeded) as exc:
-        enumerate_normal_subgroups(H, 2, candidate_cap=8)
+        enumerate_normal_subgroups(H, 2)
     assert str(exc.value) == (
         "census work cap of 8 reached at index 2 of 2: "
         "5 (projection, centre) pairs tested, 3 subgroups found"
     )
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 10)
     with pytest.raises(ResourceLimitExceeded) as exc:
-        enumerate_normal_subgroups(H, 64, candidate_cap=10)
+        enumerate_normal_subgroups(H, 64)
     assert str(exc.value) == (
         "census work cap of 10 reached at index 3 of 64: "
         "6 (projection, centre) pairs tested, 4 subgroups found"
