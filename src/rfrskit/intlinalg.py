@@ -151,24 +151,6 @@ class IntMatrix:
         return "IntMatrix(" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + ")"
 
 
-def matrix_to_text(a: IntMatrix) -> str:
-    """Serialize as 'rows cols' header plus one line per row."""
-    lines = [f"{a.rows} {a.cols}"]
-    lines += [" ".join(str(x) for x in a.row(i)) for i in range(a.rows)]
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> IntMatrix:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("matrix text needs a 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
-    return IntMatrix(rows, cols, tuple(int(t) for t in body))
-
-
 def _gcd_step(r: list[int], s: list[int], j: int) -> tuple[list[int], list[int]]:
     # The rows (r, s) after the unimodular 2x2 step that clears s[j], with
     # r[j] nonzero: subtract a multiple of r when r[j] divides s[j] (r comes

@@ -20,9 +20,8 @@ Rozenberg, eds., The Book of Traces, 1995).
 `magnus_image` and `rtfn_witness` multiply by one syllable v^e at a
 time through the letter kernel `_times_letter`: every power v^k settles
 in a normal monomial m at the same place p, so p is found once per
-monomial and the product's new keys are m[:p] + (v,)*k + m[p:].
-`series_multiply` stays the general product of two series, and the
-tests hold the kernel to it.
+monomial and the product's new keys are m[:p] + (v,)*k + m[p:].  It is
+the only series product; the tests hold it to a greedy reference.
 """
 
 from __future__ import annotations
@@ -182,24 +181,6 @@ def normal_form(g: Graph, w: RaagWord) -> RaagWord:
 MAX_TERM_PAIRS = 200_000
 
 
-def _append_normal(
-    blocks: tuple[tuple[bool, ...], ...], word: tuple[int, ...], letters
-) -> tuple[int, ...]:
-    """Lexicographic trace normal form of word + letters, `word` already
-    normal.  Each letter settles just after the last letter that blocks it,
-    then steps right past smaller letters."""
-    out = list(word)
-    for a in letters:
-        row = blocks[a]
-        p = n = len(out)
-        while p and not row[out[p - 1]]:
-            p -= 1
-        while p < n and out[p] < a:
-            p += 1
-        out.insert(p, a)
-    return tuple(out)
-
-
 @dataclass
 class TruncatedSeries:
     """Element of the partially-commutative power-series algebra modulo
@@ -223,27 +204,6 @@ class TruncatedSeries:
         return sorted(self.coefficients.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
-def series_multiply(g: Graph, s1: TruncatedSeries, s2: TruncatedSeries) -> TruncatedSeries:
-    if s1.degree_bound != s2.degree_bound:
-        raise ValueError("degree bounds differ")
-    d = s1.degree_bound
-    blocks = g.blocking
-    terms2 = sorted(((len(m2), m2, c2) for m2, c2 in s2.coefficients.items()), key=lambda t: t[0])
-    out: dict[tuple[int, ...], int] = {}
-    for m1, c1 in s1.coefficients.items():
-        room = d - len(m1)
-        for n2, m2, c2 in terms2:
-            if n2 > room:
-                break
-            key = _append_normal(blocks, m1, m2) if m2 else m1
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return TruncatedSeries(d, out)
-
-
 def _letter_terms(e: int, d: int) -> int:
     return (min(e, d) if e >= 0 else d) + 1
 
@@ -252,9 +212,10 @@ def _times_letter(
     blocks: tuple[tuple[bool, ...], ...], s: TruncatedSeries, v: int, e: int
 ) -> TruncatedSeries:
     """s times the image of v^e, the binomial series of (1 + X_v)^e.
-    Every power v^k settles in a normal monomial m at one place p, found
-    as `_append_normal` finds it for the first letter, so the product's
-    keys are m[:p] + (v,)*k + m[p:]; the k = 0 term is s itself."""
+    Every power v^k settles in a normal monomial m at one place p: just
+    after the last letter of m that blocks v, then right past smaller
+    letters.  So the product's keys are m[:p] + (v,)*k + m[p:]; the k = 0
+    term is s itself."""
     d = s.degree_bound
     powers = [
         comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .intlinalg import lattice_member
 from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
@@ -161,7 +162,7 @@ def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCer
         witness=z,
         index_bound=max_index,
         depth_note=note,
-        all_pass=rational_kernel(Subgroup.whole_group(p)).contains(z),
+        all_pass=lattice_member(p._torsion_lattice, z),
         subgroups=tuple(enumerate_normal_subgroups(p, max_index)),
     )
 

@@ -1,7 +1,7 @@
 """Subgroups of power-commutator groups as integer lattices, and the
 structural invariants built on them: lower central series, center, Hirsch
-rank, isolators, rational kernels, induced presentations, and
-normal-subgroup enumeration.
+rank, rational kernels, induced presentations, and normal-subgroup
+enumeration.
 
 `rational_kernel(s)` is the kernel of s -> s^ab tensor Q in ambient
 coordinates, for s of finite index: then [s, s] has finite index in
@@ -40,8 +40,8 @@ the lower central series go through it, and `_subgroup_from_induced`, the
 one lattice check for triangular bases, uses it to confirm that each
 Hermite row is an ordered product of the basis, for the lower central
 series and the center alike.
-`_ordered_product` multiplies such powers back together, for
-`map_into_ambient` and for each step of the center walk.
+`_ordered_product` multiplies such powers back together, for each step
+of the center walk.
 `_InducedBasis.close` sifts in commutators until a pass changes nothing:
 once the commutators of the slots sift to the identity, their ordered
 products form a subgroup, so inverses and products add nothing.  Lattice
@@ -70,7 +70,6 @@ from .intlinalg import (
     lattice_index,
     lattice_member,
     left_kernel,
-    saturate,
     xgcd,
 )
 from .pcgroups import Element, PcPresentation, _weights
@@ -240,15 +239,11 @@ def _ordered_product(p: PcPresentation, rows, exps) -> Element:
     return out
 
 
-def map_into_ambient(s: Subgroup, exps) -> Element:
-    """Ordered product of basis elements with the given exponents."""
-    return _ordered_product(s.ambient, s.basis_elements(), exps)
-
-
 def induced_presentation(s: Subgroup) -> PcPresentation:
     """Presentation of a subgroup of any rank on its Hermite basis:
-    generator i is basis row i of s, so `map_into_ambient(s, .)` and
-    `express_in_basis(s, .)` move elements across the inclusion."""
+    generator i is basis row i of s, so exponents a over the presentation
+    are the ambient element b_1^a1 * ... * b_r^ar, and `express_in_basis`
+    maps back."""
     p = s.ambient
     _require_class2(p, "induced presentations")
     vecs = s.basis_elements()
@@ -265,15 +260,6 @@ def induced_presentation(s: Subgroup) -> PcPresentation:
             if any(exps):
                 rules[(a, b)] = exps
     return PcPresentation(r, rules, nilpotency_class=2 if rules else 1)
-
-
-def verify_inclusion_homomorphism(s: Subgroup) -> bool:
-    """Check the inclusion on all generator pairs: products computed in
-    the induced presentation of s match ambient products of the images."""
-    sub = induced_presentation(s)
-    gens = [sub.generator(a) for a in range(sub.n)]
-    into = functools.partial(map_into_ambient, s)
-    return all(into(sub.multiply(u, v)) == s.ambient.multiply(into(u), into(v)) for u in gens for v in gens)
 
 
 # ----------------------------------------------------- normal subgroup census
@@ -390,9 +376,6 @@ class _InducedBasis:
         """Residue of w after sifting by the slot vectors; the identity
         exactly when w is an ordered product of the slots."""
         return _sift(self.p, sorted(self.slots.items()), w)[1]
-
-    def contains(self, w: Element) -> bool:
-        return not any(self.reduce(w))
 
     def sift(self, w: Element) -> bool:
         """Insert w; returns True when the generated subgroup grew."""
@@ -515,19 +498,7 @@ def center(p: PcPresentation) -> Subgroup:
     return sub
 
 
-# ----------------------------------------------------------------- isolator
-
-
-def isolator(p: PcPresentation, s: Subgroup) -> Subgroup:
-    """Smallest root-closed subgroup containing s (class <= 2).
-
-    In class <= 2 this is exactly the saturation of the coordinate
-    lattice, which is automatically closed under the group operations.
-    """
-    _require_class2(p, "isolators")
-    if s.ambient != p:
-        raise ValueError("subgroup belongs to a different presentation")
-    return Subgroup(p, saturate(s.basis))
+# ----------------------------------------------------------- rational kernel
 
 
 def rational_kernel(s: Subgroup) -> Subgroup:

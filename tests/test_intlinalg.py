@@ -25,8 +25,6 @@ from rfrskit.intlinalg import (
     lattice_index,
     lattice_member,
     left_kernel,
-    matrix_from_text,
-    matrix_to_text,
     saturate,
     snf,
     xgcd,
@@ -837,11 +835,6 @@ def test_infinite_order_stops_at_a_large_trace():
 
 
 # ------------------------------------------------------------- plumbing
-
-
-def test_serialization_roundtrip():
-    a = M([[1, -2, 3], [0, 5, -6]])
-    assert matrix_from_text(matrix_to_text(a)) == a
 
 
 def test_det_against_fraction_elimination():

@@ -45,15 +45,11 @@ PUBLIC_API = [
     "induced_presentation",
     "is_unimodular",
     "is_unipotent",
-    "isolator",
     "lattice_index",
     "lattice_member",
     "left_kernel",
     "lower_central_series",
     "magnus_image",
-    "map_into_ambient",
-    "matrix_from_text",
-    "matrix_to_text",
     "normal_form",
     "obstruction_certificate",
     "presentation_from_text",
@@ -62,12 +58,10 @@ PUBLIC_API = [
     "restrict_chain",
     "rtfn_witness",
     "saturate",
-    "series_multiply",
     "snf",
     "subgroup_closure",
     "trapped_central_witness",
     "unitriangular",
-    "verify_inclusion_homomorphism",
     "verify_rfrs_chain",
     "word_from_tokens",
     "xgcd",

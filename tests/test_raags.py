@@ -22,9 +22,7 @@ from rfrskit.raags import (
     magnus_image,
     normal_form,
     rtfn_witness,
-    series_multiply,
     word_from_tokens,
-    _append_normal,
     _extends_normally,
     _times_letter,
 )
@@ -292,8 +290,8 @@ def test_magnus_homomorphism_property():
             w2 = RaagWord.build(rng.choices(alphabet, k=rng.randint(0, 4)))
             d = 3
             lhs = magnus_image(g, RaagWord.build(list(w1.letters) + list(w2.letters)), d)
-            rhs = series_multiply(g, magnus_image(g, w1, d), magnus_image(g, w2, d))
-            assert lhs.coefficients == rhs.coefficients
+            rhs = _reference_multiply(g, magnus_image(g, w1, d), magnus_image(g, w2, d))
+            assert lhs.coefficients == rhs
 
 
 def test_magnus_trivial_words_map_to_one():
@@ -374,35 +372,11 @@ def _reference_multiply(g, s1, s2):
 
 
 @st.composite
-def graphs(draw, max_vertices=6):
-    n = draw(st.integers(1, max_vertices))
+def graphs(draw):
+    n = draw(st.integers(1, 6))
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.build(n, [e for e, keep in zip(pairs, mask) if keep])
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_incremental_normal_form_matches_greedy(data):
-    g = data.draw(graphs())
-    letters = st.integers(0, g.vertex_count - 1)
-    mono = tuple(data.draw(st.lists(letters, max_size=8)))
-    blocks = g.blocking
-    assert _append_normal(blocks, (), mono) == _greedy_canonical(g, mono)
-    cut = data.draw(st.integers(0, len(mono)))
-    prefix = _greedy_canonical(g, mono[:cut])
-    assert _append_normal(blocks, prefix, mono[cut:]) == _greedy_canonical(g, mono)
-
-
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_series_multiply_matches_greedy_reference(data):
-    g = data.draw(graphs(max_vertices=4))
-    syllables = st.tuples(st.integers(0, g.vertex_count - 1), st.integers(-2, 2))
-    w1, w2 = (RaagWord.build(data.draw(st.lists(syllables, max_size=4))) for _ in range(2))
-    d = data.draw(st.integers(1, 4))
-    s1, s2 = magnus_image(g, w1, d), magnus_image(g, w2, d)
-    assert series_multiply(g, s1, s2).coefficients == _reference_multiply(g, s1, s2)
 
 
 def _letter_series(v, e, d):
@@ -416,9 +390,9 @@ def _letter_series(v, e, d):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_times_letter_matches_series_products(data):
-    """The letter kernel against the general product by the letter's
-    binomial series and against the greedy reference, with |e| above the
-    degree bound and negative e both drawn."""
+    """The letter kernel against the greedy product by the letter's
+    binomial series, with |e| above the degree bound and negative e both
+    drawn."""
     g = data.draw(graphs())
     syllables = st.tuples(st.integers(0, g.vertex_count - 1), st.integers(-2, 2))
     d = data.draw(st.integers(1, 6))
@@ -430,7 +404,6 @@ def test_times_letter_matches_series_products(data):
     assert s.coefficients == before
     letter = _letter_series(v, e, d)
     assert product.degree_bound == d
-    assert product.coefficients == series_multiply(g, s, letter).coefficients
     assert product.coefficients == _reference_multiply(g, s, letter)
 
 

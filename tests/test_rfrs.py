@@ -31,12 +31,10 @@ from rfrskit.subgroups import (
     enumerate_normal_subgroups,
     express_in_basis,
     induced_presentation,
-    isolator,
-    map_into_ambient,
     rational_kernel,
     subgroup_closure,
 )
-from test_subgroups import CENSUS_CASES
+from test_subgroups import CENSUS_CASES, isolator, map_into_ambient
 
 H = heisenberg()
 X, Y, Z = H.generator(0), H.generator(1), H.generator(2)
