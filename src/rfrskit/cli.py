@@ -227,7 +227,7 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
     p = _load_class2_group(cfg)
     f = _load_chain(p, cfg.chain)
     rep = verify_rfrs_chain(f)
-    witness = trapped_central_witness(rep) if rep.overall and not p.is_abelian() else None
+    witness = trapped_central_witness(rep) if rep.overall else None
     report = _chain_schema("rfrs-verify", cfg.group, rep, witness)
     def lines() -> list[str]:
         out = [f"chain of length {len(f.chain)} on {cfg.group}"]

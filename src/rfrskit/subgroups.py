@@ -24,14 +24,14 @@ generators of weight below d, over the exponents of the previous step's
 triangular basis.
 
 In class <= 2, u v = u + v + B(u, v) with B bilinear and central valued,
-read off the commutator table (`PcPresentation._beta`), and
-`_product_corrections` is the one function that lists its values on a set
-of rows: `subgroup_closure` adds its values on the generators to their
-span in one step, `Subgroup.from_lattice` accepts a lattice that closure
-leaves as it is, and the census takes from it the values a projection's
-centre must hold.  B(u, v) and [u, g] vanish when u or g is a product
-of central generators, so `_product_corrections` and `Subgroup.is_normal`
-skip such basis rows, and `is_normal` skips the central generators.
+read off the commutator table (`PcPresentation._beta`).  Two functions
+list what a lattice must hold: `_product_corrections` the values of B on
+its rows, for closed (`subgroup_closure` adds them to their span in one
+step, `Subgroup.from_lattice` accepts a lattice closure leaves as it is),
+and `_commutator_values` the [u, g] of its rows with the generators, in
+any class, for normal (`Subgroup.is_normal`) and central (`center`).  The
+census takes both.  Both skip rows that are products of central
+generators, and `_commutator_values` skips the central generators.
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -103,7 +103,7 @@ def _sift(p: PcPresentation, rows, w: Element) -> tuple[list[int], Element]:
             q, rem = divmod(w[j], b[j])
             if rem:
                 break
-            w = p.multiply(p.inverse(p.power(b, q)), w)
+            w = p.multiply(p.power(b, -q), w)
         exps.append(q)
     return exps, w
 
@@ -126,6 +126,16 @@ def _product_corrections(p: PcPresentation, vecs) -> list[Element]:
     of vecs, read off the class-2 table."""
     vecs = _noncentral_rows(p, vecs)
     vals = (tuple(p._beta(u, v)) for u in vecs for v in vecs)
+    return list(dict.fromkeys(w for w in vals if any(w)))
+
+
+def _commutator_values(p: PcPresentation, vecs) -> list[Element]:
+    """The distinct nonzero [u, g] over the noncentral rows u of vecs and
+    the noncentral generators g.  In any class the other [u, g] are 1, as
+    a product of central generators commutes with everything, so the list
+    is empty exactly when every row of vecs is central."""
+    gens = [p.generator(k) for k in _central_split(p)[0]]
+    vals = (p.commutator(u, g) for u in _noncentral_rows(p, vecs) for g in gens)
     return list(dict.fromkeys(w for w in vals if any(w)))
 
 
@@ -182,15 +192,8 @@ class Subgroup:
         # one side suffices: subgroups of a polycyclic group satisfy the max
         # condition, so g^-1 H g <= H for every generator g gives equality
         # (H <= g H g^-1 <= g^2 H g^-2 <= ... must stop growing); and for
-        # u in H, u^g is in H exactly when u^-1 u^g = [u, g] is (central
-        # rows and central generators give [u, g] = 1)
-        p = self.ambient
-        gens = [p.generator(k) for k in _central_split(p)[0]]
-        return all(
-            self.contains(p.commutator(u, g))
-            for u in _noncentral_rows(p, self.basis_elements())
-            for g in gens
-        )
+        # u in H, u^g is in H exactly when u^-1 u^g = [u, g] is
+        return all(map(self.contains, _commutator_values(self.ambient, self.basis_elements())))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         """The meet, by Zassenhaus: in the Hermite form of [[B1, B1], [B2, 0]]
@@ -310,9 +313,7 @@ def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgro
         # each M with the distinct nonzero values its centre must hold
         out = []
         for m in _hermite_bases(p.n, top, d):
-            comms = [p.commutator(u, p.generator(k)) for u in m for k in top]
-            vals = _product_corrections(p, m) + [w for w in comms if any(w)]
-            out.append((m, list(dict.fromkeys(vals))))
+            out.append((m, dict.fromkeys(_product_corrections(p, m) + _commutator_values(p, m))))
         return out
 
     @functools.cache
@@ -492,9 +493,8 @@ def center(p: PcPresentation) -> Subgroup:
         ker = left_kernel(IntMatrix._from_int_rows(values, len(low) * len(cols)))
         basis = [_ordered_product(p, basis, ker.row(i)) for i in range(ker.rows)]
     sub = _subgroup_from_induced(p, basis)
-    for v in sub.basis_elements():
-        if any(any(p.commutator(v, g)) for g in gens):  # pragma: no cover
-            raise NotImplementedError("center is not a coordinate lattice here")
+    if _commutator_values(p, sub.basis_elements()):  # pragma: no cover
+        raise NotImplementedError("center is not a coordinate lattice here")
     return sub
 
 

@@ -650,3 +650,123 @@ def test_human_lines_are_pinned_and_built_only_when_printed(command, json_inputs
     assert main([command, *args, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["command"] == command
     assert built == [False]
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (RunConfig(command="nope"), "unknown command: nope"),
+        (RunConfig(command="rfrs-obstruct", group="heisenberg", max_index=0), "numeric bounds must be positive"),
+    ],
+    ids=["unknown-command", "max-index-0"],
+)
+def test_exit2_on_unknown_command_or_nonpositive_bound(cfg, message, capsys):
+    assert run(cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and not captured.out
+
+
+def test_abelian_chain_reports_no_witness(tmp_path, capsys):
+    """A passing chain in an abelian group has no central witness: the
+    report says so, with the bytes recorded while rfrs-verify still asked
+    whether the group was abelian before looking for one."""
+    (tmp_path / "ab2.txt").write_text("1 0\n0 1\n\n2 0\n0 1\n")
+    assert main(["rfrs-verify", "--group", "free_abelian(2)", "--chain", str(tmp_path / "ab2.txt"), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["witness"] is None
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5d4102bcdb9e4482d658cc8165836c4a1bbffa277661bfcf6eb682a4491333ec"
+    )
+
+
+# --------------------------------------------------- the CI console script
+
+# The input files of CONSOLE_CASES, written to the working directory.
+CONSOLE_FILES = {
+    "filiform6.txt": "6 5\n1 2 : 1 0 0 0\n1 3 : 1 0 0\n1 4 : 1 0\n1 5 : 1\n",
+    "nine.txt": "9 3\n1 2 : 0 1 0 0 0 0 0\n3 4 : 1 0 0 0 0\n",
+    "trivial0.txt": "0 0\n",
+    "trivial1.txt": "0 1\n",
+    "chain4.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 1\n\n4 0 0\n0 2 0\n0 0 1\n",
+    "even.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 2\n",
+    "zhchain.txt": (
+        "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\n2 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\n"
+        "2 0 0 0\n0 2 0 0\n0 0 1 0\n0 0 0 1\n\n4 0 0 0\n0 2 0 0\n0 0 2 0\n0 0 0 1\n"
+    ),
+    "path4.txt": "4\n0 1\n1 2\n2 3\n",
+}
+
+# The cases of the "Console script" step of .github/workflows/tests.yml:
+# argv, exit code, and either a check on the JSON report or a text that
+# standard error must hold.
+ZH = "direct_product(free_abelian(1),heisenberg)"
+CONSOLE_CASES = {
+    "ut7": (
+        ["analyze", "--group", "ut(7)", "--json"], 0,
+        lambda r: (r["hirsch_rank"], r["center_rank"], r["nilpotency_class"]) == (21, 1, 6),
+    ),
+    "ut5ut4": (
+        ["analyze", "--group", "direct_product(ut(5),ut(4))", "--json"], 0,
+        lambda r: (r["generators"], r["nilpotency_class"], r["center_rank"], r["hirsch_rank"]) == (16, 4, 2, 16),
+    ),
+    "filiform6": (
+        ["analyze", "--group", "filiform6.txt", "--json"], 0,
+        lambda r: (r["generators"], r["nilpotency_class"], r["hirsch_rank"], r["center_rank"], r["witness"])
+        == (6, 5, 6, 1, [0, 0, 0, 0, 0, 1]),
+    ),
+    "nine": (["analyze", "--group", "nine.txt"], 2, "inconsistent presentation"),
+    "trivial0": (
+        ["analyze", "--group", "trivial0.txt", "--json"], 0,
+        lambda r: (r["generators"], r["nilpotency_class"]) == (0, 0),
+    ),
+    "trivial1": (["analyze", "--group", "trivial1.txt"], 2, "declares nilpotency class 1"),
+    "chain4": (
+        ["rfrs-verify", "--group", "heisenberg", "--chain", "chain4.txt", "--json"], 0,
+        lambda r: (r["overall"], r["witness"], [s["index"] for s in r["steps"]]) == (True, [0, 0, 1], [2, 4, 8]),
+    ),
+    "even": (
+        ["rfrs-verify", "--group", "heisenberg", "--chain", "even.txt", "--json"], 1,
+        lambda r: r["witness"] is None,
+    ),
+    "zh6": (
+        ["rfrs-obstruct", "--group", ZH, "--max-index", "6", "--json"], 0,
+        lambda r: (r["overall"], r["witness"], r["checked_subgroups"]) == (True, [0, 0, 0, 1], 178),
+    ),
+    "zhchain": (
+        ["rfrs-verify", "--group", ZH, "--chain", "zhchain.txt", "--json"], 0,
+        lambda r: (r["overall"], r["witness"], [s["index"] for s in r["steps"]]) == (True, [0, 0, 0, 1], [2, 4, 16]),
+    ),
+    "hh": (
+        ["analyze", "--group", "direct_product(heisenberg,heisenberg)", "--json"], 0,
+        lambda r: (r["center_rank"], r["witness"]) == (2, [0, 0, 1, 0, 0, 0]),
+    ),
+    "magnus": (
+        ["raag-magnus", "--graph", "path4.txt", "--word", "a,c,a^-1,c^-1,d^2", "--degree", "4", "--json"], 0,
+        lambda r: (len(r["terms"]), r["is_one"]) == (23, False),
+    ),
+    "rtfn": (
+        ["raag-rtfn", "--graph", "path4.txt", "--max-len", "5", "--json"], 0,
+        lambda r: (r["elements_checked"], r["separated"], r["degree"]) == (7024, True, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", [*CONSOLE_CASES, "python-m"])
+def test_console_script_cases(case, tmp_path, monkeypatch, capsys):
+    """The CI console-script cases, run in-process through `main`, and one
+    case through `python -m rfrskit` in a subprocess."""
+    if case == "python-m":
+        code, out, err = invoke(["analyze", "--group", "heisenberg", "--json"])
+        expected, check = 0, lambda r: (r["generators"], r["center_rank"], r["witness"]) == (3, 1, [0, 0, 1])
+    else:
+        for name, text in CONSOLE_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv, expected, check = CONSOLE_CASES[case]
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == expected
+    if isinstance(check, str):
+        assert check in err and not out
+    else:
+        assert check(json.loads(out))

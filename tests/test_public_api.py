@@ -1,5 +1,8 @@
 """The exported names of the package, pinned so that any change to the
-public API shows up in a diff of this file."""
+public API shows up in a diff of this file, and the messages with which
+those names refuse malformed input."""
+
+import pytest
 
 import rfrskit
 
@@ -76,3 +79,65 @@ def test_all_is_pinned():
 def test_every_exported_name_resolves():
     for name in rfrskit.__all__:
         assert getattr(rfrskit, name) is not None, name
+
+
+H = rfrskit.heisenberg()
+PATH3 = rfrskit.graph_from_text("3\n0 1\n1 2\n")
+ROW = rfrskit.IntMatrix.from_rows([[1, 2]])
+
+# Each refusal of malformed input that no other test reaches: a thunk, and
+# the start of the ValueError message it must raise.
+REFUSALS = {
+    "filtration-empty": (
+        lambda: rfrskit.Filtration(H, ()), "a filtration needs at least the whole group"),
+    "filtration-other-ambient": (
+        lambda: rfrskit.Filtration(H, (rfrskit.Subgroup.whole_group(H),
+                                       rfrskit.Subgroup.whole_group(rfrskit.free_abelian(3)))),
+        "chain term lives in a different ambient group"),
+    "filtration-repeated-term": (
+        lambda: rfrskit.Filtration(H, (rfrskit.Subgroup.whole_group(H),) * 2),
+        "chain repeats a term at step 1"),
+    "restrict-to-trivial": (
+        lambda: rfrskit.restrict_chain(
+            rfrskit.Filtration(H, (rfrskit.Subgroup.whole_group(H),)), rfrskit.Subgroup.trivial(H)),
+        "cannot restrict to the trivial subgroup"),
+    "census-index-0": (
+        lambda: rfrskit.enumerate_normal_subgroups(H, 0), "max_index must be positive"),
+    "magnus-degree-0": (
+        lambda: rfrskit.magnus_image(PATH3, rfrskit.word_from_tokens(PATH3, "a"), 0),
+        "degree bound must be at least 1"),
+    "rtfn-len-0": (lambda: rfrskit.rtfn_witness(PATH3, 0), "max_len must be at least 1"),
+    "builder-bad-argument": (
+        lambda: rfrskit.build_standard("ut(x)"), "bad argument in builder name 'ut(x)'"),
+    "builder-one-factor": (
+        lambda: rfrskit.build_standard("direct_product(heisenberg)"),
+        "direct_product needs two arguments: 'direct_product(heisenberg)'"),
+    "free-abelian-0": (lambda: rfrskit.free_abelian(0), "free abelian rank must be positive"),
+    "unitriangular-1": (
+        lambda: rfrskit.unitriangular(1), "unitriangular groups need size at least 2"),
+    "generator-out-of-range": (lambda: H.generator(3), "generator index 3 out of range"),
+    "collect-out-of-range": (lambda: H.collect([(3, 1)]), "generator index 3 out of range"),
+    "commutator-rule-diagonal": (
+        lambda: H.commutator_rule(1, 1), "commutator table is indexed by distinct generators"),
+    "presentation-class-0": (
+        lambda: rfrskit.PcPresentation(2, {}, nilpotency_class=0),
+        "nilpotency class must be at least 1"),
+    "presentation-short-rule": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): (0, 0)}),
+        "rule vectors must have one entry per generator"),
+    "presentation-reversed-pair": (
+        lambda: rfrskit.PcPresentation(3, {(1, 0): (0, 0, 1)}), "bad generator pair (1, 0)"),
+    "det-not-square": (lambda: rfrskit.det(ROW), "determinant requires a square matrix"),
+    "order-not-square": (
+        lambda: rfrskit.finite_order_semisimple_check(ROW), "order check requires a square matrix"),
+    "ragged-rows": (lambda: rfrskit.IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    "matmul-mismatch": (lambda: ROW @ ROW, "dimension mismatch in matrix product"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_malformed_input_is_refused_with_a_message(case):
+    thunk, message = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        thunk()
+    assert str(info.value).startswith(message)

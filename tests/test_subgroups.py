@@ -445,7 +445,9 @@ def _diagonals(n, bound):
 
 def _reference_census(p, max_index):
     """Every Hermite basis with diagonal product <= max_index, kept when
-    the lattice is closed under the group operations and normal."""
+    the lattice is closed under the group operations and normal, by
+    commutators with every generator (not `is_normal`, which shares the
+    census's `_commutator_values`)."""
     n = p.n
     found = []
     for diag in _diagonals(n, max_index):
@@ -469,7 +471,7 @@ def _reference_census(p, max_index):
 
         for rows in fill(0, rows_template):
             cand = Subgroup(p, IntMatrix.from_rows(rows))
-            if is_closed(p, cand.basis) and cand.is_normal():
+            if is_closed(p, cand.basis) and _normal_all_pairs(cand):
                 found.append(cand)
     found.sort(key=lambda s: (s.index(), s.basis.entries))
     return found
