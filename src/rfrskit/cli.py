@@ -37,6 +37,7 @@ from .pcgroups import (
     presentation_from_text,
 )
 from .raags import (
+    _vertex_names,
     graph_from_text,
     magnus_image,
     normal_form,
@@ -250,7 +251,7 @@ def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
         {
             "index": int(s.index()),
             "normal": True,
-            "kernel_contained": cert.all_pass or not s.contains(cert.witness),
+            "kernel_contained": cert.all_pass,
         }
         for s in cert.subgroups
     ]
@@ -321,7 +322,7 @@ def _cmd_raag_magnus(cfg: RunConfig) -> int:
     def lines() -> list[str]:
         out = [f"series at degree {cfg.degree}:"]
         for t in terms:
-            mono = "".join(chr(ord("a") + v) for v in t["monomial"]) or "1"
+            mono = "".join(_vertex_names(t["monomial"])) or "1"
             out.append(f"  {t['coefficient']} * {mono}")
         return out
 

@@ -11,23 +11,24 @@ Multiplication is collection: to append g_k^e to a normal form, the tail
 of higher generators is conjugated through g_k^e, which stays inside the
 subgroup they generate.  That descent to higher generators terminates, so
 no rewriting strategy or termination heuristics are needed.  Class <= 2
-presentations get a closed-form fast path: products are
+presentations get a closed-form fast path for all but `collect`: products are
 
     u * v = u + v + B(u, v),   B(u, v) = sum_{i<k} u_k v_i [g_k, g_i]
 
 with all correction terms central.
 
-Higher class collects through conjugation polynomials (P. Hall 1957):
-the coordinates of g_k^-e g_m^s g_k^e are integer-valued polynomials in
-(s, e), stored as integer coefficients of C(s, i) C(e, j).  The table is
-built once per presentation, on its first generic product, from the top
-generator down.  A term has i, j >= 1 and i w(m) + j w(k) <= D, with w
-the generator weights (see `_weights`) and D the largest of them, not
-the declared class.  So pair (k, m) takes its values on the grid
+Words in every class, and products in higher class, collect through
+conjugation polynomials (P. Hall 1957): the coordinates of
+g_k^-e g_m^s g_k^e are integer-valued polynomials in (s, e), stored as
+integer coefficients of C(s, i) C(e, j).  The table is built once per
+presentation, on its first `collect` or generic product, from the top
+generator down.  A term has i, j >= 1 and i w(m) + j w(k) <= D, with w the
+generator weights (see `_weights`) and D the largest of them, not the
+declared class.  So pair (k, m) takes its values on the grid
 0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k),
 from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
-Newton forward differences turn them into coefficients.  Before level k
-is built, conjugation by g_k is checked against every relation of
+Newton forward differences turn them into coefficients.  Before level k is
+built, conjugation by g_k is checked against every relation of
 <g_(k+1), ...> that it moves, so an inconsistent table raises ValueError
 at every generator count.  Products are then collected from the left on
 one exponent list and a stack of syllables g_k^e (Leedham-Green and
@@ -58,8 +59,8 @@ class PcPresentation:
     `rules` maps 0-based pairs (i, j) with i < j to the exponent vector of
     [g_j, g_i]; absent pairs commute.  Instances are immutable.  Class <= 2
     tables are consistent by construction.  A class >= 3 table is checked
-    when its conjugation table is built, on its first product or by
-    `check_consistency`.
+    when its conjugation table is built, on its first product or `collect`,
+    or by `check_consistency`.
     """
 
     def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None,
@@ -100,7 +101,7 @@ class PcPresentation:
                     )
         # nonzero bilinear correction data for the fast path
         self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
-        # conjugation polynomials for class >= 3, built on the first generic product
+        # conjugation polynomials, built on the first generic product or `collect`
         self._collector: _Collector | None = None
 
     # -------------------------------------------------------------- basics
@@ -210,27 +211,22 @@ class PcPresentation:
         return self.multiply(inv(self.multiply(v, u)), self.multiply(u, v))
 
     def collect(self, word) -> Element:
-        """Normal form of a word given as (generator index, exponent) pairs."""
+        """Normal form of a word of (generator index, exponent) pairs, in one pass in any class."""
         syllables = []
         for idx, e in word:
             if not 0 <= idx < self.n:
                 raise ValueError(f"generator index {idx} out of range")
             if e:
                 syllables.append((idx, e))
-        if self.nilpotency_class > 2:
-            return self._generic()._collect([0] * self.n, syllables)
-        res = self.identity()
-        for idx, e in syllables:
-            res = self.multiply(res, self.power(self.generator(idx), e))
-        return res
+        return self._generic()._collect([0] * self.n, syllables)
 
     def check_consistency(self) -> None:
         """Build the conjugation table now; it refuses an inconsistent table.
 
         A class >= 3 table is checked level by level as it is built (see
         `_Collector`), at every generator count, so it is refused here or on
-        its first product.  A class <= 2 table is consistent by construction,
-        since B is bilinear, central valued and zero on central arguments:
+        its first product or `collect`.  A class <= 2 table is consistent by
+        construction (B is bilinear, central valued and zero on central arguments):
         (u v) w = u (v w) = u + v + w + B(u, v) + B(u, w) + B(v, w), and
         u^-1 u = B(u, u) - B(u, u) = 0.
         """

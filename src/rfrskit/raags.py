@@ -35,6 +35,11 @@ from .errors import ResourceLimitExceeded
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _vertex_names(vertices) -> list[str]:
+    """a .. z for vertices 0 .. 25, then v26, v27, ..., as `word_from_tokens` reads them."""
+    return [_LETTER_NAMES[v] if v < 26 else f"v{v}" for v in vertices]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple graph on vertices 0 .. vertex_count-1."""
@@ -121,11 +126,9 @@ class RaagWord:
         return not self.letters
 
     def __str__(self) -> str:
-        parts = []
-        for v, e in self.letters:
-            name = _LETTER_NAMES[v] if v < len(_LETTER_NAMES) else f"v{v}"
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return ",".join(parts) if parts else "1"
+        names = _vertex_names([v for v, _ in self.letters])
+        parts = [name if e == 1 else f"{name}^{e}" for name, (_, e) in zip(names, self.letters)]
+        return ",".join(parts) or "1"
 
 
 # -------------------------------------------------------------- normal form

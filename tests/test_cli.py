@@ -146,6 +146,19 @@ def test_raag_magnus_command(path3_graph):
     assert coeffs[(0, 2)] == "1" and coeffs[(2, 0)] == "-1"
 
 
+def test_vertices_from_26_on_print_as_word_tokens(tmp_path, capsys):
+    """raag-magnus names vertex 26 `v26`, as raag-nf does and as words are
+    read, not by the character after `z`."""
+    path = tmp_path / "edgeless27.txt"
+    path.write_text("27\n")
+    assert main(["raag-magnus", "--graph", str(path), "--word", "v26,a", "--degree", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "series at degree 2:", "  1 * 1", "  1 * a", "  1 * v26", "  1 * v26a",
+    ]
+    assert main(["raag-nf", "--graph", str(path), "--word", "v26,a"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["normal form: v26,a"]
+
+
 def test_raag_rtfn_command(path3_graph):
     code, out, _ = invoke(["raag-rtfn", "--graph", path3_graph, "--max-len", "3"])
     assert code == 0
@@ -696,9 +709,10 @@ CONSOLE_FILES = {
     "path4.txt": "4\n0 1\n1 2\n2 3\n",
 }
 
-# The cases of the "Console script" step of .github/workflows/tests.yml:
-# argv, exit code, and either a check on the JSON report or a text that
-# standard error must hold.
+# The only list of the cases that the "Console script" step of
+# .github/workflows/tests.yml runs through the installed executable: argv,
+# exit code, and either a check on the JSON report or a text that standard
+# error must hold, with standard output empty.
 ZH = "direct_product(free_abelian(1),heisenberg)"
 CONSOLE_CASES = {
     "ut7": (

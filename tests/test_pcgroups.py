@@ -25,6 +25,7 @@ from ut_matrices import (
     matrix_ut_rules,
     transvection_power,
     ut_inverse,
+    ut_peel,
     word_to_matrix,
 )
 
@@ -207,6 +208,36 @@ def test_collect_examples():
     assert h.collect([(0, 1), (1, 1)]) == (1, 1, 0)
     assert h.collect([(1, 1), (0, 1)]) == (1, 1, -1)
     assert h.collect([]) == (0, 0, 0)
+    with pytest.raises(ValueError, match="generator index 3 out of range"):
+        h.collect([(3, 1)])
+
+
+CLASS2_COLLECT_CASES = [
+    ("heisenberg", heisenberg),
+    ("HxZ", lambda: direct_product(heisenberg(), free_abelian(1))),
+    ("ZxH", lambda: direct_product(free_abelian(1), heisenberg())),
+    ("HxH", lambda: direct_product(heisenberg(), heisenberg())),
+    ("Q2(P4)", lambda: presentation_from_text("7 2\n1 3 : 0 1 0 0\n1 4 : 0 1 0\n2 4 : 0 0 1\n")),
+    ("free_abelian(3)", lambda: free_abelian(3)),
+    ("trivial", lambda: PcPresentation(0, {})),
+]
+
+
+@pytest.mark.parametrize("name,build", CLASS2_COLLECT_CASES, ids=[c[0] for c in CLASS2_COLLECT_CASES])
+def test_class2_collect_matches_closed_form_syllable_products(name, build):
+    """`collect` in class <= 2 goes through the collector; the reference is
+    the closed-form product of one syllable power g_idx^e at a time."""
+    p = build()
+    assert p.nilpotency_class <= 2
+    rng = random.Random(28)
+    for _ in range(60):
+        # repeated generators, any order, zero exponents; the trivial group has only the empty word
+        length = rng.randint(0, 12) if p.n else 0
+        word = [(rng.randrange(p.n), rng.randint(-25, 25)) for _ in range(length)]
+        expected = p.identity()
+        for idx, e in word:
+            expected = p.multiply(expected, p.power(p.generator(idx), e))
+        assert p.collect(word) == expected
 
 
 def test_heisenberg_product_formula():
@@ -574,28 +605,67 @@ def test_free_class3_grids_reach_both_bounds():
     assert pairs[(0, 2)][1] == pairs[(1, 2)][1] == (1, 1)
 
 
+class UtBlockReference:
+    """StepCollector's interface on block-diagonal ut(n_1) + ut(n_2) + ...:
+    the coordinates split into one block per size, products are matrix
+    products, and `ut_peel` reads the coordinates back."""
+
+    def __init__(self, p, sizes):
+        self.p = p
+        self.n = p.n
+        self.sizes = sizes
+
+    def identity(self):
+        return (0,) * self.n
+
+    def blocks(self, u):
+        out, start = [], 0
+        for size in self.sizes:
+            width = size * (size - 1) // 2
+            out.append(coords_to_matrix(size, u[start : start + width]))
+            start += width
+        return out
+
+    def coords(self, mats):
+        return tuple(x for m in mats for x in ut_peel(m))
+
+    def mul(self, u, v):
+        return self.coords(mat_mul(a, b) for a, b in zip(self.blocks(u), self.blocks(v)))
+
+    def inv(self, u):
+        return self.coords(ut_inverse(a) for a in self.blocks(u))
+
+    def pow(self, u, e):
+        return self.coords(mat_pow(a, e) for a in self.blocks(u))
+
+    def commutator(self, u, v):
+        return self.mul(self.mul(self.inv(u), self.inv(v)), self.mul(u, v))
+
+
+# name, builder, and the ut block sizes of a matrix reference (None: StepCollector)
 WORD_CASES = [
-    ("ut(5)", lambda: unitriangular(5)),
-    ("filiform7", lambda: filiform(7)),
-    ("free_class3", free_class3),
-    # a class-2 block below a class-4 block
-    ("direct_product(heisenberg,ut(5))", lambda: build_standard("direct_product(heisenberg,ut(5))")),
+    ("ut(5)", lambda: unitriangular(5), (5,)),
+    ("filiform7", lambda: filiform(7), None),
+    ("free_class3", free_class3, None),
+    # a class-2 block below a class-4 block; heisenberg's table is ut(3)'s
+    ("direct_product(heisenberg,ut(5))", lambda: build_standard("direct_product(heisenberg,ut(5))"), (3, 5)),
 ]
 
 
 @pytest.fixture(scope="module")
-def step_references():
-    """One StepCollector per group name, so its memo outlives an example."""
+def word_references():
+    """One reference per group name, so a StepCollector's memo outlives an example."""
     return {}
 
 
-@pytest.mark.parametrize("name,build", WORD_CASES, ids=[c[0] for c in WORD_CASES])
+@pytest.mark.parametrize("name,build,blocks", WORD_CASES, ids=[c[0] for c in WORD_CASES])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_collect_matches_step_reference_on_words(name, build, step_references, data):
-    if name not in step_references:
-        step_references[name] = StepCollector(build())
-    ref = step_references[name]
+def test_collect_matches_step_reference_on_words(name, build, blocks, word_references, data):
+    if name not in word_references:
+        p = build()
+        word_references[name] = StepCollector(p) if blocks is None else UtBlockReference(p, blocks)
+    ref = word_references[name]
     p = ref.p
     # repeated generators, any order, zero exponents
     word = data.draw(st.lists(st.tuples(st.integers(0, p.n - 1), st.integers(-25, 25)), max_size=12))

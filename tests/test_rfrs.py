@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from rfrskit import rfrs
 from rfrskit.cli import main
-from rfrskit.intlinalg import IntMatrix, hnf_basis, left_kernel
+from rfrskit.intlinalg import IntMatrix, hnf_basis, lattice_member, left_kernel
 from rfrskit.pcgroups import (
     PcPresentation,
     abelianization,
     direct_product,
     free_abelian,
     heisenberg,
+    unitriangular,
 )
 from rfrskit.rfrs import (
     Filtration,
@@ -33,6 +35,7 @@ from rfrskit.subgroups import (
     induced_presentation,
     rational_kernel,
     subgroup_closure,
+    _InducedBasis,
 )
 from test_subgroups import CENSUS_CASES, isolator, map_into_ambient
 
@@ -402,6 +405,58 @@ def _rational_kernel_full_width(s):
     perp = left_kernel(IntMatrix(len(comms), p.n, tuple(x for w in comms for x in w)).transpose())
     ker = left_kernel(s.basis @ perp.transpose())
     return Subgroup(p, hnf_basis(ker @ s.basis))
+
+
+def _doubled_filiform5():
+    """Class 4: [g_j, g_0] = g_(j+1)^2 for j = 1..3, so V is spanned by
+    e_2, e_3, e_4 while the rule values span only twice that."""
+    rules = {(0, j): tuple(2 if t == j + 1 else 0 for t in range(5)) for j in range(1, 4)}
+    return PcPresentation(5, rules, nilpotency_class=4)
+
+
+POWER_TEST_GROUPS = [
+    ("ut(4)", lambda: unitriangular(4)),
+    ("ut(5)", lambda: unitriangular(5)),
+    ("direct_product(ut(4),heisenberg)", lambda: direct_product(unitriangular(4), H)),
+    ("doubled filiform(5)", _doubled_filiform5),
+]
+
+
+@pytest.mark.parametrize("name,build", POWER_TEST_GROUPS, ids=[c[0] for c in POWER_TEST_GROUPS])
+def test_torsion_lattice_is_the_rational_kernel_in_class_3_and_4(name, build):
+    """For H of finite index in a class >= 3 group, ker(H -> H^ab tensor Q)
+    is H meet V: h in H has a power in [H, H] exactly when h lies in
+    `_torsion_lattice`.  Each H is the closure of g_k^(m_k), 1 <= m_k <= 3,
+    and two random elements; [H, H] is the closure of the slot commutators
+    under the slots, and h^L with L = lcm(1..40) stands for "a power of h".
+    Half the samples are products of the slots that lie in V, so that each
+    kind comes up: outside V, in [H, H], and in V but not in [H, H]."""
+    p = build()
+    v_lattice = p._torsion_lattice
+    big = math.lcm(*range(1, 41))
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(15):
+        h = _InducedBasis(p)
+        for k in range(p.n):
+            h.sift(p.power(p.generator(k), rng.randint(1, 3)))
+        for _ in range(2):
+            h.sift(tuple(rng.randint(-2, 2) for _ in range(p.n)))
+        h.close()
+        slots = h.vectors()
+        derived = _InducedBasis(p)
+        for a, b in itertools.combinations(slots, 2):
+            derived.sift(p.commutator(a, b))
+        derived.close(slots)
+        in_v = [u for u in slots if lattice_member(v_lattice, u)]
+        for i in range(12):
+            x = p.identity()
+            for u in in_v if i % 2 else slots:
+                x = p.multiply(x, p.power(u, rng.randint(-2, 2)))
+            member = lattice_member(v_lattice, x)
+            assert (not any(derived.reduce(p.power(x, big)))) == member
+            kinds.add("in [H, H]" if not any(derived.reduce(x)) else "in V only" if member else "outside V")
+    assert kinds == {"outside V", "in [H, H]", "in V only"}
 
 
 def _intersect_by_kernel(s, t):
