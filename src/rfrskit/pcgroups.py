@@ -23,8 +23,8 @@ g_k^-e g_m^s g_k^e are integer-valued polynomials in (s, e), stored as
 integer coefficients of C(s, i) C(e, j).  The table is built once per
 presentation, on its first `collect` or generic product, from the top
 generator down.  A term has i, j >= 1 and i w(m) + j w(k) <= D, with w the
-generator weights (see `_weights`) and D the largest of them, not the
-declared class.  So pair (k, m) takes its values on the grid
+generator weights and D the largest of them (`PcPresentation._weights`),
+not the declared class.  So pair (k, m) takes its values on the grid
 0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k),
 from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
 Newton forward differences turn them into coefficients.  Before level k is
@@ -84,6 +84,9 @@ class PcPresentation:
         self.rules = clean
         # g_k is central exactly when every pair containing k commutes
         self.central = tuple(all(k not in pair for pair in clean) for k in range(n))
+        # (noncentral, central) generator indices, each in increasing order
+        self._noncentral = tuple(k for k, c in enumerate(self.central) if not c)
+        self._central = tuple(k for k, c in enumerate(self.central) if c)
         if nilpotency_class is None:
             nilpotency_class = 2 if clean else 1
         if nilpotency_class < 1 and n > 0:
@@ -148,6 +151,22 @@ class PcPresentation:
         first use.  G^ab is Z^n modulo the rule values, so V is Z^n meet
         their rational span, in every class."""
         return saturate(IntMatrix._from_int_rows(list(self.rules.values()), self.n))
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[int, ...], int]:
+        """(w, D): the generator weights, w(l) = max(1, w(i) + w(j) over
+        the rules (i, j) whose value involves g_l), and D the largest.
+
+        Generators of weight >= w span a normal subgroup G_w with
+        [G_a, G_b] <= G_(a+b), so D bounds the real class, whatever class
+        is declared.
+        """
+        w = [1] * self.n
+        for l in range(self.n):
+            for (i, j), vec in self.rules.items():
+                if vec[l]:  # then i < j < l, so w[i] and w[j] are final
+                    w[l] = max(w[l], w[i] + w[j])
+        return tuple(w), max(w, default=1)
 
     # -------------------------------------------------------- class-2 path
 
@@ -256,22 +275,6 @@ def _forward_differences(vals: list) -> None:
             vals[a] = [x - y for x, y in zip(vals[a], vals[a - 1])]
 
 
-def _weights(p: PcPresentation) -> list[int]:
-    """Generator weights, w(l) = max(1, w(i) + w(j) over the rules (i, j)
-    whose value involves g_l).
-
-    Generators of weight >= w span a normal subgroup G_w with
-    [G_a, G_b] <= G_(a+b), so the largest weight bounds the real class,
-    whatever class is declared.
-    """
-    w = [1] * p.n
-    for l in range(p.n):
-        for (i, j), vec in p.rules.items():
-            if vec[l]:  # then i < j < l, so w[i] and w[j] are final
-                w[l] = max(w[l], w[i] + w[j])
-    return w
-
-
 class _Collector:
     """Collection in any class through conjugation polynomials.
 
@@ -301,15 +304,14 @@ class _Collector:
         self.n = p.n
         # from `top` on, no generator has a rule with a higher one
         self.top = max((i + 1 for i, _ in p.rules), default=0)
-        w = _weights(p)
-        bound = max(w, default=1)
+        w, bound = p._weights
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
         self.degrees: list[tuple[int, int]] = [(0, 0)] * p.n
         # level k multiplies only inside <g_(k+1), ...>, which uses the levels above it
         for k in reversed(range(p.n)):
             self.levels[k], self.degrees[k] = self._level(p, k, w, bound)
 
-    def _level(self, p: PcPresentation, k: int, w: list[int], bound: int) -> tuple:
+    def _level(self, p: PcPresentation, k: int, w: tuple[int, ...], bound: int) -> tuple:
         n = self.n
         # g_l^(g_k) = g_l [g_l, g_k]
         images = {l: rule[:l] + (1,) + rule[l + 1 :] for (i, l), rule in p.rules.items() if i == k}

@@ -42,23 +42,24 @@ def _vertex_names(vertices) -> list[str]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite simple graph on vertices 0 .. vertex_count-1."""
+    """Finite simple graph on vertices 0 .. vertex_count-1, edges (u, v) with
+    u < v; the constructor checks, `build` orders each pair."""
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
+    def __post_init__(self) -> None:
+        n = self.vertex_count
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        bad = min(((u, v) for u, v in self.edges if not 0 <= u < v < n), default=None)
+        if bad is not None:
+            u, v = bad
+            raise ValueError("loops are not allowed" if u == v else f"edge ({u}, {v}) out of range")
+
     @staticmethod
     def build(vertex_count: int, edges) -> "Graph":
-        if vertex_count < 0:
-            raise ValueError("vertex count must be nonnegative")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            norm.add((min(u, v), max(u, v)))
-        return Graph(vertex_count, frozenset(norm))
+        return Graph(vertex_count, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     @staticmethod
     def complete(n: int) -> "Graph":
@@ -91,13 +92,16 @@ class Graph:
 @dataclass(frozen=True)
 class RaagWord:
     """Word in the graph group: (vertex, exponent) syllables, adjacent same-vertex
-    syllables merged, no zero exponents; the constructor checks, `build` merges."""
+    syllables merged, no zero exponents or negative vertices; the constructor
+    checks, `build` merges."""
 
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not all(e for _, e in self.letters):
-            raise ValueError("a word syllable has exponent 0")
+        bad = next(((v, e) for v, e in self.letters if not e or v < 0), None)
+        if bad is not None:
+            v, e = bad
+            raise ValueError(f"word vertex {v} is negative" if e else "a word syllable has exponent 0")
         if any(a[0] == b[0] for a, b in zip(self.letters, self.letters[1:])):
             raise ValueError("adjacent word syllables share a vertex")
 
@@ -134,6 +138,13 @@ class RaagWord:
 # -------------------------------------------------------------- normal form
 
 
+def _vertex_out_of_range(g: Graph, w: RaagWord) -> ValueError:
+    """The refusal of a word whose vertex the graph does not have, for the
+    callers that meet it as an IndexError."""
+    v = next(v for v, _ in w.letters if v >= g.vertex_count)
+    return ValueError(f"word vertex {v} out of range for a graph on {g.vertex_count} vertices")
+
+
 def normal_form(g: Graph, w: RaagWord) -> RaagWord:
     """Lexicographically least reduced representative; empty iff trivial.
 
@@ -147,19 +158,22 @@ def normal_form(g: Graph, w: RaagWord) -> RaagWord:
     n = g.vertex_count
     piles: list[list[int]] = [[] for _ in range(n)]
     noncomm = g.noncommuters
-    for v, e in w.letters:
-        pile = piles[v]
-        if pile and pile[-1]:
-            pile[-1] += e
-            if pile[-1]:
-                continue
-            pile.pop()
-            for u in noncomm[v]:
-                piles[u].pop()
-        else:
-            pile.append(e)
-            for u in noncomm[v]:
-                piles[u].append(0)
+    try:
+        for v, e in w.letters:
+            pile = piles[v]
+            if pile and pile[-1]:
+                pile[-1] += e
+                if pile[-1]:
+                    continue
+                pile.pop()
+                for u in noncomm[v]:
+                    piles[u].pop()
+            else:
+                pile.append(e)
+                for u in noncomm[v]:
+                    piles[u].append(0)
+    except IndexError:
+        raise _vertex_out_of_range(g, w) from None
     heads = [0] * n
     out = []
     v = 0
@@ -263,7 +277,10 @@ def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
                 f"series product of {pairs} term pairs exceeds the cap of {MAX_TERM_PAIRS} "
                 f"after {done} of {len(w.letters)} syllables at degree {d}"
             )
-        out = _times_letter(blocks, out, v, e)
+        try:
+            out = _times_letter(blocks, out, v, e)
+        except IndexError:
+            raise _vertex_out_of_range(g, w) from None
     return out
 
 

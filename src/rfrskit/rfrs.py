@@ -111,14 +111,13 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     """
     f = report.filtration
     p = f.ambient
-    center = center_ab_report(p)
-    if center.kernel_witness is None:
+    if p.is_abelian():
         return None
     if p.nilpotency_class > 2:
         raise ValueError("trapped witnesses are certified for class <= 2 only")
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
-    z = center.kernel_witness
+    z = center_ab_report(p).kernel_witness
     return z if all(t.contains(z) for t in f.chain) else None
 
 

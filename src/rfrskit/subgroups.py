@@ -18,8 +18,8 @@ Hermite bases and all subgroup algebra reduces to exact lattice algebra.
 Class >= 3 groups (the unitriangular families) keep element arithmetic,
 lower central series, center, rank, and whole-group abelianization; the
 general subgroup operations refuse them.  `center` is one walk in every
-class, down the generator weights of `pcgroups._weights`: each step is
-an integer kernel of the weight-d coordinates of commutators with the
+class, down the generator weights (`PcPresentation._weights`): each step
+is an integer kernel of the weight-d coordinates of commutators with the
 generators of weight below d, over the exponents of the previous step's
 triangular basis.
 
@@ -72,7 +72,7 @@ from .intlinalg import (
     left_kernel,
     xgcd,
 )
-from .pcgroups import Element, PcPresentation, _weights
+from .pcgroups import Element, PcPresentation
 
 
 def _require_class2(p: PcPresentation, what: str) -> None:
@@ -108,17 +108,11 @@ def _sift(p: PcPresentation, rows, w: Element) -> tuple[list[int], Element]:
     return exps, w
 
 
-def _central_split(p: PcPresentation) -> tuple[list[int], list[int]]:
-    """(noncentral, central) generator indices, each in increasing order."""
-    return [k for k, c in enumerate(p.central) if not c], [k for k, c in enumerate(p.central) if c]
-
-
 def _noncentral_rows(p: PcPresentation, vecs) -> list[Element]:
     """The vecs with a nonzero noncentral coordinate.  The others are
     products of central generators, so [u, g] vanishes on them in any
     class, and B(u, v) in class 2."""
-    top = _central_split(p)[0]
-    return [v for v in vecs if any(v[k] for k in top)]
+    return [v for v in vecs if any(v[k] for k in p._noncentral)]
 
 
 def _product_corrections(p: PcPresentation, vecs) -> list[Element]:
@@ -134,7 +128,7 @@ def _commutator_values(p: PcPresentation, vecs) -> list[Element]:
     the noncentral generators g.  In any class the other [u, g] are 1, as
     a product of central generators commutes with everything, so the list
     is empty exactly when every row of vecs is central."""
-    gens = [p.generator(k) for k in _central_split(p)[0]]
+    gens = [p.generator(k) for k in p._noncentral]
     vals = (p.commutator(u, g) for u in _noncentral_rows(p, vecs) for g in gens)
     return list(dict.fromkeys(w for w in vals if any(w)))
 
@@ -306,7 +300,7 @@ def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgro
     _require_class2(p, "normal subgroup enumeration")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    top, cen = _central_split(p)
+    top, cen = p._noncentral, p._central
 
     @functools.cache
     def projections(d: int) -> list:
@@ -472,7 +466,7 @@ def center(p: PcPresentation) -> Subgroup:
     """Center as a lattice subgroup, in any class.
 
     With W_d the elements whose coordinates vanish at every generator of
-    weight below d (`pcgroups._weights`), [W_d, G] <= W_(d+1), so
+    weight below d (`PcPresentation._weights`), [W_d, G] <= W_(d+1), so
     C_d = {u : [u, g] in W_d for all g} runs from C_2 = G down to
     C_(D+1) = Z(G), D the largest weight.  On C_d, u -> (weight-d
     coordinates of [u, g_k])_k is a homomorphism with kernel C_(d+1): each
@@ -484,9 +478,9 @@ def center(p: PcPresentation) -> Subgroup:
     one step, the linear commutation system over the weight-1 generators.
     """
     gens = [p.generator(k) for k in range(p.n)]
-    weights = _weights(p)
+    weights, depth = p._weights
     basis = gens
-    for d in range(2, max(weights, default=1) + 1):
+    for d in range(2, depth + 1):
         cols = [l for l, w in enumerate(weights) if w == d]
         low = [g for g, w in zip(gens, weights) if w < d]
         values = [[c[l] for c in (p.commutator(b, g) for g in low) for l in cols] for b in basis]

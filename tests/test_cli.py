@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from rfrskit import cli
 from rfrskit.cli import RunConfig, _dumps, _load_subgroup, build_parser, main, run
-from rfrskit.pcgroups import heisenberg, presentation_from_text, presentation_to_text, unitriangular
+from rfrskit.pcgroups import (
+    PcPresentation,
+    heisenberg,
+    presentation_from_text,
+    presentation_to_text,
+    unitriangular,
+)
 from rfrskit.subgroups import subgroup_closure
 
 PY = [sys.executable, "-m", "rfrskit"]
@@ -266,6 +273,27 @@ def test_analyze_ut4():
     assert code == 0
     assert "Hirsch rank: 6" in out
     assert "center rank: 1" in out
+
+
+def test_analyze_computes_the_weights_once(monkeypatch, capsys):
+    """`analyze` on ut(6) reads the generator weights in the collector and
+    in the centre walk; they are derived once, on the presentation."""
+    args = ["analyze", "--group", "ut(6)", "--json"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    weights = PcPresentation.__dict__["_weights"]
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return weights.func(p)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(PcPresentation, "_weights")
+    monkeypatch.setattr(PcPresentation, "_weights", spy)
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
+    assert calls == [unitriangular(6)]
 
 
 MALFORMED = {

@@ -16,7 +16,6 @@ from rfrskit.pcgroups import (
     presentation_from_text,
     presentation_to_text,
     unitriangular,
-    _weights,
 )
 from ut_matrices import (
     coords_to_matrix,
@@ -459,7 +458,7 @@ def test_collector_accepts_exactly_the_sweep_consistent_tables(data):
         vec[l] = data.draw(entry)
         rules[(i, j)] = tuple(vec)
     p = PcPresentation(n, rules, nilpotency_class=3)
-    assume(max(_weights(p)) >= 3)
+    assume(p._weights[1] >= 3)
     try:
         p.check_consistency()
         accepted = True
@@ -519,7 +518,7 @@ def test_conjugation_polynomials_stay_below_the_weight_bound():
     for n in range(4, 8):
         p = unitriangular(n)
         p.multiply(p.generator(1), p.generator(0))
-        top = max(_weights(p)) - 1
+        top = p._weights[1] - 1
         assert top == n - 2
         terms = [
             t for level in p._collector.levels for poly in level.values() for _, ts in poly for t in ts
@@ -558,8 +557,7 @@ TIGHT_CASES = [(f"filiform{n}", lambda n=n: filiform(n)) for n in range(4, 10)] 
 def _pair_degrees(p):
     """{(k, m): ((bound_s, bound_e), (top i, top j))} over the pairs with a rule."""
     p.multiply(p.generator(1), p.generator(0))
-    w = _weights(p)
-    top = max(w)
+    w, top = p._weights
     out = {}
     for k, level in enumerate(p._collector.levels):
         for m, poly in level.items():

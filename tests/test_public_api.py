@@ -107,6 +107,16 @@ REFUSALS = {
         lambda: rfrskit.magnus_image(PATH3, rfrskit.word_from_tokens(PATH3, "a"), 0),
         "degree bound must be at least 1"),
     "rtfn-len-0": (lambda: rfrskit.rtfn_witness(PATH3, 0), "max_len must be at least 1"),
+    "graph-reversed-edge": (
+        lambda: rfrskit.Graph(2, frozenset({(1, 0)})), "edge (1, 0) out of range"),
+    "word-negative-vertex": (
+        lambda: rfrskit.RaagWord.build([(-1, 1)]), "word vertex -1 is negative"),
+    "nf-vertex-out-of-range": (
+        lambda: rfrskit.normal_form(PATH3, rfrskit.RaagWord.build([(0, 1), (3, 2)])),
+        "word vertex 3 out of range for a graph on 3 vertices"),
+    "magnus-vertex-out-of-range": (
+        lambda: rfrskit.magnus_image(PATH3, rfrskit.RaagWord.build([(0, 1), (3, 2)]), 2),
+        "word vertex 3 out of range for a graph on 3 vertices"),
     "builder-bad-argument": (
         lambda: rfrskit.build_standard("ut(x)"), "bad argument in builder name 'ut(x)'"),
     "builder-one-factor": (

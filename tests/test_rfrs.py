@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfrskit import rfrs
+from rfrskit import rfrs, subgroups
 from rfrskit.cli import main
 from rfrskit.intlinalg import IntMatrix, hnf_basis, lattice_member, left_kernel
 from rfrskit.pcgroups import (
@@ -29,6 +29,7 @@ from rfrskit.rfrs import (
 )
 from rfrskit.subgroups import (
     Subgroup,
+    center,
     center_ab_report,
     enumerate_normal_subgroups,
     express_in_basis,
@@ -180,6 +181,24 @@ def test_trapped_witness_requires_valid_chain():
     f = Filtration.from_subgroups(H, [Subgroup.whole_group(H), bad])
     with pytest.raises(ValueError):
         trapped_central_witness(verify_rfrs_chain(f))
+
+
+def test_refused_trap_walks_no_centre(monkeypatch):
+    """A report that fails the step conditions is refused before the
+    centre is computed."""
+    bad = subgroup_closure(H, [H.power(X, 2), H.power(Y, 2), H.power(Z, 2)])
+    report = verify_rfrs_chain(Filtration.from_subgroups(H, [Subgroup.whole_group(H), bad]))
+    assert not report.overall
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return center(p)
+
+    monkeypatch.setattr(subgroups, "center", counted)
+    with pytest.raises(ValueError, match="chain fails the filtration step conditions"):
+        trapped_central_witness(report)
+    assert calls == []
 
 
 def test_verify_then_trap_computes_each_kernel_once(tmp_path, monkeypatch, capsys):

@@ -27,7 +27,6 @@ from rfrskit.pcgroups import (
     heisenberg,
     presentation_from_text,
     unitriangular,
-    _weights,
 )
 from rfrskit.subgroups import (
     Subgroup,
@@ -973,7 +972,7 @@ CENTER_CASES = [
 
 
 def test_random_tables_reach_class_3_and_oblique_centres():
-    deep = [p for p in RANDOM_TABLES if max(_weights(p)) >= 3]
+    deep = [p for p in RANDOM_TABLES if p._weights[1] >= 3]
     assert len(deep) >= 40
     units = {p.generator(k) for p in deep for k in range(p.n)}
     assert any(set(reference_center(p).basis_elements()) - units for p in deep)
@@ -997,9 +996,9 @@ def unpruned_center(p):
     generator at every step, also those of weight >= d, whose weight-d
     coordinates vanish."""
     gens = [p.generator(k) for k in range(p.n)]
-    weights = _weights(p)
+    weights, depth = p._weights
     basis = gens
-    for d in range(2, max(weights, default=1) + 1):
+    for d in range(2, depth + 1):
         cols = [l for l, w in enumerate(weights) if w == d]
         values = [[c[l] for c in (p.commutator(b, g) for g in gens) for l in cols] for b in basis]
         ker = left_kernel(IntMatrix._from_int_rows(values, len(gens) * len(cols)))
@@ -1012,7 +1011,7 @@ def test_center_matches_unpruned_walk():
         build_standard("direct_product(ut(5),ut(4))"),
         build_standard("direct_product(heisenberg,ut(4))"),
     ]
-    deep = [p for p in RANDOM_TABLES if max(_weights(p)) >= 3]
+    deep = [p for p in RANDOM_TABLES if p._weights[1] >= 3]
     for p in cases + deep:
         z, ref = center(p), unpruned_center(p)
         assert z.basis == ref.basis
@@ -1128,6 +1127,21 @@ def reference_center_ab_report(p):
     if ker.rows == 0:
         return tuple(basis), True, None
     return tuple(basis), False, (IntMatrix.from_rows([ker.row(0)]) @ z.basis).row(0)
+
+
+def test_central_split_matches_the_commutator_rules():
+    """The (noncentral, central) index tuples split `central`, and a
+    generator is central exactly when its commutator rule with every
+    other generator is trivial, also where central generators sit
+    between noncentral ones."""
+    cases = CENTER_CASES + [p for p, _ in INTERLEAVED_TABLES]
+    for p in cases:
+        central = tuple(
+            k for k in range(p.n) if not any(any(p.commutator_rule(k, j)) for j in range(p.n) if j != k)
+        )
+        assert p._central == central == tuple(k for k, c in enumerate(p.central) if c)
+        assert p._noncentral == tuple(k for k, c in enumerate(p.central) if not c)
+    assert sum(any(c and not d for c, d in zip(p.central, p.central[1:])) for p in cases) >= 60
 
 
 def test_center_ab_report_matches_smith_route():
