@@ -116,7 +116,7 @@ def _load_group(spec: str) -> PcPresentation:
 def _load_class2_group(cfg: RunConfig) -> PcPresentation:
     """An RFRS command's group, refused above class 2 before other input is read."""
     p = _load_group(cfg.group)
-    if p.nilpotency_class > 2:
+    if not p._class2:
         raise ValueError(f"{cfg.command} supports nilpotency class <= 2 only; "
                          f"group {cfg.group} has class {p.nilpotency_class}")
     return p

@@ -10,14 +10,15 @@ plain exponent tuples here.
 Multiplication is collection: to append g_k^e to a normal form, the tail
 of higher generators is conjugated through g_k^e, which stays inside the
 subgroup they generate.  That descent to higher generators terminates, so
-no rewriting strategy or termination heuristics are needed.  Class <= 2
-presentations get a closed-form fast path for all but `collect`: products are
+no rewriting strategy or termination heuristics are needed.  A table whose
+commutator values are all central has class <= 2, whatever class is
+declared, and gets a closed-form fast path for all but `collect`:
 
     u * v = u + v + B(u, v),   B(u, v) = sum_{i<k} u_k v_i [g_k, g_i]
 
 with all correction terms central.
 
-Words in every class, and products in higher class, collect through
+Words in every class, and products over any other table, collect through
 conjugation polynomials (P. Hall 1957): the coordinates of
 g_k^-e g_m^s g_k^e are integer-valued polynomials in (s, e), stored as
 integer coefficients of C(s, i) C(e, j).  The table is built once per
@@ -57,10 +58,11 @@ class PcPresentation:
     """Power-commutator presentation with triangular integer data.
 
     `rules` maps 0-based pairs (i, j) with i < j to the exponent vector of
-    [g_j, g_i]; absent pairs commute.  Instances are immutable.  Class <= 2
-    tables are consistent by construction.  A class >= 3 table is checked
-    when its conjugation table is built, on its first product or `collect`,
-    or by `check_consistency`.
+    [g_j, g_i]; absent pairs commute.  Instances are immutable.  The table,
+    not the declared class, picks the code path.  A table whose commutator
+    values are all central is consistent by construction; any other is
+    checked when its conjugation table is built, on its first product or
+    `collect`, or by `check_consistency`.
     """
 
     def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None,
@@ -94,14 +96,16 @@ class PcPresentation:
         if nilpotency_class == 1 and clean:
             raise ValueError("nilpotency class 1 declared, but the commutator table is not empty")
         self.nilpotency_class = nilpotency_class
-        if nilpotency_class <= 2:
-            for (i, j), vec in clean.items():
-                bad = next((k for k in range(n) if vec[k] and not self.central[k]), None)
-                if bad is not None:
-                    raise ValueError(
-                        "class-2 presentations need central commutator values; "
-                        f"[g{j}, g{i}] hits non-central generator g{bad}"
-                    )
+        # the first rule value on a non-central generator; with none, the class
+        # is <= 2 (`_weights[1] <= 2`) whatever is declared
+        bad = next(((i, j, k) for (i, j), vec in clean.items() for k in self._noncentral if vec[k]), None)
+        self._class2 = bad is None
+        if nilpotency_class <= 2 and bad is not None:
+            i, j, k = bad
+            raise ValueError(
+                "class-2 presentations need central commutator values; "
+                f"[g{j}, g{i}] hits non-central generator g{k}"
+            )
         # nonzero bilinear correction data for the fast path
         self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
         # conjugation polynomials, built on the first generic product or `collect`
@@ -180,14 +184,6 @@ class PcPresentation:
                         out[t] += c * vec[t]
         return out
 
-    def _mul2(self, u: Element, v: Element) -> Element:
-        b = self._beta(u, v)
-        return tuple(x + y + z for x, y, z in zip(u, v, b))
-
-    def _inv2(self, u: Element) -> Element:
-        b = self._beta(u, u)
-        return tuple(-x + z for x, z in zip(u, b))
-
     # ------------------------------------------------------ generic path
 
     def _generic(self) -> _Collector:
@@ -198,17 +194,17 @@ class PcPresentation:
     # ------------------------------------------------------------ public
 
     def multiply(self, u: Element, v: Element) -> Element:
-        if self.nilpotency_class <= 2:
-            return self._mul2(u, v)
+        if self._class2:
+            return tuple(x + y + z for x, y, z in zip(u, v, self._beta(u, v)))
         return self._generic().mul(u, v)
 
     def inverse(self, u: Element) -> Element:
-        if self.nilpotency_class <= 2:
-            return self._inv2(u)
+        if self._class2:
+            return self.power(u, -1)
         return self._generic().inv(u)
 
     def power(self, u: Element, e: int) -> Element:
-        if self.nilpotency_class <= 2:
+        if self._class2:
             # u^e = e*u + (e choose 2) * B(u, u), valid for every integer e
             b = self._beta(u, u)
             c = e * (e - 1) // 2
@@ -221,7 +217,7 @@ class PcPresentation:
 
     def commutator(self, u: Element, v: Element) -> Element:
         """u^-1 v^-1 u v."""
-        if self.nilpotency_class <= 2:
+        if self._class2:
             b1 = self._beta(u, v)
             b2 = self._beta(v, u)
             return tuple(x - y for x, y in zip(b1, b2))
@@ -242,14 +238,15 @@ class PcPresentation:
     def check_consistency(self) -> None:
         """Build the conjugation table now; it refuses an inconsistent table.
 
-        A class >= 3 table is checked level by level as it is built (see
-        `_Collector`), at every generator count, so it is refused here or on
-        its first product or `collect`.  A class <= 2 table is consistent by
-        construction (B is bilinear, central valued and zero on central arguments):
+        A table with a commutator value on a non-central generator is checked
+        level by level as it is built (see `_Collector`), at every generator
+        count, so it is refused here or on its first product or `collect`.
+        Any other table is consistent by construction (B is bilinear,
+        central valued and zero on central arguments):
         (u v) w = u (v w) = u + v + w + B(u, v) + B(u, w) + B(v, w), and
         u^-1 u = B(u, u) - B(u, u) = 0.
         """
-        if self.nilpotency_class > 2:
+        if not self._class2:
             self._generic()
 
 

@@ -113,7 +113,7 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     p = f.ambient
     if p.is_abelian():
         return None
-    if p.nilpotency_class > 2:
+    if not p._class2:
         raise ValueError("trapped witnesses are certified for class <= 2 only")
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
@@ -149,7 +149,7 @@ class ObstructionCertificate:
 
 def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
     """Certificate over the normal subgroups of index <= max_index."""
-    if p.nilpotency_class != 2 or p.is_abelian():
+    if not p._class2 or p.is_abelian():
         raise ValueError("obstruction certificates apply to nonabelian class-2 groups")
     z = center_ab_report(p).kernel_witness
     assert z is not None

@@ -76,7 +76,7 @@ from .pcgroups import Element, PcPresentation
 
 
 def _require_class2(p: PcPresentation, what: str) -> None:
-    if p.nilpotency_class > 2:
+    if not p._class2:
         raise ValueError(f"{what} supports nilpotency class <= 2 only")
 
 
@@ -256,7 +256,7 @@ def induced_presentation(s: Subgroup) -> PcPresentation:
                 raise ValueError("induced commutator table is not triangular")
             if any(exps):
                 rules[(a, b)] = exps
-    return PcPresentation(r, rules, nilpotency_class=2 if rules else 1)
+    return PcPresentation(r, rules)
 
 
 # ----------------------------------------------------- normal subgroup census
@@ -387,8 +387,11 @@ class _InducedBasis:
                 self.slots[lead] = v
                 changed = True
                 continue
-            # the residue's leading entry is not a multiple of cur's
-            _, x, y = xgcd(cur[lead], v[lead])
+            # a correct `_sift` leaves v[lead] not a multiple of cur[lead], so the
+            # merge shrinks a positive integer, the slot's lead, and sift stops
+            g, x, y = xgcd(cur[lead], v[lead])
+            if g >= abs(cur[lead]):
+                raise RuntimeError(f"sift made no progress at coordinate {lead}")
             comb = p.multiply(p.power(cur, x), p.power(v, y))
             self.slots[lead] = comb
             changed = True
@@ -404,8 +407,8 @@ class _InducedBasis:
         normalizes the ordered products of the later slots (one side
         suffices, as in `Subgroup.is_normal`), so those products form a
         subgroup and inverses and products add nothing.  Each change fills
-        an empty leading coordinate or shrinks a slot's leading entry, so
-        the passes stop.
+        an empty leading coordinate or shrinks a slot's leading entry to a
+        proper divisor (`sift` raises otherwise), so the passes stop.
         """
         p = self.p
         changed = True

@@ -237,8 +237,14 @@ UT4_RULES = "1 2 : 0 -1 0 0\n1 5 : -1\n2 3 : 0 -1 0\n3 4 : 0 1\n"
 
 @pytest.mark.parametrize(
     "text,declared,actual",
-    [("3 1\n1 2 : -1\n", 1, None), ("6 5\n" + UT4_RULES, 5, 3), ("3 2\n", 2, 1), ("0 1\n", 1, 0)],
-    ids=["heisenberg-class1", "ut4-class5", "abelian-class2", "trivial-class1"],
+    [
+        ("3 1\n1 2 : -1\n", 1, None),
+        ("3 3\n1 2 : -1\n", 3, 2),
+        ("6 5\n" + UT4_RULES, 5, 3),
+        ("3 2\n", 2, 1),
+        ("0 1\n", 1, 0),
+    ],
+    ids=["heisenberg-class1", "heisenberg-class3", "ut4-class5", "abelian-class2", "trivial-class1"],
 )
 def test_exit2_on_wrong_declared_class(text, declared, actual, tmp_path, capsys):
     path = tmp_path / "group.txt"
@@ -728,6 +734,7 @@ CONSOLE_FILES = {
     "nine.txt": "9 3\n1 2 : 0 1 0 0 0 0 0\n3 4 : 1 0 0 0 0\n",
     "trivial0.txt": "0 0\n",
     "trivial1.txt": "0 1\n",
+    "h3.txt": "3 3\n1 2 : -1\n",
     "chain4.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 1\n\n4 0 0\n0 2 0\n0 0 1\n",
     "even.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 2\n",
     "zhchain.txt": (
@@ -762,6 +769,8 @@ CONSOLE_CASES = {
         lambda r: (r["generators"], r["nilpotency_class"]) == (0, 0),
     ),
     "trivial1": (["analyze", "--group", "trivial1.txt"], 2, "declares nilpotency class 1"),
+    # the library takes this class-2 table as class 2; the command line refuses the declaration
+    "h3": (["rfrs-obstruct", "--group", "h3.txt"], 2, "declares nilpotency class 3"),
     "chain4": (
         ["rfrs-verify", "--group", "heisenberg", "--chain", "chain4.txt", "--json"], 0,
         lambda r: (r["overall"], r["witness"], [s["index"] for s in r["steps"]]) == (True, [0, 0, 1], [2, 4, 8]),

@@ -293,8 +293,26 @@ def test_generic_path_matches_fast_path_class2():
     for _ in range(100):
         u = tuple(rng.randint(-3, 3) for _ in range(3))
         v = tuple(rng.randint(-3, 3) for _ in range(3))
-        assert h._generic().mul(u, v) == h._mul2(u, v)
-        assert h._generic().inv(u) == h._inv2(u)
+        assert h._generic().mul(u, v) == h.multiply(u, v)
+        assert h._generic().inv(u) == h.inverse(u)
+
+
+def test_class2_table_declared_class_3_takes_the_closed_forms():
+    """The table, not the declared class, picks the path: heisenberg's
+    rules declared class 3 agree with heisenberg and build no collector."""
+    h = heisenberg()
+    p = PcPresentation(3, h.rules, nilpotency_class=3)
+    rng = random.Random(30)
+    for _ in range(100):
+        u = tuple(rng.randint(-5, 5) for _ in range(3))
+        v = tuple(rng.randint(-5, 5) for _ in range(3))
+        e = rng.randint(-6, 6)
+        assert p.multiply(u, v) == h.multiply(u, v)
+        assert p.inverse(u) == h.inverse(u)
+        assert p.power(u, e) == h.power(u, e)
+        assert p.commutator(u, v) == h.commutator(u, v)
+    p.check_consistency()
+    assert p._collector is None
 
 
 @settings(max_examples=80, deadline=None)

@@ -619,6 +619,22 @@ def test_certificate_rejects_abelian():
         obstruction_certificate(free_abelian(2), 4)
 
 
+def test_class2_table_declared_class_3_is_admitted():
+    """The table, not the declared class, admits the class-2 machinery:
+    heisenberg's rules declared class 3 get heisenberg's closure, census,
+    trapped witness and certificate."""
+    p = PcPresentation(3, H.rules, nilpotency_class=3)
+    gens = [H.power(X, 2), Y]
+    assert subgroup_closure(p, gens).basis == subgroup_closure(H, gens).basis
+    census = enumerate_normal_subgroups(p, 8)
+    assert len(census) == 60
+    assert [s.basis for s in census] == [s.basis for s in enumerate_normal_subgroups(H, 8)]
+    chain = Filtration.from_subgroups(p, [Subgroup(p, t.basis) for t in heisenberg_chain().chain])
+    assert trapped_central_witness(verify_rfrs_chain(chain)) == (0, 0, 1)
+    cert = obstruction_certificate(p, 8)
+    assert (cert.witness, cert.all_pass, cert.checked_subgroups) == ((0, 0, 1), True, 60)
+
+
 # -------------------------------------------------------------- restriction
 
 

@@ -1,7 +1,11 @@
 import functools
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -1142,6 +1146,52 @@ def test_central_split_matches_the_commutator_rules():
         assert p._central == central == tuple(k for k, c in enumerate(p.central) if c)
         assert p._noncentral == tuple(k for k, c in enumerate(p.central) if not c)
     assert sum(any(c and not d for c, d in zip(p.central, p.central[1:])) for p in cases) >= 60
+
+
+def test_class2_fact_is_the_weight_bound():
+    """`_class2`, read off the table whatever class is declared, holds
+    exactly when the largest generator weight is at most 2; some tables
+    declared class 3 have it."""
+    cases = CENTER_CASES + [p for p, _ in INTERLEAVED_TABLES]
+    for p in cases:
+        assert p._class2 == (p._weights[1] <= 2)
+    assert {p._class2 for p in RANDOM_TABLES} == {True, False}
+
+
+MUTANT_SIFT = """
+from rfrskit import subgroups
+from rfrskit.pcgroups import unitriangular
+
+
+def mutant(p, rows, w):
+    # `_sift` multiplying by b^q instead of b^-q: the pivot is never cleared
+    exps = []
+    for j, b in rows:
+        q = 0
+        if w[j]:
+            if any(w[:j]):
+                break
+            q, rem = divmod(w[j], b[j])
+            if rem:
+                break
+            w = p.multiply(p.power(b, q), w)
+        exps.append(q)
+    return exps, w
+
+
+subgroups._sift = mutant
+subgroups.lower_central_series(unitriangular(4))
+"""
+
+
+def test_sift_without_progress_raises_instead_of_hanging():
+    """A broken `_sift` makes `_InducedBasis.sift` raise at the first merge
+    that does not shrink a slot's leading entry, instead of looping."""
+    src = str(pathlib.Path(subgroups.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", MUTANT_SIFT], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert "RuntimeError: sift made no progress at coordinate" in proc.stderr
 
 
 def test_center_ab_report_matches_smith_route():
