@@ -7,7 +7,11 @@ from that table, and every input file goes through one reader.
 
 Exit codes: 0 when the computation completed with an overall pass/true
 result, 1 when it completed with a fail/false result, 2 on input errors
-(any ValueError, which `run` alone reports) or exceeded resource caps.
+(any ValueError, which `run` alone reports) or exceeded resource caps,
+and 141, the status of a process that SIGPIPE ends, when standard output
+is closed before the report is written.  A presentation file goes
+through `presentation_from_text`, which refuses a header whose class is
+not the one read off the table.
 Reports print human-readable by default and as JSON with --json; the
 RFRS-family commands share one JSON field set so scripts can parse them
 uniformly.  Each command hands `_emit` a function that builds its
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -58,7 +63,6 @@ from .subgroups import (
     center_ab_report,
     chain_from_text,
     hirsch_rank,
-    lower_central_series,
     subgroup_closure,
 )
 
@@ -95,30 +99,20 @@ def _read_input(spec: str, kind: str, parse):
         raise ValueError(f"bad {kind} file {spec}: {exc}") from exc
 
 
-def _presentation_with_checked_class(text: str) -> PcPresentation:
-    p = presentation_from_text(text)
-    actual = len(lower_central_series(p)) - 1
-    if actual != p.nilpotency_class:
-        raise ValueError(
-            f"declares nilpotency class {p.nilpotency_class}, "
-            f"but its lower central series has class {actual}"
-        )
-    return p
-
-
 def _load_group(spec: str) -> PcPresentation:
     """A presentation file if spec names one, else a builder name."""
     if Path(spec).exists():
-        return _read_input(spec, "presentation", _presentation_with_checked_class)
+        return _read_input(spec, "presentation", presentation_from_text)
     return build_standard(spec)
 
 
 def _load_class2_group(cfg: RunConfig) -> PcPresentation:
-    """An RFRS command's group, refused above class 2 before other input is read."""
+    """An RFRS command's group, refused unless every commutator value lies on
+    central generators, before other input is read."""
     p = _load_group(cfg.group)
     if not p._class2:
-        raise ValueError(f"{cfg.command} supports nilpotency class <= 2 only; "
-                         f"group {cfg.group} has class {p.nilpotency_class}")
+        raise ValueError(f"{cfg.command} supports nilpotency class <= 2 only, with commutator values "
+                         f"on central generators; group {cfg.group} has class {p.nilpotency_class}")
     return p
 
 
@@ -437,8 +431,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
-    # options left out keep their RunConfig defaults
-    return run(RunConfig(**{k: v for k, v in vars(ns).items() if v is not None}))
+    try:
+        # options left out keep their RunConfig defaults
+        code = run(RunConfig(**{k: v for k, v in vars(ns).items() if v is not None}))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output: send the unwritten rest to the
+        # null device, so the flush at exit cannot fail again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,8 +11,8 @@ Multiplication is collection: to append g_k^e to a normal form, the tail
 of higher generators is conjugated through g_k^e, which stays inside the
 subgroup they generate.  That descent to higher generators terminates, so
 no rewriting strategy or termination heuristics are needed.  A table whose
-commutator values are all central has class <= 2, whatever class is
-declared, and gets a closed-form fast path for all but `collect`:
+commutator values are all central has class <= 2 and gets a closed-form
+fast path for all but `collect`:
 
     u * v = u + v + B(u, v),   B(u, v) = sum_{i<k} u_k v_i [g_k, g_i]
 
@@ -24,8 +24,8 @@ g_k^-e g_m^s g_k^e are integer-valued polynomials in (s, e), stored as
 integer coefficients of C(s, i) C(e, j).  The table is built once per
 presentation, on its first `collect` or generic product, from the top
 generator down.  A term has i, j >= 1 and i w(m) + j w(k) <= D, with w the
-generator weights and D the largest of them (`PcPresentation._weights`),
-not the declared class.  So pair (k, m) takes its values on the grid
+generator weights and D the largest of them (`PcPresentation._weights`).
+So pair (k, m) takes its values on the grid
 0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k),
 from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
 Newton forward differences turn them into coefficients.  Before level k is
@@ -58,15 +58,14 @@ class PcPresentation:
     """Power-commutator presentation with triangular integer data.
 
     `rules` maps 0-based pairs (i, j) with i < j to the exponent vector of
-    [g_j, g_i]; absent pairs commute.  Instances are immutable.  The table,
-    not the declared class, picks the code path.  A table whose commutator
-    values are all central is consistent by construction; any other is
+    [g_j, g_i]; absent pairs commute.  Instances are immutable.  The table
+    picks the code path, and the class is read off it.  A table whose
+    commutator values are all central is consistent by construction; any other is
     checked when its conjugation table is built, on its first product or
     `collect`, or by `check_consistency`.
     """
 
-    def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None,
-                 nilpotency_class: int | None = None):
+    def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None):
         if n < 0:
             raise ValueError("generator count must be nonnegative")
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -89,23 +88,8 @@ class PcPresentation:
         # (noncentral, central) generator indices, each in increasing order
         self._noncentral = tuple(k for k, c in enumerate(self.central) if not c)
         self._central = tuple(k for k, c in enumerate(self.central) if c)
-        if nilpotency_class is None:
-            nilpotency_class = 2 if clean else 1
-        if nilpotency_class < 1 and n > 0:
-            raise ValueError("nilpotency class must be at least 1")
-        if nilpotency_class == 1 and clean:
-            raise ValueError("nilpotency class 1 declared, but the commutator table is not empty")
-        self.nilpotency_class = nilpotency_class
-        # the first rule value on a non-central generator; with none, the class
-        # is <= 2 (`_weights[1] <= 2`) whatever is declared
-        bad = next(((i, j, k) for (i, j), vec in clean.items() for k in self._noncentral if vec[k]), None)
-        self._class2 = bad is None
-        if nilpotency_class <= 2 and bad is not None:
-            i, j, k = bad
-            raise ValueError(
-                "class-2 presentations need central commutator values; "
-                f"[g{j}, g{i}] hits non-central generator g{k}"
-            )
+        # every rule value on central generators, so the class is <= 2 (`_weights[1] <= 2`)
+        self._class2 = not any(vec[k] for vec in clean.values() for k in self._noncentral)
         # nonzero bilinear correction data for the fast path
         self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
         # conjugation polynomials, built on the first generic product or `collect`
@@ -114,18 +98,13 @@ class PcPresentation:
     # -------------------------------------------------------------- basics
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PcPresentation)
-            and self.n == other.n
-            and self.nilpotency_class == other.nilpotency_class
-            and self.rules == other.rules
-        )
+        return isinstance(other, PcPresentation) and self.n == other.n and self.rules == other.rules
 
     def __hash__(self) -> int:
-        return hash((self.n, self.nilpotency_class, tuple(sorted(self.rules.items()))))
+        return hash((self.n, tuple(sorted(self.rules.items()))))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"PcPresentation(n={self.n}, class={self.nilpotency_class}, rules={len(self.rules)})"
+        return f"PcPresentation(n={self.n}, rules={len(self.rules)})"
 
     def identity(self) -> Element:
         return (0,) * self.n
@@ -162,8 +141,7 @@ class PcPresentation:
         the rules (i, j) whose value involves g_l), and D the largest.
 
         Generators of weight >= w span a normal subgroup G_w with
-        [G_a, G_b] <= G_(a+b), so D bounds the real class, whatever class
-        is declared.
+        [G_a, G_b] <= G_(a+b), so D bounds the class.
         """
         w = [1] * self.n
         for l in range(self.n):
@@ -171,6 +149,27 @@ class PcPresentation:
                 if vec[l]:  # then i < j < l, so w[i] and w[j] are final
                     w[l] = max(w[l], w[i] + w[j])
         return tuple(w), max(w, default=1)
+
+    @cached_property
+    def nilpotency_class(self) -> int:
+        """The largest c with a nontrivial commutator [x_1, ..., x_c] of
+        generators (0 for the trivial group).  Once gamma_(c+1) = 1, these
+        generate gamma_c (M. Hall, The Theory of Groups, 1959, ch. 10), and
+        gamma_(D+1) <= G_(D+1) = 1; so counting down from c = D, the first c
+        with a nontrivial one is the class.  A prefix lies in G_a, a the least
+        weight on its support, and is dropped once a plus the depth still to
+        add passes D.  A class >= 3 table builds its collector here."""
+        w, bound = self._weights
+        for c in range(bound, 1, -1):
+            # each of the c entries weighs at least 1
+            gens = [self.generator(k) for k in self._noncentral if w[k] + c - 1 <= bound]
+            layer = set(gens)
+            for left in range(c - 2, -1, -1):
+                layer = {v for v in (self.commutator(u, g) for u in layer for g in gens)
+                         if any(v) and min(w[k] for k, x in enumerate(v) if x) + left <= bound}
+            if layer:
+                return c
+        return 1 if self.n else 0
 
     # -------------------------------------------------------- class-2 path
 
@@ -448,13 +447,13 @@ class _Collector:
 
 def heisenberg() -> PcPresentation:
     """<x, y, z | [x, y] = z, z central>, coordinates (a, b, c)."""
-    return PcPresentation(3, {(0, 1): (0, 0, -1)}, nilpotency_class=2)
+    return PcPresentation(3, {(0, 1): (0, 0, -1)})
 
 
 def free_abelian(n: int) -> PcPresentation:
     if n < 1:
         raise ValueError("free abelian rank must be positive")
-    return PcPresentation(n, {}, nilpotency_class=1)
+    return PcPresentation(n, {})
 
 
 def _ut_positions(n: int) -> list[tuple[int, int]]:
@@ -484,7 +483,7 @@ def unitriangular(n: int) -> PcPresentation:
                 rules[(a, b)] = _unit(m, index[(k, j)], 1)
             elif j == k:
                 rules[(a, b)] = _unit(m, index[(i, l)], -1)
-    return PcPresentation(m, rules, nilpotency_class=n - 1)
+    return PcPresentation(m, rules)
 
 
 def direct_product(p: PcPresentation, q: PcPresentation) -> PcPresentation:
@@ -494,7 +493,7 @@ def direct_product(p: PcPresentation, q: PcPresentation) -> PcPresentation:
         rules[(i, j)] = vec + (0,) * q.n
     for (i, j), vec in q.rules.items():
         rules[(i + p.n, j + p.n)] = (0,) * p.n + vec
-    return PcPresentation(n, rules, nilpotency_class=max(p.nilpotency_class, q.nilpotency_class))
+    return PcPresentation(n, rules)
 
 
 def build_standard(name: str) -> PcPresentation:
@@ -544,7 +543,8 @@ def abelianization(p: PcPresentation) -> AbelianQuotient:
 
 
 def presentation_to_text(p: PcPresentation) -> str:
-    """Lines: 'n class' then '<i> <j> : e_(j+1) .. e_n' per nontrivial pair (1-based)."""
+    """Lines: 'n class' then '<i> <j> : e_(j+1) .. e_n' per nontrivial pair (1-based);
+    the class is the one read off the table."""
     lines = [f"{p.n} {p.nilpotency_class}"]
     for (i, j), vec in sorted(p.rules.items()):
         tail = " ".join(str(x) for x in vec[j + 1 :])
@@ -553,6 +553,8 @@ def presentation_to_text(p: PcPresentation) -> str:
 
 
 def presentation_from_text(text: str) -> PcPresentation:
+    """The presentation a file in `presentation_to_text`'s format holds;
+    ValueError unless its header's class is the table's."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty presentation file")
@@ -577,4 +579,8 @@ def presentation_from_text(text: str) -> PcPresentation:
         if len(tail) != n - j:
             raise ValueError(f"rule for pair ({i}, {j}) needs {n - j} exponents, got {len(tail)}")
         rules[(i - 1, j - 1)] = (0,) * j + tuple(tail)
-    return PcPresentation(n, rules, nilpotency_class=cls)
+    p = PcPresentation(n, rules)
+    if cls != p.nilpotency_class:
+        raise ValueError(f"declares nilpotency class {cls}, but its lower central series has class "
+                         f"{p.nilpotency_class}")
+    return p

@@ -77,7 +77,8 @@ from .pcgroups import Element, PcPresentation
 
 def _require_class2(p: PcPresentation, what: str) -> None:
     if not p._class2:
-        raise ValueError(f"{what} supports nilpotency class <= 2 only")
+        raise ValueError(f"{what} supports nilpotency class <= 2 only, "
+                         "with commutator values on central generators")
 
 
 def _lead(v: Element) -> int | None:

@@ -167,7 +167,7 @@ def test_criterion_4_rank_additivity():
                     vec[k] = rng.randint(-3, 3)
                 if any(vec):
                     rules[(i, j)] = tuple(vec)
-        p = PcPresentation(n, rules, nilpotency_class=2 if rules else 1)
+        p = PcPresentation(n, rules)
         z = center(p)
         assert hirsch_rank(p) == z.rank() + (p.n - z.rank())
         built += 1

@@ -233,18 +233,25 @@ def test_group_from_presentation_file(tmp_path):
 
 # ut(4) rule lines, without the 'n class' header
 UT4_RULES = "1 2 : 0 -1 0 0\n1 5 : -1\n2 3 : 0 -1 0\n3 4 : 0 1\n"
+# a class-2 table whose generator g4 has weight 3: [g2, g1] = g3 g4^-1,
+# [g3, g1] = [g4, g1] = g5, and g3 g4^-1 is central
+FOUND30_RULES = "1 2 : 1 -1 0\n1 3 : 0 1\n1 4 : 1\n"
 
 
 @pytest.mark.parametrize(
     "text,declared,actual",
     [
-        ("3 1\n1 2 : -1\n", 1, None),
+        ("3 1\n1 2 : -1\n", 1, 2),
         ("3 3\n1 2 : -1\n", 3, 2),
         ("6 5\n" + UT4_RULES, 5, 3),
         ("3 2\n", 2, 1),
         ("0 1\n", 1, 0),
+        ("2 0\n", 0, 1),
+        ("5 3\n" + FOUND30_RULES, 3, 2),
+        ("6 2\n" + UT4_RULES, 2, 3),
     ],
-    ids=["heisenberg-class1", "heisenberg-class3", "ut4-class5", "abelian-class2", "trivial-class1"],
+    ids=["heisenberg-class1", "heisenberg-class3", "ut4-class5", "abelian-class2", "trivial-class1",
+         "abelian-class0", "found30-class3", "ut4-class2"],
 )
 def test_exit2_on_wrong_declared_class(text, declared, actual, tmp_path, capsys):
     path = tmp_path / "group.txt"
@@ -556,6 +563,18 @@ def test_main_repeats_after_usage_error(bad_chain, capsys):
         assert (main(args), capsys.readouterr().out) == first
 
 
+def test_closed_standard_output_exits_141_without_a_traceback():
+    """A reader that closes the pipe before the report is written (as
+    `| head -1` may) ends the run with the status SIGPIPE gives, 141,
+    and nothing on standard error; exit 1 would read as a false verdict."""
+    proc = subprocess.Popen(PY + ["analyze", "--group", "ut(4)", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
 # ------------------------------------------------------------- JSON output
 
 # strings json escapes: control characters, quotes, non-ASCII, astral and lone surrogates
@@ -735,6 +754,7 @@ CONSOLE_FILES = {
     "trivial0.txt": "0 0\n",
     "trivial1.txt": "0 1\n",
     "h3.txt": "3 3\n1 2 : -1\n",
+    "found30.txt": "5 2\n" + FOUND30_RULES,
     "chain4.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 1\n\n4 0 0\n0 2 0\n0 0 1\n",
     "even.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 2\n",
     "zhchain.txt": (
@@ -769,8 +789,19 @@ CONSOLE_CASES = {
         lambda r: (r["generators"], r["nilpotency_class"]) == (0, 0),
     ),
     "trivial1": (["analyze", "--group", "trivial1.txt"], 2, "declares nilpotency class 1"),
-    # the library takes this class-2 table as class 2; the command line refuses the declaration
+    # the reader refuses the declaration: the table has class 2
     "h3": (["rfrs-obstruct", "--group", "h3.txt"], 2, "declares nilpotency class 3"),
+    "found30": (
+        ["analyze", "--group", "found30.txt", "--json"], 0,
+        lambda r: (r["generators"], r["nilpotency_class"], r["center_rank"], r["witness"])
+        == (5, 2, 2, [0, 0, 1, -1, 0]),
+    ),
+    # class 2, but a commutator value lies on the non-central g3 and g4
+    "found30-obstruct": (
+        ["rfrs-obstruct", "--group", "found30.txt"], 2,
+        "supports nilpotency class <= 2 only, with commutator values on central generators; "
+        "group found30.txt has class 2",
+    ),
     "chain4": (
         ["rfrs-verify", "--group", "heisenberg", "--chain", "chain4.txt", "--json"], 0,
         lambda r: (r["overall"], r["witness"], [s["index"] for s in r["steps"]]) == (True, [0, 0, 1], [2, 4, 8]),

@@ -17,6 +17,8 @@ from rfrskit.pcgroups import (
     presentation_to_text,
     unitriangular,
 )
+from rfrskit.subgroups import lower_central_series
+from test_subgroups import CENTER_CASES, INTERLEAVED_TABLES
 from ut_matrices import (
     coords_to_matrix,
     mat_mul,
@@ -170,21 +172,6 @@ def test_validation_rejects_nontriangular():
         PcPresentation(3, {(0, 1): (0, 1, 0)})
 
 
-def test_validation_rejects_class1_with_commutators():
-    with pytest.raises(ValueError, match="class 1 declared"):
-        PcPresentation(3, {(0, 1): (0, 0, -1)}, nilpotency_class=1)
-
-
-def test_validation_rejects_noncentral_class2_values():
-    # [g2, g1] = g3 but g3 does not commute with g4: value is not central
-    with pytest.raises(ValueError):
-        PcPresentation(
-            4,
-            {(0, 1): (0, 0, 1, 0), (2, 3): (0, 0, 0, 2)},
-            nilpotency_class=2,
-        )
-
-
 def test_inconsistent_table_detected():
     # g3 commutes with g1 and g2, hence with [g2, g1] = g4 in any group,
     # so demanding [g4, g3] = g5 is contradictory
@@ -195,7 +182,6 @@ def test_inconsistent_table_detected():
                 (0, 1): (0, 0, 0, 1, 0),
                 (2, 3): (0, 0, 0, 0, 1),
             },
-            nilpotency_class=3,
         ).check_consistency()
 
 
@@ -298,10 +284,11 @@ def test_generic_path_matches_fast_path_class2():
 
 
 def test_class2_table_declared_class_3_takes_the_closed_forms():
-    """The table, not the declared class, picks the path: heisenberg's
-    rules declared class 3 agree with heisenberg and build no collector."""
+    """The table picks the path: a presentation built from heisenberg's
+    rules, once declarable as class 3, agrees with heisenberg and builds
+    no collector."""
     h = heisenberg()
-    p = PcPresentation(3, h.rules, nilpotency_class=3)
+    p = PcPresentation(3, h.rules)
     rng = random.Random(30)
     for _ in range(100):
         u = tuple(rng.randint(-5, 5) for _ in range(3))
@@ -342,7 +329,7 @@ def _random_class2(rng, n):
                 vec[k] = rng.randint(-4, 4)
             if any(vec):
                 rules[(i, j)] = tuple(vec)
-    return PcPresentation(n, rules, nilpotency_class=2 if rules else 1)
+    return PcPresentation(n, rules)
 
 
 def test_ut4_associativity_random_words():
@@ -406,12 +393,12 @@ def test_off_grid_check_rejects_corrupted_table():
     rules = dict(unitriangular(4).rules)
     rules[(0, 1)] = (0, 0, 1, 1, 0, 0)
     with pytest.raises(ValueError, match=message):
-        PcPresentation(6, rules, nilpotency_class=3).check_consistency()
+        PcPresentation(6, rules).check_consistency()
     # ut(5) with [g1, g0] = g4 g2 has 10 generators; it builds, and its
     # first product refuses it
     rules = dict(unitriangular(5).rules)
     rules[(0, 1)] = (0, 0, 1, 0, 1, 0, 0, 0, 0, 0)
-    p = PcPresentation(10, rules, nilpotency_class=4)
+    p = PcPresentation(10, rules)
     with pytest.raises(ValueError, match=message):
         p.multiply(p.generator(1), p.generator(0))
 
@@ -435,7 +422,11 @@ def sweep_consistent(p):
 
 
 def test_nine_generator_inconsistent_table_is_refused():
-    p = presentation_from_text(NINE_GENERATOR_INCONSISTENT)
+    """The reader reads the class off the table, so it refuses the file;
+    the constructor builds the table, and its first product refuses it."""
+    with pytest.raises(ValueError, match="inconsistent presentation"):
+        presentation_from_text(NINE_GENERATOR_INCONSISTENT)
+    p = PcPresentation(9, {(0, 1): (0, 0, 0, 1, 0, 0, 0, 0, 0), (2, 3): (0, 0, 0, 0, 1, 0, 0, 0, 0)})
     assert not sweep_consistent(p)
     with pytest.raises(ValueError, match="inconsistent presentation"):
         p.multiply(p.generator(1), p.generator(0))
@@ -444,7 +435,7 @@ def test_nine_generator_inconsistent_table_is_refused():
 def test_relation_moved_only_through_its_commutator_is_refused():
     # conjugation by g0 fixes g1 and g2 but sends g3 = [g2, g1] to g3 g4,
     # so it breaks g2 g1 = g1 g2 g3
-    p = PcPresentation(5, {(1, 2): (0, 0, 0, 1, 0), (0, 3): (0, 0, 0, 0, 1)}, nilpotency_class=3)
+    p = PcPresentation(5, {(1, 2): (0, 0, 0, 1, 0), (0, 3): (0, 0, 0, 0, 1)})
     assert not sweep_consistent(p)
     message = "conjugation by g0 breaks the relation g2 g1 = g1 g2 [g2, g1]"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -475,7 +466,7 @@ def test_collector_accepts_exactly_the_sweep_consistent_tables(data):
         vec = list(rules.get((i, j), (0,) * n))
         vec[l] = data.draw(entry)
         rules[(i, j)] = tuple(vec)
-    p = PcPresentation(n, rules, nilpotency_class=3)
+    p = PcPresentation(n, rules)
     assume(p._weights[1] >= 3)
     try:
         p.check_consistency()
@@ -498,13 +489,13 @@ def test_collector_accepts_exactly_the_sweep_consistent_tables(data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_accepted_class2_tables_are_consistent(data):
-    """A class-2 table gets no consistency pass when built, so every table
-    the constructor accepts must pass that check and give associative
-    products and inverses on random elements.
+    """A table whose commutator values are all central gets no consistency
+    pass when built, so every such table must pass that check and give
+    associative products and inverses on random elements.
 
     The tables put commutator values on generators drawn as central, and
-    sometimes leak one onto a generator that is not, which the constructor
-    must then refuse or find central after all."""
+    sometimes leak one onto a generator that is not; unless that generator
+    is central after all, the table is left to the collector's check."""
     n = data.draw(st.integers(4, 7))
     flagged = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     leak = data.draw(st.booleans())
@@ -517,10 +508,9 @@ def test_accepted_class2_tables_are_consistent(data):
             rules[(i, j)] = (0,) * (j + 1) + tuple(
                 data.draw(entry) if flagged[k] or leak else 0 for k in range(j + 1, n)
             )
-    try:
-        p = PcPresentation(n, rules, nilpotency_class=2)
-    except ValueError as exc:
-        assert leak and "central commutator values" in str(exc)
+    p = PcPresentation(n, rules)
+    if not p._class2:
+        assert leak
         return
     p.check_consistency()
     elt = st.tuples(*[st.integers(-4, 4)] * n)
@@ -558,13 +548,13 @@ def test_conjugation_table_is_built_lazily():
 def filiform(n):
     """Maximal class on n generators: [g_j, g_0] = g_(j+1) for 1 <= j <= n - 2."""
     rules = {(0, j): tuple(1 if t == j + 1 else 0 for t in range(n)) for j in range(1, n - 1)}
-    return PcPresentation(n, rules, nilpotency_class=n - 1)
+    return PcPresentation(n, rules)
 
 
 def free_class3():
     """Free nilpotent of class 3 on x = g0, y = g1: g2 = [y, x], g3 = [g2, x], g4 = [g2, y]."""
     rules = {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0), (1, 2): (0, 0, 0, 0, 1)}
-    return PcPresentation(5, rules, nilpotency_class=3)
+    return PcPresentation(5, rules)
 
 
 TIGHT_CASES = [(f"filiform{n}", lambda n=n: filiform(n)) for n in range(4, 10)] + [
@@ -805,12 +795,63 @@ def test_commutators_die_rationally():
             assert abelianization(p).is_torsion(p.commutator(u, v))
 
 
+# ------------------------------------------------------------ nilpotency class
+
+# [g1, g0] = g2 g3^-1 and [g2, g0] = [g3, g0] = g4: g2 and g3 are not
+# central, so g4 has weight 3, but g2 g3^-1 is, and the class is 2
+FOUND30 = PcPresentation(5, {(0, 1): (0, 0, 1, -1, 0), (0, 2): (0, 0, 0, 0, 1), (0, 3): (0, 0, 0, 0, 1)})
+
+
+def test_class_is_the_lower_central_series_length():
+    """The class read off the table against the length of the lower
+    central series, on tables of class 0 to 8, two of them of class below
+    their largest generator weight."""
+    below = [FOUND30, direct_product(FOUND30, heisenberg())]
+    assert all(p.nilpotency_class < p._weights[1] for p in below)
+    cases = (
+        CENTER_CASES
+        + [p for p, _ in INTERLEAVED_TABLES]
+        + [build() for _, build in CLASS2_COLLECT_CASES]
+        + [unitriangular(n) for n in range(2, 9)]
+        + [direct_product(unitriangular(5), unitriangular(4)), free_class3(), PcPresentation(0)]
+        + [filiform(n) for n in range(4, 10)]
+        + below
+    )
+    for p in cases:
+        assert p.nilpotency_class == len(lower_central_series(p)) - 1
+    assert {p.nilpotency_class for p in cases} == set(range(9))
+
+
+def test_class_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        PcPresentation(3, heisenberg().rules, nilpotency_class=2)
+    assert PcPresentation(3, heisenberg().rules) == heisenberg()
+
+
 # ------------------------------------------------------------ file format
 
 
 def test_presentation_roundtrip():
-    for p in (heisenberg(), free_abelian(2), unitriangular(4)):
+    for p in (heisenberg(), free_abelian(2), unitriangular(4), FOUND30, PcPresentation(0)):
         assert presentation_from_text(presentation_to_text(p)) == p
+    assert presentation_to_text(PcPresentation(0)) == "0 0\n"
+    assert presentation_to_text(FOUND30).splitlines()[0] == "5 2"
+
+
+@pytest.mark.parametrize(
+    "text,declared,actual",
+    [
+        ("3 3\n1 2 : -1\n", 3, 2),
+        ("3 1\n1 2 : -1\n", 1, 2),
+        ("0 1\n", 1, 0),
+        ("6 2\n1 2 : 0 -1 0 0\n1 5 : -1\n2 3 : 0 -1 0\n3 4 : 0 1\n", 2, 3),
+    ],
+    ids=["heisenberg-class3", "heisenberg-class1", "trivial-class1", "ut4-class2"],
+)
+def test_reader_refuses_a_header_that_is_not_the_tables_class(text, declared, actual):
+    message = f"declares nilpotency class {declared}, but its lower central series has class {actual}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        presentation_from_text(text)
 
 
 def test_presentation_text_shape():

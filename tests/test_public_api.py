@@ -129,9 +129,6 @@ REFUSALS = {
     "collect-out-of-range": (lambda: H.collect([(3, 1)]), "generator index 3 out of range"),
     "commutator-rule-diagonal": (
         lambda: H.commutator_rule(1, 1), "commutator table is indexed by distinct generators"),
-    "presentation-class-0": (
-        lambda: rfrskit.PcPresentation(2, {}, nilpotency_class=0),
-        "nilpotency class must be at least 1"),
     "presentation-short-rule": (
         lambda: rfrskit.PcPresentation(3, {(0, 1): (0, 0)}),
         "rule vectors must have one entry per generator"),

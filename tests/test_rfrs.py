@@ -363,7 +363,7 @@ def _random_class2_tables(seed, count):
             if any(val):
                 rules[(i, j)] = (0,) * k + val
         if rules:
-            tables.append(PcPresentation(4, rules, nilpotency_class=2))
+            tables.append(PcPresentation(4, rules))
     return tables
 
 
@@ -430,7 +430,7 @@ def _doubled_filiform5():
     """Class 4: [g_j, g_0] = g_(j+1)^2 for j = 1..3, so V is spanned by
     e_2, e_3, e_4 while the rule values span only twice that."""
     rules = {(0, j): tuple(2 if t == j + 1 else 0 for t in range(5)) for j in range(1, 4)}
-    return PcPresentation(5, rules, nilpotency_class=4)
+    return PcPresentation(5, rules)
 
 
 POWER_TEST_GROUPS = [
@@ -620,10 +620,10 @@ def test_certificate_rejects_abelian():
 
 
 def test_class2_table_declared_class_3_is_admitted():
-    """The table, not the declared class, admits the class-2 machinery:
-    heisenberg's rules declared class 3 get heisenberg's closure, census,
-    trapped witness and certificate."""
-    p = PcPresentation(3, H.rules, nilpotency_class=3)
+    """The table admits the class-2 machinery: a presentation built from
+    heisenberg's rules, once declarable as class 3, gets heisenberg's
+    closure, census, trapped witness and certificate."""
+    p = PcPresentation(3, H.rules)
     gens = [H.power(X, 2), Y]
     assert subgroup_closure(p, gens).basis == subgroup_closure(H, gens).basis
     census = enumerate_normal_subgroups(p, 8)

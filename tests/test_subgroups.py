@@ -277,7 +277,6 @@ def test_is_normal_matches_two_sided_reference():
     four = PcPresentation(
         4,
         {(0, 1): (0, 0, 0, 2), (0, 2): (0, 0, 0, -1), (1, 2): (0, 0, 0, 3)},
-        nilpotency_class=2,
     )
     rng = random.Random(7)
     verdicts = []
@@ -785,7 +784,7 @@ def test_lcs_ut5_class4():
 def test_lcs_with_scaled_commutator():
     # [y, x] = z^2: gamma_2 is the proper sublattice 2Z in the z-line
     p = __import__("rfrskit.pcgroups", fromlist=["PcPresentation"]).PcPresentation(
-        3, {(0, 1): (0, 0, 2)}, nilpotency_class=2
+        3, {(0, 1): (0, 0, 2)}
     )
     series = lower_central_series(p)
     assert series[1].basis.to_rows() == [[0, 0, 2]]
@@ -847,7 +846,6 @@ def test_center_with_offdiagonal_central_element():
     p = PcPresentation(
         4,
         {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)},
-        nilpotency_class=2,
     )
     z = center(p)
     assert z.contains((0, 1, -1, 0))
@@ -920,7 +918,7 @@ def random_consistent_tables(seed, attempts):
                 if rng.random() < 0.5:
                     rules[(i, j)] = (0,) * (j + 1) + tuple(entry() for _ in range(j + 1, n))
         try:
-            p = PcPresentation(n, rules, nilpotency_class=3)
+            p = PcPresentation(n, rules)
             p.check_consistency()
             tables.append(p)
         except ValueError:
@@ -945,7 +943,7 @@ def interleaved_class2_tables(seed, count):
                 rules[(i, j)] = vec
         if not rules:
             continue
-        p = PcPresentation(n, rules, nilpotency_class=2)
+        p = PcPresentation(n, rules)
         rank = hnf_basis(IntMatrix.from_rows(list(rules.values()))).rows
         if rank >= 2 and any(c and not d for c, d in zip(p.central, p.central[1:])):
             tables.append((p, rank))
@@ -970,8 +968,8 @@ CENTER_CASES = [
         "direct_product(free_abelian(2),ut(5))",
     ]
 ] + [
-    PcPresentation(3, {(0, 1): (0, 0, 2)}, nilpotency_class=2),
-    PcPresentation(4, {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)}, nilpotency_class=2),
+    PcPresentation(3, {(0, 1): (0, 0, 2)}),
+    PcPresentation(4, {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)}),
 ] + RANDOM_TABLES
 
 
