@@ -134,11 +134,18 @@ def _dumps(x, indent: str = "\n") -> str:
     """json.dumps(x, indent=2), byte for byte, for dicts with string keys,
     lists, tuples and JSON scalars; `indent` is the newline and indentation
     that precede x's closing bracket.  Exact ints take int.__repr__, as
-    json's encoder does; other non-string scalars go to json.dumps."""
+    json's encoder does, and true, false and null are written here; other
+    non-string scalars go to json.dumps."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if type(x) is int:
         return int.__repr__(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
     if isinstance(x, dict):
         if not x:
             return "{}"

@@ -11,12 +11,17 @@ concurrent use needs no locking.
 reduced, so intermediate entries stay near the size of the answer, which
 the determinant bounds; `hnf_basis` runs the same insertion without
 carrying the transform, and `left_kernel` reads the transform parts of
-the rows it sifts to zero.  `AbelianQuotient` takes the Smith form of the
-Hermite basis of its relations rather than of the relations themselves.
-`lattice_member` and `lattice_index` read the pivot rows of a lattice
-from `IntMatrix._echelon`: a basis in row echelon form as given, any
-other through its Hermite basis, found once and kept (a pure function of
-the entries, so two threads racing to fill the cache store equal values).
+the rows it sifts to zero.  The basis is a list indexed by pivot column,
+and both rows of a step vanish before its pivot column, so a step
+computes only the columns from there on.  `hnf_basis` returns a matrix
+that already is a Hermite basis as it is.  `AbelianQuotient` and
+`saturate` take the Smith form of the Hermite basis of their input
+rather than of the input itself.  `lattice_member` and `lattice_index`
+read the pivot rows of a lattice from `IntMatrix._echelon`: a basis in
+row echelon form as given, any other through its Hermite basis, found
+once and kept (a pure function of the entries, so two threads racing to
+fill the cache store equal values).  `hnf_basis` reads the same row
+echelon scan, `_echelon_rows`.
 
 `hnf`, `left_kernel` and `snf` carry the transform in the rows of
 [a | I], and one unimodular two-row step, `_gcd_step`, clears an entry
@@ -132,14 +137,8 @@ class IntMatrix:
         lattice: the rows as given when they are in row echelon form (no
         zero rows, pivot columns strictly increasing), else those of
         `hnf_basis`.  Computed once: the matrix never changes."""
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            j = next((k for k, x in enumerate(row) if x), None)
-            if j is None or (out and j <= out[-1][0]):
-                return hnf_basis(self)._echelon
-            out.append((j, row[j], row))
-        return tuple(out)
+        rows = _echelon_rows(self)
+        return _echelon_rows(hnf_basis(self)) if rows is None else rows
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -151,58 +150,93 @@ class IntMatrix:
         return "IntMatrix(" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + ")"
 
 
+def _echelon_rows(a: IntMatrix) -> tuple[tuple[int, int, tuple[int, ...]], ...] | None:
+    # (pivot column, pivot entry, row) per row of a when a is in row
+    # echelon form (no zero rows, pivot columns strictly increasing), else
+    # None.
+    out = []
+    for i in range(a.rows):
+        row = a.row(i)
+        j = 0
+        while j < a.cols and not row[j]:
+            j += 1
+        if j == a.cols or (out and j <= out[-1][0]):
+            return None
+        out.append((j, row[j], row))
+    return tuple(out)
+
+
+def _is_hermite(rows) -> bool:
+    # Whether echelon rows from `_echelon_rows` have positive pivots and
+    # the entries above each pivot in [0, pivot).
+    for i, (j, p, _) in enumerate(rows):
+        if p <= 0:
+            return False
+        for _, _, r in rows[:i]:
+            if not 0 <= r[j] < p:
+                return False
+    return True
+
+
 def _gcd_step(r: list[int], s: list[int], j: int) -> tuple[list[int], list[int]]:
     # The rows (r, s) after the unimodular 2x2 step that clears s[j], with
     # r[j] nonzero: subtract a multiple of r when r[j] divides s[j] (r comes
     # back as it is), else take the xgcd combination, which leaves
-    # gcd(r[j], s[j]) at r[j].  Any trailing columns ride along.
+    # gcd(r[j], s[j]) at r[j].  Both rows vanish before column j, so only
+    # the columns from j on are computed; any trailing columns ride along.
     a, b = r[j], s[j]
     q, rem = divmod(b, a)
+    head = [0] * j
     if not rem:
-        return r, [y - q * x for x, y in zip(r, s)]
+        return r, head + [y - q * x for x, y in zip(r[j:], s[j:])]
     g, x, y = xgcd(a, b)
     ag, bg = a // g, b // g
-    return [x * p + y * q for p, q in zip(r, s)], [ag * q - bg * p for p, q in zip(r, s)]
+    rt, st = r[j:], s[j:]
+    return head + [x * p + y * q for p, q in zip(rt, st)], head + [ag * q - bg * p for p, q in zip(rt, st)]
 
 
-def _reduce_at(basis: dict[int, list[int]], row: list[int], cols) -> list[int]:
+def _reduce_at(basis: list, row: list[int], cols) -> list[int]:
     # Reduce row's entries at the pivot columns cols (increasing) into
-    # [0, pivot); each step leaves the columns before it unchanged.
+    # [0, pivot); the pivot row of column k vanishes before k, so each step
+    # leaves the columns before it unchanged.
     for k in cols:
         piv = basis[k]
         q = row[k] // piv[k]
         if q:
-            row = [x - q * y for x, y in zip(row, piv)]
+            row = row[:k] + [x - q * y for x, y in zip(row[k:], piv[k:])]
     return row
 
 
-def _install(basis: dict[int, list[int]], j: int, row: list[int]) -> None:
+def _install(basis: list, j: int, row: list[int]) -> None:
     # Put row in as the pivot row of column j and restore full reduction:
     # row at the later pivots, then every earlier pivot row from column j
     # on (a changed row j also changes what it leaves in later columns).
-    later = sorted(k for k in basis if k > j)
+    later = [k for k in range(j + 1, len(basis)) if basis[k] is not None]
     basis[j] = _reduce_at(basis, row, later)
     later.insert(0, j)
-    for i in [k for k in basis if k < j]:
-        basis[i] = _reduce_at(basis, basis[i], later)
+    for i in range(j):
+        if basis[i] is not None:
+            basis[i] = _reduce_at(basis, basis[i], later)
 
 
 def _hermite_rows(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
     # Insert the rows one at a time into a Hermite basis kept fully
     # reduced (Kannan–Bachem), so intermediate entries stay near the size
     # of the answer.  Pivots are sought in the first n columns; any later
-    # columns ride along.  Returns the pivot rows in column order and the
-    # rows that sifted to zero there.
-    basis: dict[int, list[int]] = {}
+    # columns ride along.  `basis[j]` is the pivot row of column j, or
+    # None.  Returns the pivot rows in column order and the rows that
+    # sifted to zero there.
+    basis: list = [None] * n
     kernel = []
     for row in rows:
         j = 0
         while True:
-            j = next((k for k in range(j, n) if row[k]), None)
-            if j is None:
+            while j < n and not row[j]:
+                j += 1
+            if j == n:
                 kernel.append(row)
                 break
-            piv = basis.get(j)
+            piv = basis[j]
             if piv is None:
                 _install(basis, j, row if row[j] > 0 else [-x for x in row])
                 break
@@ -210,7 +244,7 @@ def _hermite_rows(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
             if merged is not piv:
                 _install(basis, j, merged)
             j += 1
-    return [basis[j] for j in sorted(basis)], kernel
+    return [r for r in basis if r is not None], kernel
 
 
 def _with_identity(a: IntMatrix) -> list[list[int]]:
@@ -241,7 +275,12 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 def hnf_basis(a: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical lattice basis.
 
-    Built without the transform U."""
+    A matrix whose rows already are one (row echelon form with positive
+    pivots and the entries above each pivot in [0, pivot)) comes back as
+    it is; any other is built without the transform U."""
+    rows = _echelon_rows(a)
+    if rows is not None and _is_hermite(rows):
+        return a
     pivots, _ = _hermite_rows((list(a.row(i)) for i in range(a.rows)), a.cols)
     return IntMatrix._from_int_rows(pivots, a.cols)
 
@@ -258,12 +297,18 @@ def left_kernel(a: IntMatrix) -> IntMatrix:
 def saturate(a: IntMatrix) -> IntMatrix:
     """Basis of (Q-rowspace of a) intersected with Z^n.
 
-    Computed as the left kernel of the transpose of the right kernel, so
-    no matrix inversion is needed; the result is a saturated lattice
-    containing the row space with finite index.
+    Read off the Smith form U H V = D of the Hermite basis H of a: U H is
+    D V^-1, so its rows, each divided by its invariant d_i, are rows of the
+    unimodular V^-1 and span the saturation.  H has full row rank, so
+    every d_i is positive, and when all are 1, H is its own saturation.
     """
-    right_null = left_kernel(a.transpose())
-    return left_kernel(right_null.transpose())
+    h = hnf_basis(a)
+    dec = snf(h)
+    diag = dec.diagonal()
+    if all(d == 1 for d in diag):
+        return h
+    uh = dec.u @ h
+    return hnf_basis(IntMatrix._from_int_rows([[x // d for x in uh.row(i)] for i, d in enumerate(diag)], h.cols))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .intlinalg import lattice_member
 from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
+    _require_class2,
     center_ab_report,
     enumerate_normal_subgroups,
     express_in_basis,
@@ -113,8 +114,7 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     p = f.ambient
     if p.is_abelian():
         return None
-    if not p._class2:
-        raise ValueError("trapped witnesses are certified for class <= 2 only")
+    _require_class2(p, "the trapped-witness check")
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
     z = center_ab_report(p).kernel_witness
@@ -149,7 +149,8 @@ class ObstructionCertificate:
 
 def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
     """Certificate over the normal subgroups of index <= max_index."""
-    if not p._class2 or p.is_abelian():
+    _require_class2(p, "obstruction certification")
+    if p.is_abelian():
         raise ValueError("obstruction certificates apply to nonabelian class-2 groups")
     z = center_ab_report(p).kernel_witness
     assert z is not None

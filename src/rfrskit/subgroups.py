@@ -9,8 +9,9 @@ coordinates, for s of finite index: then [s, s] has finite index in
 the integer vectors in the rational span of the rule values.  V is one
 lattice per presentation, built on first use, and `center_ab_report`
 reads its central witness off the centre's meet with V, with no Smith
-form.  Subgroups of infinite index are refused.  `Subgroup.intersect` is
-one Hermite form of [[B1, B1], [B2, 0]] (Zassenhaus).
+form.  Subgroups of infinite index are refused.  `Subgroup.intersect`
+returns the smaller operand when one lattice contains the other, and is
+otherwise one Hermite form of [[B1, B1], [B2, 0]] (Zassenhaus).
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -138,16 +139,20 @@ def _commutator_values(p: PcPresentation, vecs) -> list[Element]:
 class Subgroup:
     """Subgroup whose Mal'cev coordinate set is an integer lattice.
 
-    `basis` is the canonical Hermite basis (zero rows dropped), so equal
-    subgroups compare equal as values.
+    `basis` is brought to the canonical Hermite basis (zero rows dropped)
+    on construction, so equal subgroups compare equal as values and a
+    nested meet can return an operand as it is.
     """
 
     ambient: PcPresentation
     basis: IntMatrix
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "basis", hnf_basis(self.basis))
+
     @staticmethod
     def from_lattice(p: PcPresentation, rows) -> "Subgroup":
-        s = Subgroup(p, hnf_basis(IntMatrix._from_int_rows([p.element(r) for r in rows], p.n)))
+        s = Subgroup(p, IntMatrix._from_int_rows([p.element(r) for r in rows], p.n))
         if subgroup_closure(p, s.basis_elements()) != s:
             raise ValueError("lattice is not closed under the group operations")
         return s
@@ -191,13 +196,19 @@ class Subgroup:
         return all(map(self.contains, _commutator_values(self.ambient, self.basis_elements())))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
-        """The meet, by Zassenhaus: in the Hermite form of [[B1, B1], [B2, 0]]
-        the rows that vanish on the first block are (0, v) with v in both
-        lattices, and their second blocks are already the meet's Hermite
-        basis.  Two subgroups meet in a subgroup whose coordinates are the
-        meet of their lattices, so it is closed by construction."""
+        """The meet.  When one lattice contains the other, the meet is the
+        smaller operand, returned as it is.  Otherwise it is built by
+        Zassenhaus: in the Hermite form of [[B1, B1], [B2, 0]] the rows that
+        vanish on the first block are (0, v) with v in both lattices, and
+        their second blocks are already the meet's Hermite basis.  Two
+        subgroups meet in a subgroup whose coordinates are the meet of their
+        lattices, so it is closed by construction."""
         if self.ambient != other.ambient:
             raise ValueError("subgroups live in different ambient groups")
+        if self.contains_subgroup(other):
+            return other
+        if other.contains_subgroup(self):
+            return self
         n = self.ambient.n
         rows = [r + r for r in self.basis_elements()]
         rows += [r + (0,) * n for r in other.basis_elements()]
@@ -218,7 +229,7 @@ def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
     _require_class2(p, "subgroup closure")
     rows = [r for r in map(p.element, gens) if any(r)]
     rows += _product_corrections(p, rows)
-    return Subgroup(p, hnf_basis(IntMatrix._from_int_rows(rows, p.n)))
+    return Subgroup(p, IntMatrix._from_int_rows(rows, p.n))
 
 
 def express_in_basis(s: Subgroup, u: Element) -> tuple[int, ...] | None:
@@ -343,7 +354,7 @@ def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgro
                     for glue in itertools.product(reps, repeat=len(m)):
                         spend(k)
                         rows = [[a + b for a, b in zip(u, c)] for u, c in zip(m, glue)] + c_rows
-                        found.append(Subgroup(p, hnf_basis(IntMatrix._from_int_rows(rows, p.n))))
+                        found.append(Subgroup(p, IntMatrix._from_int_rows(rows, p.n)))
         # every subgroup found in this pass has index k
         found[start:] = sorted(found[start:], key=lambda s: s.basis.entries)
     return found
@@ -425,7 +436,7 @@ def _subgroup_from_induced(p: PcPresentation, vectors) -> Subgroup:
     triangular `vectors` (in increasing pivot order), as the lattice they
     span: faithful only when every Hermite row of that lattice is itself
     such an ordered product, which is checked here."""
-    sub = Subgroup(p, hnf_basis(IntMatrix._from_int_rows(vectors, p.n)))
+    sub = Subgroup(p, IntMatrix._from_int_rows(vectors, p.n))
     slots = [(_lead(v), v) for v in vectors]
     for v in sub.basis_elements():
         if any(_sift(p, slots, v)[1]):  # pragma: no cover

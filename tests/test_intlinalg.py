@@ -681,6 +681,76 @@ def test_saturate_single_row_matches_reference():
     assert saturate(M([[0, 0]])) == IntMatrix(0, 2, ())
 
 
+
+def test_saturate_matches_two_kernel_reference():
+    """Smith-of-Hermite saturation against the left kernel of the right
+    kernel, on lattices with a row scaled by 2..6 (not saturated), rank
+    deficient ones, zero rows and zero columns."""
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        rows[rng.randrange(m)] = [rng.randint(2, 6) * x for x in rows[rng.randrange(m)]]
+        if m > 1 and rng.random() < 0.4:
+            i, k = rng.sample(range(m), 2)
+            rows[i] = [x + rng.randint(-2, 2) * y for x, y in zip(rows[i], rows[k])]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n
+        if n > 1 and rng.random() < 0.3:
+            j = rng.randrange(n)
+            for r in rows:
+                r[j] = 0
+        a = M(rows)
+        sat = saturate(a)
+        assert sat == reference_saturate(a), rows
+        h = hnf_basis(a)
+        kinds.add("rank deficient" if h.rows < m else "full rank")
+        kinds.add("saturated" if sat == h else "not saturated")
+    assert kinds == {"rank deficient", "full rank", "saturated", "not saturated"}
+
+
+def test_saturate_with_unit_invariants_is_the_hermite_basis():
+    """Invariants all 1, with a pivot 3 and with every pivot 1: the
+    saturation is the Hermite basis, returned as it is."""
+    cases = [
+        (M([[3, 1, 4], [6, 2, 9], [-3, -1, -4]]), M([[3, 1, 0], [0, 0, 1]])),
+        (M([[2, 8, 1], [1, 4, 0], [3, 12, 1]]), M([[1, 4, 0], [0, 0, 1]])),
+    ]
+    for a, h in cases:
+        assert hnf_basis(a) == h and snf(h).diagonal() == [1, 1]
+        assert saturate(a) == h == reference_saturate(a)
+        assert saturate(h) is h
+
+
+def test_hnf_basis_returns_a_hermite_basis_as_it_is():
+    """A Hermite basis comes back as the same object; a matrix one step
+    off Hermite form comes back reduced, equal to the reference."""
+    hermite = [
+        M([[2, 1, 0], [0, 3, 1], [0, 0, 4]]),
+        M([[1, 0, 5, 7], [0, 0, 6, 2]]),
+        M([[0, 3, 2, 9]]),
+        IntMatrix(0, 3, ()),
+        IntMatrix.identity(4),
+    ]
+    for h in hermite:
+        assert hnf_basis(h) is h
+        assert h == reference_hnf_basis(h)
+    off = [
+        M([[2, 4, 0], [0, 3, 1], [0, 0, 4]]),  # 4 above the pivot 3
+        M([[2, -1, 0], [0, 3, 1], [0, 0, 4]]),  # -1 above the pivot 3
+        M([[2, 1, 0], [0, -3, 1], [0, 0, 4]]),  # a negative pivot
+        M([[2, 1, 0], [0, 0, 0], [0, 0, 4]]),  # a zero row
+        M([[0, 3, 1], [2, 1, 0], [0, 0, 4]]),  # pivots out of order
+        M([[2, 1, 0], [0, 3, 1], [0, 3, 4]]),  # two rows on one pivot column
+    ]
+    for a in off:
+        h = hnf_basis(a)
+        assert h is not a
+        assert h == reference_hnf_basis(a)
+        assert hnf_basis(h) is h
+
+
 LATTICE_CASES = [
     M([[2, 1, 0], [0, 3, 1], [0, 0, 4]]),  # Hermite
     M([[-2, 1, 0], [0, 0, -3]]),  # echelon, negative pivots, rank deficient

@@ -18,10 +18,12 @@ from rfrskit.pcgroups import (
     direct_product,
     free_abelian,
     heisenberg,
+    presentation_from_text,
     unitriangular,
 )
 from rfrskit.rfrs import (
     Filtration,
+    RfrsReport,
     obstruction_certificate,
     restrict_chain,
     trapped_central_witness,
@@ -547,6 +549,57 @@ def test_intersect_matches_kernel_reference(data):
     meet = s.intersect(t)
     assert meet == _intersect_by_kernel(s, t) == t.intersect(s)
     assert s.contains_subgroup(meet) and t.contains_subgroup(meet)
+
+
+
+def test_nested_meets_return_the_smaller_operand():
+    """For s inside t, both s.intersect(t) and t.intersect(s) are s itself
+    (when s == t, one of the two), equal to the kernel reference: census
+    subgroups of H against the whole group, the trivial subgroup and each
+    other."""
+    census = enumerate_normal_subgroups(H, 8)
+    subs = [Subgroup.trivial(H), Subgroup.whole_group(H)] + census
+    proper = 0
+    for s in subs:
+        for t in subs:
+            if t.contains_subgroup(s):
+                for meet in (s.intersect(t), t.intersect(s)):
+                    assert meet is s or (meet is t and t == s)
+                assert s == _intersect_by_kernel(s, t)
+                proper += s != t and s.rank() and t.index() > 1
+    assert proper > 50
+
+
+def test_subgroup_basis_is_brought_to_hermite_form():
+    """A basis given in another form is replaced by its Hermite basis, so
+    a subgroup equals itself however its basis was written, and a nested
+    meet, which returns an operand as it is, gives the same value."""
+    whole = Subgroup.whole_group(H)
+    s = Subgroup(H, IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    assert s.basis == IntMatrix.identity(3) and s == whole
+    assert whole.intersect(s) == whole == s.intersect(whole)
+    t = Subgroup(H, IntMatrix.from_rows([[0, 0, 0], [0, -2, 4], [2, 0, 0], [0, 0, 2]]))
+    assert t.basis == IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    assert whole.intersect(t) is t and t.intersect(s) is t
+
+
+# 5 2 / 1 2 : 1 -1 0 / 1 3 : 0 1 / 1 4 : 1 is nonabelian of class 2, but
+# [g2, g1] = g3 g4^-1 lands on the noncentral g3
+NONCENTRAL_VALUES = presentation_from_text("5 2\n1 2 : 1 -1 0\n1 3 : 0 1\n1 4 : 1\n")
+
+
+def test_certificates_name_the_central_value_condition():
+    p = NONCENTRAL_VALUES
+    assert p.nilpotency_class == 2 and not p.is_abelian()
+    refusal = "supports nilpotency class <= 2 only, with commutator values on central generators"
+    with pytest.raises(ValueError, match=refusal):
+        obstruction_certificate(p, 4)
+    g = Subgroup.whole_group(p)
+    report = RfrsReport(Filtration(p, (g,)), (), True, g)
+    with pytest.raises(ValueError, match=refusal):
+        trapped_central_witness(report)
+    with pytest.raises(ValueError, match="nonabelian class-2"):
+        obstruction_certificate(free_abelian(2), 4)
 
 
 def test_certificate_heisenberg_max8():
