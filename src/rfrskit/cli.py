@@ -19,7 +19,10 @@ human-readable lines, so a --json run never builds them.  JSON reports
 are written by `_dumps`, a direct recursive emitter whose output equals
 json.dumps(report, indent=2) byte for byte (the json module's indented
 encoder runs in pure Python, and took about a third of the time of a
-graph-group series report).
+graph-group series report).  A series report's terms are the one value
+`_dumps` does not walk: the report holds `_series_terms` of the sorted
+(monomial, coefficient) pairs, a callable that writes each term with one
+format, and the human-readable lines read the same pairs.
 """
 
 from __future__ import annotations
@@ -134,8 +137,9 @@ def _dumps(x, indent: str = "\n") -> str:
     """json.dumps(x, indent=2), byte for byte, for dicts with string keys,
     lists, tuples and JSON scalars; `indent` is the newline and indentation
     that precede x's closing bracket.  Exact ints take int.__repr__, as
-    json's encoder does, and true, false and null are written here; other
-    non-string scalars go to json.dumps."""
+    json's encoder does, and true, false and null are written here; a
+    callable writes its own value, as x(indent); other non-string scalars
+    go to json.dumps."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if type(x) is int:
@@ -157,7 +161,27 @@ def _dumps(x, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in x]) + indent + "]"
+    if callable(x):
+        return x(indent)
     return json.dumps(x)
+
+
+def _series_terms(pairs: list[tuple[tuple[int, ...], int]], indent: str) -> str:
+    """`_dumps` of the list of {"monomial": list(mono), "coefficient":
+    str(coeff)} objects of the (mono, coeff) pairs, one format per term."""
+    if not pairs:
+        return "[]"
+    item, field, entry = indent + "  ", indent + "    ", indent + "      "
+    head = "{" + field + '"monomial": '
+    sep = "," + entry
+    mid = "," + field + '"coefficient": "'
+    tail = '"' + item + "}"
+    terms = [
+        f"{head}[{entry}{sep.join(map(str, mono))}{field}]{mid}{coeff}{tail}" if mono
+        else f"{head}[]{mid}{coeff}{tail}"
+        for mono, coeff in pairs
+    ]
+    return "[" + item + ("," + item).join(terms) + indent + "]"
 
 
 def _emit(report: dict, human_lines: Callable[[], list[str]], cfg: RunConfig) -> None:
@@ -308,26 +332,18 @@ def _cmd_raag_nf(cfg: RunConfig) -> int:
 def _cmd_raag_magnus(cfg: RunConfig) -> int:
     g = _read_input(cfg.graph, "graph", graph_from_text)
     series = magnus_image(g, word_from_tokens(g, cfg.word or ""), cfg.degree)
-    terms = [
-        {"monomial": list(mono), "coefficient": str(coeff)}
-        for mono, coeff in series.sorted_terms()
-    ]
+    pairs = series.sorted_terms()
     report = {
         "command": "raag-magnus",
         "graph": cfg.graph,
         "word": cfg.word,
         "degree": cfg.degree,
-        "terms": terms,
+        "terms": functools.partial(_series_terms, pairs),
         "is_one": series.is_one(),
     }
-    def lines() -> list[str]:
-        out = [f"series at degree {cfg.degree}:"]
-        for t in terms:
-            mono = "".join(_vertex_names(t["monomial"])) or "1"
-            out.append(f"  {t['coefficient']} * {mono}")
-        return out
-
-    _emit(report, lines, cfg)
+    _emit(report, lambda: [f"series at degree {cfg.degree}:"] + [
+        f"  {coeff} * {''.join(_vertex_names(mono)) or '1'}" for mono, coeff in pairs
+    ], cfg)
     return 0
 
 

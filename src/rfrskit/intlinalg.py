@@ -329,7 +329,8 @@ class SmithDecomposition:
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form by elementary row/column operations on one row
     list: the rows of [a | I] (D|U), then the rows of V.  Row steps touch
-    the D|U rows; a column swap or step runs over the whole list."""
+    the D|U rows; a column swap or step at step t skips the D|U rows above
+    t, which are zero from column t on."""
     m, n = a.rows, a.cols
     d = _with_identity(a) + IntMatrix.identity(n).to_rows()
     for t in range(min(m, n)):
@@ -345,23 +346,28 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
         if pj != t:
-            for row in d:
+            for row in d[t:]:
                 row[t], row[pj] = row[pj], row[t]
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
                     d[t], d[i] = _gcd_step(d[t], d[i], t)
+            # The D|U rows below t are now zero in column t, so a divisible
+            # column step changes only row t and V until an xgcd step fills
+            # that column again.
+            live = [d[t], *d[m:]]
             for j in range(t + 1, n):
                 a0, b0 = d[t][t], d[t][j]
                 q, rem = divmod(b0, a0)
                 if not rem:
                     if q:
-                        for row in d:
+                        for row in live:
                             row[j] -= q * row[t]
                     continue
+                live = d[t:]
                 g, x, y = xgcd(a0, b0)
                 ag, bg = a0 // g, b0 // g
-                for row in d:
+                for row in live:
                     ct, cj = row[t], row[j]
                     row[t] = x * ct + y * cj
                     row[j] = -bg * ct + ag * cj

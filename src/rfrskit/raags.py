@@ -22,6 +22,13 @@ time through the letter kernel `_times_letter`: every power v^k settles
 in a normal monomial m at the same place p, so p is found once per
 monomial and the product's new keys are m[:p] + (v,)*k + m[p:].  It is
 the only series product; the tests hold it to a greedy reference.
+
+A word is read in one pass: `word_from_tokens` parses each distinct
+token once, and `RaagWord.build` merges the list of their letters,
+keeping a letter tuple that merges with nothing as it is.  The
+constructor tests its three rules in one loop over the syllables and
+scans again, in order, only to name the first bad one; `str` names each
+vertex once.
 """
 
 from __future__ import annotations
@@ -98,25 +105,43 @@ class RaagWord:
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        # One pass tests the three rules together; only a word that breaks
+        # one is scanned again, in order, to name its first bad syllable.
+        prev = None
+        for v, e in self.letters:
+            if v == prev or not e or v < 0:
+                break
+            prev = v
+        else:
+            return
         bad = next(((v, e) for v, e in self.letters if not e or v < 0), None)
         if bad is not None:
             v, e = bad
             raise ValueError(f"word vertex {v} is negative" if e else "a word syllable has exponent 0")
-        if any(a[0] == b[0] for a, b in zip(self.letters, self.letters[1:])):
-            raise ValueError("adjacent word syllables share a vertex")
+        raise ValueError("adjacent word syllables share a vertex")
 
     @staticmethod
     def build(letters) -> "RaagWord":
+        """The word of letters, in one merge pass: zero exponents dropped,
+        adjacent syllables on one vertex added, and a sum of 0 removed, so
+        that cancellations cascade.  A letter that is an (int, int) tuple
+        and merges with nothing is kept as it is."""
         merged: list[tuple[int, int]] = []
-        for v, e in letters:
-            v, e = int(v), int(e)
+        last = None  # the vertex of merged[-1]
+        for letter in letters:
+            v, e = letter
+            if type(letter) is not tuple or type(v) is not int or type(e) is not int:
+                v, e = letter = (int(v), int(e))
             if not e:
                 continue
-            if merged and merged[-1][0] == v:
+            if v == last:
                 e += merged.pop()[1]
                 if not e:
+                    last = merged[-1][0] if merged else None
                     continue
-            merged.append((v, e))
+                letter = (v, e)
+            merged.append(letter)
+            last = v
         return RaagWord(tuple(merged))
 
     def units(self) -> list[tuple[int, int]]:
@@ -130,9 +155,11 @@ class RaagWord:
         return not self.letters
 
     def __str__(self) -> str:
-        names = _vertex_names([v for v, _ in self.letters])
-        parts = [name if e == 1 else f"{name}^{e}" for name, (_, e) in zip(names, self.letters)]
-        return ",".join(parts) or "1"
+        if not self.letters:
+            return "1"
+        vertices = {v for v, _ in self.letters}
+        name = dict(zip(vertices, _vertex_names(vertices)))
+        return ",".join([name[v] if e == 1 else f"{name[v]}^{e}" for v, e in self.letters])
 
 
 # -------------------------------------------------------------- normal form
@@ -375,12 +402,12 @@ def graph_from_text(text: str) -> Graph:
     return Graph.build(n, edges)
 
 
-def _word_letter(g: Graph, token: str) -> tuple[int, int] | None:
-    """The (vertex, exponent) of one token like 'a', 'a^-1', 'v12^2'; None
-    for a blank token."""
+def _word_letter(g: Graph, token: str) -> tuple[int, int]:
+    """The (vertex, exponent) of one token like 'a', 'a^-1', 'v12^2'; (0, 0),
+    a letter that `RaagWord.build` drops, for a blank token."""
     token = token.strip()
     if not token:
-        return None
+        return 0, 0
     name, caret, exp = token.partition("^")
     try:
         e = int(exp) if caret else 1
@@ -400,7 +427,9 @@ def _word_letter(g: Graph, token: str) -> tuple[int, int] | None:
 
 def word_from_tokens(g: Graph, text: str) -> RaagWord:
     """Parse comma-separated tokens like 'a', 'a^-1', 'b^2'.  Each distinct
-    token is parsed once, in order of first appearance."""
+    token is parsed once, in order of first appearance, so the first bad
+    token is the one reported; `RaagWord.build` then merges the list of
+    their letters in one pass."""
     tokens = text.split(",")
     letters = {token: _word_letter(g, token) for token in dict.fromkeys(tokens)}
-    return RaagWord.build(letters[t] for t in tokens if letters[t])
+    return RaagWord.build(list(map(letters.__getitem__, tokens)))

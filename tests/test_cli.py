@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from rfrskit.pcgroups import (
     presentation_to_text,
     unitriangular,
 )
+from rfrskit.raags import graph_from_text, magnus_image, word_from_tokens
 from rfrskit.subgroups import subgroup_closure
 
 PY = [sys.executable, "-m", "rfrskit"]
@@ -151,6 +153,43 @@ def test_raag_magnus_command(path3_graph):
     assert rep["is_one"] is False
     coeffs = {tuple(t["monomial"]): t["coefficient"] for t in rep["terms"]}
     assert coeffs[(0, 2)] == "1" and coeffs[(2, 0)] == "-1"
+
+
+def test_series_terms_are_written_as_json_dumps_writes_them(tmp_path, monkeypatch, capsys):
+    """raag-magnus on random words over the four 4-vertex graphs at degrees
+    1-5: the --json report is json.dumps(report, indent=2) of the report
+    with one dict per term, and the human lines read the same terms."""
+    graphs = {
+        "path": "4\n0 1\n1 2\n2 3\n", "cycle": "4\n0 1\n1 2\n2 3\n0 3\n",
+        "star": "4\n0 1\n0 2\n0 3\n", "edgeless": "4\n",
+    }
+    for name, text in graphs.items():
+        (tmp_path / f"{name}.graph").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(33)
+    seen_identity = seen_negative = False
+    for trial in range(60):
+        name = list(graphs)[trial % 4]
+        degree = trial % 5 + 1
+        word = "a,b,b^-1,a^-1" if trial < 8 else ",".join(
+            "abcd"[rng.randrange(4)] + rng.choice(("", "^-1", "^2", "^-3")) for _ in range(rng.randint(1, 12))
+        )
+        args = ["raag-magnus", "--graph", f"{name}.graph", "--word", word, "--degree", str(degree)]
+        g = graph_from_text(graphs[name])
+        pairs = magnus_image(g, word_from_tokens(g, word), degree).sorted_terms()
+        report = {
+            "command": "raag-magnus", "graph": f"{name}.graph", "word": word, "degree": degree,
+            "terms": [{"monomial": list(mono), "coefficient": str(coeff)} for mono, coeff in pairs],
+            "is_one": pairs == [((), 1)],
+        }
+        assert main([*args, "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n", (name, degree, word)
+        assert main(args) == 0
+        lines = [f"  {t['coefficient']} * {''.join('abcd'[v] for v in t['monomial']) or '1'}" for t in report["terms"]]
+        assert capsys.readouterr().out == "\n".join([f"series at degree {degree}:", *lines]) + "\n"
+        seen_identity |= report["is_one"]
+        seen_negative |= any(coeff < 0 for _, coeff in pairs)
+    assert seen_identity and seen_negative
 
 
 def test_vertices_from_26_on_print_as_word_tokens(tmp_path, capsys):
@@ -769,6 +808,7 @@ CONSOLE_FILES = {
 # exit code, and either a check on the JSON report or a text that standard
 # error must hold, with standard output empty.
 ZH = "direct_product(free_abelian(1),heisenberg)"
+NF_BLOCK = "a,b,c^2,d,d^-1,c^-2,b^-1,a^-1"
 CONSOLE_CASES = {
     "ut7": (
         ["analyze", "--group", "ut(7)", "--json"], 0,
@@ -830,6 +870,15 @@ CONSOLE_CASES = {
         ["raag-rtfn", "--graph", "path4.txt", "--max-len", "5", "--json"], 0,
         lambda r: (r["elements_checked"], r["separated"], r["degree"]) == (7024, True, 5),
     ),
+    # every copy of NF_BLOCK cancels, from its middle out
+    "nf-long": (
+        ["raag-nf", "--graph", "path4.txt", "--json", "--word", ",".join([
+            "d,b", NF_BLOCK, "c,a", NF_BLOCK, "a,a^-1,c^-1", NF_BLOCK, "d^3,b^2,a", NF_BLOCK,
+            "c,a^-1,d^-3,b", NF_BLOCK, "a,a",
+        ])], 0,
+        lambda r: (r["normal_form"], r["is_identity"]) == ("c,d,a,b,c^-1,d^3,a,b^2,c,a^-1,d^-3,a^2,b", False),
+    ),
+    "nf-bad-token": (["raag-nf", "--graph", "path4.txt", "--word", "a,b,a^x,c"], 2, "bad word token 'a^x'"),
 }
 
 

@@ -571,6 +571,25 @@ def test_word_from_tokens_matches_reference_parser():
             with pytest.raises(ValueError) as info:
                 word_from_tokens(g, text)
             assert str(info.value) == expected, text
+    # long words over two or three vertices, with zero exponents and
+    # blanks, where cancellations such as a,b,b^-1,a^-1 cascade through
+    # the merge
+    long_pool = ["a", "a^-1", "b", "b^-1", "b^2", "a^0", "", " c ", "c^-1", "b^-2"]
+    for trial in range(40):
+        pool = long_pool[:6] if trial % 2 else long_pool
+        tokens = [rng.choice(pool) for _ in range(rng.randint(200, 2000))]
+        if trial % 4 == 3:  # a run and its inverse, which cancel from the middle out
+            run = tokens[:rng.randint(1, 100)]
+            fold = run + [_inverse_token(t) for t in reversed(run)]
+            assert word_from_tokens(PATH3, ",".join(fold)).is_identity_word()
+            tokens = fold + tokens
+        text = ",".join(tokens)
+        assert word_from_tokens(PATH3, text) == _reference_word_from_tokens(PATH3, text), trial
+
+
+def _inverse_token(token):
+    name, _, exp = token.strip().partition("^")
+    return f"{name}^{-int(exp or 1)}" if name else token
 
 
 @pytest.mark.parametrize("token", ["a^", "a^x", "a^1.5", "a^^2"])
@@ -590,24 +609,43 @@ def test_word_str():
         (((0, 0), (1, 2)), "a word syllable has exponent 0", ((1, 2),)),
         (((0, 0),), "a word syllable has exponent 0", ()),
         (((1, 2), (0, 1), (0, -3)), "adjacent word syllables share a vertex", ((1, 2), (0, -2))),
+        # a zero exponent and a negative vertex: the first in order wins
+        (((0, 0), (-1, 2)), "a word syllable has exponent 0", "word vertex -1 is negative"),
+        (((-1, 2), (0, 0)), "word vertex -1 is negative", "word vertex -1 is negative"),
+        (((-2, 0), (1, 1)), "a word syllable has exponent 0", ((1, 1),)),
+        # a negative vertex wins over a repeated vertex, before or after it
+        (((1, 1), (1, 2), (-1, 1)), "word vertex -1 is negative", "word vertex -1 is negative"),
+        (((-3, 1), (2, 1), (2, -1)), "word vertex -3 is negative", "word vertex -3 is negative"),
     ],
 )
 def test_word_constructor_refuses_unreduced_letters(letters, message, built):
     """The constructor holds the rules that `build` establishes, so no word
-    prints a zero exponent or passes for a non-identity word unmerged."""
-    with pytest.raises(ValueError, match=message):
+    prints a zero exponent or passes for a non-identity word unmerged.
+    `built` is the merged word, or the refusal of a word that merging
+    cannot mend."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
         RaagWord(letters)
+    if isinstance(built, str):
+        with pytest.raises(ValueError, match=f"^{built}$"):
+            RaagWord.build(letters)
+        return
     assert RaagWord.build(letters) == RaagWord(built)
     assert RaagWord(built).is_identity_word() == (not built)
 
 
+LETTER = st.tuples(st.integers(0, 2), st.integers(-3, 3))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=40))
+@given(st.lists(LETTER | LETTER.map(list) | LETTER.map(lambda letter: tuple(map(str, letter))), max_size=40))
 def test_build_matches_pairwise_merge(letters):
     """`build` against a merge of mutable [vertex, exponent] pairs, over
-    three vertices so that syllables often merge and cancel."""
+    three vertices so that syllables often merge and cancel; a letter
+    given as a list, or with entries that int() reads, comes out a tuple
+    of ints."""
     merged = []
     for v, e in letters:
+        v, e = int(v), int(e)
         if not e:
             continue
         if merged and merged[-1][0] == v:
