@@ -54,9 +54,8 @@ from .raags import (
 )
 from .rfrs import (
     Filtration,
-    RfrsReport,
+    _restriction,
     obstruction_certificate,
-    restrict_chain,
     trapped_central_witness,
     verify_rfrs_chain,
 )
@@ -166,9 +165,30 @@ def _dumps(x, indent: str = "\n") -> str:
     return json.dumps(x)
 
 
+# `_decimal` writes 600 digits per str call: fewer than 640, the least
+# int-to-str digit limit that sys.set_int_max_str_digits accepts.
+_DECIMAL_DIGITS = 600
+_DECIMAL_CHUNK = 10**_DECIMAL_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, as str(n) writes them, at any size: the
+    interpreter refuses str on an int past its digit limit (4300 by
+    default), so n is written in chunks below any limit, and the limit
+    stays as it is for the rest of the process."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _DECIMAL_CHUNK:
+        n, r = divmod(n, _DECIMAL_CHUNK)
+        chunks.append(f"{r:0{_DECIMAL_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _series_terms(pairs: list[tuple[tuple[int, ...], int]], indent: str) -> str:
     """`_dumps` of the list of {"monomial": list(mono), "coefficient":
-    str(coeff)} objects of the (mono, coeff) pairs, one format per term."""
+    _decimal(coeff)} objects of the (mono, coeff) pairs, one format per term."""
     if not pairs:
         return "[]"
     item, field, entry = indent + "  ", indent + "    ", indent + "      "
@@ -177,8 +197,8 @@ def _series_terms(pairs: list[tuple[tuple[int, ...], int]], indent: str) -> str:
     mid = "," + field + '"coefficient": "'
     tail = '"' + item + "}"
     terms = [
-        f"{head}[{entry}{sep.join(map(str, mono))}{field}]{mid}{coeff}{tail}" if mono
-        else f"{head}[]{mid}{coeff}{tail}"
+        f"{head}[{entry}{sep.join(map(str, mono))}{field}]{mid}{_decimal(coeff)}{tail}" if mono
+        else f"{head}[]{mid}{_decimal(coeff)}{tail}"
         for mono, coeff in pairs
     ]
     return "[" + item + ("," + item).join(terms) + indent + "]"
@@ -209,13 +229,14 @@ def _rfrs_schema(command: str, group: str, overall: bool, steps, intersection_ra
     return report
 
 
-def _chain_schema(command: str, group: str, rep: RfrsReport, witness, **extra) -> dict:
-    """`_rfrs_schema` of a chain that `verify_rfrs_chain` checked."""
-    steps = [
+def _chain_schema(command: str, group: str, steps, intersection_rank: int, witness, **extra) -> dict:
+    """`_rfrs_schema` of checked chain steps (`rfrs.RfrsStep`)."""
+    rows = [
         {"index": s.index, "normal": s.normal_in_g, "kernel_contained": s.kernel_contained}
-        for s in rep.steps
+        for s in steps
     ]
-    return _rfrs_schema(command, group, rep.overall, steps, rep.intersection.rank(), witness, 0, **extra)
+    overall = all(s.passed for s in steps)
+    return _rfrs_schema(command, group, overall, rows, intersection_rank, witness, 0, **extra)
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -254,7 +275,7 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
     f = _load_chain(p, cfg.chain)
     rep = verify_rfrs_chain(f)
     witness = trapped_central_witness(rep) if rep.overall else None
-    report = _chain_schema("rfrs-verify", cfg.group, rep, witness)
+    report = _chain_schema("rfrs-verify", cfg.group, rep.steps, rep.intersection.rank(), witness)
     def lines() -> list[str]:
         out = [f"chain of length {len(f.chain)} on {cfg.group}"]
         for k, s in enumerate(rep.steps):
@@ -304,14 +325,15 @@ def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
 def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
     p = _load_class2_group(cfg)
     f = _load_chain(p, cfg.chain)
-    g = restrict_chain(f, _load_subgroup(p, cfg.restrict_to))
-    rep = verify_rfrs_chain(g)
-    report = _chain_schema("rfrs-restrict", cfg.group, rep, None, restricted_length=len(g.chain))
+    h = _load_subgroup(p, cfg.restrict_to)
+    terms, steps = _restriction(f, h)
+    # every term has finite index in h, so the last has h's rank
+    report = _chain_schema("rfrs-restrict", cfg.group, steps, h.rank(), None, restricted_length=len(terms))
     _emit(report, lambda: [
-        f"restricted chain has {len(g.chain)} terms in a rank-{g.ambient.n} subgroup",
-        f"overall: {rep.overall}",
+        f"restricted chain has {len(terms)} terms in a rank-{h.rank()} subgroup",
+        f"overall: {report['overall']}",
     ], cfg)
-    return 0 if rep.overall else 1
+    return 0 if report["overall"] else 1
 
 
 def _cmd_raag_nf(cfg: RunConfig) -> int:
@@ -342,7 +364,7 @@ def _cmd_raag_magnus(cfg: RunConfig) -> int:
         "is_one": series.is_one(),
     }
     _emit(report, lambda: [f"series at degree {cfg.degree}:"] + [
-        f"  {coeff} * {''.join(_vertex_names(mono)) or '1'}" for mono, coeff in pairs
+        f"  {_decimal(coeff)} * {''.join(_vertex_names(mono)) or '1'}" for mono, coeff in pairs
     ], cfg)
     return 0
 

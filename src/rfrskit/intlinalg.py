@@ -16,7 +16,8 @@ and both rows of a step vanish before its pivot column, so a step
 computes only the columns from there on.  `hnf_basis` returns a matrix
 that already is a Hermite basis as it is.  `AbelianQuotient` and
 `saturate` take the Smith form of the Hermite basis of their input
-rather than of the input itself.  `lattice_member` and `lattice_index`
+rather than of the input itself, and `saturate` takes none when every
+pivot of that basis is 1.  `lattice_member` and `lattice_index`
 read the pivot rows of a lattice from `IntMatrix._echelon`: a basis in
 row echelon form as given, any other through its Hermite basis, found
 once and kept (a pure function of the entries, so two threads racing to
@@ -297,12 +298,19 @@ def left_kernel(a: IntMatrix) -> IntMatrix:
 def saturate(a: IntMatrix) -> IntMatrix:
     """Basis of (Q-rowspace of a) intersected with Z^n.
 
-    Read off the Smith form U H V = D of the Hermite basis H of a: U H is
-    D V^-1, so its rows, each divided by its invariant d_i, are rows of the
-    unimodular V^-1 and span the saturation.  H has full row rank, so
-    every d_i is positive, and when all are 1, H is its own saturation.
+    A Hermite basis H of a whose pivots are all 1 comes back as it is:
+    its entries above each pivot are 0, so its minor on the pivot columns
+    is the identity, Z^n / H is torsion-free, and a rational combination
+    of its rows is integral only when its coefficients, the entries at
+    the pivot columns, are.  Any other H is read off its Smith form
+    U H V = D: U H is D V^-1, so its rows, each divided by its invariant
+    d_i, are rows of the unimodular V^-1 and span the saturation.  H has
+    full row rank, so every d_i is positive, and when all are 1, H is its
+    own saturation.
     """
     h = hnf_basis(a)
+    if all(piv == 1 for _, piv, _ in h._echelon):
+        return h
     dec = snf(h)
     diag = dec.diagonal()
     if all(d == 1 for d in diag):

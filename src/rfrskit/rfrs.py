@@ -1,20 +1,33 @@
 """Verification of RFRS-style filtration conditions and obstruction
 certificates for nonabelian class-2 groups.
 
-A chain G = G_0 > G_1 > ... of finite-index subgroups satisfies the step
-conditions when each term is normal in G and contains the kernel of the
-previous term's rational abelianization map.  An element has torsion
-abelianization image precisely when some power of it is a product of
-commutators, so that kernel is `subgroups.rational_kernel(T)`, the meet
-of T with the isolator of [T, T], computed in the ambient coordinates.
-Each step check takes the kernel of the previous term.  For T of finite
-index that kernel is T meet V, V the kernel of G -> G^ab tensor Q, one
-lattice per presentation, built once.  The central witness z is the
-first Hermite row of Z(G) meet V, so for every finite-index T that holds
-z, z lies in `rational_kernel(T)`: the witness check in every term of a
-verified chain is a membership test.  Only `restrict_chain` builds an
-induced presentation, because it returns a filtration of H on H's own
-basis.
+A chain T = T_0 > T_1 > ... of finite-index subgroups of a group T
+satisfies the step conditions when each term is normal in T and contains
+the kernel of the previous term's rational abelianization map.  An
+element has torsion abelianization image precisely when some power of it
+is a product of commutators, so for T_i of finite index that kernel is
+T_i meet V_T, V_T the isolator of [T, T] (`subgroups.rational_kernel`
+proves [T_i, T_i] of finite index in [T, T]).  In class 2 [T, T] is
+spanned by the commutators of T's Hermite rows, so V_T is their
+saturation; for T = G it is V, the kernel of G -> G^ab tensor Q, one
+lattice per presentation, built once, and so it is for every T of finite
+index in G.
+
+One private loop, `_steps`, checks such a chain in the ambient
+coordinates, with the top group T as a parameter: the whole group for
+`verify_rfrs_chain`, and a subgroup H for `rfrs-restrict`, which checks
+the terms G_i meet H without building H's induced presentation.  The
+index [T : T_i] is the ratio of the Hermite pivot products of T_i and T,
+which span the same rational space; T_i is normal in T when it holds
+[k, b] for the Hermite rows k of T_i and b of T, since commutators are
+bilinear in class 2; and the kernel step is one meet with V_T.
+
+The class-2 scan puts V on central generators, so Z(G) meet V is V, and
+the central witness z is V's first Hermite row.  For every finite-index
+term t that holds z, z lies in `rational_kernel(t)`: the witness check in
+every term of a verified chain is a membership test.  `restrict_chain`
+returns the restriction as a filtration of H on H's own basis, for the
+library; it builds the induced presentation.
 
 The obstruction certificate is the census of normal subgroups up to an
 index bound plus one fact, z in V; `ObstructionCertificate` states why
@@ -23,14 +36,17 @@ that traps the witness in every conditioned chain within the bound.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .intlinalg import lattice_member
+from .intlinalg import IntMatrix, lattice_member, saturate
 from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
+    _commutator_values,
+    _ordered_product,
     _require_class2,
-    center_ab_report,
     enumerate_normal_subgroups,
     express_in_basis,
     induced_presentation,
@@ -87,12 +103,29 @@ class RfrsReport:
     intersection: Subgroup
 
 
+def _pivot_product(s: Subgroup) -> int:
+    return math.prod(piv for _, piv, _ in s.basis._echelon)
+
+
+def _steps(top: Subgroup, kernel: Callable[[Subgroup], Subgroup], terms) -> tuple[RfrsStep, ...]:
+    """The step conditions of the descending chain `terms` of finite-index
+    subgroups of `top`, in the ambient coordinates; `kernel(t)` is the
+    rational kernel of a term t, t meet V_top.  For top = G, [k, b] over
+    the rows b of the identity is `Subgroup.is_normal`."""
+    p, tops, base = top.ambient, top.basis_elements(), _pivot_product(top)
+    return tuple(
+        RfrsStep(
+            _pivot_product(nxt) // base,
+            all(map(nxt.contains, _commutator_values(p, nxt.basis_elements(), tops))),
+            nxt.contains_subgroup(kernel(prev)),
+        )
+        for prev, nxt in zip(terms, terms[1:])
+    )
+
+
 def verify_rfrs_chain(f: Filtration) -> RfrsReport:
     """Check normality, finite index, and kernel containment per step."""
-    steps = tuple(
-        RfrsStep(nxt.index(), nxt.is_normal(), nxt.contains_subgroup(rational_kernel(prev)))
-        for prev, nxt in zip(f.chain, f.chain[1:])
-    )
+    steps = _steps(f.chain[0], rational_kernel, f.chain)
     # a Filtration descends, so its last term is the meet of all of them
     return RfrsReport(f, steps, all(s.passed for s in steps), f.chain[-1])
 
@@ -105,10 +138,11 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     Returns None when the ambient group is abelian (no witness exists) or
     when some term fails the trap, which a conditioned chain on a
     nonabelian class-2 group can never do.  Raises when the report shows
-    the chain violating the step conditions.  Every term t has finite
-    index, so `rational_kernel(t)` is t meet V, V the kernel of
-    G -> G^ab tensor Q; z lies in V, so z lies in `rational_kernel(t)`
-    exactly when t holds it.
+    the chain violating the step conditions.  The witness z is the first
+    Hermite row of V, the kernel of G -> G^ab tensor Q, which the class-2
+    scan puts on central generators.  Every term t has finite index, so
+    `rational_kernel(t)` is t meet V, and z lies in it exactly when t
+    holds z.
     """
     f = report.filtration
     p = f.ambient
@@ -117,7 +151,7 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
     _require_class2(p, "the trapped-witness check")
     if not report.overall:
         raise ValueError("chain fails the filtration step conditions; verify first")
-    z = center_ab_report(p).kernel_witness
+    z = p._torsion_lattice.row(0)
     return z if all(t.contains(z) for t in f.chain) else None
 
 
@@ -148,12 +182,15 @@ class ObstructionCertificate:
 
 
 def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
-    """Certificate over the normal subgroups of index <= max_index."""
+    """Certificate over the normal subgroups of index <= max_index.
+
+    The witness is the first Hermite row of V: the class-2 scan puts V on
+    central generators, so it is the first row of Z(G) meet V, the
+    witness of `center_ab_report`."""
     _require_class2(p, "obstruction certification")
     if p.is_abelian():
         raise ValueError("obstruction certificates apply to nonabelian class-2 groups")
-    z = center_ab_report(p).kernel_witness
-    assert z is not None
+    z = p._torsion_lattice.row(0)
     note = (
         f"any chain of normal subgroups with indices <= {max_index} satisfying the "
         "step conditions keeps the witness in every term; its intersection is nontrivial"
@@ -167,21 +204,61 @@ def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCer
     )
 
 
+def _restricted_terms(f: Filtration, h: Subgroup) -> list[Subgroup]:
+    """The terms G_i meet H in the ambient coordinates, equal consecutive
+    ones collapsed."""
+    if h.ambient != f.ambient:
+        raise ValueError("subgroup belongs to a different ambient group")
+    if h.basis.rows == 0:
+        raise ValueError("cannot restrict to the trivial subgroup")
+    terms: list[Subgroup] = []
+    for term in f.chain:
+        inter = term.intersect(h)
+        if not terms or terms[-1] != inter:
+            terms.append(inter)
+    return terms
+
+
+def _restriction(f: Filtration, h: Subgroup) -> tuple[list[Subgroup], tuple[RfrsStep, ...]]:
+    """The terms of the restriction of f to h, in the ambient coordinates,
+    and the steps that `verify_rfrs_chain(restrict_chain(f, h))` reports,
+    checked without an induced presentation, for an ambient group that
+    passes the class-2 scan.  Each term has finite index in h, and V_h is
+    V when h has finite index in G, else the saturation of the
+    commutators of h's Hermite rows."""
+    p = h.ambient
+    terms = _restricted_terms(f, h)
+    if h.is_full_rank():
+        v_h = p._torsion_lattice
+    else:
+        rows = h.basis_elements()
+        comms = [p.commutator(b, a) for i, a in enumerate(rows) for b in rows[i + 1 :]]
+        v_h = saturate(IntMatrix._from_int_rows(comms, p.n))
+    v_sub = Subgroup(p, v_h)
+    return terms, _steps(h, v_sub.intersect, terms)
+
+
 def restrict_chain(f: Filtration, h: Subgroup) -> Filtration:
     """Restriction {G_i intersect H} as a filtration of H.
 
     The ambient of the result is the induced presentation of H; equal
     consecutive intersections collapse to one term.  When the original
-    chain satisfies the step conditions, so does the restriction.
+    chain satisfies the step conditions, so does the restriction.  The
+    `rfrs-restrict` command checks the same terms in G's coordinates
+    instead (`_restriction`); this library form is its test oracle.
+
+    Coordinates on H's basis are ordered products, not sums, so a term
+    that is a lattice in G's coordinates need not be one in H's: on
+    heisenberg, G_1 = <(1, 0, 2), (0, 3, 2), (0, 0, 3)> meets
+    H = <(1, 1, 0), (0, 2, 0), (0, 0, 1)> in a subgroup of index 9 in H,
+    whose closure on H's basis has index 3.  Such a restriction is
+    refused: each term's closure on H's basis must map back into the term.
     """
-    if h.ambient != f.ambient:
-        raise ValueError("subgroup belongs to a different ambient group")
-    if h.basis.rows == 0:
-        raise ValueError("cannot restrict to the trivial subgroup")
+    terms = _restricted_terms(f, h)
     sub = induced_presentation(h)
+    rows = h.basis_elements()
     local_terms: list[Subgroup] = []
-    for term in f.chain:
-        inter = term.intersect(h)
+    for k, inter in enumerate(terms):
         local_rows = []
         for v in inter.basis_elements():
             exps = express_in_basis(h, v)
@@ -189,6 +266,7 @@ def restrict_chain(f: Filtration, h: Subgroup) -> Filtration:
                 raise RuntimeError("intersection element escaped the subgroup basis")
             local_rows.append(exps)
         local = subgroup_closure(sub, local_rows)
-        if not local_terms or local_terms[-1] != local:
-            local_terms.append(local)
+        if not all(inter.contains(_ordered_product(h.ambient, rows, r)) for r in local.basis_elements()):
+            raise ValueError(f"restricted term {k} is not a lattice on the subgroup's Hermite basis")
+        local_terms.append(local)
     return Filtration(sub, tuple(local_terms))

@@ -30,8 +30,9 @@ list what a lattice must hold: `_product_corrections` the values of B on
 its rows, for closed (`subgroup_closure` adds them to their span in one
 step, `Subgroup.from_lattice` accepts a lattice closure leaves as it is),
 and `_commutator_values` the [u, g] of its rows with the generators, in
-any class, for normal (`Subgroup.is_normal`) and central (`center`).  The
-census takes both.  Both skip rows that are products of central
+any class, for normal (`Subgroup.is_normal`) and central (`center`), or
+with the rows of a larger subgroup, for normal in it (the chain checks of
+`rfrs`).  The census takes both.  Both skip rows that are products of central
 generators, and `_commutator_values` skips the central generators.
 
 Three routines carry the group side in any class.  `_sift` divides an
@@ -125,12 +126,16 @@ def _product_corrections(p: PcPresentation, vecs) -> list[Element]:
     return list(dict.fromkeys(w for w in vals if any(w)))
 
 
-def _commutator_values(p: PcPresentation, vecs) -> list[Element]:
+def _commutator_values(p: PcPresentation, vecs, tops=None) -> list[Element]:
     """The distinct nonzero [u, g] over the noncentral rows u of vecs and
-    the noncentral generators g.  In any class the other [u, g] are 1, as
-    a product of central generators commutes with everything, so the list
-    is empty exactly when every row of vecs is central."""
-    gens = [p.generator(k) for k in p._noncentral]
+    the noncentral rows g of tops, by default the generators.  In any
+    class the other [u, g] are 1, as a product of central generators
+    commutes with everything, so over the generators the list is empty
+    exactly when every row of vecs is central."""
+    if tops is None:
+        gens = [p.generator(k) for k in p._noncentral]
+    else:
+        gens = _noncentral_rows(p, tops)
     vals = (p.commutator(u, g) for u in _noncentral_rows(p, vecs) for g in gens)
     return list(dict.fromkeys(w for w in vals if any(w)))
 

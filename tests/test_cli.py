@@ -192,6 +192,46 @@ def test_series_terms_are_written_as_json_dumps_writes_them(tmp_path, monkeypatc
     assert seen_identity and seen_negative
 
 
+def _int_of_decimal(text):
+    """The int that a decimal string names, read 500 digits at a time, so
+    that the interpreter's str-to-int digit limit does not apply."""
+    digits = text.removeprefix("-")
+    assert digits.isdigit() and (digits == "0" or not digits.startswith("0")), text[:20]
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i : i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def test_raag_magnus_writes_coefficients_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    """a^N and a^-N with N of 1000 nines, at degree 5: the coefficient of
+    X_a^k is binom(N, k), or (-1)^k binom(N + k - 1, k), about 5000 digits
+    at k = 5, past the interpreter's default limit of 4300.  Both outputs
+    write every coefficient exactly, and the process-wide limit is left as
+    it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    path = tmp_path / "two.graph"
+    path.write_text("2\n")
+    nines = "9" * 1000
+    n = int(nines)
+    for sign, want in (("", [math.comb(n, k) for k in range(6)]),
+                       ("-", [(-1) ** k * math.comb(n + k - 1, k) for k in range(6)])):
+        args = ["raag-magnus", "--graph", str(path), "--word", f"a^{sign}{nines}", "--degree", "5"]
+        assert main([*args, "--json"]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert [t["monomial"] for t in terms] == [[0] * k for k in range(6)]
+        assert [_int_of_decimal(t["coefficient"]) for t in terms] == want
+        assert len(terms[5]["coefficient"]) > 4300
+        assert main(args) == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head == "series at degree 5:"
+        assert [line.split(" * ") for line in lines] == [
+            [f"  {t['coefficient']}", "a" * k or "1"] for k, t in enumerate(terms)
+        ]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_vertices_from_26_on_print_as_word_tokens(tmp_path, capsys):
     """raag-magnus names vertex 26 `v26`, as raag-nf does and as words are
     read, not by the character after `z`."""
@@ -786,6 +826,14 @@ def test_abelian_chain_reports_no_witness(tmp_path, capsys):
 
 # --------------------------------------------------- the CI console script
 
+# A subgroup of index 80 in H x H whose Hermite basis presents it with
+# [b1, b0] = b2^-2 b3 b5^-13, off the class-2 scan, and a chain of index 2.
+HH_SUB = "2 0 0 1 16 0\n0 1 0 0 5 0\n0 0 1 1 8 0\n0 0 0 2 16 0\n0 0 0 0 20 0\n0 0 0 0 0 1\n"
+HH_CHAIN = (
+    "1 0 0 0 0 0\n0 1 0 0 0 0\n0 0 1 0 0 0\n0 0 0 1 0 0\n0 0 0 0 1 0\n0 0 0 0 0 1\n\n"
+    "1 0 0 0 0 0\n0 2 0 0 0 0\n0 0 1 0 0 0\n0 0 0 1 0 0\n0 0 0 0 1 0\n0 0 0 0 0 1\n"
+)
+
 # The input files of CONSOLE_CASES, written to the working directory.
 CONSOLE_FILES = {
     "filiform6.txt": "6 5\n1 2 : 1 0 0 0\n1 3 : 1 0 0\n1 4 : 1 0\n1 5 : 1\n",
@@ -801,6 +849,12 @@ CONSOLE_FILES = {
         "2 0 0 0\n0 2 0 0\n0 0 1 0\n0 0 0 1\n\n4 0 0 0\n0 2 0 0\n0 0 2 0\n0 0 0 1\n"
     ),
     "path4.txt": "4\n0 1\n1 2\n2 3\n",
+    # index 2 in Z x H, and its heisenberg factor, of infinite index
+    "zhsub.txt": "1 0 0 0\n0 2 0 0\n0 0 1 0\n0 0 0 1\n",
+    "zhfactor.txt": "0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+    "zero3.txt": "0 0 0\n",
+    "hhchain.txt": HH_CHAIN,
+    "hhsub.txt": HH_SUB,
 }
 
 # The only list of the cases that the "Console script" step of
@@ -879,6 +933,28 @@ CONSOLE_CASES = {
         lambda r: (r["normal_form"], r["is_identity"]) == ("c,d,a,b,c^-1,d^3,a,b^2,c,a^-1,d^-3,a^2,b", False),
     ),
     "nf-bad-token": (["raag-nf", "--graph", "path4.txt", "--word", "a,b,a^x,c"], 2, "bad word token 'a^x'"),
+    "zh-restrict": (
+        ["rfrs-restrict", "--group", ZH, "--chain", "zhchain.txt", "--restrict-to", "zhsub.txt", "--json"], 0,
+        lambda r: (r["overall"], [s["index"] for s in r["steps"]], r["restricted_length"], r["intersection_rank"])
+        == (True, [2, 8], 3, 4),
+    ),
+    "zh-restrict-infinite": (
+        ["rfrs-restrict", "--group", ZH, "--chain", "zhchain.txt", "--restrict-to", "zhfactor.txt", "--json"], 0,
+        lambda r: (r["overall"], [s["index"] for s in r["steps"]], r["restricted_length"], r["intersection_rank"])
+        == (True, [2, 4], 3, 3),
+    ),
+    "restrict-trivial": (
+        ["rfrs-restrict", "--group", "heisenberg", "--chain", "chain4.txt", "--restrict-to", "zero3.txt"], 2,
+        "cannot restrict to the trivial subgroup",
+    ),
+    # the steps of `test_rfrs._restriction_reference`; H's induced table
+    # is off the class-2 scan, so `restrict_chain` refuses this input
+    "hh-restrict": (
+        ["rfrs-restrict", "--group", "direct_product(heisenberg,heisenberg)", "--chain", "hhchain.txt",
+         "--restrict-to", "hhsub.txt", "--json"], 0,
+        lambda r: (r["overall"], r["steps"], r["restricted_length"], r["intersection_rank"])
+        == (True, [{"index": 2, "normal": True, "kernel_contained": True}], 2, 6),
+    ),
 }
 
 

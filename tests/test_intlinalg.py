@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfrskit import intlinalg
 from rfrskit.intlinalg import (
     INFINITE,
     AbelianGroupStructure,
@@ -721,6 +722,27 @@ def test_saturate_with_unit_invariants_is_the_hermite_basis():
         assert hnf_basis(a) == h and snf(h).diagonal() == [1, 1]
         assert saturate(a) == h == reference_saturate(a)
         assert saturate(h) is h
+
+
+def test_saturate_returns_a_hermite_basis_with_unit_pivots_as_it_is(monkeypatch):
+    """Random Hermite bases whose pivots are all 1 (so every entry above a
+    pivot is 0) are saturated: `saturate` returns each as it is, with no
+    Smith form, equal to the two-kernel reference."""
+    rng = random.Random(34)
+    calls = []
+    monkeypatch.setattr(intlinalg, "snf", lambda a: calls.append(a))
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        pivots = sorted(rng.sample(range(n), rng.randint(1, n)))
+        rows = [
+            [1 if j == c else 0 if j < c or j in pivots else rng.randint(-5, 5) for j in range(n)]
+            for c in pivots
+        ]
+        h = M(rows)
+        assert hnf_basis(h) is h
+        assert saturate(h) is h
+        assert h == reference_saturate(h)
+    assert calls == []
 
 
 def test_hnf_basis_returns_a_hermite_basis_as_it_is():

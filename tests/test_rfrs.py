@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfrskit import rfrs, subgroups
+from rfrskit import intlinalg, rfrs, subgroups
 from rfrskit.cli import main
-from rfrskit.intlinalg import IntMatrix, hnf_basis, lattice_member, left_kernel
+from rfrskit.intlinalg import IntMatrix, det, hnf_basis, lattice_member, left_kernel
 from rfrskit.pcgroups import (
     PcPresentation,
     abelianization,
+    build_standard,
     direct_product,
     free_abelian,
     heisenberg,
@@ -40,7 +41,9 @@ from rfrskit.subgroups import (
     subgroup_closure,
     _InducedBasis,
 )
-from test_subgroups import CENSUS_CASES, isolator, map_into_ambient
+from test_cli import HH_CHAIN, HH_SUB
+from test_intlinalg import reference_saturate
+from test_subgroups import CENSUS_CASES, CENTER_CASES, INTERLEAVED_TABLES, isolator, map_into_ambient
 
 H = heisenberg()
 X, Y, Z = H.generator(0), H.generator(1), H.generator(2)
@@ -764,3 +767,221 @@ def test_restrict_ambient_mismatch():
     f = heisenberg_chain()
     with pytest.raises(ValueError):
         restrict_chain(f, Subgroup.whole_group(free_abelian(3)))
+
+
+# Q2(P4), the class-2 quotient of the path graph group on four vertices
+Q2P4 = presentation_from_text("7 2\n1 3 : 0 1 0 0\n1 4 : 0 1 0\n2 4 : 0 0 1\n")
+
+RESTRICT_GROUPS = {
+    "heisenberg": H,
+    "HxZ": direct_product(H, free_abelian(1)),
+    # the central coordinate comes first
+    "ZxH": direct_product(free_abelian(1), H),
+    "HxH": direct_product(H, H),
+    "Q2(P4)": Q2P4,
+    **{f"random-{k}": p for k, p in enumerate(_random_class2_tables(29, 2))},
+    "free_abelian(3)": free_abelian(3),
+}
+
+
+def _random_full_rank_closure(p, rng):
+    rows = [
+        [rng.choice([1, 1, 2, 3]) if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(p.n)]
+        for i in range(p.n)
+    ]
+    return subgroup_closure(p, rows)
+
+
+def _random_meet_chain(p, rng):
+    """1-4 running meets of random full-rank closures, repeats dropped."""
+    while True:
+        terms = [Subgroup.whole_group(p)]
+        for _ in range(rng.randint(1, 4)):
+            meet = terms[-1].intersect(_random_full_rank_closure(p, rng))
+            if meet != terms[-1]:
+                terms.append(meet)
+        if len(terms) > 1:
+            return Filtration.from_subgroups(p, terms)
+
+
+def _random_nontrivial_closure(p, rng):
+    """The closure of p.n random vectors (most often full rank) or of fewer
+    (infinite index)."""
+    while True:
+        k = p.n if rng.random() < 0.6 else rng.randint(1, p.n - 1)
+        h = subgroup_closure(p, [[rng.randint(-2, 2) for _ in range(p.n)] for _ in range(k)])
+        if h.rank():
+            return h
+
+
+def _restriction_reference(f, h):
+    """The terms and steps of the restriction of f to h, in G's coordinates,
+    with nothing from `rfrs._steps`: terms by `_intersect_by_kernel`,
+    indices by Gram determinants ([h : k]^2 = det(K K^T) / det(B B^T)),
+    normality by conjugating each Hermite row of a term by each Hermite row
+    of h and its inverse, and kernels by `_intersect_by_kernel` with the
+    two-kernel saturation of the commutators of h's Hermite rows."""
+    p = h.ambient
+    terms = []
+    for t in f.chain:
+        inter = _intersect_by_kernel(t, h)
+        if not terms or terms[-1] != inter:
+            terms.append(inter)
+    rows = h.basis_elements()
+    comms = [c for i, a in enumerate(rows) for b in rows[i + 1 :] if any(c := p.commutator(b, a))]
+    v_h = Subgroup(p, reference_saturate(IntMatrix.from_rows(comms))) if comms else None
+
+    def gram(s):
+        return det(s.basis @ s.basis.transpose())
+
+    steps = []
+    for prev, nxt in zip(terms, terms[1:]):
+        square, rem = divmod(gram(nxt), gram(h))
+        index = math.isqrt(square)
+        assert not rem and index * index == square
+        normal = all(
+            nxt.contains(p.conjugate(k, g))
+            for k in nxt.basis_elements() for b in rows for g in (b, p.inverse(b))
+        )
+        kernel = v_h is None or nxt.contains_subgroup(_intersect_by_kernel(prev, v_h))
+        steps.append(rfrs.RfrsStep(index, normal, kernel))
+    return terms, tuple(steps)
+
+
+def test_restriction_steps_match_the_induced_presentation_route():
+    """The command's restriction check, in G's coordinates, against
+    `verify_rfrs_chain(restrict_chain(f, h))` on H's induced presentation:
+    steps, overall, restricted length and rank, on 1200 seeded cases over
+    eight groups, where a passing chain must restrict to a passing one, with chains of 1-4 meets of random full-rank closures and
+    H a random closure of finite or infinite index.  The inputs that
+    `restrict_chain` refuses (an induced table off the class-2 scan on
+    H x H, or a term that is no lattice on H's basis) and every tenth other
+    one go to `_restriction_reference`."""
+    rng = random.Random(34)
+    seen = set()
+    cases = refused = 0
+    for name, p in RESTRICT_GROUPS.items():
+        for i in range(150):
+            f, h = _random_meet_chain(p, rng), _random_nontrivial_closure(p, rng)
+            terms, steps = rfrs._restriction(f, h)
+            cases += 1
+            # the inheritance property: a passing chain restricts to a passing one
+            assert all(s.passed for s in steps) or not verify_rfrs_chain(f).overall
+            seen.add("infinite index" if not h.is_full_rank() else "finite index")
+            seen.add("passes" if all(s.passed for s in steps) else "fails")
+            if not all(s.normal_in_g for s in steps):
+                seen.add("not normal")
+            try:
+                g = restrict_chain(f, h)
+            except ValueError:
+                refused += 1
+                seen.add(f"refused on {name}")
+                assert _restriction_reference(f, h) == (terms, steps), name
+                continue
+            rep = verify_rfrs_chain(g)
+            assert rep.steps == steps, name
+            assert rep.overall == all(s.passed for s in steps)
+            assert len(g.chain) == len(terms)
+            assert g.ambient.n == h.rank() == rep.intersection.rank() == terms[-1].rank()
+            if i % 10 == 0:
+                assert _restriction_reference(f, h) == (terms, steps), name
+    assert cases >= 1000 and 0 < refused < 20
+    assert {"infinite index", "finite index", "passes", "fails", "not normal", "refused on HxH"} <= seen
+
+
+def test_restrict_chain_refuses_a_term_that_is_no_lattice_on_the_subgroup_basis(tmp_path, capsys):
+    """Coordinates on H's Hermite basis are ordered products: on heisenberg,
+    G_1 meet H has index 9 in H (coset enumeration), but its closure on
+    H's basis has index 3.  `restrict_chain` refuses the restriction, and
+    `rfrs-restrict`, which checks it in G's coordinates, reports index 9,
+    not normal, kernel not contained."""
+    g1 = Subgroup(H, IntMatrix.from_rows([[1, 0, 2], [0, 3, 2], [0, 0, 3]]))
+    h = Subgroup(H, IntMatrix.from_rows([[1, 1, 0], [0, 2, 0], [0, 0, 1]]))
+    assert subgroup_closure(H, g1.basis_elements()) == g1 and subgroup_closure(H, h.basis_elements()) == h
+    f = Filtration.from_subgroups(H, [Subgroup.whole_group(H), g1])
+    meet = g1.intersect(h)
+
+    def same_coset(u, v):
+        return meet.contains(H.multiply(H.inverse(u), v))
+
+    reps, frontier = [H.identity()], [H.identity()]
+    gens = h.basis_elements()
+    while frontier:
+        cur = frontier.pop()
+        for g in gens + [H.inverse(g) for g in gens]:
+            w = H.multiply(cur, g)
+            if not any(same_coset(w, r) for r in reps):
+                reps.append(w)
+                frontier.append(w)
+    assert len(reps) == 9
+    with pytest.raises(ValueError, match="restricted term 1 is not a lattice"):
+        restrict_chain(f, h)
+    steps = (rfrs.RfrsStep(9, False, False),)
+    assert rfrs._restriction(f, h) == ([h, meet], steps) == _restriction_reference(f, h)
+    (tmp_path / "chain.txt").write_text("1 0 0\n0 1 0\n0 0 1\n\n1 0 2\n0 3 2\n0 0 3\n")
+    (tmp_path / "sub.txt").write_text("1 1 0\n0 2 0\n0 0 1\n")
+    args = ["rfrs-restrict", "--group", "heisenberg", "--chain", str(tmp_path / "chain.txt"),
+            "--restrict-to", str(tmp_path / "sub.txt"), "--json"]
+    assert main(args) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["steps"] == [{"index": 9, "normal": False, "kernel_contained": False}]
+
+
+# --------------------------------------------------------- V and the witness
+
+
+def _class2_test_groups():
+    """The nonabelian groups of these tests and of test_subgroups that pass
+    the class-2 scan, each once."""
+    groups = [*RESTRICT_GROUPS.values(), *_MEET_GROUPS, *_random_class2_tables(13, 6)]
+    groups += [p for p, _ in CENSUS_CASES.values()] + [p for p, _ in INTERLEAVED_TABLES] + CENTER_CASES
+    groups += [direct_product(H, free_abelian(1)), presentation_from_text("4 2\n1 3 : 2\n")]
+    return [p for p in dict.fromkeys(groups) if p._class2 and not p.is_abelian()]
+
+
+def test_torsion_lattice_is_central_and_its_first_row_is_the_witness():
+    """V lies in the centre, so Z(G) meet V is V: every row of V commutes
+    with every generator, and its first row is `center_ab_report`'s
+    witness, which `trapped_central_witness` and `obstruction_certificate`
+    return."""
+    groups = _class2_test_groups()
+    assert len(groups) > 60
+    for p in groups:
+        v = p._torsion_lattice
+        gens = [p.generator(k) for k in range(p.n)]
+        assert all(not any(p.commutator(v.row(i), g)) for i in range(v.rows) for g in gens)
+        z = v.row(0)
+        assert z == center_ab_report(p).kernel_witness
+        whole = Subgroup.whole_group(p)
+        assert trapped_central_witness(verify_rfrs_chain(Filtration(p, (whole,)))) == z
+        assert obstruction_certificate(p, 1).witness == z
+
+
+@pytest.mark.parametrize("spec", ["heisenberg", "direct_product(heisenberg,free_abelian(1))",
+                                  "ut(3)", "ut(4)", "ut(5)", "ut(6)", "ut(7)"])
+def test_torsion_lattice_with_unit_pivots_takes_no_smith_form(spec, monkeypatch):
+    """The rule values of these groups span a lattice whose Hermite pivots
+    are all 1, so V is that Hermite basis after one echelon scan."""
+    calls = []
+    real = intlinalg.snf
+    monkeypatch.setattr(intlinalg, "snf", lambda a: calls.append(a) or real(a))
+    p = build_standard(spec)
+    v = p._torsion_lattice
+    assert calls == [] and v == reference_saturate(IntMatrix.from_rows(list(p.rules.values())))
+
+
+def test_restriction_where_the_induced_table_is_off_the_class2_scan():
+    """The `hh-restrict` console case: H has index 80 in H x H, and its
+    Hermite basis presents it with [b1, b0] = b2^-2 b3 b5^-13, off the
+    class-2 scan, so `restrict_chain` refuses it.  The check in G's
+    coordinates answers, as the reference does."""
+    p = direct_product(H, H)
+    f = Filtration.from_subgroups(p, subgroups.chain_from_text(p, HH_CHAIN))
+    h = subgroup_closure(p, [list(map(int, line.split())) for line in HH_SUB.splitlines()])
+    assert h.index() == 80
+    assert induced_presentation(h).rules[(0, 1)] == (0, 0, -2, 1, 0, -13)
+    with pytest.raises(ValueError, match="supports nilpotency class <= 2 only"):
+        restrict_chain(f, h)
+    terms, steps = rfrs._restriction(f, h)
+    assert (terms, steps) == _restriction_reference(f, h)
+    assert len(terms) == 2 and steps == (rfrs.RfrsStep(2, True, True),)
