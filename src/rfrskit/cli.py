@@ -38,6 +38,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import ResourceLimitExceeded
+from .intlinalg import _decimal
 from .pcgroups import (
     PcPresentation,
     abelianization,
@@ -103,7 +104,8 @@ def _read_input(spec: str, kind: str, parse):
 
 def _load_group(spec: str) -> PcPresentation:
     """A presentation file if spec names one, else a builder name."""
-    if Path(spec).exists():
+    # os.path.exists is False, where Path.exists raises, on a name too long for a file
+    if os.path.exists(spec):
         return _read_input(spec, "presentation", presentation_from_text)
     return build_standard(spec)
 
@@ -135,14 +137,14 @@ def _load_subgroup(p: PcPresentation, spec: str) -> Subgroup:
 def _dumps(x, indent: str = "\n") -> str:
     """json.dumps(x, indent=2), byte for byte, for dicts with string keys,
     lists, tuples and JSON scalars; `indent` is the newline and indentation
-    that precede x's closing bracket.  Exact ints take int.__repr__, as
-    json's encoder does, and true, false and null are written here; a
-    callable writes its own value, as x(indent); other non-string scalars
-    go to json.dumps."""
+    that precede x's closing bracket.  Exact ints take `_decimal`, which
+    writes what json's encoder does and is not stopped by the int-to-str
+    digit limit; true, false and null are written here; a callable writes
+    its own value, as x(indent); other non-string scalars go to json.dumps."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if type(x) is int:
-        return int.__repr__(x)
+        return _decimal(x)
     if x is True:
         return "true"
     if x is False:
@@ -165,25 +167,9 @@ def _dumps(x, indent: str = "\n") -> str:
     return json.dumps(x)
 
 
-# `_decimal` writes 600 digits per str call: fewer than 640, the least
-# int-to-str digit limit that sys.set_int_max_str_digits accepts.
-_DECIMAL_DIGITS = 600
-_DECIMAL_CHUNK = 10**_DECIMAL_DIGITS
-
-
-def _decimal(n: int) -> str:
-    """The decimal digits of n, as str(n) writes them, at any size: the
-    interpreter refuses str on an int past its digit limit (4300 by
-    default), so n is written in chunks below any limit, and the limit
-    stays as it is for the rest of the process."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    chunks = []
-    while n >= _DECIMAL_CHUNK:
-        n, r = divmod(n, _DECIMAL_CHUNK)
-        chunks.append(f"{r:0{_DECIMAL_DIGITS}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
+def _int_list(v) -> str:
+    """str(list(v)) for a vector v of ints of any size."""
+    return "[" + ", ".join(map(_decimal, v)) + "]"
 
 
 def _series_terms(pairs: list[tuple[tuple[int, ...], int]], indent: str) -> str:
@@ -265,7 +251,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         f"center rank: {rep.center_rank}",
         f"abelianization: {quot.structure.describe()}",
         f"center-to-abelianization injective: {rep.injective}",
-        f"witness: {report['witness']}",
+        f"witness: {_int_list(rep.kernel_witness) if rep.kernel_witness else None}",
     ], cfg)
     return 0
 
@@ -280,11 +266,12 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
         out = [f"chain of length {len(f.chain)} on {cfg.group}"]
         for k, s in enumerate(rep.steps):
             out.append(
-                f"step {k}: index {s.index}, normal {s.normal_in_g}, kernel contained {s.kernel_contained}"
+                f"step {k}: index {_decimal(s.index)}, normal {s.normal_in_g}, "
+                f"kernel contained {s.kernel_contained}"
             )
         out.append(f"overall: {rep.overall}")
         if witness is not None:
-            out.append(f"trapped central witness: {list(witness)}")
+            out.append(f"trapped central witness: {_int_list(witness)}")
         return out
 
     _emit(report, lines, cfg)
@@ -314,7 +301,7 @@ def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
     )
     _emit(report, lambda: [
         f"obstruction certificate for {cfg.group} at index bound {cert.index_bound}",
-        f"witness: {list(cert.witness)}",
+        f"witness: {_int_list(cert.witness)}",
         f"normal subgroups checked: {cert.checked_subgroups}",
         f"all_pass: {cert.all_pass}",
         cert.depth_note,

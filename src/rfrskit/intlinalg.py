@@ -32,6 +32,10 @@ column step stays written out: routing it through `_gcd_step`, as a row
 pass over the transposed block with V kept transposed, gave the same
 bytes but read 5-13 % slower on the benchmark's `matrices_graphs` wall
 time (Python 3.11, 2-core Xeon).
+
+`_decimal` writes an integer of any size in decimal, for the reports of
+`describe`, the graph-group normal forms and the command line: the
+interpreter refuses str on an int past its digit limit.
 """
 
 from __future__ import annotations
@@ -58,6 +62,31 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
+
+
+# `_decimal` writes 600 digits per str call: fewer than 640, the least
+# int-to-str digit limit that sys.set_int_max_str_digits accepts.
+_DECIMAL_DIGITS = 600
+_DECIMAL_CHUNK = 10**_DECIMAL_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, as str(n) writes them, at any size: the
+    interpreter refuses str on an int past its digit limit (4300 by
+    default), so n is written in chunks below any limit, and the limit
+    stays as it is for the rest of the process.  An n within the limit
+    takes str in one call."""
+    try:
+        return str(n)
+    except ValueError:  # n is past the digit limit
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _DECIMAL_CHUNK:
+        n, r = divmod(n, _DECIMAL_CHUNK)
+        chunks.append(f"{r:0{_DECIMAL_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
 
 
 @dataclass(frozen=True)
@@ -492,7 +521,7 @@ class AbelianGroupStructure:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts += [f"Z/{d}" for d in self.invariant_factors]
+        parts += [f"Z/{_decimal(d)}" for d in self.invariant_factors]
         return " x ".join(parts) if parts else "1"
 
 

@@ -496,9 +496,18 @@ def direct_product(p: PcPresentation, q: PcPresentation) -> PcPresentation:
     return PcPresentation(n, rules)
 
 
+# The most parenthesised calls, each one '(', that a builder name may
+# hold.  `build_standard` recurses once per direct_product level: a
+# product of 101 heisenbergs takes 0.2 s to build, and one of 1001 would
+# pass the interpreter's recursion limit.
+_BUILDER_CALLS = 100
+
+
 def build_standard(name: str) -> PcPresentation:
     """Builders by name: heisenberg, ut(n), free_abelian(n), direct_product(a,b)."""
     name = name.strip()
+    if name.count("(") > _BUILDER_CALLS:
+        raise ValueError(f"builder name has more than {_BUILDER_CALLS} parenthesised calls")
     if name == "heisenberg":
         return heisenberg()
     for prefix, fn in (("ut", unitriangular), ("free_abelian", free_abelian)):

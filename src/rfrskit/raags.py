@@ -38,6 +38,7 @@ from functools import cached_property
 from math import comb
 
 from .errors import ResourceLimitExceeded
+from .intlinalg import _decimal
 
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -159,7 +160,7 @@ class RaagWord:
             return "1"
         vertices = {v for v, _ in self.letters}
         name = dict(zip(vertices, _vertex_names(vertices)))
-        return ",".join([name[v] if e == 1 else f"{name[v]}^{e}" for v, e in self.letters])
+        return ",".join([name[v] if e == 1 else f"{name[v]}^{_decimal(e)}" for v, e in self.letters])
 
 
 # -------------------------------------------------------------- normal form

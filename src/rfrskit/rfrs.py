@@ -5,13 +5,10 @@ A chain T = T_0 > T_1 > ... of finite-index subgroups of a group T
 satisfies the step conditions when each term is normal in T and contains
 the kernel of the previous term's rational abelianization map.  An
 element has torsion abelianization image precisely when some power of it
-is a product of commutators, so for T_i of finite index that kernel is
-T_i meet V_T, V_T the isolator of [T, T] (`subgroups.rational_kernel`
-proves [T_i, T_i] of finite index in [T, T]).  In class 2 [T, T] is
-spanned by the commutators of T's Hermite rows, so V_T is their
-saturation; for T = G it is V, the kernel of G -> G^ab tensor Q, one
-lattice per presentation, built once, and so it is for every T of finite
-index in G.
+is a product of commutators, so that kernel is `subgroups.rational_kernel`
+of the term: the term meet the saturation of its own commutators, which
+for a term of finite index in G is one meet with V, the kernel of
+G -> G^ab tensor Q, one lattice per presentation, built once.
 
 One private loop, `_steps`, checks such a chain in the ambient
 coordinates, with the top group T as a parameter: the whole group for
@@ -20,7 +17,8 @@ the terms G_i meet H without building H's induced presentation.  The
 index [T : T_i] is the ratio of the Hermite pivot products of T_i and T,
 which span the same rational space; T_i is normal in T when it holds
 [k, b] for the Hermite rows k of T_i and b of T, since commutators are
-bilinear in class 2; and the kernel step is one meet with V_T.
+bilinear in class 2; and the kernel step is `rational_kernel` of the
+previous term.
 
 The class-2 scan puts V on central generators, so Z(G) meet V is V, and
 the central witness z is V's first Hermite row.  For every finite-index
@@ -37,10 +35,9 @@ that traps the witness in every conditioned chain within the bound.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, lattice_member, saturate
+from .intlinalg import lattice_member
 from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
@@ -107,17 +104,17 @@ def _pivot_product(s: Subgroup) -> int:
     return math.prod(piv for _, piv, _ in s.basis._echelon)
 
 
-def _steps(top: Subgroup, kernel: Callable[[Subgroup], Subgroup], terms) -> tuple[RfrsStep, ...]:
+def _steps(top: Subgroup, terms) -> tuple[RfrsStep, ...]:
     """The step conditions of the descending chain `terms` of finite-index
-    subgroups of `top`, in the ambient coordinates; `kernel(t)` is the
-    rational kernel of a term t, t meet V_top.  For top = G, [k, b] over
-    the rows b of the identity is `Subgroup.is_normal`."""
+    subgroups of `top`, in the ambient coordinates, each term's kernel its
+    `rational_kernel`.  For top = G, [k, b] over the rows b of the
+    identity is `Subgroup.is_normal`."""
     p, tops, base = top.ambient, top.basis_elements(), _pivot_product(top)
     return tuple(
         RfrsStep(
             _pivot_product(nxt) // base,
             all(map(nxt.contains, _commutator_values(p, nxt.basis_elements(), tops))),
-            nxt.contains_subgroup(kernel(prev)),
+            nxt.contains_subgroup(rational_kernel(prev)),
         )
         for prev, nxt in zip(terms, terms[1:])
     )
@@ -125,7 +122,7 @@ def _steps(top: Subgroup, kernel: Callable[[Subgroup], Subgroup], terms) -> tupl
 
 def verify_rfrs_chain(f: Filtration) -> RfrsReport:
     """Check normality, finite index, and kernel containment per step."""
-    steps = _steps(f.chain[0], rational_kernel, f.chain)
+    steps = _steps(f.chain[0], f.chain)
     # a Filtration descends, so its last term is the meet of all of them
     return RfrsReport(f, steps, all(s.passed for s in steps), f.chain[-1])
 
@@ -223,19 +220,11 @@ def _restriction(f: Filtration, h: Subgroup) -> tuple[list[Subgroup], tuple[Rfrs
     """The terms of the restriction of f to h, in the ambient coordinates,
     and the steps that `verify_rfrs_chain(restrict_chain(f, h))` reports,
     checked without an induced presentation, for an ambient group that
-    passes the class-2 scan.  Each term has finite index in h, and V_h is
-    V when h has finite index in G, else the saturation of the
-    commutators of h's Hermite rows."""
-    p = h.ambient
+    passes the class-2 scan.  Each term K has finite index in h, so [K, K]
+    has finite index in [h, h] and `rational_kernel(K)` is K meet the
+    isolator of [h, h], as on h's own basis."""
     terms = _restricted_terms(f, h)
-    if h.is_full_rank():
-        v_h = p._torsion_lattice
-    else:
-        rows = h.basis_elements()
-        comms = [p.commutator(b, a) for i, a in enumerate(rows) for b in rows[i + 1 :]]
-        v_h = saturate(IntMatrix._from_int_rows(comms, p.n))
-    v_sub = Subgroup(p, v_h)
-    return terms, _steps(h, v_sub.intersect, terms)
+    return terms, _steps(h, terms)
 
 
 def restrict_chain(f: Filtration, h: Subgroup) -> Filtration:

@@ -4,14 +4,14 @@ rank, rational kernels, induced presentations, and normal-subgroup
 enumeration.
 
 `rational_kernel(s)` is the kernel of s -> s^ab tensor Q in ambient
-coordinates, for s of finite index: then [s, s] has finite index in
-[G, G], so the kernel is s meet V, V the kernel of G -> G^ab tensor Q,
+coordinates, for every s: s meet the saturation of [s, s].  For s of
+finite index that saturation is V, the kernel of G -> G^ab tensor Q,
 the integer vectors in the rational span of the rule values.  V is one
 lattice per presentation, built on first use, and `center_ab_report`
 reads its central witness off the centre's meet with V, with no Smith
-form.  Subgroups of infinite index are refused.  `Subgroup.intersect`
-returns the smaller operand when one lattice contains the other, and is
-otherwise one Hermite form of [[B1, B1], [B2, 0]] (Zassenhaus).
+form.  `Subgroup.intersect` returns the smaller operand when one lattice
+contains the other, and is otherwise one Hermite form of
+[[B1, B1], [B2, 0]] (Zassenhaus).
 
 For class <= 2 the Mal'cev coordinates of a normal or closure-generated
 subgroup form a sublattice of Z^n, so subgroups are stored as canonical
@@ -72,6 +72,7 @@ from .intlinalg import (
     lattice_index,
     lattice_member,
     left_kernel,
+    saturate,
     xgcd,
 )
 from .pcgroups import Element, PcPresentation
@@ -517,23 +518,25 @@ def center(p: PcPresentation) -> Subgroup:
 
 def rational_kernel(s: Subgroup) -> Subgroup:
     """ker(s -> s^ab tensor Q) in ambient coordinates: the elements of s
-    with a power in [s, s], for s of finite index (class <= 2).
+    with a power in [s, s], for any s (class <= 2).
 
-    Let V be the kernel of G -> G^ab tensor Q, the integer vectors in the
-    rational span of the rule values, built once per presentation.  For s
-    of finite index m, [s, s] has finite index in [G, G]: every u in G
-    has a power u^e in s with 1 <= e <= m (two of the cosets s u^i,
-    i = 0..m, agree), and commutators are bilinear in class 2, so
-    [u, v]^(e f) = [u^e, v^f] lies in [s, s].  So u in s has a power in
-    [s, s] exactly when it has one in [G, G], and the kernel is s meet V.
-    For s of infinite index the kernel can be smaller (<z> has a trivial
-    kernel, though z lies in V), so such s are refused.
+    [s, s] is central and commutators are bilinear in class 2, so [s, s]
+    is the Z-span of the commutators of s's Hermite rows.  If u in s has
+    u^e in [s, s], e >= 1, then the noncentral coordinates of u^e, e
+    times u's, vanish, so u is central and u^e = e u: the kernel is s
+    meet the saturation of that span.  For s of finite index m, [s, s] has finite
+    index in [G, G]: every u in G has a power u^e in s with 1 <= e <= m
+    (two of the cosets s u^i, i = 0..m, agree), and [u, v]^(e f) =
+    [u^e, v^f].  So the saturation is V, the kernel of G -> G^ab tensor
+    Q, built once per presentation, and the kernel is one meet with V.
     """
     p = s.ambient
     _require_class2(p, "rational kernels")
-    if not s.is_full_rank():
-        raise ValueError("rational kernels need a finite-index subgroup")
-    return s.intersect(Subgroup(p, p._torsion_lattice))
+    if s.is_full_rank():
+        return s.intersect(Subgroup(p, p._torsion_lattice))
+    rows = s.basis_elements()
+    comms = IntMatrix._from_int_rows(_commutator_values(p, rows, rows), p.n)
+    return s.intersect(Subgroup(p, saturate(comms)))
 
 
 # --------------------------------------------------------- center/ab report

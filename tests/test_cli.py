@@ -232,6 +232,63 @@ def test_raag_magnus_writes_coefficients_past_the_int_to_str_digit_limit(tmp_pat
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def read_report(text):
+    """A JSON report, its ints read by `_int_of_decimal`, so that they may
+    pass the interpreter's str-to-int digit limit."""
+    return json.loads(text, parse_int=_int_of_decimal)
+
+
+# Coprime, so Z/A x Z/B is Z/AB, of 4401 digits.
+BIG_A, BIG_B = 10**2200 + 1, 10**2200 + 3
+BIG_FACTORS = f"5 2\n1 2 : 0 {BIG_A} 0\n1 3 : 0 {BIG_B}\n"
+NINES = "9" * 4300
+
+
+def test_reports_write_integers_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    """Every report writes its integers exactly at any size, in text and in
+    JSON: an invariant factor of 4401 digits, a witness entry of 4401
+    digits (V's first Hermite row reduced by a pivot 2 row holding
+    10^2200 + 1), a chain index of 4401 digits, and a normal-form exponent
+    of 4301 digits.  The process-wide limit is left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    k = 10**2200
+    files = {
+        "factors.txt": BIG_FACTORS,
+        "witness.txt": f"6 2\n1 2 : 0 1 {2 * k} 0\n1 3 : 0 2 {k + 1}\n",
+        "chain.txt": f"1 0 0\n0 1 0\n0 0 1\n\n{BIG_A} 0 0\n0 {BIG_B} 0\n0 0 1\n",
+        "two.txt": "2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = {name: str(tmp_path / name) for name in files}
+
+    def report(*argv):
+        assert main([*argv, "--json"]) == 0
+        json_report = read_report(capsys.readouterr().out)
+        assert main(list(argv)) == 0
+        return json_report, capsys.readouterr().out.splitlines()
+
+    rep, lines = report("analyze", "--group", path["factors.txt"])
+    assert rep["abelianization"] == {"free_rank": 3, "invariant_factors": [BIG_A * BIG_B]}
+    head, tail = lines[5].split(" x Z/")
+    assert head == "abelianization: Z^3" and _int_of_decimal(tail) == BIG_A * BIG_B
+    witness = [0, 0, 0, 1, 0, -k * (k + 1)]
+    rep, lines = report("analyze", "--group", path["witness.txt"])
+    assert rep["witness"] == witness
+    assert read_report(lines[-1].removeprefix("witness: ")) == witness
+    rep, lines = report("rfrs-obstruct", "--group", path["witness.txt"], "--max-index", "2")
+    assert rep["witness"] == witness
+    assert read_report(lines[1].removeprefix("witness: ")) == witness
+    rep, lines = report("rfrs-verify", "--group", "heisenberg", "--chain", path["chain.txt"])
+    assert rep["steps"] == [{"index": BIG_A * BIG_B, "normal": True, "kernel_contained": True}]
+    index, rest = lines[1].removeprefix("step 0: index ").split(", ", 1)
+    assert _int_of_decimal(index) == BIG_A * BIG_B and rest == "normal True, kernel contained True"
+    rep, lines = report("raag-nf", "--graph", path["two.txt"], "--word", f"a^{NINES},a^{NINES}")
+    assert rep["normal_form"] == "a^1" + "9" * 4299 + "8"
+    assert lines == ["normal form: " + rep["normal_form"]]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_vertices_from_26_on_print_as_word_tokens(tmp_path, capsys):
     """raag-magnus names vertex 26 `v26`, as raag-nf does and as words are
     read, not by the character after `z`."""
@@ -855,12 +912,15 @@ CONSOLE_FILES = {
     "zero3.txt": "0 0 0\n",
     "hhchain.txt": HH_CHAIN,
     "hhsub.txt": HH_SUB,
+    "two.txt": "2\n",
+    "bigfactors.txt": BIG_FACTORS,
 }
 
 # The only list of the cases that the "Console script" step of
 # .github/workflows/tests.yml runs through the installed executable: argv,
 # exit code, and either a check on the JSON report or a text that standard
-# error must hold, with standard output empty.
+# error must hold, with standard output empty.  Reports are read by
+# `read_report`, which takes ints of any size.
 ZH = "direct_product(free_abelian(1),heisenberg)"
 NF_BLOCK = "a,b,c^2,d,d^-1,c^-2,b^-1,a^-1"
 CONSOLE_CASES = {
@@ -955,6 +1015,17 @@ CONSOLE_CASES = {
         lambda r: (r["overall"], r["steps"], r["restricted_length"], r["intersection_rank"])
         == (True, [{"index": 2, "normal": True, "kernel_contained": True}], 2, 6),
     ),
+    # too long for a file name: read as a builder name
+    "long-group": (["analyze", "--group", "x" * 300], 2, "unknown group builder"),
+    # the exponents merge into 2 (10^4300 - 1), past the int-to-str digit limit
+    "nf-digits": (
+        ["raag-nf", "--graph", "two.txt", "--word", f"a^{NINES},a^{NINES}", "--json"], 0,
+        lambda r: r["normal_form"] == "a^1" + "9" * 4299 + "8",
+    ),
+    "big-factors": (
+        ["analyze", "--group", "bigfactors.txt", "--json"], 0,
+        lambda r: r["abelianization"] == {"free_rank": 3, "invariant_factors": [BIG_A * BIG_B]},
+    ),
 }
 
 
@@ -976,4 +1047,4 @@ def test_console_script_cases(case, tmp_path, monkeypatch, capsys):
     if isinstance(check, str):
         assert check in err and not out
     else:
-        assert check(json.loads(out))
+        assert check(read_report(out))

@@ -122,6 +122,10 @@ REFUSALS = {
     "builder-one-factor": (
         lambda: rfrskit.build_standard("direct_product(heisenberg)"),
         "direct_product needs two arguments: 'direct_product(heisenberg)'"),
+    # the builder recurses once per level, and 1000 levels pass the recursion limit
+    "builder-nested-1000": (
+        lambda: rfrskit.build_standard("direct_product(" * 1000 + "heisenberg" + ",heisenberg)" * 1000),
+        "builder name has more than 100 parenthesised calls"),
     "free-abelian-0": (lambda: rfrskit.free_abelian(0), "free abelian rank must be positive"),
     "unitriangular-1": (
         lambda: rfrskit.unitriangular(1), "unitriangular groups need size at least 2"),
