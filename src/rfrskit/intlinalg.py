@@ -35,7 +35,8 @@ time (Python 3.11, 2-core Xeon).
 
 `_decimal` writes an integer of any size in decimal, for the reports of
 `describe`, the graph-group normal forms and the command line: the
-interpreter refuses str on an int past its digit limit.
+interpreter refuses str on an int past its digit limit.  `_from_decimal`
+reads one back for the file and word readers, past the limit too.
 """
 
 from __future__ import annotations
@@ -87,6 +88,25 @@ def _decimal(n: int) -> str:
         chunks.append(f"{r:0{_DECIMAL_DIGITS}d}")
     chunks.append(str(n))
     return sign + "".join(reversed(chunks))
+
+
+def _from_decimal(text: str) -> int:
+    """The int that text names, as int(text) reads it, at any size: the
+    interpreter refuses int on more digits than its limit, so plain signed
+    decimal digits past it are read in chunks, and any other text that
+    int refuses is refused with int's own message."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    value = 0
+    for i in range(0, len(digits), _DECIMAL_DIGITS):
+        chunk = digits[i:i + _DECIMAL_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if body[0] == "-" else value
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .intlinalg import AbelianQuotient, IntMatrix, saturate
+from .intlinalg import AbelianQuotient, IntMatrix, _from_decimal, saturate
 
 Element = tuple[int, ...]
 
@@ -570,7 +570,7 @@ def presentation_from_text(text: str) -> PcPresentation:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("first line must be 'n class'")
-    n, cls = int(head[0]), int(head[1])
+    n, cls = _from_decimal(head[0]), _from_decimal(head[1])
     rules: dict[tuple[int, int], tuple[int, ...]] = {}
     for ln in lines[1:]:
         if ":" not in ln:
@@ -579,12 +579,12 @@ def presentation_from_text(text: str) -> PcPresentation:
         parts = left.split()
         if len(parts) != 2:
             raise ValueError(f"bad rule line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _from_decimal(parts[0]), _from_decimal(parts[1])
         if not 1 <= i < j <= n:
             raise ValueError(f"bad generator pair ({i}, {j})")
         if (i - 1, j - 1) in rules:
             raise ValueError(f"repeated generator pair ({i}, {j})")
-        tail = [int(t) for t in right.split()]
+        tail = list(map(_from_decimal, right.split()))
         if len(tail) != n - j:
             raise ValueError(f"rule for pair ({i}, {j}) needs {n - j} exponents, got {len(tail)}")
         rules[(i - 1, j - 1)] = (0,) * j + tuple(tail)

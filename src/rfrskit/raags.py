@@ -9,6 +9,12 @@ lexicographically least reduced representative, syllables merged.  The
 piles are plain lists; unpiling reads each from the bottom through a
 head index, so nothing is removed from the front of a pile.
 
+`Graph` holds its vertex count and edges only; `commutes` reads them.
+`_noncommuters` builds the non-commuting relation over just the vertices
+a call reads (a word's distinct vertices, or the at most 4 of
+`rtfn_witness`) and refuses a vertex the graph lacks, so a word of length
+L on k vertices costs O(L*k + k^2) whatever the graph's vertex count.
+
 Generators also embed into the free partially-commutative power-series
 algebra by v -> 1 + X_v.  Truncating at a degree bound gives nilpotent
 quotients whose elements separate short nontrivial words, which is what
@@ -34,11 +40,10 @@ vertex once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
 
 from .errors import ResourceLimitExceeded
-from .intlinalg import _decimal
+from .intlinalg import _decimal, _from_decimal
 
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -83,18 +88,6 @@ class Graph:
 
     def commutes(self, u: int, v: int) -> bool:
         return u == v or (min(u, v), max(u, v)) in self.edges
-
-    @cached_property
-    def noncommuters(self) -> tuple[tuple[int, ...], ...]:
-        """noncommuters[v]: the other vertices v does not commute with."""
-        n = self.vertex_count
-        return tuple(tuple(u for u in range(n) if not self.commutes(u, v)) for v in range(n))
-
-    @cached_property
-    def blocking(self) -> tuple[tuple[bool, ...], ...]:
-        """blocking[v][u]: u does not commute with v."""
-        n = self.vertex_count
-        return tuple(tuple(not self.commutes(u, v) for u in range(n)) for v in range(n))
 
 
 @dataclass(frozen=True)
@@ -166,55 +159,68 @@ class RaagWord:
 # -------------------------------------------------------------- normal form
 
 
-def _vertex_out_of_range(g: Graph, w: RaagWord) -> ValueError:
-    """The refusal of a word whose vertex the graph does not have, for the
-    callers that meet it as an IndexError."""
-    v = next(v for v, _ in w.letters if v >= g.vertex_count)
-    return ValueError(f"word vertex {v} out of range for a graph on {g.vertex_count} vertices")
+def _noncommuters(g: Graph, letters) -> dict[int, set[int]]:
+    """Each distinct vertex of `letters`, in increasing order, mapped to
+    the set of those of them it does not commute with: k^2 `g.commutes`
+    calls for k vertices, whatever g's size.  Refuses the first letter
+    whose vertex g does not have."""
+    vertices = sorted({v for v, _ in letters})
+    if vertices and vertices[-1] >= g.vertex_count:
+        v = next(v for v, _ in letters if v >= g.vertex_count)
+        raise ValueError(f"word vertex {v} out of range for a graph on {g.vertex_count} vertices")
+    return {v: {u for u in vertices if not g.commutes(u, v)} for v in vertices}
 
 
 def normal_form(g: Graph, w: RaagWord) -> RaagWord:
     """Lexicographically least reduced representative; empty iff trivial.
 
-    Each vertex's pile holds syllable exponents and 0 markers, one marker
-    per syllable of a vertex that does not commute with it.  A syllable
-    adds to the top of its pile when that top is a syllable (nothing
-    blocking came since), and a sum of 0 leaves with its markers.  The
-    piles are then read from the bottom: each has a head index, and the
-    least vertex whose head is a syllable goes out next, stepping its
-    own head and the heads of its noncommuters past their markers."""
-    n = g.vertex_count
-    piles: list[list[int]] = [[] for _ in range(n)]
-    noncomm = g.noncommuters
-    try:
-        for v, e in w.letters:
-            pile = piles[v]
-            if pile and pile[-1]:
-                pile[-1] += e
-                if pile[-1]:
-                    continue
-                pile.pop()
-                for u in noncomm[v]:
-                    piles[u].pop()
-            else:
-                pile.append(e)
-                for u in noncomm[v]:
-                    piles[u].append(0)
-    except IndexError:
-        raise _vertex_out_of_range(g, w) from None
-    heads = [0] * n
-    out = []
-    v = 0
-    while v < n:
-        pile, h = piles[v], heads[v]
-        if h < len(pile) and pile[h]:
-            out.append((v, pile[h]))
-            heads[v] = h + 1
-            for u in noncomm[v]:
-                heads[u] += 1
-            v = 0
+    Each of the word's vertices has a pile of syllable exponents and 0
+    markers, one per syllable of a vertex that does not commute with it,
+    between a 0 at the bottom and, once piled, one on top.  A syllable
+    adds to its pile's top when that is a syllable (nothing blocking came
+    since), and a sum of 0 leaves with its markers.  The piles are read
+    from the bottom through head indices: the least vertex whose head is
+    a syllable goes out, stepping its own head and its noncommuters'
+    heads past their markers, and the scan goes back to the least of
+    these, the only vertices that can have become ready."""
+    noncomm = _noncommuters(g, w.letters)
+    piles = {v: [0] for v in noncomm}
+    cells = {v: (piles[v], [piles[u] for u in us]) for v, us in noncomm.items()}
+    for v, e in w.letters:
+        pile, others = cells[v]
+        top = pile[-1]
+        if top:
+            e += top
+            if e:
+                pile[-1] = e
+                continue
+            pile.pop()
+            for other in others:
+                other.pop()
         else:
-            v += 1
+            pile.append(e)
+            for other in others:
+                other.append(0)
+    order = list(noncomm)
+    at = {v: i for i, v in enumerate(order)}
+    stacks = [piles[v] for v in order]
+    for pile in stacks:
+        pile.append(0)
+    blocked = [[at[u] for u in noncomm[v]] for v in order]
+    rescan = [min([i, *js]) for i, js in enumerate(blocked)]
+    heads = [1] * len(order)
+    out = []
+    i = 0
+    while i < len(order):
+        pile, h = stacks[i], heads[i]
+        if pile[h]:
+            out.append((order[i], pile[h]))
+            heads[i] = h + 1
+            for j in blocked[i]:
+                heads[j] += 1
+            i = rescan[i]
+        else:
+            i += 1
     return RaagWord(tuple(out))
 
 
@@ -254,7 +260,7 @@ def _letter_terms(e: int, d: int) -> int:
 
 
 def _times_letter(
-    blocks: tuple[tuple[bool, ...], ...], s: TruncatedSeries, v: int, e: int
+    noncomm: dict[int, set[int]], s: TruncatedSeries, v: int, e: int
 ) -> TruncatedSeries:
     """s times the image of v^e, the binomial series of (1 + X_v)^e.
     Every power v^k settles in a normal monomial m at one place p: just
@@ -266,14 +272,14 @@ def _times_letter(
         comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
         for k in range(1, _letter_terms(e, d))
     ]
-    row = blocks[v]
+    row = noncomm[v]
     out = dict(s.coefficients)
     for m, c in s.coefficients.items():
         n = len(m)
         if n >= d:
             continue
         p = n
-        while p and not row[m[p - 1]]:
+        while p and m[p - 1] not in row:
             p -= 1
         while p < n and m[p] < v:
             p += 1
@@ -292,11 +298,11 @@ def _times_letter(
 def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
     """Image of w under v -> 1 + X_v, truncated beyond degree d.
 
-    Raises ResourceLimitExceeded before a product that would form more
-    than MAX_TERM_PAIRS term pairs."""
+    Checks the word's vertices first, then raises ResourceLimitExceeded
+    before a product that would form more than MAX_TERM_PAIRS term pairs."""
     if d < 1:
         raise ValueError("degree bound must be at least 1")
-    blocks = g.blocking
+    noncomm = _noncommuters(g, w.letters)
     out = TruncatedSeries.one(d)
     for done, (v, e) in enumerate(w.letters):
         pairs = len(out.coefficients) * _letter_terms(e, d)
@@ -305,10 +311,7 @@ def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
                 f"series product of {pairs} term pairs exceeds the cap of {MAX_TERM_PAIRS} "
                 f"after {done} of {len(w.letters)} syllables at degree {d}"
             )
-        try:
-            out = _times_letter(blocks, out, v, e)
-        except IndexError:
-            raise _vertex_out_of_range(g, w) from None
+        out = _times_letter(noncomm, out, v, e)
     return out
 
 
@@ -328,17 +331,18 @@ class RtfnWitnessReport:
     failures: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _extends_normally(blocks: tuple[tuple[bool, ...], ...], units: list[tuple[int, int]],
+def _extends_normally(noncomm: dict[int, set[int]], units: list[tuple[int, int]],
                       letter: tuple[int, int]) -> bool:
     """Whether units + [letter] is a normal form, given that units is one:
     scanning back through the letters that commute with the new letter, it
     must meet neither a larger vertex (it belongs earlier) nor its inverse
     (the two cancel)."""
     v, eps = letter
+    row = noncomm[v]
     for u, f in reversed(units):
         if u == v:
             return f == eps
-        if blocks[v][u]:
+        if u in row:
             return True
         if u > v:
             return False
@@ -353,17 +357,17 @@ def rtfn_witness(g: Graph, max_len: int) -> RtfnWitnessReport:
             "separation witness is bounded to at most 4 vertices and length 6"
         )
     alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
-    blocks = g.blocking
+    noncomm = _noncommuters(g, alphabet)
     failures: list[tuple[tuple[int, int], ...]] = []
     checked = 0
 
     def extend(units: list[tuple[int, int]], series: TruncatedSeries) -> None:
         nonlocal checked
         for letter in alphabet:
-            if not _extends_normally(blocks, units, letter):
+            if not _extends_normally(noncomm, units, letter):
                 continue
             cand = units + [letter]
-            s2 = _times_letter(blocks, series, *letter)
+            s2 = _times_letter(noncomm, series, *letter)
             checked += 1
             if s2.is_one():
                 failures.append(tuple(cand))
@@ -393,13 +397,13 @@ def graph_from_text(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty graph file")
-    n = int(lines[0])
+    n = _from_decimal(lines[0])
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_from_decimal(parts[0]), _from_decimal(parts[1])))
     return Graph.build(n, edges)
 
 
@@ -411,14 +415,14 @@ def _word_letter(g: Graph, token: str) -> tuple[int, int]:
         return 0, 0
     name, caret, exp = token.partition("^")
     try:
-        e = int(exp) if caret else 1
+        e = _from_decimal(exp) if caret else 1
     except ValueError:
         raise ValueError(f"bad word token {token!r}") from None
     name = name.strip()
     if len(name) == 1 and name in _LETTER_NAMES:
         v = _LETTER_NAMES.index(name)
     elif name.startswith("v") and name[1:].isdigit():
-        v = int(name[1:])
+        v = _from_decimal(name[1:])
     else:
         raise ValueError(f"bad word token {token!r}")
     if not 0 <= v < g.vertex_count:

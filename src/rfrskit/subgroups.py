@@ -68,6 +68,7 @@ from dataclasses import dataclass
 from .errors import ResourceLimitExceeded
 from .intlinalg import (
     IntMatrix,
+    _from_decimal,
     hnf_basis,
     lattice_index,
     lattice_member,
@@ -597,7 +598,7 @@ def _row_blocks(text: str) -> list[list[tuple[int, ...]]]:
         if ln.startswith("#"):
             continue
         if ln:
-            blocks[-1].append(tuple(int(t) for t in ln.split()))
+            blocks[-1].append(tuple(map(_from_decimal, ln.split())))
         elif blocks[-1]:
             blocks.append([])
     return [b for b in blocks if b]

@@ -289,6 +289,36 @@ def test_reports_write_integers_past_the_int_to_str_digit_limit(tmp_path, capsys
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_readers_take_back_integers_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    """What a report writes, a reader takes back: the 4301-digit normal form
+    of the `nf-digits` case, given again as a word, is its own normal form;
+    a presentation file and a chain file with 4301-digit entries load.  The
+    process-wide limit is left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big, digits = 10**4300 + 1, "1" + "0" * 4299 + "1"
+    files = {
+        "two.txt": "2\n",
+        "big-rule.txt": f"3 2\n1 2 : {digits}\n",
+        "big-chain.txt": f"1 0 0\n0 1 0\n0 0 1\n\n{digits} 0 0\n0 1 0\n0 0 1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = {name: str(tmp_path / name) for name in files}
+    normal_form = "a^1" + "9" * 4299 + "8"
+    for word in (normal_form, f"a^{NINES},b,b^-1,a^{NINES}", f"a^-1,a^+1{NINES}"):
+        assert main(["raag-nf", "--graph", path["two.txt"], "--word", word, "--json"]) == 0
+        assert read_report(capsys.readouterr().out)["normal_form"] == normal_form
+    assert main(["analyze", "--group", path["big-rule.txt"], "--json"]) == 0
+    rep = read_report(capsys.readouterr().out)
+    assert rep["abelianization"] == {"free_rank": 2, "invariant_factors": [big]}
+    assert main(["rfrs-verify", "--group", "heisenberg", "--chain", path["big-chain.txt"], "--json"]) == 0
+    rep = read_report(capsys.readouterr().out)
+    assert rep["steps"] == [{"index": big, "normal": True, "kernel_contained": True}]
+    assert main(["raag-nf", "--graph", path["two.txt"], "--word", "v" + "1" * 4301]) == 2
+    assert capsys.readouterr().err.startswith("input error: vertex 'v111")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_vertices_from_26_on_print_as_word_tokens(tmp_path, capsys):
     """raag-magnus names vertex 26 `v26`, as raag-nf does and as words are
     read, not by the character after `z`."""
@@ -914,6 +944,8 @@ CONSOLE_FILES = {
     "hhsub.txt": HH_SUB,
     "two.txt": "2\n",
     "bigfactors.txt": BIG_FACTORS,
+    # an edgeless graph on 44,211 vertices
+    "big-graph.txt": "44211\n",
 }
 
 # The only list of the cases that the "Console script" step of
@@ -1021,6 +1053,16 @@ CONSOLE_CASES = {
     "nf-digits": (
         ["raag-nf", "--graph", "two.txt", "--word", f"a^{NINES},a^{NINES}", "--json"], 0,
         lambda r: r["normal_form"] == "a^1" + "9" * 4299 + "8",
+    ),
+    # a word on 3 of 44,211 vertices costs what it costs on a 3-vertex graph
+    "big-graph": (
+        ["raag-nf", "--graph", "big-graph.txt", "--word", "a,b,v44210,a^-1", "--json"], 0,
+        lambda r: (r["normal_form"], r["is_identity"]) == ("a,b,v44210,a^-1", False),
+    ),
+    "big-graph-magnus": (
+        ["raag-magnus", "--graph", "big-graph.txt", "--word", "a,b,v44210,a^-1", "--degree", "3", "--json"], 0,
+        lambda r: (len(r["terms"]), r["terms"][2], r["is_one"])
+        == (14, {"monomial": [44210], "coefficient": "1"}, False),
     ),
     "big-factors": (
         ["analyze", "--group", "bigfactors.txt", "--json"], 0,

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from rfrskit.intlinalg import (
     saturate,
     snf,
     xgcd,
+    _decimal,
+    _from_decimal,
     _gcd_step,
 )
 
@@ -39,6 +42,48 @@ def random_matrix(rng, max_dim=5, bound=9):
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
     return M([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+
+
+# ------------------------------------------------------- decimal integers
+
+
+def _int_or_message(text):
+    try:
+        return int(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _from_decimal_or_message(text):
+    try:
+        return _from_decimal(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_decimal_reads_what_int_reads_within_the_digit_limit():
+    """Below the limit the reader takes exactly what int takes, and refuses
+    the rest with int's own message."""
+    texts = ["0", "-0", "+12", " 7 ", "\t-3\n", "1_000", "007", "\u0663", "", " ", "+", "-",
+             "--1", "+-1", "1.5", "1e3", "0x10", "a", "1 2", "_1", "9" * 4300, "-" + "9" * 4300]
+    for text in texts:
+        assert _from_decimal_or_message(text) == _int_or_message(text), text
+
+
+def test_from_decimal_reads_plain_digits_past_the_digit_limit():
+    """Signed plain digits of any length read back what `_decimal` wrote,
+    and text that is not a number keeps int's refusal; the process-wide
+    limit is left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for n in (10**4300, 10**4300 + 1, -(10**5000) + 7, 3**20000):
+        text = _decimal(n)
+        assert len(text.lstrip("-")) > 4300
+        assert _from_decimal(text) == n
+        assert _from_decimal(f" {text}\n") == n
+    assert _from_decimal("+" + "1" * 4301) == (10**4301 - 1) // 9
+    for text in ("0x" + "1" * 4301, "1" * 4301 + "a", "--" + "1" * 4301):
+        assert _from_decimal_or_message(text) == _int_or_message(text), text[:10]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # ---------------------------------------------------------------- xgcd

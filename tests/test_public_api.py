@@ -117,6 +117,13 @@ REFUSALS = {
     "magnus-vertex-out-of-range": (
         lambda: rfrskit.magnus_image(PATH3, rfrskit.RaagWord.build([(0, 1), (3, 2)]), 2),
         "word vertex 3 out of range for a graph on 3 vertices"),
+    # the first vertex out of range in word order, not the largest
+    "nf-first-bad-vertex": (
+        lambda: rfrskit.normal_form(PATH3, rfrskit.RaagWord.build([(3, 1), (5, 1)])),
+        "word vertex 3 out of range for a graph on 3 vertices"),
+    "magnus-first-bad-vertex": (
+        lambda: rfrskit.magnus_image(PATH3, rfrskit.RaagWord.build([(3, 1), (5, 1)]), 2),
+        "word vertex 3 out of range for a graph on 3 vertices"),
     "builder-bad-argument": (
         lambda: rfrskit.build_standard("ut(x)"), "bad argument in builder name 'ut(x)'"),
     "builder-one-factor": (

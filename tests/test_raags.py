@@ -54,18 +54,20 @@ def test_graph_validation():
     assert len(g.edges) == 1
 
 
+def _noncommuter_table(g):
+    """table[v]: the vertices v does not commute with, read from
+    `g.commutes` alone, for the reference algorithms below."""
+    n = g.vertex_count
+    return [[u for u in range(n) if not g.commutes(u, v)] for v in range(n)]
+
+
 def test_noncommuter_cache_leaves_graph_values_alone():
-    """A normal form computes and keeps the non-commuter lists; equality,
-    hashing, repr and pickling still see only the vertex count and edges."""
+    """After a normal form, equality, hashing, repr and pickling still see
+    only the vertex count and edges."""
     for g in list(FOUR_VERTEX.values()) + [PATH3, FREE2, K2]:
         fresh = Graph(g.vertex_count, frozenset(g.edges))
         word = W((g.vertex_count - 1, 2), (0, -1), (g.vertex_count - 1, -1))
         nf = normal_form(g, word)
-        assert "noncommuters" in vars(g) and "noncommuters" not in vars(fresh)
-        assert g.noncommuters == tuple(
-            tuple(u for u in range(g.vertex_count) if u != v and not g.commutes(u, v))
-            for v in range(g.vertex_count)
-        )
         assert g == fresh and fresh == g
         assert hash(g) == hash(fresh)
         assert repr(g) == repr(fresh)
@@ -154,7 +156,7 @@ def _pile_units(g, units):
     every vertex that does not commute with v; unpiling takes the least
     vertex whose pile starts with a letter."""
     piles = [deque() for _ in range(g.vertex_count)]
-    noncomm = g.noncommuters
+    noncomm = _noncommuter_table(g)
     for v, eps in units:
         if piles[v] and piles[v][-1] == -eps:
             piles[v].pop()
@@ -203,7 +205,7 @@ def _deque_normal_form(g, w):
     """The piling normal form as it was first written: deques, unpiled by
     popleft from the least vertex whose pile starts with a syllable."""
     piles = [deque() for _ in range(g.vertex_count)]
-    noncomm = g.noncommuters
+    noncomm = _noncommuter_table(g)
     for v, e in w.letters:
         pile = piles[v]
         if pile and pile[-1]:
@@ -235,6 +237,49 @@ def test_normal_form_matches_deque_piling_on_long_words():
         exponents = (1, -1) if trial % 2 else (-3, -2, -1, 1, 2, 3)
         w = RaagWord.build((rng.randrange(n), rng.choice(exponents)) for _ in range(2000))
         assert normal_form(g, w) == _deque_normal_form(g, w), (g, trial)
+
+
+@pytest.mark.parametrize("shape", ["edgeless", "path"])
+def test_word_commands_read_only_the_words_vertices(shape, monkeypatch):
+    """On a graph of 44,211 vertices, a 5-letter word on k = 4 of them asks
+    `Graph.commutes` at most k^2 times in `normal_form` and in
+    `magnus_image`, and both return what they return on the word
+    relabelled, in order, onto the k-vertex graph its vertices span."""
+    big = getattr(Graph, shape)(44_211)
+    word = W((2, 1), (0, 1), (44_210, -1), (1, 2), (0, -1))
+    vertices = sorted({v for v, _ in word.letters})
+    k = len(vertices)
+    at = {v: i for i, v in enumerate(vertices)}
+    small = Graph.build(k, [(at[u], at[v]) for u, v in itertools.combinations(vertices, 2)
+                            if big.commutes(u, v)])
+    small_word = RaagWord.build((at[v], e) for v, e in word.letters)
+    nf = normal_form(small, small_word)
+    image = magnus_image(small, small_word, 3).coefficients
+    calls = 0
+    commutes = Graph.commutes
+
+    def spy(self, u, v):
+        nonlocal calls
+        calls += 1
+        return commutes(self, u, v)
+
+    monkeypatch.setattr(Graph, "commutes", spy)
+    assert normal_form(big, word) == RaagWord(tuple((vertices[v], e) for v, e in nf.letters))
+    assert calls <= k * k
+    calls = 0
+    assert magnus_image(big, word, 3).coefficients == {
+        tuple(vertices[v] for v in mono): c for mono, c in image.items()}
+    assert calls <= k * k
+
+
+def test_magnus_image_checks_vertices_before_the_term_pair_cap(monkeypatch):
+    """A word that would trip the cap and holds a vertex the graph lacks is
+    refused for the vertex."""
+    monkeypatch.setattr(raags, "MAX_TERM_PAIRS", 1)
+    with pytest.raises(ResourceLimitExceeded):
+        magnus_image(PATH3, W((0, 1), (2, 1)), 2)
+    with pytest.raises(ValueError, match="word vertex 3 out of range for a graph on 3 vertices"):
+        magnus_image(PATH3, W((0, 1), (3, 1)), 2)
 
 
 # ------------------------------------------------------------------ series
@@ -400,7 +445,7 @@ def test_times_letter_matches_series_products(data):
     v = data.draw(st.integers(0, g.vertex_count - 1))
     e = data.draw(st.integers(-7, 7).filter(bool))
     before = dict(s.coefficients)
-    product = _times_letter(g.blocking, s, v, e)
+    product = _times_letter(dict(enumerate(_noncommuter_table(g))), s, v, e)
     assert s.coefficients == before
     letter = _letter_series(v, e, d)
     assert product.degree_bound == d
@@ -431,7 +476,7 @@ def test_rtfn_witness_path3():
 def test_rtfn_extension_test_matches_piling(name):
     # every one-letter extension of every normal word of length <= 5
     g = FOUR_VERTEX[name]
-    blocks = g.blocking
+    noncomm = dict(enumerate(_noncommuter_table(g)))
     alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
     level = [[]]
     for length in range(6):
@@ -440,7 +485,7 @@ def test_rtfn_extension_test_matches_piling(name):
             for letter in alphabet:
                 cand = units + [letter]
                 normal = _pile_units(g, cand) == cand
-                assert _extends_normally(blocks, units, letter) == normal, (units, letter)
+                assert _extends_normally(noncomm, units, letter) == normal, (units, letter)
                 if normal and length < 5:
                     longer.append(cand)
         level = longer
