@@ -13,16 +13,22 @@ the determinant bounds; `hnf_basis` runs the same insertion without
 carrying the transform, and `left_kernel` reads the transform parts of
 the rows it sifts to zero.  The basis is a list indexed by pivot column,
 and both rows of a step vanish before its pivot column, so a step
-computes only the columns from there on.  `hnf_basis` returns a matrix
-that already is a Hermite basis as it is.  `AbelianQuotient` and
+computes only the columns from there on.  `AbelianQuotient` and
 `saturate` take the Smith form of the Hermite basis of their input
 rather than of the input itself, and `saturate` takes none when every
-pivot of that basis is 1.  `lattice_member` and `lattice_index`
-read the pivot rows of a lattice from `IntMatrix._echelon`: a basis in
-row echelon form as given, any other through its Hermite basis, found
-once and kept (a pure function of the entries, so two threads racing to
-fill the cache store equal values).  `hnf_basis` reads the same row
-echelon scan, `_echelon_rows`.
+pivot of that basis is 1.
+
+Each basis is scanned once.  `hnf_basis` scans its input with
+`_echelon_rows` and returns it as it is when it already is a Hermite
+basis; any other it builds by the insertion.  Either way the pivot rows
+it checked or built become `IntMatrix._echelon` of the matrix it
+returns, and `lattice_member`, `lattice_index` and
+`subgroups.Subgroup.basis_elements` read them there, with no second scan
+and no slicing.  A matrix that did not come from `hnf_basis` is scanned
+on its first such query: its rows are used as given when they are in row
+echelon form, else those of its Hermite basis, found once and kept (a
+pure function of the entries, so two threads racing to fill the cache
+store equal values).
 
 `hnf`, `left_kernel` and `snf` carry the transform in the rows of
 [a | I], and one unimodular two-row step, `_gcd_step`, clears an entry
@@ -186,9 +192,10 @@ class IntMatrix:
         """(pivot column, pivot entry, row) per pivot row of the row
         lattice: the rows as given when they are in row echelon form (no
         zero rows, pivot columns strictly increasing), else those of
-        `hnf_basis`.  Computed once: the matrix never changes."""
+        `hnf_basis`.  Computed once: the matrix never changes, and
+        `hnf_basis` fills it in on the matrix it returns."""
         rows = _echelon_rows(self)
-        return _echelon_rows(hnf_basis(self)) if rows is None else rows
+        return hnf_basis(self)._echelon if rows is None else rows
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -269,13 +276,13 @@ def _install(basis: list, j: int, row: list[int]) -> None:
             basis[i] = _reduce_at(basis, basis[i], later)
 
 
-def _hermite_rows(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
+def _hermite_rows(rows, n: int) -> tuple[list[tuple[int, list[int]]], list[list[int]]]:
     # Insert the rows one at a time into a Hermite basis kept fully
     # reduced (Kannan–Bachem), so intermediate entries stay near the size
     # of the answer.  Pivots are sought in the first n columns; any later
     # columns ride along.  `basis[j]` is the pivot row of column j, or
-    # None.  Returns the pivot rows in column order and the rows that
-    # sifted to zero there.
+    # None.  Returns the (pivot column, row) pairs in column order and the
+    # rows that sifted to zero there.
     basis: list = [None] * n
     kernel = []
     for row in rows:
@@ -294,7 +301,7 @@ def _hermite_rows(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
             if merged is not piv:
                 _install(basis, j, merged)
             j += 1
-    return [r for r in basis if r is not None], kernel
+    return [(j, r) for j, r in enumerate(basis) if r is not None], kernel
 
 
 def _with_identity(a: IntMatrix) -> list[list[int]]:
@@ -315,7 +322,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     m, n = a.rows, a.cols
     pivots, kernel = _hermite_rows(_with_identity(a), n)
-    rows = pivots + kernel
+    rows = [r for _, r in pivots] + kernel
     return (
         IntMatrix(m, n, tuple(x for r in rows for x in r[:n])),
         IntMatrix(m, m, tuple(x for r in rows for x in r[n:])),
@@ -327,12 +334,15 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
 
     A matrix whose rows already are one (row echelon form with positive
     pivots and the entries above each pivot in [0, pivot)) comes back as
-    it is; any other is built without the transform U."""
+    it is; any other is built without the transform U.  The pivot rows
+    found either way are kept as the returned matrix's `_echelon`."""
     rows = _echelon_rows(a)
-    if rows is not None and _is_hermite(rows):
-        return a
-    pivots, _ = _hermite_rows((list(a.row(i)) for i in range(a.rows)), a.cols)
-    return IntMatrix._from_int_rows(pivots, a.cols)
+    if rows is None or not _is_hermite(rows):
+        pivots, _ = _hermite_rows((list(a.row(i)) for i in range(a.rows)), a.cols)
+        rows = tuple((j, r[j], tuple(r)) for j, r in pivots)
+        a = IntMatrix._from_int_rows([r for _, _, r in rows], a.cols)
+    a.__dict__["_echelon"] = rows  # what `IntMatrix._echelon` would find
+    return a
 
 
 def left_kernel(a: IntMatrix) -> IntMatrix:

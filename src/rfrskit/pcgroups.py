@@ -98,6 +98,8 @@ class PcPresentation:
     # -------------------------------------------------------------- basics
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, PcPresentation) and self.n == other.n and self.rules == other.rules
 
     def __hash__(self) -> int:

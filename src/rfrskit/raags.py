@@ -407,6 +407,19 @@ def graph_from_text(text: str) -> Graph:
     return Graph.build(n, edges)
 
 
+# Tokens up to this length are echoed whole in a refusal.
+_ECHO_CHARS = 40
+
+
+def _echo(g: Graph, token: str) -> str:
+    """repr(token) for a refusal; past _ECHO_CHARS characters, its start,
+    its length and the graph's vertex count instead."""
+    if len(token) <= _ECHO_CHARS:
+        return repr(token)
+    count = _decimal(g.vertex_count)
+    return f"{token[:_ECHO_CHARS - 8]!r}... ({len(token)} characters; the graph has {count} vertices)"
+
+
 def _word_letter(g: Graph, token: str) -> tuple[int, int]:
     """The (vertex, exponent) of one token like 'a', 'a^-1', 'v12^2'; (0, 0),
     a letter that `RaagWord.build` drops, for a blank token."""
@@ -417,16 +430,16 @@ def _word_letter(g: Graph, token: str) -> tuple[int, int]:
     try:
         e = _from_decimal(exp) if caret else 1
     except ValueError:
-        raise ValueError(f"bad word token {token!r}") from None
+        raise ValueError(f"bad word token {_echo(g, token)}") from None
     name = name.strip()
     if len(name) == 1 and name in _LETTER_NAMES:
         v = _LETTER_NAMES.index(name)
     elif name.startswith("v") and name[1:].isdigit():
         v = _from_decimal(name[1:])
     else:
-        raise ValueError(f"bad word token {token!r}")
+        raise ValueError(f"bad word token {_echo(g, token)}")
     if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {name!r} out of range for this graph")
+        raise ValueError(f"vertex {_echo(g, name)} out of range for this graph")
     return v, e
 
 

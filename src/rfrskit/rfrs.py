@@ -62,7 +62,7 @@ class Filtration:
     def __post_init__(self) -> None:
         if not self.chain:
             raise ValueError("a filtration needs at least the whole group")
-        if self.chain[0] != Subgroup.whole_group(self.ambient):
+        if self.chain[0].ambient != self.ambient or self.chain[0].index() != 1:
             raise ValueError("chain must start with the whole group")
         for k, sub in enumerate(self.chain):
             if sub.ambient != self.ambient:

@@ -27,8 +27,11 @@ triangular basis.
 In class <= 2, u v = u + v + B(u, v) with B bilinear and central valued,
 read off the commutator table (`PcPresentation._beta`).  Two functions
 list what a lattice must hold: `_product_corrections` the values of B on
-its rows, for closed (`subgroup_closure` adds them to their span in one
-step, `Subgroup.from_lattice` accepts a lattice closure leaves as it is),
+its rows, for closed (`subgroup_closure` takes the Hermite basis of the
+generators' span and inserts only the values of B on its rows that the
+span lacks, so a block that already is a closed Hermite basis costs
+membership tests and no insertion; `Subgroup.from_lattice` accepts a
+lattice closure leaves as it is),
 and `_commutator_values` the [u, g] of its rows with the generators, in
 any class, for normal (`Subgroup.is_normal`) and central (`center`), or
 with the rows of a larger subgroup, for normal in it (the chain checks of
@@ -48,15 +51,17 @@ of the center walk.
 once the commutators of the slots sift to the identity, their ordered
 products form a subgroup, so inverses and products add nothing.  Lattice
 membership is `intlinalg.lattice_member`, which takes a Hermite basis as
-it is; the basis matrix finds its pivot rows once and keeps them, so a
-subgroup or census centre pays for them once however often it is asked.
+it is.  A subgroup's basis carries the pivot rows that `hnf_basis` found
+on construction, and `contains`, `index` and `basis_elements` read them;
+a census centre finds its pivot rows on its first test and keeps them.
 
 The normal-subgroup census tests each (projection, centre) pair of a
 class-2 lattice once, emits every gluing of a passing pair untested, and
 caps the pair tests plus subgroups emitted at `CENSUS_WORK_CAP`.
 
 Subgroup and chain files share one reader, `_row_blocks`: integer rows,
-'#' comments and blank-line blocks.
+'#' comments and blank-line blocks.  `chain_from_text` closes each block
+and tests that the first is the whole group as index 1.
 """
 
 from __future__ import annotations
@@ -181,7 +186,7 @@ class Subgroup:
         return self.basis.rows == self.ambient.n
 
     def basis_elements(self) -> list[Element]:
-        return [tuple(self.basis.row(i)) for i in range(self.basis.rows)]
+        return [r for _, _, r in self.basis._echelon]
 
     def contains(self, u: Element) -> bool:
         return lattice_member(self.basis, u)
@@ -220,7 +225,7 @@ class Subgroup:
         rows = [r + r for r in self.basis_elements()]
         rows += [r + (0,) * n for r in other.basis_elements()]
         h = hnf_basis(IntMatrix._from_int_rows(rows, 2 * n))
-        meet = [r[n:] for r in map(h.row, range(h.rows)) if not any(r[:n])]
+        meet = [r[n:] for k, _, r in h._echelon if k >= n]
         return Subgroup(self.ambient, IntMatrix._from_int_rows(meet, n))
 
 
@@ -232,11 +237,14 @@ def subgroup_closure(p: PcPresentation, gens) -> Subgroup:
     s_i and the values B(s_i, s_j), B takes values in span{B(s_i, s_j)}.
     Hence L holds u v and u^-1 = -u + B(u, u) for all u, v in L, and any
     closed lattice holding the s_i holds L: the closure is L, in one step.
+    B is bilinear, so the values on the Hermite rows of span{s_i} span
+    what those on the s_i do, and L is that span plus the values it lacks.
     """
     _require_class2(p, "subgroup closure")
-    rows = [r for r in map(p.element, gens) if any(r)]
-    rows += _product_corrections(p, rows)
-    return Subgroup(p, IntMatrix._from_int_rows(rows, p.n))
+    span = Subgroup(p, IntMatrix._from_int_rows([r for r in map(p.element, gens) if any(r)], p.n))
+    rows = span.basis_elements()
+    missing = [w for w in _product_corrections(p, rows) if not span.contains(w)]
+    return Subgroup(p, IntMatrix._from_int_rows(rows + missing, p.n)) if missing else span
 
 
 def express_in_basis(s: Subgroup, u: Element) -> tuple[int, ...] | None:
@@ -609,6 +617,6 @@ def chain_from_text(p: PcPresentation, text: str) -> list[Subgroup]:
     if not blocks:
         raise ValueError("empty chain file")
     subs = [subgroup_closure(p, rows) for rows in blocks]
-    if subs[0] != Subgroup.whole_group(p):
+    if subs[0].index() != 1:
         raise ValueError("first block of a chain file must generate the whole group")
     return subs

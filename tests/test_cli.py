@@ -1,4 +1,5 @@
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfrskit import cli
+from rfrskit import cli, intlinalg
 from rfrskit.cli import RunConfig, _dumps, _load_subgroup, build_parser, main, run
 from rfrskit.pcgroups import (
     PcPresentation,
@@ -21,7 +22,7 @@ from rfrskit.pcgroups import (
     unitriangular,
 )
 from rfrskit.raags import graph_from_text, magnus_image, word_from_tokens
-from rfrskit.subgroups import subgroup_closure
+from rfrskit.subgroups import Subgroup, chain_to_text, enumerate_normal_subgroups, subgroup_closure
 
 PY = [sys.executable, "-m", "rfrskit"]
 
@@ -1025,6 +1026,12 @@ CONSOLE_CASES = {
         lambda r: (r["normal_form"], r["is_identity"]) == ("c,d,a,b,c^-1,d^3,a,b^2,c,a^-1,d^-3,a^2,b", False),
     ),
     "nf-bad-token": (["raag-nf", "--graph", "path4.txt", "--word", "a,b,a^x,c"], 2, "bad word token 'a^x'"),
+    # a refusal echoes a long token clipped, with its length and the vertex count
+    "nf-long-vertex": (
+        ["raag-nf", "--graph", "two.txt", "--word", "a,v" + "1" * 4301 + ",b^x"], 2,
+        "input error: vertex 'v" + "1" * 31 + "'... (4302 characters; the graph has 2 vertices) "
+        "out of range for this graph\n",
+    ),
     "zh-restrict": (
         ["rfrs-restrict", "--group", ZH, "--chain", "zhchain.txt", "--restrict-to", "zhsub.txt", "--json"], 0,
         lambda r: (r["overall"], [s["index"] for s in r["steps"]], r["restricted_length"], r["intersection_rank"])
@@ -1090,3 +1097,45 @@ def test_console_script_cases(case, tmp_path, monkeypatch, capsys):
         assert check in err and not out
     else:
         assert check(read_report(out))
+
+
+def test_loading_a_hermite_chain_file_scans_each_block_once(tmp_path, monkeypatch):
+    """A chain file whose blocks are closed Hermite bases, as `chain_to_text`
+    writes them, loads with no Hermite insertion and at most one echelon
+    scan per block: closure, the whole-group test and the descent checks
+    read the rows that scan found."""
+    census = enumerate_normal_subgroups(heisenberg(), 8)
+    rng = random.Random(3)
+    chains = [
+        ("heisenberg", CONSOLE_FILES["chain4.txt"]),
+        (ZH, CONSOLE_FILES["zhchain.txt"]),
+        ("direct_product(heisenberg,heisenberg)", HH_CHAIN),
+    ]
+    for _ in range(20):
+        terms = [Subgroup.whole_group(heisenberg())]
+        for s in rng.sample(census, 3):
+            if terms[-1].intersect(s) != terms[-1]:
+                terms.append(terms[-1].intersect(s))
+        chains.append(("heisenberg", chain_to_text(terms)))
+    calls = collections.Counter()
+
+    def spy(name):
+        original = getattr(intlinalg, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(intlinalg, name, counted)
+
+    spy("_hermite_rows")
+    spy("_echelon_rows")
+    path = tmp_path / "chain.txt"
+    for group, text in chains:
+        p = cli._load_class2_group(RunConfig(command="rfrs-verify", group=group))
+        path.write_text(text)
+        calls.clear()
+        f = cli._load_chain(p, str(path))
+        assert calls["_hermite_rows"] == 0, text
+        assert calls["_echelon_rows"] <= len(f.chain), text
+        assert chain_to_text(list(f.chain)) == text

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfrskit import intlinalg
@@ -232,6 +232,21 @@ def test_hnf_matches_column_elimination_reference(a):
     assert hnf_basis(a) == reference_hnf_basis(a)
     assert left_kernel(a) == reference_left_kernel(a)
     assert saturate(a) == reference_saturate(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_inputs())
+@example(M([[2, 3], [0, 2]]))  # row echelon, not Hermite
+@example(M([[-1, 0, 0], [0, 0, 3]]))
+@example(IntMatrix.identity(4))
+@example(IntMatrix(0, 3, ()))
+def test_hnf_basis_hands_its_echelon_rows_to_the_matrix_it_returns(a):
+    """`IntMatrix._echelon` of what `hnf_basis` returns, given any matrix or
+    a matrix it returned, is already set, to what a fresh scan of the
+    entries finds."""
+    for h in (hnf_basis(a), hnf_basis(hnf_basis(a))):
+        assert "_echelon" in h.__dict__
+        assert h._echelon == intlinalg._echelon_rows(IntMatrix(h.rows, h.cols, h.entries))
 
 
 def test_hnf_matches_sympy_on_nonsingular_matrices():

@@ -643,6 +643,26 @@ def test_bad_exponent_names_the_token(token):
         word_from_tokens(PATH3, f"b, {token} ,c")
 
 
+def test_refusals_clip_long_tokens():
+    """A token of up to 40 characters is echoed whole; a longer one by its
+    start, its length and the graph's vertex count.  The first bad token in
+    word order is still the one named."""
+    at_limit, past = "a^" + "x" * 38, "a^" + "x" * 39
+    with pytest.raises(ValueError, match=rf"^bad word token '{re.escape(at_limit)}'$"):
+        word_from_tokens(PATH3, f"b,{at_limit},v9")
+    with pytest.raises(ValueError) as info:
+        word_from_tokens(PATH3, f"b,{past},v9")
+    assert str(info.value) == f"bad word token '{past[:32]}'... (41 characters; the graph has 3 vertices)"
+    name = "v" + "9" * 5000
+    with pytest.raises(ValueError) as info:
+        word_from_tokens(PATH3, f"a, {name}^2 ,{past}")
+    assert str(info.value) == (
+        f"vertex '{name[:32]}'... (5001 characters; the graph has 3 vertices) out of range for this graph"
+    )
+    with pytest.raises(ValueError, match=r"^vertex 'v" + "9" * 39 + "' out of range for this graph$"):
+        word_from_tokens(PATH3, "v" + "9" * 39)
+
+
 def test_word_str():
     assert str(W((0, 1), (1, -2))) == "a,b^-2"
     assert str(W()) == "1"

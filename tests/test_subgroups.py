@@ -17,6 +17,7 @@ from rfrskit.intlinalg import (
     INFINITE,
     AbelianQuotient,
     IntMatrix,
+    hnf,
     hnf_basis,
     lattice_member,
     left_kernel,
@@ -524,6 +525,90 @@ def test_closure_matches_fixpoint_sweep(data):
     else:
         with pytest.raises(ValueError, match="not closed"):
             lat(p, rows)
+
+
+def _closure_in_one_hermite_form(p, gens):
+    """The closure as first written: the nonzero generators and every
+    u v - u - v over ordered pairs of them, through one `hnf_basis`."""
+    rows = [list(g) for g in gens if any(g)]
+    rows += [[w - a - b for w, a, b in zip(p.multiply(u, v), u, v)] for u in rows for v in rows]
+    return Subgroup(p, IntMatrix(len(rows), p.n, tuple(x for r in rows for x in r)))
+
+
+FOUR_RULES = CENSUS_CASES["5 2 / four rules"][0]
+MEET_GROUPS = {
+    "heisenberg": H,
+    "H x Z": direct_product(H, free_abelian(1)),
+    "Z x H": direct_product(free_abelian(1), H),
+    "four rules": FOUR_RULES,
+}
+
+
+def _generator_sets(p, rng):
+    """Seeded generator sets: random rows, with repeats and zero rows mixed
+    in; central-only rows; rank-deficient sets; the empty set; and closed
+    Hermite bases given as they are, alone and with a row added."""
+    central = [k for k in range(p.n) if k not in p._noncentral]
+
+    def row(bound=3):
+        return [rng.randint(-bound, bound) for _ in range(p.n)]
+
+    for _ in range(40):
+        rows = [row() for _ in range(rng.randint(1, p.n + 1))]
+        yield rows
+        yield rows + rows[:1] + [[0] * p.n] + [list(rows[-1])]
+        yield [[rng.randint(-4, 4) if k in central else 0 for k in range(p.n)] for _ in range(2)]
+        base = [row() for _ in range(rng.randint(1, max(1, p.n - 2)))]
+        yield base + [[sum(rng.randint(-2, 2) * r[j] for r in base) for j in range(p.n)]]
+        closed = subgroup_closure(p, rows).basis.to_rows()
+        yield closed
+        yield closed + [row(2)]
+    yield []
+    yield [[0] * p.n, [0] * p.n]
+
+
+@pytest.mark.parametrize("name", list(MEET_GROUPS))
+def test_closure_matches_the_one_hermite_form_formula(name):
+    """Closure from the Hermite basis of the span plus the corrections it
+    lacks gives the lattice of all rows and all corrections at once."""
+    p = MEET_GROUPS[name]
+    rng = random.Random(37)
+    for rows in _generator_sets(p, rng):
+        assert subgroup_closure(p, rows) == _closure_in_one_hermite_form(p, rows), rows
+
+
+def _zassenhaus_meet(s, t):
+    """The meet read off the Hermite form of [[B1, B1], [B2, 0]], with no
+    containment test first."""
+    n = s.ambient.n
+    rows = [r + r for r in s.basis.to_rows()] + [r + [0] * n for r in t.basis.to_rows()]
+    h, _ = hnf(IntMatrix(len(rows), 2 * n, tuple(x for r in rows for x in r)))
+    meet = [r[n:] for r in h.to_rows() if any(r[n:]) and not any(r[:n])]
+    return Subgroup(s.ambient, IntMatrix(len(meet), n, tuple(x for r in meet for x in r)))
+
+
+@pytest.mark.parametrize("name", list(MEET_GROUPS))
+def test_intersect_matches_zassenhaus_meet(name):
+    """Seeded pairs of closures, of finite and infinite index, with nested
+    pairs in both orders and unequal pairs of equal index: the meet is the
+    Zassenhaus meet, and a nested pair gives its smaller operand."""
+    p = MEET_GROUPS[name]
+    rng = random.Random(41)
+    subs = [subgroup_closure(p, rows) for rows in _generator_sets(p, rng)]
+    subs += enumerate_normal_subgroups(p, 4)
+    assert any(s.index() == INFINITE for s in subs)
+    pairs = [tuple(rng.sample(subs, 2)) for _ in range(300)]
+    pairs += [(s, s.intersect(t)) for s, t in pairs[:100]]
+    pairs += [(m, s) for s, m in pairs[-100:]]
+    pairs += [(s, t) for s, t in itertools.combinations(subs[-40:], 2) if s.index() == t.index() and s != t]
+    assert any(s.index() == t.index() != INFINITE and s != t for s, t in pairs)
+    for s, t in pairs:
+        meet = s.intersect(t)
+        assert meet == _zassenhaus_meet(s, t), (s.basis, t.basis)
+        if s.contains_subgroup(t):
+            assert meet is t
+        elif t.contains_subgroup(s):
+            assert meet is s
 
 
 @pytest.mark.parametrize("name", list(CENSUS_CASES))
