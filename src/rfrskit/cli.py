@@ -19,10 +19,15 @@ human-readable lines, so a --json run never builds them.  JSON reports
 are written by `_dumps`, a direct recursive emitter whose output equals
 json.dumps(report, indent=2) byte for byte (the json module's indented
 encoder runs in pure Python, and took about a third of the time of a
-graph-group series report).  A series report's terms are the one value
-`_dumps` does not walk: the report holds `_series_terms` of the sorted
-(monomial, coefficient) pairs, a callable that writes each term with one
-format, and the human-readable lines read the same pairs.
+graph-group series report).  Two values `_dumps` does not walk, since
+the report holds a callable that writes them.  A series report's terms
+are `_series_terms` of the sorted (monomial, coefficient) pairs, which
+writes each term with one format; the human-readable lines read the same
+pairs.  The steps of `rfrs-obstruct`, one per normal subgroup within the
+bound, are `_obstruct_steps` of the counts a_k of normal subgroups of
+each index k: the step of index k is written once and repeated a_k
+times.  The command counts the census (`subgroups._normal_subgroup_counts`)
+and builds no subgroup, so a text run builds no steps at all.
 """
 
 from __future__ import annotations
@@ -55,13 +60,14 @@ from .raags import (
 )
 from .rfrs import (
     Filtration,
+    _certificate_fact,
     _restriction,
-    obstruction_certificate,
     trapped_central_witness,
     verify_rfrs_chain,
 )
 from .subgroups import (
     Subgroup,
+    _normal_subgroup_counts,
     _row_blocks,
     center_ab_report,
     chain_from_text,
@@ -278,35 +284,43 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
     return 0 if rep.overall else 1
 
 
+def _obstruct_steps(counts: list[int], all_pass: bool, indent: str) -> str:
+    """`_dumps` of the list that holds, for k = 1, 2, ..., counts[k - 1]
+    copies of the step {"index": k, "normal": true, "kernel_contained":
+    all_pass}, one per normal subgroup of index k; each index's step is
+    written once."""
+    item = indent + "  "
+    steps: list[str] = []
+    for k, count in enumerate(counts, 1):
+        if count:
+            steps += [_dumps({"index": k, "normal": True, "kernel_contained": all_pass}, item)] * count
+    return "[" + item + ("," + item).join(steps) + indent + "]" if steps else "[]"
+
+
 def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
-    cert = obstruction_certificate(_load_class2_group(cfg), cfg.max_index)
-    steps = [
-        {
-            "index": int(s.index()),
-            "normal": True,
-            "kernel_contained": cert.all_pass,
-        }
-        for s in cert.subgroups
-    ]
+    p = _load_class2_group(cfg)
+    witness, all_pass, note = _certificate_fact(p, cfg.max_index)
+    counts = _normal_subgroup_counts(p, cfg.max_index)
+    checked = sum(counts)
     report = _rfrs_schema(
         "rfrs-obstruct",
         cfg.group,
-        cert.all_pass,
-        steps,
+        all_pass,
+        functools.partial(_obstruct_steps, counts, all_pass),
         None,
-        cert.witness,
-        cert.checked_subgroups,
-        index_bound=cert.index_bound,
-        note=cert.depth_note,
+        witness,
+        checked,
+        index_bound=cfg.max_index,
+        note=note,
     )
     _emit(report, lambda: [
-        f"obstruction certificate for {cfg.group} at index bound {cert.index_bound}",
-        f"witness: {_int_list(cert.witness)}",
-        f"normal subgroups checked: {cert.checked_subgroups}",
-        f"all_pass: {cert.all_pass}",
-        cert.depth_note,
+        f"obstruction certificate for {cfg.group} at index bound {cfg.max_index}",
+        f"witness: {_int_list(witness)}",
+        f"normal subgroups checked: {checked}",
+        f"all_pass: {all_pass}",
+        note,
     ], cfg)
-    return 0 if cert.all_pass else 1
+    return 0 if all_pass else 1
 
 
 def _cmd_rfrs_restrict(cfg: RunConfig) -> int:

@@ -24,7 +24,8 @@ basis; any other it builds by the insertion.  Either way the pivot rows
 it checked or built become `IntMatrix._echelon` of the matrix it
 returns, and `lattice_member`, `lattice_index` and
 `subgroups.Subgroup.basis_elements` read them there, with no second scan
-and no slicing.  A matrix that did not come from `hnf_basis` is scanned
+and no slicing; a matrix it returned, given to it again, comes back
+unscanned.  A matrix that did not come from `hnf_basis` is scanned
 on its first such query: its rows are used as given when they are in row
 echelon form, else those of its Hermite basis, found once and kept (a
 pure function of the entries, so two threads racing to fill the cache
@@ -42,7 +43,9 @@ time (Python 3.11, 2-core Xeon).
 `_decimal` writes an integer of any size in decimal, for the reports of
 `describe`, the graph-group normal forms and the command line: the
 interpreter refuses str on an int past its digit limit.  `_from_decimal`
-reads one back for the file and word readers, past the limit too.
+reads one back for the file and word readers, past the limit too, and
+`_echo` writes the input a reader refuses, a line, token or int, clipped
+to a short line.
 """
 
 from __future__ import annotations
@@ -113,6 +116,24 @@ def _from_decimal(text: str) -> int:
         chunk = digits[i:i + _DECIMAL_DIGITS]
         value = value * 10 ** len(chunk) + int(chunk)
     return -value if body[0] == "-" else value
+
+
+# A refusal echoes a piece of input up to this many characters whole.
+_ECHO_CHARS = 40
+
+
+def _echo(value: str | int, note: str = "") -> str:
+    """A piece of input as a refusal writes it: a string as its repr, an
+    int as its digits.  Past _ECHO_CHARS characters only the first
+    _ECHO_CHARS - 8 are written, then '...' and the length, with `note`
+    after the length, so a refusal stays one short line whatever the
+    input: the readers take ints past the int-to-str digit limit and lines
+    of any length."""
+    quote = repr if isinstance(value, str) else str
+    text = value if isinstance(value, str) else _decimal(value)
+    if len(text) <= _ECHO_CHARS:
+        return quote(text)
+    return f"{quote(text[:_ECHO_CHARS - 8])}... ({len(text)} characters{note})"
 
 
 @dataclass(frozen=True)
@@ -335,13 +356,17 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
     A matrix whose rows already are one (row echelon form with positive
     pivots and the entries above each pivot in [0, pivot)) comes back as
     it is; any other is built without the transform U.  The pivot rows
-    found either way are kept as the returned matrix's `_echelon`."""
+    found either way are kept as the returned matrix's `_echelon`, and a
+    matrix that `hnf_basis` returned comes back at once, unscanned."""
+    if "_hermite" in a.__dict__:
+        return a
     rows = _echelon_rows(a)
     if rows is None or not _is_hermite(rows):
         pivots, _ = _hermite_rows((list(a.row(i)) for i in range(a.rows)), a.cols)
         rows = tuple((j, r[j], tuple(r)) for j, r in pivots)
         a = IntMatrix._from_int_rows([r for _, _, r in rows], a.cols)
-    a.__dict__["_echelon"] = rows  # what `IntMatrix._echelon` would find
+    # `_echelon` is what `IntMatrix._echelon` would find
+    a.__dict__.update(_echelon=rows, _hermite=True)
     return a
 
 

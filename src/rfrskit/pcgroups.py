@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .intlinalg import AbelianQuotient, IntMatrix, _from_decimal, saturate
+from .intlinalg import AbelianQuotient, IntMatrix, _echo, _from_decimal, saturate
 
 Element = tuple[int, ...]
 
@@ -71,7 +71,7 @@ class PcPresentation:
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
         for (i, j), vec in (rules or {}).items():
             if not (0 <= i < j < n):
-                raise ValueError(f"bad generator pair ({i}, {j})")
+                raise ValueError(f"bad generator pair ({_echo(i)}, {_echo(j)})")
             vec = tuple(int(x) for x in vec)
             if len(vec) != n:
                 raise ValueError("rule vectors must have one entry per generator")
@@ -576,22 +576,23 @@ def presentation_from_text(text: str) -> PcPresentation:
     rules: dict[tuple[int, int], tuple[int, ...]] = {}
     for ln in lines[1:]:
         if ":" not in ln:
-            raise ValueError(f"bad rule line {ln!r}")
+            raise ValueError(f"bad rule line {_echo(ln)}")
         left, right = ln.split(":", 1)
         parts = left.split()
         if len(parts) != 2:
-            raise ValueError(f"bad rule line {ln!r}")
+            raise ValueError(f"bad rule line {_echo(ln)}")
         i, j = _from_decimal(parts[0]), _from_decimal(parts[1])
         if not 1 <= i < j <= n:
-            raise ValueError(f"bad generator pair ({i}, {j})")
+            raise ValueError(f"bad generator pair ({_echo(i)}, {_echo(j)})")
         if (i - 1, j - 1) in rules:
-            raise ValueError(f"repeated generator pair ({i}, {j})")
+            raise ValueError(f"repeated generator pair ({_echo(i)}, {_echo(j)})")
         tail = list(map(_from_decimal, right.split()))
         if len(tail) != n - j:
-            raise ValueError(f"rule for pair ({i}, {j}) needs {n - j} exponents, got {len(tail)}")
+            raise ValueError(f"rule for pair ({_echo(i)}, {_echo(j)}) needs {_echo(n - j)} exponents, "
+                             f"got {len(tail)}")
         rules[(i - 1, j - 1)] = (0,) * j + tuple(tail)
     p = PcPresentation(n, rules)
     if cls != p.nilpotency_class:
-        raise ValueError(f"declares nilpotency class {cls}, but its lower central series has class "
+        raise ValueError(f"declares nilpotency class {_echo(cls)}, but its lower central series has class "
                          f"{p.nilpotency_class}")
     return p

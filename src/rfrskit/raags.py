@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import ResourceLimitExceeded
-from .intlinalg import _decimal, _from_decimal
+from .intlinalg import _decimal, _echo, _from_decimal
 
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -68,7 +68,9 @@ class Graph:
         bad = min(((u, v) for u, v in self.edges if not 0 <= u < v < n), default=None)
         if bad is not None:
             u, v = bad
-            raise ValueError("loops are not allowed" if u == v else f"edge ({u}, {v}) out of range")
+            if u == v:
+                raise ValueError("loops are not allowed")
+            raise ValueError(f"edge ({_echo(u)}, {_echo(v)}) out of range")
 
     @staticmethod
     def build(vertex_count: int, edges) -> "Graph":
@@ -402,22 +404,15 @@ def graph_from_text(text: str) -> Graph:
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
+            raise ValueError(f"bad edge line {_echo(ln)}")
         edges.append((_from_decimal(parts[0]), _from_decimal(parts[1])))
     return Graph.build(n, edges)
 
 
-# Tokens up to this length are echoed whole in a refusal.
-_ECHO_CHARS = 40
-
-
-def _echo(g: Graph, token: str) -> str:
-    """repr(token) for a refusal; past _ECHO_CHARS characters, its start,
-    its length and the graph's vertex count instead."""
-    if len(token) <= _ECHO_CHARS:
-        return repr(token)
-    count = _decimal(g.vertex_count)
-    return f"{token[:_ECHO_CHARS - 8]!r}... ({len(token)} characters; the graph has {count} vertices)"
+def _token(g: Graph, token: str) -> str:
+    """A word token as a refusal writes it: `_echo`'s clipped form names
+    the graph's vertex count as well."""
+    return _echo(token, f"; the graph has {_decimal(g.vertex_count)} vertices")
 
 
 def _word_letter(g: Graph, token: str) -> tuple[int, int]:
@@ -430,16 +425,16 @@ def _word_letter(g: Graph, token: str) -> tuple[int, int]:
     try:
         e = _from_decimal(exp) if caret else 1
     except ValueError:
-        raise ValueError(f"bad word token {_echo(g, token)}") from None
+        raise ValueError(f"bad word token {_token(g, token)}") from None
     name = name.strip()
     if len(name) == 1 and name in _LETTER_NAMES:
         v = _LETTER_NAMES.index(name)
     elif name.startswith("v") and name[1:].isdigit():
         v = _from_decimal(name[1:])
     else:
-        raise ValueError(f"bad word token {_echo(g, token)}")
+        raise ValueError(f"bad word token {_token(g, token)}")
     if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {_echo(g, name)} out of range for this graph")
+        raise ValueError(f"vertex {_token(g, name)} out of range for this graph")
     return v, e
 
 

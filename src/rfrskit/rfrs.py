@@ -30,6 +30,11 @@ library; it builds the induced presentation.
 The obstruction certificate is the census of normal subgroups up to an
 index bound plus one fact, z in V; `ObstructionCertificate` states why
 that traps the witness in every conditioned chain within the bound.
+`obstruction_certificate` lists the census.  The `rfrs-obstruct`
+command reads the witness, the fact and the note through the same
+helper, `_certificate_fact`, and counts the census instead
+(`subgroups._normal_subgroup_counts`): its report depends on the census
+only through the number of normal subgroups of each index.
 """
 
 from __future__ import annotations
@@ -178,8 +183,9 @@ class ObstructionCertificate:
         return len(self.subgroups)
 
 
-def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
-    """Certificate over the normal subgroups of index <= max_index.
+def _certificate_fact(p: PcPresentation, max_index: int) -> tuple[Element, bool, str]:
+    """The witness, `all_pass` and depth note of a certificate at the
+    bound, shared by `obstruction_certificate` and `rfrs-obstruct`.
 
     The witness is the first Hermite row of V: the class-2 scan puts V on
     central generators, so it is the first row of Z(G) meet V, the
@@ -192,11 +198,19 @@ def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCer
         f"any chain of normal subgroups with indices <= {max_index} satisfying the "
         "step conditions keeps the witness in every term; its intersection is nontrivial"
     )
+    return z, lattice_member(p._torsion_lattice, z), note
+
+
+def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
+    """Certificate over the normal subgroups of index <= max_index, which
+    it lists (`enumerate_normal_subgroups`); `rfrs-obstruct` counts them
+    instead."""
+    z, all_pass, note = _certificate_fact(p, max_index)
     return ObstructionCertificate(
         witness=z,
         index_bound=max_index,
         depth_note=note,
-        all_pass=lattice_member(p._torsion_lattice, z),
+        all_pass=all_pass,
         subgroups=tuple(enumerate_normal_subgroups(p, max_index)),
     )
 

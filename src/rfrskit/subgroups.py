@@ -35,8 +35,10 @@ lattice closure leaves as it is),
 and `_commutator_values` the [u, g] of its rows with the generators, in
 any class, for normal (`Subgroup.is_normal`) and central (`center`), or
 with the rows of a larger subgroup, for normal in it (the chain checks of
-`rfrs`).  The census takes both.  Both skip rows that are products of central
-generators, and `_commutator_values` skips the central generators.
+`rfrs`).  Both skip rows that are products of central generators, and
+`_commutator_values` skips the central generators.  The census takes the
+same values by bilinearity from the table of B on the noncentral
+generators, read once off `_beta` (`_CensusPairs`).
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -54,10 +56,20 @@ membership is `intlinalg.lattice_member`, which takes a Hermite basis as
 it is.  A subgroup's basis carries the pivot rows that `hnf_basis` found
 on construction, and `contains`, `index` and `basis_elements` read them;
 a census centre finds its pivot rows on its first test and keeps them.
+V, which `rational_kernel` and `center_ab_report` wrap as a subgroup on
+every call, is an `hnf_basis` output, so the wrapping scans nothing.
 
-The normal-subgroup census tests each (projection, centre) pair of a
-class-2 lattice once, emits every gluing of a passing pair untested, and
-caps the pair tests plus subgroups emitted at `CENSUS_WORK_CAP`.
+A class-2 lattice of full rank is a projection M off the central
+coordinates, a centre N in them and a gluing, and it is normal when N
+holds K(M), the Hermite basis of the span of M's needed values.  One
+walk over the pairs of an index, `_CensusPairs.passing`, with one pair
+test and one work account capped at `CENSUS_WORK_CAP`, serves two
+censuses.  The listing, `enumerate_normal_subgroups`, walks every index
+and emits every gluing of a passing pair untested.  The counter,
+`_normal_subgroup_counts`, which `rfrs-obstruct` runs, walks prime-power
+indices only, adds the number of gluings of a passing pair, and
+multiplies elsewhere, since the counts are multiplicative over coprime
+indices.
 
 Subgroup and chain files share one reader, `_row_blocks`: integer rows,
 '#' comments and blank-line blocks.  `chain_from_text` closes each block
@@ -68,12 +80,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ResourceLimitExceeded
 from .intlinalg import (
     IntMatrix,
     _from_decimal,
+    _hermite_rows,
     hnf_basis,
     lattice_index,
     lattice_member,
@@ -289,37 +303,152 @@ def induced_presentation(s: Subgroup) -> PcPresentation:
 # ----------------------------------------------------- normal subgroup census
 
 
-def _hermite_bases(n: int, coords: list[int], index: int):
-    """Rows of each Hermite basis of a full-rank lattice of the given index
-    in the coordinates `coords`, embedded in Z^n: the last coordinate's
-    pivot d has entries in [0, d) above it."""
-    if not coords:
+def _hermite_bases(dim: int, index: int):
+    """Rows of each Hermite basis of a lattice of the given index in Z^dim:
+    the last coordinate's pivot d has entries in [0, d) above it."""
+    if not dim:
         yield from [[]] if index == 1 else []
         return
-    j = coords[-1]
     for d in (d for d in range(1, index + 1) if index % d == 0):
-        pivot = tuple(d if t == j else 0 for t in range(n))
-        for rows in _hermite_bases(n, coords[:-1], index // d):
+        pivot = (0,) * (dim - 1) + (d,)
+        for rows in _hermite_bases(dim - 1, index // d):
             for col in itertools.product(range(d), repeat=len(rows)):
-                yield [r[:j] + (x,) + r[j + 1 :] for r, x in zip(rows, col)] + [pivot]
+                yield [r + (x,) for r, x in zip(rows, col)] + [pivot]
 
 
-# Cap on the pair tests plus subgroups emitted by one census: far above the
+def _embed(coords, n: int, row) -> tuple[int, ...]:
+    """The vector of Z^n with the entries of row at the coordinates coords and 0 elsewhere."""
+    out = [0] * n
+    for t, x in zip(coords, row):
+        out[t] = x
+    return tuple(out)
+
+
+# Cap on the pair tests plus subgroups found by one census: far above the
 # 23,003 subgroups of H x Z at index 32.
 CENSUS_WORK_CAP = 1_000_000
+
+
+class _CensusPairs:
+    """The (projection, centre) pairs of a class-2 census, their one test
+    and the census's work account, shared by `enumerate_normal_subgroups`
+    and `_normal_subgroup_counts`.
+
+    A projection M is a Hermite basis of a lattice in the r noncentral
+    coordinates, and a centre N one in the s central coordinates, each in
+    those coordinates alone.  The pair passes when N holds K(M), the
+    Hermite basis of the span of M's needed values: B(m_i, m_j) and
+    [m_i, g_c] over M's Hermite rows m_i and the noncentral generators
+    g_c.  K(M) has at most s rows, so a pair test is at most s membership
+    tests, and none when N is Z^C itself.
+
+    Both kinds of value are bilinear and vanish on central arguments, so
+    they come from the nonzero values B(g_a, g_b) over noncentral a, b,
+    read once off `PcPresentation._beta`: B(u, v) = sum u_a v_b B(g_a, g_b)
+    and [u, g_c] = B(u, g_c) - B(g_c, u).  Only B(m_i, m_j) with i <= j is
+    taken: B(m_j, m_i) = B(m_i, m_j) - [m_i, m_j], and [m_i, m_j] is a
+    combination of the [m_i, g_c].  Each K(M) is reduced once, on the
+    first test that needs it, and kept.
+
+    The work, pair tests plus subgroups found, may not pass
+    CENSUS_WORK_CAP: each unit is charged (`spend`) before it is done,
+    and the charge that would pass the cap raises instead.
+    """
+
+    def __init__(self, p: PcPresentation, max_index: int):
+        self.r, self.s = len(p._noncentral), len(p._central)
+        gens = [p.generator(k) for k in p._noncentral]
+        # (a, b, B(g_a, g_b) on the central coordinates) over the nonzero values
+        values = ((a, b, tuple(p._beta(u, v)[t] for t in p._central))
+                  for a, u in enumerate(gens) for b, v in enumerate(gens))
+        self._beta = [(a, b, w) for a, b, w in values if any(w)]
+        self._projections: dict[int, list[tuple]] = {}
+        self._centres: dict[int, list[IntMatrix]] = {}
+        self._kernels: dict[tuple, list[list[int]]] = {}
+        self._whole = self.centres(1)[0]
+        self.max_index = max_index
+        self.tests = self.found = 0
+
+    def projections(self, d: int) -> list[tuple]:
+        """The Hermite rows of each projection of index d."""
+        out = self._projections.get(d)
+        if out is None:
+            out = self._projections[d] = list(map(tuple, _hermite_bases(self.r, d)))
+        return out
+
+    def centres(self, d: int) -> list[IntMatrix]:
+        """The Hermite basis of each centre of index d."""
+        out = self._centres.get(d)
+        if out is None:
+            bases = _hermite_bases(self.s, d)
+            out = self._centres[d] = [IntMatrix._from_int_rows(rows, self.s) for rows in bases]
+        return out
+
+    def spend(self, k: int, tests: int = 0, found: int = 0) -> None:
+        """Charge pair tests and subgroups found at index k."""
+        if self.tests + self.found + tests + found > CENSUS_WORK_CAP:
+            raise ResourceLimitExceeded(
+                f"census work cap of {CENSUS_WORK_CAP} reached at index {k} of {self.max_index}: "
+                f"{self.tests} (projection, centre) pairs tested, {self.found} subgroups found"
+            )
+        self.tests += tests
+        self.found += found
+
+    def passing(self, k: int):
+        """The pairs of index k that pass, each test charged: (M's rows,
+        the centre's index e, its place in `centres(e)`)."""
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            for m, (j, centre) in itertools.product(self.projections(d), enumerate(self.centres(k // d))):
+                self.spend(k, tests=1)
+                if self.passes(m, centre):
+                    yield m, k // d, j
+
+    def passes(self, m: tuple, centre: IntMatrix) -> bool:
+        """Whether the centre holds K(M) for the projection rows m."""
+        return centre is self._whole or all(lattice_member(centre, w) for w in self._needed(m))
+
+    def _needed(self, m: tuple) -> list[list[int]]:
+        """The rows of K(M) for the projection rows m: the Hermite basis of
+        the span of the [m_i, g_c] and of the B(m_i, m_j) with i <= j."""
+        out = self._kernels.get(m)
+        if out is None:
+            vals = (w for i, u in enumerate(m) for w in self._values(u, m[i:]))
+            pivots, _ = _hermite_rows([list(w) for w in dict.fromkeys(map(tuple, vals)) if any(w)], self.s)
+            out = self._kernels[m] = [w for _, w in pivots]
+        return out
+
+    def _values(self, u, rows) -> list[list[int]]:
+        """[u, g_c] over the c where it is not 0, and B(u, v) over v in rows."""
+        # B(g_a, g_b) = w adds u_a w to [u, g_b] and -u_b w to [u, g_a]
+        comms: dict[int, list[int]] = {}
+        for a, b, w in self._beta:
+            for c, x in ((b, u[a]), (a, -u[b])):
+                if x:
+                    acc = comms.get(c)
+                    comms[c] = [x * y for y in w] if acc is None else [z + x * y for z, y in zip(acc, w)]
+        out = list(comms.values())
+        for v in rows:
+            acc = [0] * self.s
+            for a, b, w in self._beta:
+                x = u[a] * v[b]
+                if x:
+                    acc = [z + x * y for z, y in zip(acc, w)]
+            out.append(acc)
+        return out
 
 
 def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgroup]:
     """All normal full-rank subgroups of index <= max_index, sorted by
     (index, basis entries).
 
-    In class <= 2, u v - u - v and [u, g] depend only on the noncentral
-    coordinates and land in the central ones, C.  A full-rank lattice is
+    Class 2, C the central coordinates, Z^C in Z(G): with Hermite rows
+    ordered by pivot column, a full-rank lattice of Z^n is determined by
     its projection M off C, its centre N in Z^C and a gluing M -> Z^C / N;
     it is a normal subgroup exactly when N holds m_i m_j - m_i - m_j and
     [m_i, g_k] for the Hermite rows m_i of M, whatever the gluing.  So the
-    census tests each Hermite pair (M, N) once, going up the index
-    [M] [N], and emits all [Z^C : N]^rank(M) gluings of a passing pair.
+    census tests each Hermite pair (M, N) once (`_CensusPairs`), going up
+    the index [M] [N], and emits all [Z^C : N]^rank(M) gluings of a
+    passing pair.
 
     The work, pair tests plus subgroups emitted, may not pass
     CENSUS_WORK_CAP.
@@ -327,52 +456,76 @@ def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgro
     _require_class2(p, "normal subgroup enumeration")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    top, cen = p._noncentral, p._central
+    top, cen, n = p._noncentral, p._central, p.n
+    pairs = _CensusPairs(p, max_index)
 
     @functools.cache
-    def projections(d: int) -> list:
-        # each M with the distinct nonzero values its centre must hold
+    def gluings(e: int) -> list:
+        # each centre of index e: its rows in Z^n and the reduced representatives of Z^C / N
         out = []
-        for m in _hermite_bases(p.n, top, d):
-            out.append((m, dict.fromkeys(_product_corrections(p, m) + _commutator_values(p, m))))
-        return out
-
-    @functools.cache
-    def centres(d: int) -> list:
-        # each N with its rows and the reduced representatives of Z^C / N
-        out = []
-        for rows in _hermite_bases(p.n, cen, d):
-            box = itertools.product(*(range(r[j]) for r, j in zip(rows, cen)))
-            reps = [tuple(dict(zip(cen, c)).get(k, 0) for k in range(p.n)) for c in box]
-            out.append((IntMatrix._from_int_rows(rows, p.n), rows, reps))
+        for centre in pairs.centres(e):
+            c_rows = [_embed(cen, n, r) for r in centre.to_rows()]
+            box = itertools.product(*(range(r[j]) for r, j in zip(c_rows, cen)))
+            out.append((c_rows, [_embed(cen, n, c) for c in box]))
         return out
 
     found: list[Subgroup] = []
-    tests = 0
-
-    def spend(k: int) -> None:
-        if tests + len(found) >= CENSUS_WORK_CAP:
-            raise ResourceLimitExceeded(
-                f"census work cap of {CENSUS_WORK_CAP} reached at index {k} of {max_index}: "
-                f"{tests} (projection, centre) pairs tested, {len(found)} subgroups found"
-            )
-
     for k in range(1, max_index + 1):
         start = len(found)
-        for d in (d for d in range(1, k + 1) if k % d == 0):
-            for (m, needs), (centre, c_rows, reps) in itertools.product(
-                projections(d), centres(k // d)
-            ):
-                spend(k)
-                tests += 1
-                if all(lattice_member(centre, w) for w in needs):
-                    for glue in itertools.product(reps, repeat=len(m)):
-                        spend(k)
-                        rows = [[a + b for a, b in zip(u, c)] for u, c in zip(m, glue)] + c_rows
-                        found.append(Subgroup(p, IntMatrix._from_int_rows(rows, p.n)))
+        for m, e, j in pairs.passing(k):
+            c_rows, reps = gluings(e)[j]
+            m_rows = [_embed(top, n, u) for u in m]
+            for glue in itertools.product(reps, repeat=len(m)):
+                pairs.spend(k, found=1)
+                rows = [[a + b for a, b in zip(u, c)] for u, c in zip(m_rows, glue)] + c_rows
+                found.append(Subgroup(p, IntMatrix._from_int_rows(rows, n)))
         # every subgroup found in this pass has index k
         found[start:] = sorted(found[start:], key=lambda s: s.basis.entries)
     return found
+
+
+def _least_prime_part(k: int) -> int:
+    """The full power of the least prime dividing k: k itself when k is 1
+    or a prime power."""
+    q = next((q for q in range(2, math.isqrt(k) + 1) if k % q == 0), k)
+    part = q
+    while part < k and k % (part * q) == 0:
+        part *= q
+    return part
+
+
+def _normal_subgroup_counts(p: PcPresentation, max_index: int) -> list[int]:
+    """a_1, ..., a_max_index, a_k the number of normal subgroups of index
+    k, with no subgroup built.
+
+    G / N is a finite nilpotent group, the product of its Sylow
+    subgroups, so a normal N of index k = q k' with coprime q and k' is
+    the meet of exactly one normal subgroup of index q and one of index
+    k', and a_k = a_q a_k' (Grunewald, Segal and Smith, Invent. Math. 93,
+    1988).  So the pairs are tested at index 1 and the prime powers only,
+    as `enumerate_normal_subgroups` tests them, and a passing pair (M, N)
+    adds its [Z^C : N]^rank(M) gluings; any other a_k is a_q a_(k/q),
+    with q the full power of k's least prime.
+
+    The work, pair tests plus subgroups counted, may not pass
+    CENSUS_WORK_CAP, charged as the listing charges it except that a
+    passing pair's gluings, or a product a_q a_(k/q), are one charge.
+    """
+    _require_class2(p, "normal subgroup enumeration")
+    if max_index < 1:
+        raise ValueError("max_index must be positive")
+    pairs = _CensusPairs(p, max_index)
+    counts = [0]  # a_0 is no index
+    for k in range(1, max_index + 1):
+        before = pairs.found
+        q = _least_prime_part(k)
+        if q < k:
+            pairs.spend(k, found=counts[q] * counts[k // q])
+        else:
+            for m, e, _ in pairs.passing(k):
+                pairs.spend(k, found=e ** len(m))
+        counts.append(pairs.found - before)
+    return counts[1:]
 
 
 # ------------------------------------------------ induced bases (any class)

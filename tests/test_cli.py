@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfrskit import cli, intlinalg
+from rfrskit import cli, intlinalg, subgroups
 from rfrskit.cli import RunConfig, _dumps, _load_subgroup, build_parser, main, run
 from rfrskit.pcgroups import (
     PcPresentation,
@@ -22,6 +22,7 @@ from rfrskit.pcgroups import (
     unitriangular,
 )
 from rfrskit.raags import graph_from_text, magnus_image, word_from_tokens
+from rfrskit.rfrs import obstruction_certificate
 from rfrskit.subgroups import Subgroup, chain_to_text, enumerate_normal_subgroups, subgroup_closure
 
 PY = [sys.executable, "-m", "rfrskit"]
@@ -507,6 +508,24 @@ MALFORMED = {
         ("pair-above-range", "3 2\n1 4 :\n", "bad generator pair (1, 4)"),
         ("pair-order", "3 2\n2 1 : 1\n", "bad generator pair (2, 1)"),
         ("repeated-pair", "3 2\n1 2 : 1\n1 2 : 5\n", "repeated generator pair (1, 2)"),
+        # refusals clip what they echo: an int past the int-to-str digit
+        # limit, or a line of 3,000 tokens, to its first 32 characters
+        (
+            "pair-digits",
+            "3 2\n1 " + "9" * 5000 + " : 0\n",
+            "bad generator pair (1, " + "9" * 32 + "... (5000 characters))\n",
+        ),
+        (
+            "class-digits",
+            "3 " + "9" * 5000 + "\n1 2 : -1\n",
+            "declares nilpotency class " + "9" * 32 + "... (5000 characters), but its lower central "
+            "series has class 2\n",
+        ),
+        (
+            "rule-line-long",
+            "3 2\n" + "1 " * 2999 + "1\n",
+            "bad rule line '" + "1 " * 16 + "'... (5999 characters)\n",
+        ),
         # the class >= 3 table is built lazily, so the declared-class check
         # is the first to meet the bad rule
         (
@@ -531,6 +550,16 @@ MALFORMED = {
         ("edge-token", "3\n0 b\n", "invalid literal"),
         ("loop", "3\n1 1\n", "loops are not allowed"),
         ("edge-range", "3\n0 5\n", "out of range"),
+        (
+            "edge-digits",
+            "4\n0 " + "9" * 5000 + "\n",
+            "edge (0, " + "9" * 32 + "... (5000 characters)) out of range\n",
+        ),
+        (
+            "edge-line-long",
+            "3\n" + "1 " * 2999 + "1\n",
+            "bad edge line '" + "1 " * 16 + "'... (5999 characters)\n",
+        ),
     ],
 }
 
@@ -1139,3 +1168,93 @@ def test_loading_a_hermite_chain_file_scans_each_block_once(tmp_path, monkeypatc
         assert calls["_hermite_rows"] == 0, text
         assert calls["_echelon_rows"] <= len(f.chain), text
         assert chain_to_text(list(f.chain)) == text
+
+
+def test_a_verify_and_restrict_run_scans_v_at_most_once_per_presentation(tmp_path, monkeypatch, capsys):
+    """V, the kernel of G -> G^ab tensor Q, is built once per presentation
+    and carries its pivot rows: every rational kernel of a `rfrs-verify`
+    and `rfrs-restrict` run reads them, so V is scanned at most once,
+    whichever terms meet it."""
+    for name, text in CONSOLE_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    loaded, scanned = [], []
+    load, scan = cli._load_class2_group, intlinalg._echelon_rows
+    monkeypatch.setattr(cli, "_load_class2_group", lambda cfg: loaded.append(load(cfg)) or loaded[-1])
+    monkeypatch.setattr(intlinalg, "_echelon_rows", lambda a: scanned.append(a) or scan(a))
+    runs = [
+        ("heisenberg", "chain4.txt", "even.txt"),
+        (ZH, "zhchain.txt", "zhsub.txt"),
+        (ZH, "zhchain.txt", "zhfactor.txt"),
+        ("direct_product(heisenberg,heisenberg)", "hhchain.txt", "hhsub.txt"),
+    ]
+    for group, chain, sub in runs:
+        loaded.clear()
+        scanned.clear()
+        assert main(["rfrs-verify", "--group", group, "--chain", chain]) in (0, 1)
+        assert main(["rfrs-restrict", "--group", group, "--chain", chain, "--restrict-to", sub]) in (0, 1)
+        assert len(loaded) == 2
+        for p in loaded:
+            v = p._torsion_lattice
+            assert sum(a is v for a in scanned) <= 1, (group, chain, sub)
+    capsys.readouterr()
+
+
+def _random_class2_table(rng):
+    """A nonabelian class-2 table on four generators: the commutators of the
+    first two or three land in the generators after them, which commute
+    with everything."""
+    top = rng.choice([2, 3])
+    while True:
+        rules = {
+            (i, j): (0,) * top + tuple(rng.randint(-3, 3) for _ in range(4 - top))
+            for i in range(top) for j in range(i + 1, top) if rng.random() < 0.8
+        }
+        p = PcPresentation(4, rules)
+        if p.rules:
+            return presentation_to_text(p)
+
+
+def _listing_route(group, bound):
+    """The text and JSON reports that `rfrs-obstruct` wrote while it listed
+    the census: one step per subgroup of `obstruction_certificate`, read
+    off its index."""
+    p = cli._load_class2_group(RunConfig(command="rfrs-obstruct", group=group))
+    cert = obstruction_certificate(p, bound)
+    steps = [{"index": int(s.index()), "normal": True, "kernel_contained": cert.all_pass} for s in cert.subgroups]
+    report = cli._rfrs_schema("rfrs-obstruct", group, cert.all_pass, steps, None, cert.witness,
+                              cert.checked_subgroups, index_bound=cert.index_bound, note=cert.depth_note)
+    text = "\n".join([
+        f"obstruction certificate for {group} at index bound {cert.index_bound}",
+        f"witness: {list(cert.witness)}",
+        f"normal subgroups checked: {cert.checked_subgroups}",
+        f"all_pass: {cert.all_pass}",
+        cert.depth_note,
+    ]) + "\n"
+    return text, _dumps(report) + "\n"
+
+
+def test_obstruct_output_is_the_listing_routes_byte_for_byte(json_inputs, monkeypatch, capsys):
+    """rfrs-obstruct counts the census and writes each index's step once per
+    subgroup; its text and JSON bytes are those of the listing route, at
+    every bound up to 12.  With the work cap made small it still exits 2."""
+    rng = random.Random(11)
+    groups = ["heisenberg", "direct_product(heisenberg,free_abelian(1))",
+              "direct_product(free_abelian(1),heisenberg)", "q2p4.txt", "comm_square.txt"]
+    with open("q2p4.txt", "w") as f:
+        f.write("7 2\n1 3 : 0 1 0 0\n1 4 : 0 1 0\n2 4 : 0 0 1\n")
+    for k in range(4):
+        with open(f"random-{k}.txt", "w") as f:
+            f.write(_random_class2_table(rng))
+        groups.append(f"random-{k}.txt")
+    for group in groups:
+        for bound in range(1, 13):
+            argv = ["rfrs-obstruct", "--group", group, "--max-index", str(bound)]
+            for args, expected in zip((argv, argv + ["--json"]), _listing_route(group, bound)):
+                assert main(args) == 0
+                assert capsys.readouterr().out == expected, (args, bound)
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 50)
+    for group in groups:
+        assert main(["rfrs-obstruct", "--group", group, "--max-index", "12"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("resource cap exceeded: census work cap of 50 reached at index ") and not out

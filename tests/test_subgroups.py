@@ -46,6 +46,7 @@ from rfrskit.subgroups import (
     lower_central_series,
     subgroup_closure,
     _InducedBasis,
+    _normal_subgroup_counts,
     _ordered_product,
     _row_blocks,
     _sift,
@@ -737,6 +738,131 @@ def test_enumeration_cap_counts_work_and_reports_progress(monkeypatch):
         "census work cap of 10 reached at index 3 of 64: "
         "6 (projection, centre) pairs tested, 4 subgroups found"
     )
+
+
+# ------------------------------------------------------ counting census
+
+
+def _listing_counts(p, bound):
+    """a_1 .. a_bound read off the listing census."""
+    counts = [0] * bound
+    for s in enumerate_normal_subgroups(p, bound):
+        counts[int(s.index()) - 1] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "p, bound",
+    list(MULTIPLICATIVE_CASES.values()) + list(CENSUS_CASES.values()),
+    ids=[f"multiplicative-{k}" for k in MULTIPLICATIVE_CASES] + [f"census-{k}" for k in CENSUS_CASES],
+)
+def test_counts_match_the_listing_census(p, bound):
+    """The counter tests pairs at prime-power indices only and multiplies
+    elsewhere; the listing tests every index and builds every subgroup."""
+    assert _normal_subgroup_counts(p, bound) == _listing_counts(p, bound)
+
+
+@pytest.mark.parametrize(
+    "p, factors, bound",
+    [
+        (H, [(1, 0), (1, 1), (3, 2)], 512),
+        (free_abelian(2), [(1, 0), (1, 1)], 256),
+        (free_abelian(3), [(1, 0), (1, 1), (1, 2)], 64),
+    ],
+    ids=["heisenberg", "free_abelian(2)", "free_abelian(3)"],
+)
+def test_counts_match_zeta_functions(p, factors, bound):
+    """The counts are the coefficients of the normal zeta functions of
+    `test_census_counts_match_zeta_functions`, far past the listing's reach:
+    heisenberg to 512 has 233,533 normal subgroups."""
+    counts = _normal_subgroup_counts(p, bound)
+    assert [0] + counts == _zeta_product_counts(factors, bound)
+    if p is H:
+        assert sum(counts) == 233_533
+
+
+@pytest.mark.parametrize(
+    "p, bound",
+    [(H, 16), (direct_product(H, free_abelian(1)), 16), (direct_product(free_abelian(1), H), 16),
+     (MULTIPLICATIVE_CASES["Q2(P4)"][0], 16), (FOUR_RULES, 8)],
+    ids=["heisenberg", "HxZ", "ZxH", "Q2(P4)", "four rules"],
+)
+def test_needed_lattice_spans_the_needed_values(p, bound):
+    """For every projection M of index <= bound, K(M), built by bilinearity
+    from the table of B on the generators, is the Hermite basis of the
+    span of the list the census once tested one by one: the values
+    m_i m_j - m_i - m_j and [m_i, g_k] over M's Hermite rows m_i, here
+    from the group operations on whole rows (each row or pair once).  On
+    the first four groups the products of distinct rows lie in the span
+    of the commutators; on the four-rules table they do not."""
+    gens = [p.generator(k) for k in p._noncentral]
+
+    @functools.cache
+    def row(m_row):
+        out = [0] * p.n
+        for k, x in zip(p._noncentral, m_row):
+            out[k] = x
+        return tuple(out)
+
+    @functools.cache
+    def commutators(u):
+        return [p.commutator(u, g) for g in gens]
+
+    @functools.cache
+    def correction(u, v):
+        return tuple(w - a - b for w, a, b in zip(p.multiply(u, v), u, v))
+
+    pairs = subgroups._CensusPairs(p, bound)
+    for d in range(1, bound + 1):
+        for m in subgroups._hermite_bases(pairs.r, d):
+            rows = [row(u) for u in m]
+            needs = [correction(u, v) for u in rows for v in rows] + [w for u in rows for w in commutators(u)]
+            needs = dict.fromkeys(needs)
+            assert not any(w[k] for w in needs for k in p._noncentral)
+            central = [[w[k] for k in p._central] for w in needs if any(w)]
+            span = hnf_basis(IntMatrix(len(central), len(p._central), tuple(x for w in central for x in w)))
+            assert pairs._needed(tuple(m)) == span.to_rows(), m
+
+
+def test_counting_cap_charges_pair_tests_and_subgroups_counted(monkeypatch):
+    """On heisenberg, indices 1-3 cost 10 pair tests and count 8
+    subgroups; index 4 costs 11 pair tests and counts 7, index 5 costs 7
+    and counts 6, and index 6 = 2 * 3 costs no test and counts
+    a_2 a_3 = 12 in one charge.  Each census charges a unit of work
+    before doing it, so up to index 5, where both walk the same pairs,
+    the counter stops where the listing stops, with the same message."""
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 18)
+    assert _normal_subgroup_counts(H, 3) == [1, 3, 4]
+    for census in (_normal_subgroup_counts, enumerate_normal_subgroups):
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            census(H, 4)
+        assert str(exc.value) == (
+            "census work cap of 18 reached at index 4 of 4: "
+            "10 (projection, centre) pairs tested, 8 subgroups found"
+        )
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 61)
+    assert _normal_subgroup_counts(H, 6) == [1, 3, 4, 7, 6, 12]
+    monkeypatch.setattr(subgroups, "CENSUS_WORK_CAP", 60)
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        _normal_subgroup_counts(H, 6)
+    assert str(exc.value) == (
+        "census work cap of 60 reached at index 6 of 6: "
+        "28 (projection, centre) pairs tested, 21 subgroups found"
+    )
+
+
+def test_counting_answers_where_the_listings_pair_tests_pass_the_cap():
+    """H x Z to 113 has 971,616 normal subgroups (the listing, with the cap
+    raised, finds the same counts).  The listing also tests every (M, N)
+    pair at every index, sum over k and d | k of sigma(d) sigma(k / d) of
+    them (Z^2 has sigma(d) lattices of index d), and that passes
+    CENSUS_WORK_CAP; the counter tests pairs at prime-power indices only."""
+    hxz = direct_product(H, free_abelian(1))
+    sigma = [0] + [sum(e for e in range(1, d + 1) if d % e == 0) for d in range(1, 114)]
+    tests = sum(sigma[d] * sigma[k // d] for k in range(1, 114) for d in range(1, k + 1) if k % d == 0)
+    counts = _normal_subgroup_counts(hxz, 113)
+    assert sum(counts) == 971_616
+    assert tests + sum(counts) > subgroups.CENSUS_WORK_CAP
 
 
 # ------------------------------------------------------ induced presentations
