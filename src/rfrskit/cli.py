@@ -23,11 +23,11 @@ graph-group series report).  Two values `_dumps` does not walk, since
 the report holds a callable that writes them.  A series report's terms
 are `_series_terms` of the sorted (monomial, coefficient) pairs, which
 writes each term with one format; the human-readable lines read the same
-pairs.  The steps of `rfrs-obstruct`, one per normal subgroup within the
-bound, are `_obstruct_steps` of the counts a_k of normal subgroups of
+pairs.  `rfrs-obstruct` prints the certificate `obstruction_certificate`
+returns.  Its steps, one per normal subgroup within the bound, are
+`_obstruct_steps` of the certificate's counts a_k of normal subgroups of
 each index k: the step of index k is written once and repeated a_k
-times.  The command counts the census (`subgroups._normal_subgroup_counts`)
-and builds no subgroup, so a text run builds no steps at all.
+times, so a text run builds no steps at all.
 """
 
 from __future__ import annotations
@@ -60,14 +60,13 @@ from .raags import (
 )
 from .rfrs import (
     Filtration,
-    _certificate_fact,
     _restriction,
+    obstruction_certificate,
     trapped_central_witness,
     verify_rfrs_chain,
 )
 from .subgroups import (
     Subgroup,
-    _normal_subgroup_counts,
     _row_blocks,
     center_ab_report,
     chain_from_text,
@@ -284,7 +283,7 @@ def _cmd_rfrs_verify(cfg: RunConfig) -> int:
     return 0 if rep.overall else 1
 
 
-def _obstruct_steps(counts: list[int], all_pass: bool, indent: str) -> str:
+def _obstruct_steps(counts: tuple[int, ...], all_pass: bool, indent: str) -> str:
     """`_dumps` of the list that holds, for k = 1, 2, ..., counts[k - 1]
     copies of the step {"index": k, "normal": true, "kernel_contained":
     all_pass}, one per normal subgroup of index k; each index's step is
@@ -298,29 +297,26 @@ def _obstruct_steps(counts: list[int], all_pass: bool, indent: str) -> str:
 
 
 def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
-    p = _load_class2_group(cfg)
-    witness, all_pass, note = _certificate_fact(p, cfg.max_index)
-    counts = _normal_subgroup_counts(p, cfg.max_index)
-    checked = sum(counts)
+    cert = obstruction_certificate(_load_class2_group(cfg), cfg.max_index)
     report = _rfrs_schema(
         "rfrs-obstruct",
         cfg.group,
-        all_pass,
-        functools.partial(_obstruct_steps, counts, all_pass),
+        cert.all_pass,
+        functools.partial(_obstruct_steps, cert.counts, cert.all_pass),
         None,
-        witness,
-        checked,
-        index_bound=cfg.max_index,
-        note=note,
+        cert.witness,
+        cert.checked_subgroups,
+        index_bound=cert.index_bound,
+        note=cert.depth_note,
     )
     _emit(report, lambda: [
-        f"obstruction certificate for {cfg.group} at index bound {cfg.max_index}",
-        f"witness: {_int_list(witness)}",
-        f"normal subgroups checked: {checked}",
-        f"all_pass: {all_pass}",
-        note,
+        f"obstruction certificate for {cfg.group} at index bound {cert.index_bound}",
+        f"witness: {_int_list(cert.witness)}",
+        f"normal subgroups checked: {cert.checked_subgroups}",
+        f"all_pass: {cert.all_pass}",
+        cert.depth_note,
     ], cfg)
-    return 0 if all_pass else 1
+    return 0 if cert.all_pass else 1
 
 
 def _cmd_rfrs_restrict(cfg: RunConfig) -> int:

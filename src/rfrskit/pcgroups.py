@@ -516,7 +516,7 @@ def build_standard(name: str) -> PcPresentation:
         if name.startswith(prefix + "(") and name.endswith(")"):
             arg = name[len(prefix) + 1 : -1].strip()
             if not arg.lstrip("-").isdigit():
-                raise ValueError(f"bad argument in builder name {name!r}")
+                raise ValueError(f"bad argument in builder name {_echo(name)}")
             return fn(int(arg))
     if name.startswith("direct_product(") and name.endswith(")"):
         inner = name[len("direct_product(") : -1]
@@ -531,9 +531,9 @@ def build_standard(name: str) -> PcPresentation:
                 split = t
                 break
         if split is None:
-            raise ValueError(f"direct_product needs two arguments: {name!r}")
+            raise ValueError(f"direct_product needs two arguments: {_echo(name)}")
         return direct_product(build_standard(inner[:split]), build_standard(inner[split + 1 :]))
-    raise ValueError(f"unknown group builder {name!r}")
+    raise ValueError(f"unknown group builder {_echo(name)}")
 
 
 # ------------------------------------------------------------ abelianization

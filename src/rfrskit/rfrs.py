@@ -27,14 +27,12 @@ every term of a verified chain is a membership test.  `restrict_chain`
 returns the restriction as a filtration of H on H's own basis, for the
 library; it builds the induced presentation.
 
-The obstruction certificate is the census of normal subgroups up to an
-index bound plus one fact, z in V; `ObstructionCertificate` states why
-that traps the witness in every conditioned chain within the bound.
-`obstruction_certificate` lists the census.  The `rfrs-obstruct`
-command reads the witness, the fact and the note through the same
-helper, `_certificate_fact`, and counts the census instead
-(`subgroups._normal_subgroup_counts`): its report depends on the census
-only through the number of normal subgroups of each index.
+The obstruction certificate is one fact, z in V, plus the number of
+normal subgroups of each index up to a bound, counted by
+`subgroups._normal_subgroup_counts` with no subgroup built;
+`ObstructionCertificate` states why that traps the witness in every
+conditioned chain within the bound.  `rfrs-obstruct` prints the one
+certificate `obstruction_certificate` returns.
 """
 
 from __future__ import annotations
@@ -47,9 +45,9 @@ from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
     _commutator_values,
+    _normal_subgroup_counts,
     _ordered_product,
     _require_class2,
-    enumerate_normal_subgroups,
     express_in_basis,
     induced_presentation,
     rational_kernel,
@@ -161,31 +159,32 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
 class ObstructionCertificate:
     """Bounded-index certificate that the witness is trapped.
 
-    `subgroups` is the census of normal subgroups of index within the
-    bound, and `all_pass` the one fact proved: the witness z lies in V,
-    the kernel of G -> G^ab tensor Q.  Every census subgroup H has finite
-    index, so `rational_kernel(H)` is H meet V, and z has torsion image in
-    H^ab whenever H holds z.  By induction, a chain of normal subgroups
-    with indices within the bound that satisfies the step conditions
-    keeps z in every term, so its intersection is nontrivial.  A subgroup
-    without z cannot occur in such a chain at all, which is why the
-    certificate is an implication.
+    `counts` is (a_1, ..., a_bound), a_k the number of normal subgroups
+    of index k, and `all_pass` the one fact proved: the witness z lies in
+    V, the kernel of G -> G^ab tensor Q.  Every census subgroup H has
+    finite index, so `rational_kernel(H)` is H meet V, and z has torsion
+    image in H^ab whenever H holds z.  By induction, a chain of normal
+    subgroups with indices within the bound that satisfies the step
+    conditions keeps z in every term, so its intersection is nontrivial.
+    A subgroup without z cannot occur in such a chain at all, which is
+    why the certificate is an implication.  It tests no subgroup, so it
+    keeps only how many there are of each index.
     """
 
     witness: Element
     index_bound: int
     depth_note: str
     all_pass: bool
-    subgroups: tuple[Subgroup, ...]
+    counts: tuple[int, ...]
 
     @property
     def checked_subgroups(self) -> int:
-        return len(self.subgroups)
+        return sum(self.counts)
 
 
-def _certificate_fact(p: PcPresentation, max_index: int) -> tuple[Element, bool, str]:
-    """The witness, `all_pass` and depth note of a certificate at the
-    bound, shared by `obstruction_certificate` and `rfrs-obstruct`.
+def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
+    """Certificate over the normal subgroups of index <= max_index, which
+    it counts (`_normal_subgroup_counts`).
 
     The witness is the first Hermite row of V: the class-2 scan puts V on
     central generators, so it is the first row of Z(G) meet V, the
@@ -194,24 +193,15 @@ def _certificate_fact(p: PcPresentation, max_index: int) -> tuple[Element, bool,
     if p.is_abelian():
         raise ValueError("obstruction certificates apply to nonabelian class-2 groups")
     z = p._torsion_lattice.row(0)
-    note = (
-        f"any chain of normal subgroups with indices <= {max_index} satisfying the "
-        "step conditions keeps the witness in every term; its intersection is nontrivial"
-    )
-    return z, lattice_member(p._torsion_lattice, z), note
-
-
-def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCertificate:
-    """Certificate over the normal subgroups of index <= max_index, which
-    it lists (`enumerate_normal_subgroups`); `rfrs-obstruct` counts them
-    instead."""
-    z, all_pass, note = _certificate_fact(p, max_index)
     return ObstructionCertificate(
         witness=z,
         index_bound=max_index,
-        depth_note=note,
-        all_pass=all_pass,
-        subgroups=tuple(enumerate_normal_subgroups(p, max_index)),
+        depth_note=(
+            f"any chain of normal subgroups with indices <= {max_index} satisfying the "
+            "step conditions keeps the witness in every term; its intersection is nontrivial"
+        ),
+        all_pass=lattice_member(p._torsion_lattice, z),
+        counts=tuple(_normal_subgroup_counts(p, max_index)),
     )
 
 

@@ -66,7 +66,7 @@ walk over the pairs of an index, `_CensusPairs.passing`, with one pair
 test and one work account capped at `CENSUS_WORK_CAP`, serves two
 censuses.  The listing, `enumerate_normal_subgroups`, walks every index
 and emits every gluing of a passing pair untested.  The counter,
-`_normal_subgroup_counts`, which `rfrs-obstruct` runs, walks prime-power
+`_normal_subgroup_counts`, which `obstruction_certificate` runs, walks prime-power
 indices only, adds the number of gluings of a passing pair, and
 multiplies elsewhere, since the counts are multiplicative over coprime
 indices.
@@ -352,10 +352,15 @@ class _CensusPairs:
 
     The work, pair tests plus subgroups found, may not pass
     CENSUS_WORK_CAP: each unit is charged (`spend`) before it is done,
-    and the charge that would pass the cap raises instead.
+    and the charge that would pass the cap raises instead.  Construction
+    refuses a group off the class-2 scan and a bound below 1, for both
+    censuses.
     """
 
     def __init__(self, p: PcPresentation, max_index: int):
+        _require_class2(p, "normal subgroup enumeration")
+        if max_index < 1:
+            raise ValueError("max_index must be positive")
         self.r, self.s = len(p._noncentral), len(p._central)
         gens = [p.generator(k) for k in p._noncentral]
         # (a, b, B(g_a, g_b) on the central coordinates) over the nonzero values
@@ -453,11 +458,8 @@ def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgro
     The work, pair tests plus subgroups emitted, may not pass
     CENSUS_WORK_CAP.
     """
-    _require_class2(p, "normal subgroup enumeration")
-    if max_index < 1:
-        raise ValueError("max_index must be positive")
-    top, cen, n = p._noncentral, p._central, p.n
     pairs = _CensusPairs(p, max_index)
+    top, cen, n = p._noncentral, p._central, p.n
 
     @functools.cache
     def gluings(e: int) -> list:
@@ -511,9 +513,6 @@ def _normal_subgroup_counts(p: PcPresentation, max_index: int) -> list[int]:
     CENSUS_WORK_CAP, charged as the listing charges it except that a
     passing pair's gluings, or a product a_q a_(k/q), are one charge.
     """
-    _require_class2(p, "normal subgroup enumeration")
-    if max_index < 1:
-        raise ValueError("max_index must be positive")
     pairs = _CensusPairs(p, max_index)
     counts = [0]  # a_0 is no index
     for k in range(1, max_index + 1):

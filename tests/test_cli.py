@@ -22,7 +22,6 @@ from rfrskit.pcgroups import (
     unitriangular,
 )
 from rfrskit.raags import graph_from_text, magnus_image, word_from_tokens
-from rfrskit.rfrs import obstruction_certificate
 from rfrskit.subgroups import Subgroup, chain_to_text, enumerate_normal_subgroups, subgroup_closure
 
 PY = [sys.executable, "-m", "rfrskit"]
@@ -1085,6 +1084,11 @@ CONSOLE_CASES = {
     ),
     # too long for a file name: read as a builder name
     "long-group": (["analyze", "--group", "x" * 300], 2, "unknown group builder"),
+    # and its refusal echoes the name clipped, with its length
+    "long-group-clipped": (
+        ["analyze", "--group", "x" * 5000], 2,
+        "input error: unknown group builder '" + "x" * 32 + "'... (5000 characters)\n",
+    ),
     # the exponents merge into 2 (10^4300 - 1), past the int-to-str digit limit
     "nf-digits": (
         ["raag-nf", "--graph", "two.txt", "--word", f"a^{NINES},a^{NINES}", "--json"], 0,
@@ -1217,19 +1221,25 @@ def _random_class2_table(rng):
 
 def _listing_route(group, bound):
     """The text and JSON reports that `rfrs-obstruct` wrote while it listed
-    the census: one step per subgroup of `obstruction_certificate`, read
-    off its index."""
+    the census: one step per subgroup of `enumerate_normal_subgroups`, read
+    off its index.  The witness z is V's first Hermite row and `all_pass`
+    its membership in V, taken here rather than from the certificate."""
     p = cli._load_class2_group(RunConfig(command="rfrs-obstruct", group=group))
-    cert = obstruction_certificate(p, bound)
-    steps = [{"index": int(s.index()), "normal": True, "kernel_contained": cert.all_pass} for s in cert.subgroups]
-    report = cli._rfrs_schema("rfrs-obstruct", group, cert.all_pass, steps, None, cert.witness,
-                              cert.checked_subgroups, index_bound=cert.index_bound, note=cert.depth_note)
+    v = p._torsion_lattice
+    z = v.row(0)
+    all_pass = intlinalg.lattice_member(v, z)
+    subs = enumerate_normal_subgroups(p, bound)
+    note = (f"any chain of normal subgroups with indices <= {bound} satisfying the "
+            "step conditions keeps the witness in every term; its intersection is nontrivial")
+    steps = [{"index": int(s.index()), "normal": True, "kernel_contained": all_pass} for s in subs]
+    report = cli._rfrs_schema("rfrs-obstruct", group, all_pass, steps, None, z, len(subs),
+                              index_bound=bound, note=note)
     text = "\n".join([
-        f"obstruction certificate for {group} at index bound {cert.index_bound}",
-        f"witness: {list(cert.witness)}",
-        f"normal subgroups checked: {cert.checked_subgroups}",
-        f"all_pass: {cert.all_pass}",
-        cert.depth_note,
+        f"obstruction certificate for {group} at index bound {bound}",
+        f"witness: {list(z)}",
+        f"normal subgroups checked: {len(subs)}",
+        f"all_pass: {all_pass}",
+        note,
     ]) + "\n"
     return text, _dumps(report) + "\n"
 

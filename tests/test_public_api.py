@@ -103,6 +103,8 @@ REFUSALS = {
         "cannot restrict to the trivial subgroup"),
     "census-index-0": (
         lambda: rfrskit.enumerate_normal_subgroups(H, 0), "max_index must be positive"),
+    "certificate-index-0": (
+        lambda: rfrskit.obstruction_certificate(H, 0), "max_index must be positive"),
     "magnus-degree-0": (
         lambda: rfrskit.magnus_image(PATH3, rfrskit.word_from_tokens(PATH3, "a"), 0),
         "degree bound must be at least 1"),
@@ -129,6 +131,16 @@ REFUSALS = {
     "builder-one-factor": (
         lambda: rfrskit.build_standard("direct_product(heisenberg)"),
         "direct_product needs two arguments: 'direct_product(heisenberg)'"),
+    # a long builder name is echoed clipped, with its length
+    "builder-unknown-long": (
+        lambda: rfrskit.build_standard("x" * 5000),
+        "unknown group builder '" + "x" * 32 + "'... (5000 characters)"),
+    "builder-bad-argument-long": (
+        lambda: rfrskit.build_standard("ut(" + "x" * 5000 + ")"),
+        "bad argument in builder name 'ut(" + "x" * 29 + "'... (5004 characters)"),
+    "builder-one-factor-long": (
+        lambda: rfrskit.build_standard("direct_product(" + "x" * 5000 + ")"),
+        "direct_product needs two arguments: 'direct_product(" + "x" * 17 + "'... (5016 characters)"),
     # the builder recurses once per level, and 1000 levels pass the recursion limit
     "builder-nested-1000": (
         lambda: rfrskit.build_standard("direct_product(" * 1000 + "heisenberg" + ",heisenberg)" * 1000),

@@ -33,6 +33,7 @@ from rfrskit.pcgroups import (
     presentation_from_text,
     unitriangular,
 )
+from rfrskit.rfrs import obstruction_certificate
 from rfrskit.subgroups import (
     Subgroup,
     center,
@@ -856,13 +857,17 @@ def test_counting_answers_where_the_listings_pair_tests_pass_the_cap():
     raised, finds the same counts).  The listing also tests every (M, N)
     pair at every index, sum over k and d | k of sigma(d) sigma(k / d) of
     them (Z^2 has sigma(d) lattices of index d), and that passes
-    CENSUS_WORK_CAP; the counter tests pairs at prime-power indices only."""
+    CENSUS_WORK_CAP; the counter tests pairs at prime-power indices only,
+    and `obstruction_certificate` certifies through it."""
     hxz = direct_product(H, free_abelian(1))
     sigma = [0] + [sum(e for e in range(1, d + 1) if d % e == 0) for d in range(1, 114)]
     tests = sum(sigma[d] * sigma[k // d] for k in range(1, 114) for d in range(1, k + 1) if k % d == 0)
     counts = _normal_subgroup_counts(hxz, 113)
     assert sum(counts) == 971_616
     assert tests + sum(counts) > subgroups.CENSUS_WORK_CAP
+    cert = obstruction_certificate(hxz, 113)
+    assert cert.checked_subgroups == 971_616
+    assert cert.counts == tuple(counts)
 
 
 # ------------------------------------------------------ induced presentations
