@@ -21,11 +21,11 @@ with all correction terms central.
 Words in every class, and products over any other table, collect through
 conjugation polynomials (P. Hall 1957): the coordinates of
 g_k^-e g_m^s g_k^e are integer-valued polynomials in (s, e), stored as
-integer coefficients of C(s, i) C(e, j).  The table is built once per
-presentation, on its first `collect` or generic product, from the top
-generator down.  A term has i, j >= 1 and i w(m) + j w(k) <= D, with w the
-generator weights and D the largest of them (`PcPresentation._weights`).
-So pair (k, m) takes its values on the grid
+integer coefficients of C(s, i) C(e, j).  The table, the cached property
+`PcPresentation._collector`, is built on the first `collect` or generic
+product, from the top generator down.  A term has i, j >= 1 and
+i w(m) + j w(k) <= D, with w the generator weights and D the largest of
+them (`PcPresentation._weights`).  So pair (k, m) takes its values on the grid
 0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k),
 from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
 Newton forward differences turn them into coefficients.  Before level k is
@@ -47,6 +47,17 @@ from .intlinalg import AbelianQuotient, IntMatrix, _echo, _from_decimal, saturat
 
 Element = tuple[int, ...]
 
+# The most generators a presentation may have, checked before any
+# per-generator work.  `analyze` takes time and memory at least quadratic
+# in the count: on free_abelian(2000), about 2.5 s and 140 MB on a 2-core
+# Xeon.  ut(64) has 2,016 generators.
+MAX_GENERATORS = 2048
+
+
+def _check_generator_count(n: int) -> None:
+    if n > MAX_GENERATORS:
+        raise ValueError(f"generator count {_echo(n)} is above the bound of {MAX_GENERATORS}")
+
 
 def _pair_key(i: int, j: int) -> tuple[int, int]:
     if i == j:
@@ -61,13 +72,15 @@ class PcPresentation:
     [g_j, g_i]; absent pairs commute.  Instances are immutable.  The table
     picks the code path, and the class is read off it.  A table whose
     commutator values are all central is consistent by construction; any other is
-    checked when its conjugation table is built, on its first product or
-    `collect`, or by `check_consistency`.
+    checked when its conjugation table, the cached property `_collector`, is
+    built, on its first product or `collect`, or by `check_consistency`.
+    At most MAX_GENERATORS generators are accepted.
     """
 
     def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None):
         if n < 0:
             raise ValueError("generator count must be nonnegative")
+        _check_generator_count(n)
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
         for (i, j), vec in (rules or {}).items():
             if not (0 <= i < j < n):
@@ -92,8 +105,6 @@ class PcPresentation:
         self._class2 = not any(vec[k] for vec in clean.values() for k in self._noncentral)
         # nonzero bilinear correction data for the fast path
         self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
-        # conjugation polynomials, built on the first generic product or `collect`
-        self._collector: _Collector | None = None
 
     # -------------------------------------------------------------- basics
 
@@ -187,22 +198,22 @@ class PcPresentation:
 
     # ------------------------------------------------------ generic path
 
-    def _generic(self) -> _Collector:
-        if self._collector is None:
-            self._collector = _Collector(self)
-        return self._collector
+    @cached_property
+    def _collector(self) -> _Collector:
+        """The conjugation polynomials, built on the first generic product or `collect`."""
+        return _Collector(self)
 
     # ------------------------------------------------------------ public
 
     def multiply(self, u: Element, v: Element) -> Element:
         if self._class2:
             return tuple(x + y + z for x, y, z in zip(u, v, self._beta(u, v)))
-        return self._generic().mul(u, v)
+        return self._collector.mul(u, v)
 
     def inverse(self, u: Element) -> Element:
         if self._class2:
             return self.power(u, -1)
-        return self._generic().inv(u)
+        return self._collector.inv(u)
 
     def power(self, u: Element, e: int) -> Element:
         if self._class2:
@@ -210,7 +221,7 @@ class PcPresentation:
             b = self._beta(u, u)
             c = e * (e - 1) // 2
             return tuple(e * x + c * z for x, z in zip(u, b))
-        return self._generic().pow(u, e)
+        return self._collector.pow(u, e)
 
     def conjugate(self, u: Element, g: Element) -> Element:
         """g^-1 u g."""
@@ -223,7 +234,7 @@ class PcPresentation:
             b2 = self._beta(v, u)
             return tuple(x - y for x, y in zip(b1, b2))
         # u^-1 v^-1 u v = (v u)^-1 (u v): one inverse instead of two
-        inv = self._generic().inv
+        inv = self._collector.inv
         return self.multiply(inv(self.multiply(v, u)), self.multiply(u, v))
 
     def collect(self, word) -> Element:
@@ -234,7 +245,7 @@ class PcPresentation:
                 raise ValueError(f"generator index {idx} out of range")
             if e:
                 syllables.append((idx, e))
-        return self._generic()._collect([0] * self.n, syllables)
+        return self._collector._collect([0] * self.n, syllables)
 
     def check_consistency(self) -> None:
         """Build the conjugation table now; it refuses an inconsistent table.
@@ -248,7 +259,7 @@ class PcPresentation:
         u^-1 u = B(u, u) - B(u, u) = 0.
         """
         if not self._class2:
-            self._generic()
+            self._collector
 
 
 # ------------------------------------------------------- generic collection
@@ -473,6 +484,7 @@ def unitriangular(n: int) -> PcPresentation:
     """
     if n < 2:
         raise ValueError("unitriangular groups need size at least 2")
+    _check_generator_count(n * (n - 1) // 2)
     positions = _ut_positions(n)
     index = {pos: t for t, pos in enumerate(positions)}
     m = len(positions)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intlinalg import lattice_member
 from .pcgroups import PcPresentation, Element
 from .subgroups import (
     Subgroup,
@@ -161,14 +160,16 @@ class ObstructionCertificate:
 
     `counts` is (a_1, ..., a_bound), a_k the number of normal subgroups
     of index k, and `all_pass` the one fact proved: the witness z lies in
-    V, the kernel of G -> G^ab tensor Q.  Every census subgroup H has
-    finite index, so `rational_kernel(H)` is H meet V, and z has torsion
-    image in H^ab whenever H holds z.  By induction, a chain of normal
-    subgroups with indices within the bound that satisfies the step
-    conditions keeps z in every term, so its intersection is nontrivial.
-    A subgroup without z cannot occur in such a chain at all, which is
-    why the certificate is an implication.  It tests no subgroup, so it
-    keeps only how many there are of each index.
+    V, the kernel of G -> G^ab tensor Q, which holds by construction (z is
+    V's first Hermite row) until the certificate carries a re-check that
+    can fail.  Every census subgroup H has finite index, so
+    `rational_kernel(H)` is H meet V, and z has torsion image in H^ab
+    whenever H holds z.  By induction, a chain of normal subgroups with
+    indices within the bound that satisfies the step conditions keeps z
+    in every term, so its intersection is nontrivial.  A subgroup without
+    z cannot occur in such a chain at all, which is why the certificate
+    is an implication.  It tests no subgroup, so it keeps only how many
+    there are of each index.
     """
 
     witness: Element
@@ -200,7 +201,7 @@ def obstruction_certificate(p: PcPresentation, max_index: int) -> ObstructionCer
             f"any chain of normal subgroups with indices <= {max_index} satisfying the "
             "step conditions keeps the witness in every term; its intersection is nontrivial"
         ),
-        all_pass=lattice_member(p._torsion_lattice, z),
+        all_pass=True,  # z is V's first Hermite row
         counts=tuple(_normal_subgroup_counts(p, max_index)),
     )
 

@@ -38,7 +38,7 @@ with the rows of a larger subgroup, for normal in it (the chain checks of
 `rfrs`).  Both skip rows that are products of central generators, and
 `_commutator_values` skips the central generators.  The census takes the
 same values by bilinearity from the table of B on the noncentral
-generators, read once off `_beta` (`_CensusPairs`).
+generators, read off the rules, not off `_beta` (`_CensusPairs`).
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -344,7 +344,7 @@ class _CensusPairs:
 
     Both kinds of value are bilinear and vanish on central arguments, so
     they come from the nonzero values B(g_a, g_b) over noncentral a, b,
-    read once off `PcPresentation._beta`: B(u, v) = sum u_a v_b B(g_a, g_b)
+    read off the rules, not `_beta`: B(u, v) = sum u_a v_b B(g_a, g_b)
     and [u, g_c] = B(u, g_c) - B(g_c, u).  Only B(m_i, m_j) with i <= j is
     taken: B(m_j, m_i) = B(m_i, m_j) - [m_i, m_j], and [m_i, m_j] is a
     combination of the [m_i, g_c].  Each K(M) is reduced once, on the
@@ -362,11 +362,10 @@ class _CensusPairs:
         if max_index < 1:
             raise ValueError("max_index must be positive")
         self.r, self.s = len(p._noncentral), len(p._central)
-        gens = [p.generator(k) for k in p._noncentral]
-        # (a, b, B(g_a, g_b) on the central coordinates) over the nonzero values
-        values = ((a, b, tuple(p._beta(u, v)[t] for t in p._central))
-                  for a, u in enumerate(gens) for b, v in enumerate(gens))
-        self._beta = [(a, b, w) for a, b, w in values if any(w)]
+        # (a, b, B(g_a, g_b) on the central coordinates) in noncentral places; rule (i, j) is B(g_j, g_i)
+        place = {k: a for a, k in enumerate(p._noncentral)}
+        self._beta = sorted((place[j], place[i], tuple(vec[t] for t in p._central))
+                            for (i, j), vec in p.rules.items())
         self._projections: dict[int, list[tuple]] = {}
         self._centres: dict[int, list[IntMatrix]] = {}
         self._kernels: dict[tuple, list[list[int]]] = {}

@@ -1,10 +1,14 @@
 import argparse
 import collections
+import contextlib
 import functools
 import hashlib
+import io
+import itertools
 import json
 import math
 import random
+import resource
 import subprocess
 import sys
 
@@ -15,13 +19,16 @@ from hypothesis import strategies as st
 from rfrskit import cli, intlinalg, subgroups
 from rfrskit.cli import RunConfig, _dumps, _load_subgroup, build_parser, main, run
 from rfrskit.pcgroups import (
+    MAX_GENERATORS,
     PcPresentation,
+    direct_product,
+    free_abelian,
     heisenberg,
     presentation_from_text,
     presentation_to_text,
     unitriangular,
 )
-from rfrskit.raags import graph_from_text, magnus_image, word_from_tokens
+from rfrskit.raags import Graph, graph_from_text, graph_to_text, magnus_image, normal_form, word_from_tokens
 from rfrskit.subgroups import Subgroup, chain_to_text, enumerate_normal_subgroups, subgroup_closure
 
 PY = [sys.executable, "-m", "rfrskit"]
@@ -122,6 +129,51 @@ def test_subgroup_file_rows_span_blank_lines(tmp_path):
     path = tmp_path / "sub.txt"
     path.write_text("# index 4\n2 0 0\n\n0 2 0\n  \n# centre\n0 0 1\n")
     assert _load_subgroup(p, str(path)) == subgroup_closure(p, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
+
+
+SUBGROUP_FILE_GROUPS = {
+    "heisenberg": heisenberg(),
+    "HxZ": direct_product(heisenberg(), free_abelian(1)),
+    "ZxH": direct_product(free_abelian(1), heisenberg()),
+    "Q2(P4)": presentation_from_text("7 2\n1 3 : 0 1 0 0\n1 4 : 0 1 0\n2 4 : 0 0 1\n"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subgroup_file_written_from_a_closure_reads_back(data, tmp_path_factory):
+    """A subgroup file holding the Hermite rows of a closure loads, through
+    the reader of `--restrict-to`, as that closure."""
+    p = SUBGROUP_FILE_GROUPS[data.draw(st.sampled_from(sorted(SUBGROUP_FILE_GROUPS)))]
+    elt = st.tuples(*[st.integers(-4, 4)] * p.n).filter(any)
+    s = subgroup_closure(p, data.draw(st.lists(elt, min_size=1, max_size=4)))
+    path = tmp_path_factory.getbasetemp() / "closure-sub.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in s.basis_elements()))
+    assert _load_subgroup(p, str(path)) == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raag_nf_output_reads_back_to_the_same_normal_form(data, tmp_path_factory):
+    """The normal form `raag-nf` writes is a word, in the tokens that
+    `--word` reads, with the normal form of the word it was given.  The
+    identity is written as 1, which is no token."""
+    n = data.draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.build(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    letters = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3).filter(bool)), max_size=10))
+    tokens = ",".join(f"{'abcdef'[v]}^{e}" for v, e in letters)
+    path = tmp_path_factory.getbasetemp() / "nf-graph.txt"
+    path.write_text(graph_to_text(g))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["raag-nf", "--graph", str(path), "--word", tokens, "--json"]) == 0
+    report = read_report(out.getvalue())
+    nf = normal_form(g, word_from_tokens(g, tokens))
+    if report["is_identity"]:
+        assert report["normal_form"] == "1" and nf.is_identity_word()
+    else:
+        assert normal_form(g, word_from_tokens(g, report["normal_form"])) == nf
 
 
 def test_raag_nf_command(path3_graph):
@@ -507,6 +559,11 @@ MALFORMED = {
         ("pair-above-range", "3 2\n1 4 :\n", "bad generator pair (1, 4)"),
         ("pair-order", "3 2\n2 1 : 1\n", "bad generator pair (2, 1)"),
         ("repeated-pair", "3 2\n1 2 : 1\n1 2 : 5\n", "repeated generator pair (1, 2)"),
+        (
+            "over-bound",
+            f"{MAX_GENERATORS + 1} 1\n",
+            f"generator count {MAX_GENERATORS + 1} is above the bound of {MAX_GENERATORS}\n",
+        ),
         # refusals clip what they echo: an int past the int-to-str digit
         # limit, or a line of 3,000 tokens, to its first 32 characters
         (
@@ -1108,6 +1165,11 @@ CONSOLE_CASES = {
         ["analyze", "--group", "bigfactors.txt", "--json"], 0,
         lambda r: r["abelianization"] == {"free_rank": 3, "invariant_factors": [BIG_A * BIG_B]},
     ),
+    # refused before any per-generator work, where it once ran for seconds
+    "over-generator-bound": (
+        ["analyze", "--group", f"free_abelian({MAX_GENERATORS + 1})"], 2,
+        f"input error: generator count {MAX_GENERATORS + 1} is above the bound of {MAX_GENERATORS}\n",
+    ),
 }
 
 
@@ -1130,6 +1192,29 @@ def test_console_script_cases(case, tmp_path, monkeypatch, capsys):
         assert check in err and not out
     else:
         assert check(read_report(out))
+
+
+def _limit_memory():
+    # in the child only: a misplaced bound check dies of MemoryError here
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["analyze", "--group", "free_abelian(100000000)"], 100_000_000),
+    (["analyze", "--group", "ut(20000)"], 199_990_000),
+    (["analyze", "--group", "PATH"], 100_000_000),
+], ids=["free-abelian", "ut", "file"])
+def test_huge_generator_counts_exit_2_at_once(argv, count, tmp_path):
+    """Counts far past the bound, each of which once hung or raised
+    MemoryError, exit 2 with one line within 1 s, in a child process with
+    a 512 MB address-space limit."""
+    path = tmp_path / "big-header.txt"
+    path.write_text("100000000 1\n")
+    argv = [str(path) if a == "PATH" else a for a in argv]
+    proc = subprocess.run(PY + argv, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=1)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.endswith(f"generator count {count} is above the bound of {MAX_GENERATORS}\n")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_loading_a_hermite_chain_file_scans_each_block_once(tmp_path, monkeypatch):

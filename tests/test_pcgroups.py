@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfrskit.pcgroups import (
+    MAX_GENERATORS,
     PcPresentation,
     abelianization,
     build_standard,
@@ -279,8 +280,8 @@ def test_generic_path_matches_fast_path_class2():
     for _ in range(100):
         u = tuple(rng.randint(-3, 3) for _ in range(3))
         v = tuple(rng.randint(-3, 3) for _ in range(3))
-        assert h._generic().mul(u, v) == h.multiply(u, v)
-        assert h._generic().inv(u) == h.inverse(u)
+        assert h._collector.mul(u, v) == h.multiply(u, v)
+        assert h._collector.inv(u) == h.inverse(u)
 
 
 def test_class2_table_declared_class_3_takes_the_closed_forms():
@@ -299,7 +300,7 @@ def test_class2_table_declared_class_3_takes_the_closed_forms():
         assert p.power(u, e) == h.power(u, e)
         assert p.commutator(u, v) == h.commutator(u, v)
     p.check_consistency()
-    assert p._collector is None
+    assert "_collector" not in vars(p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -537,12 +538,12 @@ def test_conjugation_polynomials_stay_below_the_weight_bound():
 
 def test_conjugation_table_is_built_lazily():
     p = unitriangular(6)
-    assert p._collector is None
+    assert "_collector" not in vars(p)
     p.multiply(p.generator(1), p.generator(0))
-    assert p._collector is not None
+    assert "_collector" in vars(p)
     h = heisenberg()
     h.multiply(h.generator(1), h.generator(0))
-    assert h._collector is None
+    assert "_collector" not in vars(h)
 
 
 def filiform(n):
@@ -703,7 +704,7 @@ class WriteLog(list):
 def test_commuting_prefix_of_the_tail_is_copied():
     # in ut(4), g0 = E01 commutes with g2 = E23, g3 = E02 and g5 = E03, not with g4 = E13
     p = unitriangular(4)
-    collector = p._generic()
+    collector = p._collector
     for u in [(0, 0, 3, -2, 5, 1), (4, 0, -1, 2, -3, 0), (0, 0, 0, 7, 2, -4)]:
         for e in (-3, 1, 4):
             r = WriteLog(u)
@@ -822,6 +823,11 @@ def test_class_is_the_lower_central_series_length():
     assert {p.nilpotency_class for p in cases} == set(range(9))
 
 
+def test_generator_bound_admits_its_own_count():
+    # one more is refused (tests/test_public_api.py, REFUSALS)
+    assert free_abelian(MAX_GENERATORS).n == MAX_GENERATORS
+
+
 def test_class_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         PcPresentation(3, heisenberg().rules, nilpotency_class=2)
@@ -831,11 +837,40 @@ def test_class_is_not_a_constructor_argument():
 # ------------------------------------------------------------ file format
 
 
-def test_presentation_roundtrip():
-    for p in (heisenberg(), free_abelian(2), unitriangular(4), FOUND30, PcPresentation(0)):
-        assert presentation_from_text(presentation_to_text(p)) == p
+@st.composite
+def class2_scan_tables(draw):
+    """A table that passes the class-2 scan: rules only between generators
+    drawn as noncentral, with values only on the generators drawn as
+    central, which are then in no rule pair."""
+    n = draw(st.integers(0, 7))
+    central = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rules = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if central[i] or central[j] or not draw(st.booleans()):
+                continue
+            rules[(i, j)] = (0,) * (j + 1) + tuple(
+                draw(st.integers(-3, 3)) if central[k] else 0 for k in range(j + 1, n))
+    p = PcPresentation(n, rules)
+    assert p._class2
+    return p
+
+
+# the builders' groups up to ut(5), and products of two of them
+BUILT = st.sampled_from(["heisenberg", "free_abelian(1)", "free_abelian(2)", "ut(2)", "ut(3)", "ut(4)", "ut(5)"])
+BUILDER_PRODUCTS = st.one_of(BUILT, st.builds("direct_product({},{})".format, BUILT, BUILT)).map(build_standard)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(class2_scan_tables(), BUILDER_PRODUCTS))
+def test_presentation_roundtrip(p):
+    assert presentation_from_text(presentation_to_text(p)) == p
+
+
+def test_presentation_text_headers():
     assert presentation_to_text(PcPresentation(0)) == "0 0\n"
     assert presentation_to_text(FOUND30).splitlines()[0] == "5 2"
+    assert presentation_from_text(presentation_to_text(FOUND30)) == FOUND30
 
 
 @pytest.mark.parametrize(

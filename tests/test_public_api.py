@@ -2,9 +2,12 @@
 public API shows up in a diff of this file, and the messages with which
 those names refuse malformed input."""
 
+import itertools
+
 import pytest
 
 import rfrskit
+from rfrskit.pcgroups import MAX_GENERATORS
 
 PUBLIC_API = [
     "AbelianGroupStructure",
@@ -84,6 +87,8 @@ def test_every_exported_name_resolves():
 H = rfrskit.heisenberg()
 PATH3 = rfrskit.graph_from_text("3\n0 1\n1 2\n")
 ROW = rfrskit.IntMatrix.from_rows([[1, 2]])
+# the least n for which ut(n) has more than MAX_GENERATORS generators
+UT_OVER = next(n for n in itertools.count(2) if n * (n - 1) // 2 > MAX_GENERATORS)
 
 # Each refusal of malformed input that no other test reaches: a thunk, and
 # the start of the ValueError message it must raise.
@@ -157,6 +162,16 @@ REFUSALS = {
         "rule vectors must have one entry per generator"),
     "presentation-reversed-pair": (
         lambda: rfrskit.PcPresentation(3, {(1, 0): (0, 0, 1)}), "bad generator pair (1, 0)"),
+    # the generator count is checked before any per-generator work
+    "presentation-over-bound": (
+        lambda: rfrskit.PcPresentation(MAX_GENERATORS + 1),
+        f"generator count {MAX_GENERATORS + 1} is above the bound of {MAX_GENERATORS}"),
+    "free-abelian-over-bound": (
+        lambda: rfrskit.free_abelian(MAX_GENERATORS + 1),
+        f"generator count {MAX_GENERATORS + 1} is above the bound of {MAX_GENERATORS}"),
+    "unitriangular-over-bound": (
+        lambda: rfrskit.unitriangular(UT_OVER),
+        f"generator count {UT_OVER * (UT_OVER - 1) // 2} is above the bound of {MAX_GENERATORS}"),
     "det-not-square": (lambda: rfrskit.det(ROW), "determinant requires a square matrix"),
     "order-not-square": (
         lambda: rfrskit.finite_order_semisimple_check(ROW), "order check requires a square matrix"),

@@ -539,8 +539,12 @@ def test_rtfn_witness_resource_bounds():
 # ------------------------------------------------------------- file formats
 
 
-def test_graph_roundtrip():
-    g = Graph.build(4, [(0, 1), (2, 3), (1, 2)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_graph_roundtrip(data):
+    n = data.draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.build(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
     assert graph_from_text(graph_to_text(g)) == g
 
 
@@ -720,3 +724,64 @@ def test_build_matches_pairwise_merge(letters):
         else:
             merged.append([v, e])
     assert RaagWord.build(letters).letters == tuple(map(tuple, merged))
+
+
+# -------------------------------------------- commutators of graph-group words
+
+# the paper's corollary on the graph-group side, on graphs with paths,
+# an odd cycle and no edges at all
+COROLLARY_GRAPHS = {
+    "P4": Graph.path(4),
+    "P5": Graph.path(5),
+    "C5": Graph.build(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "edgeless3": Graph.edgeless(3),
+}
+
+
+@st.composite
+def graph_and_pair(draw):
+    """A corollary graph and words u, v of 1 to 5 syllables on it."""
+    g = COROLLARY_GRAPHS[draw(st.sampled_from(sorted(COROLLARY_GRAPHS)))]
+    letter = st.tuples(st.integers(0, g.vertex_count - 1), st.sampled_from([-2, -1, 1, 2]))
+    u, v = (RaagWord.build(draw(st.lists(letter, min_size=1, max_size=5))) for _ in range(2))
+    return g, u, v
+
+
+def _inverse(w):
+    return RaagWord(tuple((v, -e) for v, e in reversed(w.letters)))
+
+
+def _commutator(g, x, y):
+    """The normal form of [x, y] = x^-1 y^-1 x y."""
+    return normal_form(g, RaagWord.build(_inverse(x).letters + _inverse(y).letters + x.letters + y.letters))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_pair())
+def test_noncommuting_words_have_no_trivial_left_normed_commutator(case):
+    """Two elements of a graph group commute or generate a free group of
+    rank 2 (Baudisch 1981).  In the free group on u and v, each
+    [u, v, x_3, ..., x_d] with every x_i in {u, v} is nontrivial, so once
+    [u, v] has a nonempty normal form, none to depth 6 has an empty one."""
+    g, u, v = case
+    layer = [_commutator(g, u, v)]
+    if layer[0].is_identity_word():
+        return
+    for depth in range(3, 7):
+        layer = [_commutator(g, w, x) for w in layer for x in (u, v)]
+        assert not any(w.is_identity_word() for w in layer), depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_pair(), st.integers(2, 5), st.data())
+def test_c_fold_commutators_have_no_magnus_terms_below_degree_c(case, c, data):
+    """The Magnus map sends the c-th term of the lower central series into
+    1 plus terms of degree >= c (Duchamp and Krob 1992), so a c-fold
+    commutator [u, v, x_3, ..., x_c] has no term of degree 1 .. c - 1."""
+    g, u, v = case
+    w = _commutator(g, u, v)
+    for x in data.draw(st.lists(st.sampled_from([u, v]), min_size=c - 2, max_size=c - 2)):
+        w = _commutator(g, w, x)
+    s = magnus_image(g, w, c)
+    assert s.coefficient(()) == 1
+    assert all(len(mono) >= c for mono in s.coefficients if mono)

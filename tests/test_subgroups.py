@@ -1438,15 +1438,26 @@ def test_injectivity_iff_abelian():
 # ------------------------------------------------------------- file format
 
 
-def test_chain_roundtrip():
-    chain = [
-        Subgroup.whole_group(H),
-        subgroup_closure(H, [H.power(X, 2), Y, Z]),
-        subgroup_closure(H, [H.power(X, 2), H.power(Y, 2), Z]),
-    ]
-    text = chain_to_text(chain)
-    parsed = chain_from_text(H, text)
-    assert parsed == chain
+@functools.cache
+def _census(name):
+    """The normal subgroups of heisenberg to index 8, or of H x Z to 6."""
+    if name == "heisenberg":
+        return enumerate_normal_subgroups(H, 8)
+    return enumerate_normal_subgroups(direct_product(H, free_abelian(1)), 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chain_roundtrip(data):
+    """A descending chain of meets of census subgroups, whole group first,
+    reads back from its file as the same chain."""
+    census = _census(data.draw(st.sampled_from(["heisenberg", "HxZ"])))
+    chain = [Subgroup.whole_group(census[0].ambient)]
+    for s in data.draw(st.lists(st.sampled_from(census), max_size=4)):
+        meet = chain[-1].intersect(s)
+        if meet != chain[-1]:
+            chain.append(meet)
+    assert chain_from_text(chain[0].ambient, chain_to_text(chain)) == chain
 
 
 def test_row_blocks_skip_comments_and_split_on_blank_runs():
