@@ -9,9 +9,10 @@ Exit codes: 0 when the computation completed with an overall pass/true
 result, 1 when it completed with a fail/false result, 2 on input errors
 (any ValueError, which `run` alone reports) or exceeded resource caps,
 and 141, the status of a process that SIGPIPE ends, when standard output
-is closed before the report is written.  A presentation file goes
-through `presentation_from_text`, which refuses a header whose class is
-not the one read off the table.
+is closed before the report is written.  Each refusal is the library's:
+a bound below 1 by the function that reads it, an RFRS group off the
+class-2 scan by `_require_class2`, which names the offending commutator,
+and a presentation header of the wrong class by `presentation_from_text`.
 Reports print human-readable by default and as JSON with --json; the
 RFRS-family commands share one JSON field set so scripts can parse them
 uniformly.  Each command hands `_emit` a function that builds its
@@ -67,6 +68,7 @@ from .rfrs import (
 )
 from .subgroups import (
     Subgroup,
+    _require_class2,
     _row_blocks,
     center_ab_report,
     chain_from_text,
@@ -116,12 +118,9 @@ def _load_group(spec: str) -> PcPresentation:
 
 
 def _load_class2_group(cfg: RunConfig) -> PcPresentation:
-    """An RFRS command's group, refused unless every commutator value lies on
-    central generators, before other input is read."""
+    """An RFRS command's group, refused by `_require_class2` before other input is read."""
     p = _load_group(cfg.group)
-    if not p._class2:
-        raise ValueError(f"{cfg.command} supports nilpotency class <= 2 only, with commutator values "
-                         f"on central generators; group {cfg.group} has class {p.nilpotency_class}")
+    _require_class2(p, cfg.command)
     return p
 
 
@@ -431,9 +430,6 @@ def run(cfg: RunConfig) -> int:
         if getattr(cfg, field) is None:
             print(f"{cfg.command} requires {_flag(field)}", file=sys.stderr)
             return 2
-    if cfg.max_index < 1 or cfg.degree < 1 or cfg.max_len < 1:
-        print("numeric bounds must be positive", file=sys.stderr)
-        return 2
     try:
         return command.handler(cfg)
     except ValueError as exc:

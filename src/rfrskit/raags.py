@@ -416,10 +416,10 @@ def _token(g: Graph, token: str) -> str:
 
 
 def _word_letter(g: Graph, token: str) -> tuple[int, int]:
-    """The (vertex, exponent) of one token like 'a', 'a^-1', 'v12^2'; (0, 0),
-    a letter that `RaagWord.build` drops, for a blank token."""
+    """The (vertex, exponent) of one token like 'a', 'a^-1', 'v12^2'; (0, 0), a letter that
+    `RaagWord.build` drops, for a blank token or '1', the identity as `RaagWord.__str__` writes it."""
     token = token.strip()
-    if not token:
+    if not token or token == "1":
         return 0, 0
     name, caret, exp = token.partition("^")
     try:

@@ -99,9 +99,12 @@ from .pcgroups import Element, PcPresentation
 
 
 def _require_class2(p: PcPresentation, what: str) -> None:
+    """The one class-2 admission.  A refusal names the first rule value, in sorted
+    pair order, on a non-central generator; it computes no class and builds no collector."""
     if not p._class2:
-        raise ValueError(f"{what} supports nilpotency class <= 2 only, "
-                         "with commutator values on central generators")
+        i, j, k = next((i, j, k) for i, j, vec in p._beta_items for k in p._noncentral if vec[k])
+        raise ValueError(f"{what} supports nilpotency class <= 2 only, with commutator values on central "
+                         f"generators; [g{j}, g{i}] has a value on the non-central generator g{k}")
 
 
 def _lead(v: Element) -> int | None:

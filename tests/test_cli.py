@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -156,8 +157,8 @@ def test_subgroup_file_written_from_a_closure_reads_back(data, tmp_path_factory)
 @given(data=st.data())
 def test_raag_nf_output_reads_back_to_the_same_normal_form(data, tmp_path_factory):
     """The normal form `raag-nf` writes is a word, in the tokens that
-    `--word` reads, with the normal form of the word it was given.  The
-    identity is written as 1, which is no token."""
+    `--word` reads, with the normal form of the word it was given; the
+    identity is written as 1, which reads back as the empty word."""
     n = data.draw(st.integers(1, 6))
     pairs = list(itertools.combinations(range(n), 2))
     g = Graph.build(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
@@ -170,10 +171,8 @@ def test_raag_nf_output_reads_back_to_the_same_normal_form(data, tmp_path_factor
         assert main(["raag-nf", "--graph", str(path), "--word", tokens, "--json"]) == 0
     report = read_report(out.getvalue())
     nf = normal_form(g, word_from_tokens(g, tokens))
-    if report["is_identity"]:
-        assert report["normal_form"] == "1" and nf.is_identity_word()
-    else:
-        assert normal_form(g, word_from_tokens(g, report["normal_form"])) == nf
+    assert normal_form(g, word_from_tokens(g, report["normal_form"])) == nf
+    assert report["is_identity"] == (report["normal_form"] == "1") == nf.is_identity_word()
 
 
 def test_raag_nf_command(path3_graph):
@@ -418,7 +417,8 @@ def test_exit2_on_abelian_obstruct():
 @pytest.mark.parametrize("command", ["rfrs-verify", "rfrs-obstruct", "rfrs-restrict"])
 def test_exit2_on_class3_rfrs_commands(command, tmp_path):
     """A class-3 group is refused before its chain or subgroup file is
-    read, with a message naming the group and its class, not the file."""
+    read, with a message naming the commutator whose value lies on a
+    non-central generator, not the file."""
     whole = "\n".join(" ".join("1" if t == k else "0" for t in range(6)) for k in range(6)) + "\n"
     (tmp_path / "chain.txt").write_text(whole)
     (tmp_path / "sub.txt").write_text(whole)
@@ -429,7 +429,7 @@ def test_exit2_on_class3_rfrs_commands(command, tmp_path):
         args += ["--restrict-to", str(tmp_path / "sub.txt")]
     code, out, err = invoke(args)
     assert code == 2 and not out
-    assert "group ut(4) has class 3" in err
+    assert err.endswith("[g1, g0] has a value on the non-central generator g3\n")
     assert "bad chain file" not in err
 
 
@@ -974,11 +974,19 @@ def test_human_lines_are_pinned_and_built_only_when_printed(command, json_inputs
     "cfg, message",
     [
         (RunConfig(command="nope"), "unknown command: nope"),
-        (RunConfig(command="rfrs-obstruct", group="heisenberg", max_index=0), "numeric bounds must be positive"),
+        (RunConfig(command="rfrs-obstruct", group="heisenberg", max_index=0),
+         "input error: max_index must be positive"),
+        (RunConfig(command="raag-magnus", graph="PATH3", word="a,b", degree=0),
+         "input error: degree bound must be at least 1"),
+        (RunConfig(command="raag-rtfn", graph="PATH3", max_len=0), "input error: max_len must be at least 1"),
     ],
-    ids=["unknown-command", "max-index-0"],
+    ids=["unknown-command", "max-index-0", "degree-0", "max-len-0"],
 )
-def test_exit2_on_unknown_command_or_nonpositive_bound(cfg, message, capsys):
+def test_exit2_on_unknown_command_or_nonpositive_bound(cfg, message, path3_graph, capsys):
+    """Each bound is refused, with a message naming it, by the one library
+    function that reads it."""
+    if cfg.graph == "PATH3":
+        cfg = dataclasses.replace(cfg, graph=path3_graph)
     assert run(cfg) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and not captured.out
@@ -1068,11 +1076,17 @@ CONSOLE_CASES = {
         lambda r: (r["generators"], r["nilpotency_class"], r["center_rank"], r["witness"])
         == (5, 2, 2, [0, 0, 1, -1, 0]),
     ),
-    # class 2, but a commutator value lies on the non-central g3 and g4
+    # class 2, but [g1, g0] = g2 g3^-1 lies on the non-central g2 and g3
     "found30-obstruct": (
         ["rfrs-obstruct", "--group", "found30.txt"], 2,
         "supports nilpotency class <= 2 only, with commutator values on central generators; "
-        "group found30.txt has class 2",
+        "[g1, g0] has a value on the non-central generator g2",
+    ),
+    # refused off the rules, with no class computed, where it once ran for minutes
+    "ut32-obstruct": (
+        ["rfrs-obstruct", "--group", "ut(32)"], 2,
+        "input error: rfrs-obstruct supports nilpotency class <= 2 only, with commutator values on central "
+        "generators; [g1, g0] has a value on the non-central generator g31\n",
     ),
     "chain4": (
         ["rfrs-verify", "--group", "heisenberg", "--chain", "chain4.txt", "--json"], 0,
@@ -1199,6 +1213,16 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 
 
+def _exit_2_within(argv, seconds) -> str:
+    """The standard error of `python -m rfrskit argv`, run in a child
+    process with a 512 MB address-space limit, which must exit 2 within
+    `seconds` with one line of standard error and nothing on standard output."""
+    proc = subprocess.run(PY + argv, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=seconds)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.count("\n") == 1
+    return proc.stderr
+
+
 @pytest.mark.parametrize("argv,count", [
     (["analyze", "--group", "free_abelian(100000000)"], 100_000_000),
     (["analyze", "--group", "ut(20000)"], 199_990_000),
@@ -1211,10 +1235,23 @@ def test_huge_generator_counts_exit_2_at_once(argv, count, tmp_path):
     path = tmp_path / "big-header.txt"
     path.write_text("100000000 1\n")
     argv = [str(path) if a == "PATH" else a for a in argv]
-    proc = subprocess.run(PY + argv, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=1)
-    assert proc.returncode == 2 and not proc.stdout
-    assert proc.stderr.endswith(f"generator count {count} is above the bound of {MAX_GENERATORS}\n")
-    assert proc.stderr.count("\n") == 1
+    err = _exit_2_within(argv, 1)
+    assert err.endswith(f"generator count {count} is above the bound of {MAX_GENERATORS}\n")
+
+
+@pytest.mark.parametrize("command", ["rfrs-verify", "rfrs-obstruct", "rfrs-restrict"])
+def test_class3_refusal_builds_no_collector(command, tmp_path):
+    """ut(32), of class 31 on 496 generators, is refused off its rules
+    within 5 s, before its chain or subgroup file (here missing) is read;
+    computing its class, as the refusal once did, ran for minutes."""
+    argv = [command, "--group", "ut(32)"]
+    if command != "rfrs-obstruct":
+        argv += ["--chain", str(tmp_path / "chain.txt")]
+    if command == "rfrs-restrict":
+        argv += ["--restrict-to", str(tmp_path / "sub.txt")]
+    err = _exit_2_within(argv, 5)
+    assert err == (f"input error: {command} supports nilpotency class <= 2 only, with commutator values on "
+                   "central generators; [g1, g0] has a value on the non-central generator g31\n")
 
 
 def test_loading_a_hermite_chain_file_scans_each_block_once(tmp_path, monkeypatch):

@@ -87,6 +87,7 @@ def test_every_exported_name_resolves():
 H = rfrskit.heisenberg()
 PATH3 = rfrskit.graph_from_text("3\n0 1\n1 2\n")
 ROW = rfrskit.IntMatrix.from_rows([[1, 2]])
+UT4 = rfrskit.unitriangular(4)
 # the least n for which ut(n) has more than MAX_GENERATORS generators
 UT_OVER = next(n for n in itertools.count(2) if n * (n - 1) // 2 > MAX_GENERATORS)
 
@@ -172,6 +173,11 @@ REFUSALS = {
     "unitriangular-over-bound": (
         lambda: rfrskit.unitriangular(UT_OVER),
         f"generator count {UT_OVER * (UT_OVER - 1) // 2} is above the bound of {MAX_GENERATORS}"),
+    # the first rule value, in sorted pair order, on a non-central generator
+    "closure-class3": (
+        lambda: rfrskit.subgroup_closure(UT4, [UT4.generator(0)]),
+        "subgroup closure supports nilpotency class <= 2 only, with commutator values on central "
+        "generators; [g1, g0] has a value on the non-central generator g3"),
     "det-not-square": (lambda: rfrskit.det(ROW), "determinant requires a square matrix"),
     "order-not-square": (
         lambda: rfrskit.finite_order_semisimple_check(ROW), "order check requires a square matrix"),
@@ -186,3 +192,11 @@ def test_malformed_input_is_refused_with_a_message(case):
     with pytest.raises(ValueError) as info:
         thunk()
     assert str(info.value).startswith(message)
+
+
+def test_class2_refusal_computes_no_class():
+    """The class-2 refusal reads the rules alone: it builds no collector and
+    computes no class."""
+    with pytest.raises(ValueError):
+        REFUSALS["closure-class3"][0]()
+    assert "_collector" not in vars(UT4) and "nilpotency_class" not in vars(UT4)

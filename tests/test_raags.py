@@ -672,6 +672,16 @@ def test_word_str():
     assert str(W()) == "1"
 
 
+def test_identity_token_reads_as_the_empty_word():
+    """'1', as `str` writes the identity, reads back as the empty word, alone
+    or among other tokens; any other token on the digit 1 is refused."""
+    assert word_from_tokens(PATH3, str(W())) == W()
+    assert word_from_tokens(PATH3, " 1 ,a,1,b^2,1") == W((0, 1), (1, 2))
+    for token in ["1^2", "01", "+1", "-1", "1a"]:
+        with pytest.raises(ValueError, match=rf"^bad word token '{re.escape(token)}'$"):
+            word_from_tokens(PATH3, f"a,{token}")
+
+
 @pytest.mark.parametrize(
     "letters,message,built",
     [
