@@ -11,8 +11,9 @@ result, 1 when it completed with a fail/false result, 2 on input errors
 and 141, the status of a process that SIGPIPE ends, when standard output
 is closed before the report is written.  Each refusal is the library's:
 a bound below 1 by the function that reads it, an RFRS group off the
-class-2 scan by `_require_class2`, which names the offending commutator,
-and a presentation header of the wrong class by `presentation_from_text`.
+class-2 scan by `_require_class2`, which names the offending commutator
+(for a presentation file, before its header's class is read), and a
+presentation header of the wrong class by `presentation_from_text`.
 Reports print human-readable by default and as JSON with --json; the
 RFRS-family commands share one JSON field set so scripts can parse them
 uniformly.  Each command hands `_emit` a function that builds its
@@ -91,10 +92,15 @@ class RunConfig:
     json_output: bool = False
 
 
+class _Refused(ValueError):
+    """A command's refusal of the group a file holds, reported as raised
+    rather than as a bad file: the file itself is well formed."""
+
+
 def _read_input(spec: str, kind: str, parse):
     """parse applied to the text of file spec.  A missing or unreadable
-    file, or a ValueError from parse, becomes a ValueError naming the kind
-    of file."""
+    file, or a ValueError from parse other than a `_Refused`, becomes a
+    ValueError naming the kind of file."""
     try:
         text = Path(spec).read_text(encoding="utf-8")
     except (FileNotFoundError, NotADirectoryError):
@@ -105,23 +111,35 @@ def _read_input(spec: str, kind: str, parse):
         raise ValueError(f"cannot read {kind} file {spec}: not UTF-8 text") from None
     try:
         return parse(text)
+    except _Refused:
+        raise
     except ValueError as exc:
         raise ValueError(f"bad {kind} file {spec}: {exc}") from exc
 
 
-def _load_group(spec: str) -> PcPresentation:
-    """A presentation file if spec names one, else a builder name."""
+def _load_group(spec: str, admit=None) -> PcPresentation:
+    """A presentation file if spec names one, else a builder name.  admit,
+    if given, runs on the table and may refuse it; on a file it runs before
+    the header's class is checked (`presentation_from_text`)."""
     # os.path.exists is False, where Path.exists raises, on a name too long for a file
     if os.path.exists(spec):
-        return _read_input(spec, "presentation", presentation_from_text)
-    return build_standard(spec)
+        return _read_input(spec, "presentation", functools.partial(presentation_from_text, admit=admit))
+    p = build_standard(spec)
+    if admit is not None:
+        admit(p)
+    return p
 
 
 def _load_class2_group(cfg: RunConfig) -> PcPresentation:
     """An RFRS command's group, refused by `_require_class2` before other input is read."""
-    p = _load_group(cfg.group)
-    _require_class2(p, cfg.command)
-    return p
+
+    def admit(p: PcPresentation) -> None:
+        try:
+            _require_class2(p, cfg.command)
+        except ValueError as exc:
+            raise _Refused(str(exc)) from None
+
+    return _load_group(cfg.group, admit)
 
 
 def _load_chain(p: PcPresentation, spec: str) -> Filtration:

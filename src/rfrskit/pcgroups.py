@@ -302,12 +302,15 @@ class _Collector:
     `_collect` appends syllables g_k^e from a stack to an exponent list.  If
     g_k commutes with the list's tail, or k >= `top` (from there on the
     generators commute pairwise), only coordinate k changes.  Otherwise the
-    tail from the first generator that does not commute with g_k is zeroed
-    and pushed back as g_m^s and then the nonzero coordinates l > m of
-    g_k^-e g_m^s g_k^e, for each nonzero m, whatever the size of e.
+    tail from the first generator of `blocking[k]`, the keys of `levels[k]`,
+    that is nonzero on the list is zeroed and pushed back as g_m^s and then
+    the nonzero coordinates l > m of g_k^-e g_m^s g_k^e, for each nonzero m,
+    whatever the size of e.  On a level of degrees (1, 1), as every level of
+    ut(n) is, each coordinate has the one term (1, 1, a) and is read as the
+    product a s e, with no binomials.
     """
 
-    __slots__ = ("n", "top", "levels", "degrees")
+    __slots__ = ("n", "top", "levels", "blocking", "degrees")
 
     def __init__(self, p: PcPresentation):
         self.n = p.n
@@ -315,10 +318,13 @@ class _Collector:
         self.top = max((i + 1 for i, _ in p.rules), default=0)
         w, bound = p._weights
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
+        # the keys of levels[k]: the generators that do not commute with g_k, in order
+        self.blocking: list[tuple[int, ...]] = [()] * p.n
         self.degrees: list[tuple[int, int]] = [(0, 0)] * p.n
         # level k multiplies only inside <g_(k+1), ...>, which uses the levels above it
         for k in reversed(range(p.n)):
             self.levels[k], self.degrees[k] = self._level(p, k, w, bound)
+            self.blocking[k] = tuple(self.levels[k])
 
     def _level(self, p: PcPresentation, k: int, w: tuple[int, ...], bound: int) -> tuple:
         n = self.n
@@ -370,17 +376,28 @@ class _Collector:
         images[l] is g_l times generators above l, and so an automorphism, as
         finitely generated nilpotent groups are Hopfian.  So G_k is the
         semidirect product <g_k> x G_(k+1) and the table is consistent from k
-        on (Sims, Computation with Finitely Presented Groups, ch. 9).  A
-        relation whose generators, g_i, g_j and those of r_ij, are all fixed
-        maps to itself, and it holds in G_(k+1) already.
+        on (Sims, Computation with Finitely Presented Groups, ch. 9).  Two
+        kinds of relation hold at once and are skipped.  One whose generators,
+        g_i, g_j and those of r_ij, are all fixed maps to itself, and it holds
+        in G_(k+1) already.  One with no rule asks that images[i] and
+        images[j] commute, and they do when no generator of the one's support
+        has a rule with a generator of the other's: G_(k+1) was checked at the
+        levels above, so the commutations its table states hold there.
         """
         n, rules = self.n, p.rules
+        support = {l: [t for t in range(l, n) if img[t]] for l, img in images.items()}
         for j in range(k + 2, n):
+            y_support = support.get(j)
             for i in range(k + 1, j):
                 rule = rules.get((i, j))
-                if i not in images and j not in images:
+                x_support = support.get(i)
+                if x_support is None and y_support is None:
                     if rule is None or not any(rule[l] for l in images):
                         continue
+                elif rule is None and not any(
+                    (min(a, b), max(a, b)) in rules for a in x_support or (i,) for b in y_support or (j,)
+                ):
+                    continue
                 x, y = images.get(i) or _unit(n, i, 1), images.get(j) or _unit(n, j, 1)
                 right = self.mul(x, y)
                 if rule is not None:
@@ -403,35 +420,51 @@ class _Collector:
 
     def _collect(self, r: list[int], word) -> Element:
         """r times a word of (generator, nonzero exponent) syllables, collected from the left."""
-        n, top, levels, degrees = self.n, self.top, self.levels, self.degrees
+        n, top, levels, blocking, degrees = self.n, self.top, self.levels, self.blocking, self.degrees
         stack = word[::-1]
+        pop = stack.pop
         while stack:
-            k, e = stack.pop()
+            k, e = pop()
             if k < top:
-                level = levels[k]
-                for first in level:  # the generators that do not commute with g_k, in order
+                for first in blocking[k]:
                     if r[first]:
                         break
                 else:
                     r[k] += e
                     continue
                 # the commuting run below `first` stays; the rest is conjugated
+                level = levels[k]
                 d_s, d_e = degrees[k]
-                be = _binomials(e, d_e)
                 pushed = []
-                for m in range(first, n):
-                    s = r[m]
-                    if s:
-                        r[m] = 0
-                        pushed.append((m, s))
-                        poly = level.get(m)
-                        if poly is not None:
-                            bs = _binomials(s, d_s)
-                            for l, terms in poly:
-                                c = sum(a * bs[i] * be[j] for i, j, a in terms)
-                                if c:
-                                    pushed.append((l, c))
-                stack += pushed[::-1]
+                push = pushed.append
+                if d_s == d_e == 1:
+                    # every term is (1, 1, a): coordinate l is a * s * e, never 0
+                    for m in range(first, n):
+                        s = r[m]
+                        if s:
+                            r[m] = 0
+                            push((m, s))
+                            poly = level.get(m)
+                            if poly is not None:
+                                se = s * e
+                                for l, ((_, _, a),) in poly:
+                                    push((l, a * se))
+                else:
+                    be = _binomials(e, d_e)
+                    for m in range(first, n):
+                        s = r[m]
+                        if s:
+                            r[m] = 0
+                            push((m, s))
+                            poly = level.get(m)
+                            if poly is not None:
+                                bs = _binomials(s, d_s)
+                                for l, terms in poly:
+                                    c = sum(a * bs[i] * be[j] for i, j, a in terms)
+                                    if c:
+                                        push((l, c))
+                pushed.reverse()
+                stack += pushed
             r[k] += e
         return tuple(r)
 
@@ -575,9 +608,12 @@ def presentation_to_text(p: PcPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def presentation_from_text(text: str) -> PcPresentation:
+def presentation_from_text(text: str, admit=None) -> PcPresentation:
     """The presentation a file in `presentation_to_text`'s format holds;
-    ValueError unless its header's class is the table's."""
+    ValueError unless its header's class is the table's.  admit, if given,
+    runs on the table before the class is read off it, so a table it
+    refuses costs no class computation, which on a class >= 3 table builds
+    the collector."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty presentation file")
@@ -604,6 +640,8 @@ def presentation_from_text(text: str) -> PcPresentation:
                              f"got {len(tail)}")
         rules[(i - 1, j - 1)] = (0,) * j + tuple(tail)
     p = PcPresentation(n, rules)
+    if admit is not None:
+        admit(p)
     if cls != p.nilpotency_class:
         raise ValueError(f"declares nilpotency class {_echo(cls)}, but its lower central series has class "
                          f"{p.nilpotency_class}")

@@ -1015,6 +1015,15 @@ HH_CHAIN = (
     "1 0 0 0 0 0\n0 2 0 0 0 0\n0 0 1 0 0 0\n0 0 0 1 0 0\n0 0 0 0 1 0\n0 0 0 0 0 1\n"
 )
 
+
+def rules_text(p, declared):
+    """p's table in the presentation file format under the header 'n declared',
+    written off its rules: `presentation_to_text` would compute the class."""
+    return f"{p.n} {declared}\n" + "".join(
+        f"{i + 1} {j + 1} : {' '.join(map(str, vec[j + 1 :]))}\n" for (i, j), vec in sorted(p.rules.items())
+    )
+
+
 # The input files of CONSOLE_CASES, written to the working directory.
 CONSOLE_FILES = {
     "filiform6.txt": "6 5\n1 2 : 1 0 0 0\n1 3 : 1 0 0\n1 4 : 1 0\n1 5 : 1\n",
@@ -1023,6 +1032,7 @@ CONSOLE_FILES = {
     "trivial1.txt": "0 1\n",
     "h3.txt": "3 3\n1 2 : -1\n",
     "found30.txt": "5 2\n" + FOUND30_RULES,
+    "ut16.txt": rules_text(unitriangular(16), 15),
     "chain4.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 1\n\n4 0 0\n0 2 0\n0 0 1\n",
     "even.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 2 0\n0 0 2\n",
     "zhchain.txt": (
@@ -1087,6 +1097,12 @@ CONSOLE_CASES = {
         ["rfrs-obstruct", "--group", "ut(32)"], 2,
         "input error: rfrs-obstruct supports nilpotency class <= 2 only, with commutator values on central "
         "generators; [g1, g0] has a value on the non-central generator g31\n",
+    ),
+    # the same refusal for a file, before its header's class 15 is checked through the collector
+    "ut16-file-obstruct": (
+        ["rfrs-obstruct", "--group", "ut16.txt"], 2,
+        "input error: rfrs-obstruct supports nilpotency class <= 2 only, with commutator values on central "
+        "generators; [g1, g0] has a value on the non-central generator g15\n",
     ),
     "chain4": (
         ["rfrs-verify", "--group", "heisenberg", "--chain", "chain4.txt", "--json"], 0,
@@ -1251,6 +1267,17 @@ def test_class3_refusal_builds_no_collector(command, tmp_path):
         argv += ["--restrict-to", str(tmp_path / "sub.txt")]
     err = _exit_2_within(argv, 5)
     assert err == (f"input error: {command} supports nilpotency class <= 2 only, with commutator values on "
+                   "central generators; [g1, g0] has a value on the non-central generator g31\n")
+
+
+def test_class3_presentation_file_is_refused_before_its_class(tmp_path):
+    """The text of ut(32), whose header declares its class 31, is refused by
+    the class-2 scan within 5 s: checking the header first computes the
+    class through the collector, which takes minutes."""
+    path = tmp_path / "ut32.txt"
+    path.write_text(rules_text(unitriangular(32), 31))
+    err = _exit_2_within(["rfrs-obstruct", "--group", str(path)], 5)
+    assert err == ("input error: rfrs-obstruct supports nilpotency class <= 2 only, with commutator values on "
                    "central generators; [g1, g0] has a value on the non-central generator g31\n")
 
 

@@ -367,7 +367,7 @@ def test_polynomial_collection_matches_step_reference(name, bound, data):
     assert p.commutator(u, v) == ref.commutator(u, v)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_large_exponents_match_matrix_model(n):
     p = unitriangular(n)
     rng = random.Random(n)
