@@ -9,142 +9,113 @@ power-series embeddings.
 
 All values are immutable and all functions pure, so everything is safe
 for concurrent use.
+
+Importing the package loads only `errors`.  Every other exported name is
+read off `_EXPORTS`, which names the module that defines it: its first use
+imports that module (and the modules it imports) and binds the name here,
+so a graph-group computation never loads the nilpotent-group layers.  A
+first use from several threads at once is safe: importlib's per-module
+locks run each module once, the modules import one another without a
+cycle, so no two first uses wait on each other, and every thread binds
+the same object.
 """
 
+import importlib
+
 from .errors import ResourceLimitExceeded
-from .intlinalg import (
-    INFINITE,
-    AbelianGroupStructure,
-    AbelianQuotient,
-    IntMatrix,
-    MatrixOrderReport,
-    SmithDecomposition,
-    abelian_group_from_relations,
-    det,
-    finite_order_semisimple_check,
-    hnf,
-    hnf_basis,
-    is_unimodular,
-    is_unipotent,
-    lattice_index,
-    lattice_member,
-    left_kernel,
-    saturate,
-    snf,
-    xgcd,
-)
-from .pcgroups import (
-    Element,
-    PcPresentation,
-    abelianization,
-    build_standard,
-    direct_product,
-    free_abelian,
-    heisenberg,
-    presentation_from_text,
-    presentation_to_text,
-    unitriangular,
-)
-from .raags import (
-    Graph,
-    RaagWord,
-    RtfnWitnessReport,
-    TruncatedSeries,
-    graph_from_text,
-    graph_to_text,
-    magnus_image,
-    normal_form,
-    rtfn_witness,
-    word_from_tokens,
-)
-from .rfrs import (
-    Filtration,
-    ObstructionCertificate,
-    RfrsReport,
-    RfrsStep,
-    obstruction_certificate,
-    restrict_chain,
-    trapped_central_witness,
-    verify_rfrs_chain,
-)
-from .subgroups import (
-    CenterAbReport,
-    Subgroup,
-    center,
-    center_ab_report,
-    chain_from_text,
-    chain_to_text,
-    enumerate_normal_subgroups,
-    express_in_basis,
-    hirsch_rank,
-    induced_presentation,
-    lower_central_series,
-    rational_kernel,
-    subgroup_closure,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroupStructure",
-    "AbelianQuotient",
-    "CenterAbReport",
-    "Element",
-    "Filtration",
-    "Graph",
-    "INFINITE",
-    "IntMatrix",
-    "MatrixOrderReport",
-    "ObstructionCertificate",
-    "PcPresentation",
-    "RaagWord",
-    "ResourceLimitExceeded",
-    "RfrsReport",
-    "RfrsStep",
-    "RtfnWitnessReport",
-    "SmithDecomposition",
-    "Subgroup",
-    "TruncatedSeries",
-    "abelian_group_from_relations",
-    "abelianization",
-    "build_standard",
-    "center",
-    "center_ab_report",
-    "chain_from_text",
-    "chain_to_text",
-    "det",
-    "direct_product",
-    "enumerate_normal_subgroups",
-    "express_in_basis",
-    "finite_order_semisimple_check",
-    "free_abelian",
-    "graph_from_text",
-    "graph_to_text",
-    "heisenberg",
-    "hirsch_rank",
-    "hnf",
-    "hnf_basis",
-    "induced_presentation",
-    "is_unimodular",
-    "is_unipotent",
-    "lattice_index",
-    "lattice_member",
-    "left_kernel",
-    "lower_central_series",
-    "magnus_image",
-    "normal_form",
-    "obstruction_certificate",
-    "presentation_from_text",
-    "presentation_to_text",
-    "rational_kernel",
-    "restrict_chain",
-    "rtfn_witness",
-    "saturate",
-    "snf",
-    "subgroup_closure",
-    "trapped_central_witness",
-    "unitriangular",
-    "verify_rfrs_chain",
-    "word_from_tokens",
-    "xgcd",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "ResourceLimitExceeded": "errors",
+    **dict.fromkeys((
+        "INFINITE",
+        "AbelianGroupStructure",
+        "AbelianQuotient",
+        "IntMatrix",
+        "MatrixOrderReport",
+        "SmithDecomposition",
+        "abelian_group_from_relations",
+        "det",
+        "finite_order_semisimple_check",
+        "hnf",
+        "hnf_basis",
+        "is_unimodular",
+        "is_unipotent",
+        "lattice_index",
+        "lattice_member",
+        "left_kernel",
+        "saturate",
+        "snf",
+        "xgcd",
+    ), "intlinalg"),
+    **dict.fromkeys((
+        "Element",
+        "PcPresentation",
+        "abelianization",
+        "build_standard",
+        "direct_product",
+        "free_abelian",
+        "heisenberg",
+        "presentation_from_text",
+        "presentation_to_text",
+        "unitriangular",
+    ), "pcgroups"),
+    **dict.fromkeys((
+        "Graph",
+        "RaagWord",
+        "RtfnWitnessReport",
+        "TruncatedSeries",
+        "graph_from_text",
+        "graph_to_text",
+        "magnus_image",
+        "normal_form",
+        "rtfn_witness",
+        "word_from_tokens",
+    ), "raags"),
+    **dict.fromkeys((
+        "Filtration",
+        "ObstructionCertificate",
+        "RfrsReport",
+        "RfrsStep",
+        "obstruction_certificate",
+        "restrict_chain",
+        "trapped_central_witness",
+        "verify_rfrs_chain",
+    ), "rfrs"),
+    **dict.fromkeys((
+        "CenterAbReport",
+        "Subgroup",
+        "center",
+        "center_ab_report",
+        "chain_from_text",
+        "chain_to_text",
+        "enumerate_normal_subgroups",
+        "express_in_basis",
+        "hirsch_rank",
+        "induced_presentation",
+        "lower_central_series",
+        "rational_kernel",
+        "subgroup_closure",
+    ), "subgroups"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """An exported name, or a library module, loaded on first use and bound here."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _EXPORTS.values():
+        # `import rfrskit` made every library module an attribute before names were lazy
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -30,6 +30,14 @@ returns.  Its steps, one per normal subgroup within the bound, are
 `_obstruct_steps` of the certificate's counts a_k of normal subgroups of
 each index k: the step of index k is written once and repeated a_k
 times, so a text run builds no steps at all.
+
+Each loader and handler imports the library layers it calls when it runs,
+so that a process loads only what its command uses.  Importing this module
+loads `errors` and `intlinalg` (for `_decimal`); the `raag-*` commands add
+`raags`, `analyze` adds `pcgroups` and `subgroups`, and the `rfrs-*`
+commands add `pcgroups`, `subgroups` and `rfrs`.  The import reads the
+layer's module attributes at each call, so a wrapper bound there is the
+function called.
 """
 
 from __future__ import annotations
@@ -43,39 +51,15 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitExceeded
 from .intlinalg import _decimal
-from .pcgroups import (
-    PcPresentation,
-    abelianization,
-    build_standard,
-    presentation_from_text,
-)
-from .raags import (
-    _vertex_names,
-    graph_from_text,
-    magnus_image,
-    normal_form,
-    rtfn_witness,
-    word_from_tokens,
-)
-from .rfrs import (
-    Filtration,
-    _restriction,
-    obstruction_certificate,
-    trapped_central_witness,
-    verify_rfrs_chain,
-)
-from .subgroups import (
-    Subgroup,
-    _require_class2,
-    _row_blocks,
-    center_ab_report,
-    chain_from_text,
-    hirsch_rank,
-    subgroup_closure,
-)
+
+if TYPE_CHECKING:
+    from .pcgroups import PcPresentation
+    from .rfrs import Filtration
+    from .subgroups import Subgroup
 
 
 @dataclass
@@ -121,6 +105,8 @@ def _load_group(spec: str, admit=None) -> PcPresentation:
     """A presentation file if spec names one, else a builder name.  admit,
     if given, runs on the table and may refuse it; on a file it runs before
     the header's class is checked (`presentation_from_text`)."""
+    from .pcgroups import build_standard, presentation_from_text
+
     # os.path.exists is False, where Path.exists raises, on a name too long for a file
     if os.path.exists(spec):
         return _read_input(spec, "presentation", functools.partial(presentation_from_text, admit=admit))
@@ -132,6 +118,7 @@ def _load_group(spec: str, admit=None) -> PcPresentation:
 
 def _load_class2_group(cfg: RunConfig) -> PcPresentation:
     """An RFRS command's group, refused by `_require_class2` before other input is read."""
+    from .subgroups import _require_class2
 
     def admit(p: PcPresentation) -> None:
         try:
@@ -143,10 +130,15 @@ def _load_class2_group(cfg: RunConfig) -> PcPresentation:
 
 
 def _load_chain(p: PcPresentation, spec: str) -> Filtration:
+    from .rfrs import Filtration
+    from .subgroups import chain_from_text
+
     return _read_input(spec, "chain", lambda text: Filtration.from_subgroups(p, chain_from_text(p, text)))
 
 
 def _load_subgroup(p: PcPresentation, spec: str) -> Subgroup:
+    from .subgroups import _row_blocks, subgroup_closure
+
     def parse(text: str) -> Subgroup:
         rows = [row for block in _row_blocks(text) for row in block]
         if not rows:
@@ -248,6 +240,9 @@ def _chain_schema(command: str, group: str, steps, intersection_rank: int, witne
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
+    from .pcgroups import abelianization
+    from .subgroups import center_ab_report, hirsch_rank
+
     p = _load_group(cfg.group)
     quot = abelianization(p)
     rep = center_ab_report(p)
@@ -279,6 +274,8 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _cmd_rfrs_verify(cfg: RunConfig) -> int:
+    from .rfrs import trapped_central_witness, verify_rfrs_chain
+
     p = _load_class2_group(cfg)
     f = _load_chain(p, cfg.chain)
     rep = verify_rfrs_chain(f)
@@ -314,6 +311,8 @@ def _obstruct_steps(counts: tuple[int, ...], all_pass: bool, indent: str) -> str
 
 
 def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
+    from .rfrs import obstruction_certificate
+
     cert = obstruction_certificate(_load_class2_group(cfg), cfg.max_index)
     report = _rfrs_schema(
         "rfrs-obstruct",
@@ -337,6 +336,8 @@ def _cmd_rfrs_obstruct(cfg: RunConfig) -> int:
 
 
 def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
+    from .rfrs import _restriction
+
     p = _load_class2_group(cfg)
     f = _load_chain(p, cfg.chain)
     h = _load_subgroup(p, cfg.restrict_to)
@@ -351,6 +352,8 @@ def _cmd_rfrs_restrict(cfg: RunConfig) -> int:
 
 
 def _cmd_raag_nf(cfg: RunConfig) -> int:
+    from .raags import graph_from_text, normal_form, word_from_tokens
+
     g = _read_input(cfg.graph, "graph", graph_from_text)
     nf = normal_form(g, word_from_tokens(g, cfg.word or ""))
     text = str(nf)
@@ -366,6 +369,8 @@ def _cmd_raag_nf(cfg: RunConfig) -> int:
 
 
 def _cmd_raag_magnus(cfg: RunConfig) -> int:
+    from .raags import _vertex_names, graph_from_text, magnus_image, word_from_tokens
+
     g = _read_input(cfg.graph, "graph", graph_from_text)
     series = magnus_image(g, word_from_tokens(g, cfg.word or ""), cfg.degree)
     pairs = series.sorted_terms()
@@ -384,6 +389,8 @@ def _cmd_raag_magnus(cfg: RunConfig) -> int:
 
 
 def _cmd_raag_rtfn(cfg: RunConfig) -> int:
+    from .raags import graph_from_text, rtfn_witness
+
     g = _read_input(cfg.graph, "graph", graph_from_text)
     rep = rtfn_witness(g, cfg.max_len)
     report = {

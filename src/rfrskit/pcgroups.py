@@ -24,24 +24,28 @@ g_k^-e g_m^s g_k^e are integer-valued polynomials in (s, e), stored as
 integer coefficients of C(s, i) C(e, j).  The table, the cached property
 `PcPresentation._collector`, is built on the first `collect` or generic
 product, from the top generator down.  A term has i, j >= 1 and
-i w(m) + j w(k) <= D, with w the generator weights and D the largest of
-them (`PcPresentation._weights`).  So pair (k, m) takes its values on the grid
-0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k),
-from repeated single conjugations g_l^(g_k) = g_l [g_l, g_k], and 2-D
-Newton forward differences turn them into coefficients.  Before level k is
-built, conjugation by g_k is checked against every relation of
-<g_(k+1), ...> that it moves, so an inconsistent table raises ValueError
-at every generator count.  Products are then collected from the left on
-one exponent list and a stack of syllables g_k^e (Leedham-Green and
-Soicher 1990): appending g_k^e pushes back the tail from the first
-generator that does not commute with g_k as the syllables of its
-conjugated factors, whatever the size of e, and past the last generator
-that has a rule with a higher one, a syllable only adds to its coordinate.
+i w(m) + j w(k) <= w(l), with w the generator weights
+(`PcPresentation._weights`), on a coordinate l in the pair's reach: the
+generators that conjugation by g_k and the rules among them lead to from
+g_m (`_reach`).  With D the largest weight in the reach, pair (k, m) takes
+its values on the grid 0..d_s x 0..d_e, d_s = (D - w(k)) // w(m) and
+d_e = (D - w(m)) // w(k), from repeated single conjugations
+g_l^(g_k) = g_l [g_l, g_k], and 2-D Newton forward differences turn them
+into coefficients.  Before level k is built, conjugation by g_k is checked
+against every relation of <g_(k+1), ...> that it moves, so an inconsistent
+table raises ValueError at every generator count.  Products are then
+collected from the left on one exponent list and a stack of syllables
+g_k^e (Leedham-Green and Soicher 1990): appending g_k^e pushes back the
+tail from the first generator that does not commute with g_k as the
+syllables of its conjugated factors, whatever the size of e, and past the
+last generator that has a rule with a higher one, a syllable only adds to
+its coordinate.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import sub
 
 from .intlinalg import AbelianQuotient, IntMatrix, _echo, _from_decimal, saturate
 
@@ -281,7 +285,26 @@ def _forward_differences(vals: list) -> None:
     """In place, coordinatewise: vals[i] becomes the i-th forward difference at 0."""
     for i in range(1, len(vals)):
         for a in range(len(vals) - 1, i - 1, -1):
-            vals[a] = [x - y for x, y in zip(vals[a], vals[a - 1])]
+            vals[a] = list(map(sub, vals[a], vals[a - 1]))
+
+
+def _reach(ruled: list, k: int, m: int) -> set[int]:
+    """The reach of the pair (k, m): the least set of generators that holds
+    m and, with k, the support of every rule between two of its members.
+    The elements supported on it form a subgroup that conjugation by g_k
+    maps to itself, so it holds every g_k^-e g_m^s g_k^e."""
+    reach = {m}
+    todo = [m]
+    while todo:
+        a = todo.pop()
+        for b, support in ruled[a]:
+            # met once a and b are both in, at the latest when the second is popped
+            if b == k or b in reach:
+                for l in support:
+                    if l not in reach:
+                        reach.add(l)
+                        todo.append(l)
+    return reach
 
 
 class _Collector:
@@ -292,10 +315,10 @@ class _Collector:
     sum(a * C(s, i) * C(e, j) for i, j, a in terms).  Coordinate m is s and
     the ones below m are 0; commuting pairs have no entry, and the keys of
     `levels[k]` run in increasing order.  A term has
-    i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, the largest weight, so the
-    pair's grid is 0..d_s x 0..d_e with d_s = (D - w(k)) // w(m) and
-    d_e = (D - w(m)) // w(k).  `degrees[k]` holds the largest i and j in
-    the terms of level k.  Each level first checks that conjugation by g_k
+    i, j >= 1 and i w(m) + j w(k) <= w(l) <= D, the largest weight in the
+    pair's reach (`_reach`), so the pair's grid is 0..d_s x 0..d_e with
+    d_s = (D - w(k)) // w(m) and d_e = (D - w(m)) // w(k).  `degrees[k]`
+    holds the largest i and j in the terms of level k.  Each level first checks that conjugation by g_k
     is an automorphism of the group above it (`_check_conjugation`), so the
     table is consistent once it is built.
 
@@ -316,24 +339,33 @@ class _Collector:
         self.n = p.n
         # from `top` on, no generator has a rule with a higher one
         self.top = max((i + 1 for i, _ in p.rules), default=0)
-        w, bound = p._weights
+        w = p._weights[0]
+        # ruled[a]: (b, support of the rule value) for each rule between g_a and g_b
+        ruled: list[list[tuple[int, list[int]]]] = [[] for _ in range(p.n)]
+        for (i, j), vec in p.rules.items():
+            support = [l for l in range(j + 1, p.n) if vec[l]]
+            ruled[i].append((j, support))
+            ruled[j].append((i, support))
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
         # the keys of levels[k]: the generators that do not commute with g_k, in order
         self.blocking: list[tuple[int, ...]] = [()] * p.n
         self.degrees: list[tuple[int, int]] = [(0, 0)] * p.n
         # level k multiplies only inside <g_(k+1), ...>, which uses the levels above it
         for k in reversed(range(p.n)):
-            self.levels[k], self.degrees[k] = self._level(p, k, w, bound)
+            self.levels[k], self.degrees[k] = self._level(p, k, w, ruled)
             self.blocking[k] = tuple(self.levels[k])
 
-    def _level(self, p: PcPresentation, k: int, w: tuple[int, ...], bound: int) -> tuple:
-        n = self.n
+    def _level(self, p: PcPresentation, k: int, w: tuple[int, ...], ruled: list) -> tuple:
+        n, rules = self.n, p.rules
         # g_l^(g_k) = g_l [g_l, g_k]
-        images = {l: rule[:l] + (1,) + rule[l + 1 :] for (i, l), rule in p.rules.items() if i == k}
-        self._check_conjugation(p, k, images)
+        images = {l: rules[k, l][:l] + (1,) + rules[k, l][l + 1 :] for l, _ in ruled[k] if l > k}
+        if not images:  # g_k commutes with every generator above it
+            return {}, (0, 0)
+        self._check_conjugation(p, k, images, ruled)
         level = {}
         max_s = max_e = 0
         for m in sorted(images):
+            bound = max(map(w.__getitem__, _reach(ruled, k, m)))
             d_s = (bound - w[k]) // w[m]
             d_e = (bound - w[m]) // w[k]
             # grid[a][b] = g_k^-b g_m^a g_k^b on 0..d_s x 0..d_e
@@ -343,10 +375,11 @@ class _Collector:
             grid = [[(0,) * n] * (d_e + 1)]
             for _ in range(d_s):
                 grid.append([self.mul(x, y) for x, y in zip(grid[-1], col)])
-            # 2-D Newton forward differences give the binomial coefficients
-            for row in grid:
+            # 2-D Newton forward differences give the binomial coefficients;
+            # above m they vanish at s = 0 and at e = 0, and row 0 is zero
+            for row in grid[1:]:
                 _forward_differences(row)
-            for b in range(d_e + 1):
+            for b in range(1, d_e + 1):
                 column = [row[b] for row in grid]
                 _forward_differences(column)
                 for row, val in zip(grid, column):
@@ -355,8 +388,8 @@ class _Collector:
             for l in range(m + 1, n):
                 terms = tuple(
                     (i, j, grid[i][j][l])
-                    for i in range(d_s + 1)
-                    for j in range(d_e + 1)
+                    for i in range(1, d_s + 1)
+                    for j in range(1, d_e + 1)
                     if grid[i][j][l]
                 )
                 if terms:
@@ -368,7 +401,7 @@ class _Collector:
                     max_s, max_e = max(max_s, i), max(max_e, j)
         return level, (max_s, max_e)
 
-    def _check_conjugation(self, p: PcPresentation, k: int, images: dict[int, Element]) -> None:
+    def _check_conjugation(self, p: PcPresentation, k: int, images: dict[int, Element], ruled: list) -> None:
         """Refuse the table unless g_l -> images[l] respects every relation
         g_j g_i = g_i g_j r_ij (k < i < j) of G_(k+1) = <g_(k+1), ...>.
 
@@ -385,7 +418,8 @@ class _Collector:
         levels above, so the commutations its table states hold there.
         """
         n, rules = self.n, p.rules
-        support = {l: [t for t in range(l, n) if img[t]] for l, img in images.items()}
+        # the support of images[l]
+        support = {l: [l, *rule_support] for l, rule_support in ruled[k] if l > k}
         for j in range(k + 2, n):
             y_support = support.get(j)
             for i in range(k + 1, j):
@@ -560,9 +594,11 @@ def build_standard(name: str) -> PcPresentation:
     for prefix, fn in (("ut", unitriangular), ("free_abelian", free_abelian)):
         if name.startswith(prefix + "(") and name.endswith(")"):
             arg = name[len(prefix) + 1 : -1].strip()
-            if not arg.lstrip("-").isdigit():
+            # ASCII digits, with one optional '-'; str.isdigit admits '²' and '٣'
+            digits = arg.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"bad argument in builder name {_echo(name)}")
-            return fn(int(arg))
+            return fn(_from_decimal(arg))
     if name.startswith("direct_product(") and name.endswith(")"):
         inner = name[len("direct_product(") : -1]
         depth = 0

@@ -429,7 +429,7 @@ def _word_letter(g: Graph, token: str) -> tuple[int, int]:
     name = name.strip()
     if len(name) == 1 and name in _LETTER_NAMES:
         v = _LETTER_NAMES.index(name)
-    elif name.startswith("v") and name[1:].isdigit():
+    elif name.startswith("v") and name[1:].isascii() and name[1:].isdigit():
         v = _from_decimal(name[1:])
     else:
         raise ValueError(f"bad word token {_token(g, token)}")

@@ -1169,6 +1169,10 @@ CONSOLE_CASES = {
         lambda r: (r["overall"], r["steps"], r["restricted_length"], r["intersection_rank"])
         == (True, [{"index": 2, "normal": True, "kernel_contained": True}], 2, 6),
     ),
+    # a builder argument is ASCII digits with one optional '-', refused in the builder's own words
+    "ut-two-minus-signs": (
+        ["analyze", "--group", "ut(--3)"], 2, "input error: bad argument in builder name 'ut(--3)'\n",
+    ),
     # too long for a file name: read as a builder name
     "long-group": (["analyze", "--group", "x" * 300], 2, "unknown group builder"),
     # and its refusal echoes the name clipped, with its length

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rfrskit import pcgroups
 from rfrskit.pcgroups import (
     MAX_GENERATORS,
     PcPresentation,
@@ -590,6 +591,22 @@ def test_tight_grid_tables_match_step_reference(name, build, data):
     assert p.inverse(u) == ref.inv(u)
     assert p.power(u, e) == ref.pow(u, e)
     assert p.commutator(u, v) == ref.commutator(u, v)
+
+
+# the last: [g1, g0] = g2 and [g2, g1] = g3, so g0^-e g1^s g0^e reaches the
+# weight-3 g3 only through the rule between g1 and g2, not through a conjugation
+REACH_CASES = [(f"ut({n})", lambda n=n: unitriangular(n)) for n in range(4, 9)] + TIGHT_CASES + [
+    ("free_class3/[g2,g0]", lambda: PcPresentation(4, {(0, 1): (0, 0, 1, 0), (1, 2): (0, 0, 0, 1)}))
+]
+
+
+@pytest.mark.parametrize("name,build", REACH_CASES, ids=[c[0] for c in REACH_CASES])
+def test_reach_grids_give_the_levels_of_the_weight_bound(name, build, monkeypatch):
+    # a reach of every generator sizes each pair's grid on D, the largest weight
+    p = build()
+    levels = pcgroups._Collector(p).levels
+    monkeypatch.setattr(pcgroups, "_reach", lambda ruled, k, m: range(len(ruled)))
+    assert pcgroups._Collector(p).levels == levels
 
 
 @pytest.mark.parametrize("n", range(4, 10))

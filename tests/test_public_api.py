@@ -2,7 +2,12 @@
 public API shows up in a diff of this file, and the messages with which
 those names refuse malformed input."""
 
+import importlib
+import inspect
 import itertools
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +89,115 @@ def test_every_exported_name_resolves():
         assert getattr(rfrskit, name) is not None, name
 
 
+def test_every_exported_name_is_its_modules_object():
+    for name in rfrskit.__all__:
+        module = importlib.import_module(f"rfrskit.{rfrskit._EXPORTS[name]}")
+        value = getattr(rfrskit, name)
+        assert value is getattr(module, name), name
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module.__name__, name
+
+
+def test_star_import_and_dir_list_every_exported_name():
+    """In a fresh process, where no exported name has been used yet."""
+    code = (
+        "import json, rfrskit\n"
+        "listed = dir(rfrskit)\n"
+        "ns = {}\n"
+        "exec('from rfrskit import *', ns)\n"
+        "print(json.dumps([listed, sorted(k for k in ns if k != '__builtins__')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    listed, bound = json.loads(proc.stdout)
+    assert set(rfrskit.__all__) <= set(listed)
+    assert bound == sorted(rfrskit.__all__)
+
+
+def test_first_use_from_many_threads_binds_one_object():
+    """In a fresh process, 8 threads on a short switch interval read every
+    exported name at once; each name is one object, its module's."""
+    code = """if True:
+        import importlib, sys, threading
+        import rfrskit
+        sys.setswitchinterval(1e-6)
+        barrier = threading.Barrier(8)
+        seen = [None] * 8
+
+        def read(t):
+            barrier.wait()
+            seen[t] = [getattr(rfrskit, name) for name in rfrskit.__all__]
+
+        threads = [threading.Thread(target=read, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        for k, name in enumerate(rfrskit.__all__):
+            own = getattr(importlib.import_module("rfrskit." + rfrskit._EXPORTS[name]), name)
+            assert all(values[k] is own for values in seen), name
+        print("ok")
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "ok\n", proc.stderr
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'rfrskit' has no attribute 'nope'"):
+        rfrskit.nope
+    assert not hasattr(rfrskit, "nope")
+
+
+# The rfrskit modules that each entry loads: a package import, one exported
+# name, and each command through `python -m rfrskit`.
+_BASE = {"rfrskit", "rfrskit.errors"}
+_CLI = _BASE | {"rfrskit.intlinalg", "rfrskit.cli"}
+_NILPOTENT = _CLI | {"rfrskit.pcgroups", "rfrskit.subgroups"}
+_RAAGS = _CLI | {"rfrskit.raags"}
+# arguments to python, with {dir} the directory of INPUT_FILES, and the modules loaded
+LOADED_MODULES = {
+    "import rfrskit": (["-c", "import rfrskit"], _BASE),
+    "import rfrskit.cli": (["-c", "import rfrskit.cli"], _CLI),
+    "rfrskit.hnf": (["-c", "import rfrskit; rfrskit.hnf"], _BASE | {"rfrskit.intlinalg"}),
+    "analyze": (["-m", "rfrskit", "analyze", "--group", "heisenberg"], _NILPOTENT),
+    "rfrs-verify": (
+        ["-m", "rfrskit", "rfrs-verify", "--group", "heisenberg", "--chain", "{dir}/chain.txt"],
+        _NILPOTENT | {"rfrskit.rfrs"},
+    ),
+    "rfrs-obstruct": (
+        ["-m", "rfrskit", "rfrs-obstruct", "--group", "heisenberg", "--max-index", "4"],
+        _NILPOTENT | {"rfrskit.rfrs"},
+    ),
+    "rfrs-restrict": (
+        ["-m", "rfrskit", "rfrs-restrict", "--group", "heisenberg", "--chain", "{dir}/chain.txt",
+         "--restrict-to", "{dir}/sub.txt"],
+        _NILPOTENT | {"rfrskit.rfrs"},
+    ),
+    "raag-nf": (["-m", "rfrskit", "raag-nf", "--graph", "{dir}/path3.txt", "--word", "a,b,a^-1"], _RAAGS),
+    "raag-magnus": (
+        ["-m", "rfrskit", "raag-magnus", "--graph", "{dir}/path3.txt", "--word", "a,c", "--degree", "2"], _RAAGS),
+    "raag-rtfn": (["-m", "rfrskit", "raag-rtfn", "--graph", "{dir}/path3.txt", "--max-len", "2"], _RAAGS),
+}
+INPUT_FILES = {
+    "chain.txt": "1 0 0\n0 1 0\n0 0 1\n\n2 0 0\n0 1 0\n0 0 1\n",
+    "sub.txt": "1 0 0\n0 2 0\n0 0 1\n",
+    "path3.txt": "3\n0 1\n1 2\n",
+}
+
+
+@pytest.mark.parametrize("entry", list(LOADED_MODULES))
+def test_each_entry_loads_only_the_layers_it_runs(entry, tmp_path):
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    args, expected = LOADED_MODULES[entry]
+    # -v writes "import 'name' # loader" for each module loaded, also through importlib
+    argv = [sys.executable, "-v", *(a.format(dir=tmp_path) for a in args)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
+    assert {m for m in loaded if m.split(".")[0] == "rfrskit"} == expected
+
+
 H = rfrskit.heisenberg()
 PATH3 = rfrskit.graph_from_text("3\n0 1\n1 2\n")
 ROW = rfrskit.IntMatrix.from_rows([[1, 2]])
@@ -134,6 +248,21 @@ REFUSALS = {
         "word vertex 3 out of range for a graph on 3 vertices"),
     "builder-bad-argument": (
         lambda: rfrskit.build_standard("ut(x)"), "bad argument in builder name 'ut(x)'"),
+    # an argument is ASCII digits with one optional '-', so none of these reaches int()
+    "builder-two-minus-signs": (
+        lambda: rfrskit.build_standard("ut(--3)"), "bad argument in builder name 'ut(--3)'"),
+    "builder-superscript-digit": (
+        lambda: rfrskit.build_standard("ut(²)"), "bad argument in builder name 'ut(²)'"),
+    "builder-arabic-indic-digit": (
+        lambda: rfrskit.build_standard("free_abelian(٣)"), "bad argument in builder name 'free_abelian(٣)'"),
+    # past the int-to-str digit limit, named by the generator-count bound, not by int()
+    "builder-argument-past-digit-limit": (
+        lambda: rfrskit.build_standard("ut(" + "9" * 5000 + ")"),
+        "generator count 4" + "9" * 31 + f"... (10000 characters) is above the bound of {MAX_GENERATORS}"),
+    "word-superscript-digit": (
+        lambda: rfrskit.word_from_tokens(PATH3, "a,v²"), "bad word token 'v²'"),
+    "word-arabic-indic-digit": (
+        lambda: rfrskit.word_from_tokens(PATH3, "v٣"), "bad word token 'v٣'"),
     "builder-one-factor": (
         lambda: rfrskit.build_standard("direct_product(heisenberg)"),
         "direct_product needs two arguments: 'direct_product(heisenberg)'"),

@@ -558,7 +558,8 @@ def test_word_parsing():
 
 
 def _reference_word_from_tokens(g, text):
-    """The token parser as it was first written, one token at a time."""
+    """The token parser as it was first written, one token at a time, with
+    the digits of a `v<digits>` name held to ASCII."""
     letters = []
     for token in text.split(","):
         token = token.strip()
@@ -572,7 +573,7 @@ def _reference_word_from_tokens(g, text):
         name = name.strip()
         if len(name) == 1 and name in raags._LETTER_NAMES:
             v = raags._LETTER_NAMES.index(name)
-        elif name.startswith("v") and name[1:].isdigit():
+        elif name.startswith("v") and name[1:].isascii() and name[1:].isdigit():
             v = int(name[1:])
         else:
             raise ValueError(f"bad word token {token!r}")
@@ -585,6 +586,7 @@ def _reference_word_from_tokens(g, text):
 WORD_TOKENS = [
     "a", " b ", "c", "a^-1", "b^2", " c ^ -3", "a^0", "a^+2", "v0", "v2^-2", "v01", "", "  ",
     "d", "v3", "v12^2", "q", "A", "ab", "v", "^2", "a^", "a^x", "a^1.5", "a^^2", " a^ x ", "q^x",
+    "v²", "v٣",
 ]
 
 
