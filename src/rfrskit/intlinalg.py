@@ -100,22 +100,23 @@ def _decimal(n: int) -> str:
 
 
 def _from_decimal(text: str) -> int:
-    """The int that text names, as int(text) reads it, at any size: the
-    interpreter refuses int on more digits than its limit, so plain signed
-    decimal digits past it are read in chunks, and any other text that
-    int refuses is refused with int's own message."""
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        digits = body[1:] if body[:1] in ("+", "-") else body
-        if not (digits.isascii() and digits.isdigit()):
-            raise
-    value = 0
-    for i in range(0, len(digits), _DECIMAL_DIGITS):
-        chunk = digits[i:i + _DECIMAL_DIGITS]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if body[0] == "-" else value
+    """The int that text names, at any size, in int's grammar once non-ASCII
+    text and '_' are refused: whitespace, one optional sign, digits.  Digits
+    past the interpreter's limit are read in chunks.  Other text is refused
+    in int's words, with the text as `_echo` writes it."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            body = text.strip(" \t\n\r\v\f")  # int's whitespace; str.strip also takes \x1c-\x1f
+            digits = body[1:] if body[:1] in ("+", "-") else body
+        if digits.isdigit():
+            value = 0
+            for i in range(0, len(digits), _DECIMAL_DIGITS):
+                chunk = digits[i:i + _DECIMAL_DIGITS]
+                value = value * 10 ** len(chunk) + int(chunk)
+            return -value if body[0] == "-" else value
+    raise ValueError(f"invalid literal for int() with base 10: {_echo(text)}")
 
 
 # A refusal echoes a piece of input up to this many characters whole.

@@ -16,7 +16,7 @@ fast path for all but `collect`:
 
     u * v = u + v + B(u, v),   B(u, v) = sum_{i<k} u_k v_i [g_k, g_i]
 
-with all correction terms central.
+with all correction terms central and B read off the table's sparse index.
 
 Words in every class, and products over any other table, collect through
 conjugation polynomials (P. Hall 1957): the coordinates of
@@ -45,7 +45,8 @@ its coordinate.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import sub
+from itertools import compress
+from operator import itemgetter, sub
 
 from .intlinalg import AbelianQuotient, IntMatrix, _echo, _from_decimal, saturate
 
@@ -73,9 +74,12 @@ class PcPresentation:
     """Power-commutator presentation with triangular integer data.
 
     `rules` maps 0-based pairs (i, j) with i < j to the exponent vector of
-    [g_j, g_i]; absent pairs commute.  Instances are immutable.  The table
-    picks the code path, and the class is read off it.  A table whose
-    commutator values are all central is consistent by construction; any other is
+    [g_j, g_i]; absent pairs commute.  It stays dense, and every reader of
+    the table (the class-2 scan, B, the weights, the collector, equality)
+    takes its one sparse index `_supports`, the nonzero entries (l, e_l) of
+    each vector in pair order.  Instances are immutable.  The table picks
+    the code path, and the class is read off it.  A table whose commutator
+    values are all central is consistent by construction; any other is
     checked when its conjugation table, the cached property `_collector`, is
     built, on its first product or `collect`, or by `check_consistency`.
     At most MAX_GENERATORS generators are accepted.
@@ -86,39 +90,44 @@ class PcPresentation:
             raise ValueError("generator count must be nonnegative")
         _check_generator_count(n)
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
+        supports = []
         for (i, j), vec in (rules or {}).items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bad generator pair ({_echo(i)}, {_echo(j)})")
-            vec = tuple(int(x) for x in vec)
+            vec = tuple(map(int, vec))
             if len(vec) != n:
                 raise ValueError("rule vectors must have one entry per generator")
-            if any(vec[k] for k in range(j + 1)):
+            support = tuple(zip(compress(range(n), vec), filter(None, vec)))
+            if support and support[0][0] <= j:
                 raise ValueError(
                     f"commutator [g{j}, g{i}] must involve only generators above {j}"
                 )
-            if any(vec):
+            if support:
                 clean[(i, j)] = vec
+                supports.append((i, j, support))
         self.n = n
         self.rules = clean
+        # the one sparse index of the table: (i, j, the pairs (l, e_l) with e_l != 0), in pair order
+        self._supports = tuple(sorted(supports))
         # g_k is central exactly when every pair containing k commutes
-        self.central = tuple(all(k not in pair for pair in clean) for k in range(n))
+        ruled = {k for i, j, _ in self._supports for k in (i, j)}
+        self.central = tuple(k not in ruled for k in range(n))
         # (noncentral, central) generator indices, each in increasing order
         self._noncentral = tuple(k for k, c in enumerate(self.central) if not c)
         self._central = tuple(k for k, c in enumerate(self.central) if c)
-        # every rule value on central generators, so the class is <= 2 (`_weights[1] <= 2`)
-        self._class2 = not any(vec[k] for vec in clean.values() for k in self._noncentral)
-        # nonzero bilinear correction data for the fast path
-        self._beta_items = tuple((i, j, vec) for (i, j), vec in sorted(clean.items()))
+        # the first (i, j, l) in pair order with a rule value on a non-central g_l; None: class <= 2
+        self._off_centre = next(((i, j, l) for i, j, s in self._supports for l, _ in s if l in ruled), None)
+        self._class2 = self._off_centre is None
 
     # -------------------------------------------------------------- basics
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, PcPresentation) and self.n == other.n and self.rules == other.rules
+        return isinstance(other, PcPresentation) and self.n == other.n and self._supports == other._supports
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.rules.items()))))
+        return hash((self.n, self._supports))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PcPresentation(n={self.n}, rules={len(self.rules)})"
@@ -161,10 +170,10 @@ class PcPresentation:
         [G_a, G_b] <= G_(a+b), so D bounds the class.
         """
         w = [1] * self.n
-        for l in range(self.n):
-            for (i, j), vec in self.rules.items():
-                if vec[l]:  # then i < j < l, so w[i] and w[j] are final
-                    w[l] = max(w[l], w[i] + w[j])
+        # by j: a value on g_j comes from a rule (a, b) with b < j, so w[i] and w[j] are final
+        for i, j, support in sorted(self._supports, key=itemgetter(1)):
+            for l, _ in support:
+                w[l] = max(w[l], w[i] + w[j])
         return tuple(w), max(w, default=1)
 
     @cached_property
@@ -192,12 +201,11 @@ class PcPresentation:
 
     def _beta(self, u: Element, v: Element) -> list[int]:
         out = [0] * self.n
-        for i, k, vec in self._beta_items:
+        for i, k, support in self._supports:
             c = u[k] * v[i]
             if c:
-                for t in range(k + 1, self.n):
-                    if vec[t]:
-                        out[t] += c * vec[t]
+                for t, x in support:
+                    out[t] += c * x
         return out
 
     # ------------------------------------------------------ generic path
@@ -338,12 +346,12 @@ class _Collector:
     def __init__(self, p: PcPresentation):
         self.n = p.n
         # from `top` on, no generator has a rule with a higher one
-        self.top = max((i + 1 for i, _ in p.rules), default=0)
+        self.top = max((i + 1 for i, _, _ in p._supports), default=0)
         w = p._weights[0]
         # ruled[a]: (b, support of the rule value) for each rule between g_a and g_b
         ruled: list[list[tuple[int, list[int]]]] = [[] for _ in range(p.n)]
-        for (i, j), vec in p.rules.items():
-            support = [l for l in range(j + 1, p.n) if vec[l]]
+        for i, j, pairs in p._supports:
+            support = [l for l, _ in pairs]
             ruled[i].append((j, support))
             ruled[j].append((i, support))
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
@@ -593,12 +601,11 @@ def build_standard(name: str) -> PcPresentation:
         return heisenberg()
     for prefix, fn in (("ut", unitriangular), ("free_abelian", free_abelian)):
         if name.startswith(prefix + "(") and name.endswith(")"):
-            arg = name[len(prefix) + 1 : -1].strip()
-            # ASCII digits, with one optional '-'; str.isdigit admits '²' and '٣'
-            digits = arg.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(f"bad argument in builder name {_echo(name)}")
-            return fn(_from_decimal(arg))
+            try:
+                arg = _from_decimal(name[len(prefix) + 1 : -1])
+            except ValueError:
+                raise ValueError(f"bad argument in builder name {_echo(name)}") from None
+            return fn(arg)
     if name.startswith("direct_product(") and name.endswith(")"):
         inner = name[len("direct_product(") : -1]
         depth = 0

@@ -18,9 +18,10 @@ subgroup form a sublattice of Z^n, so subgroups are stored as canonical
 Hermite bases and all subgroup algebra reduces to exact lattice algebra.
 Class >= 3 groups (the unitriangular families) keep element arithmetic,
 lower central series, center, rank, and whole-group abelianization; the
-general subgroup operations refuse them.  `center` is one walk in every
-class, down the generator weights (`PcPresentation._weights`): each step
-is an integer kernel of the weight-d coordinates of commutators with the
+general subgroup operations refuse them, naming the presentation's
+`_off_centre` (`_require_class2`).  `center` is one walk in every class,
+down the generator weights (`PcPresentation._weights`): each step is an
+integer kernel of the weight-d coordinates of commutators with the
 generators of weight below d, over the exponents of the previous step's
 triangular basis.
 
@@ -38,7 +39,7 @@ with the rows of a larger subgroup, for normal in it (the chain checks of
 `rfrs`).  Both skip rows that are products of central generators, and
 `_commutator_values` skips the central generators.  The census takes the
 same values by bilinearity from the table of B on the noncentral
-generators, read off the rules, not off `_beta` (`_CensusPairs`).
+generators, built from `PcPresentation._supports`, not `_beta` (`_CensusPairs`).
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -99,10 +100,10 @@ from .pcgroups import Element, PcPresentation
 
 
 def _require_class2(p: PcPresentation, what: str) -> None:
-    """The one class-2 admission.  A refusal names the first rule value, in sorted
+    """The one class-2 admission.  A refusal names `p._off_centre`, the first rule value, in
     pair order, on a non-central generator; it computes no class and builds no collector."""
     if not p._class2:
-        i, j, k = next((i, j, k) for i, j, vec in p._beta_items for k in p._noncentral if vec[k])
+        i, j, k = p._off_centre
         raise ValueError(f"{what} supports nilpotency class <= 2 only, with commutator values on central "
                          f"generators; [g{j}, g{i}] has a value on the non-central generator g{k}")
 
@@ -347,7 +348,7 @@ class _CensusPairs:
 
     Both kinds of value are bilinear and vanish on central arguments, so
     they come from the nonzero values B(g_a, g_b) over noncentral a, b,
-    read off the rules, not `_beta`: B(u, v) = sum u_a v_b B(g_a, g_b)
+    read off `p._supports`, not `_beta`: B(u, v) = sum u_a v_b B(g_a, g_b)
     and [u, g_c] = B(u, g_c) - B(g_c, u).  Only B(m_i, m_j) with i <= j is
     taken: B(m_j, m_i) = B(m_i, m_j) - [m_i, m_j], and [m_i, m_j] is a
     combination of the [m_i, g_c].  Each K(M) is reduced once, on the
@@ -367,8 +368,8 @@ class _CensusPairs:
         self.r, self.s = len(p._noncentral), len(p._central)
         # (a, b, B(g_a, g_b) on the central coordinates) in noncentral places; rule (i, j) is B(g_j, g_i)
         place = {k: a for a, k in enumerate(p._noncentral)}
-        self._beta = sorted((place[j], place[i], tuple(vec[t] for t in p._central))
-                            for (i, j), vec in p.rules.items())
+        self._beta = sorted((place[j], place[i], tuple(map(dict(pairs).get, p._central, itertools.repeat(0))))
+                            for i, j, pairs in p._supports)
         self._projections: dict[int, list[tuple]] = {}
         self._centres: dict[int, list[IntMatrix]] = {}
         self._kernels: dict[tuple, list[list[int]]] = {}

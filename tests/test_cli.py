@@ -1050,6 +1050,10 @@ CONSOLE_FILES = {
     "bigfactors.txt": BIG_FACTORS,
     # an edgeless graph on 44,211 vertices
     "big-graph.txt": "44211\n",
+    # numbers int reads that the readers refuse: a '_' separator, a non-ASCII digit
+    "separator-rule.txt": "3 2\n1 2 : 1_0\n",
+    "arabic-indic-graph.txt": "\u0663\n",
+    "separator-chain.txt": "1 0 0\n0 1 0\n0 0 1\n\n1_0 0 0\n0 1 0\n0 0 1\n",
 }
 
 # The only list of the cases that the "Console script" step of
@@ -1169,9 +1173,22 @@ CONSOLE_CASES = {
         lambda r: (r["overall"], r["steps"], r["restricted_length"], r["intersection_rank"])
         == (True, [{"index": 2, "normal": True, "kernel_contained": True}], 2, 6),
     ),
-    # a builder argument is ASCII digits with one optional '-', refused in the builder's own words
+    # a builder argument is read as the numbers of a file are, and refused in the builder's own words
     "ut-two-minus-signs": (
         ["analyze", "--group", "ut(--3)"], 2, "input error: bad argument in builder name 'ut(--3)'\n",
+    ),
+    # a number is ASCII with no '_', though int reads these as 10 and 3
+    "rule-digit-separator": (
+        ["analyze", "--group", "separator-rule.txt"], 2,
+        "input error: bad presentation file separator-rule.txt: invalid literal for int() with base 10: '1_0'\n",
+    ),
+    "graph-arabic-indic-digit": (
+        ["raag-nf", "--graph", "arabic-indic-graph.txt", "--word", "a"], 2,
+        "input error: bad graph file arabic-indic-graph.txt: invalid literal for int() with base 10: '\u0663'\n",
+    ),
+    "chain-digit-separator": (
+        ["rfrs-verify", "--group", "heisenberg", "--chain", "separator-chain.txt"], 2,
+        "input error: bad chain file separator-chain.txt: invalid literal for int() with base 10: '1_0'\n",
     ),
     # too long for a file name: read as a builder name
     "long-group": (["analyze", "--group", "x" * 300], 2, "unknown group builder"),

@@ -31,6 +31,7 @@ from rfrskit.intlinalg import (
     snf,
     xgcd,
     _decimal,
+    _echo,
     _from_decimal,
     _gcd_step,
 )
@@ -48,10 +49,12 @@ def random_matrix(rng, max_dim=5, bound=9):
 
 
 def _int_or_message(text):
+    """int's reading of text, or the reader's refusal: int's words with the
+    text as `_echo` writes it."""
     try:
         return int(text)
-    except ValueError as exc:
-        return str(exc)
+    except ValueError:
+        return f"invalid literal for int() with base 10: {_echo(text)}"
 
 
 def _from_decimal_or_message(text):
@@ -62,27 +65,35 @@ def _from_decimal_or_message(text):
 
 
 def test_from_decimal_reads_what_int_reads_within_the_digit_limit():
-    """Below the limit the reader takes exactly what int takes, and refuses
-    the rest with int's own message."""
-    texts = ["0", "-0", "+12", " 7 ", "\t-3\n", "1_000", "007", "\u0663", "", " ", "+", "-",
-             "--1", "+-1", "1.5", "1e3", "0x10", "a", "1 2", "_1", "9" * 4300, "-" + "9" * 4300]
+    """Below the limit the reader takes what int takes on ASCII text with no
+    '_', and refuses the rest, '_' separators and non-ASCII digits and
+    spaces included, in int's words with the text as `_echo` writes it."""
+    texts = ["0", "-0", "+12", " 7 ", "\t-3\n", "\v5\f", "007", "", " ", "+", "-", "--1", "+-1", "1.5",
+             "1e3", "0x10", "a", "1 2", "\x1c5", "x" * 50, "9" * 4300, "-" + "9" * 4300]
     for text in texts:
         assert _from_decimal_or_message(text) == _int_or_message(text), text
+    # int reads each of these as a number
+    for text in ["1_000", "1_0", "\u0663", "1\u0663", "\u00b9", "\u00a05", "+1_0", "1_" * 30 + "1"]:
+        assert _from_decimal_or_message(text) == f"invalid literal for int() with base 10: {_echo(text)}", text
+    assert _from_decimal_or_message("_1") == "invalid literal for int() with base 10: '_1'"
 
 
 def test_from_decimal_reads_plain_digits_past_the_digit_limit():
-    """Signed plain digits of any length read back what `_decimal` wrote,
-    and text that is not a number keeps int's refusal; the process-wide
-    limit is left as it is."""
+    """Signed ASCII digits of any length, between int's whitespace, read
+    back what `_decimal` wrote, and any other text is refused in int's
+    words with the text as `_echo` writes it, as below the limit; the
+    process-wide limit is left as it is."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     for n in (10**4300, 10**4300 + 1, -(10**5000) + 7, 3**20000):
         text = _decimal(n)
         assert len(text.lstrip("-")) > 4300
         assert _from_decimal(text) == n
         assert _from_decimal(f" {text}\n") == n
+        assert _from_decimal(f"\v{text}\f\r\t") == n
     assert _from_decimal("+" + "1" * 4301) == (10**4301 - 1) // 9
-    for text in ("0x" + "1" * 4301, "1" * 4301 + "a", "--" + "1" * 4301):
-        assert _from_decimal_or_message(text) == _int_or_message(text), text[:10]
+    for text in ("0x" + "1" * 4301, "1" * 4301 + "a", "--" + "1" * 4301, "\x1c" + "1" * 4301,
+                 "1_" + "1" * 4301, "\u0663" + "1" * 4301, "\u00a0" + "1" * 4301):
+        assert _from_decimal_or_message(text) == f"invalid literal for int() with base 10: {_echo(text)}", text[:10]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 

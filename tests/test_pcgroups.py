@@ -19,8 +19,8 @@ from rfrskit.pcgroups import (
     presentation_to_text,
     unitriangular,
 )
-from rfrskit.subgroups import lower_central_series
-from test_subgroups import CENTER_CASES, INTERLEAVED_TABLES
+from rfrskit.subgroups import _require_class2, lower_central_series
+from test_subgroups import CENTER_CASES, INTERLEAVED_TABLES, RANDOM_TABLES
 from ut_matrices import (
     coords_to_matrix,
     mat_mul,
@@ -163,6 +163,8 @@ def test_build_standard_names():
     assert build_standard("heisenberg") == heisenberg()
     assert build_standard("free_abelian(2)") == free_abelian(2)
     assert build_standard("ut(4)") == unitriangular(4)
+    # the argument is read as the numbers of every file are: a sign and int's whitespace are taken
+    assert build_standard("ut(+4)") == build_standard("ut( 4\t)") == unitriangular(4)
     combo = build_standard("direct_product(heisenberg,free_abelian(1))")
     assert combo.n == 4
     with pytest.raises(ValueError):
@@ -849,6 +851,119 @@ def test_class_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         PcPresentation(3, heisenberg().rules, nilpotency_class=2)
     assert PcPresentation(3, heisenberg().rules) == heisenberg()
+
+
+# ------------------------------------------------------------ the sparse index
+# The reference expressions below scan the dense `rules` vectors, as the
+# presentation's readers did before they shared the index `_supports`.
+
+
+def free_class2(k):
+    """The free nilpotent group of class 2 on g_0 .. g_(k-1), then
+    z_ij = [g_j, g_i] for i < j, central, in pair order."""
+    pairs = list(itertools.combinations(range(k), 2))
+    n = k + len(pairs)
+    return PcPresentation(n, {pair: tuple(int(l == k + t) for l in range(n)) for t, pair in enumerate(pairs)})
+
+
+# g3 = [g2, g1] g4 is the product of the centre of <g1, g2> with g4, so it
+# weighs 2, and [g3, g0] = [g4, g0] = g5 then weighs 3.  A pass over the
+# rules in pair order reads (0, 3) before (1, 2) and gives g5 the weight 2.
+PAIR_ORDER_WEIGHTS = PcPresentation(6, {(1, 2): (0, 0, 0, 1, -1, 0), (0, 3): (0, 0, 0, 0, 0, 1),
+                                        (0, 4): (0, 0, 0, 0, 0, 1)})
+
+
+INDEX_CASES = RANDOM_TABLES + [unitriangular(n) for n in range(4, 9)] + [FOUND30, free_class2(12)]
+
+
+def _dense_scans(p):
+    """`central`, `_class2` and the class-2 refusal's (i, j, k), scanned off the dense rules."""
+    central = tuple(all(k not in pair for pair in p.rules) for k in range(p.n))
+    noncentral = [k for k, c in enumerate(central) if not c]
+    class2 = not any(vec[k] for vec in p.rules.values() for k in noncentral)
+    off = next(((i, j, k) for (i, j), vec in sorted(p.rules.items()) for k in noncentral if vec[k]), None)
+    return central, class2, off
+
+
+def _dense_beta(p, u, v):
+    out = [0] * p.n
+    for (i, k), vec in sorted(p.rules.items()):
+        c = u[k] * v[i]
+        if c:
+            for t in range(k + 1, p.n):
+                if vec[t]:
+                    out[t] += c * vec[t]
+    return out
+
+
+def _dense_weights(p):
+    w = [1] * p.n
+    for l in range(p.n):
+        for (i, j), vec in p.rules.items():
+            if vec[l]:
+                w[l] = max(w[l], w[i] + w[j])
+    return tuple(w), max(w, default=1)
+
+
+def test_the_index_holds_the_nonzero_entries_of_the_rules_in_pair_order():
+    for p in INDEX_CASES:
+        assert p._supports == tuple((i, j, tuple((l, x) for l, x in enumerate(vec) if x))
+                                    for (i, j), vec in sorted(p.rules.items()))
+
+
+def test_the_class2_scan_and_its_refusal_match_the_dense_scans():
+    """`central`, `_class2` and `_off_centre` against the dense scans; the
+    refusal names the commutator and generator the dense scan finds first."""
+    refused = 0
+    for p in INDEX_CASES:
+        central, class2, off = _dense_scans(p)
+        assert (p.central, p._class2, p._off_centre) == (central, class2, off)
+        if class2:
+            _require_class2(p, "the test")
+            continue
+        i, j, k = off
+        refused += 1
+        with pytest.raises(ValueError) as info:
+            _require_class2(p, "the test")
+        assert str(info.value).endswith(f"; [g{j}, g{i}] has a value on the non-central generator g{k}")
+    assert refused >= 20
+
+
+def test_beta_matches_the_dense_loop():
+    rng = random.Random(45)
+    for p in INDEX_CASES:
+        for _ in range(10):
+            u, v = (tuple(rng.randint(-3, 3) for _ in range(p.n)) for _ in range(2))
+            assert p._beta(u, v) == _dense_beta(p, u, v)
+
+
+def test_weights_match_the_dense_loop():
+    # on PAIR_ORDER_WEIGHTS a pass in pair order gives other weights than a pass by j
+    w = [1] * 6
+    for i, j, support in PAIR_ORDER_WEIGHTS._supports:
+        for l, _ in support:
+            w[l] = max(w[l], w[i] + w[j])
+    assert w == [1, 1, 1, 2, 2, 2]
+    PAIR_ORDER_WEIGHTS.check_consistency()
+    cases = INDEX_CASES + [build() for _, build in TIGHT_CASES] + [PAIR_ORDER_WEIGHTS]
+    for p in cases:
+        assert p._weights == _dense_weights(p)
+    assert PAIR_ORDER_WEIGHTS._weights == ((1, 1, 1, 2, 2, 3), 3)
+
+
+def test_equality_and_hash_read_the_table_not_its_insertion_order():
+    rng = random.Random(45)
+    for p in INDEX_CASES:
+        if len(p.rules) < 2:
+            continue
+        items = list(p.rules.items())
+        rng.shuffle(items)
+        q = PcPresentation(p.n, dict(items))
+        assert q == p and hash(q) == hash(p)
+        (i, j), vec = items[0]
+        l = rng.randrange(j + 1, p.n)
+        r = PcPresentation(p.n, {**dict(items), (i, j): vec[:l] + (vec[l] + 1,) + vec[l + 1:]})
+        assert r != p
 
 
 # ------------------------------------------------------------ file format

@@ -248,13 +248,15 @@ REFUSALS = {
         "word vertex 3 out of range for a graph on 3 vertices"),
     "builder-bad-argument": (
         lambda: rfrskit.build_standard("ut(x)"), "bad argument in builder name 'ut(x)'"),
-    # an argument is ASCII digits with one optional '-', so none of these reaches int()
+    # an argument is read as `_from_decimal` reads a number: ASCII, no '_', one optional sign
     "builder-two-minus-signs": (
         lambda: rfrskit.build_standard("ut(--3)"), "bad argument in builder name 'ut(--3)'"),
     "builder-superscript-digit": (
         lambda: rfrskit.build_standard("ut(²)"), "bad argument in builder name 'ut(²)'"),
     "builder-arabic-indic-digit": (
         lambda: rfrskit.build_standard("free_abelian(٣)"), "bad argument in builder name 'free_abelian(٣)'"),
+    "builder-digit-separator": (
+        lambda: rfrskit.build_standard("ut(1_0)"), "bad argument in builder name 'ut(1_0)'"),
     # past the int-to-str digit limit, named by the generator-count bound, not by int()
     "builder-argument-past-digit-limit": (
         lambda: rfrskit.build_standard("ut(" + "9" * 5000 + ")"),
@@ -263,6 +265,11 @@ REFUSALS = {
         lambda: rfrskit.word_from_tokens(PATH3, "a,v²"), "bad word token 'v²'"),
     "word-arabic-indic-digit": (
         lambda: rfrskit.word_from_tokens(PATH3, "v٣"), "bad word token 'v٣'"),
+    # an exponent too, though int reads both as 10 and 3
+    "word-exponent-digit-separator": (
+        lambda: rfrskit.word_from_tokens(PATH3, "a^1_0"), "bad word token 'a^1_0'"),
+    "word-exponent-arabic-indic-digit": (
+        lambda: rfrskit.word_from_tokens(PATH3, "b,a^٣"), "bad word token 'a^٣'"),
     "builder-one-factor": (
         lambda: rfrskit.build_standard("direct_product(heisenberg)"),
         "direct_product needs two arguments: 'direct_product(heisenberg)'"),

@@ -559,7 +559,8 @@ def test_word_parsing():
 
 def _reference_word_from_tokens(g, text):
     """The token parser as it was first written, one token at a time, with
-    the digits of a `v<digits>` name held to ASCII."""
+    the digits of a `v<digits>` name held to ASCII and an exponent held to
+    ASCII text with no '_'."""
     letters = []
     for token in text.split(","):
         token = token.strip()
@@ -567,6 +568,8 @@ def _reference_word_from_tokens(g, text):
             continue
         if "^" in token:
             name, exp = token.split("^", 1)
+            if not exp.isascii() or "_" in exp:
+                raise ValueError(f"invalid literal for int() with base 10: {exp!r}")
             e = int(exp)
         else:
             name, e = token, 1
@@ -586,7 +589,7 @@ def _reference_word_from_tokens(g, text):
 WORD_TOKENS = [
     "a", " b ", "c", "a^-1", "b^2", " c ^ -3", "a^0", "a^+2", "v0", "v2^-2", "v01", "", "  ",
     "d", "v3", "v12^2", "q", "A", "ab", "v", "^2", "a^", "a^x", "a^1.5", "a^^2", " a^ x ", "q^x",
-    "v²", "v٣",
+    "v²", "v٣", "a^1_0", "a^٣",
 ]
 
 
