@@ -1,11 +1,11 @@
 """Finitely generated torsion-free nilpotent groups via power-commutator data.
 
 A presentation lists generators g_1 .. g_n and, for each pair i < j, the
-normal form of the commutator [g_j, g_i] = g_j^-1 g_i^-1 g_j g_i as a word
-in the generators with index strictly greater than j.  That triangularity
-makes the group nilpotent and identifies it with Z^n as a set: every
-element has a unique normal form g_1^e1 ... g_n^en, and elements are
-plain exponent tuples here.
+normal form of the commutator [g_j, g_i] = g_j^-1 g_i^-1 g_j g_i, stored
+once as a word in the generators with index strictly greater than j.
+That triangularity makes the group nilpotent and identifies it with Z^n
+as a set: every element has a unique normal form g_1^e1 ... g_n^en, and
+elements are plain exponent tuples here.
 
 Multiplication is collection: to append g_k^e to a normal form, the tail
 of higher generators is conjugated through g_k^e, which stays inside the
@@ -16,7 +16,7 @@ fast path for all but `collect`:
 
     u * v = u + v + B(u, v),   B(u, v) = sum_{i<k} u_k v_i [g_k, g_i]
 
-with all correction terms central and B read off the table's sparse index.
+with all correction terms central and B read off the rule words.
 
 Words in every class, and products over any other table, collect through
 conjugation polynomials (P. Hall 1957): the coordinates of
@@ -45,17 +45,17 @@ its coordinate.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
-from operator import itemgetter, sub
+from operator import index, itemgetter, sub
 
 from .intlinalg import AbelianQuotient, IntMatrix, _echo, _from_decimal, saturate
 
 Element = tuple[int, ...]
+Word = tuple[tuple[int, int], ...]  # (generator, nonzero exponent) pairs, generators increasing
 
 # The most generators a presentation may have, checked before any
 # per-generator work.  `analyze` takes time and memory at least quadratic
 # in the count: on free_abelian(2000), about 2.5 s and 140 MB on a 2-core
-# Xeon.  ut(64) has 2,016 generators.
+# Xeon.  `rfrs-obstruct` refuses ut(64), 2,016 generators, in 0.4 s and 40 MB.
 MAX_GENERATORS = 2048
 
 
@@ -73,50 +73,47 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
 class PcPresentation:
     """Power-commutator presentation with triangular integer data.
 
-    `rules` maps 0-based pairs (i, j) with i < j to the exponent vector of
-    [g_j, g_i]; absent pairs commute.  It stays dense, and every reader of
-    the table (the class-2 scan, B, the weights, the collector, equality)
-    takes its one sparse index `_supports`, the nonzero entries (l, e_l) of
-    each vector in pair order.  Instances are immutable.  The table picks
-    the code path, and the class is read off it.  A table whose commutator
-    values are all central is consistent by construction; any other is
-    checked when its conjugation table, the cached property `_collector`, is
-    built, on its first product or `collect`, or by `check_consistency`.
-    At most MAX_GENERATORS generators are accepted.
+    `rules`, the one table, maps 0-based pairs (i, j) with i < j, in pair
+    order, to the normal form of [g_j, g_i] as a word: (l, e_l) pairs with
+    j < l < n, l increasing and every e_l != 0; absent pairs commute.  Every
+    reader takes it, and `commutator_rule` gives a rule as an element.
+    Instances are immutable.  The table picks the code path, and the class
+    is read off it.  A table whose commutator values are all central is
+    consistent by construction; any other is checked when its conjugation
+    table, the cached property `_collector`, is built, on its first product
+    or `collect`, or by `check_consistency`.  At most MAX_GENERATORS
+    generators are accepted.
     """
 
-    def __init__(self, n: int, rules: dict[tuple[int, int], tuple[int, ...]] | None = None):
+    def __init__(self, n: int, rules: dict[tuple[int, int], Word] | None = None):
         if n < 0:
             raise ValueError("generator count must be nonnegative")
         _check_generator_count(n)
-        clean: dict[tuple[int, int], tuple[int, ...]] = {}
-        supports = []
-        for (i, j), vec in (rules or {}).items():
+        table = []
+        for (i, j), word in (rules or {}).items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bad generator pair ({_echo(i)}, {_echo(j)})")
-            vec = tuple(map(int, vec))
-            if len(vec) != n:
-                raise ValueError("rule vectors must have one entry per generator")
-            support = tuple(zip(compress(range(n), vec), filter(None, vec)))
-            if support and support[0][0] <= j:
-                raise ValueError(
-                    f"commutator [g{j}, g{i}] must involve only generators above {j}"
-                )
-            if support:
-                clean[(i, j)] = vec
-                supports.append((i, j, support))
+            try:
+                word = tuple((index(l), index(e)) for l, e in word)
+                # each l above the one before it, the first above j
+                ok = all(e and a < l < n for (a, _), (l, e) in zip(((j, 0), *word), word))
+            except (TypeError, ValueError):  # not a sequence of integer pairs
+                ok = False
+            if not ok:
+                raise ValueError(f"rule for pair ({i}, {j}) must be a word of (l, e_l) pairs with {j} < l < {n}, "
+                                 f"l increasing and every e_l != 0")
+            if word:
+                table.append(((i, j), word))
         self.n = n
-        self.rules = clean
-        # the one sparse index of the table: (i, j, the pairs (l, e_l) with e_l != 0), in pair order
-        self._supports = tuple(sorted(supports))
+        self.rules = dict(sorted(table))
         # g_k is central exactly when every pair containing k commutes
-        ruled = {k for i, j, _ in self._supports for k in (i, j)}
+        ruled = {k for pair in self.rules for k in pair}
         self.central = tuple(k not in ruled for k in range(n))
         # (noncentral, central) generator indices, each in increasing order
         self._noncentral = tuple(k for k, c in enumerate(self.central) if not c)
         self._central = tuple(k for k, c in enumerate(self.central) if c)
         # the first (i, j, l) in pair order with a rule value on a non-central g_l; None: class <= 2
-        self._off_centre = next(((i, j, l) for i, j, s in self._supports for l, _ in s if l in ruled), None)
+        self._off_centre = next(((i, j, l) for (i, j), w in self.rules.items() for l, _ in w if l in ruled), None)
         self._class2 = self._off_centre is None
 
     # -------------------------------------------------------------- basics
@@ -124,10 +121,10 @@ class PcPresentation:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, PcPresentation) and self.n == other.n and self._supports == other._supports
+        return isinstance(other, PcPresentation) and self.n == other.n and self.rules == other.rules
 
     def __hash__(self) -> int:
-        return hash((self.n, self._supports))
+        return hash((self.n, tuple(self.rules.items())))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PcPresentation(n={self.n}, rules={len(self.rules)})"
@@ -148,8 +145,7 @@ class PcPresentation:
 
     def commutator_rule(self, i: int, j: int) -> Element:
         """Normal form of [g_max, g_min] for the pair {i, j}."""
-        key = _pair_key(i, j)
-        return self.rules.get(key, self.identity())
+        return _dense(self.n, self.rules.get(_pair_key(i, j), ()))
 
     def is_abelian(self) -> bool:
         return not self.rules
@@ -159,7 +155,7 @@ class PcPresentation:
         """Hermite basis of V, the kernel of G -> G^ab tensor Q, built on
         first use.  G^ab is Z^n modulo the rule values, so V is Z^n meet
         their rational span, in every class."""
-        return saturate(IntMatrix._from_int_rows(list(self.rules.values()), self.n))
+        return saturate(IntMatrix._from_int_rows([_dense(self.n, w) for w in self.rules.values()], self.n))
 
     @cached_property
     def _weights(self) -> tuple[tuple[int, ...], int]:
@@ -171,8 +167,8 @@ class PcPresentation:
         """
         w = [1] * self.n
         # by j: a value on g_j comes from a rule (a, b) with b < j, so w[i] and w[j] are final
-        for i, j, support in sorted(self._supports, key=itemgetter(1)):
-            for l, _ in support:
+        for i, j in sorted(self.rules, key=itemgetter(1)):
+            for l, _ in self.rules[i, j]:
                 w[l] = max(w[l], w[i] + w[j])
         return tuple(w), max(w, default=1)
 
@@ -201,10 +197,10 @@ class PcPresentation:
 
     def _beta(self, u: Element, v: Element) -> list[int]:
         out = [0] * self.n
-        for i, k, support in self._supports:
+        for (i, k), word in self.rules.items():
             c = u[k] * v[i]
             if c:
-                for t, x in support:
+                for t, x in word:
                     out[t] += c * x
         return out
 
@@ -277,8 +273,12 @@ class PcPresentation:
 # ------------------------------------------------------- generic collection
 
 
-def _unit(n: int, m: int, s: int) -> Element:
-    return tuple(s if t == m else 0 for t in range(n))
+def _dense(n: int, word) -> Element:
+    """The element of Z^n whose nonzero coordinates are a word's (l, e_l)."""
+    out = [0] * n
+    for l, e in word:
+        out[l] = e
+    return tuple(out)
 
 
 def _binomials(x: int, d: int) -> list[int]:
@@ -346,12 +346,12 @@ class _Collector:
     def __init__(self, p: PcPresentation):
         self.n = p.n
         # from `top` on, no generator has a rule with a higher one
-        self.top = max((i + 1 for i, _, _ in p._supports), default=0)
+        self.top = max((i + 1 for i, _ in p.rules), default=0)
         w = p._weights[0]
         # ruled[a]: (b, support of the rule value) for each rule between g_a and g_b
         ruled: list[list[tuple[int, list[int]]]] = [[] for _ in range(p.n)]
-        for i, j, pairs in p._supports:
-            support = [l for l, _ in pairs]
+        for (i, j), word in p.rules.items():
+            support = [l for l, _ in word]
             ruled[i].append((j, support))
             ruled[j].append((i, support))
         self.levels: list[dict[int, tuple]] = [{} for _ in range(p.n)]
@@ -366,7 +366,7 @@ class _Collector:
     def _level(self, p: PcPresentation, k: int, w: tuple[int, ...], ruled: list) -> tuple:
         n, rules = self.n, p.rules
         # g_l^(g_k) = g_l [g_l, g_k]
-        images = {l: rules[k, l][:l] + (1,) + rules[k, l][l + 1 :] for l, _ in ruled[k] if l > k}
+        images = {l: _dense(n, ((l, 1), *rules[k, l])) for l, _ in ruled[k] if l > k}
         if not images:  # g_k commutes with every generator above it
             return {}, (0, 0)
         self._check_conjugation(p, k, images, ruled)
@@ -377,7 +377,7 @@ class _Collector:
             d_s = (bound - w[k]) // w[m]
             d_e = (bound - w[m]) // w[k]
             # grid[a][b] = g_k^-b g_m^a g_k^b on 0..d_s x 0..d_e
-            col = [_unit(n, m, 1)]
+            col = [p.generator(m)]
             for _ in range(d_e):
                 col.append(self._conj_once(images, k, col[-1]))
             grid = [[(0,) * n] * (d_e + 1)]
@@ -434,16 +434,16 @@ class _Collector:
                 rule = rules.get((i, j))
                 x_support = support.get(i)
                 if x_support is None and y_support is None:
-                    if rule is None or not any(rule[l] for l in images):
+                    if rule is None or not any(l in images for l, _ in rule):
                         continue
                 elif rule is None and not any(
                     (min(a, b), max(a, b)) in rules for a in x_support or (i,) for b in y_support or (j,)
                 ):
                     continue
-                x, y = images.get(i) or _unit(n, i, 1), images.get(j) or _unit(n, j, 1)
+                x, y = images.get(i) or p.generator(i), images.get(j) or p.generator(j)
                 right = self.mul(x, y)
                 if rule is not None:
-                    right = self.mul(right, self._conj_once(images, k, rule))
+                    right = self.mul(right, self._conj_once(images, k, _dense(n, rule)))
                 if self.mul(y, x) != right:
                     raise ValueError(f"inconsistent presentation: conjugation by g{k} breaks "
                                      f"the relation g{j} g{i} = g{i} g{j} [g{j}, g{i}]")
@@ -535,7 +535,7 @@ class _Collector:
 
 def heisenberg() -> PcPresentation:
     """<x, y, z | [x, y] = z, z central>, coordinates (a, b, c)."""
-    return PcPresentation(3, {(0, 1): (0, 0, -1)})
+    return PcPresentation(3, {(0, 1): ((2, -1),)})
 
 
 def free_abelian(n: int) -> PcPresentation:
@@ -561,28 +561,25 @@ def unitriangular(n: int) -> PcPresentation:
         raise ValueError("unitriangular groups need size at least 2")
     _check_generator_count(n * (n - 1) // 2)
     positions = _ut_positions(n)
-    index = {pos: t for t, pos in enumerate(positions)}
+    place = {pos: t for t, pos in enumerate(positions)}
     m = len(positions)
-    rules: dict[tuple[int, int], tuple[int, ...]] = {}
+    rules: dict[tuple[int, int], Word] = {}
     for a, (i, j) in enumerate(positions):
         for b in range(a + 1, m):
             k, l = positions[b]
             # [g_b, g_a] with g_a = I + E_ij and g_b = I + E_kl
             if l == i:
-                rules[(a, b)] = _unit(m, index[(k, j)], 1)
+                rules[(a, b)] = ((place[(k, j)], 1),)
             elif j == k:
-                rules[(a, b)] = _unit(m, index[(i, l)], -1)
+                rules[(a, b)] = ((place[(i, l)], -1),)
     return PcPresentation(m, rules)
 
 
 def direct_product(p: PcPresentation, q: PcPresentation) -> PcPresentation:
-    n = p.n + q.n
-    rules: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (i, j), vec in p.rules.items():
-        rules[(i, j)] = vec + (0,) * q.n
-    for (i, j), vec in q.rules.items():
-        rules[(i + p.n, j + p.n)] = (0,) * p.n + vec
-    return PcPresentation(n, rules)
+    rules = dict(p.rules)
+    for (i, j), word in q.rules.items():
+        rules[(i + p.n, j + p.n)] = tuple((l + p.n, e) for l, e in word)
+    return PcPresentation(p.n + q.n, rules)
 
 
 # The most parenthesised calls, each one '(', that a builder name may
@@ -634,7 +631,7 @@ def abelianization(p: PcPresentation) -> AbelianQuotient:
     quotient carries both the abelian group structure and the projection
     splitting images into free and torsion coordinates.
     """
-    rows = [vec for _, vec in sorted(p.rules.items())]
+    rows = [_dense(p.n, word) for word in p.rules.values()]
     return AbelianQuotient(IntMatrix._from_int_rows(rows, p.n))
 
 
@@ -645,8 +642,8 @@ def presentation_to_text(p: PcPresentation) -> str:
     """Lines: 'n class' then '<i> <j> : e_(j+1) .. e_n' per nontrivial pair (1-based);
     the class is the one read off the table."""
     lines = [f"{p.n} {p.nilpotency_class}"]
-    for (i, j), vec in sorted(p.rules.items()):
-        tail = " ".join(str(x) for x in vec[j + 1 :])
+    for i, j in p.rules:
+        tail = " ".join(map(str, p.commutator_rule(i, j)[j + 1 :]))
         lines.append(f"{i + 1} {j + 1} : {tail}")
     return "\n".join(lines) + "\n"
 
@@ -664,7 +661,7 @@ def presentation_from_text(text: str, admit=None) -> PcPresentation:
     if len(head) != 2:
         raise ValueError("first line must be 'n class'")
     n, cls = _from_decimal(head[0]), _from_decimal(head[1])
-    rules: dict[tuple[int, int], tuple[int, ...]] = {}
+    rules: dict[tuple[int, int], Word] = {}
     for ln in lines[1:]:
         if ":" not in ln:
             raise ValueError(f"bad rule line {_echo(ln)}")
@@ -681,7 +678,7 @@ def presentation_from_text(text: str, admit=None) -> PcPresentation:
         if len(tail) != n - j:
             raise ValueError(f"rule for pair ({_echo(i)}, {_echo(j)}) needs {_echo(n - j)} exponents, "
                              f"got {len(tail)}")
-        rules[(i - 1, j - 1)] = (0,) * j + tuple(tail)
+        rules[(i - 1, j - 1)] = tuple((l, e) for l, e in enumerate(tail, j) if e)
     p = PcPresentation(n, rules)
     if admit is not None:
         admit(p)

@@ -39,7 +39,7 @@ with the rows of a larger subgroup, for normal in it (the chain checks of
 `rfrs`).  Both skip rows that are products of central generators, and
 `_commutator_values` skips the central generators.  The census takes the
 same values by bilinearity from the table of B on the noncentral
-generators, built from `PcPresentation._supports`, not `_beta` (`_CensusPairs`).
+generators, read off `PcPresentation.rules`, not `_beta` (`_CensusPairs`).
 
 Three routines carry the group side in any class.  `_sift` divides an
 element by powers of a triangular basis in pivot order (a noncommutative
@@ -290,7 +290,7 @@ def induced_presentation(s: Subgroup) -> PcPresentation:
     _require_class2(p, "induced presentations")
     vecs = s.basis_elements()
     r = len(vecs)
-    rules: dict[tuple[int, int], tuple[int, ...]] = {}
+    rules = {}
     for a in range(r):
         for b in range(a + 1, r):
             w = p.commutator(vecs[b], vecs[a])
@@ -299,8 +299,7 @@ def induced_presentation(s: Subgroup) -> PcPresentation:
                 raise ValueError("commutator left the subgroup lattice")
             if any(exps[: b + 1]):  # pragma: no cover - theory guarantees this
                 raise ValueError("induced commutator table is not triangular")
-            if any(exps):
-                rules[(a, b)] = exps
+            rules[(a, b)] = tuple((l, e) for l, e in enumerate(exps) if e)
     return PcPresentation(r, rules)
 
 
@@ -348,7 +347,7 @@ class _CensusPairs:
 
     Both kinds of value are bilinear and vanish on central arguments, so
     they come from the nonzero values B(g_a, g_b) over noncentral a, b,
-    read off `p._supports`, not `_beta`: B(u, v) = sum u_a v_b B(g_a, g_b)
+    read off `p.rules`, not `_beta`: B(u, v) = sum u_a v_b B(g_a, g_b)
     and [u, g_c] = B(u, g_c) - B(g_c, u).  Only B(m_i, m_j) with i <= j is
     taken: B(m_j, m_i) = B(m_i, m_j) - [m_i, m_j], and [m_i, m_j] is a
     combination of the [m_i, g_c].  Each K(M) is reduced once, on the
@@ -369,7 +368,7 @@ class _CensusPairs:
         # (a, b, B(g_a, g_b) on the central coordinates) in noncentral places; rule (i, j) is B(g_j, g_i)
         place = {k: a for a, k in enumerate(p._noncentral)}
         self._beta = sorted((place[j], place[i], tuple(map(dict(pairs).get, p._central, itertools.repeat(0))))
-                            for i, j, pairs in p._supports)
+                            for (i, j), pairs in p.rules.items())
         self._projections: dict[int, list[tuple]] = {}
         self._centres: dict[int, list[IntMatrix]] = {}
         self._kernels: dict[tuple, list[list[int]]] = {}

@@ -23,7 +23,6 @@ from rfrskit.intlinalg import (
     hnf,
 )
 from rfrskit.pcgroups import (
-    PcPresentation,
     abelianization,
     direct_product,
     free_abelian,
@@ -48,6 +47,7 @@ from rfrskit.subgroups import (
     lower_central_series,
     subgroup_closure,
 )
+from tables import dense_rules, table
 from ut_matrices import coords_to_matrix, word_to_matrix
 
 M = IntMatrix.from_rows
@@ -167,7 +167,7 @@ def test_criterion_4_rank_additivity():
                     vec[k] = rng.randint(-3, 3)
                 if any(vec):
                     rules[(i, j)] = tuple(vec)
-        p = PcPresentation(n, rules)
+        p = table(n, rules)
         z = center(p)
         assert hirsch_rank(p) == z.rank() + (p.n - z.rank())
         built += 1
@@ -209,7 +209,7 @@ def test_criterion_5_center_injectivity_iff_abelian():
 def _torsion_oracle_rational_rank(pres, vec):
     """Independent check that vec has torsion abelianization image: it must
     lie in the Q-span of the commutator relations (Fraction elimination)."""
-    rows = [list(v) for _, v in sorted(pres.rules.items())]
+    rows = [list(v) for v in dense_rules(pres).values()]
     if not rows:
         return not any(vec)
     n = pres.n

@@ -31,6 +31,7 @@ from rfrskit.pcgroups import (
 )
 from rfrskit.raags import Graph, graph_from_text, graph_to_text, magnus_image, normal_form, word_from_tokens
 from rfrskit.subgroups import Subgroup, chain_to_text, enumerate_normal_subgroups, subgroup_closure
+from tables import dense_rules, table
 
 PY = [sys.executable, "-m", "rfrskit"]
 
@@ -1020,7 +1021,7 @@ def rules_text(p, declared):
     """p's table in the presentation file format under the header 'n declared',
     written off its rules: `presentation_to_text` would compute the class."""
     return f"{p.n} {declared}\n" + "".join(
-        f"{i + 1} {j + 1} : {' '.join(map(str, vec[j + 1 :]))}\n" for (i, j), vec in sorted(p.rules.items())
+        f"{i + 1} {j + 1} : {' '.join(map(str, vec[j + 1 :]))}\n" for (i, j), vec in dense_rules(p).items()
     )
 
 
@@ -1107,6 +1108,12 @@ CONSOLE_CASES = {
         ["rfrs-obstruct", "--group", "ut16.txt"], 2,
         "input error: rfrs-obstruct supports nilpotency class <= 2 only, with commutator values on central "
         "generators; [g1, g0] has a value on the non-central generator g15\n",
+    ),
+    # the largest builder inside MAX_GENERATORS: 2,016 generators, refused off its rule words
+    "ut64-obstruct": (
+        ["rfrs-obstruct", "--group", "ut(64)"], 2,
+        "input error: rfrs-obstruct supports nilpotency class <= 2 only, with commutator values on central "
+        "generators; [g1, g0] has a value on the non-central generator g63\n",
     ),
     "chain4": (
         ["rfrs-verify", "--group", "heisenberg", "--chain", "chain4.txt", "--json"], 0,
@@ -1291,6 +1298,15 @@ def test_class3_refusal_builds_no_collector(command, tmp_path):
                    "central generators; [g1, g0] has a value on the non-central generator g31\n")
 
 
+def test_the_largest_builder_is_refused_within_the_memory_limit():
+    """ut(64), on 2,016 generators, is the largest unitriangular group
+    inside MAX_GENERATORS.  Its 41,664 rules are words of one (l, e_l) pair
+    each, so it is built and refused well within the 512 MB limit."""
+    err = _exit_2_within(["rfrs-obstruct", "--group", "ut(64)"], 5)
+    assert err == ("input error: rfrs-obstruct supports nilpotency class <= 2 only, with commutator values on "
+                   "central generators; [g1, g0] has a value on the non-central generator g63\n")
+
+
 def test_class3_presentation_file_is_refused_before_its_class(tmp_path):
     """The text of ut(32), whose header declares its class 31, is refused by
     the class-2 scan within 5 s: checking the header first computes the
@@ -1384,7 +1400,7 @@ def _random_class2_table(rng):
             (i, j): (0,) * top + tuple(rng.randint(-3, 3) for _ in range(4 - top))
             for i in range(top) for j in range(i + 1, top) if rng.random() < 0.8
         }
-        p = PcPresentation(4, rules)
+        p = table(4, rules)
         if p.rules:
             return presentation_to_text(p)
 

@@ -20,6 +20,7 @@ from rfrskit.pcgroups import (
     unitriangular,
 )
 from rfrskit.subgroups import _require_class2, lower_central_series
+from tables import dense_rules, table
 from test_subgroups import CENTER_CASES, INTERLEAVED_TABLES, RANDOM_TABLES
 from ut_matrices import (
     coords_to_matrix,
@@ -156,7 +157,7 @@ def test_ut3_matches_heisenberg():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ut_steinberg_table_matches_matrix_model(n):
-    assert unitriangular(n).rules == matrix_ut_rules(n)
+    assert dense_rules(unitriangular(n)) == matrix_ut_rules(n)
 
 
 def test_build_standard_names():
@@ -172,21 +173,17 @@ def test_build_standard_names():
 
 
 def test_validation_rejects_nontriangular():
-    with pytest.raises(ValueError):
-        PcPresentation(3, {(0, 1): (0, 1, 0)})
+    message = ("rule for pair (0, 1) must be a word of (l, e_l) pairs with 1 < l < 3, "
+               "l increasing and every e_l != 0")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PcPresentation(3, {(0, 1): ((1, 1),)})
 
 
 def test_inconsistent_table_detected():
     # g3 commutes with g1 and g2, hence with [g2, g1] = g4 in any group,
     # so demanding [g4, g3] = g5 is contradictory
     with pytest.raises(ValueError):
-        PcPresentation(
-            5,
-            {
-                (0, 1): (0, 0, 0, 1, 0),
-                (2, 3): (0, 0, 0, 0, 1),
-            },
-        ).check_consistency()
+        PcPresentation(5, {(0, 1): ((3, 1),), (2, 3): ((4, 1),)}).check_consistency()
 
 
 # ---------------------------------------------------------------- collection
@@ -333,7 +330,7 @@ def _random_class2(rng, n):
                 vec[k] = rng.randint(-4, 4)
             if any(vec):
                 rules[(i, j)] = tuple(vec)
-    return PcPresentation(n, rules)
+    return table(n, rules)
 
 
 def test_ut4_associativity_random_words():
@@ -394,15 +391,15 @@ def test_off_grid_check_rejects_corrupted_table():
     message = re.escape(
         "inconsistent presentation: conjugation by g0 breaks the relation g2 g1 = g1 g2 [g2, g1]"
     )
-    rules = dict(unitriangular(4).rules)
+    rules = dense_rules(unitriangular(4))
     rules[(0, 1)] = (0, 0, 1, 1, 0, 0)
     with pytest.raises(ValueError, match=message):
-        PcPresentation(6, rules).check_consistency()
+        table(6, rules).check_consistency()
     # ut(5) with [g1, g0] = g4 g2 has 10 generators; it builds, and its
     # first product refuses it
-    rules = dict(unitriangular(5).rules)
+    rules = dense_rules(unitriangular(5))
     rules[(0, 1)] = (0, 0, 1, 0, 1, 0, 0, 0, 0, 0)
-    p = PcPresentation(10, rules)
+    p = table(10, rules)
     with pytest.raises(ValueError, match=message):
         p.multiply(p.generator(1), p.generator(0))
 
@@ -430,7 +427,7 @@ def test_nine_generator_inconsistent_table_is_refused():
     the constructor builds the table, and its first product refuses it."""
     with pytest.raises(ValueError, match="inconsistent presentation"):
         presentation_from_text(NINE_GENERATOR_INCONSISTENT)
-    p = PcPresentation(9, {(0, 1): (0, 0, 0, 1, 0, 0, 0, 0, 0), (2, 3): (0, 0, 0, 0, 1, 0, 0, 0, 0)})
+    p = PcPresentation(9, {(0, 1): ((3, 1),), (2, 3): ((4, 1),)})
     assert not sweep_consistent(p)
     with pytest.raises(ValueError, match="inconsistent presentation"):
         p.multiply(p.generator(1), p.generator(0))
@@ -439,7 +436,7 @@ def test_nine_generator_inconsistent_table_is_refused():
 def test_relation_moved_only_through_its_commutator_is_refused():
     # conjugation by g0 fixes g1 and g2 but sends g3 = [g2, g1] to g3 g4,
     # so it breaks g2 g1 = g1 g2 g3
-    p = PcPresentation(5, {(1, 2): (0, 0, 0, 1, 0), (0, 3): (0, 0, 0, 0, 1)})
+    p = PcPresentation(5, {(1, 2): ((3, 1),), (0, 3): ((4, 1),)})
     assert not sweep_consistent(p)
     message = "conjugation by g0 breaks the relation g2 g1 = g1 g2 [g2, g1]"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -464,13 +461,13 @@ def test_collector_accepts_exactly_the_sweep_consistent_tables(data):
     base = data.draw(st.sampled_from(bases))
     n = base.n
     entry = st.sampled_from([1, 0, -1, 2, -2])
-    rules = dict(base.rules)
+    rules = dense_rules(base)
     triples = list(itertools.combinations(range(n), 3))
     for i, j, l in data.draw(st.lists(st.sampled_from(triples), max_size=n)):
         vec = list(rules.get((i, j), (0,) * n))
         vec[l] = data.draw(entry)
         rules[(i, j)] = tuple(vec)
-    p = PcPresentation(n, rules)
+    p = table(n, rules)
     assume(p._weights[1] >= 3)
     try:
         p.check_consistency()
@@ -512,7 +509,7 @@ def test_accepted_class2_tables_are_consistent(data):
             rules[(i, j)] = (0,) * (j + 1) + tuple(
                 data.draw(entry) if flagged[k] or leak else 0 for k in range(j + 1, n)
             )
-    p = PcPresentation(n, rules)
+    p = table(n, rules)
     if not p._class2:
         assert leak
         return
@@ -551,14 +548,12 @@ def test_conjugation_table_is_built_lazily():
 
 def filiform(n):
     """Maximal class on n generators: [g_j, g_0] = g_(j+1) for 1 <= j <= n - 2."""
-    rules = {(0, j): tuple(1 if t == j + 1 else 0 for t in range(n)) for j in range(1, n - 1)}
-    return PcPresentation(n, rules)
+    return PcPresentation(n, {(0, j): ((j + 1, 1),) for j in range(1, n - 1)})
 
 
 def free_class3():
     """Free nilpotent of class 3 on x = g0, y = g1: g2 = [y, x], g3 = [g2, x], g4 = [g2, y]."""
-    rules = {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0), (1, 2): (0, 0, 0, 0, 1)}
-    return PcPresentation(5, rules)
+    return PcPresentation(5, {(0, 1): ((2, 1),), (0, 2): ((3, 1),), (1, 2): ((4, 1),)})
 
 
 TIGHT_CASES = [(f"filiform{n}", lambda n=n: filiform(n)) for n in range(4, 10)] + [
@@ -598,7 +593,7 @@ def test_tight_grid_tables_match_step_reference(name, build, data):
 # the last: [g1, g0] = g2 and [g2, g1] = g3, so g0^-e g1^s g0^e reaches the
 # weight-3 g3 only through the rule between g1 and g2, not through a conjugation
 REACH_CASES = [(f"ut({n})", lambda n=n: unitriangular(n)) for n in range(4, 9)] + TIGHT_CASES + [
-    ("free_class3/[g2,g0]", lambda: PcPresentation(4, {(0, 1): (0, 0, 1, 0), (1, 2): (0, 0, 0, 1)}))
+    ("free_class3/[g2,g0]", lambda: PcPresentation(4, {(0, 1): ((2, 1),), (1, 2): ((3, 1),)}))
 ]
 
 
@@ -819,7 +814,7 @@ def test_commutators_die_rationally():
 
 # [g1, g0] = g2 g3^-1 and [g2, g0] = [g3, g0] = g4: g2 and g3 are not
 # central, so g4 has weight 3, but g2 g3^-1 is, and the class is 2
-FOUND30 = PcPresentation(5, {(0, 1): (0, 0, 1, -1, 0), (0, 2): (0, 0, 0, 0, 1), (0, 3): (0, 0, 0, 0, 1)})
+FOUND30 = PcPresentation(5, {(0, 1): ((2, 1), (3, -1)), (0, 2): ((4, 1),), (0, 3): ((4, 1),)})
 
 
 def test_class_is_the_lower_central_series_length():
@@ -853,24 +848,22 @@ def test_class_is_not_a_constructor_argument():
     assert PcPresentation(3, heisenberg().rules) == heisenberg()
 
 
-# ------------------------------------------------------------ the sparse index
-# The reference expressions below scan the dense `rules` vectors, as the
-# presentation's readers did before they shared the index `_supports`.
+# ------------------------------------------------------------ the rule words
+# The reference expressions below read the rules as exponent vectors
+# (`dense_rules`), as the presentation's readers did before they read the words.
 
 
 def free_class2(k):
     """The free nilpotent group of class 2 on g_0 .. g_(k-1), then
     z_ij = [g_j, g_i] for i < j, central, in pair order."""
     pairs = list(itertools.combinations(range(k), 2))
-    n = k + len(pairs)
-    return PcPresentation(n, {pair: tuple(int(l == k + t) for l in range(n)) for t, pair in enumerate(pairs)})
+    return PcPresentation(k + len(pairs), {pair: ((k + t, 1),) for t, pair in enumerate(pairs)})
 
 
 # g3 = [g2, g1] g4 is the product of the centre of <g1, g2> with g4, so it
 # weighs 2, and [g3, g0] = [g4, g0] = g5 then weighs 3.  A pass over the
 # rules in pair order reads (0, 3) before (1, 2) and gives g5 the weight 2.
-PAIR_ORDER_WEIGHTS = PcPresentation(6, {(1, 2): (0, 0, 0, 1, -1, 0), (0, 3): (0, 0, 0, 0, 0, 1),
-                                        (0, 4): (0, 0, 0, 0, 0, 1)})
+PAIR_ORDER_WEIGHTS = PcPresentation(6, {(1, 2): ((3, 1), (4, -1)), (0, 3): ((5, 1),), (0, 4): ((5, 1),)})
 
 
 INDEX_CASES = RANDOM_TABLES + [unitriangular(n) for n in range(4, 9)] + [FOUND30, free_class2(12)]
@@ -878,16 +871,17 @@ INDEX_CASES = RANDOM_TABLES + [unitriangular(n) for n in range(4, 9)] + [FOUND30
 
 def _dense_scans(p):
     """`central`, `_class2` and the class-2 refusal's (i, j, k), scanned off the dense rules."""
-    central = tuple(all(k not in pair for pair in p.rules) for k in range(p.n))
+    rules = dense_rules(p)
+    central = tuple(all(k not in pair for pair in rules) for k in range(p.n))
     noncentral = [k for k, c in enumerate(central) if not c]
-    class2 = not any(vec[k] for vec in p.rules.values() for k in noncentral)
-    off = next(((i, j, k) for (i, j), vec in sorted(p.rules.items()) for k in noncentral if vec[k]), None)
+    class2 = not any(vec[k] for vec in rules.values() for k in noncentral)
+    off = next(((i, j, k) for (i, j), vec in sorted(rules.items()) for k in noncentral if vec[k]), None)
     return central, class2, off
 
 
 def _dense_beta(p, u, v):
     out = [0] * p.n
-    for (i, k), vec in sorted(p.rules.items()):
+    for (i, k), vec in sorted(dense_rules(p).items()):
         c = u[k] * v[i]
         if c:
             for t in range(k + 1, p.n):
@@ -897,18 +891,25 @@ def _dense_beta(p, u, v):
 
 
 def _dense_weights(p):
+    rules = dense_rules(p)
     w = [1] * p.n
     for l in range(p.n):
-        for (i, j), vec in p.rules.items():
+        for (i, j), vec in rules.items():
             if vec[l]:
                 w[l] = max(w[l], w[i] + w[j])
     return tuple(w), max(w, default=1)
 
 
 def test_the_index_holds_the_nonzero_entries_of_the_rules_in_pair_order():
+    """The rules run in pair order, and the word of each pair (i, j) is the
+    nonzero entries of [g_j, g_i] as the group's own product computes it;
+    a pair with no word commutes."""
     for p in INDEX_CASES:
-        assert p._supports == tuple((i, j, tuple((l, x) for l, x in enumerate(vec) if x))
-                                    for (i, j), vec in sorted(p.rules.items()))
+        assert list(p.rules) == sorted(p.rules)
+        gens = [p.generator(k) for k in range(p.n)]
+        for i, j in itertools.combinations(range(p.n), 2):
+            value = p.commutator(gens[j], gens[i])
+            assert p.rules.get((i, j), ()) == tuple((l, x) for l, x in enumerate(value) if x)
 
 
 def test_the_class2_scan_and_its_refusal_match_the_dense_scans():
@@ -940,8 +941,8 @@ def test_beta_matches_the_dense_loop():
 def test_weights_match_the_dense_loop():
     # on PAIR_ORDER_WEIGHTS a pass in pair order gives other weights than a pass by j
     w = [1] * 6
-    for i, j, support in PAIR_ORDER_WEIGHTS._supports:
-        for l, _ in support:
+    for (i, j), word in PAIR_ORDER_WEIGHTS.rules.items():
+        for l, _ in word:
             w[l] = max(w[l], w[i] + w[j])
     assert w == [1, 1, 1, 2, 2, 2]
     PAIR_ORDER_WEIGHTS.check_consistency()
@@ -956,14 +957,57 @@ def test_equality_and_hash_read_the_table_not_its_insertion_order():
     for p in INDEX_CASES:
         if len(p.rules) < 2:
             continue
-        items = list(p.rules.items())
+        items = list(dense_rules(p).items())
         rng.shuffle(items)
-        q = PcPresentation(p.n, dict(items))
+        q = table(p.n, dict(items))
         assert q == p and hash(q) == hash(p)
         (i, j), vec = items[0]
         l = rng.randrange(j + 1, p.n)
-        r = PcPresentation(p.n, {**dict(items), (i, j): vec[:l] + (vec[l] + 1,) + vec[l + 1:]})
+        r = table(p.n, {**dict(items), (i, j): vec[:l] + (vec[l] + 1,) + vec[l + 1:]})
         assert r != p
+
+
+# The laws below hold the word table to the group it presents, on these
+# tables and on direct products of neighbours among them.
+LAW_BASES = (RANDOM_TABLES + [p for p, _ in INTERLEAVED_TABLES] + [unitriangular(n) for n in range(4, 9)]
+             + [FOUND30, PAIR_ORDER_WEIGHTS, free_class2(12)])
+LAW_CASES = LAW_BASES + [direct_product(p, q) for p, q in zip(LAW_BASES, LAW_BASES[1:])]
+
+
+def test_the_dense_rules_and_the_file_give_back_the_presentation():
+    for p in LAW_CASES:
+        assert table(p.n, dense_rules(p)) == p
+        assert presentation_from_text(presentation_to_text(p)) == p
+
+
+def test_commutator_rule_is_the_word_as_an_element():
+    for p in LAW_CASES:
+        for i, j in itertools.combinations(range(p.n), 2):
+            rule = p.commutator_rule(i, j)
+            assert p.commutator_rule(j, i) == rule
+            if (i, j) not in p.rules:
+                assert rule == p.identity()
+                continue
+            vec = [0] * p.n
+            for l, e in p.rules[i, j]:
+                vec[l] = e
+            assert rule == tuple(vec)
+
+
+def test_rules_run_in_pair_order_whatever_the_insertion_order():
+    rng = random.Random(46)
+    for p in LAW_CASES:
+        items = list(p.rules.items())
+        rng.shuffle(items)
+        q = PcPresentation(p.n, dict(items))
+        assert list(q.rules.items()) == list(p.rules.items()) == sorted(p.rules.items())
+        assert q == p and hash(q) == hash(p)
+
+
+def test_direct_product_rules_are_the_factors_words_shifted():
+    for p, q in zip(LAW_CASES, LAW_CASES[1:]):
+        shifted = [((i + p.n, j + p.n), tuple((l + p.n, e) for l, e in word)) for (i, j), word in q.rules.items()]
+        assert list(direct_product(p, q).rules.items()) == list(p.rules.items()) + shifted
 
 
 # ------------------------------------------------------------ file format
@@ -983,7 +1027,7 @@ def class2_scan_tables(draw):
                 continue
             rules[(i, j)] = (0,) * (j + 1) + tuple(
                 draw(st.integers(-3, 3)) if central[k] else 0 for k in range(j + 1, n))
-    p = PcPresentation(n, rules)
+    p = table(n, rules)
     assert p._class2
     return p
 

@@ -204,6 +204,9 @@ ROW = rfrskit.IntMatrix.from_rows([[1, 2]])
 UT4 = rfrskit.unitriangular(4)
 # the least n for which ut(n) has more than MAX_GENERATORS generators
 UT_OVER = next(n for n in itertools.count(2) if n * (n - 1) // 2 > MAX_GENERATORS)
+# the one refusal of a malformed rule for the pair (0, 1) on three generators
+RULE_WORD_0_1 = ("rule for pair (0, 1) must be a word of (l, e_l) pairs with 1 < l < 3, "
+                 "l increasing and every e_l != 0")
 
 # Each refusal of malformed input that no other test reaches: a thunk, and
 # the start of the ValueError message it must raise.
@@ -294,9 +297,29 @@ REFUSALS = {
     "collect-out-of-range": (lambda: H.collect([(3, 1)]), "generator index 3 out of range"),
     "commutator-rule-diagonal": (
         lambda: H.commutator_rule(1, 1), "commutator table is indexed by distinct generators"),
+    # a rule is a word of (l, e_l) pairs; each malformed one gets the same refusal, naming its pair
     "presentation-short-rule": (
-        lambda: rfrskit.PcPresentation(3, {(0, 1): (0, 0)}),
-        "rule vectors must have one entry per generator"),
+        lambda: rfrskit.PcPresentation(3, {(0, 1): ((2,),)}), RULE_WORD_0_1),
+    "presentation-dense-rule": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): (0, 0, -1)}), RULE_WORD_0_1),
+    "presentation-rule-long-pair": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): ((2, -1, 0),)}), RULE_WORD_0_1),
+    "presentation-rule-float-exponent": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): ((2, -1.0),)}), RULE_WORD_0_1),
+    "presentation-rule-text-generator": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): (("2", -1),)}), RULE_WORD_0_1),
+    "presentation-rule-at-j": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): ((1, -1),)}), RULE_WORD_0_1),
+    "presentation-rule-at-n": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): ((3, -1),)}), RULE_WORD_0_1),
+    "presentation-rule-decreasing": (
+        lambda: rfrskit.PcPresentation(5, {(1, 2): ((4, 1), (3, 1))}),
+        "rule for pair (1, 2) must be a word of (l, e_l) pairs with 2 < l < 5, l increasing and every e_l != 0"),
+    "presentation-rule-repeated": (
+        lambda: rfrskit.PcPresentation(4, {(0, 1): ((2, 1), (2, 1))}),
+        "rule for pair (0, 1) must be a word of (l, e_l) pairs with 1 < l < 4, l increasing and every e_l != 0"),
+    "presentation-rule-zero-exponent": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1): ((2, 0),)}), RULE_WORD_0_1),
     "presentation-reversed-pair": (
         lambda: rfrskit.PcPresentation(3, {(1, 0): (0, 0, 1)}), "bad generator pair (1, 0)"),
     # the generator count is checked before any per-generator work

@@ -42,6 +42,7 @@ from rfrskit.subgroups import (
     subgroup_closure,
     _InducedBasis,
 )
+from tables import dense_rules, table
 from test_cli import HH_CHAIN, HH_SUB
 from test_intlinalg import reference_saturate
 from test_subgroups import CENSUS_CASES, CENTER_CASES, INTERLEAVED_TABLES, isolator, map_into_ambient
@@ -317,7 +318,7 @@ def test_trapped_witness_matches_kernel_route():
 def _torsion_image_oracle(sub_pres, local):
     """Rational-rank oracle: the image is torsion iff the vector lies in
     the Q-row space of the commutator relations (Fraction elimination)."""
-    rows = [list(vec) for _, vec in sorted(sub_pres.rules.items())]
+    rows = [list(vec) for vec in dense_rules(sub_pres).values()]
     n = sub_pres.n
 
     def rank(mat):
@@ -342,7 +343,7 @@ def _rational_kernel_by_induced_presentation(s):
     """Reference kernel of s -> s^ab tensor Q: the isolator of the derived
     subgroup of the induced presentation, mapped back to the ambient group."""
     sub = induced_presentation(s)
-    derived = Subgroup.from_lattice(sub, [vec for _, vec in sorted(sub.rules.items())])
+    derived = Subgroup.from_lattice(sub, list(dense_rules(sub).values()))
     isolated = isolator(sub, derived)
     return subgroup_closure(s.ambient, [map_into_ambient(s, v) for v in isolated.basis_elements()])
 
@@ -369,7 +370,7 @@ def _random_class2_tables(seed, count):
             if any(val):
                 rules[(i, j)] = (0,) * k + val
         if rules:
-            tables.append(PcPresentation(4, rules))
+            tables.append(table(4, rules))
     return tables
 
 
@@ -432,8 +433,7 @@ def _rational_kernel_full_width(s):
 def _doubled_filiform5():
     """Class 4: [g_j, g_0] = g_(j+1)^2 for j = 1..3, so V is spanned by
     e_2, e_3, e_4 while the rule values span only twice that."""
-    rules = {(0, j): tuple(2 if t == j + 1 else 0 for t in range(5)) for j in range(1, 4)}
-    return PcPresentation(5, rules)
+    return PcPresentation(5, {(0, j): ((j + 1, 2),) for j in range(1, 4)})
 
 
 POWER_TEST_GROUPS = [
@@ -973,7 +973,7 @@ def test_torsion_lattice_with_unit_pivots_takes_no_smith_form(spec, monkeypatch)
     monkeypatch.setattr(intlinalg, "snf", lambda a: calls.append(a) or real(a))
     p = build_standard(spec)
     v = p._torsion_lattice
-    assert calls == [] and v == reference_saturate(IntMatrix.from_rows(list(p.rules.values())))
+    assert calls == [] and v == reference_saturate(IntMatrix.from_rows(list(dense_rules(p).values())))
 
 
 def test_restriction_where_the_induced_table_is_off_the_class2_scan():
@@ -985,7 +985,7 @@ def test_restriction_where_the_induced_table_is_off_the_class2_scan():
     f = Filtration.from_subgroups(p, subgroups.chain_from_text(p, HH_CHAIN))
     h = subgroup_closure(p, [list(map(int, line.split())) for line in HH_SUB.splitlines()])
     assert h.index() == 80
-    assert induced_presentation(h).rules[(0, 1)] == (0, 0, -2, 1, 0, -13)
+    assert induced_presentation(h).rules[(0, 1)] == ((2, -2), (3, 1), (5, -13))
     with pytest.raises(ValueError, match="supports nilpotency class <= 2 only"):
         restrict_chain(f, h)
     terms, steps = rfrs._restriction(f, h)

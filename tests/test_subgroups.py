@@ -24,7 +24,6 @@ from rfrskit.intlinalg import (
     saturate,
 )
 from rfrskit.pcgroups import (
-    PcPresentation,
     abelianization,
     build_standard,
     direct_product,
@@ -53,6 +52,7 @@ from rfrskit.subgroups import (
     _sift,
     _subgroup_from_induced,
 )
+from tables import table
 
 H = heisenberg()
 X, Y, Z = H.generator(0), H.generator(1), H.generator(2)
@@ -277,10 +277,7 @@ def _normal_two_sided(s):
 
 
 def test_is_normal_matches_two_sided_reference():
-    four = PcPresentation(
-        4,
-        {(0, 1): (0, 0, 0, 2), (0, 2): (0, 0, 0, -1), (1, 2): (0, 0, 0, 3)},
-    )
+    four = table(4, {(0, 1): (0, 0, 0, 2), (0, 2): (0, 0, 0, -1), (1, 2): (0, 0, 0, 3)})
     rng = random.Random(7)
     verdicts = []
     for p in (H, direct_product(H, free_abelian(1)), four):
@@ -999,9 +996,7 @@ def test_lcs_ut5_class4():
 
 def test_lcs_with_scaled_commutator():
     # [y, x] = z^2: gamma_2 is the proper sublattice 2Z in the z-line
-    p = __import__("rfrskit.pcgroups", fromlist=["PcPresentation"]).PcPresentation(
-        3, {(0, 1): (0, 0, 2)}
-    )
+    p = table(3, {(0, 1): (0, 0, 2)})
     series = lower_central_series(p)
     assert series[1].basis.to_rows() == [[0, 0, 2]]
 
@@ -1057,12 +1052,7 @@ def test_center_ut4():
 def test_center_with_offdiagonal_central_element():
     # [y, x] = w, [z, x] = w, [z, y] = 1: y z^-1 is central but is not a
     # flagged central generator
-    from rfrskit.pcgroups import PcPresentation
-
-    p = PcPresentation(
-        4,
-        {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)},
-    )
+    p = table(4, {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)})
     z = center(p)
     assert z.contains((0, 1, -1, 0))
     assert z.rank() == 2
@@ -1134,7 +1124,7 @@ def random_consistent_tables(seed, attempts):
                 if rng.random() < 0.5:
                     rules[(i, j)] = (0,) * (j + 1) + tuple(entry() for _ in range(j + 1, n))
         try:
-            p = PcPresentation(n, rules)
+            p = table(n, rules)
             p.check_consistency()
             tables.append(p)
         except ValueError:
@@ -1159,7 +1149,7 @@ def interleaved_class2_tables(seed, count):
                 rules[(i, j)] = vec
         if not rules:
             continue
-        p = PcPresentation(n, rules)
+        p = table(n, rules)
         rank = hnf_basis(IntMatrix.from_rows(list(rules.values()))).rows
         if rank >= 2 and any(c and not d for c, d in zip(p.central, p.central[1:])):
             tables.append((p, rank))
@@ -1184,8 +1174,8 @@ CENTER_CASES = [
         "direct_product(free_abelian(2),ut(5))",
     ]
 ] + [
-    PcPresentation(3, {(0, 1): (0, 0, 2)}),
-    PcPresentation(4, {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)}),
+    table(3, {(0, 1): (0, 0, 2)}),
+    table(4, {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)}),
 ] + RANDOM_TABLES
 
 
