@@ -39,7 +39,9 @@ g_k^e (Leedham-Green and Soicher 1990): appending g_k^e pushes back the
 tail from the first generator that does not commute with g_k as the
 syllables of its conjugated factors, whatever the size of e, and past the
 last generator that has a rule with a higher one, a syllable only adds to
-its coordinate.
+its coordinate.  So a commutator is one collection of the word
+u^-1 v^-1 u v, with no products composed.  A dense element becomes
+syllables in `_word` alone, and `_inverse` reverses a word.
 """
 
 from __future__ import annotations
@@ -91,8 +93,13 @@ class PcPresentation:
         _check_generator_count(n)
         table = []
         for (i, j), word in (rules or {}).items():
-            if not (0 <= i < j < n):
+            try:
+                ok = 0 <= index(i) < index(j) < n
+            except TypeError:  # a generator that is not an integer
+                ok = False
+            if not ok:
                 raise ValueError(f"bad generator pair ({_echo(i)}, {_echo(j)})")
+            i, j = index(i), index(j)
             try:
                 word = tuple((index(l), index(e)) for l, e in word)
                 # each l above the one before it, the first above j
@@ -241,9 +248,7 @@ class PcPresentation:
             b1 = self._beta(u, v)
             b2 = self._beta(v, u)
             return tuple(x - y for x, y in zip(b1, b2))
-        # u^-1 v^-1 u v = (v u)^-1 (u v): one inverse instead of two
-        inv = self._collector.inv
-        return self.multiply(inv(self.multiply(v, u)), self.multiply(u, v))
+        return self._collector.commutator(u, v)
 
     def collect(self, word) -> Element:
         """Normal form of a word of (generator index, exponent) pairs, in one pass in any class."""
@@ -279,6 +284,16 @@ def _dense(n: int, word) -> Element:
     for l, e in word:
         out[l] = e
     return tuple(out)
+
+
+def _word(u: Element) -> list[tuple[int, int]]:
+    """The syllables (k, u_k) of an element's nonzero coordinates, k increasing."""
+    return [(k, e) for k, e in enumerate(u) if e]
+
+
+def _inverse(word) -> list[tuple[int, int]]:
+    """The syllables of a word's inverse: reversed, each exponent negated."""
+    return [(k, -e) for k, e in reversed(word)]
 
 
 def _binomials(x: int, d: int) -> list[int]:
@@ -339,6 +354,11 @@ class _Collector:
     whatever the size of e.  On a level of degrees (1, 1), as every level of
     ut(n) is, each coordinate has the one term (1, 1, a) and is read as the
     product a s e, with no binomials.
+
+    `mul` collects the syllables of v onto u; `inv` and `commutator`
+    collect the words u^-1 and u^-1 v^-1 u v from the identity.  Each is
+    one `_collect` call, and `_word` is the one place where an element
+    becomes syllables.
     """
 
     __slots__ = ("n", "top", "levels", "blocking", "degrees")
@@ -379,7 +399,7 @@ class _Collector:
             # grid[a][b] = g_k^-b g_m^a g_k^b on 0..d_s x 0..d_e
             col = [p.generator(m)]
             for _ in range(d_e):
-                col.append(self._conj_once(images, k, col[-1]))
+                col.append(self._conj_once(images, k, _word(col[-1])))
             grid = [[(0,) * n] * (d_e + 1)]
             for _ in range(d_s):
                 grid.append([self.mul(x, y) for x, y in zip(grid[-1], col)])
@@ -443,22 +463,21 @@ class _Collector:
                 x, y = images.get(i) or p.generator(i), images.get(j) or p.generator(j)
                 right = self.mul(x, y)
                 if rule is not None:
-                    right = self.mul(right, self._conj_once(images, k, _dense(n, rule)))
+                    right = self.mul(right, self._conj_once(images, k, rule))
                 if self.mul(y, x) != right:
                     raise ValueError(f"inconsistent presentation: conjugation by g{k} breaks "
                                      f"the relation g{j} g{i} = g{i} g{j} [g{j}, g{i}]")
 
-    def _conj_once(self, images: dict[int, Element], k: int, x: Element) -> Element:
-        """g_k^-1 x g_k for x supported above k."""
-        word = []
-        for l in range(k + 1, self.n):
-            if x[l]:
-                img = images.get(l)
-                if img is None:
-                    word.append((l, x[l]))
-                else:
-                    word += [(t, c) for t, c in enumerate(self.pow(img, x[l])) if c]
-        return self._collect([0] * self.n, word)
+    def _conj_once(self, images: dict[int, Element], k: int, word) -> Element:
+        """g_k^-1 x g_k for the word x, supported above k."""
+        out = []
+        for l, e in word:
+            img = images.get(l)
+            if img is None:
+                out.append((l, e))
+            else:
+                out += _word(self.pow(img, e))
+        return self._collect([0] * self.n, out)
 
     def _collect(self, r: list[int], word) -> Element:
         """r times a word of (generator, nonzero exponent) syllables, collected from the left."""
@@ -511,11 +530,16 @@ class _Collector:
         return tuple(r)
 
     def mul(self, u: Element, v: Element) -> Element:
-        return self._collect(list(u), [(k, e) for k, e in enumerate(v) if e])
+        return self._collect(list(u), _word(v))
 
     def inv(self, u: Element) -> Element:
         # u^-1 = g_(n-1)^-u_(n-1) ... g_0^-u_0
-        return self._collect([0] * self.n, [(k, -u[k]) for k in reversed(range(self.n)) if u[k]])
+        return self._collect([0] * self.n, _inverse(_word(u)))
+
+    def commutator(self, u: Element, v: Element) -> Element:
+        """u^-1 v^-1 u v, collected as one word."""
+        wu, wv = _word(u), _word(v)
+        return self._collect([0] * self.n, _inverse(wu) + _inverse(wv) + wu + wv)
 
     def pow(self, u: Element, e: int) -> Element:
         if e < 0:

@@ -282,6 +282,28 @@ def test_generic_path_matches_fast_path_class2():
         v = tuple(rng.randint(-3, 3) for _ in range(3))
         assert h._collector.mul(u, v) == h.multiply(u, v)
         assert h._collector.inv(u) == h.inverse(u)
+        assert h._collector.commutator(u, v) == h.commutator(u, v)
+    # the collected commutator against the closed form B(u, v) - B(v, u)
+    for p in LAW_CASES:
+        if not p._class2:
+            continue
+        for _ in range(3):
+            u = tuple(rng.randint(-3, 3) for _ in range(p.n))
+            v = tuple(rng.randint(-3, 3) for _ in range(p.n))
+            assert p._collector.commutator(u, v) == p.commutator(u, v)
+
+
+def test_commutator_laws_on_unitriangular():
+    # [u, 1] = [u, u] = [u, u^3] = 1, through collection
+    rng = random.Random(47)
+    for n in (4, 5, 6):
+        p = unitriangular(n)
+        one = p.identity()
+        for _ in range(40):
+            u = tuple(rng.randint(-4, 4) for _ in range(p.n))
+            assert p.commutator(u, one) == p.commutator(one, u) == one
+            assert p.commutator(u, u) == one
+            assert p.commutator(u, p.power(u, 3)) == one
 
 
 def test_class2_table_declared_class_3_takes_the_closed_forms():
@@ -752,21 +774,27 @@ def test_commuting_block_above_a_noncommuting_one():
         assert p.commutator(u, v) == a.commutator(u[:6], v[:6]) + b.commutator(u[6:], v[6:])
 
 
-def test_commutator_makes_three_public_products(monkeypatch):
+def test_commutator_is_one_collection(monkeypatch):
     p = unitriangular(5)
+    p.check_consistency()  # the collector's own build collects too
     rng = random.Random(4)
     u = tuple(rng.randint(-3, 3) for _ in range(p.n))
     v = tuple(rng.randint(-3, 3) for _ in range(p.n))
     calls = []
-    real = PcPresentation.multiply
 
-    def counted(self, x, y):
-        calls.append((x, y))
-        return real(self, x, y)
+    def count(cls, name):
+        real = getattr(cls, name)
 
-    monkeypatch.setattr(PcPresentation, "multiply", counted)
+        def counted(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    count(PcPresentation, "multiply")
+    count(PcPresentation, "inverse")
+    count(pcgroups._Collector, "_collect")
     got = p.commutator(u, v)
-    assert len(calls) == 3
+    assert calls == ["_collect"]
     mu, mv = coords_to_matrix(5, u), coords_to_matrix(5, v)
     assert coords_to_matrix(5, got) == mat_mul(
         mat_mul(ut_inverse(mu), ut_inverse(mv)), mat_mul(mu, mv)

@@ -322,6 +322,8 @@ REFUSALS = {
         lambda: rfrskit.PcPresentation(3, {(0, 1): ((2, 0),)}), RULE_WORD_0_1),
     "presentation-reversed-pair": (
         lambda: rfrskit.PcPresentation(3, {(1, 0): (0, 0, 1)}), "bad generator pair (1, 0)"),
+    "presentation-float-pair": (
+        lambda: rfrskit.PcPresentation(3, {(0.5, 1): ((2, 1),)}), "bad generator pair (0.5, 1)"),
     # the generator count is checked before any per-generator work
     "presentation-over-bound": (
         lambda: rfrskit.PcPresentation(MAX_GENERATORS + 1),
