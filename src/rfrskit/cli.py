@@ -24,12 +24,12 @@ encoder runs in pure Python, and took about a third of the time of a
 graph-group series report).  Two values `_dumps` does not walk, since
 the report holds a callable that writes them.  A series report's terms
 are `_series_terms` of the sorted (monomial, coefficient) pairs, which
-writes each term with one format; the human-readable lines read the same
-pairs.  `rfrs-obstruct` prints the certificate `obstruction_certificate`
-returns.  Its steps, one per normal subgroup within the bound, are
-`_obstruct_steps` of the certificate's counts a_k of normal subgroups of
-each index k: the step of index k is written once and repeated a_k
-times, so a text run builds no steps at all.
+writes each term with one format and each vertex's digits once; the
+human-readable lines read the same pairs.  `rfrs-obstruct` prints the
+certificate `obstruction_certificate` returns, whose steps, one per
+normal subgroup within the bound, are `_obstruct_steps` of its counts
+a_k of normal subgroups of each index k: the step of index k is written
+once and repeated a_k times, so a text run builds no steps at all.
 
 Each loader and handler imports the library layers it calls when it runs,
 so that a process loads only what its command uses.  Importing this module
@@ -186,18 +186,17 @@ def _int_list(v) -> str:
     return "[" + ", ".join(map(_decimal, v)) + "]"
 
 
-def _series_terms(pairs: list[tuple[tuple[int, ...], int]], indent: str) -> str:
+def _series_terms(pairs: list[tuple[tuple[int, ...], int]], digits: Callable[[int], str], indent: str) -> str:
     """`_dumps` of the list of {"monomial": list(mono), "coefficient":
-    _decimal(coeff)} objects of the (mono, coeff) pairs, one format per term."""
-    if not pairs:
-        return "[]"
+    _decimal(coeff)} objects of a series' (mono, coeff) pairs, never empty,
+    one format per term; `digits` gives each vertex's `_decimal`, once per report."""
     item, field, entry = indent + "  ", indent + "    ", indent + "      "
     head = "{" + field + '"monomial": '
     sep = "," + entry
     mid = "," + field + '"coefficient": "'
     tail = '"' + item + "}"
     terms = [
-        f"{head}[{entry}{sep.join(map(str, mono))}{field}]{mid}{_decimal(coeff)}{tail}" if mono
+        f"{head}[{entry}{sep.join(map(digits, mono))}{field}]{mid}{_decimal(coeff)}{tail}" if mono
         else f"{head}[]{mid}{_decimal(coeff)}{tail}"
         for mono, coeff in pairs
     ]
@@ -372,14 +371,16 @@ def _cmd_raag_magnus(cfg: RunConfig) -> int:
     from .raags import _vertex_names, graph_from_text, magnus_image, word_from_tokens
 
     g = _read_input(cfg.graph, "graph", graph_from_text)
-    series = magnus_image(g, word_from_tokens(g, cfg.word or ""), cfg.degree)
+    word = word_from_tokens(g, cfg.word or "")
+    series = magnus_image(g, word, cfg.degree)
     pairs = series.sorted_terms()
+    digits = {v: _decimal(v) for v in {v for v, _ in word.letters}}
     report = {
         "command": "raag-magnus",
         "graph": cfg.graph,
         "word": cfg.word,
         "degree": cfg.degree,
-        "terms": functools.partial(_series_terms, pairs),
+        "terms": functools.partial(_series_terms, pairs, digits.__getitem__),
         "is_one": series.is_one(),
     }
     _emit(report, lambda: [f"series at degree {cfg.degree}:"] + [

@@ -40,12 +40,12 @@ pass over the transposed block with V kept transposed, gave the same
 bytes but read 5-13 % slower on the benchmark's `matrices_graphs` wall
 time (Python 3.11, 2-core Xeon).
 
-`_decimal` writes an integer of any size in decimal, for the reports of
-`describe`, the graph-group normal forms and the command line: the
-interpreter refuses str on an int past its digit limit.  `_from_decimal`
-reads one back for the file and word readers, past the limit too, and
-`_echo` writes the input a reader refuses, a line, token or int, clipped
-to a short line.
+`_decimal` writes every integer of unbounded size that goes to a file or
+a report, past the int-to-str digit limit too: in the presentation, chain
+and graph writers, `describe`, graph-group words and the command line.
+`_from_decimal` reads one back for the file and word readers, so each
+writer's output reads back, and `_echo` writes the input a reader
+refuses, a line, token or int, clipped to a short line.
 """
 
 from __future__ import annotations
@@ -81,11 +81,9 @@ _DECIMAL_CHUNK = 10**_DECIMAL_DIGITS
 
 
 def _decimal(n: int) -> str:
-    """The decimal digits of n, as str(n) writes them, at any size: the
-    interpreter refuses str on an int past its digit limit (4300 by
-    default), so n is written in chunks below any limit, and the limit
-    stays as it is for the rest of the process.  An n within the limit
-    takes str in one call."""
+    """The decimal digits of n, as str(n) writes them, at any size: past the
+    interpreter's int-to-str digit limit (4300 by default) n is written in
+    chunks below any limit, which stays as it is; other n take one str call."""
     try:
         return str(n)
     except ValueError:  # n is past the digit limit
@@ -595,7 +593,6 @@ class AbelianQuotient:
         diag = dec.diagonal()
         rank = sum(1 for x in diag if x)
         self.n = n
-        self.relations = relations
         self._v = dec.v
         self._free_cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
         self._torsion = [(j, diag[j]) for j in range(rank) if diag[j] >= 2]

@@ -40,8 +40,9 @@ tail from the first generator that does not commute with g_k as the
 syllables of its conjugated factors, whatever the size of e, and past the
 last generator that has a rule with a higher one, a syllable only adds to
 its coordinate.  So a commutator is one collection of the word
-u^-1 v^-1 u v, with no products composed.  A dense element becomes
-syllables in `_word` alone, and `_inverse` reverses a word.
+u^-1 v^-1 u v, with no products composed.  Elements and words convert in
+one place each way, for every module: `_word` turns an element into its
+syllables, `_dense` a word into an element, and `_inverse` reverses a word.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import index, itemgetter, sub
 
-from .intlinalg import AbelianQuotient, IntMatrix, _echo, _from_decimal, saturate
+from .intlinalg import AbelianQuotient, IntMatrix, _decimal, _echo, _from_decimal, saturate
 
 Element = tuple[int, ...]
 Word = tuple[tuple[int, int], ...]  # (generator, nonzero exponent) pairs, generators increasing
@@ -92,13 +93,15 @@ class PcPresentation:
             raise ValueError("generator count must be nonnegative")
         _check_generator_count(n)
         table = []
-        for (i, j), word in (rules or {}).items():
+        for key, word in (rules or {}).items():
             try:
+                i, j = key
                 ok = 0 <= index(i) < index(j) < n
-            except TypeError:  # a generator that is not an integer
+            except (TypeError, ValueError):  # not a pair, or a generator that is not an integer
                 ok = False
             if not ok:
-                raise ValueError(f"bad generator pair ({_echo(i)}, {_echo(j)})")
+                pair = key if isinstance(key, tuple) else (key,)
+                raise ValueError(f"bad generator pair ({', '.join(map(_echo, pair))})")
             i, j = index(i), index(j)
             try:
                 word = tuple((index(l), index(e)) for l, e in word)
@@ -142,7 +145,7 @@ class PcPresentation:
     def generator(self, k: int) -> Element:
         if not 0 <= k < self.n:
             raise ValueError(f"generator index {k} out of range")
-        return tuple(1 if t == k else 0 for t in range(self.n))
+        return _dense(self.n, ((k, 1),))
 
     def element(self, exps) -> Element:
         exps = tuple(int(x) for x in exps)
@@ -195,7 +198,7 @@ class PcPresentation:
             layer = set(gens)
             for left in range(c - 2, -1, -1):
                 layer = {v for v in (self.commutator(u, g) for u in layer for g in gens)
-                         if any(v) and min(w[k] for k, x in enumerate(v) if x) + left <= bound}
+                         if any(v) and min(w[k] for k, _ in _word(v)) + left <= bound}
             if layer:
                 return c
         return 1 if self.n else 0
@@ -279,7 +282,7 @@ class PcPresentation:
 
 
 def _dense(n: int, word) -> Element:
-    """The element of Z^n whose nonzero coordinates are a word's (l, e_l)."""
+    """The element of Z^n with coordinate e_l at each (l, e_l) of a word, and 0 elsewhere."""
     out = [0] * n
     for l, e in word:
         out[l] = e
@@ -357,8 +360,7 @@ class _Collector:
 
     `mul` collects the syllables of v onto u; `inv` and `commutator`
     collect the words u^-1 and u^-1 v^-1 u v from the identity.  Each is
-    one `_collect` call, and `_word` is the one place where an element
-    becomes syllables.
+    one `_collect` call on syllables from `_word`.
     """
 
     __slots__ = ("n", "top", "levels", "blocking", "degrees")
@@ -422,8 +424,7 @@ class _Collector:
                 )
                 if terms:
                     poly.append((l, terms))
-            poly = tuple(poly)
-            level[m] = poly
+            level[m] = poly = tuple(poly)
             for _, terms in poly:
                 for i, j, _ in terms:
                     max_s, max_e = max(max_s, i), max(max_e, j)
@@ -667,7 +668,7 @@ def presentation_to_text(p: PcPresentation) -> str:
     the class is the one read off the table."""
     lines = [f"{p.n} {p.nilpotency_class}"]
     for i, j in p.rules:
-        tail = " ".join(map(str, p.commutator_rule(i, j)[j + 1 :]))
+        tail = " ".join(map(_decimal, p.commutator_rule(i, j)[j + 1 :]))
         lines.append(f"{i + 1} {j + 1} : {tail}")
     return "\n".join(lines) + "\n"
 
@@ -702,7 +703,7 @@ def presentation_from_text(text: str, admit=None) -> PcPresentation:
         if len(tail) != n - j:
             raise ValueError(f"rule for pair ({_echo(i)}, {_echo(j)}) needs {_echo(n - j)} exponents, "
                              f"got {len(tail)}")
-        rules[(i - 1, j - 1)] = tuple((l, e) for l, e in enumerate(tail, j) if e)
+        rules[(i - 1, j - 1)] = tuple(_word([0] * j + tail))
     p = PcPresentation(n, rules)
     if admit is not None:
         admit(p)

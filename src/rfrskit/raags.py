@@ -50,7 +50,7 @@ _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 def _vertex_names(vertices) -> list[str]:
     """a .. z for vertices 0 .. 25, then v26, v27, ..., as `word_from_tokens` reads them."""
-    return [_LETTER_NAMES[v] if v < 26 else f"v{v}" for v in vertices]
+    return [_LETTER_NAMES[v] if v < 26 else "v" + _decimal(v) for v in vertices]
 
 
 @dataclass(frozen=True)
@@ -390,8 +390,8 @@ def rtfn_witness(g: Graph, max_len: int) -> RtfnWitnessReport:
 
 
 def graph_to_text(g: Graph) -> str:
-    lines = [str(g.vertex_count)]
-    lines += [f"{u} {v}" for u, v in sorted(g.edges)]
+    lines = [_decimal(g.vertex_count)]
+    lines += [f"{_decimal(u)} {_decimal(v)}" for u, v in sorted(g.edges)]
     return "\n".join(lines) + "\n"
 
 

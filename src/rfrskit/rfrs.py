@@ -28,7 +28,7 @@ returns the restriction as a filtration of H on H's own basis, for the
 library; it builds the induced presentation.
 
 The obstruction certificate is one fact, z in V, plus the number of
-normal subgroups of each index up to a bound, counted by
+normal lattice subgroups of each index up to a bound, counted by
 `subgroups._normal_subgroup_counts` with no subgroup built;
 `ObstructionCertificate` states why that traps the witness in every
 conditioned chain within the bound.  `rfrs-obstruct` prints the one
@@ -158,18 +158,19 @@ def trapped_central_witness(report: RfrsReport) -> Element | None:
 class ObstructionCertificate:
     """Bounded-index certificate that the witness is trapped.
 
-    `counts` is (a_1, ..., a_bound), a_k the number of normal subgroups
-    of index k, and `all_pass` the one fact proved: the witness z lies in
-    V, the kernel of G -> G^ab tensor Q, which holds by construction (z is
-    V's first Hermite row) until the certificate carries a re-check that
-    can fail.  Every census subgroup H has finite index, so
-    `rational_kernel(H)` is H meet V, and z has torsion image in H^ab
-    whenever H holds z.  By induction, a chain of normal subgroups with
-    indices within the bound that satisfies the step conditions keeps z
-    in every term, so its intersection is nontrivial.  A subgroup without
-    z cannot occur in such a chain at all, which is why the certificate
-    is an implication.  It tests no subgroup, so it keeps only how many
-    there are of each index.
+    `counts` is (a_1, ..., a_bound), a_k the census's number of normal
+    subgroups of index k: those whose coordinates form a lattice at the
+    prime powers, products elsewhere.  `all_pass` is the one fact proved:
+    the witness z lies in V, the kernel of G -> G^ab tensor Q, which holds
+    by construction (z is V's first Hermite row) until the certificate
+    carries a re-check that can fail.  Every census subgroup H has finite
+    index, so `rational_kernel(H)` is H meet V, and z has torsion image in
+    H^ab whenever H holds z.  By induction, a chain of normal subgroups
+    with indices within the bound that satisfies the step conditions keeps
+    z in every term, so its intersection is nontrivial.  A subgroup
+    without z cannot occur in such a chain at all, which is why the
+    certificate is an implication.  It tests no subgroup, so it keeps only
+    how many there are of each index.
     """
 
     witness: Element

@@ -13,9 +13,13 @@ form.  `Subgroup.intersect` returns the smaller operand when one lattice
 contains the other, and is otherwise one Hermite form of
 [[B1, B1], [B2, 0]] (Zassenhaus).
 
-For class <= 2 the Mal'cev coordinates of a normal or closure-generated
-subgroup form a sublattice of Z^n, so subgroups are stored as canonical
-Hermite bases and all subgroup algebra reduces to exact lattice algebra.
+For class <= 2 a subgroup here is one whose Mal'cev coordinates form a
+sublattice of Z^n, stored as its canonical Hermite basis, so subgroup
+algebra is exact lattice algebra.  A normal or generated class-2 subgroup
+need not be one: `subgroup_closure` returns the smallest lattice-closed
+subgroup holding the rows, on heisenberg the basis (1, 1, 0), (0, 0, 1)
+for (1, 1, 0) and (0, 0, 2), though z is not in <(1, 1, 0), z^2>; and
+the censuses count and list the normal subgroups that are lattices.
 Class >= 3 groups (the unitriangular families) keep element arithmetic,
 lower central series, center, rank, and whole-group abelianization; the
 general subgroup operations refuse them, naming the presentation's
@@ -61,7 +65,7 @@ V, which `rational_kernel` and `center_ab_report` wrap as a subgroup on
 every call, is an `hnf_basis` output, so the wrapping scans nothing.
 
 A class-2 lattice of full rank is a projection M off the central
-coordinates, a centre N in them and a gluing, and it is normal when N
+coordinates, a centre N in them and a gluing, closed and normal when N
 holds K(M), the Hermite basis of the span of M's needed values.  One
 walk over the pairs of an index, `_CensusPairs.passing`, with one pair
 test and one work account capped at `CENSUS_WORK_CAP`, serves two
@@ -87,6 +91,7 @@ from dataclasses import dataclass
 from .errors import ResourceLimitExceeded
 from .intlinalg import (
     IntMatrix,
+    _decimal,
     _from_decimal,
     _hermite_rows,
     hnf_basis,
@@ -96,7 +101,7 @@ from .intlinalg import (
     saturate,
     xgcd,
 )
-from .pcgroups import Element, PcPresentation
+from .pcgroups import Element, PcPresentation, _dense, _word
 
 
 def _require_class2(p: PcPresentation, what: str) -> None:
@@ -299,7 +304,7 @@ def induced_presentation(s: Subgroup) -> PcPresentation:
                 raise ValueError("commutator left the subgroup lattice")
             if any(exps[: b + 1]):  # pragma: no cover - theory guarantees this
                 raise ValueError("induced commutator table is not triangular")
-            rules[(a, b)] = tuple((l, e) for l, e in enumerate(exps) if e)
+            rules[(a, b)] = tuple(_word(exps))
     return PcPresentation(r, rules)
 
 
@@ -317,14 +322,6 @@ def _hermite_bases(dim: int, index: int):
         for rows in _hermite_bases(dim - 1, index // d):
             for col in itertools.product(range(d), repeat=len(rows)):
                 yield [r + (x,) for r, x in zip(rows, col)] + [pivot]
-
-
-def _embed(coords, n: int, row) -> tuple[int, ...]:
-    """The vector of Z^n with the entries of row at the coordinates coords and 0 elsewhere."""
-    out = [0] * n
-    for t, x in zip(coords, row):
-        out[t] = x
-    return tuple(out)
 
 
 # Cap on the pair tests plus subgroups found by one census: far above the
@@ -367,8 +364,8 @@ class _CensusPairs:
         self.r, self.s = len(p._noncentral), len(p._central)
         # (a, b, B(g_a, g_b) on the central coordinates) in noncentral places; rule (i, j) is B(g_j, g_i)
         place = {k: a for a, k in enumerate(p._noncentral)}
-        self._beta = sorted((place[j], place[i], tuple(map(dict(pairs).get, p._central, itertools.repeat(0))))
-                            for (i, j), pairs in p.rules.items())
+        self._beta = sorted((place[j], place[i], tuple(map(_dense(p.n, word).__getitem__, p._central)))
+                            for (i, j), word in p.rules.items())
         self._projections: dict[int, list[tuple]] = {}
         self._centres: dict[int, list[IntMatrix]] = {}
         self._kernels: dict[tuple, list[list[int]]] = {}
@@ -445,13 +442,13 @@ class _CensusPairs:
 
 
 def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgroup]:
-    """All normal full-rank subgroups of index <= max_index, sorted by
-    (index, basis entries).
+    """The normal full-rank subgroups of index <= max_index whose
+    coordinates form a lattice, sorted by (index, basis entries).
 
     Class 2, C the central coordinates, Z^C in Z(G): with Hermite rows
     ordered by pivot column, a full-rank lattice of Z^n is determined by
     its projection M off C, its centre N in Z^C and a gluing M -> Z^C / N;
-    it is a normal subgroup exactly when N holds m_i m_j - m_i - m_j and
+    it is closed and normal exactly when N holds m_i m_j - m_i - m_j and
     [m_i, g_k] for the Hermite rows m_i of M, whatever the gluing.  So the
     census tests each Hermite pair (M, N) once (`_CensusPairs`), going up
     the index [M] [N], and emits all [Z^C : N]^rank(M) gluings of a
@@ -468,9 +465,9 @@ def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgro
         # each centre of index e: its rows in Z^n and the reduced representatives of Z^C / N
         out = []
         for centre in pairs.centres(e):
-            c_rows = [_embed(cen, n, r) for r in centre.to_rows()]
+            c_rows = [_dense(n, zip(cen, r)) for r in centre.to_rows()]
             box = itertools.product(*(range(r[j]) for r, j in zip(c_rows, cen)))
-            out.append((c_rows, [_embed(cen, n, c) for c in box]))
+            out.append((c_rows, [_dense(n, zip(cen, c)) for c in box]))
         return out
 
     found: list[Subgroup] = []
@@ -478,7 +475,7 @@ def enumerate_normal_subgroups(p: PcPresentation, max_index: int) -> list[Subgro
         start = len(found)
         for m, e, j in pairs.passing(k):
             c_rows, reps = gluings(e)[j]
-            m_rows = [_embed(top, n, u) for u in m]
+            m_rows = [_dense(n, zip(top, u)) for u in m]
             for glue in itertools.product(reps, repeat=len(m)):
                 pairs.spend(k, found=1)
                 rows = [[a + b for a, b in zip(u, c)] for u, c in zip(m_rows, glue)] + c_rows
@@ -500,7 +497,8 @@ def _least_prime_part(k: int) -> int:
 
 def _normal_subgroup_counts(p: PcPresentation, max_index: int) -> list[int]:
     """a_1, ..., a_max_index, a_k the number of normal subgroups of index
-    k, with no subgroup built.
+    k whose coordinates form a lattice when k is 1 or a prime power, with
+    no subgroup built.
 
     G / N is a finite nilpotent group, the product of its Sylow
     subgroups, so a normal N of index k = q k' with coprime q and k' is
@@ -748,7 +746,7 @@ def chain_to_text(subgroups: list[Subgroup]) -> str:
     blocks = []
     for s in subgroups:
         rows = s.basis.to_rows()
-        blocks.append("\n".join(" ".join(str(x) for x in row) for row in rows))
+        blocks.append("\n".join(" ".join(map(_decimal, row)) for row in rows))
     return "\n\n".join(blocks) + "\n"
 
 

@@ -30,7 +30,7 @@ from rfrskit.pcgroups import (
     unitriangular,
 )
 from rfrskit.raags import Graph, graph_from_text, graph_to_text, magnus_image, normal_form, word_from_tokens
-from rfrskit.subgroups import Subgroup, chain_to_text, enumerate_normal_subgroups, subgroup_closure
+from rfrskit.subgroups import Subgroup, chain_from_text, chain_to_text, enumerate_normal_subgroups, subgroup_closure
 from tables import dense_rules, table
 
 PY = [sys.executable, "-m", "rfrskit"]
@@ -295,6 +295,8 @@ def read_report(text):
 BIG_A, BIG_B = 10**2200 + 1, 10**2200 + 3
 BIG_FACTORS = f"5 2\n1 2 : 0 {BIG_A} 0\n1 3 : 0 {BIG_B}\n"
 NINES = "9" * 4300
+# 10^4399, of 4400 digits, and 10^4349 + 1, of 4350, past the int-to-str digit limit
+HUGE, HUGE_VERTEX = "1" + "0" * 4399, "1" + "0" * 4348 + "1"
 
 
 def test_reports_write_integers_past_the_int_to_str_digit_limit(tmp_path, capsys):
@@ -369,6 +371,36 @@ def test_readers_take_back_integers_past_the_int_to_str_digit_limit(tmp_path, ca
     assert rep["steps"] == [{"index": big, "normal": True, "kernel_contained": True}]
     assert main(["raag-nf", "--graph", path["two.txt"], "--word", "v" + "1" * 4301]) == 2
     assert capsys.readouterr().err.startswith("input error: vertex 'v111")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def _normal_form_text(text):
+    g = graph_from_text(HUGE)
+    return str(normal_form(g, word_from_tokens(g, text)))
+
+
+# a reader's input past the int-to-str digit limit and its writer: a presentation file with a 4400-digit
+# exponent, a chain file with a 4400-digit pivot, a graph file with a 4400-digit vertex count, and a word
+# on a 4350-digit vertex
+WRITER_ROUND_TRIPS = {
+    "presentation": (f"3 2\n1 2 : {HUGE}\n", lambda t: presentation_to_text(presentation_from_text(t))),
+    "chain": (
+        f"1 0 0\n0 1 0\n0 0 1\n\n{HUGE} 0 0\n0 1 0\n0 0 1\n",
+        lambda t: chain_to_text(chain_from_text(heisenberg(), t)),
+    ),
+    "graph": (f"{HUGE}\n0 1\n1 {HUGE_VERTEX}\n", lambda t: graph_to_text(graph_from_text(t))),
+    "normal-form": (f"v{HUGE_VERTEX},a^2,v{HUGE_VERTEX}^-1", _normal_form_text),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_ROUND_TRIPS))
+def test_writers_write_back_integers_past_the_int_to_str_digit_limit(case):
+    """Every integer a reader takes, its writer writes back: each text
+    survives the round trip unchanged, and the process-wide limit is left
+    as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    text, round_trip = WRITER_ROUND_TRIPS[case]
+    assert round_trip(text) == text
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
@@ -1055,6 +1087,8 @@ CONSOLE_FILES = {
     "separator-rule.txt": "3 2\n1 2 : 1_0\n",
     "arabic-indic-graph.txt": "\u0663\n",
     "separator-chain.txt": "1 0 0\n0 1 0\n0 0 1\n\n1_0 0 0\n0 1 0\n0 0 1\n",
+    # an edgeless graph whose vertex count has 4400 digits
+    "huge-graph.txt": HUGE + "\n",
 }
 
 # The only list of the cases that the "Console script" step of
@@ -1218,6 +1252,16 @@ CONSOLE_CASES = {
         ["raag-magnus", "--graph", "big-graph.txt", "--word", "a,b,v44210,a^-1", "--degree", "3", "--json"], 0,
         lambda r: (len(r["terms"]), r["terms"][2], r["is_one"])
         == (14, {"monomial": [44210], "coefficient": "1"}, False),
+    ),
+    # a word on a vertex of 4350 digits, written back whole
+    "huge-vertex-nf": (
+        ["raag-nf", "--graph", "huge-graph.txt", "--word", f"a,v{HUGE_VERTEX},a", "--json"], 0,
+        lambda r: (r["normal_form"], r["is_identity"]) == (f"a,v{HUGE_VERTEX},a", False),
+    ),
+    "huge-vertex-magnus": (
+        ["raag-magnus", "--graph", "huge-graph.txt", "--word", f"a,v{HUGE_VERTEX}", "--degree", "2", "--json"], 0,
+        lambda r: [t["monomial"] for t in r["terms"]] == [[], [0], [_int_of_decimal(HUGE_VERTEX)],
+                                                         [0, _int_of_decimal(HUGE_VERTEX)]],
     ),
     "big-factors": (
         ["analyze", "--group", "bigfactors.txt", "--json"], 0,

@@ -324,6 +324,10 @@ REFUSALS = {
         lambda: rfrskit.PcPresentation(3, {(1, 0): (0, 0, 1)}), "bad generator pair (1, 0)"),
     "presentation-float-pair": (
         lambda: rfrskit.PcPresentation(3, {(0.5, 1): ((2, 1),)}), "bad generator pair (0.5, 1)"),
+    # a key that is not two generators, read inside the pair check
+    "presentation-int-key": (lambda: rfrskit.PcPresentation(3, {5: ()}), "bad generator pair (5)"),
+    "presentation-triple-key": (
+        lambda: rfrskit.PcPresentation(3, {(0, 1, 2): ((2, 1),)}), "bad generator pair (0, 1, 2)"),
     # the generator count is checked before any per-generator work
     "presentation-over-bound": (
         lambda: rfrskit.PcPresentation(MAX_GENERATORS + 1),
