@@ -94,15 +94,14 @@ class PcPresentation:
         _check_generator_count(n)
         table = []
         for key, word in (rules or {}).items():
+            pair = key if type(key) is tuple else (key,)
             try:
-                i, j = key
-                ok = 0 <= index(i) < index(j) < n
-            except (TypeError, ValueError):  # not a pair, or a generator that is not an integer
+                ok = len(pair) == 2 and 0 <= index(pair[0]) < index(pair[1]) < n
+            except TypeError:  # a generator that is not an integer
                 ok = False
             if not ok:
-                pair = key if isinstance(key, tuple) else (key,)
                 raise ValueError(f"bad generator pair ({', '.join(map(_echo, pair))})")
-            i, j = index(i), index(j)
+            i, j = map(index, pair)
             try:
                 word = tuple((index(l), index(e)) for l, e in word)
                 # each l above the one before it, the first above j
@@ -289,9 +288,10 @@ def _dense(n: int, word) -> Element:
     return tuple(out)
 
 
-def _word(u: Element) -> list[tuple[int, int]]:
-    """The syllables (k, u_k) of an element's nonzero coordinates, k increasing."""
-    return [(k, e) for k, e in enumerate(u) if e]
+def _word(u: Element, start: int = 0) -> list[tuple[int, int]]:
+    """The syllables (k, u_k) of an element's nonzero coordinates, k increasing;
+    `start` is the index of u's first coordinate when u is a tail."""
+    return [(k, e) for k, e in enumerate(u, start) if e]
 
 
 def _inverse(word) -> list[tuple[int, int]]:
@@ -424,7 +424,8 @@ class _Collector:
                 )
                 if terms:
                     poly.append((l, terms))
-            level[m] = poly = tuple(poly)
+            poly = tuple(poly)
+            level[m] = poly
             for _, terms in poly:
                 for i, j, _ in terms:
                     max_s, max_e = max(max_s, i), max(max_e, j)
@@ -703,7 +704,7 @@ def presentation_from_text(text: str, admit=None) -> PcPresentation:
         if len(tail) != n - j:
             raise ValueError(f"rule for pair ({_echo(i)}, {_echo(j)}) needs {_echo(n - j)} exponents, "
                              f"got {len(tail)}")
-        rules[(i - 1, j - 1)] = tuple(_word([0] * j + tail))
+        rules[(i - 1, j - 1)] = tuple(_word(tail, j))
     p = PcPresentation(n, rules)
     if admit is not None:
         admit(p)

@@ -1311,17 +1311,19 @@ def _exit_2_within(argv, seconds) -> str:
     return proc.stderr
 
 
-@pytest.mark.parametrize("argv,count", [
-    (["analyze", "--group", "free_abelian(100000000)"], 100_000_000),
-    (["analyze", "--group", "ut(20000)"], 199_990_000),
-    (["analyze", "--group", "PATH"], 100_000_000),
-], ids=["free-abelian", "ut", "file"])
-def test_huge_generator_counts_exit_2_at_once(argv, count, tmp_path):
+@pytest.mark.parametrize("argv,count,text", [
+    (["analyze", "--group", "free_abelian(100000000)"], 100_000_000, ""),
+    (["analyze", "--group", "ut(20000)"], 199_990_000, ""),
+    (["analyze", "--group", "PATH"], 100_000_000, "100000000 1\n"),
+    # one rule near the top generator: its tail is read as it stands, not padded to n entries
+    (["analyze", "--group", "PATH"], 10_000_000_000, "10000000000 2\n1 9999999999 : 1\n"),
+], ids=["free-abelian", "ut", "file", "file-with-rule"])
+def test_huge_generator_counts_exit_2_at_once(argv, count, text, tmp_path):
     """Counts far past the bound, each of which once hung or raised
     MemoryError, exit 2 with one line within 1 s, in a child process with
     a 512 MB address-space limit."""
     path = tmp_path / "big-header.txt"
-    path.write_text("100000000 1\n")
+    path.write_text(text)
     argv = [str(path) if a == "PATH" else a for a in argv]
     err = _exit_2_within(argv, 1)
     assert err.endswith(f"generator count {count} is above the bound of {MAX_GENERATORS}\n")

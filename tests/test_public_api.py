@@ -328,6 +328,12 @@ REFUSALS = {
     "presentation-int-key": (lambda: rfrskit.PcPresentation(3, {5: ()}), "bad generator pair (5)"),
     "presentation-triple-key": (
         lambda: rfrskit.PcPresentation(3, {(0, 1, 2): ((2, 1),)}), "bad generator pair (0, 1, 2)"),
+    # a key that unpacks into two generators but is not a tuple: a frozenset's order would pick i
+    "presentation-bytes-key": (
+        lambda: rfrskit.PcPresentation(3, {b"\x00\x01": ((2, 1),)}), "bad generator pair (b'\\x00\\x01')"),
+    "presentation-frozenset-key": (
+        lambda: rfrskit.PcPresentation(3, {frozenset({0, 1}): ((2, 1),)}),
+        "bad generator pair (frozenset({0, 1}))"),
     # the generator count is checked before any per-generator work
     "presentation-over-bound": (
         lambda: rfrskit.PcPresentation(MAX_GENERATORS + 1),
