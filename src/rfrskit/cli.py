@@ -33,9 +33,9 @@ once and repeated a_k times, so a text run builds no steps at all.
 
 Each loader and handler imports the library layers it calls when it runs,
 so that a process loads only what its command uses.  Importing this module
-loads `errors` and `intlinalg` (for `_decimal`); the `raag-*` commands add
-`raags`, `analyze` adds `pcgroups` and `subgroups`, and the `rfrs-*`
-commands add `pcgroups`, `subgroups` and `rfrs`.  The import reads the
+loads `errors` and `digits` (for `_decimal`); the `raag-*` commands add
+`raags`, `analyze` adds `intlinalg`, `pcgroups` and `subgroups`, and the
+`rfrs-*` commands add those three and `rfrs`.  The import reads the
 layer's module attributes at each call, so a wrapper bound there is the
 function called.
 """
@@ -53,8 +53,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .digits import _decimal
 from .errors import ResourceLimitExceeded
-from .intlinalg import _decimal
 
 if TYPE_CHECKING:
     from .pcgroups import PcPresentation

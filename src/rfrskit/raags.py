@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+from .digits import _decimal, _echo, _from_decimal
 from .errors import ResourceLimitExceeded
-from .intlinalg import _decimal, _echo, _from_decimal
 
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 

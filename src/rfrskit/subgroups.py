@@ -88,11 +88,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .digits import _decimal, _from_decimal
 from .errors import ResourceLimitExceeded
 from .intlinalg import (
     IntMatrix,
-    _decimal,
-    _from_decimal,
     _hermite_rows,
     hnf_basis,
     lattice_index,
@@ -665,7 +664,7 @@ def center(p: PcPresentation) -> Subgroup:
     for d in range(2, depth + 1):
         cols = [l for l, w in enumerate(weights) if w == d]
         low = [g for g, w in zip(gens, weights) if w < d]
-        values = [[c[l] for c in (p.commutator(b, g) for g in low) for l in cols] for b in basis]
+        values = [[c[l] for c in row for l in cols] for row in p._commutators(basis, low)]
         ker = left_kernel(IntMatrix._from_int_rows(values, len(low) * len(cols)))
         basis = [_ordered_product(p, basis, ker.row(i)) for i in range(ker.rows)]
     sub = _subgroup_from_induced(p, basis)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfrskit import intlinalg
+from rfrskit.digits import _decimal, _echo, _from_decimal
 from rfrskit.intlinalg import (
     INFINITE,
     AbelianGroupStructure,
@@ -30,9 +31,6 @@ from rfrskit.intlinalg import (
     saturate,
     snf,
     xgcd,
-    _decimal,
-    _echo,
-    _from_decimal,
     _gcd_step,
 )
 

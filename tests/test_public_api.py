@@ -151,14 +151,14 @@ def test_unknown_attribute_is_an_attribute_error():
 # The rfrskit modules that each entry loads: a package import, one exported
 # name, and each command through `python -m rfrskit`.
 _BASE = {"rfrskit", "rfrskit.errors"}
-_CLI = _BASE | {"rfrskit.intlinalg", "rfrskit.cli"}
-_NILPOTENT = _CLI | {"rfrskit.pcgroups", "rfrskit.subgroups"}
+_CLI = _BASE | {"rfrskit.digits", "rfrskit.cli"}
+_NILPOTENT = _CLI | {"rfrskit.intlinalg", "rfrskit.pcgroups", "rfrskit.subgroups"}
 _RAAGS = _CLI | {"rfrskit.raags"}
 # arguments to python, with {dir} the directory of INPUT_FILES, and the modules loaded
 LOADED_MODULES = {
     "import rfrskit": (["-c", "import rfrskit"], _BASE),
     "import rfrskit.cli": (["-c", "import rfrskit.cli"], _CLI),
-    "rfrskit.hnf": (["-c", "import rfrskit; rfrskit.hnf"], _BASE | {"rfrskit.intlinalg"}),
+    "rfrskit.hnf": (["-c", "import rfrskit; rfrskit.hnf"], _BASE | {"rfrskit.digits", "rfrskit.intlinalg"}),
     "analyze": (["-m", "rfrskit", "analyze", "--group", "heisenberg"], _NILPOTENT),
     "rfrs-verify": (
         ["-m", "rfrskit", "rfrs-verify", "--group", "heisenberg", "--chain", "{dir}/chain.txt"],

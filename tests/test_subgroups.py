@@ -751,7 +751,8 @@ def _answers(p, bound):
     """What an answer about the group p presents may not depend on its table."""
     ab = abelianization(p).structure
     return (p.nilpotency_class, center(p).rank(), ab.free_rank, ab.invariant_factors,
-            p._torsion_lattice.rows, obstruction_certificate(p, bound).counts)
+            p._torsion_lattice.rows, [s.rank() for s in lower_central_series(p)],
+            obstruction_certificate(p, bound).counts)
 
 
 HXZ = direct_product(H, free_abelian(1))
@@ -768,7 +769,8 @@ REBASE_CASES = {
 def test_a_rebased_table_gives_the_same_answers(name, seed):
     """Re-basing is a law: a class-2 table and its re-basing by a seeded
     unimodular U agree on the class, the centre rank, the abelianization,
-    the rank of V and the census counts to index 7."""
+    the rank of V, the ranks of the lower central series and the census
+    counts to index 7."""
     p = REBASE_CASES[name]
     q = _rebased(p, seed)
     assert q != p or name == "heisenberg"
@@ -1123,6 +1125,16 @@ def test_center_direct_product():
     z = center(p)
     assert z.rank() == 2
     assert z.basis.to_rows() == [[0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "direct_product(heisenberg,free_abelian(1))",
+                                  "direct_product(heisenberg,heisenberg)"])
+def test_center_of_a_class_2_table_builds_no_collector(name):
+    """Class <= 2 takes the closed-form commutator; only collection builds
+    the conjugation table."""
+    p = build_standard(name)
+    center(p)
+    assert "_collector" not in p.__dict__
 
 
 def test_center_ut4():
