@@ -45,6 +45,13 @@ u^-1 v^-1 u v, with no products composed, and a table of commutators
 for its row or column, not once per entry.  Elements and words convert in
 one place each way, for every module: `_word` turns an element into its
 syllables, `_dense` a word into an element, and `_inverse` reverses a word.
+
+Class >= 3 `multiply`, `inverse` and `power` evaluate Hall's
+multiplication polynomials instead, (u v)_l = u_l + v_l + f_l(u_<l, v_<l),
+and those of u^-1, which one run of the collector on polynomial exponents
+gives (`hall`, after Deep Thought), on the first of them.  Past a term
+budget, crossed between ut(8) and ut(9), they keep collecting, as
+`commutator`, `collect` and the collector's own build always do.
 """
 
 from __future__ import annotations
@@ -224,25 +231,44 @@ class PcPresentation:
         """The conjugation polynomials, built on the first generic product or `collect`."""
         return _Collector(self)
 
+    @cached_property
+    def _table(self):
+        """The multiplication polynomials (`hall`), read off one symbolic run
+        of the collector on the first class >= 3 `multiply`, `inverse` or
+        `power`; None past their term budget, and then those collect."""
+        from .hall import multiplication_table
+
+        return multiplication_table(self._collector)
+
     # ------------------------------------------------------------ public
 
     def multiply(self, u: Element, v: Element) -> Element:
+        if len(u) != self.n or len(v) != self.n:
+            raise _length_error(self.n, u, v)
         if self._class2:
             return tuple(x + y + z for x, y, z in zip(u, v, self._beta(u, v)))
-        return self._collector.mul(u, v)
+        return (self._table or self._collector).mul(u, v)
 
     def inverse(self, u: Element) -> Element:
+        if len(u) != self.n:
+            raise _length_error(self.n, u)
         if self._class2:
             return self.power(u, -1)
-        return self._collector.inv(u)
+        return (self._table or self._collector).inv(u)
 
     def power(self, u: Element, e: int) -> Element:
+        if len(u) != self.n:
+            raise _length_error(self.n, u)
+        try:
+            e = index(e)
+        except TypeError:
+            raise ValueError(f"power exponent must be an integer, not {type(e).__name__}") from None
         if self._class2:
             # u^e = e*u + (e choose 2) * B(u, u), valid for every integer e
             b = self._beta(u, u)
             c = e * (e - 1) // 2
             return tuple(e * x + c * z for x, z in zip(u, b))
-        return self._collector.pow(u, e)
+        return (self._table or self._collector).pow(u, e)
 
     def conjugate(self, u: Element, g: Element) -> Element:
         """g^-1 u g."""
@@ -250,6 +276,8 @@ class PcPresentation:
 
     def commutator(self, u: Element, v: Element) -> Element:
         """u^-1 v^-1 u v."""
+        if len(u) != self.n or len(v) != self.n:
+            raise _length_error(self.n, u, v)
         if self._class2:
             b1 = self._beta(u, v)
             b2 = self._beta(v, u)
@@ -287,6 +315,11 @@ class PcPresentation:
         """
         if not self._class2:
             self._collector
+
+
+def _length_error(n: int, *elements) -> ValueError:
+    k = next(len(u) for u in elements if len(u) != n)
+    return ValueError(f"exponent vector length {k} must equal generator count {n}")
 
 
 # ------------------------------------------------------- generic collection
@@ -373,7 +406,11 @@ class _Collector:
     `mul` collects the syllables of v onto u; `inv` and `commutator`
     collect the words u^-1 and u^-1 v^-1 u v from the identity, and
     `commutators` a table of the latter.  Each entry is one `_collect` call
-    on syllables from `_word`.
+    on syllables from `_word`.  The build splits no element: a level's
+    images of g_l are the syllables g_l and the rule of (k, l).  On
+    exponents that are polynomials, one `mul` and one `inv` give the
+    multiplication polynomials of `hall`, which products and powers then
+    evaluate in place of collecting.
     """
 
     __slots__ = ("n", "top", "levels", "blocking", "degrees")
@@ -400,8 +437,8 @@ class _Collector:
 
     def _level(self, p: PcPresentation, k: int, w: tuple[int, ...], ruled: list) -> tuple:
         n, rules = self.n, p.rules
-        # g_l^(g_k) = g_l [g_l, g_k]
-        images = {l: _dense(n, ((l, 1), *rules[k, l])) for l, _ in ruled[k] if l > k}
+        # g_l^(g_k) = g_l [g_l, g_k], as syllables: the rule's value lies above l
+        images = {l: [(l, 1), *rules[k, l]] for l, _ in ruled[k] if l > k}
         if not images:  # g_k commutes with every generator above it
             return {}, (0, 0)
         self._check_conjugation(p, k, images, ruled)
@@ -414,7 +451,7 @@ class _Collector:
             # grid[a][b] = g_k^-b g_m^a g_k^b on 0..d_s x 0..d_e
             col = [p.generator(m)]
             for _ in range(d_e):
-                col.append(self._conj_once(images, k, _word(col[-1])))
+                col.append(self._collect([0] * n, self._conj_once(images, _word(col[-1]))))
             grid = [[(0,) * n] * (d_e + 1)]
             for _ in range(d_s):
                 grid.append([self.mul(x, y) for x, y in zip(grid[-1], col)])
@@ -444,7 +481,7 @@ class _Collector:
                     max_s, max_e = max(max_s, i), max(max_e, j)
         return level, (max_s, max_e)
 
-    def _check_conjugation(self, p: PcPresentation, k: int, images: dict[int, Element], ruled: list) -> None:
+    def _check_conjugation(self, p: PcPresentation, k: int, images: dict[int, list], ruled: list) -> None:
         """Refuse the table unless g_l -> images[l] respects every relation
         g_j g_i = g_i g_j r_ij (k < i < j) of G_(k+1) = <g_(k+1), ...>.
 
@@ -475,24 +512,28 @@ class _Collector:
                     (min(a, b), max(a, b)) in rules for a in x_support or (i,) for b in y_support or (j,)
                 ):
                     continue
-                x, y = images.get(i) or p.generator(i), images.get(j) or p.generator(j)
-                right = self.mul(x, y)
-                if rule is not None:
-                    right = self.mul(right, self._conj_once(images, k, rule))
-                if self.mul(y, x) != right:
+                x, y = images.get(i) or [(i, 1)], images.get(j) or [(j, 1)]
+                right = y + self._conj_once(images, rule) if rule is not None else y
+                if self._collect(list(_dense(n, y)), x) != self._collect(list(_dense(n, x)), right):
                     raise ValueError(f"inconsistent presentation: conjugation by g{k} breaks "
                                      f"the relation g{j} g{i} = g{i} g{j} [g{j}, g{i}]")
 
-    def _conj_once(self, images: dict[int, Element], k: int, word) -> Element:
-        """g_k^-1 x g_k for the word x, supported above k."""
+    def _conj_once(self, images: dict[int, list], word) -> list[tuple[int, int]]:
+        """Syllables of g_k^-1 x g_k for the word x, supported above k, with
+        images[l] the syllables of g_k^-1 g_l g_k, so that an exponent of
+        +-1, as every rule of ut(n) has, takes no product."""
         out = []
         for l, e in word:
             img = images.get(l)
             if img is None:
                 out.append((l, e))
+            elif e == 1:
+                out += img
+            elif e == -1:
+                out += _inverse(img)
             else:
-                out += _word(self.pow(img, e))
-        return self._collect([0] * self.n, out)
+                out += _word(self.pow(_dense(self.n, img), e))
+        return out
 
     def _collect(self, r: list[int], word) -> Element:
         """r times a word of (generator, nonzero exponent) syllables, collected from the left."""

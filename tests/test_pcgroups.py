@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfrskit import pcgroups
+from rfrskit.hall import multiplication_table
 from rfrskit.pcgroups import (
     MAX_GENERATORS,
     PcPresentation,
@@ -1036,6 +1038,82 @@ def test_direct_product_rules_are_the_factors_words_shifted():
     for p, q in zip(LAW_CASES, LAW_CASES[1:]):
         shifted = [((i + p.n, j + p.n), tuple((l + p.n, e) for l, e in word)) for (i, j), word in q.rules.items()]
         assert list(direct_product(p, q).rules.items()) == list(p.rules.items()) + shifted
+
+
+# ------------------------------------------------ multiplication polynomials
+
+
+@functools.cache
+def _table_and_collector(p):
+    """The multiplication table of a fresh copy of p, built whatever its
+    class, and that copy's collector; the shared cases stay as they are."""
+    q = PcPresentation(p.n, p.rules)
+    return multiplication_table(q._collector), q._collector
+
+
+TABLE_CASES = LAW_CASES + [build() for _, build in TIGHT_CASES]
+# half of the coordinates small, zeros among them, so skipped terms are hit
+COORDINATE = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_table_products_inverses_and_powers_match_the_collector(data):
+    p = data.draw(st.sampled_from(TABLE_CASES))
+    table, collector = _table_and_collector(p)
+    assert table is not None
+    elt = st.tuples(*[COORDINATE] * p.n)
+    u, v = data.draw(elt), data.draw(elt)
+    e = data.draw(st.integers(-40, 40))
+    assert table.mul(u, v) == collector.mul(u, v)
+    assert table.inv(u) == collector.inv(u)
+    assert table.pow(u, e) == collector.pow(u, e)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_table_matches_matrix_model_with_large_exponents(n):
+    p = unitriangular(n)
+    p.multiply(p.identity(), p.identity())
+    assert p._table is not None
+    rng = random.Random(100 + n)
+    for _ in range(6):
+        # a sparse u, as the centre walk's ordered products take, and a dense v
+        u = tuple(rng.choice([0, 0, rng.randint(-10**9, 10**9)]) for _ in range(p.n))
+        v = tuple(rng.randint(-10**9, 10**9) for _ in range(p.n))
+        mu, mv = coords_to_matrix(n, u), coords_to_matrix(n, v)
+        assert coords_to_matrix(n, p._table.mul(u, v)) == mat_mul(mu, mv)
+        assert coords_to_matrix(n, p._table.mul(v, u)) == mat_mul(mv, mu)
+        assert coords_to_matrix(n, p._table.inv(v)) == ut_inverse(mv)
+        e = rng.choice([-30, -11, 17, 40])
+        assert coords_to_matrix(n, p._table.pow(v, e)) == mat_pow(mv, e)
+
+
+def test_tables_past_the_budget_keep_collecting():
+    """ut(8) gets a table and ut(9) and ut(12) do not; all three give the
+    matrix model's answers."""
+    rng = random.Random(12)
+    for n, tabled in ((8, True), (9, False), (12, False)):
+        p = unitriangular(n)
+        u = tuple(rng.randint(-50, 50) for _ in range(p.n))
+        v = tuple(rng.randint(-50, 50) for _ in range(p.n))
+        mu, mv = coords_to_matrix(n, u), coords_to_matrix(n, v)
+        assert coords_to_matrix(n, p.multiply(u, v)) == mat_mul(mu, mv)
+        assert (p._table is not None) == tabled
+        assert coords_to_matrix(n, p.inverse(u)) == ut_inverse(mu)
+        assert coords_to_matrix(n, p.power(u, -3)) == mat_pow(mu, -3)
+
+
+def test_class2_tables_construction_and_commutators_build_no_table():
+    h, hz, p = heisenberg(), direct_product(heisenberg(), free_abelian(1)), unitriangular(5)
+    for q in (h, hz):
+        x, y = q.generator(0), q.generator(1)
+        q.multiply(x, y), q.inverse(x), q.power(x, 5), q.commutator(x, y), q.conjugate(x, y)
+        assert "_table" not in vars(q) and "_collector" not in vars(q)
+    assert "_table" not in vars(p)
+    p.commutator(p.generator(1), p.generator(0))
+    assert "_collector" in vars(p) and "_table" not in vars(p)
+    p.collect([(1, 1), (0, 1)])
+    assert "_table" not in vars(p)
 
 
 # ------------------------------------------------------------ file format

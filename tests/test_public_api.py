@@ -295,6 +295,25 @@ REFUSALS = {
         lambda: rfrskit.unitriangular(1), "unitriangular groups need size at least 2"),
     "generator-out-of-range": (lambda: H.generator(3), "generator index 3 out of range"),
     "collect-out-of-range": (lambda: H.collect([(3, 1)]), "generator index 3 out of range"),
+    # an element of the wrong length, refused before any work in every class
+    "multiply-short-element": (
+        lambda: H.multiply((1, 2), (3, 4, 5)), "exponent vector length 2 must equal generator count 3"),
+    "inverse-short-element": (
+        lambda: UT4.inverse((1, 2)), "exponent vector length 2 must equal generator count 6"),
+    "multiply-long-element": (
+        lambda: UT4.multiply((1,) * 7, (1,) * 6), "exponent vector length 7 must equal generator count 6"),
+    "multiply-short-left-element": (
+        lambda: UT4.multiply((1, 2, 3), (1,) * 6), "exponent vector length 3 must equal generator count 6"),
+    "power-short-element": (
+        lambda: UT4.power((1,) * 5, 2), "exponent vector length 5 must equal generator count 6"),
+    "commutator-short-element": (
+        lambda: H.commutator((1, 2, 3), (1, 2)), "exponent vector length 2 must equal generator count 3"),
+    "commutator-long-element": (
+        lambda: UT4.commutator((1,) * 6, (1,) * 8), "exponent vector length 8 must equal generator count 6"),
+    "power-float-exponent": (
+        lambda: H.power((1, 1, 0), 2.5), "power exponent must be an integer, not float"),
+    "power-float-exponent-class3": (
+        lambda: UT4.power((1,) * 6, 2.0), "power exponent must be an integer, not float"),
     "commutator-rule-diagonal": (
         lambda: H.commutator_rule(1, 1), "commutator table is indexed by distinct generators"),
     # a rule is a word of (l, e_l) pairs; each malformed one gets the same refusal, naming its pair
@@ -363,6 +382,17 @@ def test_malformed_input_is_refused_with_a_message(case):
     with pytest.raises(ValueError) as info:
         thunk()
     assert str(info.value).startswith(message)
+
+
+def test_product_refusals_build_nothing():
+    """A wrong-length element or a non-integer exponent is refused before
+    the collector or the multiplication table is built."""
+    p = rfrskit.unitriangular(5)
+    for thunk in (lambda: p.multiply((1,) * 9, (1,) * 10), lambda: p.inverse((1,) * 11),
+                  lambda: p.power((1,) * 10, 1.5), lambda: p.commutator((1,) * 10, ())):
+        with pytest.raises(ValueError):
+            thunk()
+    assert "_collector" not in vars(p) and "_table" not in vars(p)
 
 
 def test_class2_refusal_computes_no_class():
