@@ -48,8 +48,9 @@ syllables, `_dense` a word into an element, and `_inverse` reverses a word.
 
 Class >= 3 `multiply`, `inverse` and `power` evaluate Hall's
 multiplication polynomials instead, (u v)_l = u_l + v_l + f_l(u_<l, v_<l),
-and those of u^-1, which one run of the collector on polynomial exponents
-gives (`hall`, after Deep Thought), on the first of them.  Past a term
+and those of u^-1: on the first of them, one run of the collector on
+polynomial exponents gives them, and `hall` compiles them once to
+straight-line Python, in 0.15 ms on ut(4) to 3.8 ms on ut(8).  Past a term
 budget, crossed between ut(8) and ut(9), they keep collecting, as
 `commutator`, `collect` and the collector's own build always do.
 """
@@ -410,7 +411,7 @@ class _Collector:
     images of g_l are the syllables g_l and the rule of (k, l).  On
     exponents that are polynomials, one `mul` and one `inv` give the
     multiplication polynomials of `hall`, which products and powers then
-    evaluate in place of collecting.
+    run, compiled, in place of collecting.
     """
 
     __slots__ = ("n", "top", "levels", "blocking", "degrees")

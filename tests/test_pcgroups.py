@@ -2,13 +2,14 @@ import functools
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfrskit import pcgroups
-from rfrskit.hall import multiplication_table
+from rfrskit.hall import _sum, multiplication_table
 from rfrskit.pcgroups import (
     MAX_GENERATORS,
     PcPresentation,
@@ -1114,6 +1115,75 @@ def test_class2_tables_construction_and_commutators_build_no_table():
     assert "_collector" in vars(p) and "_table" not in vars(p)
     p.collect([(1, 1), (0, 1)])
     assert "_table" not in vars(p)
+
+
+def _agrees_with_collector(table, collector, rng, rounds=20):
+    n = collector.n
+    for _ in range(rounds):
+        u = tuple(rng.choice([0, rng.randint(-30, 30), rng.randint(-10**12, 10**12)]) for _ in range(n))
+        v = tuple(rng.randint(-30, 30) for _ in range(n))
+        assert table.mul(u, v) == collector.mul(u, v)
+        assert table.mul(v, u) == collector.mul(v, u)
+        assert table.inv(u) == collector.inv(u)
+        e = rng.choice([-7, -2, 3, 11])
+        assert table.pow(v, e) == collector.pow(v, e)
+
+
+def _called_at_depth(depth, f):
+    """f(), called with about `depth` frames on the stack."""
+    frame, here = sys._getframe(), 0
+    while frame is not None:
+        frame, here = frame.f_back, here + 1
+
+    def down(k):
+        return f() if k <= 0 else down(k - 1)
+
+    return down(depth - here)
+
+
+def test_tables_compile_deep_in_the_stack():
+    """`compile` has less room for nested expressions deep in the stack;
+    the largest tables within the budget still compile 800 frames down."""
+    rng = random.Random(51)
+    for p in (unitriangular(8), filiform(12), filiform(13), filiform(14)):
+        collector = p._collector
+        table = _called_at_depth(800, lambda: multiplication_table(collector))
+        assert table is not None
+        _agrees_with_collector(table, collector, rng)
+    # a sum far longer than any table's still compiles there
+    source = f"x = {_sum([('+', '1'), ('-', '2')] * 5000)}"
+    namespace = {}
+    _called_at_depth(800, lambda: exec(compile(source, "<sum>", "exec"), namespace))
+    assert namespace["x"] == -5000
+
+
+def test_table_code_sees_no_builtins():
+    """The compiled functions hold only integer constants, reach no global
+    name, and run without builtins; a coefficient past the int-to-str digit
+    limit is written too."""
+    rng = random.Random(7)
+    big = 10**5000 + 7
+    huge = PcPresentation(5, {(0, 1): ((2, big),), (0, 2): ((3, 1),), (1, 2): ((4, -big),)})
+    for p in (unitriangular(5), filiform(9), free_class3(), direct_product(unitriangular(4), free_abelian(12)), huge):
+        table, collector = _table_and_collector(p)
+        for f in (table.mul, table.inv):
+            assert f.__globals__["__builtins__"] == {}
+            assert f.__code__.co_names == ()
+            assert all(c is None or type(c) is int for c in f.__code__.co_consts)
+        _agrees_with_collector(table, collector, rng)
+
+
+def test_wide_tables_match_the_collector():
+    """Free coordinates beside ut(4), on either side, add as in the collector."""
+    rng = random.Random(300)
+    for k in (30, 300):
+        for p in (direct_product(unitriangular(4), free_abelian(k)), direct_product(free_abelian(k), unitriangular(4))):
+            u = tuple(rng.randint(-9, 9) for _ in range(p.n))
+            v = tuple(rng.randint(-9, 9) for _ in range(p.n))
+            assert p.multiply(u, v) == p._collector.mul(u, v)
+            assert p.inverse(u) == p._collector.inv(u)
+            assert p.power(u, -5) == p._collector.pow(u, -5)
+            assert "_table" in vars(p)
 
 
 # ------------------------------------------------------------ file format
