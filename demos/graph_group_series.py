@@ -4,7 +4,10 @@ Generators of a graph group commute exactly along edges.  The piling
 normal form solves the word problem; sending each generator v to 1 + X_v
 in the free partially-commutative power-series algebra and truncating by
 degree produces torsion-free nilpotent quotients that separate short
-elements, checked exhaustively by `rtfn_witness`.
+elements.  `magnus_image` multiplies a word's normal form, one syllable
+at a time.  `rtfn_witness` enumerates every element up to a length once,
+as its normal form v_1^e_1...v_k^e_k, and certifies it by one
+coefficient: e_1*...*e_k, never 0, at the monomial X_v_1...X_v_k.
 """
 
 from rfrskit import (

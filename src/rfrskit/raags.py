@@ -11,23 +11,60 @@ head index, so nothing is removed from the front of a pile.
 
 `Graph` holds its vertex count and edges only; `commutes` reads them.
 `_noncommuters` builds the non-commuting relation over just the vertices
-a call reads (a word's distinct vertices, or the at most 4 of
-`rtfn_witness`) and refuses a vertex the graph lacks, so a word of length
-L on k vertices costs O(L*k + k^2) whatever the graph's vertex count.
+a call reads (a word's distinct vertices) and refuses a vertex the graph
+lacks, so a word of length L on k vertices costs O(L*k + k^2) whatever
+the graph's vertex count.
 
 Generators also embed into the free partially-commutative power-series
 algebra by v -> 1 + X_v.  Truncating at a degree bound gives nilpotent
-quotients whose elements separate short nontrivial words, which is what
-`rtfn_witness` certifies exhaustively up to a length bound.  Series
-coefficients are exact integers, and each monomial is keyed by its
-lexicographic trace normal form, built one letter at a time (Diekert &
-Rozenberg, eds., The Book of Traces, 1995).
+quotients whose elements separate short nontrivial words (Duchamp &
+Krob, Semigroup Forum 45, 1992), which is what `rtfn_witness` certifies
+exhaustively up to a length bound.  Series coefficients are exact
+integers, and each monomial is keyed by its lexicographic trace normal
+form, built one letter at a time (Diekert & Rozenberg, eds., The Book of
+Traces, 1995).
 
-`magnus_image` and `rtfn_witness` multiply by one syllable v^e at a
-time through the letter kernel `_times_letter`: every power v^k settles
-in a normal monomial m at the same place p, so p is found once per
-monomial and the product's new keys are m[:p] + (v,)*k + m[p:].  It is
-the only series product; the tests hold it to a greedy reference.
+`magnus_image` piles its word into normal form first, with the helper
+`normal_form` calls, and multiplies the normal form's syllables: the map
+is a homomorphism, so the series is the word's, from no more syllables
+than the word has.  It multiplies by one syllable v^e at a time through
+the letter kernel `_times_letter`: every power v^k settles in a normal
+monomial m at the same place p, so p is found once per monomial and the
+product's new keys are m[:p] + (v,)*k + m[p:].  It is the only series
+product; the tests hold it to a greedy reference.
+
+`rtfn_witness` multiplies nothing, by this lemma: a reduced word
+w = v_1^e_1 ... v_k^e_k (no e_i is 0, and between two syllables on one
+vertex x lies a syllable on a vertex that does not commute with x) has
+coefficient e_1*...*e_k at the monomial t = X_v_1...X_v_k.  Proof: that
+coefficient sums prod_i C(e_i, n_i) over the n >= 0 whose trace
+c = v_1^n_1 ... v_k^n_k equals t; n = (1, ..., 1) gives e_1*...*e_k, and
+it is the only such n.  By the projection lemma for traces (Diekert &
+Rozenberg, ch. 1), c = t exactly when their projections onto every pair
+{x, y} of non-commuting letters, x = y allowed, are equal words; so the
+j-th x and the l-th y come in the same order in c as in t.  Let p(x, j)
+and q(x, j) be the syllables holding the j-th x in t and in c, and
+suppose some q(x, j) < p(x, j), with q = q(x, j) least.  Syllable q is
+on x and holds in t a j'-th x, j' < j, and q(x, j') = q by the choice
+of q; so syllable q holds in c the (j'+1)-th x as well, which in t lies
+on the next x-syllable.  Between the two lies a syllable on a y that
+does not commute with x, holding some l-th y, which precedes that x in
+t and so in c: q(y, l) < q < p(y, l), against the choice of q.  So q >= p
+everywhere; the reversed word is reduced too, and reversing both turns
+this into q <= p, so q = p and every n_i = 1.  An element of length
+L <= max_len, enumerated as its normal form, has k <= L syllables, so
+its image at degree max_len has a nonzero term of degree k >= 1 and is
+not 1.
+
+`rtfn_witness` enumerates the normal forms on unit letters depth first,
+holding at each depth, as the bits of one integer, the letters still to
+try.  The letters that extend a normal form u.x, x = (w, s), follow from
+those that extend u in one step (`_extension_masks`), so an element
+costs a few operations on 2n-bit integers, n the vertex count, and no
+scan back along its prefix; the elements of length max_len are counted
+per prefix by `int.bit_count`.  So its cap bounds its work: at most
+RTFN_ELEMENT_CAP elements, and a graph with more than RTFN_ELEMENT_CAP
+vertex pairs is refused before its masks are built.
 
 A word is read in one pass: `word_from_tokens` parses each distinct
 token once, and `RaagWord.build` merges the list of their letters,
@@ -174,21 +211,26 @@ def _noncommuters(g: Graph, letters) -> dict[int, set[int]]:
 
 
 def normal_form(g: Graph, w: RaagWord) -> RaagWord:
-    """Lexicographically least reduced representative; empty iff trivial.
+    """Lexicographically least reduced representative; empty iff trivial."""
+    return RaagWord(_piled(_noncommuters(g, w.letters), w.letters))
 
-    Each of the word's vertices has a pile of syllable exponents and 0
-    markers, one per syllable of a vertex that does not commute with it,
-    between a 0 at the bottom and, once piled, one on top.  A syllable
-    adds to its pile's top when that is a syllable (nothing blocking came
-    since), and a sum of 0 leaves with its markers.  The piles are read
-    from the bottom through head indices: the least vertex whose head is
-    a syllable goes out, stepping its own head and its noncommuters'
-    heads past their markers, and the scan goes back to the least of
-    these, the only vertices that can have become ready."""
-    noncomm = _noncommuters(g, w.letters)
+
+def _piled(noncomm: dict[int, set[int]], letters) -> tuple[tuple[int, int], ...]:
+    """The syllables of the normal form of `letters`, whose vertices are
+    the keys of `noncomm`.
+
+    Each vertex has a pile of syllable exponents and 0 markers, one per
+    syllable of a vertex that does not commute with it, between a 0 at
+    the bottom and, once piled, one on top.  A syllable adds to its
+    pile's top when that is a syllable (nothing blocking came since), and
+    a sum of 0 leaves with its markers.  The piles are read from the
+    bottom through head indices: the least vertex whose head is a
+    syllable goes out, stepping its own head and its noncommuters' heads
+    past their markers, and the scan goes back to the least of these,
+    the only vertices that can have become ready."""
     piles = {v: [0] for v in noncomm}
     cells = {v: (piles[v], [piles[u] for u in us]) for v, us in noncomm.items()}
-    for v, e in w.letters:
+    for v, e in letters:
         pile, others = cells[v]
         top = pile[-1]
         if top:
@@ -223,7 +265,7 @@ def normal_form(g: Graph, w: RaagWord) -> RaagWord:
             i = rescan[i]
         else:
             i += 1
-    return RaagWord(tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------- truncated series
@@ -298,20 +340,23 @@ def _times_letter(
 
 
 def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
-    """Image of w under v -> 1 + X_v, truncated beyond degree d.
+    """Image of w under v -> 1 + X_v, truncated beyond degree d: the
+    product of the images of w's normal-form syllables, the same series
+    since the map is a homomorphism.
 
     Checks the word's vertices first, then raises ResourceLimitExceeded
     before a product that would form more than MAX_TERM_PAIRS term pairs."""
     if d < 1:
         raise ValueError("degree bound must be at least 1")
     noncomm = _noncommuters(g, w.letters)
+    letters = _piled(noncomm, w.letters)
     out = TruncatedSeries.one(d)
-    for done, (v, e) in enumerate(w.letters):
+    for done, (v, e) in enumerate(letters):
         pairs = len(out.coefficients) * _letter_terms(e, d)
         if pairs > MAX_TERM_PAIRS:
             raise ResourceLimitExceeded(
                 f"series product of {pairs} term pairs exceeds the cap of {MAX_TERM_PAIRS} "
-                f"after {done} of {len(w.letters)} syllables at degree {d}"
+                f"after {done} of {len(letters)} syllables of the normal form at degree {d}"
             )
         out = _times_letter(noncomm, out, v, e)
     return out
@@ -319,12 +364,18 @@ def magnus_image(g: Graph, w: RaagWord, d: int) -> TruncatedSeries:
 
 # ------------------------------------------------------- separation witness
 
+# Cap on the elements `rtfn_witness` enumerates, charged before each one,
+# and on the vertex pairs of a graph it reads.
+RTFN_ELEMENT_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class RtfnWitnessReport:
     """Exhaustive check that nontrivial words up to a length bound have
     nontrivial truncated-series image, i.e. are separated by the degree
-    filtration's torsion-free nilpotent quotients."""
+    filtration's torsion-free nilpotent quotients.  By the module
+    docstring's lemma `separated` is always true and `failures` empty;
+    the report keeps both fields."""
 
     max_len: int
     degree: int
@@ -333,56 +384,71 @@ class RtfnWitnessReport:
     failures: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _extends_normally(noncomm: dict[int, set[int]], units: list[tuple[int, int]],
-                      letter: tuple[int, int]) -> bool:
-    """Whether units + [letter] is a normal form, given that units is one:
-    scanning back through the letters that commute with the new letter, it
-    must meet neither a larger vertex (it belongs earlier) nor its inverse
-    (the two cancel)."""
-    v, eps = letter
-    row = noncomm[v]
-    for u, f in reversed(units):
-        if u == v:
-            return f == eps
-        if u in row:
-            return True
-        if u > v:
-            return False
-    return True
+def _extension_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """Letter (v, e) is bit 2v + (e < 0), so bits ascend in the order
+    (0, 1), (0, -1), (1, 1), ...  Per vertex w, `fresh[w]` holds the
+    letters on the vertices that do not commute with w, and `above[w]`
+    those on w's neighbours larger than w.
+
+    If x = (w, s) extends the normal form u, the letters that extend u.x
+    are x itself, `fresh[w]`, and those of `above[w]` that extend u.  A
+    letter on a neighbour v < w belongs before x, (w, -s) cancels x, and
+    a letter on a neighbour v > w passes x and meets u alone."""
+    n = g.vertex_count
+    adjacent = [0] * n
+    for u, v in g.edges:
+        adjacent[u] |= 3 << 2 * v
+        adjacent[v] |= 3 << 2 * u
+    everything = (1 << 2 * n) - 1
+    fresh = [everything & ~(a | 3 << 2 * w) for w, a in enumerate(adjacent)]
+    above = [a >> 2 * w + 2 << 2 * w + 2 for w, a in enumerate(adjacent)]
+    return fresh, above
 
 
 def rtfn_witness(g: Graph, max_len: int) -> RtfnWitnessReport:
+    """Every nontrivial element of length at most max_len, enumerated once
+    as a normal form on unit letters, has a nontrivial image at degree
+    max_len: its normal form's syllables name a monomial of nonzero
+    coefficient (the module docstring's lemma), so no series is
+    multiplied.  Raises ResourceLimitExceeded for a graph with more than
+    RTFN_ELEMENT_CAP vertex pairs, and before the element that would pass
+    RTFN_ELEMENT_CAP."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if g.vertex_count > 4 or max_len > 6:
+    n, cap = g.vertex_count, RTFN_ELEMENT_CAP
+    if n * n > cap:
         raise ResourceLimitExceeded(
-            "separation witness is bounded to at most 4 vertices and length 6"
+            f"separation witness on {_decimal(n)} vertices would read more than {cap} vertex pairs"
         )
-    alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
-    noncomm = _noncommuters(g, alphabet)
-    failures: list[tuple[tuple[int, int], ...]] = []
+    fresh, above = _extension_masks(g)
     checked = 0
-
-    def extend(units: list[tuple[int, int]], series: TruncatedSeries) -> None:
-        nonlocal checked
-        for letter in alphabet:
-            if not _extends_normally(noncomm, units, letter):
-                continue
-            cand = units + [letter]
-            s2 = _times_letter(noncomm, series, *letter)
-            checked += 1
-            if s2.is_one():
-                failures.append(tuple(cand))
-            if len(cand) < max_len:
-                extend(cand, s2)
-
-    extend([], TruncatedSeries.one(max_len))
+    # A depth-first walk on an explicit stack: stack[i] holds the letters
+    # still to try after the first i letters of the current element.
+    stack = [(1 << 2 * n) - 1]
+    while stack:
+        rest = stack[-1]
+        length = len(stack)
+        if not rest:
+            stack.pop()
+            continue
+        # at the last length every letter left ends an element: take them all
+        take = rest.bit_count() if length == max_len else 1
+        if checked + take > cap:
+            raise ResourceLimitExceeded(
+                f"separation witness would check more than {cap} elements: stopped after "
+                f"{cap} elements at length {length} of {max_len}"
+            )
+        checked += take
+        if length == max_len:
+            stack.pop()
+            continue
+        low = rest & -rest
+        rest ^= low
+        stack[-1] = rest
+        w = low.bit_length() - 1 >> 1
+        stack.append(fresh[w] | low | rest & above[w])
     return RtfnWitnessReport(
-        max_len=max_len,
-        degree=max_len,
-        elements_checked=checked,
-        separated=not failures,
-        failures=tuple(failures),
+        max_len=max_len, degree=max_len, elements_checked=checked, separated=True, failures=()
     )
 
 

@@ -436,9 +436,29 @@ def test_exit2_on_unknown_group():
 
 
 def test_exit2_on_resource_cap(path3_graph):
-    code, _, err = invoke(["raag-rtfn", "--graph", path3_graph, "--max-len", "9"])
+    # the path on 3 vertices has 6,377,262 elements of length at most 13
+    code, _, err = invoke(["raag-rtfn", "--graph", path3_graph, "--max-len", "13"])
     assert code == 2
     assert "resource cap exceeded" in err
+    assert "elements at length 13 of 13" in err
+
+
+def test_exit2_on_rtfn_graphs_past_the_cap(tmp_path):
+    """The cap bounds the work as well as the count: 10^5 vertices are
+    refused before their extension masks are built, and on the complete
+    graph on 1,000 vertices, where few letters extend, the walk stops at
+    the element cap."""
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("100000\n")
+    complete = tmp_path / "complete.txt"
+    complete.write_text("1000\n" + "".join(f"{i} {j}\n" for i in range(1000) for j in range(i + 1, 1000)))
+    for graph, length, message in [
+        (edgeless, "1", "on 100000 vertices would read more than 1000000 vertex pairs"),
+        (complete, "3", "stopped after 1000000 elements at length 3 of 3"),
+    ]:
+        code, _, err = invoke(["raag-rtfn", "--graph", str(graph), "--max-len", length])
+        assert code == 2
+        assert "resource cap exceeded" in err and message in err
 
 
 def test_exit2_on_abelian_obstruct():

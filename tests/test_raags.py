@@ -23,7 +23,7 @@ from rfrskit.raags import (
     normal_form,
     rtfn_witness,
     word_from_tokens,
-    _extends_normally,
+    _extension_masks,
     _times_letter,
 )
 
@@ -452,6 +452,23 @@ def test_times_letter_matches_series_products(data):
     assert product.coefficients == _reference_multiply(g, s, letter)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_magnus_image_is_the_product_of_the_unmerged_letters(data):
+    """Piling the word first changes nothing: the image equals the greedy
+    product of every drawn letter's binomial series, for words that merge
+    and cancel, with exponents up to 7 in size."""
+    g = data.draw(graphs())
+    letters = st.tuples(st.integers(0, g.vertex_count - 1), st.integers(-7, 7))
+    head, middle, tail = (data.draw(st.lists(letters, max_size=3)) for _ in range(3))
+    drawn = head + middle + [(v, -e) for v, e in reversed(middle)] + tail
+    d = data.draw(st.integers(1, 4))
+    expected = {(): 1}
+    for v, e in drawn:
+        expected = _reference_multiply(g, TruncatedSeries(d, expected), _letter_series(v, e, d))
+    assert magnus_image(g, RaagWord.build(drawn), d).coefficients == expected
+
+
 # ------------------------------------------------------------------ witness
 
 
@@ -472,22 +489,44 @@ def test_rtfn_witness_path3():
     assert rep.separated
 
 
+def _extends_normally(noncomm, units, letter):
+    """Reference extension test: units + [letter] is a normal form, given
+    that units is one, when scanning back through the letters that
+    commute with the new letter meets neither a larger vertex (it belongs
+    earlier) nor its inverse (the two cancel)."""
+    v, eps = letter
+    row = noncomm[v]
+    for u, f in reversed(units):
+        if u == v:
+            return f == eps
+        if u in row:
+            return True
+        if u > v:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("name", sorted(FOUR_VERTEX))
 def test_rtfn_extension_test_matches_piling(name):
-    # every one-letter extension of every normal word of length <= 5
+    """Every one-letter extension of every normal word of length <= 5:
+    the scan and the one-step rule of `_extension_masks` both agree with
+    piling."""
     g = FOUR_VERTEX[name]
     noncomm = dict(enumerate(_noncommuter_table(g)))
+    fresh, above = _extension_masks(g)
     alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
-    level = [[]]
+    level = [([], (1 << len(alphabet)) - 1)]
     for length in range(6):
         longer = []
-        for units in level:
-            for letter in alphabet:
+        for units, extending in level:
+            for bit, letter in enumerate(alphabet):
                 cand = units + [letter]
                 normal = _pile_units(g, cand) == cand
                 assert _extends_normally(noncomm, units, letter) == normal, (units, letter)
+                assert bool(extending >> bit & 1) == normal, (units, letter)
                 if normal and length < 5:
-                    longer.append(cand)
+                    w = letter[0]
+                    longer.append((cand, fresh[w] | 1 << bit | extending & above[w]))
         level = longer
 
 
@@ -515,12 +554,17 @@ def _growth_count(g, max_len):
     return sum(growth[1:])
 
 
-@pytest.mark.parametrize("name", sorted(FOUR_VERTEX))
-def test_rtfn_counts_match_growth_series(name):
-    g = FOUR_VERTEX[name]
-    rep = rtfn_witness(g, 4)
-    assert rep.separated
-    assert rep.elements_checked == _growth_count(g, 4)
+@pytest.mark.parametrize("g, max_len", [
+    *((FOUR_VERTEX[name], 4) for name in sorted(FOUR_VERTEX)),
+    (FOUR_VERTEX["edgeless"], 6),
+    (Graph.path(5), 5),
+    (Graph.build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]), 4),
+    (Graph.complete(6), 5),
+], ids=[*sorted(FOUR_VERTEX), "edgeless-6", "path5-5", "cycle6-chord-4", "K6-5"])
+def test_rtfn_counts_match_growth_series(g, max_len):
+    rep = rtfn_witness(g, max_len)
+    assert rep.separated and not rep.failures
+    assert rep.elements_checked == _growth_count(g, max_len)
 
 
 def test_rtfn_path4_length5_count():
@@ -529,11 +573,69 @@ def test_rtfn_path4_length5_count():
     assert rep.elements_checked == _growth_count(FOUR_VERTEX["path"], 5) == 7024
 
 
-def test_rtfn_witness_resource_bounds():
-    with pytest.raises(ResourceLimitExceeded):
-        rtfn_witness(Graph.edgeless(5), 2)
-    with pytest.raises(ResourceLimitExceeded):
-        rtfn_witness(K2, 7)
+def test_rtfn_witness_resource_bounds(monkeypatch):
+    """No vertex or length bound: the cap counts the elements, charged
+    before each one, and its message names the count and the length."""
+    rep = rtfn_witness(Graph.edgeless(5), 2)
+    assert rep.separated and rep.elements_checked == _growth_count(Graph.edgeless(5), 2) == 100
+    rep = rtfn_witness(K2, 7)
+    assert rep.separated and rep.elements_checked == _growth_count(K2, 7) == 112
+    # depth first on FREE2 (A, B the inverses): a, aa, aaa, aaaa, aaab, aaaB,
+    # aab, aaba, aabA, aabb; the eleventh, aaB, has length 3
+    monkeypatch.setattr(raags, "RTFN_ELEMENT_CAP", 10)
+    with pytest.raises(ResourceLimitExceeded, match="more than 10 elements: stopped after 10 elements at length 3 of 4"):
+        rtfn_witness(FREE2, 4)
+    monkeypatch.setattr(raags, "RTFN_ELEMENT_CAP", 160)
+    assert rtfn_witness(FREE2, 4).elements_checked == 160
+
+
+def test_rtfn_witness_walks_long_lengths_without_recursion():
+    rep = rtfn_witness(Graph.complete(1), 5000)
+    assert rep.separated and rep.elements_checked == 10_000
+
+
+def test_rtfn_witness_multiplies_no_series(monkeypatch):
+    calls = 0
+    times_letter = raags._times_letter
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return times_letter(*args)
+
+    monkeypatch.setattr(raags, "_times_letter", spy)
+    rep = rtfn_witness(FOUR_VERTEX["path"], 4)
+    assert rep.separated and not rep.failures and calls == 0
+    magnus_image(PATH3, W((0, 1), (2, -1)), 2)
+    assert calls == 2
+
+
+@pytest.mark.parametrize("g", [*FOUR_VERTEX.values(), K2, FREE2, PATH3],
+                         ids=[*FOUR_VERTEX, "K2", "FREE2", "PATH3"])
+def test_normal_forms_have_their_syllable_monomial(g):
+    """The lemma `rtfn_witness` rests on: each normal form v_1^e_1...v_k^e_k
+    of length <= 5 has coefficient e_1*...*e_k, at degree 5, at the key
+    that `_times_letter` builds for X_v_1...X_v_k."""
+    noncomm = dict(enumerate(_noncommuter_table(g)))
+    alphabet = [(v, e) for v in range(g.vertex_count) for e in (1, -1)]
+    keys = {}
+    level = [[]]
+    for _ in range(5):
+        level = [units + [letter] for units in level for letter in alphabet
+                 if _extends_normally(noncomm, units, letter)]
+        for units in level:
+            w = RaagWord.build(units)
+            vertices = tuple(v for v, _ in w.letters)
+            if vertices not in keys:
+                key = TruncatedSeries.one(len(vertices))
+                for v in vertices:
+                    key = _times_letter(noncomm, key, v, 1)
+                (keys[vertices],) = [m for m in key.coefficients if len(m) == len(vertices)]
+                assert keys[vertices] == _greedy_canonical(g, vertices)
+            product = 1
+            for _, e in w.letters:
+                product *= e
+            assert magnus_image(g, w, 5).coefficient(keys[vertices]) == product, units
 
 
 # ------------------------------------------------------------- file formats
